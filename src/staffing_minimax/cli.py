@@ -12,7 +12,8 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .model import (Instance, InstanceError, MultiStationInstance,
                     make_instance, validate_instance, validate_multi_station,
                     validate_release_instance)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
-                       LpResolvingPolicy, ReleasePolicy, DayObservation)
+                       LpResolvingPolicy, ReleasePolicy, DayObservation,
+                       gamma_star_single_pool)
 from .programs import (ConfigurationExplosion, build_lp_joint_cost,
                        build_lp_multi_station, build_lp_release,
                        build_lp_single_switch, extract_canonical,
@@ -133,27 +135,68 @@ def _build_sequence(spec: str, problem, inst: Instance):
     raise CliInputError(f"unknown sequence spec {spec!r}")
 
 
-def _build_policy(name: str, problem, inst: Instance, gamma: Optional[float]):
-    if name == "lp_emulator":
-        return LpEmulatorPolicy(inst)
-    if name == "lp_resolving":
-        return LpResolvingPolicy(inst)
-    if name == "naive_greedy":
-        return bayesian.NaiveGreedyPolicy(inst)
-    if name == "greedy_target":
-        if gamma is None:
-            from .policies import gamma_star_single_pool
-            gamma = gamma_star_single_pool(inst).gamma_star
-        return GreedyTargetPolicy(inst, gamma)
-    if name == "release":
-        if not isinstance(problem, ReleaseInstance):
-            raise CliInputError("release policy needs a release instance")
-        return ReleasePolicy(validate_release_instance(problem))
-    if name == "joint":
-        if not isinstance(problem, ReleaseInstance):
-            raise CliInputError("joint policy needs a wages instance")
-        return JointCostPolicy(problem)
-    raise CliInputError(f"unknown policy {name!r}")
+class _PolicyContext(NamedTuple):
+    """What a policy constructor may draw on besides the base instance."""
+
+    inst: Instance
+    problem: object                 # the instance file (run, oracle)
+    gamma: Optional[float]          # greedy target; None means gamma*
+    process: Optional[bayesian.DemandProcess]   # Bayesian world (bench)
+    mdp_cfg: dict
+
+
+def _emulating(policy: LpEmulatorPolicy):
+    """Fresh LP emulators of the profile `policy` solved, so that one solve
+    serves every run."""
+    return partial(LpEmulatorPolicy, policy.inst, policy.canonical,
+                   policy.gamma_star)
+
+
+def _greedy_target(c: _PolicyContext):
+    gamma = (gamma_star_single_pool(c.inst).gamma_star if c.gamma is None
+             else c.gamma)
+    return partial(GreedyTargetPolicy, c.inst, gamma)
+
+
+def _mdp(transition: str):
+    def make(c: _PolicyContext):
+        spec = bayesian.MdpSpec(
+            grid_levels=int(c.mdp_cfg.get("grid_levels", 11)),
+            transition=transition,
+            state_cap=int(c.mdp_cfg.get("state_cap", 2_000_000)))
+        return partial(bayesian.MdpPolicy, c.inst, c.process, spec)
+    return make
+
+
+# Policy name -> (context it needs beyond the base instance, constructor of
+# a zero-argument factory of fresh policies).  The factory constructor does
+# the work every run shares, such as solving the program an emulator plays.
+POLICIES = {
+    "lp_emulator": (None, lambda c: _emulating(LpEmulatorPolicy(c.inst))),
+    "lp_resolving": (None, lambda c: partial(LpResolvingPolicy, c.inst)),
+    "naive_greedy": (None,
+                     lambda c: partial(bayesian.NaiveGreedyPolicy, c.inst)),
+    "greedy_target": (None, _greedy_target),
+    "naive_bayesian": ("world",
+                       lambda c: partial(bayesian.NaiveBayesianPolicy, c.inst)),
+    "empirical_mdp": ("world", _mdp("empirical")),
+    "full_info_mdp": ("world", _mdp("true")),
+    "release": ("release", lambda c: partial(
+        ReleasePolicy, validate_release_instance(c.problem))),
+    "joint": ("release", lambda c: _emulating(JointCostPolicy(c.problem))),
+}
+
+
+def _policy_factory(name: str, c: _PolicyContext):
+    if name not in POLICIES:
+        raise CliInputError(f"unknown policy {name!r}")
+    need, make = POLICIES[name]
+    if need == "world" and c.process is None:
+        raise CliInputError(f"policy {name!r} runs only in the Bayesian "
+                            "world (bench)")
+    if need == "release" and not isinstance(c.problem, ReleaseInstance):
+        raise CliInputError(f"policy {name!r} needs a release instance")
+    return make(c)
 
 
 def cmd_run(args) -> int:
@@ -162,7 +205,8 @@ def cmd_run(args) -> int:
     if not isinstance(inst, Instance):
         raise CliInputError("run drives single-demand instances")
     sequence = _build_sequence(args.sequence, problem, inst)
-    policy = _build_policy(args.policy, problem, inst, args.gamma)
+    policy = _policy_factory(args.policy, _PolicyContext(
+        inst, problem, args.gamma, None, {}))()
 
     n, T = inst.availability.shape
     hires = np.zeros((n, T))
@@ -200,27 +244,9 @@ def cmd_run(args) -> int:
 
 
 def _policy_factories(names, inst, process, mdp_cfg):
-    factories = {}
-    for name in names:
-        if name == "lp_emulator":
-            factories[name] = lambda inst=inst: LpEmulatorPolicy(inst)
-        elif name == "lp_resolving":
-            factories[name] = lambda inst=inst: LpResolvingPolicy(inst)
-        elif name == "naive_greedy":
-            factories[name] = lambda inst=inst: bayesian.NaiveGreedyPolicy(inst)
-        elif name == "naive_bayesian":
-            factories[name] = lambda inst=inst: bayesian.NaiveBayesianPolicy(
-                inst)
-        elif name in ("empirical_mdp", "full_info_mdp"):
-            spec = bayesian.MdpSpec(
-                grid_levels=int(mdp_cfg.get("grid_levels", 11)),
-                transition="true" if name == "full_info_mdp" else "empirical",
-                state_cap=int(mdp_cfg.get("state_cap", 2_000_000)))
-            factories[name] = (lambda inst=inst, process=process, spec=spec:
-                               bayesian.MdpPolicy(inst, process, spec))
-        else:
-            raise CliInputError(f"unknown bench policy {name!r}")
-    return factories
+    """Factories for the Bayesian world's policies, keyed by name."""
+    c = _PolicyContext(inst, None, None, process, mdp_cfg)
+    return {name: _policy_factory(name, c) for name in names}
 
 
 def _bench_rows(config: dict, reps: int, rep_offset: int = 0):
@@ -340,8 +366,8 @@ def cmd_oracle(args) -> int:
     built = build_lp_single_switch(inst)
     from .lp import solve_lp
     gamma = solve_lp(built.model).objective
-    policy_factory = lambda: _build_policy(args.policy, problem, inst,
-                                           args.gamma)
+    policy_factory = _policy_factory(args.policy, _PolicyContext(
+        inst, problem, args.gamma, None, {}))
     witness = brute_force_worst_case(inst, policy_factory, args.grid_step,
                                      cap=args.cap)
     print(f"max_cost = {witness.cost:.6f}")

@@ -106,23 +106,43 @@ def emulator_step(canonical: np.ndarray, realized: np.ndarray, day: int,
     return split_hires(total, canonical[:, day - 1].astype(float), rho_today)
 
 
+class Emulator:
+    """Running state of the emulator oracle on one canonical block.
+
+    Each step lowers the running upper bound R_hat to the given bound and
+    plays emulator_step for the next day of the block.  availability[:, k]
+    is the availability on the block's (k+1)-th day.
+    """
+
+    def __init__(self, canonical: np.ndarray, availability: np.ndarray,
+                 r0: float):
+        self.canonical = canonical
+        self.availability = availability
+        self.realized = np.zeros(canonical.shape)
+        self.r0 = self.r_hat = r0
+        self.day = 0
+
+    def step(self, bound: float) -> np.ndarray:
+        self.day += 1
+        t = self.day
+        self.r_hat = min(self.r_hat, bound)
+        hires = emulator_step(self.canonical, self.realized, t, self.r_hat,
+                              self.r0, self.availability[:, t - 1])
+        self.realized[:, t - 1] = hires
+        return hires
+
+
 def run_emulator(inst: Instance, canonical: np.ndarray,
                  sequence: PredictionSequence
                  ) -> Tuple[StaffingPlan, EmulatorTrace]:
     """Emulate a canonical profile against a full prediction sequence."""
-    n, T = inst.availability.shape
-    r0 = inst.initial_range[1]
-    realized = np.zeros((n, T))
+    em = Emulator(canonical, inst.availability, inst.initial_range[1])
     trace = EmulatorTrace()
-    for t in range(1, T + 1):
-        r_hat = float(sequence.effective_hi[t - 1])
-        l_hat = float(sequence.effective_lo[t - 1])
-        hires = emulator_step(canonical, realized, t, r_hat, r0,
-                              inst.availability[:, t - 1])
-        realized[:, t - 1] = hires
-        trace.record(t, canonical[:, :t].sum(), realized.sum(), r_hat, l_hat,
-                     hires)
-    return StaffingPlan.of(realized), trace
+    for t in range(1, inst.horizon + 1):
+        hires = em.step(float(sequence.effective_hi[t - 1]))
+        trace.record(t, canonical[:, :t].sum(), em.realized.sum(), em.r_hat,
+                     float(sequence.effective_lo[t - 1]), hires)
+    return StaffingPlan.of(em.realized), trace
 
 
 # --- Release-mode epoch mechanics --------------------------------------------
@@ -166,40 +186,32 @@ class EpochRunner:
         self.canonical = np.asarray(canonical_hires, float)
         self.canonical_releases = canonical_releases
         self.trace = trace
-        inst = ri.base
         self.t0, self.t_end = ri.epoch_range(state.index)
-        n = inst.n_pools
-        self.realized = np.zeros((n, self.t_end - self.t0))
         self.l_bar, self.r_bar = state.interval
-        self.r_hat = self.r_bar
+        self.emulator = Emulator(self.canonical,
+                                 state.availability[:, self.t0:], self.r_bar)
+        self.realized = self.emulator.realized
         self.r_observed = [self.r_bar]
         self.realized_cum = [0.0]
         self.canon_cum = [0.0]
-        self.idx = 0
 
     def observe(self, interval) -> np.ndarray:
-        idx = self.idx
+        idx = self.emulator.day
         if idx >= self.t_end - self.t0:
             raise ValueError("epoch already complete")
-        t = self.t0 + 1 + idx
-        self.r_hat = min(self.r_hat, interval.hi)
+        hires = self.emulator.step(interval.hi)
         total_canon = float(self.canonical[:, :idx + 1].sum())
-        total_real = float(self.realized[:, :idx].sum())
-        need = max(0.0, total_canon - total_real - (self.r_bar - self.r_hat))
-        hires = split_hires(need, self.canonical[:, idx].astype(float),
-                            self.state.availability[:, t - 1])
-        self.realized[:, idx] = hires
         self.r_observed.append(interval.hi)
         self.realized_cum.append(float(self.realized.sum()))
         self.canon_cum.append(total_canon)
-        self.idx = idx + 1
         if self.trace is not None:
-            self.trace.record(t, total_canon, self.realized.sum(), self.r_hat,
+            self.trace.record(self.t0 + 1 + idx, total_canon,
+                              self.realized.sum(), self.emulator.r_hat,
                               max(self.l_bar, interval.lo), hires)
         return hires
 
     def finish(self) -> Tuple[np.ndarray, int, Optional[EpochState]]:
-        if self.idx != self.t_end - self.t0:
+        if self.emulator.day != self.t_end - self.t0:
             raise ValueError("epoch not fully observed")
         ri, state, inst = self.ri, self.state, self.ri.base
         ell = state.index

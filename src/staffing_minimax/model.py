@@ -406,28 +406,6 @@ def fresh_state(inst: Instance, budget=UNLIMITED, pre_hires=None) -> EpochState:
     )
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Which cost functional applies, plus its parameters.
-
-    mode: one of "single", "egalitarian", "utilitarian", "joint".
-    wages only participate in joint mode (hiring cost added to imbalance).
-    """
-
-    mode: str = "single"
-    under_cost: float = 1.0
-    over_cost: float = 1.0
-    wages: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.mode not in ("single", "egalitarian", "utilitarian", "joint"):
-            raise InstanceError(f"unknown cost mode {self.mode!r}")
-        if self.under_cost < 0 or self.over_cost < 0:
-            raise NegativeParameter("cost slopes must be nonnegative")
-        if self.wages is not None and np.any(self.wages < 0):
-            raise NegativeParameter("wages must be nonnegative")
-
-
 def imbalance_cost(under_cost: float, over_cost: float, staffed: float,
                    demand: float) -> float:
     """c * (d - H)^+ + C * (H - d)^+ for net staffing level H."""

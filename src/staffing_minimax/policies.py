@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .emulator import EpochRunner, emulator_step
+from .emulator import Emulator, EpochRunner
 from .model import (EpochState, Instance, InstanceError, MultiStationInstance,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, fresh_state, validate_release_instance)
@@ -305,25 +305,13 @@ class LpEmulatorPolicy:
             gamma_star, canonical = minimax_value_and_profile(inst)
         self.canonical = canonical
         self.gamma_star = gamma_star
-        n, T = inst.availability.shape
-        self.realized = np.zeros((n, T))
-        self.r_hat = inst.initial_range[1]
-        self.day = 0
+        self.emulator = Emulator(canonical, inst.availability,
+                                 inst.initial_range[1])
 
     def step(self, obs: DayObservation) -> Decision:
-        self.day += 1
-        t = self.day
-        inst = self.inst
-        self.r_hat = min(self.r_hat, obs.interval.hi + inst.eps(t))
-        hires = emulator_step(self.canonical, self.realized, t, self.r_hat,
-                              inst.initial_range[1],
-                              inst.availability[:, t - 1])
-        self.realized[:, t - 1] = hires
-        return Decision.hire_only(hires)
-
-
-def lp_emulator_policy(inst: Instance) -> LpEmulatorPolicy:
-    return LpEmulatorPolicy(inst)
+        em = self.emulator
+        return Decision.hire_only(
+            em.step(obs.interval.hi + self.inst.eps(em.day + 1)))
 
 
 class LpResolvingPolicy:
@@ -373,10 +361,6 @@ class LpResolvingPolicy:
         return Decision.hire_only(hires)
 
 
-def lp_resolving_policy(inst: Instance) -> LpResolvingPolicy:
-    return LpResolvingPolicy(inst)
-
-
 class MultiStationPolicy:
     """Per-station emulation of the multi-station program's canonical block.
 
@@ -392,24 +376,14 @@ class MultiStationPolicy:
         sol = solve_canonical(built)
         self.objective = sol.objective
         self.canonical = extract_canonical(built, sol)    # (n, m, T)
-        n, m, T = self.canonical.shape
-        self.realized = np.zeros((n, m, T))
-        self.r_hat = np.array([st.initial_range[1] for st in msi.stations])
-        self.day = 0
+        self.emulators = [Emulator(self.canonical[:, j, :], msi.availability,
+                                   st.initial_range[1])
+                          for j, st in enumerate(msi.stations)]
 
     def step_multi(self, intervals: Sequence[PredictionInterval]) -> np.ndarray:
-        self.day += 1
-        t = self.day
-        msi = self.msi
-        out = np.zeros((msi.n_pools, msi.n_stations))
+        out = np.zeros((self.msi.n_pools, self.msi.n_stations))
         for j, iv in enumerate(intervals):
-            self.r_hat[j] = min(self.r_hat[j], iv.hi)
-            hires = emulator_step(
-                self.canonical[:, j, :], self.realized[:, j, :], t,
-                float(self.r_hat[j]), self.msi.stations[j].initial_range[1],
-                msi.availability[:, t - 1])
-            self.realized[:, j, t - 1] = hires
-            out[:, j] = hires
+            out[:, j] = self.emulators[j].step(iv.hi)
         return out
 
 
@@ -423,36 +397,22 @@ def play_multi(policy: MultiStationPolicy, msi: MultiStationInstance,
     return [StaffingPlan.of(hires[:, j, :]) for j in range(msi.n_stations)]
 
 
-class JointCostPolicy:
-    """Emulate the joint-cost program's canonical profile (wage-aware)."""
+class JointCostPolicy(LpEmulatorPolicy):
+    """Emulate the joint-cost program's canonical profile (wage-aware).
+
+    The joint program assumes eps = 0, so this is the LP emulator over the
+    joint profile; objective is the joint program's value.
+    """
 
     kind = "joint"
 
     def __init__(self, ri: ReleaseInstance):
-        self.ri = ri
         built = build_lp_joint_cost(ri)
         sol = solve_canonical(built)
+        super().__init__(ri.base, extract_canonical(built, sol),
+                         sol.objective)
+        self.ri = ri
         self.objective = sol.objective
-        self.canonical = extract_canonical(built, sol)
-        inst = ri.base
-        self.inst = inst
-        self.realized = np.zeros_like(self.canonical)
-        self.r_hat = inst.initial_range[1]
-        self.day = 0
-
-    def step(self, obs: DayObservation) -> Decision:
-        self.day += 1
-        t = self.day
-        self.r_hat = min(self.r_hat, obs.interval.hi)
-        hires = emulator_step(self.canonical, self.realized, t, self.r_hat,
-                              self.inst.initial_range[1],
-                              self.inst.availability[:, t - 1])
-        self.realized[:, t - 1] = hires
-        return Decision.hire_only(hires)
-
-
-def joint_cost_policy(ri: ReleaseInstance) -> JointCostPolicy:
-    return JointCostPolicy(ri)
 
 
 class ReleasePolicy:
@@ -492,11 +452,6 @@ class ReleasePolicy:
             if next_state is not None:
                 self.state = next_state
         return Decision(hires, releases)
-
-
-def release_policy(ri: ReleaseInstance, config_cap: int = 100_000
-                   ) -> ReleasePolicy:
-    return ReleasePolicy(ri, config_cap)
 
 
 class MiscoverageWrapper:
@@ -544,17 +499,10 @@ class MiscoverageWrapper:
         self.seen.append(obs.interval)
         if self.shocked[t - 1]:
             return Decision.hire_only(np.zeros(self.inst.n_pools))
-        inst = self.inst
-        history = self._repaired_history(t)
-        realized = np.zeros_like(self.base.canonical)
-        r_hat = inst.initial_range[1]
-        hires = np.zeros(inst.n_pools)
-        for tau, iv in enumerate(history, start=1):
-            r_hat = min(r_hat, iv.hi)
-            hires = emulator_step(self.base.canonical, realized, tau, r_hat,
-                                  inst.initial_range[1],
-                                  inst.availability[:, tau - 1])
-            realized[:, tau - 1] = hires
+        em = Emulator(self.base.canonical, self.inst.availability,
+                      self.inst.initial_range[1])
+        for iv in self._repaired_history(t):
+            hires = em.step(iv.hi)
         return Decision.hire_only(hires)
 
 

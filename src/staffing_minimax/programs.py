@@ -54,8 +54,39 @@ def _require_positive_slopes(under_cost: float, over_cost: float) -> None:
                             "cost slopes")
 
 
+def _lex_targets(blocks, sense: str) -> list:
+    """Refinement targets: each block's sum, then each of its variables
+    when it has more than one, in block order."""
+    targets = []
+    for block in blocks:
+        if block:
+            targets.append(({v: 1.0 for v in block}, sense))
+            if len(block) > 1:
+                targets.extend(({v: 1.0}, sense) for v in block)
+    return targets
+
+
+class _DayPoolHires:
+    """Hire variables x_index[(pool i, day t)] over the days in day_range:
+    refined day by day, then pool by pool; extracted as an (n, T) block."""
+
+    def refine_targets(self, refine_limit: Optional[int] = None) -> list:
+        lo, hi = self.day_range
+        if refine_limit is not None:
+            hi = min(hi, lo + refine_limit - 1)
+        return _lex_targets(
+            ([self.x_index[(i, t)] for i in range(self.inst.n_pools)
+              if (i, t) in self.x_index] for t in range(lo, hi + 1)), "max")
+
+    def canonical(self, sol: LpSolution) -> np.ndarray:
+        x = np.zeros((self.inst.n_pools, self.inst.horizon))
+        for (i, t), v in self.x_index.items():
+            x[i, t - 1] = sol.x[v]
+        return x
+
+
 @dataclass
-class SingleSwitchLp:
+class SingleSwitchLp(_DayPoolHires):
     model: LpModel
     inst: Instance
     x_index: Dict[Tuple[int, int], int]     # (pool i, day t) -> variable
@@ -69,31 +100,12 @@ def build_lp_single_switch(inst: Instance) -> SingleSwitchLp:
 
     Supply rows per pool; for each switch day k a cap
       sum_{t<=k} sum_i x_it <= floor_k + gamma / C
-    and one understaffing floor sum x >= R0 - gamma / c.
+    and one understaffing floor sum x >= R0 - gamma / c.  This is the
+    resolving program at day 1 from the fresh state.
     """
-    _require_positive_slopes(inst.under_cost, inst.over_cost)
-    n, T = inst.availability.shape
-    lo0, hi0 = inst.initial_range
-    m = LpModel(name="single_switch")
-    x_index = {}
-    for i in range(n):
-        for t in range(1, T + 1):
-            if inst.availability[i, t - 1] > 0:
-                x_index[(i, t)] = m.add_var(f"x[{i},{t}]")
-    gamma = m.add_var("gamma", obj=1.0)
-
-    for i in range(n):
-        coeffs = {x_index[(i, t)]: 1.0 / inst.availability[i, t - 1]
-                  for t in range(1, T + 1) if (i, t) in x_index}
-        m.add_row(coeffs, "<=", float(inst.pool_sizes[i]))
-    for k in range(1, T + 1):
-        coeffs = {v: 1.0 for (i, t), v in x_index.items() if t <= k}
-        coeffs[gamma] = -1.0 / inst.over_cost
-        m.add_row(coeffs, "<=", single_switch_floor(inst, k))
-    coeffs = {v: 1.0 for v in x_index.values()}
-    coeffs[gamma] = 1.0 / inst.under_cost
-    m.add_row(coeffs, ">=", hi0)
-    return SingleSwitchLp(m, inst, x_index, gamma, (1, T))
+    built = build_lp_resolving(inst, fresh_state(inst), 1)
+    built.model.name = "single_switch"
+    return built
 
 
 def build_lp_resolving(inst: Instance, state: EpochState, day: int
@@ -102,8 +114,7 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
 
     Uses the carried state: cumulative hires shift the cap and floor rows,
     remaining supply and rescaled availability replace the originals, and the
-    carried interval supplies the subproblem's day-0 term.  With a fresh
-    state at day 1 this reproduces build_lp_single_switch exactly.
+    carried interval supplies the subproblem's day-0 term.
     """
     _require_positive_slopes(inst.under_cost, inst.over_cost)
     n, T = inst.availability.shape
@@ -148,6 +159,27 @@ class MultiStationLp:
     x_index: Dict[Tuple[int, int, int], int]    # (pool i, station j, day t)
     gamma_index: List[int]
     epigraph: Optional[int]
+
+    def refine_targets(self, refine_limit: Optional[int] = None) -> list:
+        """Every per-station cost shrunk to its true minimum first (under
+        the max objective the non-binding gammas are otherwise free slack
+        that would let a station overstaff for no reason), then hires
+        early, day by day and station by station.  refine_limit is
+        ignored."""
+        msi = self.msi
+        hires = ([self.x_index[(i, j, t)] for i in range(msi.n_pools)
+                  if (i, j, t) in self.x_index]
+                 for t in range(1, msi.horizon + 1)
+                 for j in range(msi.n_stations))
+        return ([({g: 1.0}, "min") for g in self.gamma_index]
+                + _lex_targets(hires, "max"))
+
+    def canonical(self, sol: LpSolution) -> np.ndarray:
+        msi = self.msi
+        x = np.zeros((msi.n_pools, msi.n_stations, msi.horizon))
+        for (i, j, t), v in self.x_index.items():
+            x[i, j, t - 1] = sol.x[v]
+        return x
 
 
 def build_lp_multi_station(msi: MultiStationInstance) -> MultiStationLp:
@@ -196,13 +228,21 @@ def build_lp_multi_station(msi: MultiStationInstance) -> MultiStationLp:
 
 
 @dataclass
-class JointLp:
+class JointLp(_DayPoolHires):
     model: LpModel
     ri: ReleaseInstance
     x_index: Dict[Tuple[int, int], int]
     lam_index: List[int]        # lam_index[k-1] for k in 1..T
     theta: int
     epigraph: int
+
+    @property
+    def inst(self) -> Instance:
+        return self.ri.base
+
+    @property
+    def day_range(self) -> Tuple[int, int]:
+        return (1, self.ri.base.horizon)
 
 
 def build_lp_joint_cost(ri: ReleaseInstance) -> JointLp:
@@ -319,6 +359,42 @@ class ReleaseLp:
 
     def x_var(self, i: int, t: int, config: Tuple[int, ...]) -> Optional[int]:
         return self.x_index.get((i, t, self.x_key(t, config)))
+
+    def refine_targets(self, refine_limit: Optional[int] = None) -> list:
+        """Hire early along the first epoch's high chain, then shrink the
+        canonical releases of each first-epoch switch day.  refine_limit is
+        ignored."""
+        n = self.ri.base.n_pools
+        lo, hi = self.ranges[0]
+        hires = ([self.x_index[(i, t, ((), t))] for i in range(n)
+                  if (i, t, ((), t)) in self.x_index]
+                 for t in range(lo + 1, hi + 1))
+        releases = ([self.y_index[(i, 0, (k,))] for i in range(n)
+                     if (i, 0, (k,)) in self.y_index]
+                    for k in range(lo, hi + 1))
+        return _lex_targets(hires, "max") + _lex_targets(releases, "min")
+
+    def canonical(self, sol: LpSolution):
+        """(hires for the first epoch's days, canonical release vector per
+        switch day of the first epoch's closed range)."""
+        n = self.ri.base.n_pools
+        lo, hi = self.ranges[0]
+        hires = np.zeros((n, hi - lo))
+        for t in range(lo + 1, hi + 1):
+            key = ((), min(hi, t))
+            for i in range(n):
+                v = self.x_index.get((i, t, key))
+                if v is not None:
+                    hires[i, t - lo - 1] = sol.x[v]
+        releases = {}
+        for k in range(lo, hi + 1):
+            y = np.zeros(n)
+            for i in range(n):
+                v = self.y_index.get((i, 0, (k,)))
+                if v is not None:
+                    y[i] = sol.x[v]
+            releases[k] = y
+        return hires, releases
 
 
 def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
@@ -449,22 +525,6 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
 
 # --- Canonical solutions -----------------------------------------------------
 
-def _refine_day_pool(model_x_index, built_model, sol, day_range, n,
-                     limit=None):
-    targets = []
-    lo, hi = day_range
-    if limit is not None:
-        hi = min(hi, lo + limit - 1)
-    for t in range(lo, hi + 1):
-        day_vars = [model_x_index[(i, t)] for i in range(n)
-                    if (i, t) in model_x_index]
-        if day_vars:
-            targets.append(({v: 1.0 for v in day_vars}, "max"))
-            if len(day_vars) > 1:
-                targets.extend(({v: 1.0}, "max") for v in day_vars)
-    return refine_lexicographic(built_model, sol, targets) if targets else sol
-
-
 def solve_canonical(built, refine: bool = True,
                     refine_limit: Optional[int] = None) -> LpSolution:
     """Solve a built program and canonicalize the optimal solution.
@@ -478,52 +538,8 @@ def solve_canonical(built, refine: bool = True,
     sol = solve_lp(built.model)
     if not refine:
         return sol
-    if isinstance(built, SingleSwitchLp):
-        return _refine_day_pool(built.x_index, built.model, sol,
-                                built.day_range, built.inst.n_pools,
-                                refine_limit)
-    if isinstance(built, JointLp):
-        n, T = built.ri.base.availability.shape
-        return _refine_day_pool(built.x_index, built.model, sol, (1, T), n,
-                                refine_limit)
-    if isinstance(built, MultiStationLp):
-        msi = built.msi
-        # First shrink every per-station cost to its true minimum (under the
-        # max objective the non-binding gammas are otherwise free slack that
-        # would let a station overstaff for no reason), then hire early.
-        targets = [({built.gamma_index[j]: 1.0}, "min")
-                   for j in range(msi.n_stations)]
-        for t in range(1, msi.horizon + 1):
-            for j in range(msi.n_stations):
-                day_vars = [built.x_index[(i, j, t)]
-                            for i in range(msi.n_pools)
-                            if (i, j, t) in built.x_index]
-                if day_vars:
-                    targets.append(({v: 1.0 for v in day_vars}, "max"))
-                    if len(day_vars) > 1:
-                        targets.extend(({v: 1.0}, "max") for v in day_vars)
-        return refine_lexicographic(built.model, sol, targets) if targets else sol
-    if isinstance(built, ReleaseLp):
-        n = built.ri.base.n_pools
-        lo, hi = built.ranges[0]
-        targets = []
-        for t in range(lo + 1, hi + 1):
-            key = ((), t)                     # high chain of the first epoch
-            day_vars = [built.x_index[(i, t, key)] for i in range(n)
-                        if (i, t, key) in built.x_index]
-            if day_vars:
-                targets.append(({v: 1.0 for v in day_vars}, "max"))
-                if len(day_vars) > 1:
-                    targets.extend(({v: 1.0}, "max") for v in day_vars)
-        for k in range(lo, hi + 1):
-            y_vars = [built.y_index[(i, 0, (k,))] for i in range(n)
-                      if (i, 0, (k,)) in built.y_index]
-            if y_vars:
-                targets.append(({v: 1.0 for v in y_vars}, "min"))
-                if len(y_vars) > 1:
-                    targets.extend(({v: 1.0}, "min") for v in y_vars)
-        return refine_lexicographic(built.model, sol, targets) if targets else sol
-    raise TypeError(f"unknown program wrapper {type(built).__name__}")
+    targets = built.refine_targets(refine_limit)
+    return refine_lexicographic(built.model, sol, targets) if targets else sol
 
 
 def extract_canonical(built, sol: LpSolution):
@@ -534,44 +550,7 @@ def extract_canonical(built, sol: LpSolution):
     (n, m, T) block.  Release: (hires for the first epoch's days, canonical
     release vectors per switch day of the first epoch's closed range).
     """
-    if isinstance(built, SingleSwitchLp):
-        inst = built.inst
-        x = np.zeros((inst.n_pools, inst.horizon))
-        for (i, t), v in built.x_index.items():
-            x[i, t - 1] = sol.x[v]
-        return x
-    if isinstance(built, JointLp):
-        inst = built.ri.base
-        x = np.zeros((inst.n_pools, inst.horizon))
-        for (i, t), v in built.x_index.items():
-            x[i, t - 1] = sol.x[v]
-        return x
-    if isinstance(built, MultiStationLp):
-        msi = built.msi
-        x = np.zeros((msi.n_pools, msi.n_stations, msi.horizon))
-        for (i, j, t), v in built.x_index.items():
-            x[i, j, t - 1] = sol.x[v]
-        return x
-    if isinstance(built, ReleaseLp):
-        n = built.ri.base.n_pools
-        lo, hi = built.ranges[0]
-        hires = np.zeros((n, hi - lo))
-        for t in range(lo + 1, hi + 1):
-            key = ((), min(hi, t))
-            for i in range(n):
-                v = built.x_index.get((i, t, key))
-                if v is not None:
-                    hires[i, t - lo - 1] = sol.x[v]
-        releases = {}
-        for k in range(lo, hi + 1):
-            y = np.zeros(n)
-            for i in range(n):
-                v = built.y_index.get((i, 0, (k,)))
-                if v is not None:
-                    y[i] = sol.x[v]
-            releases[k] = y
-        return hires, releases
-    raise TypeError(f"unknown program wrapper {type(built).__name__}")
+    return built.canonical(sol)
 
 
 def minimax_value_and_profile(inst: Instance, refine: bool = True):

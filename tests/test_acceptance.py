@@ -17,7 +17,7 @@ import pytest
 
 from conftest import fig3_instance, instance_path, random_multi_pool, \
     random_single_pool
-from staffing_minimax import bayesian
+from staffing_minimax import bayesian, cli
 from staffing_minimax.adversary import (demand_candidates,
                                         enumerate_grid_sequences,
                                         random_nested_sequence,
@@ -296,23 +296,7 @@ def test_criterion_08_multi_station():
 def _bench_config_rows(path, reps):
     with open(path) as f:
         config = json.load(f)
-    T = int(config["horizon"])
-    process = bayesian.DemandProcess(T, float(config["prior_hi"]))
-    table = bayesian.CalibrationTable.from_dict(config["calibration"])
-    inst = bayesian.forecast_instance(config["pool_sizes"],
-                                      config["availability"], table,
-                                      config["under_cost"],
-                                      config["over_cost"], process)
-    # Every replication plays the same base program; solve it once.
-    gamma_star, canonical = minimax_value_and_profile(inst)
-    factories = {
-        "lp_resolving": lambda: LpResolvingPolicy(inst),
-        "lp_emulator": lambda: LpEmulatorPolicy(inst, canonical, gamma_star),
-        "naive_greedy": lambda: bayesian.NaiveGreedyPolicy(inst),
-        "naive_bayesian": lambda: bayesian.NaiveBayesianPolicy(inst),
-    }
-    return bayesian.run_bayesian_world(inst, process, table, factories, reps,
-                                       int(config["seed"]))
+    return cli._bench_rows(config, reps)
 
 
 # Replications for criterion 9's two-standard-error clause; the power

@@ -184,3 +184,57 @@ def test_unknown_policy_exit_2(capsys):
                            instance_path("fig3a.json"), "--policy", "magic",
                            "--sequence", "worst_case")
     assert code == 2
+
+
+def _count_base_solves(monkeypatch):
+    """Record every canonical solve of the base (single-switch) program."""
+    from staffing_minimax import programs
+    calls = []
+    real = programs.solve_canonical
+
+    def counting(built, *args, **kwargs):
+        if built.model.name == "single_switch":
+            calls.append(built)
+        return real(built, *args, **kwargs)
+
+    monkeypatch.setattr(programs, "solve_canonical", counting)
+    return calls
+
+
+def test_bench_solves_base_program_once(capsys, monkeypatch):
+    calls = _count_base_solves(monkeypatch)
+    code, _, _ = run_cli(capsys, "bench", "--config",
+                         instance_path("bench_short.json"), "--reps", "3")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_oracle_solves_base_program_once(capsys, monkeypatch, tmp_path):
+    inst = make_instance([0.8], [[1.0, 0.7]], (0, 1), [0.6, 0.25])
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    calls = _count_base_solves(monkeypatch)
+    code, _, _ = run_cli(capsys, "oracle", "--instance", str(path),
+                         "--policy", "lp_emulator", "--grid-step", "0.25")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_run_world_policy_outside_bench_exit_2(capsys):
+    code, _, err = run_cli(capsys, "run", "--instance",
+                           instance_path("fig3a.json"), "--policy",
+                           "naive_bayesian", "--sequence", "worst_case")
+    assert code == 2
+    assert "naive_bayesian" in err
+
+
+def test_bench_release_policy_needs_release_instance_exit_2(capsys,
+                                                            tmp_path):
+    config = json.loads(open(instance_path("bench_short.json")).read())
+    config["policies"] = ["lp_emulator", "release"]
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "bench", "--config", str(path),
+                           "--reps", "1")
+    assert code == 2
+    assert "release" in err

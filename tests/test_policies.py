@@ -275,6 +275,25 @@ def test_multi_station_independence():
     assert np.array_equal(plans_1[0].hires, plans_2[0].hires)
 
 
+def test_multi_station_integer_ranges_match_float_ranges():
+    # R_hat must track the forecast bound exactly, whatever numeric type the
+    # station's initial range was given in.
+    def msi(initial_range):
+        st = StationSpec(initial_range, np.array([0.6, 0.3, 0.2]))
+        return MultiStationInstance(np.array([0.8, 0.5]),
+                                    np.array([[1.0, 0.6, 0.5],
+                                              [0.9, 0.5, 0.4]]),
+                                    (st, st), "max")
+    ints, floats = msi((0, 1)), msi((0.0, 1.0))
+    for seed in range(5):
+        seqs = [random_nested_sequence(ints.station_instance(j), 3 * seed + j)
+                for j in range(2)]
+        got = play_multi(MultiStationPolicy(ints), ints, seqs)
+        want = play_multi(MultiStationPolicy(floats), floats, seqs)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.hires, b.hires)
+
+
 def test_multi_station_zero_range_station_costs_nothing():
     rho = np.array([[1.0, 0.6]])
     live = StationSpec((0, 1), np.array([0.6, 0.2]))
