@@ -15,7 +15,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (EpochState, Instance, InstanceError, PredictionInterval,
-                    PredictionSequence, ReleaseInstance, fresh_state)
+                    PredictionSequence, ReleaseInstance, fresh_state,
+                    imbalance_cost)
 from .programs import single_switch_floor
 
 
@@ -170,6 +171,8 @@ def grid_nested_intervals(lo: float, hi: float, width_cap: float,
 def enumerate_grid_sequences(inst: Instance, grid_step: float,
                              cap: int = 2_000_000) -> List[PredictionSequence]:
     """All nested sequences with endpoints on the grid (eps = 0 only)."""
+    if not grid_step > 0:
+        raise InstanceError(f"grid step must be positive, got {grid_step}")
     if np.any(inst.inconsistency != 0):
         raise InstanceError("the grid adversary certifies eps = 0 instances "
                             "only")
@@ -235,8 +238,8 @@ def brute_force_worst_case(inst: Instance, policy_factory: Callable,
             cost = -np.inf
             demand = None
             for d in demand_candidates(seq, grid_step):
-                cd = (inst.under_cost * max(0.0, d - total)
-                      + inst.over_cost * max(0.0, total - d))
+                cd = imbalance_cost(inst.under_cost, inst.over_cost, total,
+                                    d)
                 if cd > cost:
                     cost, demand = cd, d
         if best is None or cost > best.cost:

@@ -19,7 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Instance, PredictionInterval, make_instance, staffing_cost
+from .model import (Instance, PredictionInterval, StaffingPlan,
+                    imbalance_cost, make_instance, staffing_cost,
+                    validate_instance)
 from .policies import DayObservation, Decision
 
 BINOM_TRIALS = 5
@@ -208,7 +210,6 @@ def forecast_instance(pool_sizes, availability, table: CalibrationTable,
     `bench_long.json` (T=14), at their pinned seed.  The LP policies'
     worst-case guarantee therefore does not cover the costs measured here.
     """
-    from .model import validate_instance
     T = len(table.lower)
     cap = float(BINOM_TRIALS * T if process is None else process.max_demand)
     lo0, hi0 = table.initial_range(cap)
@@ -305,7 +306,6 @@ class MdpSpec:
     grid_levels: int = 21
     transition: str = "empirical"       # "empirical" | "true"
     state_cap: int = 2_000_000
-    resolve_each_day: bool = True
 
 
 def _level_grid(inst: Instance, spec: MdpSpec) -> List[np.ndarray]:
@@ -389,7 +389,7 @@ def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
 
 
 class MdpPolicy:
-    """Finite-horizon backward induction, re-solved per day by default.
+    """Finite-horizon backward induction, re-solved every day.
 
     The empirical variant estimates each future day's partial-demand pmf
     from the sampled trajectories received so far; the true variant uses the
@@ -399,8 +399,7 @@ class MdpPolicy:
 
     kind = "empirical_mdp"
 
-    def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec,
-                 sample_pool: Optional[List[np.ndarray]] = None):
+    def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec):
         self.inst = inst
         self.process = process
         self.spec = spec
@@ -412,8 +411,7 @@ class MdpPolicy:
         self.cum_hires = np.zeros(inst.n_pools)
         self.usage = np.zeros(inst.n_pools)
         self.day = 0
-        self.profiles: List[np.ndarray] = list(sample_pool or [])
-        self._plan_values: Dict[int, np.ndarray] = {}
+        self.profiles: List[np.ndarray] = []
 
     def _pmfs(self) -> Dict[int, np.ndarray]:
         T = self.inst.horizon
@@ -445,11 +443,9 @@ class MdpPolicy:
         if obs.samples is not None:
             self.profiles.append(np.asarray(obs.samples, float))
         T = inst.horizon
-        if t < T and (self.spec.resolve_each_day
-                      or (t + 1) not in self._plan_values):
-            tail = backward_induction(inst, self._pmfs(), self.levels, t + 1,
-                                      self.spec)
-            self._plan_values = {t + 1 + k: v for k, v in enumerate(tail)}
+        if t < T:
+            next_values = backward_induction(inst, self._pmfs(), self.levels,
+                                             t + 1, self.spec)[0]
         d_max = BINOM_TRIALS * T
         D = int(round(min(self.demand_sum, d_max)))
         # Today's action range uses the exactly-known remaining availability
@@ -470,10 +466,10 @@ class MdpPolicy:
         for combo in itertools.product(*choices):
             if t == T:
                 h = sum(self.levels[i][g] for i, g in enumerate(combo))
-                val = (inst.under_cost * max(0.0, self.demand_sum - h)
-                       + inst.over_cost * max(0.0, h - self.demand_sum))
+                val = imbalance_cost(inst.under_cost, inst.over_cost, h,
+                                     self.demand_sum)
             else:
-                val = float(self._plan_values[t + 1][(D,) + tuple(combo)])
+                val = float(next_values[(D,) + tuple(combo)])
             if best is None or val < best - 1e-12:
                 best, best_g = val, combo
         hires = np.zeros(inst.n_pools)
@@ -536,7 +532,6 @@ def run_bayesian_world(inst: Instance, process: DemandProcess,
                                      samples=world.profiles[t - 1])
                 hires[:, t - 1] = policy.step(obs).hires
             elapsed = (time.perf_counter() - t0) * 1e3
-            from .model import StaffingPlan
             cost = staffing_cost(inst, StaffingPlan.of(hires), world.demand)
             rows.append({"replication": rep, "policy": name,
                          "cost": cost, "runtime_ms": elapsed, "seed": seed})

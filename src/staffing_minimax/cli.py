@@ -23,11 +23,11 @@ from .adversary import (BudgetExceeded, brute_force_worst_case,
                         sequence_from_csv, single_switch_sequence,
                         worst_case_sequence, worst_demand_cost)
 from .emulator import EmulatorTrace
-from .lp import LpError
+from .lp import LpError, solve_lp
 from .model import (Instance, InstanceError, MultiStationInstance,
-                    ReleaseInstance, SequenceError, load_instance,
-                    make_instance, validate_instance, validate_multi_station,
-                    validate_release_instance)
+                    ReleaseInstance, SequenceError, imbalance_cost,
+                    load_instance, make_instance, validate_instance,
+                    validate_multi_station, validate_release_instance)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
                        LpResolvingPolicy, ReleasePolicy, DayObservation,
                        gamma_star_single_pool)
@@ -67,44 +67,40 @@ def _infer_program(problem) -> str:
     return "single_switch"
 
 
+# Program name -> (instance type it needs, the file that holds one, builder).
+PROGRAMS = {
+    "single_switch": (Instance, "a base instance file",
+                      lambda problem, args: build_lp_single_switch(problem)),
+    "multi_station": (MultiStationInstance, "a stations file",
+                      lambda problem, args: build_lp_multi_station(problem)),
+    "joint": (ReleaseInstance, "a wages file",
+              lambda problem, args: build_lp_joint_cost(problem)),
+    "release": (ReleaseInstance, "a release instance file",
+                lambda problem, args: build_lp_release(
+                    problem, config_cap=args.config_cap)),
+}
+
+
 def cmd_solve(args) -> int:
     problem = _load(args.instance)
     program = args.program or _infer_program(problem)
-    if program == "single_switch":
-        if not isinstance(problem, Instance):
-            raise CliInputError("single_switch needs a base instance file")
-        built = build_lp_single_switch(problem)
-        sol = solve_canonical(built)
-        payload = {"program": program, "objective": sol.objective,
-                   "hires": extract_canonical(built, sol).tolist()}
-    elif program == "multi_station":
-        if not isinstance(problem, MultiStationInstance):
-            raise CliInputError("multi_station needs a stations file")
-        built = build_lp_multi_station(problem)
-        sol = solve_canonical(built)
-        payload = {"program": program, "objective": sol.objective,
-                   "objective_kind": problem.objective,
-                   "gamma": [float(sol.x[v]) for v in built.gamma_index],
-                   "hires": extract_canonical(built, sol).tolist()}
-    elif program == "joint":
-        if not isinstance(problem, ReleaseInstance):
-            raise CliInputError("joint needs a wages file")
-        built = build_lp_joint_cost(problem)
-        sol = solve_canonical(built)
-        payload = {"program": program, "objective": sol.objective,
-                   "hires": extract_canonical(built, sol).tolist()}
-    elif program == "release":
-        if not isinstance(problem, ReleaseInstance):
-            raise CliInputError("release needs a release instance file")
-        built = build_lp_release(problem, config_cap=args.config_cap)
-        sol = solve_canonical(built)
-        hires, releases = extract_canonical(built, sol)
-        payload = {"program": program, "objective": sol.objective,
-                   "epoch_hires": hires.tolist(),
-                   "epoch_releases": {str(k): y.tolist()
-                                      for k, y in releases.items()}}
+    kind, noun, build = PROGRAMS[program]
+    if not isinstance(problem, kind):
+        raise CliInputError(f"{program} needs {noun}")
+    built = build(problem, args)
+    sol = solve_canonical(built)
+    profile = extract_canonical(built, sol)
+    payload = {"program": program, "objective": sol.objective}
+    if program == "multi_station":
+        payload["objective_kind"] = problem.objective
+        payload["gamma"] = [float(sol.x[v]) for v in built.gamma_index]
+    if program == "release":
+        hires, releases = profile
+        payload["epoch_hires"] = hires.tolist()
+        payload["epoch_releases"] = {str(k): y.tolist()
+                                     for k, y in releases.items()}
     else:
-        raise CliInputError(f"unknown program {program!r}")
+        payload["hires"] = profile.tolist()
     print(f"{payload['objective']:.6f}")
     if args.out:
         with open(args.out, "w") as f:
@@ -227,8 +223,7 @@ def cmd_run(args) -> int:
     total = float(hires.sum() - releases.sum())
     if args.demand is not None:
         d = args.demand
-        cost = (inst.under_cost * max(0.0, d - total)
-                + inst.over_cost * max(0.0, total - d))
+        cost = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
     else:
         cost, d = worst_demand_cost(inst, total, sequence)
     if args.out:
@@ -332,15 +327,24 @@ def companion_sweep_instance(T: int, size: float, eta: float,
                          under_cost=under_cost, over_cost=over_cost)
 
 
-def cmd_sweep_eta(args) -> int:
-    etas = [float(x) for x in args.etas.split(",")]
-    if any(e <= 0 for e in etas):
+def _parse_etas(text: str) -> list:
+    etas = []
+    for token in text.split(","):
+        try:
+            etas.append(float(token))
+        except ValueError:
+            raise CliInputError(f"bad eta value {token!r} in --etas") from None
+    if not all(e > 0 for e in etas):
         raise CliInputError("eta values must be positive")
+    return etas
+
+
+def cmd_sweep_eta(args) -> int:
+    etas = _parse_etas(args.etas)
     results = []
     for eta in sorted(etas):
         inst = companion_sweep_instance(args.T, args.s, eta, args.c, args.C)
         built = build_lp_single_switch(inst)
-        from .lp import solve_lp
         results.append((eta, solve_lp(built.model).objective))
     print(f"{'eta':>8s} {'gamma_star':>12s}")
     for eta, g in results:
@@ -364,7 +368,6 @@ def cmd_oracle(args) -> int:
     if not isinstance(inst, Instance):
         raise CliInputError("oracle drives single-demand instances")
     built = build_lp_single_switch(inst)
-    from .lp import solve_lp
     gamma = solve_lp(built.model).objective
     policy_factory = _policy_factory(args.policy, _PolicyContext(
         inst, problem, args.gamma, None, {}))
@@ -380,6 +383,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if not 0 < args.coverage < 1:
+        raise CliInputError(f"--coverage must lie in (0, 1), got "
+                            f"{args.coverage}")
+    if args.T < 1:
+        raise CliInputError(f"--T must be at least 1, got {args.T}")
     process = bayesian.DemandProcess(args.T, args.prior_hi)
     table = bayesian.calibrate_intervals(process, coverage=args.coverage,
                                          draws=args.draws, seed=args.seed)

@@ -75,9 +75,6 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def var_index(self, name: str) -> int:
-        return self.var_names.index(name)
-
     def set_objective(self, coeffs: Dict[int, float]) -> None:
         self.objective = [0.0] * self.n_vars
         for j, a in coeffs.items():
@@ -123,9 +120,6 @@ class LpSolution:
     objective: float
     x: np.ndarray
     reduced_costs: Optional[np.ndarray] = None
-
-    def value(self, model: LpModel, name: str) -> float:
-        return float(self.x[model.var_index(name)])
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -1,7 +1,10 @@
 """Builders for every staffing linear program, plus canonical extraction.
 
-Four program families share one skeleton (hire variables, supply rows,
-overstaffing caps per adversary switch day, an understaffing floor):
+The first four program families below share one row skeleton, built by
+`_hires_and_supply` (hire variables on open days, one supply row per pool)
+and `_caps_and_floor` (an overstaffing cap per adversary switch day, then an
+understaffing floor); each of their builders adds only its cost variables
+and rows.  The release program writes its own per-scenario rows.
 
 * single-switch program: one demand, cost target gamma;
 * resolving program: the same model restarted from a mid-horizon state;
@@ -36,16 +39,60 @@ class InfeasibleState(InstanceError):
     """Resolving state is inconsistent with any feasible continuation."""
 
 
-def single_switch_floor(inst: Instance, k: int) -> float:
+def single_switch_floor(inst: Instance, k: int,
+                        interval: Optional[Tuple[float, float]] = None,
+                        day: int = 1) -> float:
     """Left endpoint the switch-at-k adversary settles on.
 
-    max over tau in [0:k] of (R0 - Delta_tau - 2 eps_tau); tau = 0 uses the
-    initial-range width, so the floor is never below L0.
+    max of L and (R - Delta_tau - 2 eps_tau) over tau in [day:k], for the
+    interval [L, R] carried into `day` (by default the fresh state: the
+    initial range and day 1).  There L is the tau = 0 term
+    R0 - Delta_0 - 2 eps_0 = L0 exactly, so the floor is never below L0.
     """
-    lo, hi = inst.initial_range
-    # The tau = 0 term is hi - Delta_0 - 2 eps_0 = lo exactly.
+    lo, hi = inst.initial_range if interval is None else interval
     return max([lo] + [hi - inst.delta(tau) - 2.0 * inst.eps(tau)
-                       for tau in range(1, k + 1)])
+                       for tau in range(day, k + 1)])
+
+
+def _consistent_floors(spec, horizon: int) -> List[float]:
+    """Floors max(R0 - Delta_tau, tau in [0:k]), k in [1:T], when eps = 0."""
+    hi0 = spec.initial_range[1]
+    return [max(hi0 - spec.delta(tau) for tau in range(0, k + 1))
+            for k in range(1, horizon + 1)]
+
+
+def _hires_and_supply(m: LpModel, rho: np.ndarray, supply, first_day: int,
+                      n_stations: Optional[int] = None) -> dict:
+    """Hire variables x[pool,(station,)day] on the open days from first_day
+    on, and one supply row per pool: sum of x / rho <= supply."""
+    n, T = rho.shape
+    tags = [()] if n_stations is None else [(j,) for j in range(n_stations)]
+    x_index = {}
+    for i in range(n):
+        coeffs = {}
+        for tag in tags:
+            head = (i, *tag)
+            name = f"x[{','.join(map(str, head))},"
+            for t in range(first_day, T + 1):
+                if rho[i, t - 1] > 0:
+                    v = x_index[(*head, t)] = m.add_var(f"{name}{t}]")
+                    coeffs[v] = 1.0 / rho[i, t - 1]
+        m.add_row(coeffs, "<=", float(supply[i]))
+    return x_index
+
+
+def _caps_and_floor(m: LpModel, x_index: dict, first_day: int, caps,
+                    cap_coef: float, floor_var: int, floor_coef: float,
+                    floor_rhs: float) -> None:
+    """A cap on the hires through each switch day k >= first_day, with
+    caps[k - first_day] = (slack variable, rhs), then the floor on all hires."""
+    for k, (var, rhs) in enumerate(caps, start=first_day):
+        coeffs = {v: 1.0 for key, v in x_index.items() if key[-1] <= k}
+        coeffs[var] = cap_coef
+        m.add_row(coeffs, "<=", rhs)
+    coeffs = dict.fromkeys(x_index.values(), 1.0)
+    coeffs[floor_var] = floor_coef
+    m.add_row(coeffs, ">=", floor_rhs)
 
 
 def _require_positive_slopes(under_cost: float, over_cost: float) -> None:
@@ -92,7 +139,6 @@ class SingleSwitchLp(_DayPoolHires):
     x_index: Dict[Tuple[int, int], int]     # (pool i, day t) -> variable
     gamma: int
     day_range: Tuple[int, int]               # decided days [t0, T]
-    cum_hired: float = 0.0                   # constant added to totals
 
 
 def build_lp_single_switch(inst: Instance) -> SingleSwitchLp:
@@ -117,7 +163,7 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     carried interval supplies the subproblem's day-0 term.
     """
     _require_positive_slopes(inst.under_cost, inst.over_cost)
-    n, T = inst.availability.shape
+    T = inst.horizon
     if not (1 <= day <= T):
         raise InfeasibleState(f"day {day} outside horizon")
     if np.any(state.remaining_supply < -1e-9):
@@ -125,31 +171,17 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     lo_bar, hi_bar = state.interval
     if lo_bar > hi_bar + 1e-9:
         raise InfeasibleState("carried interval is empty")
-    rho = state.availability
     z_total = float(state.cum_hires.sum())
 
     m = LpModel(name=f"resolving[{day}]")
-    x_index = {}
-    for i in range(n):
-        for t in range(day, T + 1):
-            if rho[i, t - 1] > 0:
-                x_index[(i, t)] = m.add_var(f"x[{i},{t}]")
+    x_index = _hires_and_supply(m, state.availability, state.remaining_supply,
+                                day)
     gamma = m.add_var("gamma", obj=1.0)
-
-    for i in range(n):
-        coeffs = {x_index[(i, t)]: 1.0 / rho[i, t - 1]
-                  for t in range(day, T + 1) if (i, t) in x_index}
-        m.add_row(coeffs, "<=", float(state.remaining_supply[i]))
-    for k in range(day, T + 1):
-        floor = max([lo_bar] + [hi_bar - inst.delta(tau) - 2.0 * inst.eps(tau)
-                                for tau in range(day, k + 1)])
-        coeffs = {v: 1.0 for (i, t), v in x_index.items() if t <= k}
-        coeffs[gamma] = -1.0 / inst.over_cost
-        m.add_row(coeffs, "<=", floor - z_total)
-    coeffs = {v: 1.0 for v in x_index.values()}
-    coeffs[gamma] = 1.0 / inst.under_cost
-    m.add_row(coeffs, ">=", hi_bar - z_total)
-    return SingleSwitchLp(m, inst, x_index, gamma, (day, T), z_total)
+    caps = [(gamma, single_switch_floor(inst, k, state.interval, day)
+             - z_total) for k in range(day, T + 1)]
+    _caps_and_floor(m, x_index, day, caps, -1.0 / inst.over_cost, gamma,
+                    1.0 / inst.under_cost, hi_bar - z_total)
+    return SingleSwitchLp(m, inst, x_index, gamma, (day, T))
 
 
 @dataclass
@@ -189,41 +221,25 @@ def build_lp_multi_station(msi: MultiStationInstance) -> MultiStationLp:
     goes into the objective directly.  Station forecasts are perfectly
     consistent here (eps = 0), matching the extension model.
     """
-    n, T = msi.availability.shape
+    T = msi.horizon
     m = LpModel(name=f"multi_station[{msi.objective}]")
-    x_index = {}
-    for i in range(n):
-        for j in range(msi.n_stations):
-            for t in range(1, T + 1):
-                if msi.availability[i, t - 1] > 0:
-                    x_index[(i, j, t)] = m.add_var(f"x[{i},{j},{t}]")
+    x_index = _hires_and_supply(m, msi.availability, msi.pool_sizes, 1,
+                                msi.n_stations)
     is_sum = msi.objective == "sum"
     gamma_index = [m.add_var(f"gamma[{j}]", obj=1.0 if is_sum else 0.0)
                    for j in range(msi.n_stations)]
     epigraph = None if is_sum else m.add_var("psi", obj=1.0)
 
-    for i in range(n):
-        coeffs = {}
-        for j in range(msi.n_stations):
-            for t in range(1, T + 1):
-                v = x_index.get((i, j, t))
-                if v is not None:
-                    coeffs[v] = 1.0 / msi.availability[i, t - 1]
-        m.add_row(coeffs, "<=", float(msi.pool_sizes[i]))
     for j, st in enumerate(msi.stations):
         _require_positive_slopes(st.under_cost, st.over_cost)
-        lo0, hi0 = st.initial_range
-        for k in range(1, T + 1):
-            floor = max(hi0 - st.delta(tau) for tau in range(0, k + 1))
-            coeffs = {v: 1.0 for (i, jj, t), v in x_index.items()
-                      if jj == j and t <= k}
-            coeffs[gamma_index[j]] = -1.0 / st.over_cost
-            m.add_row(coeffs, "<=", floor)
-        coeffs = {v: 1.0 for (i, jj, t), v in x_index.items() if jj == j}
-        coeffs[gamma_index[j]] = 1.0 / st.under_cost
-        m.add_row(coeffs, ">=", hi0)
+        g = gamma_index[j]
+        _caps_and_floor(m, {key: v for key, v in x_index.items()
+                            if key[1] == j}, 1,
+                        [(g, f) for f in _consistent_floors(st, T)],
+                        -1.0 / st.over_cost, g, 1.0 / st.under_cost,
+                        st.initial_range[1])
         if epigraph is not None:
-            m.add_row({gamma_index[j]: 1.0, epigraph: -1.0}, "<=", 0.0)
+            m.add_row({g: 1.0, epigraph: -1.0}, "<=", 0.0)
     return MultiStationLp(m, msi, x_index, gamma_index, epigraph)
 
 
@@ -260,31 +276,16 @@ def build_lp_joint_cost(ri: ReleaseInstance) -> JointLp:
     if np.any(inst.inconsistency != 0):
         raise InstanceError("joint-cost mode assumes perfectly consistent "
                             "forecasts (eps = 0)")
-    n, T = inst.availability.shape
-    lo0, hi0 = inst.initial_range
+    T = inst.horizon
     p = ri.wages
     m = LpModel(name="joint_cost")
-    x_index = {}
-    for i in range(n):
-        for t in range(1, T + 1):
-            if inst.availability[i, t - 1] > 0:
-                x_index[(i, t)] = m.add_var(f"x[{i},{t}]")
+    x_index = _hires_and_supply(m, inst.availability, inst.pool_sizes, 1)
     lam_index = [m.add_var(f"lam[{k}]") for k in range(1, T + 1)]
     theta = m.add_var("theta")
     epigraph = m.add_var("objective", obj=1.0)
-
-    for i in range(n):
-        coeffs = {x_index[(i, t)]: 1.0 / inst.availability[i, t - 1]
-                  for t in range(1, T + 1) if (i, t) in x_index}
-        m.add_row(coeffs, "<=", float(inst.pool_sizes[i]))
-    for k in range(1, T + 1):
-        floor = max(hi0 - inst.delta(tau) for tau in range(0, k + 1))
-        coeffs = {v: 1.0 for (i, t), v in x_index.items() if t <= k}
-        coeffs[lam_index[k - 1]] = -1.0
-        m.add_row(coeffs, "<=", floor)
-    coeffs = {v: 1.0 for v in x_index.values()}
-    coeffs[theta] = 1.0
-    m.add_row(coeffs, ">=", hi0)
+    _caps_and_floor(m, x_index, 1,
+                    list(zip(lam_index, _consistent_floors(inst, T))), -1.0,
+                    theta, 1.0, inst.initial_range[1])
     # Epigraph pieces.
     coeffs = {x_index[(i, t)]: float(p[i, t - 1])
               for (i, t) in x_index if p[i, t - 1] != 0}
@@ -301,11 +302,6 @@ def build_lp_joint_cost(ri: ReleaseInstance) -> JointLp:
 
 
 # --- Release configuration program ------------------------------------------
-
-def epoch_closed_ranges(ri: ReleaseInstance, first_epoch: int) -> List[Tuple[int, int]]:
-    """Closed switch-day ranges [t_{l-1}, t_l] for epochs first_epoch..L."""
-    return [ri.epoch_range(ell) for ell in range(first_epoch, ri.n_epochs + 1)]
-
 
 def configuration_space(ranges: List[Tuple[int, int]], cap: int
                         ) -> List[Tuple[int, ...]]:
@@ -411,7 +407,8 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
     if state is None:
         state = fresh_state(inst, ri.budget, ri.pre_hires)
     first = state.index
-    ranges = epoch_closed_ranges(ri, first)
+    # Closed switch-day ranges [t_{l-1}, t_l] of epochs first..L.
+    ranges = [ri.epoch_range(ell) for ell in range(first, ri.n_epochs + 1)]
     configs = configuration_space(ranges, config_cap)
     n, T = inst.availability.shape
     t0 = ranges[0][0]
@@ -525,8 +522,8 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
 
 # --- Canonical solutions -----------------------------------------------------
 
-def solve_canonical(built, refine: bool = True,
-                    refine_limit: Optional[int] = None) -> LpSolution:
+def solve_canonical(built, refine_limit: Optional[int] = None
+                    ) -> LpSolution:
     """Solve a built program and canonicalize the optimal solution.
 
     Hiring blocks are refined to hire as much as early as possible (day by
@@ -536,8 +533,6 @@ def solve_canonical(built, refine: bool = True,
     only play the first block, so refining one day suffices there).
     """
     sol = solve_lp(built.model)
-    if not refine:
-        return sol
     targets = built.refine_targets(refine_limit)
     return refine_lexicographic(built.model, sol, targets) if targets else sol
 
@@ -553,8 +548,8 @@ def extract_canonical(built, sol: LpSolution):
     return built.canonical(sol)
 
 
-def minimax_value_and_profile(inst: Instance, refine: bool = True):
+def minimax_value_and_profile(inst: Instance):
     """Solve the base program: (gamma_star, canonical (n, T) hire profile)."""
     built = build_lp_single_switch(inst)
-    sol = solve_canonical(built, refine=refine)
+    sol = solve_canonical(built)
     return sol.objective, extract_canonical(built, sol)

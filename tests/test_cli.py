@@ -238,3 +238,47 @@ def test_bench_release_policy_needs_release_instance_exit_2(capsys,
                            "--reps", "1")
     assert code == 2
     assert "release" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.25"])
+def test_oracle_nonpositive_grid_step_exit_2(capsys, tmp_path, step):
+    inst = make_instance([0.8], [[1.0, 0.7]], (0, 1), [0.6, 0.25])
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(instance_to_dict(inst)))
+    code, _, err = run_cli(capsys, "oracle", "--instance", str(path),
+                           "--grid-step", step)
+    assert code == 2
+    assert "grid step must be positive" in err
+
+
+@pytest.mark.parametrize("etas, token", [("1,abc", "'abc'"), ("", "''")])
+def test_sweep_eta_bad_token_exit_2(capsys, etas, token):
+    code, _, err = run_cli(capsys, "sweep-eta", "--T", "6", "--etas", etas)
+    assert code == 2
+    assert f"bad eta value {token}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--T", "4", "--coverage", "1.5"], "--coverage must lie in (0, 1)"),
+    (["--T", "0"], "--T must be at least 1"),
+])
+def test_calibrate_bad_input_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "calibrate", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_bench_rows_independent_of_worker_count(capsys, tmp_path):
+    def rows(workers):
+        path = tmp_path / f"w{workers}.csv"
+        code, _, _ = run_cli(capsys, "bench", "--config",
+                             instance_path("bench_short.json"), "--reps", "4",
+                             "--workers", str(workers), "--out", str(path))
+        assert code == 0
+        return [(r["replication"], r["policy"], r["cost"], r["seed"])
+                for r in csv.DictReader(path.open())]
+
+    single = rows(1)
+    assert len(single) == 4 * 4
+    assert rows(2) == single
