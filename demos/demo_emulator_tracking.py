@@ -11,9 +11,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from staffing_minimax import (make_instance, minimax_value_and_profile,
-                              run_emulator, single_switch_sequence,
-                              validate_instance)
+from staffing_minimax import (EmulatorTrace, LpEmulatorPolicy, make_instance,
+                              minimax_value_and_profile, play,
+                              single_switch_sequence, validate_instance)
 from staffing_minimax.adversary import random_nested_sequence
 
 T = 6
@@ -25,13 +25,16 @@ print(f"optimal worst-case cost {gamma:.4f}; canonical schedule "
       + " ".join(f"{x:.3f}" for x in canonical[0]))
 
 print("\nagainst the never-drop sequence (upper bound pinned at 1):")
-plan, trace = run_emulator(inst, canonical, single_switch_sequence(inst, T))
+trace = EmulatorTrace()
+plan = play(LpEmulatorPolicy(inst, canonical, gamma), inst,
+            single_switch_sequence(inst, T), trace)
 for t, hire in zip(trace.days, trace.hires):
     print(f"  day {t}: R_hat {trace.r_hat[t-1]:.3f}  hired {hire[0]:.3f}")
 
 print("\nagainst a random shrinking sequence:")
 seq = random_nested_sequence(inst, seed=7)
-plan, trace = run_emulator(inst, canonical, seq)
+trace = EmulatorTrace()
+plan = play(LpEmulatorPolicy(inst, canonical, gamma), inst, seq, trace)
 for t, hire in zip(trace.days, trace.hires):
     iv = seq.interval(t)
     print(f"  day {t}: saw [{iv.lo:.3f}, {iv.hi:.3f}]  R_hat "

@@ -12,9 +12,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import numpy as np
 
-from staffing_minimax import (LpEmulatorPolicy, make_instance,
-                              minimax_value_and_profile, miscoverage_wrapper,
-                              play, validate_instance)
+from staffing_minimax import (LpEmulatorPolicy, MiscoverageWrapper,
+                              make_instance, minimax_value_and_profile, play,
+                              validate_instance)
 from staffing_minimax.adversary import random_nested_sequence
 from staffing_minimax.model import PredictionInterval, PredictionSequence
 
@@ -35,7 +35,7 @@ for shock_prob in (0.0, 0.05, 0.1, 0.25):
                      else seq.intervals[t] for t in range(T)]
         shocked_seq = PredictionSequence.build(inst, intervals,
                                                check_widths=False)
-        wrapped = miscoverage_wrapper(
+        wrapped = MiscoverageWrapper(
             LpEmulatorPolicy(inst, canonical, gamma),
             "detect_before_hiring", shocked)
         plan = play(wrapped, inst, shocked_seq)

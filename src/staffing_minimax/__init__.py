@@ -10,14 +10,14 @@ from .programs import (build_lp_joint_cost, build_lp_multi_station,
                        build_lp_single_switch, extract_canonical,
                        minimax_value_and_profile, solve_canonical)
 from .lp import LpModel, LpSolution, solve_lp
-from .emulator import emulator_step, run_emulator, release_epoch_run
+from .emulator import EmulatorTrace, emulator_step
 from .adversary import (brute_force_worst_case, configuration_sequence,
                         random_nested_sequence, sequence_from_csv,
                         single_switch_sequence, worst_case_sequence)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
-                       LpResolvingPolicy, MultiStationPolicy, ReleasePolicy,
-                       gamma_star_closed_form, gamma_star_single_pool,
-                       greedy_target_overstaffing, miscoverage_wrapper, play,
+                       LpResolvingPolicy, MiscoverageWrapper,
+                       MultiStationPolicy, ReleasePolicy,
+                       gamma_star_closed_form, gamma_star_single_pool, play,
                        play_multi)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from .model import (EpochState, Instance, InstanceError, PredictionInterval,
                     PredictionSequence, ReleaseInstance, fresh_state,
                     imbalance_cost)
-from .programs import single_switch_floor
+from .programs import configuration_walk, single_switch_floor
 
 
 class BudgetExceeded(RuntimeError):
@@ -54,7 +54,9 @@ def worst_case_sequence(inst: Instance) -> PredictionSequence:
     lo0, hi0 = inst.initial_range
     intervals = [PredictionInterval(hi0 - inst.delta(t), hi0)
                  for t in range(1, inst.horizon + 1)]
-    return PredictionSequence.build(inst, intervals)
+    # Each width is Delta_t up to the rounding of hi0 - Delta_t, which
+    # exceeds the width check's absolute slack once hi0 passes about 1e7.
+    return PredictionSequence.build(inst, intervals, check_widths=False)
 
 
 def configuration_sequence(ri: ReleaseInstance, config: Sequence[int],
@@ -74,23 +76,10 @@ def configuration_sequence(ri: ReleaseInstance, config: Sequence[int],
     n_epochs = ri.n_epochs - first + 1
     if len(config) != n_epochs:
         raise InstanceError(f"config {config} needs {n_epochs} entries")
-    t_start = ri.epoch_range(first)[0]
-    if t_start != 0:
+    if ri.epoch_range(first)[0] != 0:
         raise InstanceError("full-horizon sequences start from a fresh state")
-    lo, hi = state.interval
-    intervals = []
-    for idx, ell in enumerate(range(first, ri.n_epochs + 1)):
-        lo_e, hi_e = ri.epoch_range(ell)
-        if not (lo_e <= config[idx] <= hi_e):
-            raise InstanceError(
-                f"switch day {config[idx]} outside epoch range [{lo_e},{hi_e}]")
-        for t in range(lo_e + 1, hi_e + 1):
-            if t <= config[idx]:
-                lo, hi = hi - inst.delta(t), hi
-            else:
-                lo, hi = lo, lo + inst.delta(t)
-            intervals.append(PredictionInterval(lo, hi))
-    return PredictionSequence.build(inst, intervals)
+    return PredictionSequence.build(
+        inst, list(configuration_walk(ri, state, config)))
 
 
 def random_nested_sequence(inst: Instance, seed: int) -> PredictionSequence:
@@ -201,13 +190,14 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
 def demand_candidates(sequence: PredictionSequence, grid_step: float
                       ) -> List[float]:
     """Grid points of the final effective range, endpoints always included."""
+    if not grid_step > 0:
+        raise InstanceError(f"grid step must be positive, got {grid_step}")
     lo = float(sequence.effective_lo[-1])
     hi = float(sequence.effective_hi[-1])
     if hi < lo:
         lo = hi
     cands = {lo, hi}
-    k = int(np.floor(lo / grid_step)) if grid_step > 0 else 0
-    p = k * grid_step
+    p = int(np.floor(lo / grid_step)) * grid_step
     while p <= hi + 1e-12:
         if p >= lo - 1e-12:
             cands.add(min(max(p, lo), hi))

@@ -29,8 +29,8 @@ from .model import (Instance, InstanceError, MultiStationInstance,
                     load_instance, make_instance, validate_instance,
                     validate_multi_station, validate_release_instance)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
-                       LpResolvingPolicy, ReleasePolicy, DayObservation,
-                       gamma_star_single_pool)
+                       LpResolvingPolicy, ReleasePolicy,
+                       gamma_star_single_pool, play)
 from .programs import (ConfigurationExplosion, build_lp_joint_cost,
                        build_lp_multi_station, build_lp_release,
                        build_lp_single_switch, extract_canonical,
@@ -204,23 +204,9 @@ def cmd_run(args) -> int:
     policy = _policy_factory(args.policy, _PolicyContext(
         inst, problem, args.gamma, None, {}))()
 
-    n, T = inst.availability.shape
-    hires = np.zeros((n, T))
-    releases = np.zeros((n, T))
-    canonical = getattr(policy, "canonical", None)
     trace = EmulatorTrace()
-    for t in range(1, T + 1):
-        decision = policy.step(
-            DayObservation(day=t, interval=sequence.interval(t)))
-        hires[:, t - 1] = decision.hires
-        releases[:, t - 1] = decision.releases
-        canon_cum = (canonical[:, :t].sum() if canonical is not None
-                     else hires.sum() - releases.sum())
-        trace.record(t, canon_cum, hires.sum() - releases.sum(),
-                     sequence.effective_hi[t - 1],
-                     sequence.effective_lo[t - 1], decision.hires,
-                     decision.releases)
-    total = float(hires.sum() - releases.sum())
+    plan = play(policy, inst, sequence, trace)
+    total = plan.total_net
     if args.demand is not None:
         d = args.demand
         cost = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
@@ -232,7 +218,7 @@ def cmd_run(args) -> int:
     print(f"total_staffed = {total:.6f}")
     print(f"cost = {cost:.6f} against demand {d:.6f}")
     if isinstance(problem, ReleaseInstance) and np.any(problem.wages != 0):
-        wage_bill = float((problem.wages * hires).sum())
+        wage_bill = float((problem.wages * plan.hires).sum())
         print(f"wage_bill = {wage_bill:.6f}")
         print(f"joint_cost = {cost + wage_bill:.6f}")
     return 0
@@ -260,6 +246,13 @@ def _bench_rows(config: dict, reps: int, rep_offset: int = 0):
     return rows
 
 
+def _check_prior_hi(prior_hi: float, name: str) -> float:
+    """The demand prior's upper end, which must lie in (0, 1]."""
+    if not 0 < prior_hi <= 1:
+        raise CliInputError(f"{name} must lie in (0, 1], got {prior_hi}")
+    return prior_hi
+
+
 def cmd_bench(args) -> int:
     try:
         with open(args.config) as f:
@@ -268,6 +261,9 @@ def cmd_bench(args) -> int:
         raise CliInputError(f"cannot read config {args.config}: {exc}") from exc
     if args.seed is not None:
         config["seed"] = args.seed
+    if int(config["seed"]) < 0:
+        raise CliInputError(f"seed must be non-negative, got {config['seed']}")
+    _check_prior_hi(float(config.get("prior_hi", 0.5)), "prior_hi")
     if "calibration" not in config:
         process = bayesian.DemandProcess(int(config["horizon"]),
                                          float(config.get("prior_hi", 0.5)))
@@ -367,6 +363,9 @@ def cmd_oracle(args) -> int:
     inst = problem.base if isinstance(problem, ReleaseInstance) else problem
     if not isinstance(inst, Instance):
         raise CliInputError("oracle drives single-demand instances")
+    if not args.grid_step > 0:
+        raise CliInputError(
+            f"grid step must be positive, got {args.grid_step}")
     built = build_lp_single_switch(inst)
     gamma = solve_lp(built.model).objective
     policy_factory = _policy_factory(args.policy, _PolicyContext(
@@ -388,7 +387,8 @@ def cmd_calibrate(args) -> int:
                             f"{args.coverage}")
     if args.T < 1:
         raise CliInputError(f"--T must be at least 1, got {args.T}")
-    process = bayesian.DemandProcess(args.T, args.prior_hi)
+    process = bayesian.DemandProcess(
+        args.T, _check_prior_hi(args.prior_hi, "--prior-hi"))
     table = bayesian.calibrate_intervals(process, coverage=args.coverage,
                                          draws=args.draws, seed=args.seed)
     cov = bayesian.empirical_coverage(process, table, draws=args.draws,

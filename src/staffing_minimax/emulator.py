@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (EpochState, Instance, PredictionSequence, ReleaseInstance,
-                    StaffingPlan, UNLIMITED)
+from .model import EpochState, ReleaseInstance, UNLIMITED
 
 
 class SplitInfeasible(RuntimeError):
@@ -32,7 +31,7 @@ class SplitInfeasible(RuntimeError):
 
 @dataclass
 class EmulatorTrace:
-    """Per-day audit record of an emulator run."""
+    """Per-day audit record of a policy run (filled by policies.play)."""
 
     days: List[int] = field(default_factory=list)
     canonical_total: List[float] = field(default_factory=list)
@@ -41,20 +40,15 @@ class EmulatorTrace:
     l_hat: List[float] = field(default_factory=list)
     hires: List[np.ndarray] = field(default_factory=list)
     releases: List[np.ndarray] = field(default_factory=list)
-    critical_index: List[Optional[int]] = field(default_factory=list)
 
-    def record(self, day, canon_cum, real_cum, r_hat, l_hat, hires,
-               releases=None, critical=None):
-        n = len(hires)
+    def record(self, day, canon_cum, real_cum, r_hat, l_hat, hires, releases):
         self.days.append(day)
         self.canonical_total.append(float(canon_cum))
         self.realized_total.append(float(real_cum))
         self.r_hat.append(float(r_hat))
         self.l_hat.append(float(l_hat))
         self.hires.append(np.asarray(hires, float).copy())
-        self.releases.append(np.zeros(n) if releases is None
-                             else np.asarray(releases, float).copy())
-        self.critical_index.append(critical)
+        self.releases.append(np.asarray(releases, float).copy())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -132,28 +126,7 @@ class Emulator:
         return hires
 
 
-def run_emulator(inst: Instance, canonical: np.ndarray,
-                 sequence: PredictionSequence
-                 ) -> Tuple[StaffingPlan, EmulatorTrace]:
-    """Emulate a canonical profile against a full prediction sequence."""
-    em = Emulator(canonical, inst.availability, inst.initial_range[1])
-    trace = EmulatorTrace()
-    for t in range(1, inst.horizon + 1):
-        hires = em.step(float(sequence.effective_hi[t - 1]))
-        trace.record(t, canonical[:, :t].sum(), em.realized.sum(), em.r_hat,
-                     float(sequence.effective_lo[t - 1]), hires)
-    return StaffingPlan.of(em.realized), trace
-
-
 # --- Release-mode epoch mechanics --------------------------------------------
-
-@dataclass
-class EpochOutcome:
-    hires: np.ndarray              # (n, days in epoch)
-    releases: np.ndarray           # (n,), applied on the epoch's last day
-    critical_index: int
-    next_state: Optional[EpochState]
-
 
 def critical_switch_day(r_observed: Sequence[float], realized_cum:
                         Sequence[float], canonical_cum: Sequence[float],
@@ -176,16 +149,17 @@ class EpochRunner:
     Feed observe() one interval per epoch day (hires come back immediately,
     following the emulator oracle within the epoch); call finish() after the
     last day for the critical-index releases and the next carried state.
+    canonical_hires is the (n, days in epoch) block of the subprogram's
+    no-switch branch; canonical_releases maps each switch day k in the
+    epoch's closed range to the canonical release vector.
     """
 
     def __init__(self, ri: ReleaseInstance, state: EpochState,
-                 canonical_hires: np.ndarray, canonical_releases: dict,
-                 trace: Optional[EmulatorTrace] = None):
+                 canonical_hires: np.ndarray, canonical_releases: dict):
         self.ri = ri
         self.state = state
         self.canonical = np.asarray(canonical_hires, float)
         self.canonical_releases = canonical_releases
-        self.trace = trace
         self.t0, self.t_end = ri.epoch_range(state.index)
         self.l_bar, self.r_bar = state.interval
         self.emulator = Emulator(self.canonical,
@@ -204,10 +178,6 @@ class EpochRunner:
         self.r_observed.append(interval.hi)
         self.realized_cum.append(float(self.realized.sum()))
         self.canon_cum.append(total_canon)
-        if self.trace is not None:
-            self.trace.record(self.t0 + 1 + idx, total_canon,
-                              self.realized.sum(), self.emulator.r_hat,
-                              max(self.l_bar, interval.lo), hires)
         return hires
 
     def finish(self) -> Tuple[np.ndarray, int, Optional[EpochState]]:
@@ -236,10 +206,6 @@ class EpochRunner:
                     y[i] = min(remaining, float(y_canon[i]))
                     remaining -= y[i]
             # Otherwise: no releasing this epoch.
-        if self.trace is not None and self.trace.days \
-                and self.trace.days[-1] == t_end:
-            self.trace.releases[-1] = y.copy()
-            self.trace.critical_index[-1] = k
 
         next_state = None
         if ell < ri.n_epochs:
@@ -273,23 +239,3 @@ class EpochRunner:
                 availability=new_avail,
             )
         return y, k, next_state
-
-
-def release_epoch_run(ri: ReleaseInstance, state: EpochState,
-                      canonical_hires: np.ndarray, canonical_releases: dict,
-                      intervals: Sequence, trace: Optional[EmulatorTrace] = None
-                      ) -> EpochOutcome:
-    """Batch form of EpochRunner: run one whole epoch and return its outcome.
-
-    canonical_hires is the (n, len) epoch block of the subprogram's no-switch
-    branch; canonical_releases maps each switch day k in the epoch's closed
-    range to the canonical release vector.
-    """
-    runner = EpochRunner(ri, state, canonical_hires, canonical_releases, trace)
-    t0, t_end = runner.t0, runner.t_end
-    if len(intervals) != t_end - t0:
-        raise ValueError(f"epoch {state.index} expects {t_end - t0} intervals")
-    for iv in intervals:
-        runner.observe(iv)
-    y, k, next_state = runner.finish()
-    return EpochOutcome(runner.realized, y, k, next_state)

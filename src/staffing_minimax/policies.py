@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .emulator import Emulator, EpochRunner
+from .adversary import worst_case_sequence
+from .emulator import Emulator, EmulatorTrace, EpochRunner
 from .model import (EpochState, Instance, InstanceError, MultiStationInstance,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, fresh_state, validate_release_instance)
@@ -62,15 +63,28 @@ class Decision:
         return Decision(h, np.zeros_like(h))
 
 
-def play(policy, inst: Instance, sequence: PredictionSequence) -> StaffingPlan:
-    """Drive a policy over a full sequence; returns the realized plan."""
+def play(policy, inst: Instance, sequence: PredictionSequence,
+         trace: Optional[EmulatorTrace] = None) -> StaffingPlan:
+    """Drive a policy over a full sequence; returns the realized plan.
+
+    With a trace, each day records the policy's canonical cumulative total
+    (the realized net total when it has no canonical profile), the realized
+    net total, the effective bounds R_hat and L_hat, and the day's decision.
+    """
     n, T = inst.availability.shape
     hires = np.zeros((n, T))
     releases = np.zeros((n, T))
+    canonical = getattr(policy, "canonical", None)
     for t in range(1, T + 1):
         d = policy.step(DayObservation(day=t, interval=sequence.interval(t)))
         hires[:, t - 1] = d.hires
         releases[:, t - 1] = d.releases
+        if trace is not None:
+            net = hires.sum() - releases.sum()
+            trace.record(t, net if canonical is None
+                         else canonical[:, :t].sum(), net,
+                         sequence.effective_hi[t - 1],
+                         sequence.effective_lo[t - 1], d.hires, d.releases)
     return StaffingPlan(hires, releases)
 
 
@@ -113,12 +127,6 @@ class GreedyTargetPolicy:
         return Decision.hire_only(np.array([hire]))
 
 
-def greedy_target_overstaffing(inst: Instance, gamma: float,
-                               sequence: PredictionSequence) -> StaffingPlan:
-    """Run the greedy policy against a full sequence."""
-    return play(GreedyTargetPolicy(inst, gamma), inst, sequence)
-
-
 # --- Fixed-point characterizations of the optimal cost ----------------------
 
 @dataclass(frozen=True)
@@ -138,30 +146,18 @@ def _clamped_single_pool(inst: Instance) -> Instance:
                          under_cost=inst.under_cost, over_cost=inst.over_cost)
 
 
-def _greedy_understaffing(inst: Instance, gamma: float) -> Tuple[float, int]:
+def _greedy_understaffing(inst: Instance, gamma: float,
+                          sequence: PredictionSequence) -> Tuple[float, int]:
     """Understaffing cost of the greedy under the supply-draining sequence.
 
     Returns (cost, last hiring day).  Assumes the clamped single-pool form.
     """
-    lo0, hi0 = inst.initial_range
-    s = float(inst.pool_sizes[0])
-    rho = inst.availability[0]
-    total = 0.0
-    usage = 0.0
-    prev_lo = None
-    t_last = 1
-    for t in range(1, inst.horizon + 1):
-        lo_t = hi0 - inst.delta(t)
-        available = max(0.0, rho[t - 1] * (s - usage))
-        want = (lo_t + gamma / inst.over_cost) if t == 1 else lo_t - prev_lo
-        hire = min(max(0.0, want), available)
-        if hire > 1e-15:
-            t_last = t
-        if rho[t - 1] > 0:
-            usage += hire / rho[t - 1]
-        total += hire
-        prev_lo = lo_t
-    return inst.under_cost * max(0.0, hi0 - total), t_last
+    hires = play(GreedyTargetPolicy(inst, gamma), inst, sequence).hires[0]
+    hired = np.nonzero(hires > 1e-15)[0]
+    # Summed day by day; NumPy's pairwise sum() can differ in the last bit.
+    total = float(np.add.accumulate(hires)[-1])
+    return (inst.under_cost * max(0.0, inst.initial_range[1] - total),
+            int(hired[-1]) + 1 if hired.size else 1)
 
 
 def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
@@ -178,6 +174,7 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
     if np.any(inst.inconsistency != 0):
         raise InstanceError("fixed-point characterization assumes eps = 0")
     work = _clamped_single_pool(inst)
+    draining = worst_case_sequence(work)
     lo0, hi0 = work.initial_range
     rho1 = float(work.availability[0, 0])
     s = float(work.pool_sizes[0])
@@ -185,7 +182,7 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
     gamma_hi = work.over_cost * (rho1 * s - lbar1)
 
     def underst(g):
-        return _greedy_understaffing(work, g)[0]
+        return _greedy_understaffing(work, g, draining)[0]
 
     if gamma_hi <= 0 or underst(gamma_hi) > gamma_hi:
         gamma = work.under_cost * (hi0 - rho1 * s)
@@ -204,7 +201,7 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
                 hi_g = mid
         gamma = 0.5 * (lo_g + hi_g)
     return FixedPointResult(gamma, "fixed_point",
-                            _greedy_understaffing(work, gamma)[1])
+                            _greedy_understaffing(work, gamma, draining)[1])
 
 
 def t_dagger_formula(s, eta, delta, T, C, gamma) -> Optional[int]:
@@ -341,11 +338,7 @@ class LpResolvingPolicy:
         if self.gamma_star is None:
             self.gamma_star = sol.objective
         n = inst.n_pools
-        hires = np.zeros(n)
-        for i in range(n):
-            v = built.x_index.get((i, t))
-            if v is not None:
-                hires[i] = sol.x[v]
+        hires = extract_canonical(built, sol)[:, t - 1]
         rho_t = st.availability[:, t - 1]
         new_supply = np.maximum(rho_t * st.remaining_supply - hires, 0.0)
         new_avail = st.availability.copy()
@@ -504,11 +497,6 @@ class MiscoverageWrapper:
         for iv in self._repaired_history(t):
             hires = em.step(iv.hi)
         return Decision.hire_only(hires)
-
-
-def miscoverage_wrapper(base, scenario: str, shocked: Sequence[bool]
-                        ) -> MiscoverageWrapper:
-    return MiscoverageWrapper(base, scenario, shocked)
 
 
 class ClairvoyantPolicy:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -314,22 +314,28 @@ def configuration_space(ranges: List[Tuple[int, int]], cap: int
     return list(itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]))
 
 
-def configuration_endpoints(ri: ReleaseInstance, state: EpochState,
-                            config: Tuple[int, ...]) -> Tuple[float, float]:
-    """(L_T, R_T) of the multi-switch sequence encoded by a configuration."""
+def configuration_walk(ri: ReleaseInstance, state: EpochState,
+                       config: Tuple[int, ...]
+                       ) -> Iterator[Tuple[float, float]]:
+    """Intervals (L_t, R_t), day by day from the state's epoch on, of the
+    multi-switch sequence encoded by one switch day per epoch.
+
+    Within each epoch the right endpoint holds through the switch day, then
+    the left endpoint holds while the interval tightens from above.
+    """
     inst = ri.base
-    first = state.index
     lo, hi = state.interval
-    t0 = ri.epoch_range(first)[0]
-    for idx, ell in enumerate(range(first, ri.n_epochs + 1)):
+    for ell, switch in zip(range(state.index, ri.n_epochs + 1), config):
         lo_e, hi_e = ri.epoch_range(ell)
-        switch = config[idx]
-        for t in range(max(lo_e, t0) + 1, hi_e + 1):
+        if not lo_e <= switch <= hi_e:
+            raise InstanceError(
+                f"switch day {switch} outside epoch range [{lo_e},{hi_e}]")
+        for t in range(lo_e + 1, hi_e + 1):
             if t <= switch:
                 lo, hi = hi - inst.delta(t), hi
             else:
                 lo, hi = lo, lo + inst.delta(t)
-    return lo, hi
+            yield lo, hi
 
 
 @dataclass
@@ -500,7 +506,9 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
                         coeffs[v] = coeffs.get(v, 0.0) - 1.0
                 add_row(coeffs, "<=", float(z[i]))
         # Bounded overstaffing / understaffing at the horizon.
-        lo_T, hi_T = configuration_endpoints(ri, state, cfg)
+        lo_T, hi_T = state.interval
+        for lo_T, hi_T in configuration_walk(ri, state, cfg):
+            pass
         net = {}
         for i in range(n):
             for t in range(t0 + 1, T + 1):

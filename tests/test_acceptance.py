@@ -24,7 +24,6 @@ from staffing_minimax.adversary import (demand_candidates,
                                         single_switch_sequence,
                                         worst_demand_cost)
 from staffing_minimax.cli import main as cli_main
-from staffing_minimax.emulator import run_emulator
 from staffing_minimax.lp import solve_lp
 from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     PredictionSequence, ReleaseInstance,
@@ -32,10 +31,11 @@ from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     load_instance, make_instance,
                                     validate_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
-                                       LpResolvingPolicy, MultiStationPolicy,
-                                       ReleasePolicy, gamma_star_closed_form,
-                                       gamma_star_single_pool,
-                                       miscoverage_wrapper, play, play_multi)
+                                       LpResolvingPolicy, MiscoverageWrapper,
+                                       MultiStationPolicy, ReleasePolicy,
+                                       gamma_star_closed_form,
+                                       gamma_star_single_pool, play,
+                                       play_multi)
 from staffing_minimax.programs import (build_lp_multi_station,
                                        build_lp_release,
                                        build_lp_single_switch,
@@ -115,7 +115,8 @@ def test_criterion_04_emulator_invariant_fuzz():
         inst = random_multi_pool(rng)
         canonical = _random_canonical(rng, inst)
         seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
-        plan, _ = run_emulator(inst, canonical, seq)   # solvable every step
+        # solvable every step
+        plan = play(LpEmulatorPolicy(inst, canonical), inst, seq)
         assert np.all(plan.hires <= canonical + 1e-12)
         ok, viol = check_feasibility(inst, plan)
         assert ok, viol
@@ -423,7 +424,7 @@ def test_criterion_12_miscoverage_wrapper():
                          else seq.intervals[t] for t in range(T)]
             shocked_seq = PredictionSequence.build(inst, intervals,
                                                    check_widths=False)
-            wrapped = miscoverage_wrapper(
+            wrapped = MiscoverageWrapper(
                 LpEmulatorPolicy(inst, canonical, gamma),
                 "detect_before_hiring", shocked)
             plan = play(wrapped, inst, shocked_seq)

@@ -6,12 +6,13 @@ import pytest
 from conftest import fig3_instance, random_multi_pool
 from staffing_minimax.adversary import (
     BudgetExceeded, brute_force_worst_case, configuration_sequence,
-    enumerate_grid_sequences, random_nested_sequence, sequence_from_csv,
-    single_switch_sequence, worst_case_sequence)
-from staffing_minimax.model import ReleaseInstance, make_instance
-from staffing_minimax.policies import (ClairvoyantPolicy, LpEmulatorPolicy,
-                                       gamma_star_single_pool,
-                                       greedy_target_overstaffing, play)
+    demand_candidates, enumerate_grid_sequences, random_nested_sequence,
+    sequence_from_csv, single_switch_sequence, worst_case_sequence)
+from staffing_minimax.model import (InstanceError, ReleaseInstance,
+                                    make_instance)
+from staffing_minimax.policies import (ClairvoyantPolicy, GreedyTargetPolicy,
+                                       LpEmulatorPolicy,
+                                       gamma_star_single_pool, play)
 from staffing_minimax.programs import minimax_value_and_profile
 
 
@@ -48,12 +49,22 @@ def test_worst_case_hand_values():
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
 
+def test_worst_case_sequence_at_large_demand_scale():
+    # hi0 - Delta_1 rounds to a width one ulp above Delta_1 here.
+    inst = make_instance([1e10], [[1.0, 1.0]], (1e7, 1.1e8 + 0.987654321),
+                         [30000000.2, 0.0])
+    seq = worst_case_sequence(inst)
+    assert [iv.hi for iv in seq.intervals] == [inst.initial_range[1]] * 2
+    assert seq.interval(1).width == pytest.approx(30000000.2, rel=1e-15)
+    assert gamma_star_single_pool(inst).gamma_star == 0.0
+
+
 def test_worst_case_attains_gamma_for_greedy():
     for which in ("b", "c"):
         inst = fig3_instance(which)
         res = gamma_star_single_pool(inst)
         seq = worst_case_sequence(inst)
-        plan = greedy_target_overstaffing(inst, res.gamma_star, seq)
+        plan = play(GreedyTargetPolicy(inst, res.gamma_star), inst, seq)
         under = inst.under_cost * max(
             0.0, inst.initial_range[1] - plan.total_net)
         assert under == pytest.approx(res.gamma_star, abs=1e-7)
@@ -151,6 +162,13 @@ def test_grid_enumeration_counts_and_cap():
         assert seq.is_nested(inst)
     with pytest.raises(BudgetExceeded):
         enumerate_grid_sequences(inst, 0.25, cap=3)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.25])
+def test_demand_candidates_reject_nonpositive_step(step):
+    seq = single_switch_sequence(fig3_instance("a"), 3)
+    with pytest.raises(InstanceError, match="grid step must be positive"):
+        demand_candidates(seq, step)
 
 
 def test_clairvoyant_worst_case_zero_with_ample_supply():

@@ -251,6 +251,54 @@ def test_oracle_nonpositive_grid_step_exit_2(capsys, tmp_path, step):
     assert "grid step must be positive" in err
 
 
+def test_oracle_nonpositive_grid_step_solves_nothing(capsys, monkeypatch):
+    from staffing_minimax import cli, lp, programs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lp.solve_lp(*args, **kwargs)
+
+    for module in (cli, programs):
+        monkeypatch.setattr(module, "solve_lp", counting)
+    code, _, err = run_cli(capsys, "oracle", "--instance",
+                           instance_path("fig3c.json"), "--grid-step", "0")
+    assert code == 2
+    assert "grid step must be positive" in err
+    assert calls == []
+
+
+def _bench_config(tmp_path, **overrides):
+    config = json.loads(open(instance_path("bench_short.json")).read())
+    config.update(overrides)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("overrides, argv", [({}, ["--seed", "-1"]),
+                                             ({"seed": -1}, [])],
+                         ids=["flag", "config"])
+def test_bench_negative_seed_exit_2(capsys, tmp_path, overrides, argv):
+    code, out, err = run_cli(capsys, "bench", "--config",
+                             _bench_config(tmp_path, **overrides), "--reps",
+                             "1", *argv)
+    assert code == 2
+    assert "seed must be non-negative, got -1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("prior_hi", [-0.5, 0.0, 2.0])
+def test_bench_prior_hi_outside_unit_interval_exit_2(capsys, tmp_path,
+                                                     prior_hi):
+    code, out, err = run_cli(capsys, "bench", "--config",
+                             _bench_config(tmp_path, prior_hi=prior_hi),
+                             "--reps", "1")
+    assert code == 2
+    assert "prior_hi must lie in (0, 1]" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("etas, token", [("1,abc", "'abc'"), ("", "''")])
 def test_sweep_eta_bad_token_exit_2(capsys, etas, token):
     code, _, err = run_cli(capsys, "sweep-eta", "--T", "6", "--etas", etas)
@@ -261,6 +309,9 @@ def test_sweep_eta_bad_token_exit_2(capsys, etas, token):
 @pytest.mark.parametrize("argv, message", [
     (["--T", "4", "--coverage", "1.5"], "--coverage must lie in (0, 1)"),
     (["--T", "0"], "--T must be at least 1"),
+    (["--T", "3", "--prior-hi", "-0.5"], "--prior-hi must lie in (0, 1]"),
+    (["--T", "3", "--prior-hi", "2"], "--prior-hi must lie in (0, 1]"),
+    (["--T", "3", "--prior-hi", "0"], "--prior-hi must lie in (0, 1]"),
 ])
 def test_calibrate_bad_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "calibrate", *argv)

@@ -5,12 +5,13 @@ from conftest import fig3_instance, random_multi_pool
 from staffing_minimax.adversary import (random_nested_sequence,
                                         single_switch_sequence,
                                         worst_case_sequence)
-from staffing_minimax.emulator import (SplitInfeasible, emulator_step,
-                                       run_emulator, release_epoch_run,
+from staffing_minimax.emulator import (EmulatorTrace, EpochRunner,
+                                       SplitInfeasible, emulator_step,
                                        split_hires)
-from staffing_minimax.model import (PredictionSequence, ReleaseInstance,
-                                    check_feasibility, fresh_state,
-                                    make_instance)
+from staffing_minimax.model import (PredictionInterval, PredictionSequence,
+                                    ReleaseInstance, check_feasibility,
+                                    fresh_state, make_instance)
+from staffing_minimax.policies import LpEmulatorPolicy, play
 from staffing_minimax.programs import (minimax_value_and_profile,
                                        single_switch_floor)
 
@@ -59,7 +60,7 @@ def test_single_switch_final_sequence_follows_canonical():
     inst = fig3_instance("b")
     gamma, canonical = minimax_value_and_profile(inst)
     seq = single_switch_sequence(inst, inst.horizon)
-    plan, trace = run_emulator(inst, canonical, seq)
+    plan = play(LpEmulatorPolicy(inst, canonical), inst, seq)
     assert np.allclose(plan.hires, canonical, atol=1e-12)
 
 
@@ -67,7 +68,7 @@ def test_fig3c_worst_sequence_cost():
     inst = fig3_instance("c")
     gamma, canonical = minimax_value_and_profile(inst)
     seq = worst_case_sequence(inst)
-    plan, trace = run_emulator(inst, canonical, seq)
+    plan = play(LpEmulatorPolicy(inst, canonical), inst, seq)
     total = plan.total_net
     hi = seq.effective_hi[-1]
     lo = seq.effective_lo[-1]
@@ -118,7 +119,8 @@ def test_emulator_invariants_fuzz(seed):
             seq = _random_valid_sequence(rng, inst)
         else:
             seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
-        plan, trace = run_emulator(inst, canonical, seq)   # never raises
+        # never raises
+        plan = play(LpEmulatorPolicy(inst, canonical), inst, seq)
         assert np.all(plan.hires <= canonical + 1e-12)
         ok, viol = check_feasibility(inst, plan)
         assert ok, viol
@@ -141,7 +143,8 @@ def test_trace_csv_round_trip(tmp_path):
     inst = fig3_instance("a")
     gamma, canonical = minimax_value_and_profile(inst)
     seq = random_nested_sequence(inst, 9)
-    plan, trace = run_emulator(inst, canonical, seq)
+    trace = EmulatorTrace()
+    plan = play(LpEmulatorPolicy(inst, canonical), inst, seq, trace)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     rows = path.read_text().strip().splitlines()
@@ -160,9 +163,11 @@ def test_release_epoch_run_trivial_epoch_state():
     canonical = np.zeros((1, 2))
     from staffing_minimax.model import PredictionInterval
     ivs = [PredictionInterval(0.0, 1.0), PredictionInterval(0.0, 1.0)]
-    out = release_epoch_run(ri, state, canonical, {0: np.zeros(1)}, ivs)
-    assert np.all(out.hires == 0) and np.all(out.releases == 0)
-    st = out.next_state
+    runner = EpochRunner(ri, state, canonical, {0: np.zeros(1)})
+    for iv in ivs:
+        runner.observe(iv)
+    releases, _k, st = runner.finish()
+    assert np.all(runner.realized == 0) and np.all(releases == 0)
     assert st.index == 2
     assert np.all(st.cum_hires == 0)
     assert st.remaining_budget == 5.0
@@ -171,6 +176,30 @@ def test_release_epoch_run_trivial_epoch_state():
     assert st.availability[0, 2] == pytest.approx(0.6 / 0.8)
     # carried interval is [R_2 - Delta_2, R_2]
     assert st.interval == (pytest.approx(1.0 - 0.8), 1.0)
+
+
+def _idle_epoch_runner():
+    inst = make_instance([1.0], [[1.0, 0.8, 0.6, 0.5]], (0, 1),
+                         [1.0, 0.8, 0.6, 0.4])
+    ri = ReleaseInstance(base=inst, budget=5.0, epoch_breaks=(2, 4),
+                         release_fees=(0.1, 0.1))
+    state = fresh_state(inst, ri.budget, ri.pre_hires)
+    return EpochRunner(ri, state, np.zeros((1, 2)), {0: np.zeros(1)})
+
+
+def test_epoch_runner_observe_past_epoch_end_raises():
+    runner = _idle_epoch_runner()
+    for _ in range(2):
+        runner.observe(PredictionInterval(0.0, 1.0))
+    with pytest.raises(ValueError, match="epoch already complete"):
+        runner.observe(PredictionInterval(0.0, 1.0))
+
+
+def test_epoch_runner_finish_before_epoch_end_raises():
+    runner = _idle_epoch_runner()
+    runner.observe(PredictionInterval(0.0, 1.0))
+    with pytest.raises(ValueError, match="epoch not fully observed"):
+        runner.finish()
 
 
 def test_release_epoch_critical_index_exists():

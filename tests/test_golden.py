@@ -24,11 +24,11 @@ import pytest
 from conftest import instance_path, random_multi_pool
 from staffing_minimax.adversary import random_nested_sequence
 from staffing_minimax.cli import main as cli_main
-from staffing_minimax.emulator import run_emulator
+from staffing_minimax.emulator import EmulatorTrace
 from staffing_minimax.model import load_instance
 from staffing_minimax.policies import (JointCostPolicy, LpEmulatorPolicy,
-                                       MultiStationPolicy, ReleasePolicy,
-                                       miscoverage_wrapper, play, play_multi)
+                                       MiscoverageWrapper, MultiStationPolicy,
+                                       ReleasePolicy, play, play_multi)
 from staffing_minimax.programs import (build_lp_joint_cost,
                                        build_lp_multi_station,
                                        build_lp_release,
@@ -117,8 +117,9 @@ def _run_emulator(inst):
     _, canonical = minimax_value_and_profile(inst)
     lines = []
     for s in SEEDS:
-        plan, trace = run_emulator(inst, canonical,
-                                   random_nested_sequence(inst, s))
+        trace = EmulatorTrace()
+        plan = play(LpEmulatorPolicy(inst, canonical), inst,
+                    random_nested_sequence(inst, s), trace)
         lines.append(_plan_text(plan) + repr(
             (trace.canonical_total, trace.realized_total, trace.r_hat,
              trace.l_hat)))
@@ -155,8 +156,8 @@ def _miscoverage(inst):
         shocked = np.random.default_rng([s, 7]).uniform(
             size=inst.horizon) < 0.3
         shocked[-1] = False
-        wrapped = miscoverage_wrapper(LpEmulatorPolicy(inst, canonical, gamma),
-                                      "detect_before_hiring", shocked)
+        wrapped = MiscoverageWrapper(LpEmulatorPolicy(inst, canonical, gamma),
+                                     "detect_before_hiring", shocked)
         lines.append(_plan_text(play(wrapped, inst,
                                      random_nested_sequence(inst, s))))
     return "\n".join(lines)

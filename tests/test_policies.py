@@ -15,9 +15,9 @@ from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
 from staffing_minimax.policies import (
     GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy, LpResolvingPolicy,
     MultiPoolUnsupported, MultiStationPolicy, ParameterOutOfRange,
-    ReleasePolicy, UnsupportedBase, gamma_star_closed_form,
-    gamma_star_single_pool, greedy_target_overstaffing, miscoverage_wrapper,
-    play, play_multi, t_dagger_formula, _t_dagger_scan)
+    MiscoverageWrapper, ReleasePolicy, UnsupportedBase,
+    gamma_star_closed_form, gamma_star_single_pool, play, play_multi,
+    t_dagger_formula, _t_dagger_scan)
 from staffing_minimax.programs import (build_lp_release,
                                        build_lp_single_switch,
                                        minimax_value_and_profile)
@@ -28,12 +28,12 @@ from staffing_minimax.programs import (build_lp_release,
 def test_greedy_simple_cases():
     inst = make_instance([100.0], [[1.0]], (0, 1), [0.0])
     seq = PredictionSequence.build(inst, [(0.5, 0.5)])
-    plan = greedy_target_overstaffing(inst, 0.0, seq)
+    plan = play(GreedyTargetPolicy(inst, 0.0), inst, seq)
     assert plan.total_net == pytest.approx(0.5)
 
     tiny = make_instance([0.1], [[0.5, 0.4]], (0, 1), [0.8, 0.3])
     seq = PredictionSequence.build(tiny, [(0.2, 1.0), (0.7, 1.0)])
-    plan = greedy_target_overstaffing(tiny, 0.3, seq)
+    plan = play(GreedyTargetPolicy(tiny, 0.3), tiny, seq)
     assert plan.hires[0, 0] == pytest.approx(0.5 * 0.1)
     assert plan.hires[0, 1] == pytest.approx(0.0)
 
@@ -45,7 +45,7 @@ def test_greedy_respects_cap_each_day():
         res = gamma_star_single_pool(inst)
         seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
         gamma = res.gamma_star
-        plan = greedy_target_overstaffing(inst, gamma, seq)
+        plan = play(GreedyTargetPolicy(inst, gamma), inst, seq)
         cum = 0.0
         for t in range(1, inst.horizon + 1):
             cum += plan.hires[0, t - 1]
@@ -62,8 +62,8 @@ def test_greedy_rejects_multi_pool():
 def test_greedy_worst_case_understaffing_is_gamma():
     inst = fig3_instance("b")
     res = gamma_star_single_pool(inst)
-    plan = greedy_target_overstaffing(inst, res.gamma_star,
-                                      worst_case_sequence(inst))
+    plan = play(GreedyTargetPolicy(inst, res.gamma_star), inst,
+                worst_case_sequence(inst))
     under = inst.under_cost * (inst.initial_range[1] - plan.total_net)
     assert under == pytest.approx(0.476, abs=5e-3)
     assert under == pytest.approx(res.gamma_star, abs=1e-7)
@@ -398,19 +398,19 @@ def test_wrapper_unshocked_is_identical_to_base():
     gamma, canonical = minimax_value_and_profile(inst)
     seq = random_nested_sequence(inst, 5)
     base_plan = play(LpEmulatorPolicy(inst, canonical, gamma), inst, seq)
-    wrapped = miscoverage_wrapper(LpEmulatorPolicy(inst, canonical, gamma),
-                                  "detect_before_hiring", [False] * inst.horizon)
+    wrapped = MiscoverageWrapper(LpEmulatorPolicy(inst, canonical, gamma),
+                                 "detect_before_hiring", [False] * inst.horizon)
     wrapped_plan = play(wrapped, inst, seq)
     assert np.array_equal(base_plan.hires, wrapped_plan.hires)
-    wrapped2 = miscoverage_wrapper(LpEmulatorPolicy(inst, canonical, gamma),
-                                   "no_detect", [False] * inst.horizon)
+    wrapped2 = MiscoverageWrapper(LpEmulatorPolicy(inst, canonical, gamma),
+                                  "no_detect", [False] * inst.horizon)
     assert np.array_equal(play(wrapped2, inst, seq).hires, base_plan.hires)
 
 
 def test_wrapper_all_shocked_hires_nothing():
     inst = _shock_setup()
-    wrapped = miscoverage_wrapper(LpEmulatorPolicy(inst), "detect_before_hiring",
-                                  [True] * inst.horizon)
+    wrapped = MiscoverageWrapper(LpEmulatorPolicy(inst), "detect_before_hiring",
+                                 [True] * inst.horizon)
     garbage = PredictionSequence.build(
         inst, [(0.0, 0.0)] * inst.horizon, check_widths=False)
     plan = play(wrapped, inst, garbage)
@@ -420,8 +420,8 @@ def test_wrapper_all_shocked_hires_nothing():
 def test_wrapper_rejects_unsupported_base():
     inst = _shock_setup()
     with pytest.raises(UnsupportedBase):
-        miscoverage_wrapper(LpResolvingPolicy(inst), "detect_before_hiring",
-                            [False] * inst.horizon)
+        MiscoverageWrapper(LpResolvingPolicy(inst), "detect_before_hiring",
+                           [False] * inst.horizon)
 
 
 def test_wrapper_mean_extra_cost_monotone_small():
@@ -447,7 +447,7 @@ def _mean_extra_cost(inst, canonical, gamma, shock_prob, reps):
                 intervals[t] = PredictionInterval(0.0, 0.0)
         shocked_seq = PredictionSequence.build(inst, intervals,
                                                check_widths=False)
-        wrapped = miscoverage_wrapper(
+        wrapped = MiscoverageWrapper(
             LpEmulatorPolicy(inst, canonical, gamma),
             "detect_before_hiring", shocked)
         plan = play(wrapped, inst, shocked_seq)

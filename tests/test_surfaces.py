@@ -15,8 +15,8 @@ from staffing_minimax.model import (EpochState, InstanceError,
                                     make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, JointCostPolicy,
                                        LpEmulatorPolicy, LpResolvingPolicy,
-                                       MultiStationPolicy, ReleasePolicy,
-                                       miscoverage_wrapper)
+                                       MiscoverageWrapper, MultiStationPolicy,
+                                       ReleasePolicy)
 from staffing_minimax.programs import (InfeasibleState, build_lp_resolving,
                                        build_lp_single_switch)
 
@@ -46,7 +46,7 @@ def test_policy_kind_labels():
     assert ReleasePolicy(ri).kind == "release"
     assert JointCostPolicy(ri).kind == "joint"
     base = LpEmulatorPolicy(inst)
-    assert miscoverage_wrapper(base, "no_detect", [False] * 10).kind \
+    assert MiscoverageWrapper(base, "no_detect", [False] * 10).kind \
         == "miscoverage_wrapper"
     from staffing_minimax.bayesian import (DemandProcess, MdpPolicy, MdpSpec,
                                            NaiveBayesianPolicy,
