@@ -54,9 +54,7 @@ def worst_case_sequence(inst: Instance) -> PredictionSequence:
     lo0, hi0 = inst.initial_range
     intervals = [PredictionInterval(hi0 - inst.delta(t), hi0)
                  for t in range(1, inst.horizon + 1)]
-    # Each width is Delta_t up to the rounding of hi0 - Delta_t, which
-    # exceeds the width check's absolute slack once hi0 passes about 1e7.
-    return PredictionSequence.build(inst, intervals, check_widths=False)
+    return PredictionSequence.build(inst, intervals)
 
 
 def configuration_sequence(ri: ReleaseInstance, config: Sequence[int],

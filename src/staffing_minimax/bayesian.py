@@ -19,10 +19,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (Instance, PredictionInterval, StaffingPlan,
+from .emulator import fill_scarcest_first
+from .model import (Instance, PredictionSequence, SupplyLedger,
                     imbalance_cost, make_instance, staffing_cost,
                     validate_instance)
-from .policies import DayObservation, Decision
+from .policies import DayObservation, Decision, play
 
 BINOM_TRIALS = 5
 
@@ -230,26 +231,20 @@ class _GreedyTowardTarget:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.usage = np.zeros(inst.n_pools)
+        self.ledger = SupplyLedger(inst)
         self.total = 0.0
         self.day = 0
 
     def _hire_toward(self, target: float) -> np.ndarray:
-        inst = self.inst
         t = self.day
-        rho_t = inst.availability[:, t - 1]
-        avail = np.maximum(rho_t * (inst.pool_sizes - self.usage), 0.0)
-        need = max(0.0, target - self.total)
-        hires = np.zeros(inst.n_pools)
-        for i in sorted(range(inst.n_pools), key=lambda i: (rho_t[i], i)):
-            if rho_t[i] <= 0:
-                continue
-            take = min(need, avail[i])
-            hires[i] = take
-            self.usage[i] += take / rho_t[i]
-            need -= take
-            if need <= 1e-15:
-                break
+        rho_t = self.inst.availability[:, t - 1]
+        # Pools closed today are left out: they must not end the fill early.
+        live = rho_t > 0
+        hires = np.zeros(self.inst.n_pools)
+        hires[live] = fill_scarcest_first(max(0.0, target - self.total),
+                                          self.ledger.available(t)[live],
+                                          rho_t[live])
+        self.ledger.book(t, hires)
         self.total += float(hires.sum())
         return hires
 
@@ -409,7 +404,7 @@ class MdpPolicy:
         self.demand_sum = 0.0
         self.grid_idx = np.zeros(inst.n_pools, dtype=int)
         self.cum_hires = np.zeros(inst.n_pools)
-        self.usage = np.zeros(inst.n_pools)
+        self.ledger = SupplyLedger(inst)
         self.day = 0
         self.profiles: List[np.ndarray] = []
 
@@ -451,13 +446,10 @@ class MdpPolicy:
         # Today's action range uses the exactly-known remaining availability
         # (the Markov charge rule is only needed for future days inside the
         # backward induction).
+        avail = self.ledger.available(t)
         choices = []
-        rho_now = inst.availability[:, t - 1]
         for i in range(inst.n_pools):
-            cap = self.cum_hires[i]
-            if rho_now[i] > 0:
-                cap += rho_now[i] * max(0.0, float(inst.pool_sizes[i])
-                                        - self.usage[i])
+            cap = self.cum_hires[i] + avail[i]
             hi_idx = int(np.searchsorted(self.levels[i], cap + 1e-9,
                                          side="right") - 1)
             hi_idx = max(hi_idx, self.grid_idx[i])
@@ -472,16 +464,9 @@ class MdpPolicy:
                 val = float(next_values[(D,) + tuple(combo)])
             if best is None or val < best - 1e-12:
                 best, best_g = val, combo
-        hires = np.zeros(inst.n_pools)
-        rho_t = inst.availability[:, t - 1]
-        for i, g in enumerate(best_g):
-            want = max(0.0, self.levels[i][g] - self.cum_hires[i])
-            if rho_t[i] <= 0:
-                continue
-            avail = max(0.0, rho_t[i] * (float(inst.pool_sizes[i])
-                                         - self.usage[i]))
-            hires[i] = min(want, avail)
-            self.usage[i] += hires[i] / rho_t[i]
+        hires = np.array([min(max(0.0, self.levels[i][g] - self.cum_hires[i]),
+                              avail[i]) for i, g in enumerate(best_g)])
+        self.ledger.book(t, hires)
         self.cum_hires += hires
         for i in range(inst.n_pools):
             self.grid_idx[i] = int(np.argmin(
@@ -510,31 +495,24 @@ def run_bayesian_world(inst: Instance, process: DemandProcess,
     Replication streams are seeded by global index, so splitting the range
     across workers (via rep_offset) reproduces the single-worker results.
     """
-    T = process.horizon
     hi_cap = process.max_demand
     rows: List[dict] = []
     for rep in range(rep_offset, rep_offset + replications):
-        rng = np.random.default_rng([seed, rep])
-        world = process.sample_world(rng)
+        world = process.sample_world(np.random.default_rng([seed, rep]))
         intervals = []
-        for t in range(1, T + 1):
+        for t in range(1, process.horizon + 1):
             est = point_estimator(world.partials[:t], world.profiles[:t])
             lo = min(max(est - table.lower[t - 1], 0.0), hi_cap)
             hi = min(max(est + table.upper[t - 1], 0.0), hi_cap)
-            intervals.append(PredictionInterval(min(lo, hi), hi))
+            intervals.append((min(lo, hi), hi))
+        sequence = PredictionSequence.build(inst, intervals)
         for name, factory in policies.items():
             t0 = time.perf_counter()
-            policy = factory()
-            hires = np.zeros((inst.n_pools, T))
-            for t in range(1, T + 1):
-                obs = DayObservation(day=t, interval=intervals[t - 1],
-                                     partial=float(world.partials[t - 1]),
-                                     samples=world.profiles[t - 1])
-                hires[:, t - 1] = policy.step(obs).hires
+            plan = play(factory(), inst, sequence, world=world)
             elapsed = (time.perf_counter() - t0) * 1e3
-            cost = staffing_cost(inst, StaffingPlan.of(hires), world.demand)
             rows.append({"replication": rep, "policy": name,
-                         "cost": cost, "runtime_ms": elapsed, "seed": seed})
+                         "cost": staffing_cost(inst, plan, world.demand),
+                         "runtime_ms": elapsed, "seed": seed})
     return rows
 
 

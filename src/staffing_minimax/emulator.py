@@ -63,27 +63,28 @@ class EmulatorTrace:
                                 repr(self.r_hat[r]), repr(self.l_hat[r])])
 
 
-def split_hires(total: float, caps: np.ndarray, rho_today: np.ndarray
-                ) -> np.ndarray:
-    """Distribute a day total across pools, scarcest availability first.
-
-    Pools are filled up to their canonical caps in ascending rho order (ties
-    by pool index), which spends supply where it decays fastest.  Callers
-    must not rely on the split beyond the caps.
-    """
-    n = len(caps)
-    if total > caps.sum() + 1e-9:
-        raise SplitInfeasible(
-            f"day total {total:.12g} exceeds canonical caps {caps.sum():.12g}")
-    hires = np.zeros(n)
+def fill_scarcest_first(total: float, caps: np.ndarray, rho: np.ndarray
+                        ) -> np.ndarray:
+    """Fill a total into pools up to their caps in ascending rho order (ties
+    by pool index), which spends supply where it decays fastest; stops once
+    at most 1e-15 is left."""
+    hires = np.zeros(len(caps))
     remaining = total
-    for i in sorted(range(n), key=lambda i: (rho_today[i], i)):
-        take = min(remaining, caps[i])
-        hires[i] = max(0.0, take)
+    for i in sorted(range(len(caps)), key=lambda i: (rho[i], i)):
+        hires[i] = max(0.0, min(remaining, caps[i]))
         remaining -= hires[i]
         if remaining <= 1e-15:
             break
     return hires
+
+
+def split_hires(total: float, caps: np.ndarray, rho_today: np.ndarray
+                ) -> np.ndarray:
+    """Fill a day total scarcest first within caps that must hold it."""
+    if total > caps.sum() + 1e-9:
+        raise SplitInfeasible(
+            f"day total {total:.12g} exceeds canonical caps {caps.sum():.12g}")
+    return fill_scarcest_first(total, caps, rho_today)
 
 
 def emulator_step(canonical: np.ndarray, realized: np.ndarray, day: int,

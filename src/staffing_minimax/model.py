@@ -190,7 +190,8 @@ class PredictionSequence:
                 f"expected {inst.horizon} intervals, got {len(ivs)}")
         if check_widths:
             for t, iv in enumerate(ivs, start=1):
-                if iv.width > inst.delta(t) + 1e-9:
+                if iv.width > inst.delta(t) + 1e-9 * max(1.0, abs(iv.lo),
+                                                         abs(iv.hi)):
                     raise SequenceError(
                         f"day {t} interval width {iv.width:.9g} exceeds "
                         f"bound {inst.delta(t):.9g}")
@@ -453,6 +454,23 @@ def supply_usage(inst: Instance, hires: np.ndarray) -> np.ndarray:
             elif rho[i, t] > 0:
                 usage[i] += x / rho[i, t]
     return usage
+
+
+class SupplyLedger:
+    """Initial-pool units a policy has used so far, and what each pool can
+    still supply: hiring x on day t uses x / rho_t units (none if rho_t = 0)."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.usage = np.zeros(inst.n_pools)
+
+    def available(self, t: int) -> np.ndarray:
+        return np.maximum(self.inst.availability[:, t - 1]
+                          * (self.inst.pool_sizes - self.usage), 0.0)
+
+    def book(self, t: int, hires: np.ndarray) -> None:
+        live = self.inst.availability[:, t - 1] > 0
+        self.usage[live] += hires[live] / self.inst.availability[live, t - 1]
 
 
 def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):

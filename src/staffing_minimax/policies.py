@@ -19,7 +19,8 @@ from .adversary import worst_case_sequence
 from .emulator import Emulator, EmulatorTrace, EpochRunner
 from .model import (EpochState, Instance, InstanceError, MultiStationInstance,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
-                    StaffingPlan, fresh_state, validate_release_instance)
+                    StaffingPlan, SupplyLedger, fresh_state, make_instance,
+                    validate_release_instance)
 from .programs import (build_lp_joint_cost, build_lp_multi_station,
                        build_lp_release, build_lp_resolving,
                        extract_canonical, minimax_value_and_profile,
@@ -64,10 +65,12 @@ class Decision:
 
 
 def play(policy, inst: Instance, sequence: PredictionSequence,
-         trace: Optional[EmulatorTrace] = None) -> StaffingPlan:
+         trace: Optional[EmulatorTrace] = None, world=None) -> StaffingPlan:
     """Drive a policy over a full sequence; returns the realized plan.
 
-    With a trace, each day records the policy's canonical cumulative total
+    In a Bayesian world (`bayesian.World`) each day's observation also
+    carries the day's partial demand and sampled future partials.  With a
+    trace, each day records the policy's canonical cumulative total
     (the realized net total when it has no canonical profile), the realized
     net total, the effective bounds R_hat and L_hat, and the day's decision.
     """
@@ -76,7 +79,10 @@ def play(policy, inst: Instance, sequence: PredictionSequence,
     releases = np.zeros((n, T))
     canonical = getattr(policy, "canonical", None)
     for t in range(1, T + 1):
-        d = policy.step(DayObservation(day=t, interval=sequence.interval(t)))
+        d = policy.step(DayObservation(
+            t, sequence.interval(t),
+            None if world is None else float(world.partials[t - 1]),
+            None if world is None else world.profiles[t - 1]))
         hires[:, t - 1] = d.hires
         releases[:, t - 1] = d.releases
         if trace is not None:
@@ -104,27 +110,23 @@ class GreedyTargetPolicy:
         self.inst = inst
         self.gamma = float(gamma)
         self.day = 0
-        self.usage = 0.0            # initial-pool units consumed
+        self.ledger = SupplyLedger(inst)
         self.prev_lo = None
 
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
         t = self.day
-        inst = self.inst
-        rho_t = float(inst.availability[0, t - 1])
-        available = max(0.0, rho_t * (float(inst.pool_sizes[0]) - self.usage))
         if t == 1:
-            want = obs.interval.lo + self.gamma / inst.over_cost
+            want = obs.interval.lo + self.gamma / self.inst.over_cost
         else:
             if obs.interval.lo < self.prev_lo - 1e-9:
                 raise InstanceError("greedy target staffing needs nested "
                                     "forecasts (nondecreasing lower bounds)")
             want = obs.interval.lo - self.prev_lo
-        hire = min(max(0.0, want), available)
-        if rho_t > 0:
-            self.usage += hire / rho_t
+        hires = np.minimum(max(0.0, want), self.ledger.available(t))
+        self.ledger.book(t, hires)
         self.prev_lo = obs.interval.lo
-        return Decision.hire_only(np.array([hire]))
+        return Decision.hire_only(hires)
 
 
 # --- Fixed-point characterizations of the optimal cost ----------------------
@@ -140,7 +142,6 @@ def _clamped_single_pool(inst: Instance) -> Instance:
     """Normalize to the WLOG setting: nonincreasing error bounds capped by
     the initial width (running-min clamp, documented and reversible)."""
     deltas = np.minimum.accumulate(np.minimum(inst.error_bounds, inst.delta0))
-    from .model import make_instance
     return make_instance(inst.pool_sizes, inst.availability,
                          inst.initial_range, deltas,
                          under_cost=inst.under_cost, over_cost=inst.over_cost)
@@ -195,6 +196,8 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
     else:
         while hi_g - lo_g > tol:
             mid = 0.5 * (lo_g + hi_g)
+            if mid in (lo_g, hi_g):      # float spacing exceeds tol
+                break
             if underst(mid) > mid:
                 lo_g = mid
             else:
@@ -281,6 +284,8 @@ def gamma_star_closed_form(s: float, eta: float, delta: float, T: int,
         return 0.0
     while hi_g - lo_g > tol:
         mid = 0.5 * (lo_g + hi_g)
+        if mid in (lo_g, hi_g):          # float spacing exceeds tol
+            break
         if underst(mid) > mid:
             lo_g = mid
         else:

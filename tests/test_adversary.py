@@ -59,6 +59,19 @@ def test_worst_case_sequence_at_large_demand_scale():
     assert gamma_star_single_pool(inst).gamma_star == 0.0
 
 
+def test_sequences_pass_their_own_width_check_at_large_demand_scale():
+    # As above, each day-1 width rounds to one ulp above Delta_1.
+    inst = make_instance([1e10], [[1.0, 1.0]], (1e7, 1.1e8 + 0.987654321),
+                         [30000000.2, 0.0])
+    ri = ReleaseInstance(base=inst)
+    for seq in (single_switch_sequence(inst, 1),
+                single_switch_sequence(inst, 2),
+                configuration_sequence(ri, (0,)),
+                configuration_sequence(ri, (2,))):
+        assert seq.interval(1).width == pytest.approx(30000000.2, rel=1e-15)
+        assert seq.interval(2).width == 0.0
+
+
 def test_worst_case_attains_gamma_for_greedy():
     for which in ("b", "c"):
         inst = fig3_instance(which)

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -42,6 +43,8 @@ BUILDERS = {"fig3a": build_lp_single_switch, "fig3b": build_lp_single_switch,
             "multi_demo": build_lp_multi_station,
             "release_demo": build_lp_release}
 SEEDS = range(8)
+MDP_BENCH_POLICIES = ["lp_resolving", "lp_emulator", "naive_greedy",
+                      "naive_bayesian", "empirical_mdp", "full_info_mdp"]
 
 
 def _digest(text: str) -> str:
@@ -85,10 +88,17 @@ def _run_out(name, policy, sequence):
     return f"{code}\n{stdout}\n{trace}"
 
 
-def _bench_out(name, reps):
+def _bench_out(name, reps, extra=None):
+    """Bench rows without runtime_ms; `extra` updates the config first."""
+    with open(instance_path(f"{name}.json")) as f:
+        config = json.load(f)
+    config.update(extra or {})
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench.csv")
-        code, _ = _cli("bench", "--config", instance_path(f"{name}.json"),
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as f:
+            json.dump(config, f)
+        code, _ = _cli("bench", "--config", config_path,
                        "--reps", str(reps), "--out", path)
         with open(path, newline="") as f:
             rows = [(r["replication"], r["policy"], r["cost"], r["seed"])
@@ -197,12 +207,17 @@ def cases():
         out[f"cli_run[{name},{policy},{seq}]"] = (
             lambda a=(name, policy, seq): _run_out(*a))
     out["cli_bench[bench_short]"] = lambda: _bench_out("bench_short", 3)
+    out["cli_bench[bench_short,mdp]"] = lambda: _bench_out(
+        "bench_short", 4, {"policies": MDP_BENCH_POLICIES,
+                           "mdp": {"grid_levels": 5}})
     return out
 
 
 GOLDEN = {
     'cli_bench[bench_short]':
         '783d38d7f49e826abd31e247a6eb4cf6995f5fe520dc7b5c3bfd224d7e2fe803',
+    'cli_bench[bench_short,mdp]':
+        '18d308ca6e4a2ced0d994215473755a4b2177173cd1256e2be258c8129923494',
     'cli_run[fig3b,greedy_target,random:1]':
         '15de6ae9fb47a1cb02f8d83689c1385eb375fc90e286d0b821115d44aad80435',
     'cli_run[fig3b,lp_emulator,random:5]':

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -98,6 +102,37 @@ def test_fixed_point_equals_lp_on_random_instances(seed):
         res = gamma_star_single_pool(inst)
         lp = solve_lp(build_lp_single_switch(inst).model).objective
         assert res.gamma_star == pytest.approx(lp, abs=1e-6)
+
+
+LARGE_SCALE_BISECTIONS = """
+from staffing_minimax.model import make_instance
+from staffing_minimax.policies import (gamma_star_closed_form,
+                                       gamma_star_single_pool)
+
+
+def decaying(scale, T=10):
+    return make_instance([scale], [[0.9 ** t for t in range(1, T + 1)]],
+                         (0.0, scale),
+                         [scale * (T - t) / T for t in range(1, T + 1)])
+
+
+print(gamma_star_single_pool(decaying(1e8)).gamma_star
+      / gamma_star_single_pool(decaying(1.0)).gamma_star)
+print(gamma_star_closed_form(1.5, 0.5, 0.8, 10, 1e8, 1e8)
+      / gamma_star_closed_form(1.5, 0.5, 0.8, 10))
+"""
+
+
+def test_bisections_end_at_large_scale():
+    # At 1e8 the float spacing of gamma exceeds the absolute tolerance;
+    # the script runs apart so that a bisection that never ends fails.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    result = subprocess.run([sys.executable, "-c", LARGE_SCALE_BISECTIONS],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    ratios = [float(x) for x in result.stdout.split()]
+    assert ratios == pytest.approx([1e8, 1e8], rel=1e-8)
 
 
 def test_closed_form_low_supply_limit():
