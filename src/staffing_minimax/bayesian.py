@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -302,6 +303,17 @@ class MdpSpec:
     transition: str = "empirical"       # "empirical" | "true"
     state_cap: int = 2_000_000
 
+    def __post_init__(self):
+        for key in ("grid_levels", "state_cap"):
+            value = getattr(self, key)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise ValueError(f"mdp {key} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if self.transition not in ("empirical", "true"):
+            raise ValueError("mdp transition must be 'empirical' or 'true', "
+                             f"got {self.transition!r}")
+
 
 def _level_grid(inst: Instance, spec: MdpSpec) -> List[np.ndarray]:
     return [np.linspace(0.0, float(s), spec.grid_levels)
@@ -315,26 +327,29 @@ def _allowed_ranges(inst: Instance, levels: List[np.ndarray], t: int
     for i, lv in enumerate(levels):
         rho_t = inst.availability[i, t - 1]
         rho_prev = 1.0 if t == 1 else inst.availability[i, t - 2]
-        hi_idx = np.zeros(len(lv), dtype=int)
-        for g, h in enumerate(lv):
-            if rho_t <= 0 or rho_prev <= 0:
-                hi_idx[g] = g
-                continue
-            cap = h + rho_t * max(0.0, float(inst.pool_sizes[i]) - h / rho_prev)
-            hi_idx[g] = int(np.searchsorted(lv, cap + 1e-9, side="right") - 1)
-            hi_idx[g] = max(hi_idx[g], g)
-        out.append(hi_idx)
+        g = np.arange(len(lv))
+        if rho_t <= 0 or rho_prev <= 0:
+            out.append(g)
+            continue
+        cap = lv + rho_t * np.maximum(0.0, float(inst.pool_sizes[i])
+                                      - lv / rho_prev)
+        out.append(np.maximum(
+            np.searchsorted(lv, cap + 1e-9, side="right") - 1, g))
     return out
 
 
 def _range_min(W: np.ndarray, hi_idx: np.ndarray, axis: int) -> np.ndarray:
-    """out[..., g, ...] = min over g' in [g, hi_idx[g]] of W[..., g', ...]."""
-    Wm = np.moveaxis(W, axis, -1)
-    out = np.empty_like(Wm)
-    G = Wm.shape[-1]
-    for g in range(G):
-        out[..., g] = Wm[..., g:hi_idx[g] + 1].min(axis=-1)
-    return np.moveaxis(out, -1, axis)
+    """out[..., g, ...] = min over g' in [g, hi_idx[g]] of W[..., g', ...].
+
+    The k-th shift folds in index min(g + k, hi_idx[g]).  A minimum is
+    exact, so the order of the shifts cannot change a bit of the result.
+    """
+    g = np.arange(len(hi_idx))
+    out = W.copy()
+    for k in range(1, int((hi_idx - g).max()) + 1):
+        np.minimum(out, np.take(W, np.minimum(g + k, hi_idx), axis=axis),
+                   out=out)
+    return out
 
 
 def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
@@ -383,23 +398,44 @@ def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
     return [values[t] for t in range(t_start, T + 1)]
 
 
-class MdpPolicy:
-    """Finite-horizon backward induction, re-solved every day.
+def full_info_values(inst: Instance, process: DemandProcess, spec: MdpSpec
+                     ) -> List[np.ndarray]:
+    """V[t] for t = 2..T under the process marginal, read-only.
 
-    The empirical variant estimates each future day's partial-demand pmf
-    from the sampled trajectories received so far; the true variant uses the
-    process marginal.  Played hires are capped at the true availability and
-    the internal state snaps to the nearest grid level.
+    They depend on nothing a run observes, so one solve serves every run of
+    the full-info MDP; a run that wrote into them would corrupt the next.
+    """
+    pmf = process.marginal_pmf()
+    pmfs = {t: pmf for t in range(1, inst.horizon + 1)}
+    values = backward_induction(inst, pmfs, _level_grid(inst, spec), 2, spec)
+    for V in values:
+        V.setflags(write=False)
+    return values
+
+
+class MdpPolicy:
+    """Finite-horizon backward induction over a discretized state.
+
+    The empirical variant re-solves every day, with each future day's
+    partial-demand pmf estimated from the sampled trajectories received so
+    far.  The true variant uses the process marginal, so its value arrays
+    are solved once (`full_info_values`) and may be shared by every run.
+    Played hires are capped at the true availability and the internal state
+    snaps to the nearest grid level.
     """
 
     kind = "empirical_mdp"
 
-    def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec):
+    def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec,
+                 values: Optional[List[np.ndarray]] = None):
         self.inst = inst
         self.process = process
         self.spec = spec
         self.kind = ("full_info_mdp" if spec.transition == "true"
                      else "empirical_mdp")
+        if values is None and spec.transition == "true":
+            values = full_info_values(inst, process, spec)
+        self.values = values
         self.levels = _level_grid(inst, spec)
         self.demand_sum = 0.0
         self.grid_idx = np.zeros(inst.n_pools, dtype=int)
@@ -409,11 +445,9 @@ class MdpPolicy:
         self.profiles: List[np.ndarray] = []
 
     def _pmfs(self) -> Dict[int, np.ndarray]:
+        """Empirical pmfs of days t+1..T from the samples received so far."""
         T = self.inst.horizon
         t = self.day
-        if self.spec.transition == "true":
-            pmf = self.process.marginal_pmf()
-            return {k: pmf for k in range(t + 1, T + 1)}
         out = {}
         for k in range(t + 1, T + 1):
             obs = []
@@ -439,8 +473,10 @@ class MdpPolicy:
             self.profiles.append(np.asarray(obs.samples, float))
         T = inst.horizon
         if t < T:
-            next_values = backward_induction(inst, self._pmfs(), self.levels,
-                                             t + 1, self.spec)[0]
+            next_values = (self.values[t - 1] if self.values is not None
+                           else backward_induction(inst, self._pmfs(),
+                                                   self.levels, t + 1,
+                                                   self.spec)[0])
         d_max = BINOM_TRIALS * T
         D = int(round(min(self.demand_sum, d_max)))
         # Today's action range uses the exactly-known remaining availability

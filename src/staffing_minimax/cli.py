@@ -155,12 +155,21 @@ def _greedy_target(c: _PolicyContext):
 
 
 def _mdp(transition: str):
+    """Fresh MDP policies; the full-info variant's value arrays are solved
+    once here and shared, as `_emulating` shares a solved profile."""
     def make(c: _PolicyContext):
-        spec = bayesian.MdpSpec(
-            grid_levels=int(c.mdp_cfg.get("grid_levels", 11)),
-            transition=transition,
-            state_cap=int(c.mdp_cfg.get("state_cap", 2_000_000)))
-        return partial(bayesian.MdpPolicy, c.inst, c.process, spec)
+        if not isinstance(c.mdp_cfg, dict):
+            raise CliInputError(f"mdp must be an object, got {c.mdp_cfg!r}")
+        try:
+            spec = bayesian.MdpSpec(
+                grid_levels=c.mdp_cfg.get("grid_levels", 11),
+                transition=transition,
+                state_cap=c.mdp_cfg.get("state_cap", 2_000_000))
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
+        values = (bayesian.full_info_values(c.inst, c.process, spec)
+                  if transition == "true" else None)
+        return partial(bayesian.MdpPolicy, c.inst, c.process, spec, values)
     return make
 
 

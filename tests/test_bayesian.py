@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import instance_path
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, StateExplosion,
-    backward_induction, calibrate_intervals, empirical_coverage,
-    forecast_instance, lower_quantile, mdp_root_value, point_estimator,
-    run_bayesian_world, summarize)
+    _allowed_ranges, _range_min, backward_induction, calibrate_intervals,
+    empirical_coverage, forecast_instance, full_info_values, lower_quantile,
+    mdp_root_value, point_estimator, run_bayesian_world, summarize)
 from staffing_minimax.model import PredictionInterval, make_instance
 from staffing_minimax.policies import DayObservation, LpEmulatorPolicy
 
@@ -182,6 +185,121 @@ def test_mdp_policy_plays_feasibly():
             hires[:, t - 1] = pol.step(obs).hires
         ok, viol = check_feasibility(inst, StaffingPlan.of(hires))
         assert ok, viol
+
+
+def test_mdp_spec_rejects_bad_values():
+    with pytest.raises(ValueError, match="mdp transition must be"):
+        MdpSpec(transition="ture")
+    for bad in (0, -3, "abc", 2.5, True):
+        with pytest.raises(ValueError, match="mdp grid_levels must be"):
+            MdpSpec(grid_levels=bad)
+    with pytest.raises(ValueError, match="mdp state_cap must be"):
+        MdpSpec(state_cap=0)
+
+
+def _range_min_loop(W, hi_idx, axis):
+    """The slice-by-slice range minimum, kept as an oracle."""
+    Wm = np.moveaxis(W, axis, -1)
+    out = np.empty_like(Wm)
+    for g in range(Wm.shape[-1]):
+        out[..., g] = Wm[..., g:hi_idx[g] + 1].min(axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def _allowed_ranges_loop(inst, levels, t):
+    """The level-by-level reach, kept as an oracle."""
+    out = []
+    for i, lv in enumerate(levels):
+        rho_t = inst.availability[i, t - 1]
+        rho_prev = 1.0 if t == 1 else inst.availability[i, t - 2]
+        hi_idx = np.zeros(len(lv), dtype=int)
+        for g, h in enumerate(lv):
+            if rho_t <= 0 or rho_prev <= 0:
+                hi_idx[g] = g
+                continue
+            cap = h + rho_t * max(0.0,
+                                  float(inst.pool_sizes[i]) - h / rho_prev)
+            hi_idx[g] = int(np.searchsorted(lv, cap + 1e-9, side="right") - 1)
+            hi_idx[g] = max(hi_idx[g], g)
+        out.append(hi_idx)
+    return out
+
+
+@pytest.mark.parametrize("G", [1, 2, 7, 21])
+def test_reach_and_range_min_match_loop_oracles(G):
+    # Pool 1 rises (so reach is not monotone in g); pool 2 closes on day 3
+    # and reopens on day 4; pool 3 is open throughout.
+    inst = make_instance([3.0, 2.0, 1.5],
+                         [[0.2, 0.5, 0.9, 1.0], [1.0, 0.7, 0.0, 0.6],
+                          [1.0, 0.9, 0.8, 0.7]], (0, 20), [20.0] * 4)
+    levels = [np.linspace(0.0, s, G) for s in inst.pool_sizes]
+    rng = np.random.default_rng(G)
+    for t in range(1, inst.horizon + 1):
+        got = _allowed_ranges(inst, levels, t)
+        want = _allowed_ranges_loop(inst, levels, t)
+        for g_got, g_want in zip(got, want):
+            assert np.array_equal(g_got, g_want)
+        W = rng.normal(size=(11, G, G, G))
+        for axis, hi_idx in enumerate(got, start=1):
+            assert np.array_equal(_range_min(W, hi_idx, axis),
+                                  _range_min_loop(W, hi_idx, axis))
+    closed = _allowed_ranges(inst, levels, 3)[1]
+    assert np.array_equal(closed, np.arange(G))
+
+
+def test_full_info_values_are_read_only():
+    inst = make_instance([2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]],
+                         (0, 15), [15.0] * 3)
+    values = full_info_values(inst, DemandProcess(3), MdpSpec(grid_levels=5))
+    assert len(values) == 2
+    for V in values:
+        with pytest.raises(ValueError):
+            V[0, 0, 0] = 1.0
+
+
+class _DailyFullInfo(MdpPolicy):
+    """The per-day re-solve: on day t, backward induction from day t+1
+    under the process marginal, through the empirical variant's path."""
+
+    def _pmfs(self):
+        pmf = self.process.marginal_pmf()
+        return {k: pmf for k in range(self.day + 1, self.inst.horizon + 1)}
+
+
+def _bench_long_instance():
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    proc = DemandProcess(int(config["horizon"]), float(config["prior_hi"]))
+    inst = forecast_instance(
+        config["pool_sizes"], config["availability"],
+        CalibrationTable.from_dict(config["calibration"]),
+        float(config["under_cost"]), float(config["over_cost"]), proc)
+    return inst, proc
+
+
+@pytest.mark.parametrize("case", ["T1", "T3", "bench_long"])
+def test_shared_full_info_values_play_as_daily_resolve(case):
+    if case == "T1":
+        inst = make_instance([4.0], [[1.0]], (0, 5), [5.0], over_cost=3.0)
+        proc = DemandProcess(1)
+    elif case == "T3":
+        inst = make_instance([2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]],
+                             (0, 15), [15.0] * 3)
+        proc = DemandProcess(3)
+    else:
+        inst, proc = _bench_long_instance()
+    spec = MdpSpec(grid_levels=7, transition="true")
+    shared = full_info_values(inst, proc, spec)
+    for rep in range(3):
+        world = proc.sample_world(np.random.default_rng([rep, 5]))
+        policies = [MdpPolicy(inst, proc, spec, shared),
+                    _DailyFullInfo(inst, proc, MdpSpec(grid_levels=7))]
+        for t in range(1, inst.horizon + 1):
+            obs = DayObservation(day=t, interval=None,
+                                 partial=float(world.partials[t - 1]),
+                                 samples=world.profiles[t - 1])
+            a, b = (pol.step(obs).hires for pol in policies)
+            assert a.tolist() == b.tolist()
 
 
 def test_world_determinism_and_pairing():

@@ -333,3 +333,40 @@ def test_bench_rows_independent_of_worker_count(capsys, tmp_path):
     single = rows(1)
     assert len(single) == 4 * 4
     assert rows(2) == single
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("key, value", [("grid_levels", 0),
+                                        ("grid_levels", -3),
+                                        ("grid_levels", "abc"),
+                                        ("state_cap", 0)])
+def test_bench_bad_mdp_config_exit_2(capsys, tmp_path, key, value, workers):
+    config = _bench_config(tmp_path, policies=["naive_greedy",
+                                               "full_info_mdp"],
+                           mdp={key: value})
+    code, out, err = run_cli(capsys, "bench", "--config", config,
+                             "--reps", "2", "--workers", workers)
+    assert code == 2
+    assert f"mdp {key} must be an integer >= 1, got {value!r}" in err
+    assert out == ""
+
+
+def test_bench_mdp_config_not_an_object_exit_2(capsys, tmp_path):
+    config = _bench_config(tmp_path, policies=["empirical_mdp"], mdp=5)
+    code, out, err = run_cli(capsys, "bench", "--config", config,
+                             "--reps", "1")
+    assert code == 2
+    assert "mdp must be an object, got 5" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_mdp_state_cap_exit_3(capsys, tmp_path, workers):
+    config = _bench_config(tmp_path, policies=["naive_greedy",
+                                               "full_info_mdp"],
+                           mdp={"state_cap": 10})
+    code, _, err = run_cli(capsys, "bench", "--config", config, "--reps",
+                           "2", "--workers", workers)
+    assert code == 3
+    assert "solver error: " in err
+    assert "states exceed the cap" in err

@@ -210,10 +210,16 @@ def cases():
     out["cli_bench[bench_short,mdp]"] = lambda: _bench_out(
         "bench_short", 4, {"policies": MDP_BENCH_POLICIES,
                            "mdp": {"grid_levels": 5}})
+    out["cli_bench[bench_long,mdp]"] = lambda: _bench_out(
+        "bench_long", 3, {"policies": ["naive_greedy", "empirical_mdp",
+                                       "full_info_mdp"],
+                          "mdp": {"grid_levels": 7}})
     return out
 
 
 GOLDEN = {
+    'cli_bench[bench_long,mdp]':
+        '4205bbd221b3f225ccfce39a33109040fbc96c5db7b05113681e74134f781235',
     'cli_bench[bench_short]':
         '783d38d7f49e826abd31e247a6eb4cf6995f5fe520dc7b5c3bfd224d7e2fe803',
     'cli_bench[bench_short,mdp]':
