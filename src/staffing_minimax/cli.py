@@ -77,7 +77,8 @@ PROGRAMS = {
               lambda problem, args: build_lp_joint_cost(problem)),
     "release": (ReleaseInstance, "a release instance file",
                 lambda problem, args: build_lp_release(
-                    problem, config_cap=args.config_cap)),
+                    validate_release_instance(problem),
+                    config_cap=args.config_cap)),
 }
 
 

@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import EpochState, ReleaseInstance, UNLIMITED
+from .model import (EpochState, ReleaseInstance, UNLIMITED,
+                    rescaled_availability)
 
 
 class SplitInfeasible(RuntimeError):
@@ -217,12 +218,7 @@ class EpochRunner:
                     x = self.realized[i, idx]
                     if x > 0:
                         usage[i] += x / rho[i, t0 + idx]
-            rho_end = rho[:, t_end - 1].copy()
-            new_supply = rho_end * (state.remaining_supply - usage)
-            new_avail = np.zeros_like(rho)
-            for i in range(n):
-                if rho_end[i] > 0:
-                    new_avail[i, t_end:] = rho[i, t_end:] / rho_end[i]
+            new_supply = rho[:, t_end - 1] * (state.remaining_supply - usage)
             budget = state.remaining_budget
             if budget is not UNLIMITED:
                 wage_bill = float(
@@ -237,6 +233,6 @@ class EpochRunner:
                 remaining_supply=np.maximum(new_supply, 0.0),
                 remaining_budget=budget,
                 interval=(r_last - inst.delta(t_end), r_last),
-                availability=new_avail,
+                availability=rescaled_availability(rho, t_end),
             )
         return y, k, next_state

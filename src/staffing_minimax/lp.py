@@ -19,6 +19,7 @@ import numpy as np
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 CHECK_TOL = 1e-7
+_SENSE = {"<=": 1, ">=": -1, "=": 0}
 
 
 class LpError(Exception):
@@ -55,7 +56,7 @@ class LpModel:
         return len(self.var_names) - 1
 
     def add_row(self, coeffs: Dict[int, float], rel: str, rhs: float) -> None:
-        if rel not in ("<=", ">=", "="):
+        if rel not in _SENSE:
             raise LpError(f"unknown relation {rel!r}")
         for j, a in coeffs.items():
             if not (0 <= j < len(self.var_names)):
@@ -75,29 +76,21 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def set_objective(self, coeffs: Dict[int, float]) -> None:
-        self.objective = [0.0] * self.n_vars
-        for j, a in coeffs.items():
-            self.objective[j] = float(a)
-
     def dense(self):
-        """Rows as (A, rels, b) dense arrays, upper bounds appended as rows."""
-        extra = [(j, u) for j, u in enumerate(self.upper_bounds)
-                 if u is not None]
-        m = self.n_rows + len(extra)
-        A = np.zeros((m, self.n_vars))
-        b = np.zeros(m)
-        rels = []
-        for r, (coeffs, rel, rhs) in enumerate(self.rows):
+        """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
+        =; upper bounds are appended as <= rows."""
+        bounded = [j for j, u in enumerate(self.upper_bounds) if u is not None]
+        k = self.n_rows
+        A = np.zeros((k + len(bounded), self.n_vars))
+        for r, (coeffs, _, _) in enumerate(self.rows):
             for j, a in coeffs.items():
                 A[r, j] = a
-            b[r] = rhs
-            rels.append(rel)
-        for k, (j, u) in enumerate(extra):
-            A[self.n_rows + k, j] = 1.0
-            b[self.n_rows + k] = u
-            rels.append("<=")
-        return A, rels, b
+        A[range(k, k + len(bounded)), bounded] = 1.0
+        sense = np.array([_SENSE[rel] for _, rel, _ in self.rows]
+                         + [1] * len(bounded), dtype=int)
+        b = np.array([rhs for _, _, rhs in self.rows]
+                     + [self.upper_bounds[j] for j in bounded], dtype=float)
+        return A, sense, b
 
     def dump(self) -> str:
         """Human-readable LP text: objective line, then one line per row."""
@@ -159,141 +152,116 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
     raise NumericFailure("simplex iteration limit exceeded")
 
 
+def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
+    """Put the cost row c in the tableau's last row and price out the basic
+    columns, one basis row at a time (this order fixes the output bits)."""
+    T[-1] = c
+    cb = c[basis]
+    for r in cb.nonzero()[0].tolist():
+        T[-1] -= cb[r] * T[r]
+
+
+def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
+               c: np.ndarray, name: str, check: bool) -> LpSolution:
+    """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b); name
+    labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp)."""
+    m, n = A.shape
+    if m == 0:
+        x = np.zeros(n)
+        if np.any(c < -COST_TOL):
+            if check:
+                raise LpUnbounded(name)
+            return LpSolution("unbounded", -np.inf, x)
+        return LpSolution("optimal", 0.0, x, np.maximum(c, 0.0))
+
+    # Orient rows so rhs >= 0.  Rows with sense != 0 get a slack (+1) or
+    # surplus (-1) column, rows with sense <= 0 an artificial after them.
+    flip = np.where(b < 0, -1.0, 1.0)
+    s = sense * flip
+    slack_rows, art_rows = s.nonzero()[0], (s <= 0).nonzero()[0]
+    n_real = n + slack_rows.size
+    n_total = n_real + art_rows.size
+    T = np.zeros((m + 1, n_total + 1))
+    T[:m, :n] = A * flip[:, None]
+    T[:m, -1] = b * flip
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = np.arange(n, n_real)
+    T[slack_rows, basis[slack_rows]] = s[slack_rows]
+    basis[art_rows] = np.arange(n_real, n_total)
+    T[art_rows, basis[art_rows]] = 1.0
+    max_iter = 2000 + 200 * (m + n_total)
+
+    if art_rows.size:
+        # Phase 1: minimize the sum of artificials.
+        c1 = np.zeros(n_total + 1)
+        c1[n_real:n_total] = 1.0
+        _load_costs(T, basis, c1)
+        if _run_simplex(T, basis, n_total, max_iter) == "unbounded":
+            raise NumericFailure("phase 1 unbounded")
+        if -T[-1, -1] > 1e-7:
+            if check:
+                raise LpInfeasible(name)
+            return LpSolution("infeasible", np.nan, np.full(n, np.nan))
+        # Drive the artificials still basic (at zero) out on the first real
+        # column that can pivot; a row with none is redundant and goes.
+        drop = []
+        for r in (basis >= n_real).nonzero()[0].tolist():
+            cols = (np.abs(T[r, :n_real]) > PIVOT_TOL).nonzero()[0]
+            if cols.size:
+                _pivot(T, basis, r, cols[0])
+            else:
+                drop.append(r)
+        if drop:
+            T, basis = np.delete(T, drop, axis=0), np.delete(basis, drop)
+        T[:, n_real:n_total] = 0.0       # artificials frozen at zero
+
+    # Phase 2: the costs c on the structural columns.
+    _load_costs(T, basis, np.concatenate((c, np.zeros(n_total + 1 - n))))
+    if _run_simplex(T, basis, n_total, max_iter) == "unbounded":
+        if check:
+            raise LpUnbounded(name)
+        return LpSolution("unbounded", -np.inf, np.full(n, np.nan))
+
+    x = np.zeros(n_total)
+    x[basis] = T[:-1, -1]
+    xs = x[:n]
+    objective = float(np.dot(c, xs))
+    reduced = T[-1, :n].copy()
+
+    # Optimality certificate: each row's violation (Ax - b signed by its
+    # sense, |Ax - b| for =), and nonnegative x and reduced costs.
+    d = A @ xs - b
+    viol = np.where(sense, sense * d, np.abs(d))
+    failed = []
+    if (viol > CHECK_TOL).any():
+        r = int(np.nanargmax(viol))
+        failed.append(f"row {r} of {m} ({('=', '<=', '>=')[sense[r]]}) is "
+                      f"off by {viol[r]:.6g}")
+    if (xs < -CHECK_TOL).any():
+        failed.append(f"x[{xs.argmin()}] = {xs.min():.6g}")
+    if reduced.min() < -CHECK_TOL:
+        failed.append(f"reduced cost of x[{reduced.argmin()}] = "
+                      f"{reduced.min():.6g}")
+    if failed and check:
+        raise NumericFailure(
+            f"{name}: solution failed the optimality certificate: "
+            f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
+    if not failed:
+        xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
+    return LpSolution("optimal", objective, xs, reduced)
+
+
 def solve_lp(model: LpModel, check: bool = True) -> LpSolution:
     """Two-phase dense simplex.  Deterministic for byte-identical models.
 
     Returns an LpSolution; when check is True (default), non-optimal statuses
     raise LpInfeasible / LpUnbounded and a solution failing the post-solve
-    feasibility or reduced-cost certificate raises NumericFailure.
+    feasibility or reduced-cost certificate raises NumericFailure, which
+    names the worst row, a negative x or reduced cost, and CHECK_TOL.
     """
-    A0, rels, b0 = model.dense()
-    m, n = A0.shape
-    if m == 0:
-        x = np.zeros(n)
-        obj = np.asarray(model.objective)
-        if np.any(obj < -COST_TOL):
-            if check:
-                raise LpUnbounded(model.name)
-            return LpSolution("unbounded", -np.inf, x)
-        return LpSolution("optimal", 0.0, x, np.maximum(obj, 0.0))
-
-    # Orient rows so rhs >= 0, then add slack/surplus and artificials.
-    A = A0.copy()
-    b = b0.copy()
-    sense = []           # +1 for <=, -1 for >=, 0 for =
-    for r, rel in enumerate(rels):
-        s = {"<=": 1, ">=": -1, "=": 0}[rel]
-        if b[r] < 0:
-            A[r] *= -1.0
-            b[r] *= -1.0
-            s = -s
-        sense.append(s)
-
-    n_slack = sum(1 for s in sense if s != 0)
-    n_art = sum(1 for s in sense if s <= 0)
-    n_total = n + n_slack + n_art
-    Afull = np.zeros((m, n_total))
-    Afull[:, :n] = A
-    slack_cols = {}
-    extra = n
-    for r, s in enumerate(sense):
-        if s != 0:
-            Afull[r, extra] = 1.0 if s > 0 else -1.0
-            slack_cols[r] = extra
-            extra += 1
-    art_cols = {}
-    basis = np.full(m, -1, dtype=int)
-    for r, s in enumerate(sense):
-        if s > 0:
-            basis[r] = slack_cols[r]
-        else:
-            Afull[r, extra] = 1.0
-            art_cols[r] = extra
-            basis[r] = extra
-            extra += 1
-    max_iter = 2000 + 200 * (m + n_total)
-
-    T = np.zeros((m + 1, n_total + 1))
-    T[:m, :n_total] = Afull
-    T[:m, -1] = b
-
-    if art_cols:
-        # Phase 1: minimize the sum of artificials.
-        c1 = np.zeros(n_total + 1)
-        for col in art_cols.values():
-            c1[col] = 1.0
-        T[-1] = c1
-        for r in range(m):
-            if c1[basis[r]] != 0.0:
-                T[-1] -= c1[basis[r]] * T[r]
-        status = _run_simplex(T, basis, n_total, max_iter)
-        if status == "unbounded":
-            raise NumericFailure("phase 1 unbounded")
-        if -T[-1, -1] > 1e-7:
-            if check:
-                raise LpInfeasible(model.name)
-            return LpSolution("infeasible", np.nan, np.full(n, np.nan))
-        # Drive remaining artificials out of the basis.
-        art_set = set(art_cols.values())
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] in art_set:
-                pivoted = False
-                for j in range(n_total):
-                    if j not in art_set and abs(T[r, j]) > PIVOT_TOL:
-                        _pivot(T, basis, r, j)
-                        pivoted = True
-                        break
-                if not pivoted:
-                    keep[r] = False        # redundant row
-        if not keep.all():
-            T = np.vstack([T[:m][keep], T[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-        # Freeze artificial columns at zero for phase 2.
-        for col in art_set:
-            T[:, col] = 0.0
-
-    # Phase 2: original objective.
-    c2 = np.zeros(n_total + 1)
-    c2[:n] = model.objective
-    T[-1] = c2
-    for r in range(m):
-        if c2[basis[r]] != 0.0:
-            T[-1] -= c2[basis[r]] * T[r]
-    status = _run_simplex(T, basis, n_total, max_iter)
-    if status == "unbounded":
-        if check:
-            raise LpUnbounded(model.name)
-        return LpSolution("unbounded", -np.inf, np.full(n, np.nan))
-
-    x = np.zeros(n_total)
-    for r in range(m):
-        x[basis[r]] = T[r, -1]
-    xs = x[:n]
-    objective = float(np.dot(model.objective, xs))
-    reduced = T[-1, :n].copy()
-
-    # Optimality certificate: primal feasibility and nonnegative reduced costs.
-    resid_ok = True
-    Ax = A0 @ xs
-    for r, rel in enumerate(rels):
-        if rel == "<=" and Ax[r] > b0[r] + CHECK_TOL:
-            resid_ok = False
-        elif rel == ">=" and Ax[r] < b0[r] - CHECK_TOL:
-            resid_ok = False
-        elif rel == "=" and abs(Ax[r] - b0[r]) > CHECK_TOL:
-            resid_ok = False
-    if np.any(xs < -CHECK_TOL) or np.min(reduced) < -CHECK_TOL:
-        resid_ok = False
-    if not resid_ok:
-        if check:
-            raise NumericFailure(
-                f"{model.name}: solution failed the optimality certificate")
-        return LpSolution("optimal", objective, xs, reduced)
-
-    xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
-    return LpSolution("optimal", objective, xs, reduced)
+    A, sense, b = model.dense()
+    return _two_phase(A, sense, b, np.asarray(model.objective, dtype=float),
+                      model.name, check)
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
@@ -305,22 +273,28 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     target in order optimizes that linear function over the remaining optima
     and pins it too.  sense is "max" or "min".  Deterministic given the model
     and target order; used to make "the" canonical staffing profile
-    well-defined independent of simplex pivoting accidents.
+    well-defined independent of simplex pivoting accidents.  Each stage
+    solves the model's rows, then the pins, then the upper-bound rows.
     """
-    work = LpModel(name=model.name + "+lex",
-                   var_names=list(model.var_names),
-                   upper_bounds=list(model.upper_bounds),
-                   objective=list(model.objective),
-                   rows=list(model.rows))
-    obj_coeffs = {j: c for j, c in enumerate(model.objective) if c != 0.0}
-    work.add_row(obj_coeffs, "=", sol.objective)
+    A, sense, b = model.dense()
+    k, n = model.n_rows, model.n_vars
+    pins = np.zeros((len(targets) + 1, n))      # "=" rows: objective, targets
+    pins[0] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
+    pin_rhs = np.append(sol.objective, np.zeros(len(targets)))
     out = sol
-    for coeffs, sense in targets:
-        sign = -1.0 if sense == "max" else 1.0
-        work.set_objective({j: sign * a for j, a in coeffs.items()})
-        out = solve_lp(work)
-        val = sum(a * out.x[j] for j, a in coeffs.items())
-        work.add_row(dict(coeffs), "=", val)
+    for i, (coeffs, goal) in enumerate(targets, start=1):
+        c = np.zeros(n)
+        for j, a in coeffs.items():
+            c[j] = -a if goal == "max" else a
+        out = _two_phase(np.vstack((A[:k], pins[:i], A[k:])),
+                         np.concatenate((sense[:k], np.zeros(i, int),
+                                         sense[k:])),
+                         np.concatenate((b[:k], pin_rhs[:i], b[k:])),
+                         c, model.name + "+lex", True)
+        for j, a in coeffs.items():
+            if a != 0.0:
+                pins[i, j] = a
+        pin_rhs[i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))
     return LpSolution("optimal", final_obj, out.x, None)

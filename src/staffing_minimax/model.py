@@ -394,6 +394,17 @@ class EpochState:
             raise InstanceError("negative remaining budget in state")
 
 
+def rescaled_availability(availability: np.ndarray, day: int) -> np.ndarray:
+    """The schedule after day `day` (1-based) relative to that day, as the
+    next EpochState carries it: each pool's later columns are divided by its
+    availability on `day`, a pool closed on `day` is zero from then on, and
+    the columns through `day` are zero (no reader looks at them)."""
+    ref = availability[:, day - 1:day]
+    out = np.zeros_like(availability)
+    np.divide(availability[:, day:], ref, out=out[:, day:], where=ref > 0)
+    return out
+
+
 def fresh_state(inst: Instance, budget=UNLIMITED, pre_hires=None) -> EpochState:
     n = inst.n_pools
     z = np.zeros(n) if pre_hires is None else np.asarray(pre_hires, float).copy()

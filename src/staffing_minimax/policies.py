@@ -20,7 +20,7 @@ from .emulator import Emulator, EmulatorTrace, EpochRunner
 from .model import (EpochState, Instance, InstanceError, MultiStationInstance,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, SupplyLedger, fresh_state, make_instance,
-                    validate_release_instance)
+                    rescaled_availability, validate_release_instance)
 from .programs import (build_lp_joint_cost, build_lp_multi_station,
                        build_lp_release, build_lp_resolving,
                        extract_canonical, minimax_value_and_profile,
@@ -161,6 +161,29 @@ def _greedy_understaffing(inst: Instance, gamma: float,
             int(hired[-1]) + 1 if hired.size else 1)
 
 
+def _bisect_fixed_point(underst, cap: float, gamma_hi: float,
+                        tol: float) -> float:
+    """Fixed point of the weakly decreasing map underst, bisected on
+    [0, cap], or on [0, gamma_hi] when underst(cap) > cap; 0 when
+    underst(0) <= 0.
+
+    Bisects until the bracket is at most tol wide or its midpoint equals an
+    endpoint (float spacing above tol), and returns the last midpoint.
+    """
+    lo_g, hi_g = 0.0, (cap if underst(cap) <= cap else gamma_hi)
+    if underst(lo_g) <= lo_g:
+        return lo_g
+    while hi_g - lo_g > tol:
+        mid = 0.5 * (lo_g + hi_g)
+        if mid in (lo_g, hi_g):
+            break
+        if underst(mid) > mid:
+            lo_g = mid
+        else:
+            hi_g = mid
+    return 0.5 * (lo_g + hi_g)
+
+
 def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
                            ) -> FixedPointResult:
     """Optimal minimax cost of a single-pool instance via the fixed point.
@@ -188,21 +211,8 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
     if gamma_hi <= 0 or underst(gamma_hi) > gamma_hi:
         gamma = work.under_cost * (hi0 - rho1 * s)
         return FixedPointResult(gamma, "low_supply", 1)
-    lo_g, hi_g = 0.0, min(gamma_hi, work.under_cost * (hi0 - lo0))
-    if underst(hi_g) > hi_g:       # cap above gamma_hi was too aggressive
-        hi_g = gamma_hi
-    if underst(lo_g) <= lo_g:
-        gamma = lo_g
-    else:
-        while hi_g - lo_g > tol:
-            mid = 0.5 * (lo_g + hi_g)
-            if mid in (lo_g, hi_g):      # float spacing exceeds tol
-                break
-            if underst(mid) > mid:
-                lo_g = mid
-            else:
-                hi_g = mid
-        gamma = 0.5 * (lo_g + hi_g)
+    gamma = _bisect_fixed_point(
+        underst, min(gamma_hi, work.under_cost * (hi0 - lo0)), gamma_hi, tol)
     return FixedPointResult(gamma, "fixed_point",
                             _greedy_understaffing(work, gamma, draining)[1])
 
@@ -276,21 +286,7 @@ def gamma_star_closed_form(s: float, eta: float, delta: float, T: int,
         return c * max(0.0, 1.0 - total)
 
     gamma_hi = C * (eta * s - delta ** (T - 1))
-    hi_g = min(gamma_hi, c)
-    if underst(hi_g) > hi_g:
-        hi_g = gamma_hi
-    lo_g = 0.0
-    if underst(lo_g) <= lo_g:
-        return 0.0
-    while hi_g - lo_g > tol:
-        mid = 0.5 * (lo_g + hi_g)
-        if mid in (lo_g, hi_g):          # float spacing exceeds tol
-            break
-        if underst(mid) > mid:
-            lo_g = mid
-        else:
-            hi_g = mid
-    return 0.5 * (lo_g + hi_g)
+    return _bisect_fixed_point(underst, min(gamma_hi, c), gamma_hi, tol)
 
 
 # --- LP-backed minimax-optimal policies --------------------------------------
@@ -342,20 +338,14 @@ class LpResolvingPolicy:
         sol = solve_canonical(built, refine_limit=1)
         if self.gamma_star is None:
             self.gamma_star = sol.objective
-        n = inst.n_pools
         hires = extract_canonical(built, sol)[:, t - 1]
         rho_t = st.availability[:, t - 1]
         new_supply = np.maximum(rho_t * st.remaining_supply - hires, 0.0)
-        new_avail = st.availability.copy()
-        for i in range(n):
-            if rho_t[i] > 0:
-                new_avail[i, t:] = new_avail[i, t:] / rho_t[i]
-            else:
-                new_avail[i, t:] = 0.0
         self.state = EpochState(
             index=t + 1, cum_hires=st.cum_hires + hires,
             remaining_supply=new_supply, remaining_budget=st.remaining_budget,
-            interval=(lo_bar, hi_bar), availability=new_avail)
+            interval=(lo_bar, hi_bar),
+            availability=rescaled_availability(st.availability, t))
         return Decision.hire_only(hires)
 
 

@@ -370,3 +370,20 @@ def test_bench_mdp_state_cap_exit_3(capsys, tmp_path, workers):
     assert code == 3
     assert "solver error: " in err
     assert "states exceed the cap" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epoch_breaks", [2, 99], "epoch breaks"),
+    ("epoch_breaks", [3, 2, 4], "epoch breaks"),
+    ("release_fees", [0.1], "one release fee per epoch"),
+])
+def test_solve_bad_release_file_exit_2(capsys, tmp_path, key, value,
+                                       message):
+    config = json.loads(open(instance_path("release_demo.json")).read())
+    config[key] = value
+    path = tmp_path / "release.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "solve", "--instance", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -22,14 +22,18 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import instance_path, random_multi_pool
+from conftest import instance_path, random_multi_pool, random_single_pool
 from staffing_minimax.adversary import random_nested_sequence
 from staffing_minimax.cli import main as cli_main
 from staffing_minimax.emulator import EmulatorTrace
+from staffing_minimax.lp import (LpError, LpModel, refine_lexicographic,
+                                 solve_lp)
 from staffing_minimax.model import load_instance
 from staffing_minimax.policies import (JointCostPolicy, LpEmulatorPolicy,
                                        MiscoverageWrapper, MultiStationPolicy,
-                                       ReleasePolicy, play, play_multi)
+                                       ReleasePolicy, gamma_star_closed_form,
+                                       gamma_star_single_pool, play,
+                                       play_multi)
 from staffing_minimax.programs import (build_lp_joint_cost,
                                        build_lp_multi_station,
                                        build_lp_release,
@@ -183,6 +187,116 @@ def _release():
     return "\n".join(lines)
 
 
+def _random_lp(seed, bounded=True):
+    """A seeded LP with a known feasible point x0 on the half-integer grid.
+
+    Integer coefficients in [-3, 3] make right sides negative about half the
+    time and keep every row sum exact, so the odd seeds' extra = row (the sum
+    of the first two = rows) is exactly redundant and reaches the drive-out
+    step's drop path.  About half the variables get an upper bound; with
+    bounded=False the box row on the total is left out, so a negative cost
+    on an unbounded variable makes the LP unbounded.
+    """
+    rng = np.random.default_rng([seed, 11])
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+    x0 = rng.integers(0, 5, size=n) * 0.5
+    model = LpModel(name=f"random[{seed}]")
+    for j in range(n):
+        upper = (float(x0[j] + rng.integers(0, 3))
+                 if rng.uniform() < 0.5 else None)
+        model.add_var(f"x{j}", obj=float(rng.integers(-3, 4)), upper=upper)
+    equalities = []
+    for _ in range(m):
+        a = rng.integers(-3, 4, size=n)
+        coeffs = {j: float(v) for j, v in enumerate(a)}
+        rel = str(rng.choice(["<=", ">=", "="]))
+        lhs = float(a @ x0)
+        rhs = {"<=": lhs + rng.integers(0, 2), ">=": lhs - rng.integers(0, 2),
+               "=": lhs}[rel]
+        model.add_row(coeffs, rel, float(rhs))
+        if rel == "=":
+            equalities.append((a, lhs))
+    if seed % 2 and len(equalities) < 2:
+        a = rng.integers(-3, 4, size=n)
+        for _ in range(2 - len(equalities)):
+            model.add_row({j: float(v) for j, v in enumerate(a)}, "=",
+                          float(a @ x0))
+            equalities.append((a, float(a @ x0)))
+            a = rng.integers(-3, 4, size=n)
+    if seed % 2:
+        (a1, b1), (a2, b2) = equalities[:2]
+        model.add_row({j: float(v) for j, v in enumerate(a1 + a2)}, "=",
+                      b1 + b2)
+    if bounded:
+        model.add_row(dict.fromkeys(range(n), 1.0), "<=",
+                      float(x0.sum() + 4))
+    return model
+
+
+def _lp_text(model, check=True):
+    try:
+        sol = solve_lp(model, check=check)
+    except LpError as exc:
+        return type(exc).__name__
+    red = None if sol.reduced_costs is None else sol.reduced_costs.tolist()
+    return repr((sol.status, sol.objective, sol.x.tolist(), red))
+
+
+def _solver_edges():
+    """m == 0 (optimal and unbounded), an infeasible and an unbounded model
+    under check=False, and the same two under the default check."""
+    texts = []
+    for obj in ([1.0, 0.0, 2.0], [1.0, -1.0]):
+        m = LpModel(name="empty")
+        for j, c in enumerate(obj):
+            m.add_var(f"x{j}", obj=c)
+        texts += [_lp_text(m, check=False), _lp_text(m)]
+    infeasible = LpModel(name="infeasible")
+    x, y = infeasible.add_var("x", obj=1.0), infeasible.add_var("y")
+    infeasible.add_row({x: 1.0, y: 1.0}, "<=", -1.0)
+    unbounded = LpModel(name="unbounded")
+    x, y = unbounded.add_var("x", obj=-1.0), unbounded.add_var("y", obj=1.0)
+    unbounded.add_row({x: 1.0, y: -1.0}, ">=", -2.0)
+    for m in (infeasible, unbounded):
+        texts += [_lp_text(m, check=False), _lp_text(m)]
+    return "\n".join(texts)
+
+
+def _refine_text(seed):
+    """Refinement on a bounded LP whose objective leaves a face of optima:
+    the bound rows must come after the pins, as they always have."""
+    model = _random_lp(seed)
+    for j in range(model.n_vars):
+        model.objective[j] = float(j % 2)
+        if model.upper_bounds[j] is None:
+            model.upper_bounds[j] = 3.0
+    try:
+        sol = solve_lp(model)
+        targets = [({j: 1.0 for j in range(0, model.n_vars, 2)}, "max")]
+        targets += [({j: 1.0}, ("min", "max")[j % 2])
+                    for j in range(model.n_vars)]
+        out = refine_lexicographic(model, sol, targets)
+    except LpError as exc:
+        return type(exc).__name__
+    return repr((out.objective, out.x.tolist()))
+
+
+def _gamma_single_pool():
+    lines = []
+    for seed in range(20):
+        res = gamma_star_single_pool(
+            random_single_pool(np.random.default_rng([seed, 3])))
+        lines.append(repr((res.gamma_star, res.branch, res.t_dagger)))
+    return "\n".join(lines)
+
+
+def _gamma_closed_form():
+    return "\n".join(
+        repr(gamma_star_closed_form(s, eta, delta, T))
+        for s in (0.3, 1.0, 2.5) for eta in (0.5, 1.0, 2.0)
+        for delta in (0.3, 0.7) for T in (1, 4, 9))
+
+
 def cases():
     """Name -> zero-argument producer of the text that is hashed."""
     out = {}
@@ -214,6 +328,16 @@ def cases():
         "bench_long", 3, {"policies": ["naive_greedy", "empirical_mdp",
                                        "full_info_mdp"],
                           "mdp": {"grid_levels": 7}})
+    out["solve_lp[random]"] = lambda: "\n".join(
+        _lp_text(_random_lp(seed)) for seed in range(40))
+    out["solve_lp[random,unboxed]"] = lambda: "\n".join(
+        _lp_text(_random_lp(seed, bounded=False), check=False)
+        for seed in range(40))
+    out["solve_lp[edges]"] = _solver_edges
+    out["refine_lexicographic[bounded]"] = lambda: "\n".join(
+        _refine_text(seed) for seed in range(20))
+    out["gamma_star_single_pool[random]"] = _gamma_single_pool
+    out["gamma_star_closed_form[grid]"] = _gamma_closed_form
     return out
 
 
@@ -246,6 +370,10 @@ GOLDEN = {
         'ae3bbc21360ffa2d4e7e56498764390f01e0bcf77a2a1deb8335a09dcdb9830d',
     'dump[release_demo]':
         'e7250150b258016c8e0ac3d1d9f33b8269a35f8884d795d698f920c3e9c8f84c',
+    'gamma_star_closed_form[grid]':
+        '064c608444f4c7c94e2306a85ec9698a2f331ee6e212a37dc046a13c23906ac7',
+    'gamma_star_single_pool[random]':
+        '4e463a088188bdf9c1566107615192483d00846d017994d7cca33c6fbdaa3e18',
     'joint[joint_demo]':
         'b4421cb5d17238a39d493a4bc0bd3a4c6a1f00610eeedc020e5192d746312dd4',
     'lp_emulator[fig3a]':
@@ -270,6 +398,8 @@ GOLDEN = {
         'e4979200bcb48ebd5129235b38c3771001074b200a54994971d8eb57aa64c499',
     'multi_station[multi_demo]':
         '72c2685893cc03c89823892257ccd99cdebf41a92419f85609fe5ec37260956b',
+    'refine_lexicographic[bounded]':
+        '225fe49ea1fe6d8ba4cf6eb4afa0852afa7df2fc813a10fc36a10f22513a9741',
     'release[release_demo]':
         'a7a32c271941d446e9ea21ae2b71c12f7687f15b5214489c3d08309f8b241c91',
     'run_emulator[fig3a]':
@@ -286,6 +416,12 @@ GOLDEN = {
         'b63ba8b4d5631938a492ae3bef96aeffbd34103a11e857a2d9c7f01b5ba41627',
     'run_emulator[release_demo.base]':
         '771427879d6d9c91be4a1ae977f985ab178335078d157a8425540ed126d639aa',
+    'solve_lp[edges]':
+        'dc0e1d3c176dd4ac77ae849790762a8eaf67e50508cbb531e4ce07424d1df3d8',
+    'solve_lp[random,unboxed]':
+        '935223868e1c41d1ede769faea10ec39cf27308203bccfd7cea0a45ea3751e08',
+    'solve_lp[random]':
+        '9aca0dfd818fa405dda1cde343892ab4e63039afc3ba8e0247f01122d9e1eac1',
     'solve_out[fig3a]':
         '87f183d819badc7d3fb8525e5ad102e059c03d272cab341ce2ff9521a03b3880',
     'solve_out[fig3b]':

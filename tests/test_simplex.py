@@ -1,12 +1,14 @@
 """Solver unit tests, cross-checked against brute-force vertex enumeration."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from staffing_minimax.lp import (
-    LpInfeasible, LpModel, LpUnbounded, refine_lexicographic, solve_lp)
+    LpInfeasible, LpModel, LpUnbounded, NumericFailure, refine_lexicographic,
+    solve_lp)
 
 
 def brute_force_min(c, rows, upper=None):
@@ -191,3 +193,18 @@ def test_lexicographic_refinement_picks_extreme_optimum():
                                             ({x2: 1.0}, "max")])
     assert refined.x[x1] == pytest.approx(1.0, abs=1e-9)
     assert refined.x[x2] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_certificate_failure_names_row_and_tolerance():
+    # A known reproducer (benchmarks/SCOPE.md): a late refinement stage of
+    # this sweep point breaks the certificate.
+    from staffing_minimax.cli import companion_sweep_instance
+    from staffing_minimax.programs import minimax_value_and_profile
+    with pytest.raises(NumericFailure) as info:
+        minimax_value_and_profile(
+            companion_sweep_instance(20, 0.5, 8.0, 1.0, 1.0))
+    message = str(info.value)
+    assert message.startswith(
+        "single_switch+lex: solution failed the optimality certificate")
+    assert re.search(r"row \d+", message)
+    assert "1e-07" in message
