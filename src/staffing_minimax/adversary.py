@@ -24,6 +24,17 @@ class BudgetExceeded(RuntimeError):
     """Grid enumeration would exceed the configured size cap."""
 
 
+class EmptyGrid(InstanceError):
+    """The grid adversary has no sequence to play."""
+
+
+def check_grid_step(grid_step: float) -> None:
+    """The grid adversary's step must be a positive finite number."""
+    if not 0 < grid_step < np.inf:
+        raise InstanceError(
+            f"grid step must be positive and finite, got {grid_step}")
+
+
 def single_switch_sequence(inst: Instance, k: int) -> PredictionSequence:
     """High-signal intervals through day k, then the left endpoint freezes.
 
@@ -158,8 +169,7 @@ def grid_nested_intervals(lo: float, hi: float, width_cap: float,
 def enumerate_grid_sequences(inst: Instance, grid_step: float,
                              cap: int = 2_000_000) -> List[PredictionSequence]:
     """All nested sequences with endpoints on the grid (eps = 0 only)."""
-    if not grid_step > 0:
-        raise InstanceError(f"grid step must be positive, got {grid_step}")
+    check_grid_step(grid_step)
     if np.any(inst.inconsistency != 0):
         raise InstanceError("the grid adversary certifies eps = 0 instances "
                             "only")
@@ -188,8 +198,7 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
 def demand_candidates(sequence: PredictionSequence, grid_step: float
                       ) -> List[float]:
     """Grid points of the final effective range, endpoints always included."""
-    if not grid_step > 0:
-        raise InstanceError(f"grid step must be positive, got {grid_step}")
+    check_grid_step(grid_step)
     lo = float(sequence.effective_lo[-1])
     hi = float(sequence.effective_hi[-1])
     if hi < lo:
@@ -232,4 +241,6 @@ def brute_force_worst_case(inst: Instance, policy_factory: Callable,
                     cost, demand = cd, d
         if best is None or cost > best.cost:
             best = WorstCaseWitness(cost, seq, demand)
+    if best is None:
+        raise EmptyGrid(f"no nested grid sequence at step {grid_step}")
     return best

@@ -11,7 +11,6 @@ samples directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -338,76 +337,126 @@ def _allowed_ranges(inst: Instance, levels: List[np.ndarray], t: int
     return out
 
 
-def _range_min(W: np.ndarray, hi_idx: np.ndarray, axis: int) -> np.ndarray:
-    """out[..., g, ...] = min over g' in [g, hi_idx[g]] of W[..., g', ...].
-
-    The k-th shift folds in index min(g + k, hi_idx[g]).  A minimum is
-    exact, so the order of the shifts cannot change a bit of the result.
-    """
+def _shift_indices(hi_idx: np.ndarray) -> List[np.ndarray]:
+    """The index arrays min(g + k, hi_idx[g]) for k = 1..max(hi_idx - g)."""
     g = np.arange(len(hi_idx))
+    return [np.minimum(g + k, hi_idx)
+            for k in range(1, int((hi_idx - g).max()) + 1)]
+
+
+def _shift_min(W: np.ndarray, shifts: List[np.ndarray], axis: int
+               ) -> np.ndarray:
+    """Fold W's entries at each index array of `shifts` along `axis` into
+    their minimum.  A minimum is exact, so the order of the shifts cannot
+    change a bit of the result.  The indices are in range, so the take
+    may clip, which skips numpy's slow bounds check on the last axis."""
     out = W.copy()
-    for k in range(1, int((hi_idx - g).max()) + 1):
-        np.minimum(out, np.take(W, np.minimum(g + k, hi_idx), axis=axis),
-                   out=out)
+    for idx in shifts:
+        np.minimum(out, W.take(idx, axis=axis, mode="clip"), out=out)
     return out
 
 
-def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
-                       levels: List[np.ndarray], t_start: int,
-                       spec: MdpSpec) -> List[np.ndarray]:
-    """Value arrays V[t] for t = t_start..T over (demand sum, grid indices).
+def _range_min(W: np.ndarray, hi_idx: np.ndarray, axis: int) -> np.ndarray:
+    """out[..., g, ...] = min over g' in [g, hi_idx[g]] of W[..., g', ...]."""
+    return _shift_min(W, _shift_indices(hi_idx), axis)
 
-    V[t][D, g...] is the optimal expected terminal cost when day t's partial
-    sum is D, cumulative hires sit at grid levels g, and day t's hire is
-    still to be chosen.  pmfs[t] is day t's partial-demand distribution.
+
+@dataclass(frozen=True)
+class MdpTables:
+    """What the MDP's backward induction needs that no sample changes.
+
+    Built once per instance and grid (`mdp_tables`) and shared read-only by
+    every solve of every run: `levels` per pool; `shifts[t-1][i]`, pool i's
+    `_shift_indices` of its day-t reach; `totals[g...]`, the staffing level
+    at grid indices g; and `last`, the day-T value V[T] over (demand sum,
+    grid indices), which is the terminal cost minimised over day T's reach.
     """
+
+    levels: List[np.ndarray]
+    shifts: List[List[List[np.ndarray]]]
+    totals: np.ndarray
+    last: np.ndarray
+
+
+def mdp_tables(inst: Instance, spec: MdpSpec,
+               levels: Optional[List[np.ndarray]] = None) -> MdpTables:
+    """The sample-independent part of the MDP on a copy of `levels` (the
+    spec's grid by default); raises StateExplosion past the spec's state
+    cap."""
     n, T = inst.availability.shape
-    G = spec.grid_levels
     d_max = BINOM_TRIALS * T
-    if (d_max + 1) * G ** n > spec.state_cap:
-        raise StateExplosion(f"{(d_max + 1) * G ** n} states exceed the cap")
+    states = (d_max + 1) * spec.grid_levels ** n
+    if states > spec.state_cap:
+        raise StateExplosion(f"{states} states exceed the cap")
+    levels = [np.array(lv, dtype=float) for lv in
+              (_level_grid(inst, spec) if levels is None else levels)]
     totals = levels[0].reshape(-1, *([1] * (n - 1)))
     for i in range(1, n):
         shape = [1] * n
         shape[i] = -1
         totals = totals + levels[i].reshape(shape)
-    demands = np.arange(d_max + 1, dtype=float)
-    cost = (inst.under_cost
-            * np.maximum(demands.reshape(-1, *([1] * n)) - totals, 0.0)
-            + inst.over_cost
-            * np.maximum(totals - demands.reshape(-1, *([1] * n)), 0.0))
+    shifts = [[_shift_indices(hi) for hi in _allowed_ranges(inst, levels, t)]
+              for t in range(1, T + 1)]
+    demands = np.arange(d_max + 1, dtype=float).reshape(-1, *([1] * n))
+    last = (inst.under_cost * np.maximum(demands - totals, 0.0)
+            + inst.over_cost * np.maximum(totals - demands, 0.0))
+    for i, idx in enumerate(shifts[T - 1]):
+        last = _shift_min(last, idx, axis=1 + i)
+    for a in [*levels, totals, last, *(idx for day in shifts
+                                       for pool in day for idx in pool)]:
+        a.setflags(write=False)
+    return MdpTables(levels, shifts, totals, last)
 
-    values: Dict[int, np.ndarray] = {}
-    for t in range(T, t_start - 1, -1):
-        if t == T:
-            W = cost
-        else:
-            pmf = pmfs[t + 1]
-            V_next = values[t + 1]
-            W = np.zeros_like(V_next)
-            for j, pj in enumerate(pmf):
-                if pj == 0:
-                    continue
-                W[:d_max + 1 - j] += pj * V_next[j:]
-            # Demand sums that can no longer occur keep the terminal shape;
-            # they are never queried from reachable states.
-            W[d_max + 1 - len(pmf) + 1:] = V_next[d_max + 1 - len(pmf) + 1:]
-        for i, hi_idx in enumerate(_allowed_ranges(inst, levels, t)):
-            W = _range_min(W, hi_idx, axis=1 + i)
+
+def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
+                       levels: List[np.ndarray], t_start: int,
+                       spec: MdpSpec, *, tables: Optional[MdpTables] = None
+                       ) -> List[np.ndarray]:
+    """Value arrays V[t] for t = t_start..T over (demand sum, grid indices).
+
+    V[t][D, g...] is the optimal expected terminal cost when day t's partial
+    sum is D, cumulative hires sit at grid levels g, and day t's hire is
+    still to be chosen.  pmfs[t] is day t's partial-demand distribution.
+    `tables` are `mdp_tables(inst, spec, levels)`, built here when not
+    given (given, they stand in for `levels`); V[T] is their read-only
+    `last`.
+    """
+    if tables is None:
+        tables = mdp_tables(inst, spec, levels)
+    T = inst.horizon
+    d_max = BINOM_TRIALS * T
+    values: Dict[int, np.ndarray] = {T: tables.last}
+    for t in range(T - 1, t_start - 1, -1):
+        pmf = pmfs[t + 1]
+        V_next = values[t + 1]
+        W = np.zeros(V_next.shape)
+        for j, pj in enumerate(pmf):
+            if pj == 0:
+                continue
+            W[:d_max + 1 - j] += pj * V_next[j:]
+        # Demand sums that can no longer occur keep the terminal shape;
+        # they are never queried from reachable states.
+        W[d_max + 1 - len(pmf) + 1:] = V_next[d_max + 1 - len(pmf) + 1:]
+        for i, idx in enumerate(tables.shifts[t - 1]):
+            W = _shift_min(W, idx, axis=1 + i)
         values[t] = W
     return [values[t] for t in range(t_start, T + 1)]
 
 
-def full_info_values(inst: Instance, process: DemandProcess, spec: MdpSpec
+def full_info_values(inst: Instance, process: DemandProcess, spec: MdpSpec,
+                     *, tables: Optional[MdpTables] = None
                      ) -> List[np.ndarray]:
     """V[t] for t = 2..T under the process marginal, read-only.
 
     They depend on nothing a run observes, so one solve serves every run of
     the full-info MDP; a run that wrote into them would corrupt the next.
     """
+    if tables is None:
+        tables = mdp_tables(inst, spec)
     pmf = process.marginal_pmf()
     pmfs = {t: pmf for t in range(1, inst.horizon + 1)}
-    values = backward_induction(inst, pmfs, _level_grid(inst, spec), 2, spec)
+    values = backward_induction(inst, pmfs, tables.levels, 2, spec,
+                                tables=tables)
     for V in values:
         V.setflags(write=False)
     return values
@@ -418,49 +467,44 @@ class MdpPolicy:
 
     The empirical variant re-solves every day, with each future day's
     partial-demand pmf estimated from the sampled trajectories received so
-    far.  The true variant uses the process marginal, so its value arrays
-    are solved once (`full_info_values`) and may be shared by every run.
-    Played hires are capped at the true availability and the internal state
-    snaps to the nearest grid level.
+    far (kept as a running count per future day and value).  The true
+    variant uses the process marginal, so its value arrays are solved once
+    (`full_info_values`) and may be shared by every run.  Both take the
+    sample-independent `MdpTables`, which may be shared too.  Played hires
+    are capped at the true availability and the internal state snaps to
+    the nearest grid level.
     """
 
     kind = "empirical_mdp"
 
     def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec,
-                 values: Optional[List[np.ndarray]] = None):
+                 values: Optional[List[np.ndarray]] = None, *,
+                 tables: Optional[MdpTables] = None):
         self.inst = inst
         self.process = process
         self.spec = spec
         self.kind = ("full_info_mdp" if spec.transition == "true"
                      else "empirical_mdp")
+        self.tables = mdp_tables(inst, spec) if tables is None else tables
         if values is None and spec.transition == "true":
-            values = full_info_values(inst, process, spec)
+            values = full_info_values(inst, process, spec, tables=self.tables)
         self.values = values
-        self.levels = _level_grid(inst, spec)
+        self.levels = self.tables.levels
         self.demand_sum = 0.0
         self.grid_idx = np.zeros(inst.n_pools, dtype=int)
         self.cum_hires = np.zeros(inst.n_pools)
         self.ledger = SupplyLedger(inst)
         self.day = 0
-        self.profiles: List[np.ndarray] = []
+        # counts[k, v]: samples of day k's partial demand equal to v.
+        self.counts = np.zeros((inst.horizon + 1, BINOM_TRIALS + 1),
+                               dtype=int)
 
     def _pmfs(self) -> Dict[int, np.ndarray]:
         """Empirical pmfs of days t+1..T from the samples received so far."""
-        T = self.inst.horizon
-        t = self.day
-        out = {}
-        for k in range(t + 1, T + 1):
-            obs = []
-            for tau, prof in enumerate(self.profiles, start=1):
-                idx = k - tau - 1
-                if 0 <= idx < len(prof):
-                    obs.append(prof[idx])
-            counts = np.bincount(np.asarray(obs, dtype=int),
-                                 minlength=BINOM_TRIALS + 1).astype(float)
-            if counts.sum() == 0:
-                counts[:] = 1.0        # no information: uniform fallback
-            out[k] = counts / counts.sum()
-        return out
+        counts = self.counts[self.day + 1:].astype(float)
+        counts[counts.sum(axis=1) == 0] = 1.0   # no information: uniform
+        return dict(zip(range(self.day + 1, self.inst.horizon + 1),
+                        counts / counts.sum(axis=1, keepdims=True)))
 
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
@@ -469,37 +513,43 @@ class MdpPolicy:
         if obs.partial is None:
             raise ValueError("MDP policies need partial-demand observations")
         self.demand_sum += float(obs.partial)
-        if obs.samples is not None:
-            self.profiles.append(np.asarray(obs.samples, float))
         T = inst.horizon
-        if t < T:
-            next_values = (self.values[t - 1] if self.values is not None
-                           else backward_induction(inst, self._pmfs(),
-                                                   self.levels, t + 1,
-                                                   self.spec)[0])
-        d_max = BINOM_TRIALS * T
-        D = int(round(min(self.demand_sum, d_max)))
-        # Today's action range uses the exactly-known remaining availability
+        if obs.samples is not None:
+            # Day t's profile samples days t+1..T in order.
+            future = np.asarray(obs.samples, float)[:T - t].astype(int)
+            self.counts[np.arange(t + 1, t + 1 + len(future)), future] += 1
+        # Today's action box uses the exactly-known remaining availability
         # (the Markov charge rule is only needed for future days inside the
         # backward induction).
         avail = self.ledger.available(t)
-        choices = []
-        for i in range(inst.n_pools):
+        box = []
+        for i, lv in enumerate(self.levels):
             cap = self.cum_hires[i] + avail[i]
-            hi_idx = int(np.searchsorted(self.levels[i], cap + 1e-9,
-                                         side="right") - 1)
-            hi_idx = max(hi_idx, self.grid_idx[i])
-            choices.append(range(self.grid_idx[i], hi_idx + 1))
-        best, best_g = None, None
-        for combo in itertools.product(*choices):
-            if t == T:
-                h = sum(self.levels[i][g] for i, g in enumerate(combo))
-                val = imbalance_cost(inst.under_cost, inst.over_cost, h,
-                                     self.demand_sum)
-            else:
-                val = float(next_values[(D,) + tuple(combo)])
+            hi_idx = int(np.searchsorted(lv, cap + 1e-9, side="right") - 1)
+            box.append(slice(self.grid_idx[i],
+                             max(hi_idx, self.grid_idx[i]) + 1))
+        box = tuple(box)
+        if t < T:
+            next_values = (self.values[t - 1] if self.values is not None
+                           else backward_induction(
+                               inst, self._pmfs(), self.levels, t + 1,
+                               self.spec, tables=self.tables)[0])
+            D = int(round(min(self.demand_sum, BINOM_TRIALS * T)))
+            window = next_values[(D,) + box]
+            vals = window.ravel().tolist()
+        else:
+            window = self.tables.totals[box]
+            vals = [imbalance_cost(inst.under_cost, inst.over_cost, h,
+                                   self.demand_sum)
+                    for h in window.ravel().tolist()]
+        # The box in C order is itertools.product order over the ranges;
+        # the first value beating the best by more than 1e-12 wins.
+        best, best_pos = None, 0
+        for pos, val in enumerate(vals):
             if best is None or val < best - 1e-12:
-                best, best_g = val, combo
+                best, best_pos = val, pos
+        best_g = [s.start + g for s, g in
+                  zip(box, np.unravel_index(best_pos, window.shape))]
         hires = np.array([min(max(0.0, self.levels[i][g] - self.cum_hires[i]),
                               avail[i]) for i, g in enumerate(best_g)])
         self.ledger.book(t, hires)

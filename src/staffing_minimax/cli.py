@@ -19,9 +19,10 @@ import numpy as np
 
 from . import bayesian
 from .adversary import (BudgetExceeded, brute_force_worst_case,
-                        configuration_sequence, random_nested_sequence,
-                        sequence_from_csv, single_switch_sequence,
-                        worst_case_sequence, worst_demand_cost)
+                        check_grid_step, configuration_sequence,
+                        random_nested_sequence, sequence_from_csv,
+                        single_switch_sequence, worst_case_sequence,
+                        worst_demand_cost)
 from .emulator import EmulatorTrace
 from .lp import LpError, solve_lp
 from .model import (Instance, InstanceError, MultiStationInstance,
@@ -156,8 +157,9 @@ def _greedy_target(c: _PolicyContext):
 
 
 def _mdp(transition: str):
-    """Fresh MDP policies; the full-info variant's value arrays are solved
-    once here and shared, as `_emulating` shares a solved profile."""
+    """Fresh MDP policies; the sample-independent tables, and the full-info
+    variant's value arrays, are built once here and shared, as `_emulating`
+    shares a solved profile."""
     def make(c: _PolicyContext):
         if not isinstance(c.mdp_cfg, dict):
             raise CliInputError(f"mdp must be an object, got {c.mdp_cfg!r}")
@@ -168,9 +170,12 @@ def _mdp(transition: str):
                 state_cap=c.mdp_cfg.get("state_cap", 2_000_000))
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-        values = (bayesian.full_info_values(c.inst, c.process, spec)
+        tables = bayesian.mdp_tables(c.inst, spec)
+        values = (bayesian.full_info_values(c.inst, c.process, spec,
+                                            tables=tables)
                   if transition == "true" else None)
-        return partial(bayesian.MdpPolicy, c.inst, c.process, spec, values)
+        return partial(bayesian.MdpPolicy, c.inst, c.process, spec, values,
+                       tables=tables)
     return make
 
 
@@ -264,6 +269,11 @@ def _check_prior_hi(prior_hi: float, name: str) -> float:
 
 
 def cmd_bench(args) -> int:
+    if args.reps is not None and args.reps < 1:
+        raise CliInputError(f"--reps must be at least 1, got {args.reps}")
+    if args.workers < 1:
+        raise CliInputError(
+            f"--workers must be at least 1, got {args.workers}")
     try:
         with open(args.config) as f:
             config = json.load(f)
@@ -279,7 +289,8 @@ def cmd_bench(args) -> int:
                                          float(config.get("prior_hi", 0.5)))
         config["calibration"] = bayesian.calibrate_intervals(
             process, draws=20_000, seed=int(config["seed"])).to_dict()
-    reps = args.reps or int(config.get("replications", 100))
+    reps = (int(config.get("replications", 100)) if args.reps is None
+            else args.reps)
     if reps < 1:
         raise CliInputError("need at least one replication")
 
@@ -373,9 +384,7 @@ def cmd_oracle(args) -> int:
     inst = problem.base if isinstance(problem, ReleaseInstance) else problem
     if not isinstance(inst, Instance):
         raise CliInputError("oracle drives single-demand instances")
-    if not args.grid_step > 0:
-        raise CliInputError(
-            f"grid step must be positive, got {args.grid_step}")
+    check_grid_step(args.grid_step)
     built = build_lp_single_switch(inst)
     gamma = solve_lp(built.model).objective
     policy_factory = _policy_factory(args.policy, _PolicyContext(

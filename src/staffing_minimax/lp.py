@@ -11,6 +11,7 @@ relation <=, >= or =, and a minimization objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -50,6 +51,10 @@ class LpModel:
 
     def add_var(self, name: str, obj: float = 0.0,
                 upper: Optional[float] = None) -> int:
+        if not math.isfinite(obj):
+            raise LpError(f"non-finite objective coefficient for {name}")
+        if upper is not None and not math.isfinite(upper):
+            raise LpError(f"non-finite upper bound for {name}")
         self.var_names.append(name)
         self.objective.append(float(obj))
         self.upper_bounds.append(upper)
@@ -229,12 +234,13 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     reduced = T[-1, :n].copy()
 
     # Optimality certificate: each row's violation (Ax - b signed by its
-    # sense, |Ax - b| for =), and nonnegative x and reduced costs.
+    # sense, |Ax - b| for =), and nonnegative x and reduced costs.  A NaN
+    # violation fails and counts as the worst.
     d = A @ xs - b
     viol = np.where(sense, sense * d, np.abs(d))
     failed = []
-    if (viol > CHECK_TOL).any():
-        r = int(np.nanargmax(viol))
+    if not (viol <= CHECK_TOL).all():
+        r = int(np.argmax(np.where(np.isnan(viol), np.inf, viol)))
         failed.append(f"row {r} of {m} ({('=', '<=', '>=')[sense[r]]}) is "
                       f"off by {viol[r]:.6g}")
     if (xs < -CHECK_TOL).any():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import fig3_instance, random_multi_pool
+from staffing_minimax import adversary
 from staffing_minimax.adversary import (
-    BudgetExceeded, brute_force_worst_case, configuration_sequence,
+    BudgetExceeded, EmptyGrid, brute_force_worst_case, configuration_sequence,
     demand_candidates, enumerate_grid_sequences, random_nested_sequence,
     sequence_from_csv, single_switch_sequence, worst_case_sequence)
 from staffing_minimax.model import (InstanceError, ReleaseInstance,
@@ -182,6 +183,29 @@ def test_demand_candidates_reject_nonpositive_step(step):
     seq = single_switch_sequence(fig3_instance("a"), 3)
     with pytest.raises(InstanceError, match="grid step must be positive"):
         demand_candidates(seq, step)
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan])
+def test_grid_adversary_rejects_non_finite_step(step):
+    # An infinite step made the grid nan: no sequence was enumerated and
+    # brute_force_worst_case returned None.
+    inst = fig3_instance("c")
+    match = "grid step must be positive and finite"
+    with pytest.raises(InstanceError, match=match):
+        enumerate_grid_sequences(inst, step)
+    with pytest.raises(InstanceError, match=match):
+        demand_candidates(single_switch_sequence(inst, 3), step)
+    with pytest.raises(InstanceError, match=match):
+        brute_force_worst_case(inst, lambda: LpEmulatorPolicy(inst), step)
+
+
+def test_brute_force_without_sequences_names_the_error(monkeypatch):
+    inst = fig3_instance("a")
+    monkeypatch.setattr(adversary, "enumerate_grid_sequences",
+                        lambda *args: [])
+    with pytest.raises(EmptyGrid, match="no nested grid sequence at step "
+                                        "0.5"):
+        brute_force_worst_case(inst, lambda: LpEmulatorPolicy(inst), 0.5)
 
 
 def test_clairvoyant_worst_case_zero_with_ample_supply():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,11 +8,14 @@ from conftest import instance_path
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, StateExplosion,
-    _allowed_ranges, _range_min, backward_induction, calibrate_intervals,
-    empirical_coverage, forecast_instance, full_info_values, lower_quantile,
-    mdp_root_value, point_estimator, run_bayesian_world, summarize)
-from staffing_minimax.model import PredictionInterval, make_instance
-from staffing_minimax.policies import DayObservation, LpEmulatorPolicy
+    _allowed_ranges, _range_min, _shift_min, backward_induction,
+    calibrate_intervals, empirical_coverage, forecast_instance,
+    full_info_values, lower_quantile, mdp_root_value, mdp_tables,
+    point_estimator, run_bayesian_world, summarize)
+from staffing_minimax.model import (PredictionInterval, SupplyLedger,
+                                    imbalance_cost, make_instance)
+from staffing_minimax.policies import (DayObservation, Decision,
+                                       LpEmulatorPolicy)
 
 
 def test_point_estimator_hand_values():
@@ -300,6 +304,200 @@ def test_shared_full_info_values_play_as_daily_resolve(case):
                                  samples=world.profiles[t - 1])
             a, b = (pol.step(obs).hires for pol in policies)
             assert a.tolist() == b.tolist()
+
+
+def _backward_induction_loop(inst, pmfs, levels, t_start, spec):
+    """Backward induction with every table recomputed on every day (the
+    per-day reach, the range minimum by slices and the terminal cost),
+    kept as an oracle."""
+    n, T = inst.availability.shape
+    d_max = BINOM_TRIALS * T
+    totals = sum(np.asarray(lv).reshape([-1 if a == i else 1
+                                         for a in range(n)])
+                 for i, lv in enumerate(levels))
+    demands = np.arange(d_max + 1, dtype=float).reshape(-1, *([1] * n))
+    cost = (inst.under_cost * np.maximum(demands - totals, 0.0)
+            + inst.over_cost * np.maximum(totals - demands, 0.0))
+    values = {}
+    for t in range(T, t_start - 1, -1):
+        if t == T:
+            W = cost
+        else:
+            pmf, V_next = pmfs[t + 1], values[t + 1]
+            W = np.zeros_like(V_next)
+            for j, pj in enumerate(pmf):
+                if pj != 0:
+                    W[:d_max + 1 - j] += pj * V_next[j:]
+            W[d_max + 2 - len(pmf):] = V_next[d_max + 2 - len(pmf):]
+        for i, hi_idx in enumerate(_allowed_ranges_loop(inst, levels, t)):
+            W = _range_min_loop(W, hi_idx, 1 + i)
+        values[t] = W
+    return [values[t] for t in range(t_start, T + 1)]
+
+
+class _LoopMdp:
+    """The MDP policy as a loop oracle: a full re-solve every day through
+    `_backward_induction_loop`, pmfs re-walked from every stored profile,
+    and the action picked by an `itertools.product` scan with the
+    first-best-by-1e-12 rule.  `values`, when given, replace the re-solve
+    (values[t-1] on day t)."""
+
+    def __init__(self, inst, spec, values=None):
+        self.inst, self.spec, self.values = inst, spec, values
+        self.levels = [np.linspace(0.0, float(s), spec.grid_levels)
+                       for s in inst.pool_sizes]
+        self.demand_sum = 0.0
+        self.grid_idx = [0] * inst.n_pools
+        self.cum_hires = np.zeros(inst.n_pools)
+        self.ledger = SupplyLedger(inst)
+        self.day = 0
+        self.profiles = []
+        self.scanned = []      # (first-best, argmin) positions per day
+
+    def _pmfs(self):
+        T, t = self.inst.horizon, self.day
+        out = {}
+        for k in range(t + 1, T + 1):
+            obs = [prof[k - tau - 1]
+                   for tau, prof in enumerate(self.profiles, start=1)
+                   if 0 <= k - tau - 1 < len(prof)]
+            counts = np.bincount(np.asarray(obs, dtype=int),
+                                 minlength=BINOM_TRIALS + 1).astype(float)
+            if counts.sum() == 0:
+                counts[:] = 1.0
+            out[k] = counts / counts.sum()
+        return out
+
+    def step(self, obs):
+        self.day += 1
+        t, inst, T = self.day, self.inst, self.inst.horizon
+        self.demand_sum += float(obs.partial)
+        if obs.samples is not None:
+            self.profiles.append(np.asarray(obs.samples, float))
+        if t < T:
+            next_values = (self.values[t - 1] if self.values is not None
+                           else _backward_induction_loop(
+                               inst, self._pmfs(), self.levels, t + 1,
+                               self.spec)[0])
+        D = int(round(min(self.demand_sum, BINOM_TRIALS * T)))
+        avail = self.ledger.available(t)
+        choices = []
+        for i in range(inst.n_pools):
+            cap = self.cum_hires[i] + avail[i]
+            hi_idx = int(np.searchsorted(self.levels[i], cap + 1e-9,
+                                         side="right") - 1)
+            choices.append(range(self.grid_idx[i],
+                                 max(hi_idx, self.grid_idx[i]) + 1))
+        best, best_g, vals = None, None, []
+        for combo in itertools.product(*choices):
+            if t == T:
+                h = sum(self.levels[i][g] for i, g in enumerate(combo))
+                val = imbalance_cost(inst.under_cost, inst.over_cost, h,
+                                     self.demand_sum)
+            else:
+                val = float(next_values[(D,) + tuple(combo)])
+            vals.append(val)
+            if best is None or val < best - 1e-12:
+                best, best_g = val, combo
+        self.scanned.append(vals.index(best) != int(np.argmin(vals)))
+        hires = np.array([min(max(0.0, self.levels[i][g]
+                                  - self.cum_hires[i]), avail[i])
+                          for i, g in enumerate(best_g)])
+        self.ledger.book(t, hires)
+        self.cum_hires += hires
+        self.grid_idx = [int(np.argmin(np.abs(lv - h)))
+                         for lv, h in zip(self.levels, self.cum_hires)]
+        return Decision.hire_only(hires)
+
+
+def _three_pool_instance():
+    # Pool 1 rises, pool 2 closes on day 3 and reopens, pool 3 falls.
+    inst = make_instance([3.0, 2.0, 1.5],
+                         [[0.2, 0.5, 0.9, 1.0], [1.0, 0.7, 0.0, 0.6],
+                          [1.0, 0.9, 0.8, 0.7]], (0, 20), [20.0] * 4)
+    return inst, DemandProcess(4)
+
+
+def _play_pair(inst, proc, policies, seed):
+    """Feed both policies the same seeded world; assert equal hires."""
+    world = proc.sample_world(np.random.default_rng([seed, 9]))
+    for t in range(1, inst.horizon + 1):
+        obs = DayObservation(day=t, interval=None,
+                             partial=float(world.partials[t - 1]),
+                             samples=world.profiles[t - 1])
+        a, b = (pol.step(obs).hires for pol in policies)
+        assert a.tolist() == b.tolist(), f"day {t}"
+
+
+@pytest.mark.parametrize("case,G", [("bench_long", 7), ("three_pools", 5)])
+def test_empirical_mdp_plays_as_loop_oracle(case, G):
+    inst, proc = (_bench_long_instance() if case == "bench_long"
+                  else _three_pool_instance())
+    spec = MdpSpec(grid_levels=G)
+    tables = mdp_tables(inst, spec)
+    for seed in range(3):
+        _play_pair(inst, proc, [MdpPolicy(inst, proc, spec, tables=tables),
+                                _LoopMdp(inst, spec)], seed)
+
+
+def test_mdp_action_scan_keeps_first_best_within_1e12():
+    # Value arrays whose entries are all within a few 1e-12 of each other:
+    # the first entry (in product order) beating the best by more than
+    # 1e-12 wins, which is often not the argmin.
+    inst, proc = _three_pool_instance()
+    spec = MdpSpec(grid_levels=4, transition="true")
+    rng = np.random.default_rng(3)
+    shape = (BINOM_TRIALS * inst.horizon + 1,) + (4,) * 3
+    values = [1.0 + 0.4e-12 * rng.integers(0, 8, size=shape)
+              for _ in range(inst.horizon - 1)]
+    differs = 0
+    for seed in range(6):
+        oracle = _LoopMdp(inst, spec, values)
+        _play_pair(inst, proc, [MdpPolicy(inst, proc, spec, values), oracle],
+                   seed)
+        differs += sum(oracle.scanned)
+    assert differs > 0
+
+
+@pytest.mark.parametrize("case", ["bench_long", "three_pools"])
+def test_mdp_tables_match_per_call_recompute(case):
+    inst, proc = (_bench_long_instance() if case == "bench_long"
+                  else _three_pool_instance())
+    spec = MdpSpec(grid_levels=5)
+    tables = mdp_tables(inst, spec)
+    levels = [np.linspace(0.0, float(s), 5) for s in inst.pool_sizes]
+    assert all(np.array_equal(a, b) for a, b in zip(tables.levels, levels))
+    n = inst.n_pools
+    rng = np.random.default_rng(0)
+    for t in range(1, inst.horizon + 1):
+        W = rng.normal(size=(7,) + (5,) * n)
+        for axis, (idx, hi_idx) in enumerate(
+                zip(tables.shifts[t - 1],
+                    _allowed_ranges_loop(inst, levels, t)), start=1):
+            assert np.array_equal(_shift_min(W, idx, axis),
+                                  _range_min_loop(W, hi_idx, axis))
+    pmf = proc.marginal_pmf()
+    pmfs = {t: pmf for t in range(1, inst.horizon + 1)}
+    want = _backward_induction_loop(inst, pmfs, levels, 1, spec)
+    assert np.array_equal(tables.last, want[-1])
+    for got in (backward_induction(inst, pmfs, levels, 1, spec),
+                backward_induction(inst, pmfs, levels, 1, spec,
+                                   tables=tables)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_mdp_tables_are_read_only():
+    inst, _ = _three_pool_instance()
+    tables = mdp_tables(inst, MdpSpec(grid_levels=3))
+    arrays = [*tables.levels, tables.totals, tables.last,
+              *(idx for day in tables.shifts for pool in day for idx in pool)]
+    assert any(pool for day in tables.shifts for pool in day)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    with pytest.raises(StateExplosion, match="states exceed the cap"):
+        mdp_tables(inst, MdpSpec(grid_levels=3, state_cap=10))
 
 
 def test_world_determinism_and_pairing():

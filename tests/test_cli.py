@@ -372,6 +372,42 @@ def test_bench_mdp_state_cap_exit_3(capsys, tmp_path, workers):
     assert "states exceed the cap" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_empirical_mdp_state_cap_exit_3(capsys, tmp_path, workers):
+    config = _bench_config(tmp_path, policies=["naive_greedy",
+                                               "empirical_mdp"],
+                           mdp={"state_cap": 10})
+    code, _, err = run_cli(capsys, "bench", "--config", config, "--reps",
+                           "2", "--workers", workers)
+    assert code == 3
+    assert "solver error: 3146 states exceed the cap" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--reps", "-3"),
+                                         ("--workers", "0"),
+                                         ("--workers", "-2")])
+def test_bench_nonpositive_reps_or_workers_exit_2(capsys, tmp_path, flag,
+                                                  value):
+    # --reps 0 used to run the config's replications, and --workers 0 one
+    # worker.
+    argv = {"--reps": "1", "--workers": "1", flag: value}
+    code, out, err = run_cli(capsys, "bench", "--config",
+                             _bench_config(tmp_path),
+                             *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert f"{flag} must be at least 1, got {value}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_oracle_non_finite_grid_step_exit_2(capsys, step):
+    code, out, err = run_cli(capsys, "oracle", "--instance",
+                             instance_path("fig3c.json"), "--grid-step", step)
+    assert code == 2
+    assert f"grid step must be positive and finite, got {step}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("epoch_breaks", [2, 99], "epoch breaks"),
     ("epoch_breaks", [3, 2, 4], "epoch breaks"),

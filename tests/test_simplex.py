@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from staffing_minimax.lp import (
-    LpInfeasible, LpModel, LpUnbounded, NumericFailure, refine_lexicographic,
-    solve_lp)
+    LpError, LpInfeasible, LpModel, LpUnbounded, NumericFailure,
+    refine_lexicographic, solve_lp)
 
 
 def brute_force_min(c, rows, upper=None):
@@ -208,3 +208,30 @@ def test_certificate_failure_names_row_and_tolerance():
         "single_switch+lex: solution failed the optimality certificate")
     assert re.search(r"row \d+", message)
     assert "1e-07" in message
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    ({"upper": float("nan")}, "upper bound"),
+    ({"upper": float("inf")}, "upper bound"),
+    ({"obj": float("nan")}, "objective coefficient"),
+    ({"obj": float("-inf")}, "objective coefficient"),
+])
+def test_add_var_rejects_non_finite(kwargs, what):
+    # add_row refuses non-finite numbers; add_var must too, or upper=nan
+    # solves as "optimal" with objective nan and upper=inf as x = inf.
+    model = LpModel()
+    with pytest.raises(LpError, match=f"non-finite {what} for x"):
+        model.add_var("x", **kwargs)
+    assert model.n_vars == 0 and model.upper_bounds == []
+
+
+def test_certificate_fails_on_nan_residual():
+    # A NaN bound smuggled past add_var leaves x = nan; its NaN residual
+    # must fail the certificate, not pass it.
+    model = LpModel()
+    model.add_var("x", obj=-1.0)
+    model.add_row({0: 1.0}, ">=", 0.0)
+    model.upper_bounds[0] = float("nan")
+    with pytest.raises(NumericFailure, match=r"row 0 of 2 \(>=\) is off by "
+                                             r"nan \(tolerance 1e-07\)"):
+        solve_lp(model)

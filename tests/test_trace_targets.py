@@ -1,8 +1,10 @@
-"""The benchmark tracer's targets must name live functions of the package.
+"""The benchmark tracer's targets must name live functions of the package,
+and its notes must read their real calls.
 
-``benchmarks/tracer.py`` wraps each ``(module, attribute)`` in ``TARGETS``;
-a renamed or removed function would otherwise surface only when the traced
-benchmark run fails.
+``benchmarks/tracer.py`` wraps each ``(module, attribute)`` in ``TARGETS``
+and runs a note function on each call's arguments and result; a renamed
+function or a changed signature would otherwise surface only when the
+traced benchmark run fails.
 """
 
 import importlib
@@ -32,3 +34,40 @@ def test_every_trace_target_resolves(tracer):
         else:
             assert callable(getattr(home, attr, None)), \
                 f"{mod_name}.{attr} is gone"
+
+
+def test_every_note_reads_a_real_call(tracer):
+    """Each note function runs on one real call of its target, as
+    ``run.py --trace 1`` runs them; a changed signature fails here."""
+    from conftest import fig3_instance, instance_path
+    from staffing_minimax import adversary, bayesian, cli
+
+    inst = fig3_instance("a")
+    proc = bayesian.DemandProcess(3)
+    table = bayesian.calibrate_intervals(proc, draws=10_000)
+    world_inst = bayesian.forecast_instance(
+        [2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]], table, process=proc)
+    factories = cli._policy_factories(["empirical_mdp"], world_inst, proc,
+                                      {"grid_levels": 5})
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["solve", "--instance",
+                         instance_path("fig3c.json")]) == 0
+        adversary.enumerate_grid_sequences(inst, 0.5)
+        bayesian.run_bayesian_world(world_inst, proc, table, factories, 1, 0)
+    finally:
+        t.uninstall()
+    noted = {}
+    for idx, note in t.notes.items():
+        noted.setdefault(t.names[t.name[idx]], []).append(note)
+    for _, _, span, note in tracer.TARGETS:
+        if note is not None:
+            assert noted.get(span), f"{span}: no note recorded"
+    n_rows, n_vars = noted["lp.solve_lp"][0]
+    assert n_rows > 0 and n_vars > 0
+    assert all(stages > 0 for stages in noted["lp.refine_lexicographic"])
+    assert all(len(d) == 64 for d in noted["programs.solve_canonical"])
+    assert noted["adversary.enumerate_grid_sequences"][0] > 0
+    # Days 2 and 3 are solved on day 1, day 3 on day 2: (5T+1)·G^n each.
+    assert noted["bayesian.backward_induction"] == [2 * 16 * 25, 16 * 25]
