@@ -174,7 +174,10 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
         raise InstanceError("the grid adversary certifies eps = 0 instances "
                             "only")
     lo0, hi0 = inst.initial_range
-    n_steps = int(round((hi0 - lo0) / grid_step))
+    span = (hi0 - lo0) / grid_step
+    if span >= cap:     # more than cap grid points, each ends a sequence
+        raise BudgetExceeded(f"more than {cap} grid sequences")
+    n_steps = int(round(span))
     grid = lo0 + grid_step * np.arange(n_steps + 1)
     sequences: List[PredictionSequence] = []
     stack: List[Tuple[int, float, float, list]] = [(1, lo0, hi0, [])]

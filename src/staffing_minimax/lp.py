@@ -4,6 +4,9 @@ Models here are tiny (at most a few thousand rows), so the solver favors
 determinism and transparency over speed: a dense two-phase tableau with
 Bland's anti-cycling rule.  Identical models always produce identical
 solutions, which the test suite and the canonical-profile machinery rely on.
+The kernel is bitwise: every live tableau entry gets the same IEEE operations
+in the same order, and ratio ties break in the same order (the artificial
+columns go once phase 1 ends, as they would stay zero and unread).
 
 A model is: variables x >= 0 (optional upper bounds), linear rows with
 relation <=, >= or =, and a minimization objective.
@@ -66,9 +69,9 @@ class LpModel:
         for j, a in coeffs.items():
             if not (0 <= j < len(self.var_names)):
                 raise LpError(f"row references unknown variable {j}")
-            if not np.isfinite(a):
+            if not math.isfinite(a):
                 raise LpError("non-finite coefficient")
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise LpError("non-finite rhs")
         self.rows.append(({int(j): float(a) for j, a in coeffs.items()
                            if a != 0.0}, rel, float(rhs)))
@@ -114,7 +117,7 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str                 # "optimal" | "infeasible" | "unbounded"
+    status: str     # "optimal" | "infeasible" | "unbounded" | "uncertified"
     objective: float
     x: np.ndarray
     reduced_costs: Optional[np.ndarray] = None
@@ -124,7 +127,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     basis[row] = col
 
 
@@ -134,25 +137,27 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
 
     Entering: lowest-index column with reduced cost < -COST_TOL.
     Leaving: minimum ratio; ties broken by the lowest basis variable index.
+    The ratio test runs on Python floats: the same IEEE double division and
+    comparisons as on NumPy scalars, in the same row order.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        red = T[-1, :n_cols]
-        negative = np.nonzero(red < -COST_TOL)[0]
-        if negative.size == 0:
+        neg = T[-1, :n_cols] < -COST_TOL
+        enter = int(neg.argmax())
+        if not neg[enter]:
             return "optimal"
-        enter = int(negative[0])
-        best_ratio, leave = None, -1
         col = T[:m, enter]
-        rhs = T[:m, -1]
-        for i in np.nonzero(col > PIVOT_TOL)[0]:
-            ratio = rhs[i] / col[i]
-            if (best_ratio is None or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12
-                        and basis[i] < basis[leave])):
-                best_ratio, leave = ratio, int(i)
-        if leave < 0:
+        rows = (col > PIVOT_TOL).nonzero()[0].tolist()
+        if not rows:
             return "unbounded"
+        col, rhs = col.tolist(), T[:m, -1].tolist()
+        leave = rows[0]
+        best = rhs[leave] / col[leave]
+        for i in rows[1:]:
+            ratio = rhs[i] / col[i]
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
+                                        and basis[i] < basis[leave]):
+                best, leave = ratio, i
         _pivot(T, basis, leave, enter)
     raise NumericFailure("simplex iteration limit exceeded")
 
@@ -207,27 +212,26 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             if check:
                 raise LpInfeasible(name)
             return LpSolution("infeasible", np.nan, np.full(n, np.nan))
-        # Drive the artificials still basic (at zero) out on the first real
-        # column that can pivot; a row with none is redundant and goes.
-        drop = []
+        # The artificials are zero from here on and never enter, so their
+        # columns go.  Those still basic (at zero) are driven out on the
+        # first real column that can pivot; a row with none is redundant.
+        T = np.hstack((T[:, :n_real], T[:, -1:]))
         for r in (basis >= n_real).nonzero()[0].tolist():
-            cols = (np.abs(T[r, :n_real]) > PIVOT_TOL).nonzero()[0]
-            if cols.size:
-                _pivot(T, basis, r, cols[0])
-            else:
-                drop.append(r)
-        if drop:
-            T, basis = np.delete(T, drop, axis=0), np.delete(basis, drop)
-        T[:, n_real:n_total] = 0.0       # artificials frozen at zero
+            nz = np.abs(T[r, :n_real]) > PIVOT_TOL
+            j = int(nz.argmax())
+            if nz[j]:
+                _pivot(T, basis, r, j)
+        live = basis < n_real
+        T, basis = T[np.append(live, True)], basis[live]
 
     # Phase 2: the costs c on the structural columns.
-    _load_costs(T, basis, np.concatenate((c, np.zeros(n_total + 1 - n))))
-    if _run_simplex(T, basis, n_total, max_iter) == "unbounded":
+    _load_costs(T, basis, np.concatenate((c, np.zeros(n_real + 1 - n))))
+    if _run_simplex(T, basis, n_real, max_iter) == "unbounded":
         if check:
             raise LpUnbounded(name)
         return LpSolution("unbounded", -np.inf, np.full(n, np.nan))
 
-    x = np.zeros(n_total)
+    x = np.zeros(n_real)
     x[basis] = T[:-1, -1]
     xs = x[:n]
     objective = float(np.dot(c, xs))
@@ -252,8 +256,9 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         raise NumericFailure(
             f"{name}: solution failed the optimality certificate: "
             f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
-    if not failed:
-        xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
+    if failed:
+        return LpSolution("uncertified", objective, xs, reduced)
+    xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
     return LpSolution("optimal", objective, xs, reduced)
 
 
@@ -263,7 +268,8 @@ def solve_lp(model: LpModel, check: bool = True) -> LpSolution:
     Returns an LpSolution; when check is True (default), non-optimal statuses
     raise LpInfeasible / LpUnbounded and a solution failing the post-solve
     feasibility or reduced-cost certificate raises NumericFailure, which
-    names the worst row, a negative x or reduced cost, and CHECK_TOL.
+    names the worst row, a negative x or reduced cost, and CHECK_TOL; with
+    check False that solution comes back as computed, status "uncertified".
     """
     A, sense, b = model.dense()
     return _two_phase(A, sense, b, np.asarray(model.objective, dtype=float),

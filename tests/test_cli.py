@@ -408,6 +408,17 @@ def test_oracle_non_finite_grid_step_exit_2(capsys, step):
     assert out == ""
 
 
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_oracle_huge_grid_exit_3(capsys, step):
+    # 1e300 grid points (inf for the subnormal step) exceed the sequence
+    # cap before any grid array is allocated.
+    code, out, err = run_cli(capsys, "oracle", "--instance",
+                             instance_path("fig3c.json"), "--grid-step", step)
+    assert code == 3
+    assert "solver error: more than 2000000 grid sequences" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("epoch_breaks", [2, 99], "epoch breaks"),
     ("epoch_breaks", [3, 2, 4], "epoch breaks"),

@@ -6,9 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from conftest import random_multi_pool, random_single_pool
+from staffing_minimax import lp
 from staffing_minimax.lp import (
-    LpError, LpInfeasible, LpModel, LpUnbounded, NumericFailure,
-    refine_lexicographic, solve_lp)
+    COST_TOL, PIVOT_TOL, LpError, LpInfeasible, LpModel, LpUnbounded,
+    NumericFailure, refine_lexicographic, solve_lp)
+from staffing_minimax.programs import minimax_value_and_profile
 
 
 def brute_force_min(c, rows, upper=None):
@@ -225,6 +228,21 @@ def test_add_var_rejects_non_finite(kwargs, what):
     assert model.n_vars == 0 and model.upper_bounds == []
 
 
+@pytest.mark.parametrize("coeffs, rhs, what", [
+    ({0: float("nan")}, 1.0, "coefficient"),
+    ({0: np.float64("-inf")}, 1.0, "coefficient"),
+    ({0: 1.0}, float("inf"), "rhs"),
+    ({0: 1.0}, np.float64("nan"), "rhs"),
+])
+def test_add_row_rejects_non_finite(coeffs, rhs, what):
+    model = LpModel()
+    model.add_var("x")
+    with pytest.raises(LpError, match=f"non-finite {what}"):
+        model.add_row(coeffs, "<=", rhs)
+    model.add_row({0: np.float64(2.0)}, ">=", np.int64(1))    # accepted
+    assert model.rows == [({0: 2.0}, ">=", 1.0)]
+
+
 def test_certificate_fails_on_nan_residual():
     # A NaN bound smuggled past add_var leaves x = nan; its NaN residual
     # must fail the certificate, not pass it.
@@ -235,3 +253,131 @@ def test_certificate_fails_on_nan_residual():
     with pytest.raises(NumericFailure, match=r"row 0 of 2 \(>=\) is off by "
                                              r"nan \(tolerance 1e-07\)"):
         solve_lp(model)
+
+
+def test_check_false_reports_a_failed_certificate_as_uncertified():
+    # The same smuggled NaN bound under check=False: the result comes back
+    # as computed, but flagged, never as "optimal".
+    model = LpModel()
+    model.add_var("x", obj=-1.0)
+    model.add_row({0: 1.0}, ">=", 0.0)
+    model.upper_bounds[0] = float("nan")
+    sol = solve_lp(model, check=False)
+    assert sol.status == "uncertified"
+    assert np.isnan(sol.objective) and np.isnan(sol.x).all()
+
+
+# --- Kernel identity ---------------------------------------------------------
+# The pivot and Bland-rule loop as they were before the ratio test moved to
+# Python floats, kept verbatim as the oracle: the kernel must leave every
+# tableau byte, the basis and the status exactly as this code does.
+
+def _oracle_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _oracle_run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
+                        max_iter: int) -> str:
+    m = T.shape[0] - 1
+    for _ in range(max_iter):
+        red = T[-1, :n_cols]
+        negative = np.nonzero(red < -COST_TOL)[0]
+        if negative.size == 0:
+            return "optimal"
+        enter = int(negative[0])
+        best_ratio, leave = None, -1
+        col = T[:m, enter]
+        rhs = T[:m, -1]
+        for i in np.nonzero(col > PIVOT_TOL)[0]:
+            ratio = rhs[i] / col[i]
+            if (best_ratio is None or ratio < best_ratio - 1e-12
+                    or (abs(ratio - best_ratio) <= 1e-12
+                        and basis[i] < basis[leave])):
+                best_ratio, leave = ratio, int(i)
+        if leave < 0:
+            return "unbounded"
+        _oracle_pivot(T, basis, leave, enter)
+    raise NumericFailure("simplex iteration limit exceeded")
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Check every phase-1 and phase-2 run of lp._run_simplex, and every
+    pivot outside it (the artificial drive-out), against the oracle on a
+    copy of the same tableau; returns the statuses of the checked runs."""
+    runs = []
+    run_simplex, pivot = lp._run_simplex, lp._pivot
+
+    def checked_run(T, basis, n_cols, max_iter):
+        T0, basis0 = T.copy(), basis.copy()
+        want = _oracle_run_simplex(T0, basis0, n_cols, max_iter)
+        got = run_simplex(T, basis, n_cols, max_iter)
+        assert got == want
+        assert T.tobytes() == T0.tobytes()
+        assert np.array_equal(basis, basis0)
+        runs.append(got)
+        return got
+
+    def checked_pivot(T, basis, row, col):
+        T0, basis0 = T.copy(), basis.copy()
+        _oracle_pivot(T0, basis0, row, col)
+        pivot(T, basis, row, col)
+        assert T.tobytes() == T0.tobytes()
+        assert np.array_equal(basis, basis0)
+
+    monkeypatch.setattr(lp, "_run_simplex", checked_run)
+    # Inside checked_run the kernel pivots with lp._pivot, so every pivot it
+    # makes is also checked one by one.
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    return runs
+
+
+def _canonical(inst):
+    try:
+        minimax_value_and_profile(inst)
+    except LpError:
+        pass
+
+
+def test_kernel_identity_random_instances(kernel_runs):
+    for seed in range(10):
+        _canonical(random_single_pool(np.random.default_rng([seed, 21])))
+        _canonical(random_multi_pool(np.random.default_rng([seed, 22])))
+    assert len(kernel_runs) > 100
+
+
+@pytest.mark.parametrize("T", [6, 12, 20, 30])
+def test_kernel_identity_companion_sweep(kernel_runs, T):
+    from staffing_minimax.cli import companion_sweep_instance
+    _canonical(companion_sweep_instance(T, 1.0, 4.0, 1.0, 1.0))
+    assert len(kernel_runs) >= 2 * T
+
+
+def _degenerate_lp(seed):
+    """Every <= row but one has rhs 0, so the ratio test ties at 0 on most
+    pivots, and the = rows put their artificials above the slacks in index
+    order.  The one other row has the lowest slack and rhs exactly 1e-12: its
+    ratio ties with 0 at the tolerance, where only the inclusive rule lets
+    the lower basis index win."""
+    rng = np.random.default_rng([seed, 23])
+    n = 8
+    model = LpModel(name=f"degenerate[{seed}]")
+    for j in range(n):
+        model.add_var(f"x{j}", obj=-float(rng.integers(1, 4)))
+    model.add_row(dict.fromkeys(range(n), 1.0), "=", 0.0)
+    model.add_row(dict.fromkeys(range(n), 1.0), "<=", 1e-12)
+    for _ in range(10):
+        a = rng.integers(-1, 3, size=n)
+        model.add_row({j: float(v) for j, v in enumerate(a)}, "<=", 0.0)
+    model.add_row({j: float(rng.integers(0, 2)) for j in range(n)}, "=", 0.0)
+    return model
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_identity_degenerate_ties(kernel_runs, seed):
+    solve_lp(_degenerate_lp(seed), check=False)
+    assert len(kernel_runs) == 2
