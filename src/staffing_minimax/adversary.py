@@ -229,19 +229,13 @@ def brute_force_worst_case(inst: Instance, policy_factory: Callable,
 
     best: Optional[WorstCaseWitness] = None
     for seq in enumerate_grid_sequences(inst, grid_step, cap):
-        policy = policy_factory()
-        if getattr(policy, "clairvoyant", False):
-            cost, demand = policy.worst_case_for(inst, seq)
-        else:
-            plan = play(policy, inst, seq)
-            total = plan.total_net
-            cost = -np.inf
-            demand = None
-            for d in demand_candidates(seq, grid_step):
-                cd = imbalance_cost(inst.under_cost, inst.over_cost, total,
-                                    d)
-                if cd > cost:
-                    cost, demand = cd, d
+        total = play(policy_factory(), inst, seq).total_net
+        cost = -np.inf
+        demand = None
+        for d in demand_candidates(seq, grid_step):
+            cd = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
+            if cd > cost:
+                cost, demand = cd, d
         if best is None or cost > best.cost:
             best = WorstCaseWitness(cost, seq, demand)
     if best is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -410,8 +411,8 @@ def mdp_tables(inst: Instance, spec: MdpSpec,
 
 def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
                        levels: List[np.ndarray], t_start: int,
-                       spec: MdpSpec, *, tables: Optional[MdpTables] = None
-                       ) -> List[np.ndarray]:
+                       spec: MdpSpec, *, tables: Optional[MdpTables] = None,
+                       demand: Optional[int] = None) -> List[np.ndarray]:
     """Value arrays V[t] for t = t_start..T over (demand sum, grid indices).
 
     V[t][D, g...] is the optimal expected terminal cost when day t's partial
@@ -420,23 +421,40 @@ def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
     `tables` are `mdp_tables(inst, spec, levels)`, built here when not
     given (given, they stand in for `levels`); V[T] is their read-only
     `last`.
+
+    With `demand` = D, only the sums reachable from sum D on day t_start
+    are solved: each later day k adds at most len(pmfs[k]) - 1 = 5, so
+    V[t] holds the rows D..min(D + 5(t - t_start), 5T), its row r being
+    the full table's row D + r (row 0 of V[t_start] is V[t_start][D]).
+    The full table (`demand` None) is the band 0..5T.  Every entry gets the
+    same floating-point operations in either, so they agree bit for bit.
     """
     if tables is None:
         tables = mdp_tables(inst, spec, levels)
     T = inst.horizon
     d_max = BINOM_TRIALS * T
-    values: Dict[int, np.ndarray] = {T: tables.last}
+    if t_start > T:
+        return []
+    lo = 0 if demand is None else demand
+    # top[t]: the highest demand sum solved on day t.
+    top = {t_start: d_max if demand is None else demand}
+    for t in range(t_start, T):
+        top[t + 1] = min(top[t] + len(pmfs[t + 1]) - 1, d_max)
+    values: Dict[int, np.ndarray] = {T: tables.last[lo:top[T] + 1]}
     for t in range(T - 1, t_start - 1, -1):
         pmf = pmfs[t + 1]
         V_next = values[t + 1]
-        W = np.zeros(V_next.shape)
+        rows = top[t] + 1 - lo
+        W = np.zeros((rows,) + V_next.shape[1:])
         for j, pj in enumerate(pmf):
             if pj == 0:
                 continue
-            W[:d_max + 1 - j] += pj * V_next[j:]
+            fit = max(min(rows, d_max + 1 - j - lo), 0)
+            W[:fit] += pj * V_next[j:j + fit]
         # Demand sums that can no longer occur keep the terminal shape;
         # they are never queried from reachable states.
-        W[d_max + 1 - len(pmf) + 1:] = V_next[d_max + 1 - len(pmf) + 1:]
+        gone = max(d_max + 2 - len(pmf) - lo, 0)
+        W[gone:] = V_next[gone:rows]
         for i, idx in enumerate(tables.shifts[t - 1]):
             W = _shift_min(W, idx, axis=1 + i)
         values[t] = W
@@ -467,12 +485,14 @@ class MdpPolicy:
 
     The empirical variant re-solves every day, with each future day's
     partial-demand pmf estimated from the sampled trajectories received so
-    far (kept as a running count per future day and value).  The true
-    variant uses the process marginal, so its value arrays are solved once
-    (`full_info_values`) and may be shared by every run.  Both take the
+    far (kept as a running count per future day and value).  The re-solve
+    on day t covers only the demand sums reachable from today's sum
+    (`backward_induction`'s `demand`).  The true variant uses the process
+    marginal, so its value arrays are solved once (`full_info_values`) and
+    may be shared by every run; it keeps no sample counts.  Both take the
     sample-independent `MdpTables`, which may be shared too.  Played hires
     are capped at the true availability and the internal state snaps to
-    the nearest grid level.
+    the nearest grid level (the first one on a tie).
     """
 
     kind = "empirical_mdp"
@@ -490,9 +510,12 @@ class MdpPolicy:
             values = full_info_values(inst, process, spec, tables=self.tables)
         self.values = values
         self.levels = self.tables.levels
+        # The per-pool state lives in Python floats and ints: one day's
+        # arithmetic on them is the same IEEE arithmetic as on arrays.
+        self._level_lists = [lv.tolist() for lv in self.levels]
         self.demand_sum = 0.0
-        self.grid_idx = np.zeros(inst.n_pools, dtype=int)
-        self.cum_hires = np.zeros(inst.n_pools)
+        self.grid_idx = [0] * inst.n_pools
+        self.cum_hires = [0.0] * inst.n_pools
         self.ledger = SupplyLedger(inst)
         self.day = 0
         # counts[k, v]: samples of day k's partial demand equal to v.
@@ -514,28 +537,28 @@ class MdpPolicy:
             raise ValueError("MDP policies need partial-demand observations")
         self.demand_sum += float(obs.partial)
         T = inst.horizon
-        if obs.samples is not None:
+        if obs.samples is not None and self.values is None:
             # Day t's profile samples days t+1..T in order.
             future = np.asarray(obs.samples, float)[:T - t].astype(int)
             self.counts[np.arange(t + 1, t + 1 + len(future)), future] += 1
         # Today's action box uses the exactly-known remaining availability
         # (the Markov charge rule is only needed for future days inside the
         # backward induction).
-        avail = self.ledger.available(t)
+        avail = self.ledger.available(t).tolist()
         box = []
-        for i, lv in enumerate(self.levels):
-            cap = self.cum_hires[i] + avail[i]
-            hi_idx = int(np.searchsorted(lv, cap + 1e-9, side="right") - 1)
-            box.append(slice(self.grid_idx[i],
-                             max(hi_idx, self.grid_idx[i]) + 1))
+        for lv, g, cum, a in zip(self._level_lists, self.grid_idx,
+                                 self.cum_hires, avail):
+            hi_idx = bisect_right(lv, cum + a + 1e-9) - 1
+            box.append(slice(g, max(hi_idx, g) + 1))
         box = tuple(box)
         if t < T:
-            next_values = (self.values[t - 1] if self.values is not None
-                           else backward_induction(
-                               inst, self._pmfs(), self.levels, t + 1,
-                               self.spec, tables=self.tables)[0])
             D = int(round(min(self.demand_sum, BINOM_TRIALS * T)))
-            window = next_values[(D,) + box]
+            if self.values is not None:
+                window = self.values[t - 1][(D,) + box]
+            else:
+                window = backward_induction(
+                    inst, self._pmfs(), self.levels, t + 1, self.spec,
+                    tables=self.tables, demand=D)[0][(0,) + box]
             vals = window.ravel().tolist()
         else:
             window = self.tables.totals[box]
@@ -548,26 +571,30 @@ class MdpPolicy:
         for pos, val in enumerate(vals):
             if best is None or val < best - 1e-12:
                 best, best_pos = val, pos
-        best_g = [s.start + g for s, g in
-                  zip(box, np.unravel_index(best_pos, window.shape))]
-        hires = np.array([min(max(0.0, self.levels[i][g] - self.cum_hires[i]),
-                              avail[i]) for i, g in enumerate(best_g)])
+        best_g = []
+        for s, size in zip(reversed(box), reversed(window.shape)):
+            best_pos, g = divmod(best_pos, size)
+            best_g.append(s.start + g)
+        best_g.reverse()
+        hires = [min(max(0.0, lv[g] - cum), a) for lv, g, cum, a in
+                 zip(self._level_lists, best_g, self.cum_hires, avail)]
         self.ledger.book(t, hires)
-        self.cum_hires += hires
-        for i in range(inst.n_pools):
-            self.grid_idx[i] = int(np.argmin(
-                np.abs(self.levels[i] - self.cum_hires[i])))
+        self.cum_hires = [cum + h for cum, h in zip(self.cum_hires, hires)]
+        self.grid_idx = [_nearest(lv, cum) for lv, cum in
+                         zip(self._level_lists, self.cum_hires)]
         return Decision.hire_only(hires)
 
 
-def mdp_root_value(inst: Instance, pmfs: Dict[int, np.ndarray],
-                   spec: MdpSpec) -> float:
-    """Expected optimal cost before day 1, mixing over the day-1 partial."""
-    levels = _level_grid(inst, spec)
-    V = backward_induction(inst, pmfs, levels, 1, spec)[0]
-    zero = (0,) * inst.n_pools
-    pmf1 = pmfs[1]
-    return float(sum(pj * V[(j,) + zero] for j, pj in enumerate(pmf1)))
+def _nearest(levels: List[float], x: float) -> int:
+    """np.argmin(np.abs(levels - x)) for ascending levels: the index of the
+    nearest level, the first one on a tie (a constant grid gives 0)."""
+    k = bisect_left(levels, x)
+    if k == len(levels) or (k > 0 and abs(levels[k - 1] - x)
+                            <= abs(levels[k] - x)):
+        k -= 1
+        while k > 0 and abs(levels[k - 1] - x) == abs(levels[k] - x):
+            k -= 1
+    return k
 
 
 def run_bayesian_world(inst: Instance, process: DemandProcess,

@@ -472,16 +472,19 @@ class SupplyLedger:
     still supply: hiring x on day t uses x / rho_t units (none if rho_t = 0)."""
 
     def __init__(self, inst: Instance):
-        self.inst = inst
-        self.usage = np.zeros(inst.n_pools)
+        self.usage = [0.0] * inst.n_pools
+        self._sizes = inst.pool_sizes.tolist()
+        # _rho[t-1][i]: pool i's availability on day t.
+        self._rho = inst.availability.T.tolist()
 
     def available(self, t: int) -> np.ndarray:
-        return np.maximum(self.inst.availability[:, t - 1]
-                          * (self.inst.pool_sizes - self.usage), 0.0)
+        return np.array([max(rho * (size - used), 0.0) for rho, size, used
+                         in zip(self._rho[t - 1], self._sizes, self.usage)])
 
-    def book(self, t: int, hires: np.ndarray) -> None:
-        live = self.inst.availability[:, t - 1] > 0
-        self.usage[live] += hires[live] / self.inst.availability[live, t - 1]
+    def book(self, t: int, hires: Sequence[float]) -> None:
+        for i, rho in enumerate(self._rho[t - 1]):
+            if rho > 0:
+                self.usage[i] += hires[i] / rho
 
 
 def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):

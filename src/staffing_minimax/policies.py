@@ -493,19 +493,3 @@ class MiscoverageWrapper:
             hires = em.step(iv.hi)
         return Decision.hire_only(hires)
 
-
-class ClairvoyantPolicy:
-    """Testing aid: best response after seeing the demand (not online)."""
-
-    kind = "clairvoyant"
-    clairvoyant = True
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-
-    def worst_case_for(self, inst: Instance, sequence: PredictionSequence
-                       ) -> Tuple[float, float]:
-        max_total = float((inst.availability[:, 0] * inst.pool_sizes).sum())
-        hi = float(sequence.effective_hi[-1])
-        cost = inst.under_cost * max(0.0, hi - max_total)
-        return cost, hi

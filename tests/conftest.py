@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 
+from staffing_minimax.bayesian import backward_induction, mdp_tables
 from staffing_minimax.model import make_instance, validate_instance
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
@@ -50,3 +51,13 @@ def random_multi_pool(rng: np.random.Generator, n_max=3, t_max=6):
     return validate_instance(make_instance(
         s, rho, (lo0, hi0), deltas, inconsistency=eps,
         under_cost=rng.uniform(0.2, 3.0), over_cost=rng.uniform(0.2, 3.0)))
+
+
+def mdp_root_value(inst, pmfs, spec) -> float:
+    """Expected optimal MDP cost before day 1, mixing over the day-1
+    partial (pmfs[1]) on the spec's grid."""
+    tables = mdp_tables(inst, spec)
+    V = backward_induction(inst, pmfs, tables.levels, 1, spec,
+                           tables=tables)[0]
+    zero = (0,) * inst.n_pools
+    return float(sum(pj * V[(j,) + zero] for j, pj in enumerate(pmfs[1])))

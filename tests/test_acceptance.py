@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, instance_path, random_multi_pool, \
-    random_single_pool
+from conftest import fig3_instance, instance_path, mdp_root_value, \
+    random_multi_pool, random_single_pool
 from staffing_minimax import bayesian, cli
 from staffing_minimax.adversary import (demand_candidates,
                                         enumerate_grid_sequences,
@@ -383,12 +383,12 @@ def test_criterion_10_mdp_sanity():
     proc2 = bayesian.DemandProcess(2)
     spec = bayesian.MdpSpec(grid_levels=21, transition="true")
     pmf = proc2.marginal_pmf()
-    v_full = bayesian.mdp_root_value(inst2, {1: pmf, 2: pmf}, spec)
+    v_full = mdp_root_value(inst2, {1: pmf, 2: pmf}, spec)
     rng = np.random.default_rng(0)
     xi = rng.uniform(0, 0.5, size=100_000)
     counts = np.bincount(rng.binomial(5, xi), minlength=6)
     pmf_emp = counts / counts.sum()
-    v_emp = bayesian.mdp_root_value(inst2, {1: pmf_emp, 2: pmf_emp}, spec)
+    v_emp = mdp_root_value(inst2, {1: pmf_emp, 2: pmf_emp}, spec)
     rel = abs(v_emp - v_full) / v_full
     assert rel <= 0.05
     report(10, f"T=1 action == grid newsvendor; T=2 empirical value within "

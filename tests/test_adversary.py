@@ -11,8 +11,7 @@ from staffing_minimax.adversary import (
     sequence_from_csv, single_switch_sequence, worst_case_sequence)
 from staffing_minimax.model import (InstanceError, ReleaseInstance,
                                     make_instance)
-from staffing_minimax.policies import (ClairvoyantPolicy, GreedyTargetPolicy,
-                                       LpEmulatorPolicy,
+from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
                                        gamma_star_single_pool, play)
 from staffing_minimax.programs import minimax_value_and_profile
 
@@ -209,9 +208,15 @@ def test_brute_force_without_sequences_names_the_error(monkeypatch):
 
 
 def test_clairvoyant_worst_case_zero_with_ample_supply():
+    # A clairvoyant planner sees each grid sequence whole and hires its
+    # final upper end on day 1; it pays only for a shortfall beyond the
+    # day-1 supply, and the worst case over the grid is its largest one.
     inst = make_instance([10.0], [[1.0, 0.9]], (0, 1), [0.8, 0.3])
-    res = brute_force_worst_case(inst, lambda: ClairvoyantPolicy(inst), 0.5)
-    assert res.cost == pytest.approx(0.0, abs=1e-12)
+    max_total = float((inst.availability[:, 0] * inst.pool_sizes).sum())
+    worst = max(inst.under_cost * max(0.0, float(seq.effective_hi[-1])
+                                      - max_total)
+                for seq in enumerate_grid_sequences(inst, 0.5))
+    assert worst == pytest.approx(0.0, abs=1e-12)
 
 
 def test_brute_force_certifies_emulator_and_lower_bounds_heuristics():

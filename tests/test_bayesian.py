@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import instance_path
+from conftest import instance_path, mdp_root_value
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, StateExplosion,
-    _allowed_ranges, _range_min, _shift_min, backward_induction,
+    _allowed_ranges, _nearest, _range_min, _shift_min, backward_induction,
     calibrate_intervals, empirical_coverage, forecast_instance,
-    full_info_values, lower_quantile, mdp_root_value, mdp_tables,
+    full_info_values, lower_quantile, mdp_tables,
     point_estimator, run_bayesian_world, summarize)
 from staffing_minimax.model import (PredictionInterval, SupplyLedger,
                                     imbalance_cost, make_instance)
@@ -485,6 +485,66 @@ def test_mdp_tables_match_per_call_recompute(case):
                                    tables=tables)):
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_rows_match_full_table(n):
+    # Day 2's pmf has zeros at both ends, day 3's is uniform, day 4's has a
+    # zero inside; pools are drawn, one closes on day 3.
+    rng = np.random.default_rng(n)
+    T = 4
+    rho = rng.uniform(0.1, 1.0, size=(n, T))
+    rho[-1, 2] = 0.0
+    inst = make_instance(rng.uniform(0.5, 3.0, size=n), rho, (0, 20),
+                         [20.0] * T)
+    spec = MdpSpec(grid_levels=4)
+    tables = mdp_tables(inst, spec)
+    pmfs = {1: rng.uniform(size=6), 2: np.array([0, 1, 2, 3, 4, 0.0]),
+            3: np.ones(6), 4: np.array([3, 1, 0, 2, 1, 1.0])}
+    pmfs = {t: p / p.sum() for t, p in pmfs.items()}
+    d_max = BINOM_TRIALS * T
+    for t_start in range(1, T + 1):
+        full = backward_induction(inst, pmfs, tables.levels, t_start, spec,
+                                  tables=tables)
+        for D in range(d_max + 1):
+            band = backward_induction(inst, pmfs, tables.levels, t_start,
+                                      spec, tables=tables, demand=D)
+            assert len(band) == len(full) == T - t_start + 1
+            for k, (f, b) in enumerate(zip(full, band)):
+                top = min(D + BINOM_TRIALS * k, d_max)
+                assert b.shape == (top + 1 - D,) + f.shape[1:]
+                assert b.tobytes() == f[D:top + 1].tobytes(), (t_start, D, k)
+
+
+def test_nearest_is_first_argmin():
+    grids = [np.linspace(0.0, 3.0, 7), np.linspace(0.0, 0.0, 5),
+             np.array([0.0, 0.5, 0.5, 0.5, 1.0]), np.linspace(0.0, 1.0, 1)]
+    for lv in grids:
+        # Every level, every midpoint (a tie), and points between and
+        # beyond them.
+        xs = np.concatenate([lv, (lv[1:] + lv[:-1]) / 2,
+                             np.linspace(-1.0, lv[-1] + 1.0, 41)])
+        for x in xs.tolist():
+            assert _nearest(lv.tolist(), x) == int(np.argmin(np.abs(lv - x)))
+
+
+@pytest.mark.parametrize("transition", ["empirical", "true"])
+def test_mdp_with_empty_pool_plays_as_loop_oracle(transition):
+    # Pool 2 has size 0: its level grid is constant, so every snap ties.
+    inst = make_instance([2.0, 0.0, 1.5],
+                         [[1.0, 0.8, 0.6, 0.4], [1.0, 1.0, 1.0, 1.0],
+                          [0.5, 0.7, 0.0, 0.9]], (0, 20), [20.0] * 4)
+    proc = DemandProcess(4)
+    spec = MdpSpec(grid_levels=5, transition=transition)
+    values = None
+    if transition == "true":
+        pmf = proc.marginal_pmf()
+        levels = [np.linspace(0.0, float(s), 5) for s in inst.pool_sizes]
+        values = _backward_induction_loop(
+            inst, {t: pmf for t in range(1, 5)}, levels, 2, spec)
+    for seed in range(4):
+        _play_pair(inst, proc, [MdpPolicy(inst, proc, spec),
+                                _LoopMdp(inst, spec, values)], seed)
 
 
 def test_mdp_tables_are_read_only():
