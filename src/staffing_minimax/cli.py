@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import OrderedDict
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -181,10 +182,14 @@ def _mdp(transition: str):
 
 # Policy name -> (context it needs beyond the base instance, constructor of
 # a zero-argument factory of fresh policies).  The factory constructor does
-# the work every run shares, such as solving the program an emulator plays.
+# the work every run shares, such as solving the program an emulator plays;
+# the resolving policies of one factory share one memo of the solves they
+# repeat, keyed by the day's exact state and bounded by
+# policies.RESOLVING_MEMO_CAP entries.
 POLICIES = {
     "lp_emulator": (None, lambda c: _emulating(LpEmulatorPolicy(c.inst))),
-    "lp_resolving": (None, lambda c: partial(LpResolvingPolicy, c.inst)),
+    "lp_resolving": (None, lambda c: partial(LpResolvingPolicy, c.inst,
+                                             OrderedDict())),
     "naive_greedy": (None,
                      lambda c: partial(bayesian.NaiveGreedyPolicy, c.inst)),
     "greedy_target": (None, _greedy_target),

@@ -10,6 +10,7 @@ in the benchmarks module and follow the same protocol.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -312,14 +313,34 @@ class LpEmulatorPolicy:
             em.step(obs.interval.hi + self.inst.eps(em.day + 1)))
 
 
+# Entries a resolving memo keeps, least recently used first out.  On
+# bench_long one entry takes about 350 bytes (1.5 MB at the cap), and the
+# cap keeps nearly all of the repeats an unbounded memo finds: most are the
+# day-1 and day-2 states that many replications share.
+RESOLVING_MEMO_CAP = 4096
+
+
 class LpResolvingPolicy:
     """Rebuild and re-solve the program each day on the remaining horizon,
-    then play its first-day block."""
+    then play its first-day block.
+
+    Each day's solve goes through `memo`, an OrderedDict from the day's
+    exact state to (program value, day-t hires as bytes), bounded by
+    RESOLVING_MEMO_CAP entries and evicted least recently used first.  The
+    key is the bytes of the day t, the clamped carried interval, the
+    cumulative hires and the remaining supply.  The carried availability
+    is left out: each step rescales the previous day's schedule, so for one
+    instance it depends on t alone.  Solving is deterministic, so a hit
+    plays the very hires a fresh solve would.  A memo serves one instance;
+    policies sharing one (as `cli.POLICIES` makes them) solve each state
+    they reach once, and a policy built without one gets its own.
+    """
 
     kind = "lp_resolving"
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, memo: Optional[OrderedDict] = None):
         self.inst = inst
+        self.memo = OrderedDict() if memo is None else memo
         self.state = fresh_state(inst)
         self.day = 0
         self.gamma_star = None       # day-1 program value, set on first step
@@ -334,11 +355,24 @@ class LpResolvingPolicy:
         lo_bar = max(lo_bar, obs.interval.lo - inst.eps(t))
         lo_bar = min(lo_bar, hi_bar)     # inconsistent input guard
         st = replace(st, index=t, interval=(lo_bar, hi_bar))
-        built = build_lp_resolving(inst, st, t)
-        sol = solve_canonical(built, refine_limit=1)
+        memo = self.memo
+        key = np.concatenate(([t, lo_bar, hi_bar], st.cum_hires,
+                              st.remaining_supply)).tobytes()
+        entry = memo.get(key)
+        if entry is None:
+            built = build_lp_resolving(inst, st, t)
+            sol = solve_canonical(built, refine_limit=1)
+            entry = (sol.objective,
+                     extract_canonical(built, sol)[:, t - 1].tobytes())
+            if len(memo) >= RESOLVING_MEMO_CAP:
+                memo.popitem(last=False)
+            memo[key] = entry
+        else:
+            memo.move_to_end(key)
+        objective, hire_bytes = entry
         if self.gamma_star is None:
-            self.gamma_star = sol.objective
-        hires = extract_canonical(built, sol)[:, t - 1]
+            self.gamma_star = objective
+        hires = np.frombuffer(hire_bytes).copy()
         rho_t = st.availability[:, t - 1]
         new_supply = np.maximum(rho_t * st.remaining_supply - hires, 0.0)
         self.state = EpochState(

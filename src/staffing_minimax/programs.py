@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,11 +54,33 @@ def single_switch_floor(inst: Instance, k: int,
                        for tau in range(day, k + 1)])
 
 
+def _prefix_max(first: float, terms: Iterable[float]) -> List[float]:
+    """max(first, terms[0..k]) for each k, as one running max.
+
+    Each step compares the next term to the best so far with `>`, as max()
+    does, so every entry is the very float max() of that prefix returns
+    (the first of tied values, signed zeros included)."""
+    best, out = first, []
+    for v in terms:
+        if v > best:
+            best = v
+        out.append(best)
+    return out
+
+
+def _switch_floors(inst: Instance, interval: Tuple[float, float],
+                   day: int) -> List[float]:
+    """single_switch_floor(inst, k, interval, day) for k in [day:T]."""
+    lo, hi = interval
+    return _prefix_max(lo, (hi - inst.delta(tau) - 2.0 * inst.eps(tau)
+                            for tau in range(day, inst.horizon + 1)))
+
+
 def _consistent_floors(spec, horizon: int) -> List[float]:
     """Floors max(R0 - Delta_tau, tau in [0:k]), k in [1:T], when eps = 0."""
     hi0 = spec.initial_range[1]
-    return [max(hi0 - spec.delta(tau) for tau in range(0, k + 1))
-            for k in range(1, horizon + 1)]
+    return _prefix_max(hi0 - spec.delta(0), (hi0 - spec.delta(tau)
+                                             for tau in range(1, horizon + 1)))
 
 
 def _hires_and_supply(m: LpModel, rho: np.ndarray, supply, first_day: int,
@@ -85,11 +107,16 @@ def _caps_and_floor(m: LpModel, x_index: dict, first_day: int, caps,
                     cap_coef: float, floor_var: int, floor_coef: float,
                     floor_rhs: float) -> None:
     """A cap on the hires through each switch day k >= first_day, with
-    caps[k - first_day] = (slack variable, rhs), then the floor on all hires."""
+    caps[k - first_day] = (slack variable, rhs), then the floor on all hires.
+    The hires through day k are grown day by day (x_index keys end in the
+    day)."""
+    by_day = sorted((key[-1], v) for key, v in x_index.items())
+    through, pos = {}, 0
     for k, (var, rhs) in enumerate(caps, start=first_day):
-        coeffs = {v: 1.0 for key, v in x_index.items() if key[-1] <= k}
-        coeffs[var] = cap_coef
-        m.add_row(coeffs, "<=", rhs)
+        while pos < len(by_day) and by_day[pos][0] <= k:
+            through[by_day[pos][1]] = 1.0
+            pos += 1
+        m.add_row({**through, var: cap_coef}, "<=", rhs)
     coeffs = dict.fromkeys(x_index.values(), 1.0)
     coeffs[floor_var] = floor_coef
     m.add_row(coeffs, ">=", floor_rhs)
@@ -177,8 +204,8 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     x_index = _hires_and_supply(m, state.availability, state.remaining_supply,
                                 day)
     gamma = m.add_var("gamma", obj=1.0)
-    caps = [(gamma, single_switch_floor(inst, k, state.interval, day)
-             - z_total) for k in range(day, T + 1)]
+    caps = [(gamma, f - z_total)
+            for f in _switch_floors(inst, state.interval, day)]
     _caps_and_floor(m, x_index, day, caps, -1.0 / inst.over_cost, gamma,
                     1.0 / inst.under_cost, hi_bar - z_total)
     return SingleSwitchLp(m, inst, x_index, gamma, (day, T))

@@ -1,11 +1,15 @@
+import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_single_pool
+from conftest import fig3_instance, instance_path, random_single_pool
+from staffing_minimax import bayesian, cli, policies
 from staffing_minimax.adversary import (brute_force_worst_case,
                                         configuration_sequence,
                                         random_nested_sequence,
@@ -17,8 +21,9 @@ from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     StationSpec, check_feasibility,
                                     make_instance, validate_instance)
 from staffing_minimax.policies import (
-    GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy, LpResolvingPolicy,
-    MultiPoolUnsupported, MultiStationPolicy, ParameterOutOfRange,
+    DayObservation, GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
+    LpResolvingPolicy, MultiPoolUnsupported, MultiStationPolicy,
+    ParameterOutOfRange,
     MiscoverageWrapper, ReleasePolicy, UnsupportedBase,
     gamma_star_closed_form, gamma_star_single_pool, play, play_multi,
     t_dagger_formula, _t_dagger_scan)
@@ -276,6 +281,156 @@ def test_resolving_grid_worst_case_small():
     gamma = solve_lp(build_lp_single_switch(inst).model).objective
     res = brute_force_worst_case(inst, lambda: LpResolvingPolicy(inst), 0.25)
     assert res.cost <= gamma + 1e-6
+
+
+# --- Resolving memo ------------------------------------------------------------
+
+def _bench_long_world():
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    process = bayesian.DemandProcess(int(config["horizon"]),
+                                     float(config["prior_hi"]))
+    table = bayesian.CalibrationTable.from_dict(config["calibration"])
+    inst = bayesian.forecast_instance(
+        config["pool_sizes"], config["availability"], table,
+        float(config["under_cost"]), float(config["over_cost"]), process)
+    return inst, process, table, int(config["seed"])
+
+
+class _Recorded:
+    """A policy that logs the bytes of every hire vector it plays."""
+
+    def __init__(self, policy, log):
+        self.policy, self.log = policy, log
+
+    def step(self, obs):
+        d = self.policy.step(obs)
+        self.log.append(d.hires.tobytes())
+        return d
+
+
+def _world_hires_and_costs(make, reps=60):
+    inst, process, table, seed = _bench_long_world()
+    log = []
+    rows = bayesian.run_bayesian_world(
+        inst, process, table, {"lp_resolving": lambda: _Recorded(make(inst),
+                                                                  log)},
+        reps, seed)
+    return log, [repr(r["cost"]) for r in rows]
+
+
+def _shared(inst):
+    return cli._policy_factories(["lp_resolving"], inst, None,
+                                 {})["lp_resolving"]
+
+
+def test_resolving_memo_shared_plays_as_private():
+    private = _world_hires_and_costs(LpResolvingPolicy)
+    factories = {}
+    shared = _world_hires_and_costs(
+        lambda inst: factories.setdefault("f", _shared(inst))())
+    assert len(private[0]) == 60 * 14
+    assert shared == private
+    memo = factories["f"]().memo
+    assert 0 < len(memo) < 60 * 14          # some states were reached twice
+
+
+def test_resolving_memo_cap_two_plays_as_private(monkeypatch):
+    private = _world_hires_and_costs(LpResolvingPolicy, reps=12)
+    monkeypatch.setattr(policies, "RESOLVING_MEMO_CAP", 2)
+    factories = {}
+    capped = _world_hires_and_costs(
+        lambda inst: factories.setdefault("f", _shared(inst))(), reps=12)
+    assert capped == private
+    assert len(factories["f"]().memo) == 2
+
+
+def test_resolving_availability_depends_on_day_only():
+    inst, _, _, _ = _bench_long_world()
+    by_day = {}
+    for seed in range(8):
+        pol = LpResolvingPolicy(inst)
+        seq = random_nested_sequence(inst, seed)
+        for t in range(1, inst.horizon + 1):
+            pol.step(DayObservation(t, seq.interval(t)))
+            by_day.setdefault(t, set()).add(pol.state.availability.tobytes())
+    assert all(len(seen) == 1 for seen in by_day.values())
+
+
+def _counting_builds(monkeypatch):
+    calls = []
+    build = policies.build_lp_resolving
+
+    def counted(*args):
+        calls.append(args[2])
+        return build(*args)
+    monkeypatch.setattr(policies, "build_lp_resolving", counted)
+    return calls
+
+
+def test_resolving_memo_hit_returns_fresh_hires(monkeypatch):
+    inst = fig3_instance("b")
+    obs = DayObservation(1, worst_case_sequence(inst).interval(1))
+    expect = LpResolvingPolicy(inst).step(obs).hires.copy()
+    calls = _counting_builds(monkeypatch)
+    memo = OrderedDict()
+    first = LpResolvingPolicy(inst, memo).step(obs)
+    first.hires[:] = 99.0
+    again = LpResolvingPolicy(inst, memo)
+    hit = again.step(obs)
+    assert calls == [1]
+    assert hit.hires.tobytes() == expect.tobytes()
+    assert again.state.cum_hires.tobytes() == expect.tobytes()
+
+
+def test_resolving_memo_misses_one_ulp_away(monkeypatch):
+    inst = fig3_instance("b")
+    seq = worst_case_sequence(inst)
+    memo = OrderedDict()
+    pols = [LpResolvingPolicy(inst, memo) for _ in range(3)]
+    for pol in pols:
+        pol.step(DayObservation(1, seq.interval(1)))
+    supply = pols[0].state.remaining_supply
+    pols[2].state = replace(pols[2].state,
+                            remaining_supply=np.nextafter(supply, np.inf))
+    calls = _counting_builds(monkeypatch)
+    for pol in pols:
+        pol.step(DayObservation(2, seq.interval(2)))
+    # The exact day-2 state is built once and then hit; one ulp more
+    # supply is another state.
+    assert calls == [2, 2]
+    assert len(memo) == 3
+
+
+def test_resolving_memo_sets_gamma_star_on_day1_hit(monkeypatch):
+    inst = fig3_instance("b")
+    obs = DayObservation(1, worst_case_sequence(inst).interval(1))
+    memo = OrderedDict()
+    first = LpResolvingPolicy(inst, memo)
+    first.step(obs)
+    calls = _counting_builds(monkeypatch)
+    second = LpResolvingPolicy(inst, memo)
+    assert second.gamma_star is None
+    second.step(obs)
+    assert calls == []
+    assert second.gamma_star == first.gamma_star
+    lp = solve_lp(build_lp_single_switch(inst).model).objective
+    assert second.gamma_star == pytest.approx(lp, abs=1e-9)
+
+
+def test_oracle_through_cli_factory_matches_fresh_policies():
+    # Grid sequences share prefixes, so the factory's memo serves the
+    # oracle too; its witness must be the one fresh policies give.
+    inst = fig3_instance("c")
+    factory = cli._policy_factory("lp_resolving", cli._PolicyContext(
+        inst, inst, None, None, {}))
+    shared = brute_force_worst_case(inst, factory, 0.5)
+    fresh = brute_force_worst_case(inst, lambda: LpResolvingPolicy(inst),
+                                   0.5)
+    assert repr(shared.cost) == repr(fresh.cost)
+    assert repr(shared.demand) == repr(fresh.demand)
+    assert shared.sequence.intervals == fresh.sequence.intervals
+    assert len(factory().memo) < 210 * inst.horizon
 
 
 # --- Multi-station policy -----------------------------------------------------

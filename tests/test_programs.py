@@ -1,10 +1,20 @@
+import json
+import math
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_multi_pool
+from conftest import (INSTANCE_DIR, fig3_instance, instance_path,
+                      random_multi_pool, random_single_pool)
+from staffing_minimax import bayesian, cli, programs
+from staffing_minimax.adversary import random_nested_sequence
 from staffing_minimax.lp import solve_lp
-from staffing_minimax.model import (MultiStationInstance, ReleaseInstance,
-                                    StationSpec, fresh_state, make_instance)
+from staffing_minimax.model import (Instance, MultiStationInstance,
+                                    ReleaseInstance, StationSpec, fresh_state,
+                                    make_instance)
+from staffing_minimax.policies import DayObservation, LpResolvingPolicy
 from staffing_minimax.programs import (
     ConfigurationExplosion, build_lp_joint_cost, build_lp_multi_station,
     build_lp_release, build_lp_resolving, build_lp_single_switch,
@@ -200,3 +210,137 @@ def test_canonical_profile_unique_and_feasible():
         assert gamma == gamma2 and np.array_equal(x, x2)
         ok, viol = check_feasibility(inst, StaffingPlan.of(x))
         assert ok, viol
+
+
+# --- Cap rows built in O(T) --------------------------------------------------
+# The quadratic formulas the running-max floors and the day-by-day cap rows
+# replaced; every program must come out the same, bit for bit.
+
+def _quadratic_switch_floors(inst, interval, day):
+    lo, hi = interval
+    return [max([lo] + [hi - inst.delta(tau) - 2.0 * inst.eps(tau)
+                        for tau in range(day, k + 1)])
+            for k in range(day, inst.horizon + 1)]
+
+
+def _quadratic_consistent_floors(spec, horizon):
+    hi0 = spec.initial_range[1]
+    return [max(hi0 - spec.delta(tau) for tau in range(0, k + 1))
+            for k in range(1, horizon + 1)]
+
+
+def _quadratic_caps_and_floor(m, x_index, first_day, caps, cap_coef,
+                              floor_var, floor_coef, floor_rhs):
+    for k, (var, rhs) in enumerate(caps, start=first_day):
+        coeffs = {v: 1.0 for key, v in x_index.items() if key[-1] <= k}
+        coeffs[var] = cap_coef
+        m.add_row(coeffs, "<=", rhs)
+    coeffs = dict.fromkeys(x_index.values(), 1.0)
+    coeffs[floor_var] = floor_coef
+    m.add_row(coeffs, ">=", floor_rhs)
+
+
+def _program_bytes(model):
+    A, sense, b = model.dense()
+    return (model.dump(), A.tobytes(), sense.tobytes(), b.tobytes(),
+            model.var_names, model.objective, model.rows)
+
+
+def _assert_same_as_quadratic(monkeypatch, build):
+    fast = _program_bytes(build().model)
+    with monkeypatch.context() as mp:
+        mp.setattr(programs, "_switch_floors", _quadratic_switch_floors)
+        mp.setattr(programs, "_consistent_floors",
+                   _quadratic_consistent_floors)
+        mp.setattr(programs, "_caps_and_floor", _quadratic_caps_and_floor)
+        slow = _program_bytes(build().model)
+    assert fast == slow
+
+
+def _resolving_states(inst, seed):
+    """The state a resolving policy carries into each day of one random
+    nested sequence (interval clamped as its step clamps it)."""
+    policy = LpResolvingPolicy(inst)
+    seq = random_nested_sequence(inst, seed)
+    states = [policy.state]
+    for t in range(1, inst.horizon):
+        policy.step(DayObservation(t, seq.interval(t)))
+        states.append(policy.state)
+    return states
+
+
+def _check_resolving_from_mid_horizon(monkeypatch, inst, seed):
+    for st in _resolving_states(inst, seed):
+        _assert_same_as_quadratic(
+            monkeypatch, lambda: build_lp_resolving(inst, st, st.index))
+
+
+def _world_instance(config):
+    process = bayesian.DemandProcess(int(config["horizon"]),
+                                     float(config.get("prior_hi", 0.5)))
+    return bayesian.forecast_instance(
+        config["pool_sizes"], config["availability"],
+        bayesian.CalibrationTable.from_dict(config["calibration"]),
+        float(config.get("under_cost", 1.0)),
+        float(config.get("over_cost", 1.0)), process)
+
+
+def test_cap_rows_match_quadratic_on_instance_files(monkeypatch):
+    builders = {"single_switch": build_lp_single_switch,
+                "multi_station": build_lp_multi_station,
+                "joint": build_lp_joint_cost, "release": build_lp_release}
+    names = sorted(f for f in os.listdir(INSTANCE_DIR) if f.endswith(".json"))
+    assert len(names) >= 8
+    for name in names:
+        with open(instance_path(name)) as f:
+            config = json.load(f)
+        if "calibration" in config:            # a Bayesian-world config
+            problem = _world_instance(config)
+        else:
+            problem = cli._load(instance_path(name))
+        program = cli._infer_program(problem)
+        _assert_same_as_quadratic(monkeypatch,
+                                  lambda: builders[program](problem))
+        inst = problem.base if isinstance(problem, ReleaseInstance) \
+            else problem
+        if isinstance(inst, Instance):
+            _check_resolving_from_mid_horizon(monkeypatch, inst, 5)
+
+
+def test_cap_rows_match_quadratic_on_random_draws(monkeypatch):
+    rng = np.random.default_rng(123)
+    draws = ([random_single_pool(rng) for _ in range(15)]
+             + [random_multi_pool(rng, 3, 10) for _ in range(15)])
+    assert any(np.any(inst.inconsistency != 0) for inst in draws)
+    assert any(inst.n_pools > 1 for inst in draws)
+    for k, inst in enumerate(draws):
+        _assert_same_as_quadratic(monkeypatch,
+                                  lambda: build_lp_single_switch(inst))
+        _check_resolving_from_mid_horizon(monkeypatch, inst, k)
+        if np.any(inst.inconsistency != 0):
+            continue
+        wages = rng.uniform(0.0, 0.3, size=inst.availability.shape)
+        _assert_same_as_quadratic(monkeypatch, lambda: build_lp_joint_cost(
+            ReleaseInstance(base=inst, wages=wages)))
+        lo0, hi0 = inst.initial_range
+        stations = (StationSpec(inst.initial_range, inst.error_bounds,
+                                inst.under_cost, inst.over_cost),
+                    StationSpec((lo0, 0.5 * (lo0 + hi0)),
+                                0.5 * inst.error_bounds))
+        for objective in ("max", "sum"):
+            msi = MultiStationInstance(inst.pool_sizes, inst.availability,
+                                       stations, objective)
+            _assert_same_as_quadratic(monkeypatch,
+                                      lambda: build_lp_multi_station(msi))
+
+
+def test_cap_rows_keep_signed_zero_floor(monkeypatch):
+    # Every term ties the carried -0.0 left end at +0.0: max() keeps the
+    # first, -0.0, and so must the running max (the rhs bytes differ).
+    inst = make_instance([1.0], [[1.0, 1.0, 1.0]], (0, 1), [1.0, 1.0, 1.0])
+    st = replace(fresh_state(inst), interval=(-0.0, 1.0))
+    built = build_lp_resolving(inst, st, 1)
+    rhs = [rhs for _, rel, rhs in built.model.rows[1:4]]
+    assert all(r == 0.0 and math.copysign(1.0, r) < 0 for r in rhs)
+    _assert_same_as_quadratic(monkeypatch,
+                              lambda: build_lp_resolving(inst, st, 1))

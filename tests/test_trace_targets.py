@@ -47,8 +47,8 @@ def test_every_note_reads_a_real_call(tracer):
     table = bayesian.calibrate_intervals(proc, draws=10_000)
     world_inst = bayesian.forecast_instance(
         [2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]], table, process=proc)
-    factories = cli._policy_factories(["empirical_mdp"], world_inst, proc,
-                                      {"grid_levels": 5})
+    factories = cli._policy_factories(["empirical_mdp", "lp_resolving"],
+                                      world_inst, proc, {"grid_levels": 5})
     t = tracer.Tracer()
     t.install()
     try:
@@ -71,3 +71,12 @@ def test_every_note_reads_a_real_call(tracer):
     assert noted["adversary.enumerate_grid_sequences"][0] > 0
     # Days 2 and 3 are solved on day 1, day 3 on day 2: (5T+1)·G^n each.
     assert noted["bayesian.backward_induction"] == [2 * 16 * 25, 16 * 25]
+    # A resolving memo miss builds and solves through the names `policies`
+    # imports, which the tracer wraps there: one of each a day.
+    spans = [t.names[i] for i in t.name]
+    under_step = [spans[i] for i, parent in enumerate(t.parent)
+                  if parent >= 0
+                  and spans[parent] == "policies.LpResolvingPolicy.step"]
+    for span in ("programs.build", "programs.solve_canonical",
+                 "programs.extract_canonical"):
+        assert under_step.count(span) == 3, span
