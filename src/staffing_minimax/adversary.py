@@ -156,19 +156,23 @@ def worst_demand_cost(inst: Instance, total_net: float,
 
 
 def grid_nested_intervals(lo: float, hi: float, width_cap: float,
-                          grid: np.ndarray) -> List[Tuple[float, float]]:
+                          grid: Sequence[float]) -> List[PredictionInterval]:
     pts = [p for p in grid if lo - 1e-12 <= p <= hi + 1e-12]
     out = []
     for a in pts:
         for b in pts:
             if a <= b + 1e-12 and b - a <= width_cap + 1e-12:
-                out.append((a, b))
+                out.append(PredictionInterval(a, b))
     return out
 
 
 def enumerate_grid_sequences(inst: Instance, grid_step: float,
                              cap: int = 2_000_000) -> List[PredictionSequence]:
-    """All nested sequences with endpoints on the grid (eps = 0 only)."""
+    """All nested sequences with endpoints on the grid (eps = 0 only).
+
+    Each node of the enumeration tree makes its interval once; the
+    sequences below it share that object.
+    """
     check_grid_step(grid_step)
     if np.any(inst.inconsistency != 0):
         raise InstanceError("the grid adversary certifies eps = 0 instances "
@@ -178,14 +182,14 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
     if span >= cap:     # more than cap grid points, each ends a sequence
         raise BudgetExceeded(f"more than {cap} grid sequences")
     n_steps = int(round(span))
-    grid = lo0 + grid_step * np.arange(n_steps + 1)
+    grid = (lo0 + grid_step * np.arange(n_steps + 1)).tolist()
     sequences: List[PredictionSequence] = []
     stack: List[Tuple[int, float, float, list]] = [(1, lo0, hi0, [])]
     count = 0
     while stack:
         t, lo, hi, prefix = stack.pop()
-        for a, b in grid_nested_intervals(lo, hi, inst.delta(t), grid):
-            chosen = prefix + [(a, b)]
+        for iv in grid_nested_intervals(lo, hi, inst.delta(t), grid):
+            chosen = prefix + [iv]
             if t == inst.horizon:
                 count += 1
                 if count > cap:
@@ -193,7 +197,7 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
                         f"more than {cap} grid sequences")
                 sequences.append(PredictionSequence.build(inst, chosen))
             else:
-                stack.append((t + 1, a, b, chosen))
+                stack.append((t + 1, iv.lo, iv.hi, chosen))
     sequences.reverse()
     return sequences
 

@@ -6,15 +6,20 @@ hired is
 
     (cum canonical through t - cum realized through t-1 - (R0 - Rhat_t))+
 
-split across pools within the per-pool canonical caps.  The release-mode
-variant additionally runs the critical-index release rule at each epoch end.
+split across pools within the per-pool canonical caps, scarcest pool first.
+Only the realized sum depends on the sequence played.  The canonical sum,
+the caps, their sum and the fill order are read from the block's day tables,
+built once per block and shared through a one-entry memo keyed by the
+block's content, so every emulator of one block (one per sequence in the
+grid oracle) reads the same tables.  The release-mode variant additionally
+runs the critical-index release rule at each epoch end.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +32,15 @@ class SplitInfeasible(RuntimeError):
 
     Signals a violated precondition; the emulator guarantee says this can
     never fire for a valid canonical profile and a bound-respecting sequence.
+    It names the day, the day total, the caps' sum and the tolerance.
     """
+
+    def __init__(self, day: int, total: float, caps_sum: float, tol: float):
+        super().__init__(
+            f"day {day}: day total {total:.12g} exceeds canonical caps "
+            f"{caps_sum:.12g} by more than {tol:g}")
+        self.day, self.total, self.caps_sum, self.tol = (day, total,
+                                                         caps_sum, tol)
 
 
 @dataclass
@@ -64,42 +77,95 @@ class EmulatorTrace:
                                 repr(self.r_hat[r]), repr(self.l_hat[r])])
 
 
+def _fill(total: float, caps: Sequence[float], order: Sequence[int]
+          ) -> np.ndarray:
+    """Fill a total into pools up to their caps (Python floats) in the given
+    order; stops once at most 1e-15 is left."""
+    hires = [0.0] * len(caps)
+    remaining = total
+    for i in order:
+        h = max(0.0, min(remaining, caps[i]))
+        hires[i] = h
+        remaining -= h
+        if remaining <= 1e-15:
+            break
+    return np.array(hires)
+
+
+def _scarcest_first(rho: np.ndarray) -> Tuple[int, ...]:
+    """Pool indices in ascending rho order, ties by pool index."""
+    return tuple(sorted(range(len(rho)), key=lambda i: (rho[i], i)))
+
+
 def fill_scarcest_first(total: float, caps: np.ndarray, rho: np.ndarray
                         ) -> np.ndarray:
     """Fill a total into pools up to their caps in ascending rho order (ties
     by pool index), which spends supply where it decays fastest; stops once
     at most 1e-15 is left."""
-    hires = np.zeros(len(caps))
-    remaining = total
-    for i in sorted(range(len(caps)), key=lambda i: (rho[i], i)):
-        hires[i] = max(0.0, min(remaining, caps[i]))
-        remaining -= hires[i]
-        if remaining <= 1e-15:
-            break
-    return hires
+    return _fill(total, np.asarray(caps, float).tolist(),
+                 _scarcest_first(rho))
 
 
-def split_hires(total: float, caps: np.ndarray, rho_today: np.ndarray
-                ) -> np.ndarray:
+class DayTable(NamedTuple):
+    """What one day d of a canonical block needs, whatever the sequence."""
+
+    canon_cum: float            # float(canonical[:, :d].sum())
+    caps: Tuple[float, ...]     # canonical[:, d-1] as Python floats
+    caps_sum: float             # the caps' NumPy sum
+    order: Tuple[int, ...]      # pools scarcest first on day d
+
+
+def _build_day_tables(canonical: np.ndarray, rho: np.ndarray
+                      ) -> Tuple[DayTable, ...]:
+    tables = []
+    for d in range(1, canonical.shape[1] + 1):
+        caps = canonical[:, d - 1].astype(float)
+        tables.append(DayTable(float(canonical[:, :d].sum()),
+                               tuple(caps.tolist()), float(caps.sum()),
+                               _scarcest_first(rho[:, d - 1])))
+    return tuple(tables)
+
+
+_last_tables: list = [None, ()]     # [key, tables]: a one-entry memo
+
+
+def day_tables(canonical: np.ndarray, availability: np.ndarray
+               ) -> Tuple[DayTable, ...]:
+    """The block's day tables, one per day, from a one-entry memo.
+
+    The key is the exact content of the canonical block and of the
+    availability over its days: shape, dtype and bytes, plus the block's
+    strides, since NumPy sums a view in memory order.  Every emulator built
+    on one block in a row (one per sequence in the grid oracle) reads the
+    same tables.  A hit returns what a fresh build would, and the tables are
+    tuples, so sharing them between callers changes no result.
+    """
+    rho = availability[:, :canonical.shape[1]]
+    key = (canonical.shape, canonical.strides, canonical.dtype,
+           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
+    if _last_tables[0] != key:
+        _last_tables[:] = key, _build_day_tables(canonical, rho)
+    return _last_tables[1]
+
+
+def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:
     """Fill a day total scarcest first within caps that must hold it."""
-    if total > caps.sum() + 1e-9:
-        raise SplitInfeasible(
-            f"day total {total:.12g} exceeds canonical caps {caps.sum():.12g}")
-    return fill_scarcest_first(total, caps, rho_today)
+    tol = 1e-9
+    if total > table.caps_sum + tol:
+        raise SplitInfeasible(day, total, table.caps_sum, tol)
+    return _fill(total, table.caps, table.order)
 
 
-def emulator_step(canonical: np.ndarray, realized: np.ndarray, day: int,
-                  r_hat: float, r0: float, rho_today: np.ndarray
-                  ) -> np.ndarray:
+def emulator_step(table: DayTable, realized: np.ndarray, day: int,
+                  r_hat: float, r0: float) -> np.ndarray:
     """One day of the emulator oracle; returns per-pool hires for `day`.
 
-    canonical and realized are (n, T) arrays; realized columns at `day` and
-    later are ignored.
+    table is the block's DayTable for `day`; realized is (n, T), and its
+    columns at `day` and later are ignored.
     """
-    canon_cum = float(canonical[:, :day].sum())
     real_cum = float(realized[:, :day - 1].sum())
-    total = max(0.0, canon_cum - real_cum - (r0 - r_hat))
-    return split_hires(total, canonical[:, day - 1].astype(float), rho_today)
+    total = max(0.0, table.canon_cum - real_cum - (r0 - r_hat))
+    return split_hires(total, table, day)
 
 
 class Emulator:
@@ -107,13 +173,13 @@ class Emulator:
 
     Each step lowers the running upper bound R_hat to the given bound and
     plays emulator_step for the next day of the block.  availability[:, k]
-    is the availability on the block's (k+1)-th day.
+    is the availability on the block's (k+1)-th day; it may run past the
+    block.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
                  r0: float):
-        self.canonical = canonical
-        self.availability = availability
+        self.tables = day_tables(canonical, availability)
         self.realized = np.zeros(canonical.shape)
         self.r0 = self.r_hat = r0
         self.day = 0
@@ -122,8 +188,8 @@ class Emulator:
         self.day += 1
         t = self.day
         self.r_hat = min(self.r_hat, bound)
-        hires = emulator_step(self.canonical, self.realized, t, self.r_hat,
-                              self.r0, self.availability[:, t - 1])
+        hires = emulator_step(self.tables[t - 1], self.realized, t,
+                              self.r_hat, self.r0)
         self.realized[:, t - 1] = hires
         return hires
 
@@ -176,10 +242,9 @@ class EpochRunner:
         if idx >= self.t_end - self.t0:
             raise ValueError("epoch already complete")
         hires = self.emulator.step(interval.hi)
-        total_canon = float(self.canonical[:, :idx + 1].sum())
         self.r_observed.append(interval.hi)
         self.realized_cum.append(float(self.realized.sum()))
-        self.canon_cum.append(total_canon)
+        self.canon_cum.append(self.emulator.tables[idx].canon_cum)
         return hires
 
     def finish(self) -> Tuple[np.ndarray, int, Optional[EpochState]]:

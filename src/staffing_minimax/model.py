@@ -189,18 +189,19 @@ class PredictionSequence:
             raise SequenceError(
                 f"expected {inst.horizon} intervals, got {len(ivs)}")
         if check_widths:
+            deltas = inst.error_bounds.tolist()     # inst.delta(t), t >= 1
             for t, iv in enumerate(ivs, start=1):
-                if iv.width > inst.delta(t) + 1e-9 * max(1.0, abs(iv.lo),
+                if iv.width > deltas[t - 1] + 1e-9 * max(1.0, abs(iv.lo),
                                                          abs(iv.hi)):
                     raise SequenceError(
                         f"day {t} interval width {iv.width:.9g} exceeds "
-                        f"bound {inst.delta(t):.9g}")
+                        f"bound {deltas[t - 1]:.9g}")
         lo0, hi0 = inst.initial_range
         eff_lo, eff_hi = [], []
         lo_run, hi_run = lo0, hi0
-        for t, iv in enumerate(ivs, start=1):
-            lo_run = max(lo_run, iv.lo - inst.eps(t))
-            hi_run = min(hi_run, iv.hi + inst.eps(t))
+        for iv, eps in zip(ivs, inst.inconsistency.tolist()):   # inst.eps(t)
+            lo_run = max(lo_run, iv.lo - eps)
+            hi_run = min(hi_run, iv.hi + eps)
             eff_lo.append(lo_run)
             eff_hi.append(hi_run)
         return PredictionSequence(ivs, np.array(eff_lo), np.array(eff_hi))

@@ -62,7 +62,7 @@ class Decision:
     @staticmethod
     def hire_only(hires: np.ndarray) -> "Decision":
         h = np.asarray(hires, float)
-        return Decision(h, np.zeros_like(h))
+        return Decision(h, np.zeros(h.shape))
 
 
 def play(policy, inst: Instance, sequence: PredictionSequence,

@@ -9,8 +9,9 @@ from staffing_minimax.adversary import (
     BudgetExceeded, EmptyGrid, brute_force_worst_case, configuration_sequence,
     demand_candidates, enumerate_grid_sequences, random_nested_sequence,
     sequence_from_csv, single_switch_sequence, worst_case_sequence)
-from staffing_minimax.model import (InstanceError, ReleaseInstance,
-                                    make_instance)
+from staffing_minimax.model import (InstanceError, PredictionInterval,
+                                    PredictionSequence, ReleaseInstance,
+                                    SequenceError, make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
                                        gamma_star_single_pool, play)
 from staffing_minimax.programs import minimax_value_and_profile
@@ -242,3 +243,121 @@ def _policy_cost_on(inst, seq, canonical, gamma):
     lo, hi = seq.effective_lo[-1], seq.effective_hi[-1]
     return max(inst.under_cost * max(0.0, hi - total),
                inst.over_cost * max(0.0, total - lo))
+
+
+# --- Grid enumeration against the algorithm it replaces ----------------------
+#
+# The earlier grid enumeration and PredictionSequence.build, copied verbatim
+# except for their names: the grid was a NumPy array, the prefix held
+# (a, b) tuples and build wrapped each one in a PredictionInterval.
+
+def _old_build(inst, intervals, check_widths=True):
+    ivs = tuple(iv if isinstance(iv, PredictionInterval)
+                else PredictionInterval(float(iv[0]), float(iv[1]))
+                for iv in intervals)
+    if len(ivs) != inst.horizon:
+        raise SequenceError(
+            f"expected {inst.horizon} intervals, got {len(ivs)}")
+    if check_widths:
+        for t, iv in enumerate(ivs, start=1):
+            if iv.width > inst.delta(t) + 1e-9 * max(1.0, abs(iv.lo),
+                                                     abs(iv.hi)):
+                raise SequenceError(
+                    f"day {t} interval width {iv.width:.9g} exceeds "
+                    f"bound {inst.delta(t):.9g}")
+    lo0, hi0 = inst.initial_range
+    eff_lo, eff_hi = [], []
+    lo_run, hi_run = lo0, hi0
+    for t, iv in enumerate(ivs, start=1):
+        lo_run = max(lo_run, iv.lo - inst.eps(t))
+        hi_run = min(hi_run, iv.hi + inst.eps(t))
+        eff_lo.append(lo_run)
+        eff_hi.append(hi_run)
+    return PredictionSequence(ivs, np.array(eff_lo), np.array(eff_hi))
+
+
+def _old_grid_nested_intervals(lo, hi, width_cap, grid):
+    pts = [p for p in grid if lo - 1e-12 <= p <= hi + 1e-12]
+    out = []
+    for a in pts:
+        for b in pts:
+            if a <= b + 1e-12 and b - a <= width_cap + 1e-12:
+                out.append((a, b))
+    return out
+
+
+def _old_enumerate_grid_sequences(inst, grid_step, cap=2_000_000):
+    lo0, hi0 = inst.initial_range
+    span = (hi0 - lo0) / grid_step
+    n_steps = int(round(span))
+    grid = lo0 + grid_step * np.arange(n_steps + 1)
+    sequences = []
+    stack = [(1, lo0, hi0, [])]
+    count = 0
+    while stack:
+        t, lo, hi, prefix = stack.pop()
+        for a, b in _old_grid_nested_intervals(lo, hi, inst.delta(t), grid):
+            chosen = prefix + [(a, b)]
+            if t == inst.horizon:
+                count += 1
+                sequences.append(_old_build(inst, chosen))
+            else:
+                stack.append((t + 1, a, b, chosen))
+    sequences.reverse()
+    return sequences
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_grid_enumeration_matches_old_algorithm(which, step):
+    inst = fig3_instance(which)
+    new = enumerate_grid_sequences(inst, step)
+    old = _old_enumerate_grid_sequences(inst, step)
+    assert len(new) == len(old) > 0
+    for s_new, s_old in zip(new, old):
+        assert [(_bits(iv.lo), _bits(iv.hi)) for iv in s_new.intervals] == \
+            [(_bits(iv.lo), _bits(iv.hi)) for iv in s_old.intervals]
+        assert all(type(iv.lo) is float and type(iv.hi) is float
+                   for iv in s_new.intervals)
+        assert s_new.effective_lo.tobytes() == s_old.effective_lo.tobytes()
+        assert s_new.effective_hi.tobytes() == s_old.effective_hi.tobytes()
+    # Sequences through one tree node share its interval object.
+    firsts = {id(s.intervals[0]) for s in new}
+    assert len(firsts) == len({s.intervals[0] for s in new})
+
+
+def test_build_matches_old_on_eps_and_too_wide_intervals():
+    rng = np.random.default_rng(5)
+    raised = with_eps = 0
+    for _ in range(40):
+        inst = random_multi_pool(rng, 2, 8)
+        lo0, hi0 = inst.initial_range
+        ivs = []
+        for t in range(1, inst.horizon + 1):
+            a = rng.uniform(lo0, hi0)
+            ivs.append((a, a + inst.delta(t) * rng.uniform(0.0, 1.3)))
+        try:
+            old = _old_build(inst, ivs)
+        except SequenceError as exc:
+            with pytest.raises(SequenceError) as info:
+                PredictionSequence.build(inst, ivs)
+            assert str(info.value) == str(exc)
+            raised += 1
+            continue
+        new = PredictionSequence.build(inst, ivs)
+        assert new.effective_lo.tobytes() == old.effective_lo.tobytes()
+        assert new.effective_hi.tobytes() == old.effective_hi.tobytes()
+        with_eps += bool(np.any(inst.inconsistency != 0))
+    assert 0 < raised < 40 and with_eps > 0
+    inst = fig3_instance("c")
+    wide = [(0.0, 1.0)] * inst.horizon
+    with pytest.raises(SequenceError) as info:
+        PredictionSequence.build(inst, wide)
+    with pytest.raises(SequenceError) as old_info:
+        _old_build(inst, wide)
+    assert str(info.value) == str(old_info.value)
+    assert str(info.value) == "day 10 interval width 1 exceeds bound 0.3"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_multi_pool
+from conftest import fig3_instance, random_multi_pool, random_single_pool
 from staffing_minimax.adversary import (random_nested_sequence,
                                         single_switch_sequence,
                                         worst_case_sequence)
-from staffing_minimax.emulator import (EmulatorTrace, EpochRunner,
-                                       SplitInfeasible, emulator_step,
+from staffing_minimax import emulator as emulator_module
+from staffing_minimax.emulator import (Emulator, EmulatorTrace, EpochRunner,
+                                       SplitInfeasible, day_tables,
+                                       emulator_step, fill_scarcest_first,
                                        split_hires)
 from staffing_minimax.model import (PredictionInterval, PredictionSequence,
                                     ReleaseInstance, check_feasibility,
@@ -20,9 +22,9 @@ def test_step_follows_canonical_when_upper_bound_holds():
     inst = make_instance([2.0], [[1.0, 0.9, 0.8]], (0, 1), [1.0, 0.5, 0.2])
     canonical = np.array([[0.2, 0.3, 0.4]])
     realized = np.zeros((1, 3))
+    tables = day_tables(canonical, inst.availability)
     for t in (1, 2, 3):
-        h = emulator_step(canonical, realized, t, 1.0, 1.0,
-                          inst.availability[:, t - 1])
+        h = emulator_step(tables[t - 1], realized, t, 1.0, 1.0)
         realized[:, t - 1] = h
         assert h[0] == pytest.approx(canonical[0, t - 1])
 
@@ -32,28 +34,31 @@ def test_step_hand_value_after_drop():
     # day-2 total = (1.0 - 0.5 - 0.3)+ = 0.2
     canonical = np.array([[0.5, 0.5]])
     realized = np.array([[0.5, 0.0]])
-    h = emulator_step(canonical, realized, 2, 0.7, 1.0, np.array([1.0]))
+    tables = day_tables(canonical, np.ones((1, 2)))
+    h = emulator_step(tables[1], realized, 2, 0.7, 1.0)
     assert h[0] == pytest.approx(0.2)
 
 
 def test_step_zero_canonical():
     canonical = np.zeros((2, 3))
     realized = np.zeros((2, 3))
+    tables = day_tables(canonical, np.array([[1.0] * 3, [0.9] * 3]))
     for t in (1, 2, 3):
-        h = emulator_step(canonical, realized, t, 0.4, 1.0, np.array([1.0, 0.9]))
+        h = emulator_step(tables[t - 1], realized, t, 0.4, 1.0)
         assert np.all(h == 0)
 
 
 def test_split_scarcest_first_and_caps():
     caps = np.array([0.4, 0.3, 0.2])
     rho = np.array([0.9, 0.2, 0.5])
-    h = split_hires(0.6, caps, rho)
+    table = day_tables(caps[:, None], rho[:, None])[0]
+    h = split_hires(0.6, table, 1)
     # Fill order: pool 1 (rho .2), pool 2 (rho .5), pool 0 (rho .9).
     assert h[1] == pytest.approx(0.3)
     assert h[2] == pytest.approx(0.2)
     assert h[0] == pytest.approx(0.1)
     with pytest.raises(SplitInfeasible):
-        split_hires(1.0, caps, rho)
+        split_hires(1.0, table, 1)
 
 
 def test_single_switch_final_sequence_follows_canonical():
@@ -207,3 +212,265 @@ def test_release_epoch_critical_index_exists():
     from staffing_minimax.emulator import critical_switch_day
     k = critical_switch_day([1.0, 0.9], [0.0, 0.1], [0.0, 0.2], 0)
     assert k >= 0
+
+
+# --- Day tables against the step path they replace ---------------------------
+#
+# The three functions below are the earlier step path, copied verbatim
+# except for their names and the exception the split raises (the earlier
+# SplitInfeasible took a message).  The day tables must reproduce their
+# every output bit.
+
+class _OldSplitInfeasible(RuntimeError):
+    pass
+
+
+def _old_fill_scarcest_first(total: float, caps: np.ndarray, rho: np.ndarray
+                             ) -> np.ndarray:
+    hires = np.zeros(len(caps))
+    remaining = total
+    for i in sorted(range(len(caps)), key=lambda i: (rho[i], i)):
+        hires[i] = max(0.0, min(remaining, caps[i]))
+        remaining -= hires[i]
+        if remaining <= 1e-15:
+            break
+    return hires
+
+
+def _old_split_hires(total: float, caps: np.ndarray, rho_today: np.ndarray
+                     ) -> np.ndarray:
+    if total > caps.sum() + 1e-9:
+        raise _OldSplitInfeasible(
+            f"day total {total:.12g} exceeds canonical caps {caps.sum():.12g}")
+    return _old_fill_scarcest_first(total, caps, rho_today)
+
+
+def _old_emulator_step(canonical: np.ndarray, realized: np.ndarray, day: int,
+                       r_hat: float, r0: float, rho_today: np.ndarray
+                       ) -> np.ndarray:
+    canon_cum = float(canonical[:, :day].sum())
+    real_cum = float(realized[:, :day - 1].sum())
+    total = max(0.0, canon_cum - real_cum - (r0 - r_hat))
+    return _old_split_hires(total, canonical[:, day - 1].astype(float),
+                            rho_today)
+
+
+def _old_run(canonical, availability, r0, bounds):
+    """The earlier Emulator: each day's hires and realized total."""
+    realized = np.zeros(canonical.shape)
+    r_hat = r0
+    hires, totals = [], []
+    for t, bound in enumerate(bounds, start=1):
+        r_hat = min(r_hat, bound)
+        h = _old_emulator_step(canonical, realized, t, r_hat, r0,
+                               availability[:, t - 1])
+        realized[:, t - 1] = h
+        hires.append(h)
+        totals.append(float(realized.sum()))
+    return hires, totals
+
+
+def _assert_plays_as_old(canonical, availability, r0, bounds):
+    """Hires and realized totals bit for bit, or the same failure day."""
+    em = Emulator(canonical, availability, r0)
+    try:
+        old_hires, old_totals = _old_run(canonical, availability, r0, bounds)
+    except _OldSplitInfeasible:
+        with pytest.raises(SplitInfeasible):
+            for bound in bounds:
+                em.step(bound)
+        return 0
+    for t, bound in enumerate(bounds, start=1):
+        h = em.step(bound)
+        assert h.dtype == old_hires[t - 1].dtype
+        assert h.tobytes() == old_hires[t - 1].tobytes(), t
+        assert (np.float64(em.realized.sum()).tobytes()
+                == np.float64(old_totals[t - 1]).tobytes()), t
+        assert (np.float64(em.tables[t - 1].canon_cum).tobytes()
+                == np.float64(float(canonical[:, :t].sum())).tobytes())
+    return 1
+
+
+def _sequence_bounds(rng, inst):
+    if np.any(inst.inconsistency != 0):
+        seq = _random_valid_sequence(rng, inst)
+    else:
+        seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
+    # What LpEmulatorPolicy hands its emulator each day.
+    return [seq.interval(t).hi + inst.eps(t)
+            for t in range(1, inst.horizon + 1)]
+
+
+@pytest.mark.parametrize("draw", ["single", "multi"])
+def test_day_tables_play_as_old_step_on_draws(draw):
+    rng = np.random.default_rng(2024 if draw == "single" else 2025)
+    played = 0
+    for k in range(300):
+        inst = (random_single_pool(rng) if draw == "single"
+                else random_multi_pool(rng, 3, 10))
+        if k < 10:
+            canonical = minimax_value_and_profile(inst)[1]
+        else:
+            canonical = _random_canonical(rng, inst)
+        bounds = _sequence_bounds(rng, inst)
+        if k % 3 == 0:      # sharp drops, which shrink the day totals
+            bounds = [b - rng.uniform(0.0, 0.5) for b in bounds]
+        played += _assert_plays_as_old(canonical, inst.availability,
+                                       inst.initial_range[1], bounds)
+    assert played > 250
+
+
+def test_day_tables_keep_the_order_on_availability_ties():
+    rng = np.random.default_rng(7)
+    availability = np.array([[1.0, 0.8, 0.8, 0.5],
+                             [1.0, 0.8, 0.6, 0.5],
+                             [1.0, 0.9, 0.6, 0.5]])
+    for _ in range(50):
+        canonical = rng.uniform(0.0, 0.4, size=(3, 4))
+        bounds = list(1.5 - np.cumsum(rng.uniform(0.0, 0.3, size=4)))
+        assert _assert_plays_as_old(canonical, availability, 1.5, bounds)
+    assert day_tables(canonical, availability)[0].order == (0, 1, 2)
+
+
+def test_day_tables_on_closed_pools():
+    # rho = 0 sorts first; a closed pool's cap may still be positive.
+    rng = np.random.default_rng(8)
+    availability = np.array([[1.0, 0.0, 0.0],
+                             [0.7, 0.7, 0.0],
+                             [0.0, 0.0, 0.0]])
+    for _ in range(50):
+        canonical = rng.uniform(0.0, 0.4, size=(3, 3)) * (rng.uniform(
+            size=(3, 3)) < 0.7)
+        bounds = list(1.2 - np.cumsum(rng.uniform(0.0, 0.4, size=3)))
+        assert _assert_plays_as_old(canonical, availability, 1.2, bounds)
+
+
+def test_day_tables_keep_negative_zeros():
+    availability = np.array([[1.0, 0.9, 0.8], [0.5, 0.5, 0.5]])
+    for canonical in (np.array([[-0.0, 0.3, -0.0], [0.0, -0.0, 0.2]]),
+                      np.full((2, 3), -0.0),
+                      np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]])):
+        for bounds in ([1.0, 1.0, 1.0], [1.0, 0.5, 0.1], [0.0, 0.0, 0.0]):
+            assert _assert_plays_as_old(canonical, availability, 1.0, bounds)
+    caps = day_tables(np.full((2, 3), -0.0), availability)[0].caps
+    assert [np.float64(c).tobytes() for c in caps] == \
+        [np.float64(-0.0).tobytes()] * 2
+
+
+def test_day_tables_follow_the_memory_order():
+    # NumPy sums a view in memory order, so a C- and an F-ordered block
+    # with equal values may sum to different last bits; each keeps its own.
+    rng = np.random.default_rng(9)
+    availability = np.ones((3, 12))
+    for _ in range(20):
+        c = rng.uniform(size=(3, 12)) * 10.0 ** rng.uniform(-5, 5, (3, 12))
+        f = np.asfortranarray(c)
+        for canonical in (c, f, c):
+            assert _assert_plays_as_old(canonical, availability, 1e6,
+                                        [1e6] * 12)
+
+
+def test_epoch_runner_plays_as_old_step():
+    rng = np.random.default_rng(10)
+    inst = make_instance([1.0, 1.5], [[1.0, 0.8, 0.6, 0.5],
+                                      [0.9, 0.9, 0.7, 0.2]], (0, 1),
+                         [1.0, 0.8, 0.6, 0.4])
+    ri = ReleaseInstance(base=inst, budget=5.0, epoch_breaks=(3, 4),
+                         release_fees=(0.1, 0.1))
+    state = fresh_state(inst, ri.budget, ri.pre_hires)
+    for _ in range(20):
+        canonical = rng.uniform(0.0, 0.3, size=(2, 3))
+        his = list(1.0 - np.cumsum(rng.uniform(0.0, 0.2, size=3)))
+        runner = EpochRunner(ri, state, canonical, {0: np.zeros(2)})
+        old_hires, old_totals = _old_run(
+            canonical, state.availability[:, runner.t0:], runner.r_bar, his)
+        for idx, hi in enumerate(his):
+            h = runner.observe(PredictionInterval(hi - 0.3, hi))
+            assert h.tobytes() == old_hires[idx].tobytes()
+            assert (np.float64(runner.realized_cum[-1]).tobytes()
+                    == np.float64(old_totals[idx]).tobytes())
+        assert runner.canon_cum == [0.0] + [
+            float(canonical[:, :d].sum()) for d in (1, 2, 3)]
+        runner.finish()
+
+
+def test_fill_scarcest_first_as_old():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 6))
+        caps = rng.uniform(-0.1, 1.0, size=n) * (rng.uniform(size=n) < 0.8)
+        caps[rng.uniform(size=n) < 0.1] = -0.0
+        rho = rng.choice([0.0, 0.3, 0.5, 1.0], size=n)
+        total = float(rng.uniform(0.0, 1.5 * n))
+        new = fill_scarcest_first(total, caps, rho)
+        assert new.tobytes() == _old_fill_scarcest_first(total, caps,
+                                                         rho).tobytes()
+
+
+def test_day_tables_memo_is_keyed_by_content():
+    availability = np.ones((2, 3))
+    a = np.arange(6.0).reshape(2, 3)
+    tables_a = day_tables(a, availability)
+    assert day_tables(a.copy(), availability.copy()) is tables_a
+    # A wider availability is read over the block's days only.
+    assert day_tables(a, np.ones((2, 7))) is tables_a
+    # Other availability: other tables.
+    other = day_tables(a, np.array([[0.5, 1.0, 1.0], [1.0, 0.5, 1.0]]))
+    assert [d.order for d in other] == [(0, 1), (1, 0), (0, 1)]
+    assert day_tables(a, availability) is not tables_a
+    # Equal bytes and strides, other shape: other tables.
+    wide = np.zeros((3, 3))
+    wide[:, :2] = np.arange(6.0).reshape(3, 2)
+    b = wide[:, :2]
+    assert b.tobytes() == a.tobytes() and b.strides == a.strides
+    tables_b = day_tables(b, np.ones((3, 2)))
+    assert len(tables_a) == 3 and len(tables_b) == 2
+    assert tables_b[0].caps == (0.0, 2.0, 4.0)
+    # Mutated in place: a miss, and the tables read the new values.
+    tables_b2 = day_tables(b, np.ones((3, 2)))
+    assert tables_b2 is tables_b
+    b[0, 0] = 5.0
+    tables_b3 = day_tables(b, np.ones((3, 2)))
+    assert tables_b3 is not tables_b
+    assert tables_b3[0].caps == (5.0, 2.0, 4.0)
+    assert tables_b3[0].canon_cum == 11.0
+
+
+def test_emulators_of_one_block_share_tables(monkeypatch):
+    inst = fig3_instance("a")
+    gamma, canonical = minimax_value_and_profile(inst)
+    builds = []
+    real_build = emulator_module._build_day_tables
+    monkeypatch.setattr(emulator_module, "_build_day_tables",
+                        lambda *a: builds.append(1) or real_build(*a))
+    monkeypatch.setattr(emulator_module, "_last_tables", [None, ()])
+    first = LpEmulatorPolicy(inst, canonical, gamma)
+    assert LpEmulatorPolicy(inst, canonical.copy(), gamma).emulator.tables \
+        is first.emulator.tables
+    assert len(builds) == 1
+    # The shock wrapper builds an emulator on every clean day: all hits.
+    from staffing_minimax.policies import MiscoverageWrapper
+    seq = random_nested_sequence(inst, 3)
+    shocked = [t % 3 == 1 for t in range(inst.horizon)]
+    play(MiscoverageWrapper(first, "detect_before_hiring", shocked), inst,
+         seq)
+    assert len(builds) == 1
+
+
+def test_split_infeasible_names_day_total_caps_and_tolerance():
+    table = day_tables(np.array([[0.4], [0.3], [0.2]]), np.ones((3, 1)))[0]
+    with pytest.raises(SplitInfeasible) as info:
+        split_hires(1.0, table, 7)
+    err = info.value
+    assert (err.day, err.total, err.tol) == (7, 1.0, 1e-9)
+    assert err.caps_sum == float(np.array([0.4, 0.3, 0.2]).sum())
+    assert str(err) == ("day 7: day total 1 exceeds canonical caps 0.9 "
+                        "by more than 1e-09")
+    # Through the emulator: a negative day-2 cap leaves the caps below the
+    # day total 0.
+    em = Emulator(np.array([[0.5, -0.25]]), np.ones((1, 2)), 1.0)
+    em.step(1.0)
+    with pytest.raises(SplitInfeasible) as info:
+        em.step(1.0)
+    assert (info.value.day, info.value.total, info.value.caps_sum) == \
+        (2, 0.0, -0.25)

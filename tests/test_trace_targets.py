@@ -41,6 +41,8 @@ def test_every_note_reads_a_real_call(tracer):
     ``run.py --trace 1`` runs them; a changed signature fails here."""
     from conftest import fig3_instance, instance_path
     from staffing_minimax import adversary, bayesian, cli
+    from staffing_minimax.policies import LpEmulatorPolicy
+    from staffing_minimax.programs import minimax_value_and_profile
 
     inst = fig3_instance("a")
     proc = bayesian.DemandProcess(3)
@@ -49,6 +51,8 @@ def test_every_note_reads_a_real_call(tracer):
         [2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]], table, process=proc)
     factories = cli._policy_factories(["empirical_mdp", "lp_resolving"],
                                       world_inst, proc, {"grid_levels": 5})
+    gamma, canonical = minimax_value_and_profile(inst)
+    n_grid = len(adversary.enumerate_grid_sequences(inst, 0.5))
     t = tracer.Tracer()
     t.install()
     try:
@@ -56,6 +60,8 @@ def test_every_note_reads_a_real_call(tracer):
                          instance_path("fig3c.json")]) == 0
         adversary.enumerate_grid_sequences(inst, 0.5)
         bayesian.run_bayesian_world(world_inst, proc, table, factories, 1, 0)
+        adversary.brute_force_worst_case(
+            inst, lambda: LpEmulatorPolicy(inst, canonical, gamma), 0.5)
     finally:
         t.uninstall()
     noted = {}
@@ -80,3 +86,7 @@ def test_every_note_reads_a_real_call(tracer):
     for span in ("programs.build", "programs.solve_canonical",
                  "programs.extract_canonical"):
         assert under_step.count(span) == 3, span
+    # The grid oracle steps every emulator through the per-layer spans:
+    # one emulator_step and one split_hires per sequence and day.
+    for span in ("emulator.emulator_step", "emulator.split_hires"):
+        assert spans.count(span) == n_grid * inst.horizon > 0, span
