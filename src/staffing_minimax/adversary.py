@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import (EpochState, Instance, InstanceError, PredictionInterval,
                     PredictionSequence, ReleaseInstance, fresh_state,
-                    imbalance_cost)
+                    imbalance_cost, narrow_day)
 from .programs import configuration_walk, single_switch_floor
 
 
@@ -170,8 +170,11 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
                              cap: int = 2_000_000) -> List[PredictionSequence]:
     """All nested sequences with endpoints on the grid (eps = 0 only).
 
-    Each node of the enumeration tree makes its interval once; the
-    sequences below it share that object.
+    Each node of the enumeration tree makes its interval once, checks it
+    and narrows the running effective bounds once (`model.narrow_day`, as
+    `PredictionSequence.build` does day by day), and hands its prefix down
+    to its children; the sequences below it share that interval object,
+    and a leaf is assembled from its prefix without a second pass.
     """
     check_grid_step(grid_step)
     if np.any(inst.inconsistency != 0):
@@ -183,21 +186,32 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
         raise BudgetExceeded(f"more than {cap} grid sequences")
     n_steps = int(round(span))
     grid = (lo0 + grid_step * np.arange(n_steps + 1)).tolist()
+    bounds = inst.error_bounds.tolist()         # inst.delta(t)
+    epss = inst.inconsistency.tolist()          # inst.eps(t)
+    T = inst.horizon
     sequences: List[PredictionSequence] = []
-    stack: List[Tuple[int, float, float, list]] = [(1, lo0, hi0, [])]
+    # (day, nested window, running effective bounds through the day before,
+    #  then the prefix's intervals and effective bounds day by day)
+    stack: List[Tuple[int, float, float, float, float, list, list, list]] = [
+        (1, lo0, hi0, lo0, hi0, [], [], [])]
     count = 0
     while stack:
-        t, lo, hi, prefix = stack.pop()
-        for iv in grid_nested_intervals(lo, hi, inst.delta(t), grid):
+        t, lo, hi, lo_run, hi_run, prefix, eff_lo, eff_hi = stack.pop()
+        bound, eps = bounds[t - 1], epss[t - 1]
+        for iv in grid_nested_intervals(lo, hi, bound, grid):
+            day_lo, day_hi = narrow_day(t, iv, bound, eps, lo_run, hi_run)
             chosen = prefix + [iv]
-            if t == inst.horizon:
+            if t == T:
                 count += 1
                 if count > cap:
                     raise BudgetExceeded(
                         f"more than {cap} grid sequences")
-                sequences.append(PredictionSequence.build(inst, chosen))
+                sequences.append(PredictionSequence(
+                    tuple(chosen), np.array(eff_lo + [day_lo]),
+                    np.array(eff_hi + [day_hi])))
             else:
-                stack.append((t + 1, iv.lo, iv.hi, chosen))
+                stack.append((t + 1, iv.lo, iv.hi, day_lo, day_hi, chosen,
+                              eff_lo + [day_lo], eff_hi + [day_hi]))
     sequences.reverse()
     return sequences
 

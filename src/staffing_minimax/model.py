@@ -15,8 +15,9 @@ pure; types are safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,6 +161,26 @@ class PredictionInterval:
         return self.hi - self.lo
 
 
+def narrow_day(t: int, iv: PredictionInterval, bound: float, eps: float,
+               lo: float, hi: float) -> Tuple[float, float]:
+    """Day t of a sequence: check its interval, then narrow the running
+    effective bounds (lo, hi) through day t-1 to day t.
+
+    Raises SequenceError naming the day unless both endpoints are finite
+    and the width is at most `bound` up to a relative 1e-9 (an infinite
+    bound skips the width check).  `PredictionSequence.build` and the grid
+    adversary's enumeration tree both step through here.
+    """
+    if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+        raise SequenceError(
+            f"day {t} interval [{iv.lo}, {iv.hi}] is not finite")
+    if iv.width > bound + 1e-9 * max(1.0, abs(iv.lo), abs(iv.hi)):
+        raise SequenceError(
+            f"day {t} interval width {iv.width:.9g} exceeds bound "
+            f"{bound:.9g}")
+    return max(lo, iv.lo - eps), min(hi, iv.hi + eps)
+
+
 @dataclass(frozen=True)
 class PredictionSequence:
     """Forecast intervals for days 1..T plus running effective bounds.
@@ -188,20 +209,14 @@ class PredictionSequence:
         if len(ivs) != inst.horizon:
             raise SequenceError(
                 f"expected {inst.horizon} intervals, got {len(ivs)}")
-        if check_widths:
-            deltas = inst.error_bounds.tolist()     # inst.delta(t), t >= 1
-            for t, iv in enumerate(ivs, start=1):
-                if iv.width > deltas[t - 1] + 1e-9 * max(1.0, abs(iv.lo),
-                                                         abs(iv.hi)):
-                    raise SequenceError(
-                        f"day {t} interval width {iv.width:.9g} exceeds "
-                        f"bound {deltas[t - 1]:.9g}")
-        lo0, hi0 = inst.initial_range
+        bounds = (inst.error_bounds.tolist() if check_widths   # inst.delta(t)
+                  else [math.inf] * len(ivs))
+        lo_run, hi_run = inst.initial_range
         eff_lo, eff_hi = [], []
-        lo_run, hi_run = lo0, hi0
-        for iv, eps in zip(ivs, inst.inconsistency.tolist()):   # inst.eps(t)
-            lo_run = max(lo_run, iv.lo - eps)
-            hi_run = min(hi_run, iv.hi + eps)
+        for t, (iv, bound, eps) in enumerate(
+                zip(ivs, bounds, inst.inconsistency.tolist()),  # inst.eps(t)
+                start=1):
+            lo_run, hi_run = narrow_day(t, iv, bound, eps, lo_run, hi_run)
             eff_lo.append(lo_run)
             eff_hi.append(hi_run)
         return PredictionSequence(ivs, np.array(eff_lo), np.array(eff_hi))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class UnsupportedBase(TypeError):
     pass
 
 
-@dataclass(frozen=True)
-class DayObservation:
+class DayObservation(NamedTuple):
     """What a policy sees on one day.
 
     interval is always present; partial demand and the day's sampled future
@@ -54,15 +53,26 @@ class DayObservation:
     samples: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class Decision:
+_zero_releases: dict = {}     # shape -> one read-only zero vector
+
+
+def _no_releases(shape: tuple) -> np.ndarray:
+    """The read-only zero release vector every decision of `shape` shares."""
+    zeros = _zero_releases.get(shape)
+    if zeros is None:
+        zeros = _zero_releases[shape] = np.zeros(shape)
+        zeros.flags.writeable = False
+    return zeros
+
+
+class Decision(NamedTuple):
     hires: np.ndarray
     releases: np.ndarray
 
     @staticmethod
     def hire_only(hires: np.ndarray) -> "Decision":
         h = np.asarray(hires, float)
-        return Decision(h, np.zeros(h.shape))
+        return Decision(h, _no_releases(h.shape))
 
 
 def play(policy, inst: Instance, sequence: PredictionSequence,
@@ -74,18 +84,25 @@ def play(policy, inst: Instance, sequence: PredictionSequence,
     trace, each day records the policy's canonical cumulative total
     (the realized net total when it has no canonical profile), the realized
     net total, the effective bounds R_hat and L_hat, and the day's decision.
+    A hire-only decision leaves its day's releases column at zero.
     """
     n, T = inst.availability.shape
     hires = np.zeros((n, T))
     releases = np.zeros((n, T))
+    no_releases = _no_releases((n,))
     canonical = getattr(policy, "canonical", None)
+    intervals = sequence.intervals
+    step = policy.step
     for t in range(1, T + 1):
-        d = policy.step(DayObservation(
-            t, sequence.interval(t),
-            None if world is None else float(world.partials[t - 1]),
-            None if world is None else world.profiles[t - 1]))
+        if world is None:
+            d = step(DayObservation(t, intervals[t - 1]))
+        else:
+            d = step(DayObservation(t, intervals[t - 1],
+                                    float(world.partials[t - 1]),
+                                    world.profiles[t - 1]))
         hires[:, t - 1] = d.hires
-        releases[:, t - 1] = d.releases
+        if d.releases is not no_releases:
+            releases[:, t - 1] = d.releases
         if trace is not None:
             net = hires.sum() - releases.sum()
             trace.record(t, net if canonical is None
@@ -306,11 +323,11 @@ class LpEmulatorPolicy:
         self.gamma_star = gamma_star
         self.emulator = Emulator(canonical, inst.availability,
                                  inst.initial_range[1])
+        self.eps = inst.inconsistency.tolist()      # inst.eps(t), t >= 1
 
     def step(self, obs: DayObservation) -> Decision:
         em = self.emulator
-        return Decision.hire_only(
-            em.step(obs.interval.hi + self.inst.eps(em.day + 1)))
+        return Decision.hire_only(em.step(obs.interval.hi + self.eps[em.day]))
 
 
 # Entries a resolving memo keeps, least recently used first out.  On

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from staffing_minimax.adversary import (
     BudgetExceeded, EmptyGrid, brute_force_worst_case, configuration_sequence,
     demand_candidates, enumerate_grid_sequences, random_nested_sequence,
     sequence_from_csv, single_switch_sequence, worst_case_sequence)
+from staffing_minimax.emulator import Emulator, EmulatorTrace
 from staffing_minimax.model import (InstanceError, PredictionInterval,
                                     PredictionSequence, ReleaseInstance,
-                                    SequenceError, make_instance)
+                                    SequenceError, StaffingPlan,
+                                    imbalance_cost, make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
                                        gamma_star_single_pool, play)
 from staffing_minimax.programs import minimax_value_and_profile
@@ -361,3 +365,117 @@ def test_build_matches_old_on_eps_and_too_wide_intervals():
         _old_build(inst, wide)
     assert str(info.value) == str(old_info.value)
     assert str(info.value) == "day 10 interval width 1 exceeds bound 0.3"
+
+
+@pytest.mark.parametrize("check_widths", [True, False])
+@pytest.mark.parametrize("lo, hi", [(np.nan, np.nan), (0.5, np.inf),
+                                    (-np.inf, 0.5), (0.5, np.nan)])
+def test_build_rejects_non_finite_endpoints(lo, hi, check_widths):
+    inst = fig3_instance("c")
+    ivs = list(worst_case_sequence(inst).intervals)
+    ivs[2] = (lo, hi)
+    with pytest.raises(SequenceError, match=r"^day 3 interval \[.*\] is not "
+                                            r"finite$"):
+        PredictionSequence.build(inst, ivs, check_widths=check_widths)
+
+
+# --- The day loop against the one it replaces ---------------------------------
+#
+# The earlier play, DayObservation and Decision (frozen dataclasses) and
+# LpEmulatorPolicy.step, copied verbatim except for their names.
+
+@dataclass(frozen=True)
+class _OldDayObservation:
+    day: int
+    interval: PredictionInterval
+    partial: Optional[float] = None
+    samples: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class _OldDecision:
+    hires: np.ndarray
+    releases: np.ndarray
+
+    @staticmethod
+    def hire_only(hires):
+        h = np.asarray(hires, float)
+        return _OldDecision(h, np.zeros(h.shape))
+
+
+class _OldLpEmulatorPolicy:
+    def __init__(self, inst, canonical):
+        self.inst = inst
+        self.canonical = canonical
+        self.emulator = Emulator(canonical, inst.availability,
+                                 inst.initial_range[1])
+
+    def step(self, obs):
+        em = self.emulator
+        return _OldDecision.hire_only(
+            em.step(obs.interval.hi + self.inst.eps(em.day + 1)))
+
+
+def _old_play(policy, inst, sequence, trace=None, world=None):
+    n, T = inst.availability.shape
+    hires = np.zeros((n, T))
+    releases = np.zeros((n, T))
+    canonical = getattr(policy, "canonical", None)
+    for t in range(1, T + 1):
+        d = policy.step(_OldDayObservation(
+            t, sequence.interval(t),
+            None if world is None else float(world.partials[t - 1]),
+            None if world is None else world.profiles[t - 1]))
+        hires[:, t - 1] = d.hires
+        releases[:, t - 1] = d.releases
+        if trace is not None:
+            net = hires.sum() - releases.sum()
+            trace.record(t, net if canonical is None
+                         else canonical[:, :t].sum(), net,
+                         sequence.effective_hi[t - 1],
+                         sequence.effective_lo[t - 1], d.hires, d.releases)
+    return StaffingPlan(hires, releases)
+
+
+def _trace_bytes(trace):
+    return (trace.days, [_bits(x) for x in trace.canonical_total
+                         + trace.realized_total + trace.r_hat + trace.l_hat],
+            [a.tobytes() for a in trace.hires + trace.releases])
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_grid_oracle_plays_as_old_day_loop(which, step):
+    inst = fig3_instance(which)
+    gamma, canonical = minimax_value_and_profile(inst)
+    sequences = _old_enumerate_grid_sequences(inst, step)
+    worst = None
+    for k, seq in enumerate(sequences):
+        traces = (EmulatorTrace(), EmulatorTrace()) if k % 97 == 0 else (
+            None, None)
+        new = play(LpEmulatorPolicy(inst, canonical, gamma), inst, seq,
+                   traces[0])
+        old = _old_play(_OldLpEmulatorPolicy(inst, canonical), inst, seq,
+                        traces[1])
+        assert _bits(new.total_net) == _bits(old.total_net)
+        assert new.hires.tobytes() == old.hires.tobytes()
+        assert new.releases.tobytes() == old.releases.tobytes()
+        if traces[0] is not None:
+            assert _trace_bytes(traces[0]) == _trace_bytes(traces[1])
+        # The scoring of brute_force_worst_case, on the old loop's total.
+        cost, demand = -np.inf, None
+        for d in demand_candidates(seq, step):
+            cd = imbalance_cost(inst.under_cost, inst.over_cost,
+                                old.total_net, d)
+            if cd > cost:
+                cost, demand = cd, d
+        if worst is None or cost > worst[0]:
+            worst = (cost, demand, seq)
+    witness = brute_force_worst_case(
+        inst, lambda: LpEmulatorPolicy(inst, canonical, gamma), step)
+    assert (_bits(witness.cost), _bits(witness.demand)) == (
+        _bits(worst[0]), _bits(worst[1]))
+    assert witness.sequence.effective_lo.tobytes() == \
+        worst[2].effective_lo.tobytes()
+    assert witness.sequence.effective_hi.tobytes() == \
+        worst[2].effective_hi.tobytes()

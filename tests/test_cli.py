@@ -399,6 +399,24 @@ def test_bench_nonpositive_reps_or_workers_exit_2(capsys, tmp_path, flag,
     assert out == ""
 
 
+@pytest.mark.parametrize("lo, hi", [("nan", "nan"), ("0.5", "inf")])
+def test_run_non_finite_forecast_exit_2(capsys, tmp_path, lo, hi):
+    from staffing_minimax.adversary import worst_case_sequence
+    from staffing_minimax.model import load_instance
+    inst = load_instance(instance_path("fig3c.json"))
+    rows = [(iv.lo, iv.hi) for iv in worst_case_sequence(inst).intervals]
+    rows[3] = (lo, hi)
+    path = tmp_path / "forecasts.csv"
+    path.write_text("day,lo,hi\n" + "".join(
+        f"{t},{a},{b}\n" for t, (a, b) in enumerate(rows, start=1)))
+    code, out, err = run_cli(capsys, "run", "--instance",
+                             instance_path("fig3c.json"), "--policy",
+                             "lp_emulator", "--sequence", f"file:{path}")
+    assert code == 2
+    assert f"day 4 interval [{float(lo)}, {float(hi)}] is not finite" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("step", ["inf", "nan"])
 def test_oracle_non_finite_grid_step_exit_2(capsys, step):
     code, out, err = run_cli(capsys, "oracle", "--instance",

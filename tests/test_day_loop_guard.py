@@ -1,8 +1,12 @@
-"""Only ``policies.play`` builds a ``DayObservation`` in the package.
+"""Only ``policies.play`` builds a ``DayObservation`` in the package, and
+only two places construct a bare ``PredictionSequence``.
 
 Every policy, in the worst-case runs and in the Bayesian world alike, is
 stepped by that one loop; a second loop could step or trace runs
-differently.
+differently.  Every sequence comes from ``PredictionSequence.build`` or
+from the grid adversary's enumeration tree, which both check each day and
+narrow the effective bounds through ``model.narrow_day``; a third path
+could skip those checks or compute the bounds differently.
 """
 
 import ast
@@ -36,3 +40,11 @@ def test_only_play_builds_day_observations():
              for path in sorted(PACKAGE.glob("*.py"))
              for where in callers(path.read_text(), "DayObservation")]
     assert found == ["policies.play"]
+
+
+def test_only_build_and_the_grid_tree_construct_sequences():
+    found = [f"{path.stem}.{where}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where in callers(path.read_text(), "PredictionSequence")]
+    assert found == ["adversary.enumerate_grid_sequences",
+                     "model.PredictionSequence"]

@@ -545,6 +545,46 @@ def test_release_worst_case_over_configurations():
     assert worst <= objective + 1e-6
 
 
+def test_decisions_keep_their_outputs():
+    # Hire-only decisions of one shape share one zero release vector, and
+    # it refuses writes.
+    d = policies.Decision.hire_only([0.5, 0.25])
+    assert d.releases is policies.Decision.hire_only(np.zeros(2)).releases
+    with pytest.raises(ValueError):
+        d.releases[0] = 1.0
+    assert not d.releases.any()
+    # play hands out a fresh, writable releases block of its own.
+    inst = fig3_instance("c")
+    plans = [play(LpEmulatorPolicy(inst), inst, worst_case_sequence(inst))
+             for _ in range(2)]
+    assert plans[0].releases is not plans[1].releases
+    assert plans[0].releases.flags.writeable
+    plans[0].releases[0, 0] = 1.0
+    assert not plans[1].releases.any()
+    assert not policies.Decision.hire_only(np.zeros(1)).releases.any()
+    # A policy's real releases reach the plan on their day.
+    T = 5
+    rho = [[1.0, 0.95, 0.85, 0.7, 0.55], [0.9, 0.8, 0.65, 0.5, 0.35]]
+    base = validate_instance(make_instance(
+        [0.6, 0.6], rho, (0, 1), [0.9, 0.75, 0.6, 0.45, 0.3],
+        under_cost=1.0, over_cost=1.5))
+    ri = ReleaseInstance(base=base, budget=2.0, wages=np.full((2, T), 0.08),
+                         epoch_breaks=(2, 4, 5),
+                         release_fees=(0.05, None, 0.3))
+    policy = ReleasePolicy(ri)
+    decided = []
+
+    class Recording:
+        def step(self, obs):
+            decided.append(policy.step(obs))
+            return decided[-1]
+
+    plan = play(Recording(), base, configuration_sequence(ri, (0, 2, 4)))
+    assert np.array_equal(plan.releases,
+                          np.column_stack([d.releases for d in decided]))
+    assert plan.releases[:, :4].sum() == 0 and np.all(plan.releases[:, 4] > 0)
+
+
 # --- Joint policy -------------------------------------------------------------
 
 def test_joint_policy_reduces_and_respects_bound():
