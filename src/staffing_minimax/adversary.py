@@ -170,11 +170,14 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
                              cap: int = 2_000_000) -> List[PredictionSequence]:
     """All nested sequences with endpoints on the grid (eps = 0 only).
 
-    Each node of the enumeration tree makes its interval once, checks it
-    and narrows the running effective bounds once (`model.narrow_day`, as
+    A node's children are the grid intervals nested in its interval within
+    the next day's width cap; each distinct (lo, hi, width cap) window's
+    list is made once per enumeration, so nodes with equal windows share
+    its interval objects.  Each node checks its interval and narrows the
+    running effective bounds once (`model.narrow_day`, as
     `PredictionSequence.build` does day by day), and hands its prefix down
-    to its children; the sequences below it share that interval object,
-    and a leaf is assembled from its prefix without a second pass.
+    to its children; a leaf is assembled from its prefix without a second
+    pass.
     """
     check_grid_step(grid_step)
     if np.any(inst.inconsistency != 0):
@@ -190,6 +193,7 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
     epss = inst.inconsistency.tolist()          # inst.eps(t)
     T = inst.horizon
     sequences: List[PredictionSequence] = []
+    windows: dict = {}
     # (day, nested window, running effective bounds through the day before,
     #  then the prefix's intervals and effective bounds day by day)
     stack: List[Tuple[int, float, float, float, float, list, list, list]] = [
@@ -198,7 +202,11 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
     while stack:
         t, lo, hi, lo_run, hi_run, prefix, eff_lo, eff_hi = stack.pop()
         bound, eps = bounds[t - 1], epss[t - 1]
-        for iv in grid_nested_intervals(lo, hi, bound, grid):
+        window = windows.get((lo, hi, bound))
+        if window is None:
+            window = windows[lo, hi, bound] = grid_nested_intervals(
+                lo, hi, bound, grid)
+        for iv in window:
             day_lo, day_hi = narrow_day(t, iv, bound, eps, lo_run, hi_run)
             chosen = prefix + [iv]
             if t == T:

@@ -11,8 +11,17 @@ Only the realized sum depends on the sequence played.  The canonical sum,
 the caps, their sum and the fill order are read from the block's day tables,
 built once per block and shared through a one-entry memo keyed by the
 block's content, so every emulator of one block (one per sequence in the
-grid oracle) reads the same tables.  The release-mode variant additionally
-runs the critical-index release rule at each epoch end.
+grid oracle) reads the same tables.
+
+The realized prefix is itself a function of R0 and Rhat_1..Rhat_{t-1}, so
+every sequence with the same running bounds gets the same hires.  Each
+block's tables carry a prefix tree of the days already played: its roots
+are keyed by R0, and each node maps the day's Rhat to that day's hires
+(a read-only array) and the node of the next day.  A step looks its day up
+before it computes anything, so emulators of one block play a shared
+prefix once.  The tree stops growing at DAY_TREE_CAP entries.  The
+release-mode variant additionally runs the critical-index release rule at
+each epoch end.
 """
 
 from __future__ import annotations
@@ -126,7 +135,60 @@ def _build_day_tables(canonical: np.ndarray, rho: np.ndarray
     return tuple(tables)
 
 
-_last_tables: list = [None, ()]     # [key, tables]: a one-entry memo
+# Entries (roots and days) one block's prefix tree keeps; past the cap a
+# step computes the days the tree does not hold and stores nothing.  On
+# bench_long (two pools) one day entry takes about 420 bytes: its hires,
+# its bound and the next day's node (1.7 MB at the cap).  The grid oracle
+# on fig3c at step 0.25 reaches 3,002 distinct prefixes.
+DAY_TREE_CAP = 4096
+
+
+class DayTree:
+    """Days already played on one block: roots keyed by R0, and nodes that
+    map the day's Rhat to (hires, next day's node).
+
+    Keys are Python or NumPy doubles (`Emulator` plays any other type off
+    the tree), compared as floats: equal keys hold equal values, except that
+    0.0 and -0.0 share an entry, and the day total's (...)+ turns either
+    sign of a zero difference into 0.0, so both get the same hires.
+    """
+
+    def __init__(self, n_days: int):
+        self.n_days = n_days
+        self.roots: dict = {}
+        self.size = 0
+
+    def root(self, r0: float) -> Optional[dict]:
+        node = self.roots.get(r0)
+        if node is None and self.size < DAY_TREE_CAP:
+            node = self.roots[r0] = {}
+            self.size += 1
+        return node
+
+    def add(self, node: dict, day: int, r_hat: float, hires: np.ndarray
+            ) -> Optional[dict]:
+        """Store a day played below `node`; its child, or None when the
+        tree is full or the day is the block's last."""
+        if self.size >= DAY_TREE_CAP:
+            return None
+        child = {} if day < self.n_days else None
+        node[r_hat] = hires, child
+        self.size += 1
+        return child
+
+
+_last_tables: list = [None, (), None]   # [key, tables, tree]: one entry
+
+
+def _block(canonical: np.ndarray, availability: np.ndarray
+           ) -> Tuple[Tuple[DayTable, ...], DayTree]:
+    rho = availability[:, :canonical.shape[1]]
+    key = (canonical.shape, canonical.strides, canonical.dtype,
+           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
+    if _last_tables[0] != key:
+        _last_tables[:] = (key, _build_day_tables(canonical, rho),
+                           DayTree(canonical.shape[1]))
+    return _last_tables[1], _last_tables[2]
 
 
 def day_tables(canonical: np.ndarray, availability: np.ndarray
@@ -137,15 +199,11 @@ def day_tables(canonical: np.ndarray, availability: np.ndarray
     availability over its days: shape, dtype and bytes, plus the block's
     strides, since NumPy sums a view in memory order.  Every emulator built
     on one block in a row (one per sequence in the grid oracle) reads the
-    same tables.  A hit returns what a fresh build would, and the tables are
-    tuples, so sharing them between callers changes no result.
+    same tables and the same DayTree.  A hit returns what a fresh build
+    would, and the tables are tuples, so sharing them between callers
+    changes no result.
     """
-    rho = availability[:, :canonical.shape[1]]
-    key = (canonical.shape, canonical.strides, canonical.dtype,
-           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
-    if _last_tables[0] != key:
-        _last_tables[:] = key, _build_day_tables(canonical, rho)
-    return _last_tables[1]
+    return _block(canonical, availability)[0]
 
 
 def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:
@@ -172,14 +230,18 @@ class Emulator:
     """Running state of the emulator oracle on one canonical block.
 
     Each step lowers the running upper bound R_hat to the given bound and
-    plays emulator_step for the next day of the block.  availability[:, k]
-    is the availability on the block's (k+1)-th day; it may run past the
-    block.
+    plays emulator_step for the next day of the block, unless the block's
+    DayTree already holds the day for this R0 and these running bounds.
+    Either way the day's hires (read-only, possibly shared with other
+    emulators of the block) go into `realized`, which only `step` writes.
+    availability[:, k] is the availability on the block's (k+1)-th day; it
+    may run past the block.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
                  r0: float):
-        self.tables = day_tables(canonical, availability)
+        self.tables, self.tree = _block(canonical, availability)
+        self.node = self.tree.root(r0) if isinstance(r0, float) else None
         self.realized = np.zeros(canonical.shape)
         self.r0 = self.r_hat = r0
         self.day = 0
@@ -187,9 +249,19 @@ class Emulator:
     def step(self, bound: float) -> np.ndarray:
         self.day += 1
         t = self.day
-        self.r_hat = min(self.r_hat, bound)
-        hires = emulator_step(self.tables[t - 1], self.realized, t,
-                              self.r_hat, self.r0)
+        r_hat = self.r_hat = min(self.r_hat, bound)
+        node = self.node
+        if node is not None and not isinstance(r_hat, float):
+            node = None         # the tree holds double arithmetic only
+        entry = None if node is None else node.get(r_hat)
+        if entry is None:
+            hires = emulator_step(self.tables[t - 1], self.realized, t,
+                                  r_hat, self.r0)
+            hires.flags.writeable = False
+            self.node = (None if node is None
+                         else self.tree.add(node, t, r_hat, hires))
+        else:
+            hires, self.node = entry
         self.realized[:, t - 1] = hires
         return hires
 

@@ -282,6 +282,7 @@ def _assert_plays_as_old(canonical, availability, r0, bounds):
         return 0
     for t, bound in enumerate(bounds, start=1):
         h = em.step(bound)
+        assert not h.flags.writeable
         assert h.dtype == old_hires[t - 1].dtype
         assert h.tobytes() == old_hires[t - 1].tobytes(), t
         assert (np.float64(em.realized.sum()).tobytes()
@@ -318,6 +319,152 @@ def test_day_tables_play_as_old_step_on_draws(draw):
         played += _assert_plays_as_old(canonical, inst.availability,
                                        inst.initial_range[1], bounds)
     assert played > 250
+
+
+def _families(rng, bounds):
+    """Bound sequences that share a prefix with `bounds`, then diverge:
+    the sequence again, a raised bound (the running bound holds, so the
+    day repeats) and fresh tails from random days."""
+    T = len(bounds)
+    out = [list(bounds), list(bounds)]
+    k = int(rng.integers(T))
+    out.append(bounds[:k] + [bounds[k] + 1.0] + bounds[k + 1:])
+    for _ in range(4):
+        k = int(rng.integers(T))
+        out.append(bounds[:k] + [b - float(rng.uniform(0.0, 0.5))
+                                 for b in bounds[k:]])
+    return out
+
+
+@pytest.fixture
+def count_misses(monkeypatch):
+    """A fresh day-table memo and a list that grows by one per day the
+    emulator computes instead of reading from its block's day tree."""
+    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
+    misses = []
+    real_step = emulator_module.emulator_step
+    monkeypatch.setattr(emulator_module, "emulator_step",
+                        lambda *a: misses.append(a[2]) or real_step(*a))
+    return misses
+
+
+@pytest.mark.parametrize("draw", ["single", "multi"])
+def test_day_tree_plays_as_old_step_on_families(draw, count_misses):
+    rng = np.random.default_rng(2026 if draw == "single" else 2027)
+    days = played = with_eps = 0
+    for k in range(120):
+        inst = (random_single_pool(rng) if draw == "single"
+                else random_multi_pool(rng, 3, 10))
+        canonical = (minimax_value_and_profile(inst)[1] if k < 10
+                     else _random_canonical(rng, inst))
+        bounds = _sequence_bounds(rng, inst)
+        if k % 3 == 0:
+            bounds = [b - rng.uniform(0.0, 0.5) for b in bounds]
+        for member in _families(rng, bounds):
+            played += _assert_plays_as_old(canonical, inst.availability,
+                                           inst.initial_range[1], member)
+            days += len(member)
+        with_eps += bool(np.any(inst.inconsistency != 0))
+    assert played > 700
+    assert with_eps > 0 or draw == "single"
+    # The repeats and shared prefixes were read from the tree.
+    assert 0 < len(count_misses) < 0.7 * days
+
+
+def test_day_tree_signed_zeros(count_misses):
+    # 0.0 and -0.0 are one key; the day total's (...)+ gives both 0.0.
+    availability = np.array([[1.0, 0.9, 0.8], [0.5, 0.5, 0.5]])
+    values = [0.0, -0.0, 0.25, -0.25]
+    sequences = [[a, b, c] for a in values for b in values for c in values]
+    days = 0
+    for canonical in (np.array([[-0.0, 0.3, -0.0], [0.0, -0.0, 0.2]]),
+                      np.full((2, 3), -0.0),
+                      np.array([[0.25, 0.0, 0.25], [-0.0, 0.25, 0.0]])):
+        for r0 in (0.0, -0.0, 0.25, 0.0, -0.0):
+            for bounds in sequences:
+                assert _assert_plays_as_old(canonical, availability, r0,
+                                            bounds)
+                days += len(bounds)
+    assert len(count_misses) < days / 4
+
+
+def test_day_tree_two_blocks_alternating(count_misses):
+    # As in MultiStationPolicy: one emulator per station, each on a strided
+    # view of one (n, m, T) block, stepped station by station each day.
+    rng = np.random.default_rng(12)
+    availability = np.array([[1.0, 0.8, 0.6, 0.5], [0.9, 0.9, 0.7, 0.2]])
+    block = rng.uniform(0.0, 0.3, size=(2, 2, 4))
+    r0s = (1.0, 1.0)          # one R0: only the block tells them apart
+    for _ in range(30):
+        bounds = [list(r0 - np.cumsum(rng.choice([0.0, 0.1, 0.2], size=4)))
+                  for r0 in r0s]
+        old = [_old_run(block[:, j, :], availability, r0s[j], bounds[j])[0]
+               for j in range(2)]
+        ems = [Emulator(block[:, j, :], availability, r0s[j])
+               for j in range(2)]
+        assert ems[0].tree is not ems[1].tree
+        for t in range(4):
+            for j in range(2):
+                h = ems[j].step(bounds[j][t])
+                assert not h.flags.writeable
+                assert h.tobytes() == old[j][t].tobytes(), (j, t)
+    # Each policy rebuilds both blocks' tables, so only the days one
+    # station repeats within its own emulator could be shared: none here.
+    assert len(count_misses) == 30 * 2 * 4
+
+
+def test_day_tree_cap_reached_mid_sequence(count_misses, monkeypatch):
+    monkeypatch.setattr(emulator_module, "DAY_TREE_CAP", 5)
+    rng = np.random.default_rng(13)
+    availability = np.ones((2, 8))
+    canonical = rng.uniform(0.0, 0.2, size=(2, 8))
+    bounds = list(1.0 - np.cumsum(rng.uniform(0.0, 0.1, size=8)))
+    # The root and days 1-4 fill the tree; days 5-8 are computed.
+    assert _assert_plays_as_old(canonical, availability, 1.0, bounds)
+    assert count_misses == list(range(1, 9))
+    tree = Emulator(canonical, availability, 1.0).tree
+    assert tree.size == 5
+    # Days 1-4 are read from the tree, the rest computed again.
+    del count_misses[:]
+    assert _assert_plays_as_old(canonical, availability, 1.0, bounds)
+    assert count_misses == list(range(5, 9))
+    # A branch after day 2 and a new root find no room.
+    del count_misses[:]
+    branch = bounds[:2] + [b - 0.05 for b in bounds[2:]]
+    assert _assert_plays_as_old(canonical, availability, 1.0, branch)
+    assert _assert_plays_as_old(canonical, availability, 0.9, bounds)
+    assert count_misses == list(range(3, 9)) + list(range(1, 9))
+    assert tree.size == 5
+
+
+def test_day_tree_plays_non_double_bounds_off_the_tree(count_misses):
+    # A float32 bound equal to a double one computes in float32: it must
+    # not be served the double's hires.
+    availability = np.ones((1, 2))
+    canonical = np.array([[0.5, 0.5]])
+    as_double = [float(np.float32(0.1)), float(np.float32(0.05))]
+    as_single = [np.float32(0.1), np.float32(0.05)]
+    assert as_double == as_single
+
+    def direct(bounds):
+        tables = day_tables(canonical, availability)
+        realized, r_hat, out = np.zeros((1, 2)), 1.0, []
+        for t, bound in enumerate(bounds, start=1):
+            r_hat = min(r_hat, bound)
+            out.append(emulator_step(tables[t - 1], realized, t, r_hat, 1.0))
+            realized[:, t - 1] = out[-1]
+        return out
+
+    expected = {id(b): direct(b) for b in (as_double, as_single)}
+    assert (expected[id(as_single)][1].tobytes()
+            != expected[id(as_double)][1].tobytes())
+    for bounds in (as_double, as_single, as_double):
+        em = Emulator(canonical, availability, 1.0)
+        for t, bound in enumerate(bounds):
+            h = em.step(bound)
+            assert h.dtype == expected[id(bounds)][t].dtype
+            assert h.tobytes() == expected[id(bounds)][t].tobytes()
+    assert count_misses == [1, 2, 1, 2]
 
 
 def test_day_tables_keep_the_order_on_availability_ties():

@@ -1,0 +1,243 @@
+"""The emulator's day tree rests on two premises that no code may break.
+
+``Emulator.step`` serves a day from its block's prefix tree whenever the
+running upper bounds repeat a prefix already played.  That is exact only
+while an emulator's ``realized`` block holds exactly the hires its steps
+played, and while the hires a step returns (shared by every emulator that
+reaches the same prefix) are never written.  So:
+
+- nothing in the package assigns into an ``Emulator``'s ``realized``
+  outside ``Emulator.step``;
+- no consumer of ``Emulator.step`` (or of a method that hands its result
+  on, such as ``EpochRunner.observe``) writes into the returned hires in
+  place.
+
+Both are checked on the source with the standard library's ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "staffing_minimax"
+
+# ndarray methods that write into their array.
+MUTATORS = {"fill", "put", "sort", "itemset", "resize", "setfield",
+            "partition", "byteswap"}
+
+
+def _base(node):
+    """The expression a chain of subscripts indexes into."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
+def _text(node) -> str:
+    return ast.unparse(_base(node))
+
+
+def _functions(tree):
+    """(qualified name, class name or None, function node) of every
+    function and method, nested ones included."""
+    out = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, cls, child))
+                visit(child, prefix + child.name + ".", cls)
+            else:
+                visit(child, prefix, cls)
+
+    visit(tree, "", None)
+    return out
+
+
+def _calls(node, name):
+    return any(isinstance(sub, ast.Call) and name in (
+        getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        for sub in ast.walk(node))
+
+
+def _writes(fn, is_target):
+    """Nodes in `fn` that write in place into an array `is_target` accepts:
+    a subscript store or augmented assignment, a mutating method, an
+    ``out=`` argument, ``np.copyto`` and a flags change."""
+    found = []
+    for sub in ast.walk(fn):
+        targets = []
+        if isinstance(sub, (ast.Assign, ast.Delete)):
+            targets = sub.targets
+        elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
+            targets = [sub.target]
+        for tgt in targets:
+            if isinstance(tgt, ast.Subscript) and is_target(_base(tgt)):
+                found.append(sub)
+            elif isinstance(sub, ast.AugAssign) and is_target(tgt):
+                found.append(sub)
+            elif (isinstance(tgt, ast.Attribute)
+                  and isinstance(tgt.value, ast.Attribute)
+                  and tgt.value.attr == "flags"
+                  and is_target(tgt.value.value)):
+                found.append(sub)
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if (isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                    and is_target(func.value)):
+                found.append(sub)
+            if any(kw.arg == "out" and is_target(kw.value)
+                   for kw in sub.keywords):
+                found.append(sub)
+            if (getattr(func, "attr", getattr(func, "id", None)) == "copyto"
+                    and sub.args and is_target(sub.args[0])):
+                found.append(sub)
+    return found
+
+
+def realized_writes(sources: dict) -> list:
+    """Functions outside ``Emulator.step`` that write into a ``realized``
+    array of a class that is or builds an ``Emulator``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        holders = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and (node.name == "Emulator" or _calls(node, "Emulator"))}
+        for qual, cls, fn in _functions(tree):
+            # Local names bound to some object's `realized` array.
+            aliases = {tgt.id for sub in ast.walk(fn)
+                       if isinstance(sub, ast.Assign)
+                       and isinstance(sub.value, ast.Attribute)
+                       and sub.value.attr == "realized"
+                       for tgt in sub.targets if isinstance(tgt, ast.Name)}
+
+            def is_realized(node, in_place=False):
+                if isinstance(node, ast.Name):
+                    return node.id in aliases
+                if isinstance(node, ast.Attribute) and \
+                        node.attr == "realized":
+                    # `x.realized += ...` rebinds a plain number unless
+                    # the class holds an emulator's array.
+                    return not in_place or cls in holders
+                return False
+
+            writes = [w for w in _writes(fn, is_realized)
+                      if not (isinstance(w, ast.AugAssign)
+                              and not isinstance(w.target, ast.Subscript)
+                              and not is_realized(w.target, True))]
+            found += [(f"{module}.{qual}", w.lineno) for w in writes]
+    return sorted(found)
+
+
+def hires_writes(sources: dict) -> tuple:
+    """(step consumers found, in-place writes into the hires they got).
+
+    A step call is ``.step(...)`` on an expression bound to an
+    ``Emulator(...)`` (or an alias of one), or a call of a method that
+    returns such a step's result under its own name (``observe``).
+    """
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    holders = set()
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Assign) and _calls(sub.value, "Emulator"):
+                holders |= {_text(t) for t in sub.targets}
+    forwarders: set = set()
+    consumers, found = set(), []
+    changed = True
+    while changed:
+        changed = False
+        consumers.clear()
+        found.clear()
+        for module, tree in trees.items():
+            for qual, _, fn in _functions(tree):
+                local = set(holders)
+                for sub in ast.walk(fn):
+                    if (isinstance(sub, ast.Assign)
+                            and _text(sub.value) in holders):
+                        local |= {_text(t) for t in sub.targets}
+
+                def is_step(node):
+                    if not isinstance(node, ast.Call) or not isinstance(
+                            node.func, ast.Attribute):
+                        return False
+                    return ((node.func.attr == "step"
+                             and _text(node.func.value) in local)
+                            or node.func.attr in forwarders)
+
+                steps = [sub for sub in ast.walk(fn) if is_step(sub)]
+                if not steps:
+                    continue
+                consumers.add(f"{module}.{qual}")
+                names = {tgt.id for sub in ast.walk(fn)
+                         if isinstance(sub, ast.Assign) and is_step(sub.value)
+                         for tgt in sub.targets if isinstance(tgt, ast.Name)}
+                for sub in ast.walk(fn):
+                    if (isinstance(sub, ast.Return) and sub.value is not None
+                            and (is_step(sub.value)
+                                 or getattr(sub.value, "id", None) in names)
+                            and fn.name not in forwarders
+                            # `.step` calls are matched by their receiver
+                            and fn.name != "step"):
+                        forwarders.add(fn.name)
+                        changed = True
+
+                def is_hires(node):
+                    return (isinstance(node, ast.Name) and node.id in names
+                            ) or is_step(node)
+
+                found += [(f"{module}.{qual}", w.lineno)
+                          for w in _writes(fn, is_hires)]
+    return consumers, found
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text()
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_guard_sees_writes():
+    source = (
+        "class Emulator:\n"
+        "    def __init__(self):\n        self.realized = zeros(3)\n"
+        "    def step(self, b):\n        self.realized[0] = b\n"
+        "        return self.realized[:, 0]\n"
+        "class Runner:\n"
+        "    def __init__(self):\n        self.emulator = Emulator()\n"
+        "        self.realized = self.emulator.realized\n"
+        "    def observe(self, b):\n"
+        "        hires = self.emulator.step(b)\n"
+        "        self.realized[:, 1] += 1\n"
+        "        return hires\n"
+        "    def fix(self):\n        r = self.emulator.realized\n"
+        "        r.fill(0)\n        self.realized += 1\n"
+        "class Other:\n    def count(self, x):\n        self.realized += x\n"
+        "def use(runner, b):\n"
+        "    em = Emulator()\n    h = em.step(b)\n    h[0] = 2\n"
+        "    g = runner.observe(b)\n    g *= 2\n"
+        "    np.maximum(g, 0, out=g)\n    h.flags.writeable = True\n"
+        "    return em.step(b)\n")
+    assert realized_writes({"m": source}) == [
+        ("m.Emulator.step", 5), ("m.Runner.fix", 17), ("m.Runner.fix", 18),
+        ("m.Runner.observe", 13)]
+    consumers, writes = hires_writes({"m": source})
+    assert consumers == {"m.Runner.observe", "m.use"}
+    assert sorted(line for _, line in writes) == [25, 27, 28, 29]
+
+
+def test_only_emulator_step_writes_realized():
+    found = realized_writes(_package_sources())
+    assert [where for where, _ in found] == ["emulator.Emulator.step"]
+
+
+def test_no_consumer_writes_into_step_hires():
+    consumers, found = hires_writes(_package_sources())
+    # Every emulating policy and the epoch runner consume the step.
+    assert consumers >= {"emulator.EpochRunner.observe",
+                         "policies.LpEmulatorPolicy.step",
+                         "policies.MultiStationPolicy.step_multi",
+                         "policies.MiscoverageWrapper.step",
+                         "policies.ReleasePolicy.step"}
+    assert found == []

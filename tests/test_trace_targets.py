@@ -36,11 +36,12 @@ def test_every_trace_target_resolves(tracer):
                 f"{mod_name}.{attr} is gone"
 
 
-def test_every_note_reads_a_real_call(tracer):
+def test_every_note_reads_a_real_call(tracer, monkeypatch):
     """Each note function runs on one real call of its target, as
     ``run.py --trace 1`` runs them; a changed signature fails here."""
     from conftest import fig3_instance, instance_path
     from staffing_minimax import adversary, bayesian, cli
+    from staffing_minimax import emulator as emulator_module
     from staffing_minimax.policies import LpEmulatorPolicy
     from staffing_minimax.programs import minimax_value_and_profile
 
@@ -52,7 +53,17 @@ def test_every_note_reads_a_real_call(tracer):
     factories = cli._policy_factories(["empirical_mdp", "lp_resolving"],
                                       world_inst, proc, {"grid_levels": 5})
     gamma, canonical = minimax_value_and_profile(inst)
-    n_grid = len(adversary.enumerate_grid_sequences(inst, 0.5))
+    grid = adversary.enumerate_grid_sequences(inst, 0.5)
+    # The emulator plays each distinct prefix of running upper bounds once.
+    prefixes = set()
+    for seq in grid:
+        r_hat, prefix = inst.initial_range[1], ()
+        for t, iv in enumerate(seq.intervals, start=1):
+            r_hat = min(r_hat, iv.hi + inst.eps(t))
+            prefix += (r_hat,)
+            prefixes.add(prefix)
+    # A fresh memo: what earlier tests played on this block is not reused.
+    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
     t = tracer.Tracer()
     t.install()
     try:
@@ -86,7 +97,9 @@ def test_every_note_reads_a_real_call(tracer):
     for span in ("programs.build", "programs.solve_canonical",
                  "programs.extract_canonical"):
         assert under_step.count(span) == 3, span
-    # The grid oracle steps every emulator through the per-layer spans:
-    # one emulator_step and one split_hires per sequence and day.
+    # The grid oracle steps every emulator through the per-layer spans on a
+    # miss of the block's day tree: one emulator_step and one split_hires
+    # per distinct running-bound prefix, not per sequence and day.
+    assert 0 < len(prefixes) < len(grid) * inst.horizon
     for span in ("emulator.emulator_step", "emulator.split_hires"):
-        assert spans.count(span) == n_grid * inst.horizon > 0, span
+        assert spans.count(span) == len(prefixes), span
