@@ -7,6 +7,10 @@ sampled trajectory of the remaining partials, sharing the hidden priors.
 Point estimates plus empirically calibrated offsets turn these into interval
 forecasts for the minimax policies; the heuristics and MDPs consume the
 samples directly.
+
+Partials and samples are binomial counts, integers of at most BINOM_TRIALS
+stored as doubles: their partial sums are exact in any order, which lets
+`SampleTotals` keep them as running totals.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import numbers
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .emulator import fill_scarcest_first
+from .emulator import _fill, _scarcest_first
 from .model import (Instance, PredictionSequence, SupplyLedger,
                     imbalance_cost, make_instance, staffing_cost,
                     validate_instance)
@@ -65,11 +69,23 @@ class DemandProcess:
         return pmf / pmf.sum()
 
     def sample_world(self, rng: np.random.Generator) -> "World":
+        """T priors, then the partials and the T profiles in one binomial
+        draw over priors[t:] for t = 0..T, split into its T + 1 pieces.
+
+        A draw over an array takes its variates from the stream element by
+        element, so this takes the variates of a draw for the partials and
+        one for each profile, in that order, and leaves the generator in
+        the same state.  The counts are integers of at most BINOM_TRIALS,
+        stored as doubles; the partials and profiles are views of one array.
+        """
         T = self.horizon
         priors = rng.uniform(0.0, self.prior_hi, size=T)
-        partials = rng.binomial(BINOM_TRIALS, priors).astype(float)
-        profiles = [rng.binomial(BINOM_TRIALS, priors[t:]).astype(float)
-                    for t in range(1, T + 1)]
+        counts = rng.binomial(BINOM_TRIALS, np.concatenate(
+            [priors[t:] for t in range(T + 1)])).astype(float)
+        # Piece t (t = 0..T) holds T - t counts and starts at t*T - t(t-1)/2.
+        starts = [t * T - t * (t - 1) // 2 for t in range(T + 2)]
+        partials, *profiles = [counts[a:b]
+                               for a, b in zip(starts, starts[1:])]
         return World(priors, partials, profiles)
 
 
@@ -88,21 +104,55 @@ class World:
         return float(self.partials.sum())
 
 
-def point_estimator(partials_so_far: Sequence[float],
-                    profiles_so_far: Sequence[np.ndarray]) -> float:
-    """Realized total plus the average sampled future total.
+class SampleTotals:
+    """Running totals of what a world has revealed through day `day`.
 
-    Day-tau profiles cover days tau+1..T; only their entries beyond the
-    current day contribute.
+    `realized` sums the partials observed so far.  `remaining[tau - 1]`
+    sums day tau's profile over the days after `day`, and `future` sums
+    `remaining`.  Day tau's profile covers days tau+1..T, so each
+    `observe` adds the day's partial and its profile's total, and takes
+    from every earlier profile the one entry that has just fallen into the
+    past (a profile shorter than the days left runs out into zeros).
+
+    Count premise: on the world's counts (integers stored as doubles)
+    every partial sum is exact, so these totals equal `sum(partials[:t])`
+    and each `sum(profile[t - tau:])` bit for bit.  On non-integer samples
+    they are the same sums rounded in another order.
     """
-    t = len(partials_so_far)
-    if t < 1:
+
+    def __init__(self):
+        self.day = 0
+        self.realized = 0.0
+        self.future = 0.0
+        self.remaining: List[float] = []
+        self._entries: List[Iterator[float]] = []
+
+    def observe(self, partial: float, samples: Sequence[float]) -> None:
+        self.day += 1
+        self.realized += float(partial)
+        remaining = self.remaining
+        for i, entries in enumerate(self._entries):
+            past = next(entries, 0.0)
+            remaining[i] -= past
+            self.future -= past
+        profile = np.asarray(samples, float).tolist()
+        total = sum(profile, 0.0)
+        remaining.append(total)
+        self.future += total
+        self._entries.append(iter(profile))
+
+
+def point_estimator(totals: SampleTotals) -> float:
+    """Realized total plus the average sampled future total on day t =
+    `totals.day`: O(1) from the running totals.
+
+    Day-tau profiles cover days tau+1..T; only their entries beyond day t
+    contribute.  On count data this is bit for bit the value of summing
+    the revealed arrays again (`SampleTotals`).
+    """
+    if totals.day < 1:
         raise ValueError("need at least one observed day")
-    realized = float(np.sum(partials_so_far))
-    future = 0.0
-    for tau, prof in enumerate(profiles_so_far, start=1):
-        future += float(np.sum(prof[t - tau:]))
-    return realized + future / t
+    return totals.realized + totals.future / totals.day
 
 
 @dataclass(frozen=True)
@@ -221,10 +271,12 @@ def forecast_instance(pool_sizes, availability, table: CalibrationTable,
 
 
 def lower_quantile(samples: Sequence[float], q: float) -> float:
-    """Smallest sample whose empirical CDF reaches q (documented convention)."""
-    xs = np.sort(np.asarray(samples, float))
+    """Smallest sample whose empirical CDF reaches q (documented convention).
+
+    The samples are sorted as Python floats."""
+    xs = sorted(map(float, samples))
     idx = max(1, math.ceil(q * len(xs)))
-    return float(xs[idx - 1])
+    return xs[idx - 1]
 
 
 class _GreedyTowardTarget:
@@ -235,16 +287,15 @@ class _GreedyTowardTarget:
         self.ledger = SupplyLedger(inst)
         self.total = 0.0
         self.day = 0
+        # Each day's open pools, scarcest first.  Pools closed that day are
+        # left out: they take no hire and must not end the fill early.
+        self._orders = [tuple(i for i in _scarcest_first(rho) if rho[i] > 0)
+                        for rho in inst.availability.T.tolist()]
 
     def _hire_toward(self, target: float) -> np.ndarray:
         t = self.day
-        rho_t = self.inst.availability[:, t - 1]
-        # Pools closed today are left out: they must not end the fill early.
-        live = rho_t > 0
-        hires = np.zeros(self.inst.n_pools)
-        hires[live] = fill_scarcest_first(max(0.0, target - self.total),
-                                          self.ledger.available(t)[live],
-                                          rho_t[live])
+        hires = _fill(max(0.0, target - self.total),
+                      self.ledger.available(t), self._orders[t - 1])
         self.ledger.book(t, hires)
         self.total += float(hires.sum())
         return hires
@@ -266,27 +317,29 @@ class NaiveGreedyPolicy(_GreedyTowardTarget):
 
 
 class NaiveBayesianPolicy(_GreedyTowardTarget):
-    """Single-shot newsvendor on the empirical total-demand samples."""
+    """Single-shot newsvendor on the empirical total-demand samples.
+
+    On day t the samples are the realized total plus each received
+    profile's total over days t+1..T, read from running totals
+    (`SampleTotals`; exact on the world's counts)."""
 
     kind = "naive_bayesian"
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.realized = 0.0
-        self.profiles: List[np.ndarray] = []
+        self.totals = SampleTotals()
+        self.q = inst.under_cost / (inst.under_cost + inst.over_cost)
 
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
-        t = self.day
         if obs.partial is None or obs.samples is None:
             raise ValueError("naive bayesian policy needs partial demand and "
                              "sample observations")
-        self.realized += float(obs.partial)
-        self.profiles.append(np.asarray(obs.samples, float))
-        draws = [self.realized + float(np.sum(prof[t - tau:]))
-                 for tau, prof in enumerate(self.profiles, start=1)]
-        q = self.inst.under_cost / (self.inst.under_cost + self.inst.over_cost)
-        return Decision.hire_only(self._hire_toward(lower_quantile(draws, q)))
+        totals = self.totals
+        totals.observe(obs.partial, obs.samples)
+        draws = [totals.realized + rest for rest in totals.remaining]
+        return Decision.hire_only(self._hire_toward(
+            lower_quantile(draws, self.q)))
 
 
 @dataclass(frozen=True)
@@ -355,11 +408,6 @@ def _shift_min(W: np.ndarray, shifts: List[np.ndarray], axis: int
     for idx in shifts:
         np.minimum(out, W.take(idx, axis=axis, mode="clip"), out=out)
     return out
-
-
-def _range_min(W: np.ndarray, hi_idx: np.ndarray, axis: int) -> np.ndarray:
-    """out[..., g, ...] = min over g' in [g, hi_idx[g]] of W[..., g', ...]."""
-    return _shift_min(W, _shift_indices(hi_idx), axis)
 
 
 @dataclass(frozen=True)
@@ -485,7 +533,9 @@ class MdpPolicy:
 
     The empirical variant re-solves every day, with each future day's
     partial-demand pmf estimated from the sampled trajectories received so
-    far (kept as a running count per future day and value).  The re-solve
+    far (kept as a running count per future day and value).  Each profile
+    covers every day after its own, so every future day holds one sample
+    per profile received; a shorter profile raises ValueError.  The re-solve
     on day t covers only the demand sums reachable from today's sum
     (`backward_induction`'s `demand`).  The true variant uses the process
     marginal, so its value arrays are solved once (`full_info_values`) and
@@ -521,13 +571,18 @@ class MdpPolicy:
         # counts[k, v]: samples of day k's partial demand equal to v.
         self.counts = np.zeros((inst.horizon + 1, BINOM_TRIALS + 1),
                                dtype=int)
+        self.n_profiles = 0     # profiles counted: one sample of each day
 
     def _pmfs(self) -> Dict[int, np.ndarray]:
-        """Empirical pmfs of days t+1..T from the samples received so far."""
-        counts = self.counts[self.day + 1:].astype(float)
-        counts[counts.sum(axis=1) == 0] = 1.0   # no information: uniform
-        return dict(zip(range(self.day + 1, self.inst.horizon + 1),
-                        counts / counts.sum(axis=1, keepdims=True)))
+        """Empirical pmfs of days t+1..T from the samples received so far:
+        each day's counts over the number of profiles, uniform before the
+        first one."""
+        counts = self.counts[self.day + 1:]
+        if self.n_profiles:
+            pmfs = counts / float(self.n_profiles)
+        else:                                   # no information: uniform
+            pmfs = np.full(counts.shape, 1.0 / (BINOM_TRIALS + 1))
+        return dict(zip(range(self.day + 1, self.inst.horizon + 1), pmfs))
 
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
@@ -540,11 +595,15 @@ class MdpPolicy:
         if obs.samples is not None and self.values is None:
             # Day t's profile samples days t+1..T in order.
             future = np.asarray(obs.samples, float)[:T - t].astype(int)
-            self.counts[np.arange(t + 1, t + 1 + len(future)), future] += 1
+            if len(future) < T - t:
+                raise ValueError(f"day {t}'s samples cover {len(future)} of "
+                                 f"the {T - t} days left")
+            self.counts[np.arange(t + 1, T + 1), future] += 1
+            self.n_profiles += 1
         # Today's action box uses the exactly-known remaining availability
         # (the Markov charge rule is only needed for future days inside the
         # backward induction).
-        avail = self.ledger.available(t).tolist()
+        avail = self.ledger.available(t)
         box = []
         for lv, g, cum, a in zip(self._level_lists, self.grid_idx,
                                  self.cum_hires, avail):
@@ -612,9 +671,12 @@ def run_bayesian_world(inst: Instance, process: DemandProcess,
     rows: List[dict] = []
     for rep in range(rep_offset, rep_offset + replications):
         world = process.sample_world(np.random.default_rng([seed, rep]))
+        totals = SampleTotals()
         intervals = []
-        for t in range(1, process.horizon + 1):
-            est = point_estimator(world.partials[:t], world.profiles[:t])
+        for t, (partial, profile) in enumerate(
+                zip(world.partials.tolist(), world.profiles), start=1):
+            totals.observe(partial, profile)
+            est = point_estimator(totals)
             lo = min(max(est - table.lower[t - 1], 0.0), hi_cap)
             hi = min(max(est + table.upper[t - 1], 0.0), hi_cap)
             intervals.append((min(lo, hi), hi))

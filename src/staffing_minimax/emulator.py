@@ -89,16 +89,18 @@ class EmulatorTrace:
 def _fill(total: float, caps: Sequence[float], order: Sequence[int]
           ) -> np.ndarray:
     """Fill a total into pools up to their caps (Python floats) in the given
-    order; stops once at most 1e-15 is left."""
+    order, as float64 hires; pools not in the order get none.  Stops once
+    at most 1e-15 is left.  The remainder is a double whatever the total's
+    type: a NumPy float32 total would otherwise keep float32 remainders."""
     hires = [0.0] * len(caps)
-    remaining = total
+    remaining = float(total)
     for i in order:
         h = max(0.0, min(remaining, caps[i]))
         hires[i] = h
         remaining -= h
         if remaining <= 1e-15:
             break
-    return np.array(hires)
+    return np.array(hires, dtype=float)
 
 
 def _scarcest_first(rho: np.ndarray) -> Tuple[int, ...]:

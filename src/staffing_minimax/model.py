@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -485,7 +485,12 @@ def supply_usage(inst: Instance, hires: np.ndarray) -> np.ndarray:
 
 class SupplyLedger:
     """Initial-pool units a policy has used so far, and what each pool can
-    still supply: hiring x on day t uses x / rho_t units (none if rho_t = 0)."""
+    still supply: hiring x on day t uses x / rho_t units (none if rho_t = 0).
+
+    `available` returns a list: the naive fill and the MDP's action box
+    read it entry by entry, and the greedy policy's `np.minimum` takes it
+    as it is.
+    """
 
     def __init__(self, inst: Instance):
         self.usage = [0.0] * inst.n_pools
@@ -493,9 +498,9 @@ class SupplyLedger:
         # _rho[t-1][i]: pool i's availability on day t.
         self._rho = inst.availability.T.tolist()
 
-    def available(self, t: int) -> np.ndarray:
-        return np.array([max(rho * (size - used), 0.0) for rho, size, used
-                         in zip(self._rho[t - 1], self._sizes, self.usage)])
+    def available(self, t: int) -> List[float]:
+        return [max(rho * (size - used), 0.0) for rho, size, used
+                in zip(self._rho[t - 1], self._sizes, self.usage)]
 
     def book(self, t: int, hires: Sequence[float]) -> None:
         for i, rho in enumerate(self._rho[t - 1]):

@@ -7,10 +7,10 @@ import pytest
 from conftest import instance_path, mdp_root_value
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
-    MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, StateExplosion,
-    _allowed_ranges, _nearest, _range_min, _shift_min, backward_induction,
-    calibrate_intervals, empirical_coverage, forecast_instance,
-    full_info_values, lower_quantile, mdp_tables,
+    MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, SampleTotals,
+    StateExplosion, _allowed_ranges, _nearest, _shift_indices, _shift_min,
+    backward_induction, calibrate_intervals, empirical_coverage,
+    forecast_instance, full_info_values, lower_quantile, mdp_tables,
     point_estimator, run_bayesian_world, summarize)
 from staffing_minimax.model import (PredictionInterval, SupplyLedger,
                                     imbalance_cost, make_instance)
@@ -18,18 +18,26 @@ from staffing_minimax.policies import (DayObservation, Decision,
                                        LpEmulatorPolicy)
 
 
+def _estimate(partials_so_far, profiles_so_far):
+    """The point estimate once each day's partial and profile are seen."""
+    totals = SampleTotals()
+    for partial, profile in zip(partials_so_far, profiles_so_far):
+        totals.observe(partial, profile)
+    return point_estimator(totals)
+
+
 def test_point_estimator_hand_values():
     # delta_1 = 2, one sampled trajectory summing 6 over the future: 8.
-    assert point_estimator([2.0], [np.array([3.0, 2.0, 1.0])]) == 8.0
+    assert _estimate([2.0], [np.array([3.0, 2.0, 1.0])]) == 8.0
     # t = T: the future sum is empty, estimate equals the realized total.
     profiles = [np.array([1.0, 2.0]), np.array([4.0]), np.array([])]
-    assert point_estimator([2.0, 1.0, 3.0], profiles) == 6.0
+    assert _estimate([2.0, 1.0, 3.0], profiles) == 6.0
 
 
 def test_point_estimator_trims_past_entries():
     # Day-1 profile covers days 2..3; at t = 2 only its day-3 entry counts.
     profiles = [np.array([9.0, 1.0]), np.array([5.0])]
-    est = point_estimator([1.0, 2.0], profiles)
+    est = _estimate([1.0, 2.0], profiles)
     assert est == 3.0 + (1.0 + 5.0) / 2
 
 
@@ -39,7 +47,7 @@ def test_point_estimator_unbiased():
     for rep in range(4000):
         rng = np.random.default_rng([rep, 3])
         world = proc.sample_world(rng)
-        est = point_estimator(world.partials[:2], world.profiles[:2])
+        est = _estimate(world.partials[:2], world.profiles[:2])
         errs.append(est - world.demand)
     errs = np.array(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
@@ -245,8 +253,9 @@ def test_reach_and_range_min_match_loop_oracles(G):
             assert np.array_equal(g_got, g_want)
         W = rng.normal(size=(11, G, G, G))
         for axis, hi_idx in enumerate(got, start=1):
-            assert np.array_equal(_range_min(W, hi_idx, axis),
-                                  _range_min_loop(W, hi_idx, axis))
+            assert np.array_equal(
+                _shift_min(W, _shift_indices(hi_idx), axis),
+                _range_min_loop(W, hi_idx, axis))
     closed = _allowed_ranges(inst, levels, 3)[1]
     assert np.array_equal(closed, np.arange(G))
 

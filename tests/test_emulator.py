@@ -554,6 +554,32 @@ def test_fill_scarcest_first_as_old():
                                                          rho).tobytes()
 
 
+def test_float32_total_fills_float64_as_old():
+    # A NumPy float32 day total (from a float32 forecast bound) fills
+    # float64 hires with the values the earlier fill gave: its remainder
+    # turned double at the first pool, as a float32 one must not stay.
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        caps = rng.uniform(0.0, 1.0, size=n)
+        rho = rng.choice([0.0, 0.3, 0.5, 1.0], size=n)
+        total = np.float32(rng.uniform(0.0, 1.5 * n))
+        new = fill_scarcest_first(total, caps, rho)
+        assert new.dtype == np.float64
+        assert new.tobytes() == _old_fill_scarcest_first(total, caps,
+                                                         rho).tobytes()
+    played = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        canonical = rng.uniform(0.0, 0.5, size=(n, 4))
+        availability = rng.choice([0.3, 0.5, 1.0], size=(n, 4))
+        r0 = float(canonical.sum())
+        bounds = [np.float32(b) for b in
+                  np.sort(rng.uniform(0.0, r0, size=4))[::-1]]
+        played += _assert_plays_as_old(canonical, availability, r0, bounds)
+    assert played > 0
+
+
 def test_day_tables_memo_is_keyed_by_content():
     availability = np.ones((2, 3))
     a = np.arange(6.0).reshape(2, 3)
