@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 from collections import OrderedDict
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "release", "joint"])
     ps.add_argument("--out", help="canonical profile JSON")
     ps.add_argument("--config-cap", type=int, default=100_000)
-    ps.set_defaults(func=cmd_solve)
 
     pr = sub.add_parser("run", help="drive a policy against a sequence")
     pr.add_argument("--instance", required=True)
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--demand", type=float)
     pr.add_argument("--gamma", type=float)
     pr.add_argument("--out", help="trace CSV")
-    pr.set_defaults(func=cmd_run)
 
     pb = sub.add_parser("bench", help="run the Bayesian benchmark world")
     pb.add_argument("--config", required=True)
@@ -463,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, help="override the config seed")
     pb.add_argument("--out", help="results CSV")
     pb.add_argument("--workers", type=int, default=1)
-    pb.set_defaults(func=cmd_bench)
 
     pe = sub.add_parser("sweep-eta", help="optimal cost vs forecast "
                                           "convergence rate")
@@ -473,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--C", type=float, default=1.0)
     pe.add_argument("--etas", default="0.25,0.5,1,2,4")
     pe.add_argument("--out", help="sweep CSV")
-    pe.set_defaults(func=cmd_sweep_eta)
 
     po = sub.add_parser("oracle", help="brute-force worst case on a grid")
     po.add_argument("--instance", required=True)
@@ -481,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--grid-step", type=float, default=0.25)
     po.add_argument("--gamma", type=float)
     po.add_argument("--cap", type=int, default=2_000_000)
-    po.set_defaults(func=cmd_oracle)
 
     pc = sub.add_parser("calibrate", help="calibrate forecast offsets")
     pc.add_argument("--T", type=int, required=True)
@@ -490,18 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--draws", type=int, default=20_000)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", help="calibration JSON")
-    pc.set_defaults(func=cmd_calibrate)
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parse_args keeps no state between
+    calls, and no default is mutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code not in (0, None) else 0
+    # The command runs by name, so a rebound cmd_* is the one called.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (CliInputError, InstanceError, SequenceError,
             bayesian.InsufficientDraws) as exc:
         print(f"error: {exc}", file=sys.stderr)

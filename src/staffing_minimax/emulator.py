@@ -104,17 +104,9 @@ def _fill(total: float, caps: Sequence[float], order: Sequence[int]
 
 
 def _scarcest_first(rho: np.ndarray) -> Tuple[int, ...]:
-    """Pool indices in ascending rho order, ties by pool index."""
+    """Pool indices in ascending rho order, ties by pool index: filled in
+    this order, a day's hires spend supply where it decays fastest."""
     return tuple(sorted(range(len(rho)), key=lambda i: (rho[i], i)))
-
-
-def fill_scarcest_first(total: float, caps: np.ndarray, rho: np.ndarray
-                        ) -> np.ndarray:
-    """Fill a total into pools up to their caps in ascending rho order (ties
-    by pool index), which spends supply where it decays fastest; stops once
-    at most 1e-15 is left."""
-    return _fill(total, np.asarray(caps, float).tolist(),
-                 _scarcest_first(rho))
 
 
 class DayTable(NamedTuple):
@@ -184,18 +176,8 @@ _last_tables: list = [None, (), None]   # [key, tables, tree]: one entry
 
 def _block(canonical: np.ndarray, availability: np.ndarray
            ) -> Tuple[Tuple[DayTable, ...], DayTree]:
-    rho = availability[:, :canonical.shape[1]]
-    key = (canonical.shape, canonical.strides, canonical.dtype,
-           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
-    if _last_tables[0] != key:
-        _last_tables[:] = (key, _build_day_tables(canonical, rho),
-                           DayTree(canonical.shape[1]))
-    return _last_tables[1], _last_tables[2]
-
-
-def day_tables(canonical: np.ndarray, availability: np.ndarray
-               ) -> Tuple[DayTable, ...]:
-    """The block's day tables, one per day, from a one-entry memo.
+    """The block's day tables, one per day, and its DayTree, from a
+    one-entry memo.
 
     The key is the exact content of the canonical block and of the
     availability over its days: shape, dtype and bytes, plus the block's
@@ -205,7 +187,13 @@ def day_tables(canonical: np.ndarray, availability: np.ndarray
     would, and the tables are tuples, so sharing them between callers
     changes no result.
     """
-    return _block(canonical, availability)[0]
+    rho = availability[:, :canonical.shape[1]]
+    key = (canonical.shape, canonical.strides, canonical.dtype,
+           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
+    if _last_tables[0] != key:
+        _last_tables[:] = (key, _build_day_tables(canonical, rho),
+                           DayTree(canonical.shape[1]))
+    return _last_tables[1], _last_tables[2]
 
 
 def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:

@@ -8,6 +8,15 @@ The kernel is bitwise: every live tableau entry gets the same IEEE operations
 in the same order, and ratio ties break in the same order (the artificial
 columns go once phase 1 ends, as they would stay zero and unread).
 
+Lexicographic refinement solves a chain of stages, each the one before plus
+one pinned "=" row.  A stage replays the previous stage's record (phase-1
+and drive-out pivot rows, initial phase-1 cost row, tableau before phase 2)
+instead of re-solving its phase 1: only the new row and the cost row are
+pushed through the recorded pivots, with the dense pivot's own arithmetic.
+At each recorded pivot it checks that a cold solve would pivot there too,
+and a stage that fails a check solves cold.  So the replay is exact, not a
+warm start: every output byte is the cold solve's (see refine_lexicographic).
+
 A model is: variables x >= 0 (optional upper bounds), linear rows with
 relation <=, >= or =, and a minimization objective.
 """
@@ -132,13 +141,15 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
-                 max_iter: int) -> str:
+                 max_iter: int, pivots: Optional[list] = None) -> str:
     """Minimize the objective encoded in the last tableau row, Bland's rule.
 
     Entering: lowest-index column with reduced cost < -COST_TOL.
     Leaving: minimum ratio; ties broken by the lowest basis variable index.
     The ratio test runs on Python floats: the same IEEE double division and
-    comparisons as on NumPy scalars, in the same row order.
+    comparisons as on NumPy scalars, in the same row order.  pivots, when
+    given, receives each pivot's entering column and its row after the
+    division, the row that _pivot subtracts from the others.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
@@ -158,6 +169,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
             if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
                                         and basis[i] < basis[leave]):
                 best, leave = ratio, i
+        if pivots is not None:
+            pivots.append((enter, T[leave] / T[leave, enter]))
         _pivot(T, basis, leave, enter)
     raise NumericFailure("simplex iteration limit exceeded")
 
@@ -171,10 +184,33 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
         T[-1] -= cb[r] * T[r]
 
 
+@dataclass
+class _Chain:
+    """What a refinement stage leaves for the next (see refine_lexicographic):
+    the record of the chain's cold stage, extended by each replayed stage.
+    Phase-1 rows have the cold stage's width; the artificial columns of
+    later pins are zero in every row recorded here."""
+
+    cost: Optional[np.ndarray] = None   # phase-1 cost row from _load_costs
+    # Pivots as (column, pivot row after the division): phase 1's, and the
+    # drive-out's at width n_real + 1.
+    pivots: list = field(default_factory=list)
+    drives: list = field(default_factory=list)
+    T: Optional[np.ndarray] = None      # tableau just before phase 2
+    basis: Optional[np.ndarray] = None
+    n_total: int = 0                    # the last stage's columns, rhs aside
+
+
+class _Diverged(Exception):
+    """A replayed stage would not pivot as its cold solve does."""
+
+
 def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
-               c: np.ndarray, name: str, check: bool) -> LpSolution:
+               c: np.ndarray, name: str, check: bool,
+               record: Optional[_Chain] = None) -> LpSolution:
     """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b); name
-    labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp)."""
+    labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp).
+    record, when given, receives what the next refinement stage replays."""
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
@@ -206,7 +242,11 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         c1 = np.zeros(n_total + 1)
         c1[n_real:n_total] = 1.0
         _load_costs(T, basis, c1)
-        if _run_simplex(T, basis, n_total, max_iter) == "unbounded":
+        if record is not None:
+            record.cost = T[-1].copy()
+        if _run_simplex(T, basis, n_total, max_iter,
+                        None if record is None else record.pivots
+                        ) == "unbounded":
             raise NumericFailure("phase 1 unbounded")
         if -T[-1, -1] > 1e-7:
             if check:
@@ -220,11 +260,24 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             nz = np.abs(T[r, :n_real]) > PIVOT_TOL
             j = int(nz.argmax())
             if nz[j]:
+                if record is not None:
+                    record.drives.append((j, T[r] / T[r, j]))
                 _pivot(T, basis, r, j)
         live = basis < n_real
         T, basis = T[np.append(live, True)], basis[live]
+    if record is not None:
+        record.T, record.basis = T.copy(), basis.copy()
+        record.n_total = n_total
+    return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name,
+                      check)
 
-    # Phase 2: the costs c on the structural columns.
+
+def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
+               sense: np.ndarray, b: np.ndarray, c: np.ndarray, n_real: int,
+               max_iter: int, name: str, check: bool) -> LpSolution:
+    """Phase 2 from a feasible tableau with the artificials gone, then the
+    optimality certificate against the rows (A, sense, b)."""
+    m, n = A.shape
     _load_costs(T, basis, np.concatenate((c, np.zeros(n_real + 1 - n))))
     if _run_simplex(T, basis, n_real, max_iter) == "unbounded":
         if check:
@@ -262,6 +315,63 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     return LpSolution("optimal", objective, xs, reduced)
 
 
+def _replay(chain: _Chain, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
+            c: np.ndarray, name: str, keep: bool) -> LpSolution:
+    """Solve a refinement stage whose rows are the chain's last stage's plus
+    one trailing "=" row, as _two_phase would, bit for bit; raises _Diverged
+    where _two_phase would pivot otherwise.  With keep, the chain moves on
+    to this stage.
+
+    The new row and this stage's phase-1 cost row go through the recorded
+    phase-1 pivots; at each the entering column must be the recorded one
+    and the new row must lose the ratio test, and at the end phase 1 must be
+    optimal and feasible.  The new row then goes through the drive-out
+    pivots and is driven out itself.
+    """
+    m = A.shape[0]
+    n_real, n_total = chain.T.shape[1] - 1, chain.n_total + 1
+    flip = -1.0 if b[-1] < 0 else 1.0
+    row = np.zeros(chain.cost.size)
+    row[:A.shape[1]] = A[-1] * flip
+    row[-1] = b[-1] * flip
+    cost = chain.cost - 1.0 * row
+    R = np.array((row, cost))
+    new, reduced = R[0], R[1, :-1]      # views of the rows R carries
+    # NumPy scalars below: the same IEEE division and comparisons as the
+    # Python floats of _run_simplex.
+    for enter, y in chain.pivots:
+        neg = reduced < -COST_TOL
+        if not neg[enter] or neg.argmax() != enter:
+            raise _Diverged("entering column")
+        f = new[enter]
+        if f > PIVOT_TOL and new[-1] / f < y[-1] - 1e-12:
+            raise _Diverged("ratio test")
+        R -= R[:, enter, None] * y
+    if (reduced < -COST_TOL).any():
+        raise _Diverged("phase 1 not optimal")
+    if -R[1, -1] > 1e-7:
+        raise _Diverged("phase 1 infeasible")
+
+    row = np.concatenate((new[:n_real], new[-1:]))
+    for j, y in chain.drives:
+        row -= row[j] * y
+    nz = np.abs(row[:n_real]) > PIVOT_TOL
+    j = int(nz.argmax())
+    if nz[j]:
+        if keep:
+            chain.drives.append((j, row / row[j]))
+        T = np.vstack((chain.T[:-1], row, chain.T[-1:]))
+        basis = np.concatenate((chain.basis, [n_total - 1]))  # artificial
+        _pivot(T, basis, basis.size - 1, j)
+    else:                               # redundant: the row goes
+        T, basis = chain.T.copy(), chain.basis.copy()
+    if keep:
+        chain.cost, chain.T, chain.basis = cost, T.copy(), basis.copy()
+        chain.n_total = n_total
+    return _phase_two(T, basis, A, sense, b, c, n_real,
+                      2000 + 200 * (m + n_total), name, True)  # _two_phase's
+
+
 def solve_lp(model: LpModel, check: bool = True) -> LpSolution:
     """Two-phase dense simplex.  Deterministic for byte-identical models.
 
@@ -287,22 +397,56 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     and target order; used to make "the" canonical staffing profile
     well-defined independent of simplex pivoting accidents.  Each stage
     solves the model's rows, then the pins, then the upper-bound rows.
+
+    Stages chain: when the pins are the trailing rows (no upper bounds), a
+    stage differs from the one before only by its new pin, so _replay solves
+    it from the previous stage's record.  The first stage solves cold
+    (solve_lp passes nothing here but sol), and so does a stage that fails a
+    replay check; either starts a new chain, recorded only when another
+    stage follows.  The replay is _two_phase's arithmetic, not an
+    approximation of it:
+    - The new row never pivots in phase 1, so the old rows never see it and
+      get the cold solve's operations unchanged: the recorded pivot rows
+      stand for them.  The new row and the cost row get the same x - f * y
+      that _pivot computes, and the new cost row is the previous one minus
+      1.0 * the new row, _load_costs' last subtraction.
+    - Artificial columns added after the chain's cold stage are zero in
+      every recorded pivot row and in the cost row, so they never enter and
+      the replay runs at that stage's width.
+    - The ratio test's best is the recorded pivot row's right-hand side,
+      the same IEEE division as rhs[leave] / col[leave].  The new row's
+      artificial has the highest basis index, so it never wins a tie: it
+      wins only with ratio < best - 1e-12.  The replay checks that, and
+      the entering column at every pivot, and that phase 1 ends optimal and
+      feasible.
+    - The drive-out needs no check: the old rows are unchanged and the new
+      row comes last, so it is driven out after every recorded drive-out.
+    - A stage's max_iter exceeds that of the stage before, so a replayed
+      phase 1 stays within the limit of its cold solve.
     """
     A, sense, b = model.dense()
     k, n = model.n_rows, model.n_vars
     pins = np.zeros((len(targets) + 1, n))      # "=" rows: objective, targets
     pins[0] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
     pin_rhs = np.append(sol.objective, np.zeros(len(targets)))
-    out = sol
+    out, chain = sol, None
     for i, (coeffs, goal) in enumerate(targets, start=1):
         c = np.zeros(n)
         for j, a in coeffs.items():
             c[j] = -a if goal == "max" else a
-        out = _two_phase(np.vstack((A[:k], pins[:i], A[k:])),
-                         np.concatenate((sense[:k], np.zeros(i, int),
-                                         sense[k:])),
-                         np.concatenate((b[:k], pin_rhs[:i], b[k:])),
-                         c, model.name + "+lex", True)
+        stage = (np.vstack((A[:k], pins[:i], A[k:])),
+                 np.concatenate((sense[:k], np.zeros(i, int), sense[k:])),
+                 np.concatenate((b[:k], pin_rhs[:i], b[k:])),
+                 c, model.name + "+lex")
+        more, out = i < len(targets), None
+        if chain is not None:
+            try:
+                out = _replay(chain, *stage, keep=more)
+            except _Diverged:
+                pass
+        if out is None:
+            chain = _Chain() if more and A.shape[0] == k else None
+            out = _two_phase(*stage, True, chain)
         for j, a in coeffs.items():
             if a != 0.0:
                 pins[i, j] = a

@@ -452,3 +452,33 @@ def test_solve_bad_release_file_exit_2(capsys, tmp_path, key, value,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from staffing_minimax import cli
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            code, out, _ = run_cli(capsys, "solve", "--instance",
+                                   instance_path("fig3a.json"))
+            assert (code, out.splitlines()[0]) == (0, "0.000000")
+        assert run_cli(capsys, "solve")[0] == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_cached_parser_runs_a_rebound_command(capsys, monkeypatch):
+    from staffing_minimax import cli
+    assert main(["sweep-eta", "--T", "3", "--etas", "1"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep_eta",
+                        lambda args: calls.append(args.T) or 7)
+    assert main(["sweep-eta", "--T", "4"]) == 7
+    assert calls == [4]
+    capsys.readouterr()

@@ -7,8 +7,8 @@ from staffing_minimax.adversary import (random_nested_sequence,
                                         worst_case_sequence)
 from staffing_minimax import emulator as emulator_module
 from staffing_minimax.emulator import (Emulator, EmulatorTrace, EpochRunner,
-                                       SplitInfeasible, day_tables,
-                                       emulator_step, fill_scarcest_first,
+                                       SplitInfeasible, _block, _fill,
+                                       _scarcest_first, emulator_step,
                                        split_hires)
 from staffing_minimax.model import (PredictionInterval, PredictionSequence,
                                     ReleaseInstance, check_feasibility,
@@ -16,6 +16,18 @@ from staffing_minimax.model import (PredictionInterval, PredictionSequence,
 from staffing_minimax.policies import LpEmulatorPolicy, play
 from staffing_minimax.programs import (minimax_value_and_profile,
                                        single_switch_floor)
+
+
+def day_tables(canonical, availability):
+    """The block's day tables, from the emulator's one-entry memo."""
+    return _block(canonical, availability)[0]
+
+
+def fill_scarcest_first(total, caps, rho):
+    """Fill a total into pools up to their caps, scarcest first: the fill
+    of the emulator's split and of the naive heuristics."""
+    return _fill(total, np.asarray(caps, float).tolist(),
+                 _scarcest_first(rho))
 
 
 def test_step_follows_canonical_when_upper_bound_holds():

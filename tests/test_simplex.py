@@ -281,7 +281,7 @@ def _oracle_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _oracle_run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
-                        max_iter: int) -> str:
+                        max_iter: int, pivots=None) -> str:
     m = T.shape[0] - 1
     for _ in range(max_iter):
         red = T[-1, :n_cols]
@@ -300,25 +300,35 @@ def _oracle_run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
                 best_ratio, leave = ratio, int(i)
         if leave < 0:
             return "unbounded"
+        if pivots is not None:
+            pivots.append((enter, T[leave] / T[leave, enter]))
         _oracle_pivot(T, basis, leave, enter)
     raise NumericFailure("simplex iteration limit exceeded")
 
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Check every phase-1 and phase-2 run of lp._run_simplex, and every
-    pivot outside it (the artificial drive-out), against the oracle on a
-    copy of the same tableau; returns the statuses of the checked runs."""
+    """Check every phase-1 and phase-2 run of lp._run_simplex (and the pivot
+    rows it records), and every pivot outside it (the artificial drive-out),
+    against the oracle on a copy of the same tableau; check every replayed
+    refinement stage against a cold solve of the same stage.  Returns the
+    statuses of the checked runs and one entry per replay check."""
     runs = []
     run_simplex, pivot = lp._run_simplex, lp._pivot
+    replay, two_phase, phase_two = lp._replay, lp._two_phase, lp._phase_two
+    before = []     # constraint rows and basis as a stage enters phase 2
 
-    def checked_run(T, basis, n_cols, max_iter):
-        T0, basis0 = T.copy(), basis.copy()
-        want = _oracle_run_simplex(T0, basis0, n_cols, max_iter)
-        got = run_simplex(T, basis, n_cols, max_iter)
+    def checked_run(T, basis, n_cols, max_iter, pivots=None):
+        T0, basis0, pivots0 = T.copy(), basis.copy(), []
+        want = _oracle_run_simplex(T0, basis0, n_cols, max_iter, pivots0)
+        start = 0 if pivots is None else len(pivots)
+        got = run_simplex(T, basis, n_cols, max_iter, pivots)
         assert got == want
         assert T.tobytes() == T0.tobytes()
         assert np.array_equal(basis, basis0)
+        if pivots is not None:
+            assert [(e, r.tobytes()) for e, r in pivots[start:]] == \
+                [(e, r.tobytes()) for e, r in pivots0]
         runs.append(got)
         return got
 
@@ -329,10 +339,41 @@ def kernel_runs(monkeypatch):
         assert T.tobytes() == T0.tobytes()
         assert np.array_equal(basis, basis0)
 
+    def noted_phase_two(T, basis, *args):
+        # Phase 2 starts by overwriting the cost row, so only the
+        # constraint rows carry over.
+        before.append((T[:-1].tobytes(), basis.copy()))
+        return phase_two(T, basis, *args)
+
+    def checked_replay(chain, A, sense, b, c, name, keep):
+        before.clear()
+        try:
+            got = replay(chain, A, sense, b, c, name, keep)
+        except LpError as exc:
+            with pytest.raises(type(exc)) as cold:
+                two_phase(A, sense, b, c, name, True)
+            assert str(cold.value) == str(exc)
+            runs.append("replay error")
+            raise
+        (tableau, basis), = before
+        before.clear()
+        want = two_phase(A, sense, b, c, name, True)
+        assert before[0][0] == tableau
+        runs.append("replay tableau")
+        assert np.array_equal(before[0][1], basis)
+        runs.append("replay basis")
+        assert got.x.tobytes() == want.x.tobytes()
+        runs.append("replay x")
+        assert repr(got.objective) == repr(want.objective)
+        runs.append("replay objective")
+        return got
+
     monkeypatch.setattr(lp, "_run_simplex", checked_run)
     # Inside checked_run the kernel pivots with lp._pivot, so every pivot it
     # makes is also checked one by one.
     monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp, "_phase_two", noted_phase_two)
+    monkeypatch.setattr(lp, "_replay", checked_replay)
     return runs
 
 
@@ -381,3 +422,20 @@ def _degenerate_lp(seed):
 def test_kernel_identity_degenerate_ties(kernel_runs, seed):
     solve_lp(_degenerate_lp(seed), check=False)
     assert len(kernel_runs) == 2
+
+
+def test_kernel_identity_signed_zeros(kernel_runs):
+    # A row with a negative right side is flipped, so its zero coefficients
+    # turn into -0.0, and x - f * y keeps or drops a zero's sign by the sign
+    # of the pivot row's zero.  A replay must subtract the rows the dense
+    # pivot subtracts (after the division, before the pivot row's own
+    # update), or the tableau before phase 2 differs in a zero's sign here.
+    model = LpModel(name="signed-zeros")
+    for j, obj in enumerate((1.0, 1.0, 0.0)):
+        model.add_var(f"x{j}", obj=obj)
+    model.add_row({0: -2.0, 1: -2.0}, "<=", -2.0)
+    model.add_row({}, ">=", -1.0)
+    model.add_row({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 4.0)
+    refine_lexicographic(model, solve_lp(model), [
+        ({0: -1.0}, "min"), ({2: -1.0}, "min"), ({1: -1.0}, "max")])
+    assert "replay tableau" in kernel_runs
