@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections import OrderedDict
 from functools import lru_cache, partial
@@ -29,7 +30,8 @@ from .lp import LpError, solve_lp
 from .model import (Instance, InstanceError, MultiStationInstance,
                     ReleaseInstance, SequenceError, imbalance_cost,
                     load_instance, make_instance, validate_instance,
-                    validate_multi_station, validate_release_instance)
+                    validate_multi_station, validate_release_fields,
+                    validate_release_instance)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
                        LpResolvingPolicy, ReleasePolicy,
                        gamma_star_single_pool, play)
@@ -53,8 +55,7 @@ def _load(path):
     if isinstance(problem, MultiStationInstance):
         return validate_multi_station(problem)
     if isinstance(problem, ReleaseInstance):
-        validate_instance(problem.base)
-        return problem
+        return validate_release_fields(problem)
     return validate_instance(problem)
 
 
@@ -431,6 +432,18 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float, refusing NaN and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="staffing-minimax",
@@ -451,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sequence", required=True,
                     help="worst_case | single_switch:K | configuration:J1,J2 "
                          "| random:SEED | file:PATH")
-    pr.add_argument("--demand", type=float)
-    pr.add_argument("--gamma", type=float)
+    pr.add_argument("--demand", type=_finite_float)
+    pr.add_argument("--gamma", type=_finite_float)
     pr.add_argument("--out", help="trace CSV")
 
     pb = sub.add_parser("bench", help="run the Bayesian benchmark world")
@@ -465,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("sweep-eta", help="optimal cost vs forecast "
                                           "convergence rate")
     pe.add_argument("--T", type=int, default=14)
-    pe.add_argument("--s", type=float, default=1.0)
-    pe.add_argument("--c", type=float, default=1.0)
-    pe.add_argument("--C", type=float, default=1.0)
+    pe.add_argument("--s", type=_finite_float, default=1.0)
+    pe.add_argument("--c", type=_finite_float, default=1.0)
+    pe.add_argument("--C", type=_finite_float, default=1.0)
     pe.add_argument("--etas", default="0.25,0.5,1,2,4")
     pe.add_argument("--out", help="sweep CSV")
 
@@ -475,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--instance", required=True)
     po.add_argument("--policy", default="lp_emulator")
     po.add_argument("--grid-step", type=float, default=0.25)
-    po.add_argument("--gamma", type=float)
+    po.add_argument("--gamma", type=_finite_float)
     po.add_argument("--cap", type=int, default=2_000_000)
 
     pc = sub.add_parser("calibrate", help="calibrate forecast offsets")

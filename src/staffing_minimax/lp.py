@@ -17,8 +17,8 @@ At each recorded pivot it checks that a cold solve would pivot there too,
 and a stage that fails a check solves cold.  So the replay is exact, not a
 warm start: every output byte is the cold solve's (see refine_lexicographic).
 
-A model is: variables x >= 0 (optional upper bounds), linear rows with
-relation <=, >= or =, and a minimization objective.
+A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
+minimization objective.
 """
 
 from __future__ import annotations
@@ -57,19 +57,14 @@ class LpModel:
 
     name: str = "lp"
     var_names: List[str] = field(default_factory=list)
-    upper_bounds: List[Optional[float]] = field(default_factory=list)
     objective: List[float] = field(default_factory=list)
     rows: List[Tuple[Dict[int, float], str, float]] = field(default_factory=list)
 
-    def add_var(self, name: str, obj: float = 0.0,
-                upper: Optional[float] = None) -> int:
+    def add_var(self, name: str, obj: float = 0.0) -> int:
         if not math.isfinite(obj):
             raise LpError(f"non-finite objective coefficient for {name}")
-        if upper is not None and not math.isfinite(upper):
-            raise LpError(f"non-finite upper bound for {name}")
         self.var_names.append(name)
         self.objective.append(float(obj))
-        self.upper_bounds.append(upper)
         return len(self.var_names) - 1
 
     def add_row(self, coeffs: Dict[int, float], rel: str, rhs: float) -> None:
@@ -95,18 +90,13 @@ class LpModel:
 
     def dense(self):
         """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
-        =; upper bounds are appended as <= rows."""
-        bounded = [j for j, u in enumerate(self.upper_bounds) if u is not None]
-        k = self.n_rows
-        A = np.zeros((k + len(bounded), self.n_vars))
+        =."""
+        A = np.zeros((self.n_rows, self.n_vars))
         for r, (coeffs, _, _) in enumerate(self.rows):
             for j, a in coeffs.items():
                 A[r, j] = a
-        A[range(k, k + len(bounded)), bounded] = 1.0
-        sense = np.array([_SENSE[rel] for _, rel, _ in self.rows]
-                         + [1] * len(bounded), dtype=int)
-        b = np.array([rhs for _, _, rhs in self.rows]
-                     + [self.upper_bounds[j] for j in bounded], dtype=float)
+        sense = np.array([_SENSE[rel] for _, rel, _ in self.rows], dtype=int)
+        b = np.array([rhs for _, _, rhs in self.rows], dtype=float)
         return A, sense, b
 
     def dump(self) -> str:
@@ -118,9 +108,6 @@ class LpModel:
             lhs = " + ".join(f"{a:g}*{self.var_names[j]}"
                              for j, a in sorted(coeffs.items()))
             out.append(f"  {lhs or '0'} {rel} {rhs:g}")
-        for j, u in enumerate(self.upper_bounds):
-            if u is not None:
-                out.append(f"  {self.var_names[j]} <= {u:g}")
         return "\n".join(out)
 
 
@@ -395,16 +382,15 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     target in order optimizes that linear function over the remaining optima
     and pins it too.  sense is "max" or "min".  Deterministic given the model
     and target order; used to make "the" canonical staffing profile
-    well-defined independent of simplex pivoting accidents.  Each stage
-    solves the model's rows, then the pins, then the upper-bound rows.
+    well-defined independent of simplex pivoting accidents.  Stage i solves
+    the leading k + i rows of one array: the model's k rows, then the pins.
 
-    Stages chain: when the pins are the trailing rows (no upper bounds), a
-    stage differs from the one before only by its new pin, so _replay solves
-    it from the previous stage's record.  The first stage solves cold
-    (solve_lp passes nothing here but sol), and so does a stage that fails a
-    replay check; either starts a new chain, recorded only when another
-    stage follows.  The replay is _two_phase's arithmetic, not an
-    approximation of it:
+    Stages chain: a stage differs from the one before only by its new
+    trailing pin, so _replay solves it from the previous stage's record.
+    The first stage solves cold (solve_lp passes nothing here but sol), and
+    so does a stage that fails a replay check; either starts a new chain,
+    recorded only when another stage follows.  The replay is _two_phase's
+    arithmetic, not an approximation of it:
     - The new row never pivots in phase 1, so the old rows never see it and
       get the cold solve's operations unchanged: the recorded pivot rows
       stand for them.  The new row and the cost row get the same x - f * y
@@ -424,20 +410,20 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     - A stage's max_iter exceeds that of the stage before, so a replayed
       phase 1 stays within the limit of its cold solve.
     """
+    k, n, pins = model.n_rows, model.n_vars, len(targets) + 1
     A, sense, b = model.dense()
-    k, n = model.n_rows, model.n_vars
-    pins = np.zeros((len(targets) + 1, n))      # "=" rows: objective, targets
-    pins[0] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
-    pin_rhs = np.append(sol.objective, np.zeros(len(targets)))
+    # The model's rows, then the "=" pins: objective, then one per target.
+    A = np.vstack((A, np.zeros((pins, n))))
+    sense = np.append(sense, np.zeros(pins, int))
+    b = np.append(b, np.zeros(pins))
+    A[k] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
+    b[k] = sol.objective
     out, chain = sol, None
     for i, (coeffs, goal) in enumerate(targets, start=1):
         c = np.zeros(n)
         for j, a in coeffs.items():
             c[j] = -a if goal == "max" else a
-        stage = (np.vstack((A[:k], pins[:i], A[k:])),
-                 np.concatenate((sense[:k], np.zeros(i, int), sense[k:])),
-                 np.concatenate((b[:k], pin_rhs[:i], b[k:])),
-                 c, model.name + "+lex")
+        stage = (A[:k + i], sense[:k + i], b[:k + i], c, model.name + "+lex")
         more, out = i < len(targets), None
         if chain is not None:
             try:
@@ -445,12 +431,12 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
             except _Diverged:
                 pass
         if out is None:
-            chain = _Chain() if more and A.shape[0] == k else None
+            chain = _Chain() if more else None
             out = _two_phase(*stage, True, chain)
         for j, a in coeffs.items():
             if a != 0.0:
-                pins[i, j] = a
-        pin_rhs[i] = sum(a * out.x[j] for j, a in coeffs.items())
+                A[k + i, j] = a
+        b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))
     return LpSolution("optimal", final_obj, out.x, None)

@@ -115,18 +115,30 @@ def make_instance(pool_sizes, availability, initial_range, error_bounds,
     )
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise InstanceError naming the field if value (a number or an array
+    of them) holds a NaN or an infinity."""
+    bad = np.asarray(value, dtype=float)[~np.isfinite(value)]
+    if bad.size:
+        raise InstanceError(f"{name} must be finite, got {bad[0]}")
+
+
 def validate_instance(inst: Instance) -> Instance:
     """Check instance invariants and return the (normalized) instance.
 
-    Raises EmptyHorizon, NegativeParameter, or NonMonotoneAvailability.
-    Availability zeros are allowed (a pool can be closed on some days);
-    availability must be nonincreasing over time within each pool.
+    Raises EmptyHorizon, NegativeParameter, or NonMonotoneAvailability, and
+    InstanceError for a non-finite number.  Availability zeros are allowed
+    (a pool can be closed on some days); availability must be nonincreasing
+    over time within each pool.
     """
     n, T = inst.availability.shape
     if T < 1 or n < 1:
         raise EmptyHorizon(f"need n >= 1 pools and T >= 1 days, got n={n}, T={T}")
     if inst.pool_sizes.shape != (n,):
         raise InstanceError("pool_sizes length does not match availability rows")
+    for name in ("pool_sizes", "availability", "initial_range",
+                 "error_bounds", "inconsistency", "under_cost", "over_cost"):
+        _check_finite(name, getattr(inst, name))
     if np.any(inst.pool_sizes < 0):
         raise NegativeParameter("pool sizes must be nonnegative")
     if inst.under_cost < 0 or inst.over_cost < 0:
@@ -355,9 +367,13 @@ class ReleaseInstance:
         return lo, self.epoch_breaks[ell - 1]
 
 
-def validate_release_instance(ri: ReleaseInstance) -> ReleaseInstance:
+def validate_release_fields(ri: ReleaseInstance) -> ReleaseInstance:
+    """Check the base instance and the fields of a release file: epoch
+    breaks, one release fee per epoch, and finite nonnegative fees, budget,
+    wages and pre-hires.  Joint-cost runs need no more than this."""
     inst = validate_instance(ri.base)
-    n, T = inst.availability.shape
+    T = inst.horizon
+    _check_finite("epoch_breaks", ri.epoch_breaks)
     breaks = tuple(int(b) for b in ri.epoch_breaks)
     if len(breaks) == 0 or breaks[-1] != T or any(
             b2 <= b1 for b1, b2 in zip((0,) + breaks, breaks)):
@@ -365,15 +381,27 @@ def validate_release_instance(ri: ReleaseInstance) -> ReleaseInstance:
                             f"increasing and end at T={T}")
     if len(ri.release_fees) != len(breaks):
         raise InstanceError("need one release fee per epoch")
-    for q in ri.release_fees:
-        if q is not UNLIMITED and q < 0:
-            raise NegativeParameter("release fees must be nonnegative")
-    if ri.budget is not UNLIMITED and ri.budget < 0:
-        raise NegativeParameter("budget must be nonnegative")
+    fees = [q for q in ri.release_fees if q is not UNLIMITED]
+    _check_finite("release_fees", fees)
+    if any(q < 0 for q in fees):
+        raise NegativeParameter("release fees must be nonnegative")
+    if ri.budget is not UNLIMITED:
+        _check_finite("budget", ri.budget)
+        if ri.budget < 0:
+            raise NegativeParameter("budget must be nonnegative")
+    for name in ("wages", "pre_hires"):
+        _check_finite(name, getattr(ri, name))
     if np.any(ri.wages < 0):
         raise NegativeParameter("wages must be nonnegative")
     if np.any(ri.pre_hires < 0):
         raise NegativeParameter("pre-hires must be nonnegative")
+    return ri
+
+
+def validate_release_instance(ri: ReleaseInstance) -> ReleaseInstance:
+    """validate_release_fields, then release mode's premises: error bounds
+    that do not increase, and perfectly consistent forecasts."""
+    inst = validate_release_fields(ri).base
     if np.any(np.diff(np.concatenate(([inst.delta0], inst.error_bounds))) > 1e-12):
         raise InstanceError("release mode requires nonincreasing error bounds "
                             "(nested forecast constructions)")

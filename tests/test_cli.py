@@ -482,3 +482,77 @@ def test_cached_parser_runs_a_rebound_command(capsys, monkeypatch):
     assert main(["sweep-eta", "--T", "4"]) == 7
     assert calls == [4]
     capsys.readouterr()
+
+
+INSTANCE_FIELDS = ["pool_sizes", "availability", "initial_range",
+                   "error_bounds", "inconsistency", "under_cost", "over_cost"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", INSTANCE_FIELDS)
+def test_non_finite_instance_field_exit_2(capsys, tmp_path, field, value):
+    config = json.loads(open(instance_path("fig3a.json")).read())
+    config.setdefault("inconsistency", [0.0] * config["horizon"])
+    if isinstance(config[field], list):
+        first = config[field]
+        while isinstance(first[0], list):
+            first = first[0]
+        first[-1] = value
+    else:
+        config[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for argv in (["solve"], ["run", "--policy", "lp_emulator", "--sequence",
+                             "random:1"], ["oracle"]):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2, argv
+        assert out == ""
+        assert f"{field} must be finite, got {value}" in err
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("joint_demo", "wages", [[-5.0] * 10], "wages must be nonnegative"),
+    ("joint_demo", "epoch_breaks", [3, 2], "epoch breaks (3, 2)"),
+    ("joint_demo", "pre_hires", [float("nan")], "pre_hires must be finite"),
+    ("release_demo", "budget", float("inf"), "budget must be finite"),
+    ("release_demo", "release_fees", [float("nan"), None],
+     "release_fees must be finite"),
+])
+def test_bad_release_field_exit_2_on_every_path(capsys, tmp_path, name, key,
+                                                value, message):
+    # The joint path reads a release file too, so its fields are checked
+    # at load, not only where release mode runs.
+    config = json.loads(open(instance_path(f"{name}.json")).read())
+    config[key] = value
+    path = tmp_path / "release.json"
+    path.write_text(json.dumps(config))
+    policy = "joint" if name == "joint_demo" else "release"
+    for argv in (["solve"], ["run", "--policy", policy, "--sequence",
+                             "worst_case"]):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2, argv
+        assert out == ""
+        assert message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "greedy_target", "--sequence", "random:1", "--gamma", "nan"],
+     "--gamma"),
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "lp_emulator", "--sequence", "random:1", "--demand", "nan"],
+     "--demand"),
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "lp_emulator", "--sequence", "random:1", "--demand", "inf"],
+     "--demand"),
+    (["oracle", "--instance", instance_path("fig3a.json"), "--gamma",
+      "nan"], "--gamma"),
+    (["sweep-eta", "--T", "6", "--s", "nan"], "--s"),
+    (["sweep-eta", "--T", "6", "--c", "nan"], "--c"),
+    (["sweep-eta", "--T", "6", "--C", "inf"], "--C"),
+])
+def test_non_finite_float_option_exit_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be finite, got '{argv[-1]}'" in err

@@ -67,9 +67,10 @@ def test_oracle_finds_the_lexicographic_optimum_by_hand():
     # min 0 s.t. x0 + x1 <= 2, x0 <= 1.5: maximising x0 + x1, then x1,
     # gives (0, 2); maximising x0 first would give (1.5, 0.5).
     m = LpModel()
-    m.add_var("x0", upper=1.5)
+    m.add_var("x0")
     m.add_var("x1")
     m.add_row({0: 1.0, 1: 1.0}, "<=", 2.0)
+    m.add_row({0: 1.0}, "<=", 1.5)
     assert exact_canonical_x(m, [({0: 1.0, 1: 1.0}, "max"),
                                  ({1: 1.0}, "max")]) == [0, 2]
     assert exact_canonical_x(m, [({0: 1.0}, "max"),

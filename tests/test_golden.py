@@ -187,24 +187,26 @@ def _release():
     return "\n".join(lines)
 
 
-def _random_lp(seed, bounded=True):
+def _random_lp(seed, bounded=True, fill=None):
     """A seeded LP with a known feasible point x0 on the half-integer grid.
 
     Integer coefficients in [-3, 3] make right sides negative about half the
     time and keep every row sum exact, so the odd seeds' extra = row (the sum
     of the first two = rows) is exactly redundant and reaches the drive-out
-    step's drop path.  About half the variables get an upper bound; with
-    bounded=False the box row on the total is left out, so a negative cost
-    on an unbounded variable makes the LP unbounded.
+    step's drop path.  About half the variables get an upper bound, written
+    as a trailing <= row in variable order (fill, when given, bounds the
+    rest); with bounded=False the box row on the total is left out, so a
+    negative cost on an unbounded variable makes the LP unbounded.
     """
     rng = np.random.default_rng([seed, 11])
     n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
     x0 = rng.integers(0, 5, size=n) * 0.5
     model = LpModel(name=f"random[{seed}]")
+    uppers = []
     for j in range(n):
-        upper = (float(x0[j] + rng.integers(0, 3))
-                 if rng.uniform() < 0.5 else None)
-        model.add_var(f"x{j}", obj=float(rng.integers(-3, 4)), upper=upper)
+        uppers.append(float(x0[j] + rng.integers(0, 3))
+                      if rng.uniform() < 0.5 else fill)
+        model.add_var(f"x{j}", obj=float(rng.integers(-3, 4)))
     equalities = []
     for _ in range(m):
         a = rng.integers(-3, 4, size=n)
@@ -230,6 +232,9 @@ def _random_lp(seed, bounded=True):
     if bounded:
         model.add_row(dict.fromkeys(range(n), 1.0), "<=",
                       float(x0.sum() + 4))
+    for j, upper in enumerate(uppers):
+        if upper is not None:
+            model.add_row({j: 1.0}, "<=", upper)
     return model
 
 
@@ -263,13 +268,11 @@ def _solver_edges():
 
 
 def _refine_text(seed):
-    """Refinement on a bounded LP whose objective leaves a face of optima:
-    the bound rows must come after the pins, as they always have."""
-    model = _random_lp(seed)
+    """Refinement on a bounded LP whose objective leaves a face of optima
+    (every variable bounded, the undrawn bounds at 3.0)."""
+    model = _random_lp(seed, fill=3.0)
     for j in range(model.n_vars):
         model.objective[j] = float(j % 2)
-        if model.upper_bounds[j] is None:
-            model.upper_bounds[j] = 3.0
     try:
         sol = solve_lp(model)
         targets = [({j: 1.0 for j in range(0, model.n_vars, 2)}, "max")]

@@ -14,11 +14,11 @@ from staffing_minimax.lp import (
 from staffing_minimax.programs import minimax_value_and_profile
 
 
-def brute_force_min(c, rows, upper=None):
+def brute_force_min(c, rows):
     """Enumerate basic points of {Ax rel b, x >= 0} and minimize c x.
 
     Independent oracle for tiny LPs: every vertex of a pointed polyhedron is
-    the solution of n active constraints drawn from the rows and the bounds.
+    the solution of n active constraints drawn from the rows and x >= 0.
     Returns (value, x) or None when no feasible point exists.
     """
     c = np.asarray(c, float)
@@ -29,11 +29,6 @@ def brute_force_min(c, rows, upper=None):
         for j, v in coeffs.items():
             a[j] = v
         sys_rows.append((a, rel, rhs))
-    if upper:
-        for j, u in upper.items():
-            e = np.zeros(n)
-            e[j] = 1.0
-            sys_rows.append((e, "<=", u))
     for j in range(n):
         e = np.zeros(n)
         e[j] = -1.0
@@ -107,7 +102,8 @@ def test_unbounded_detected():
 
 def test_upper_bounds_respected():
     m = LpModel()
-    x = m.add_var("x", obj=-1.0, upper=3.5)
+    x = m.add_var("x", obj=-1.0)
+    m.add_row({x: 1.0}, "<=", 3.5)
     sol = solve_lp(m)
     assert sol.x[x] == pytest.approx(3.5, abs=1e-9)
     assert sol.objective == pytest.approx(-3.5, abs=1e-9)
@@ -214,18 +210,15 @@ def test_certificate_failure_names_row_and_tolerance():
 
 
 @pytest.mark.parametrize("kwargs, what", [
-    ({"upper": float("nan")}, "upper bound"),
-    ({"upper": float("inf")}, "upper bound"),
     ({"obj": float("nan")}, "objective coefficient"),
     ({"obj": float("-inf")}, "objective coefficient"),
 ])
 def test_add_var_rejects_non_finite(kwargs, what):
-    # add_row refuses non-finite numbers; add_var must too, or upper=nan
-    # solves as "optimal" with objective nan and upper=inf as x = inf.
+    # add_row refuses non-finite numbers; add_var must too.
     model = LpModel()
     with pytest.raises(LpError, match=f"non-finite {what} for x"):
         model.add_var("x", **kwargs)
-    assert model.n_vars == 0 and model.upper_bounds == []
+    assert model.n_vars == 0
 
 
 @pytest.mark.parametrize("coeffs, rhs, what", [
@@ -244,24 +237,24 @@ def test_add_row_rejects_non_finite(coeffs, rhs, what):
 
 
 def test_certificate_fails_on_nan_residual():
-    # A NaN bound smuggled past add_var leaves x = nan; its NaN residual
-    # must fail the certificate, not pass it.
+    # A NaN bound row smuggled past add_row leaves x = nan; its NaN
+    # residual must fail the certificate, not pass it.
     model = LpModel()
     model.add_var("x", obj=-1.0)
     model.add_row({0: 1.0}, ">=", 0.0)
-    model.upper_bounds[0] = float("nan")
+    model.rows.append(({0: 1.0}, "<=", float("nan")))
     with pytest.raises(NumericFailure, match=r"row 0 of 2 \(>=\) is off by "
                                              r"nan \(tolerance 1e-07\)"):
         solve_lp(model)
 
 
 def test_check_false_reports_a_failed_certificate_as_uncertified():
-    # The same smuggled NaN bound under check=False: the result comes back
-    # as computed, but flagged, never as "optimal".
+    # The same smuggled NaN bound row under check=False: the result comes
+    # back as computed, but flagged, never as "optimal".
     model = LpModel()
     model.add_var("x", obj=-1.0)
     model.add_row({0: 1.0}, ">=", 0.0)
-    model.upper_bounds[0] = float("nan")
+    model.rows.append(({0: 1.0}, "<=", float("nan")))
     sol = solve_lp(model, check=False)
     assert sol.status == "uncertified"
     assert np.isnan(sol.objective) and np.isnan(sol.x).all()

@@ -24,13 +24,14 @@ from staffing_minimax.programs import (InfeasibleState, build_lp_resolving,
 def test_lp_dump_format():
     m = LpModel()
     x = m.add_var("x", obj=2.0)
-    y = m.add_var("y", upper=1.5)
+    y = m.add_var("y")
     m.add_row({x: 1.0, y: -0.5}, ">=", 1.0)
+    m.add_row({y: 1.0}, "<=", 1.5)
     text = m.dump()
     lines = text.splitlines()
     assert lines[0] == "min 2*x"
     assert lines[1].strip() == "1*x + -0.5*y >= 1"
-    assert lines[2].strip() == "y <= 1.5"
+    assert lines[2].strip() == "1*y <= 1.5"
 
 
 def test_policy_kind_labels():
