@@ -48,15 +48,17 @@ class CliInputError(Exception):
 
 
 def _load(path):
+    """Read and validate an instance file.  Anything wrong with it, a field
+    that is not a number included, becomes a CliInputError naming the file."""
     try:
         problem = load_instance(path)
-    except (OSError, json.JSONDecodeError, KeyError, InstanceError) as exc:
+        if isinstance(problem, MultiStationInstance):
+            return validate_multi_station(problem)
+        if isinstance(problem, ReleaseInstance):
+            return validate_release_fields(problem)
+        return validate_instance(problem)
+    except (OSError, KeyError, ValueError, TypeError) as exc:
         raise CliInputError(f"cannot read instance {path}: {exc}") from exc
-    if isinstance(problem, MultiStationInstance):
-        return validate_multi_station(problem)
-    if isinstance(problem, ReleaseInstance):
-        return validate_release_fields(problem)
-    return validate_instance(problem)
 
 
 def _infer_program(problem) -> str:

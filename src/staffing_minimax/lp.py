@@ -16,6 +16,9 @@ pushed through the recorded pivots, with the dense pivot's own arithmetic.
 At each recorded pivot it checks that a cold solve would pivot there too,
 and a stage that fails a check solves cold.  So the replay is exact, not a
 warm start: every output byte is the cold solve's (see refine_lexicographic).
+The pins' coefficients are known before any stage solves, so once a chain
+has replayed a stage, its remaining pins go through the recorded pivots in
+one batch, and each stage pushes only its right-hand side.
 
 A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
 minimization objective.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +175,26 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
 
 
 @dataclass
+class _Batch:
+    """Pin rows pushed ahead through a chain's recorded pivots (see _push).
+    Row 0 is the stage that pushed them and carries its right-hand side.
+    The rows after it are later stages' pins, oriented as if their
+    right-hand side were >= 0: their coefficients are final, and their
+    entries in each pivot's entering column are kept, so that _replay can
+    push their right-hand sides when their stages come."""
+
+    U: np.ndarray       # cost rows before phase 1, as _load_costs leaves them
+    F: np.ndarray       # entries in each entering column: pin, cost, pin, ...
+    ys: np.ndarray      # the phase-1 pivot rows' right-hand sides
+    Q: np.ndarray       # F * ys, after a column left for the starting rhs
+    D: np.ndarray       # pin rows after the drive-outs so far, n_real + 1 wide
+    H: np.ndarray       # entry at drive-out d's column * its rhs, at d + 1
+    stop: Optional[Tuple[int, str]]     # the pivot where row len(D) fails, why
+    size: int           # rows covered, len(D) and the row that fails if any
+    pos: int = 0        # the next stage's row
+
+
+@dataclass
 class _Chain:
     """What a refinement stage leaves for the next (see refine_lexicographic):
     the record of the chain's cold stage, extended by each replayed stage.
@@ -186,6 +209,8 @@ class _Chain:
     T: Optional[np.ndarray] = None      # tableau just before phase 2
     basis: Optional[np.ndarray] = None
     n_total: int = 0                    # the last stage's columns, rhs aside
+    pins: Sequence = ()  # coefficient rows of the pins after the next stage's
+    batch: Optional[_Batch] = None      # the last push, once a stage replays
 
 
 class _Diverged(Exception):
@@ -302,6 +327,61 @@ def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
     return LpSolution("optimal", objective, xs, reduced)
 
 
+def _push(chain: _Chain, rows: np.ndarray, rhs: float) -> _Batch:
+    """Push pin rows and their phase-1 cost rows through the chain's recorded
+    phase-1 and drive-out pivots, all rows at once.  rows[0] is the stage at
+    hand, oriented, with right-hand side rhs: it gets every check here and
+    raises _Diverged where it fails.  The rows after it are later stages'
+    pins; their checks on coefficients run here too, and the batch ends at
+    the first that fails one, as its stage will solve cold."""
+    r = len(rows)
+    P = np.zeros((2 * r, chain.cost.size))     # pin and cost rows, in turn
+    P[::2, :rows.shape[1]] = rows
+    P[0, -1] = rhs
+    # Each stage's cost row is the one before minus 1.0 * its new row.
+    np.subtract(chain.cost, P[0], out=P[1])
+    if r > 1:
+        P[3::2] = P[2::2]
+        np.subtract.accumulate(P[1::2], out=P[1::2])
+    U, F = P[1::2].copy(), np.zeros((2 * r, len(chain.pivots)))
+    new, reduced, stop = P[0], P[1, :-1], None
+    # NumPy scalars below: the same IEEE division and comparisons as the
+    # Python floats of _run_simplex.
+    for k, (enter, y) in enumerate(chain.pivots):
+        neg = reduced < -COST_TOL
+        if not neg[enter] or neg.argmax() != enter:
+            raise _Diverged("entering column")
+        f = new[enter]
+        if f > PIVOT_TOL and new[-1] / f < y[-1] - 1e-12:
+            raise _Diverged("ratio test")
+        if len(P) > 2:
+            neg = P[3::2, :enter + 1] < -COST_TOL
+            if neg[:, :-1].any() or not neg[:, -1].all():
+                bad = neg[:, :-1].any(1) | ~neg[:, -1]
+                stop, P = (k, "entering column"), P[:2 + 2 * bad.argmax()]
+            F[:len(P), k] = P[:, enter]
+        P -= P[:, enter, None] * y
+    short = (P[1::2, :-1] < -COST_TOL).any(1)
+    if short[0]:
+        raise _Diverged("phase 1 not optimal")
+    if -P[1, -1] > 1e-7:
+        raise _Diverged("phase 1 infeasible")
+    if short.any():
+        stop, P = (len(chain.pivots), "phase 1 not optimal"), \
+            P[:2 * short.argmax()]
+
+    ys = np.array([y[-1] for _, y in chain.pivots])
+    Q = np.empty((2 * r, len(ys) + 1))
+    np.multiply(F, ys, out=Q[:, 1:])
+    n_real, nd = chain.T.shape[1] - 1, len(chain.drives)
+    D = np.concatenate((P[::2, :n_real], P[::2, -1:]), axis=1)
+    H = np.empty((len(D), 1 + nd + len(D)))
+    for d, (j, y) in enumerate(chain.drives, start=1):
+        H[:, d] = D[:, j] * y[-1]
+        D -= D[:, j, None] * y
+    return _Batch(U, F, ys, Q, D, H, stop, len(D) + (stop is not None))
+
+
 def _replay(chain: _Chain, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             c: np.ndarray, name: str, keep: bool) -> LpSolution:
     """Solve a refinement stage whose rows are the chain's last stage's plus
@@ -314,47 +394,60 @@ def _replay(chain: _Chain, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     and the new row must lose the ratio test, and at the end phase 1 must be
     optimal and feasible.  The new row then goes through the drive-out
     pivots and is driven out itself.
-    """
-    m = A.shape[0]
-    n_real, n_total = chain.T.shape[1] - 1, chain.n_total + 1
-    flip = -1.0 if b[-1] < 0 else 1.0
-    row = np.zeros(chain.cost.size)
-    row[:A.shape[1]] = A[-1] * flip
-    row[-1] = b[-1] * flip
-    cost = chain.cost - 1.0 * row
-    R = np.array((row, cost))
-    new, reduced = R[0], R[1, :-1]      # views of the rows R carries
-    # NumPy scalars below: the same IEEE division and comparisons as the
-    # Python floats of _run_simplex.
-    for enter, y in chain.pivots:
-        neg = reduced < -COST_TOL
-        if not neg[enter] or neg.argmax() != enter:
-            raise _Diverged("entering column")
-        f = new[enter]
-        if f > PIVOT_TOL and new[-1] / f < y[-1] - 1e-12:
-            raise _Diverged("ratio test")
-        R -= R[:, enter, None] * y
-    if (reduced < -COST_TOL).any():
-        raise _Diverged("phase 1 not optimal")
-    if -R[1, -1] > 1e-7:
-        raise _Diverged("phase 1 infeasible")
 
-    row = np.concatenate((new[:n_real], new[-1:]))
-    for j, y in chain.drives:
-        row -= row[j] * y
+    The rows come from the chain's batch (see _push): the chain's first
+    replay pushes only its own row, a later one all the chain's remaining
+    pins, and so does a stage whose row was pushed with the wrong sign.  A
+    row pushed ahead gets its right-hand side here: the same products of
+    its recorded entries and the pivot rows' right-hand sides, subtracted
+    one at a time, in pivot order.
+    """
+    m, t = A.shape[0], 0
+    n_real, n_total = chain.T.shape[1] - 1, chain.n_total + 1
+    batch, rhs = chain.batch, float(b[-1])
+    if batch is None or batch.pos == batch.size or rhs < 0:
+        flip = -1.0 if rhs < 0 else 1.0
+        rows = A[-1:] * flip
+        if batch is not None and len(chain.pins):
+            rows = np.vstack((rows, chain.pins))
+        batch = _push(chain, rows, rhs * flip)
+    else:                               # pushed ahead, rhs >= 0
+        t = batch.pos
+        k = len(chain.pivots) if t < len(batch.D) else batch.stop[0]
+        f, q = batch.F[2 * t, :k], batch.Q[2 * t, :k + 1]
+        q[0] = rhs
+        s = np.subtract.accumulate(q)
+        up = f > PIVOT_TOL
+        if (s[:-1][up] / f[up] < batch.ys[:k][up] - 1e-12).any():
+            raise _Diverged("ratio test")
+        if t == len(batch.D):
+            raise _Diverged(batch.stop[1])
+        q = batch.Q[2 * t + 1]
+        q[0] = batch.U[t, -1] = chain.cost[-1] - rhs
+        if -np.subtract.accumulate(q)[-1] > 1e-7:
+            raise _Diverged("phase 1 infeasible")
+        h = batch.H[t, :1 + len(chain.drives)]
+        h[0] = s[-1]
+        batch.D[t, -1] = np.subtract.accumulate(h)[-1]
+
+    row = batch.D[t]
     nz = np.abs(row[:n_real]) > PIVOT_TOL
     j = int(nz.argmax())
     if nz[j]:
         if keep:
-            chain.drives.append((j, row / row[j]))
+            y, rest = row / row[j], batch.D[t + 1:]
+            chain.drives.append((j, y))
+            batch.H[t + 1:, len(chain.drives)] = rest[:, j] * y[-1]
+            rest -= rest[:, j, None] * y
         T = np.vstack((chain.T[:-1], row, chain.T[-1:]))
         basis = np.concatenate((chain.basis, [n_total - 1]))  # artificial
         _pivot(T, basis, basis.size - 1, j)
     else:                               # redundant: the row goes
         T, basis = chain.T.copy(), chain.basis.copy()
     if keep:
-        chain.cost, chain.T, chain.basis = cost, T.copy(), basis.copy()
-        chain.n_total = n_total
+        chain.cost, chain.T, chain.basis = batch.U[t], T.copy(), basis.copy()
+        chain.n_total, chain.pins, chain.batch = n_total, chain.pins[1:], batch
+        batch.pos = t + 1
     return _phase_two(T, basis, A, sense, b, c, n_real,
                       2000 + 200 * (m + n_total), name, True)  # _two_phase's
 
@@ -409,6 +502,30 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
       row comes last, so it is driven out after every recorded drive-out.
     - A stage's max_iter exceeds that of the stage before, so a replayed
       phase 1 stays within the limit of its cold solve.
+
+    The replay batches the pins (_push): the chain's first replay pushes
+    its own row alone, as most first replays diverge within a few pivots;
+    once one has replayed, the chain pushes all its remaining pins and their
+    cost rows at once, one NumPy step per recorded pivot.  The batch is
+    exact too:
+    - A pivot's x - f * y gives each entry of a row from that row's entries
+      alone, so rows pushed together get the operations they would get one
+      at a time, and the coefficient columns never read the right-hand side.
+      The cost rows before phase 1 follow each other by the same subtraction
+      of each new row, run down the batch by np.subtract.accumulate.
+    - Each stage's right-hand sides, of its pin and of its cost row, go
+      through the same pivots with the same products f * y[-1], subtracted
+      one at a time in pivot order (np.subtract.accumulate, never a sum,
+      dot or reduce, whose pairwise order would change the bits).  They are
+      sequential: each waits for the previous stage's x.
+    - The checks run on the same values: the entering column and phase 1
+      optimal on the cost rows' coefficients, in the batch; the ratio test
+      and phase 1 feasible on the right-hand sides, at the stage; the first
+      failing one per row names the divergence.  A row that fails a check
+      on coefficients ends the batch, since its stage solves cold.
+    - A pin is pushed ahead as if its right-hand side were >= 0.  Where it
+      is negative, the row is oriented the other way, and so are its cost
+      row and every later one: that stage pushes the remaining pins again.
     """
     k, n, pins = model.n_rows, model.n_vars, len(targets) + 1
     A, sense, b = model.dense()
@@ -418,6 +535,10 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     b = np.append(b, np.zeros(pins))
     A[k] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
     b[k] = sol.objective
+    for i, (coeffs, _) in enumerate(targets, start=1):
+        for j, a in coeffs.items():
+            if a != 0.0:
+                A[k + i, j] = a
     out, chain = sol, None
     for i, (coeffs, goal) in enumerate(targets, start=1):
         c = np.zeros(n)
@@ -431,11 +552,9 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
             except _Diverged:
                 pass
         if out is None:
-            chain = _Chain() if more else None
+            chain = (_Chain(pins=A[k + i + 1:k + len(targets)]) if more
+                     else None)
             out = _two_phase(*stage, True, chain)
-        for j, a in coeffs.items():
-            if a != 0.0:
-                A[k + i, j] = a
         b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))

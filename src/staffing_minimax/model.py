@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -370,10 +370,14 @@ class ReleaseInstance:
 def validate_release_fields(ri: ReleaseInstance) -> ReleaseInstance:
     """Check the base instance and the fields of a release file: epoch
     breaks, one release fee per epoch, and finite nonnegative fees, budget,
-    wages and pre-hires.  Joint-cost runs need no more than this."""
+    wages and pre-hires.  Joint-cost runs need no more than this.  Returns
+    the instance with its epoch breaks as ints."""
     inst = validate_instance(ri.base)
     T = inst.horizon
     _check_finite("epoch_breaks", ri.epoch_breaks)
+    odd = [b for b in ri.epoch_breaks if b != int(b)]
+    if odd:
+        raise InstanceError(f"epoch_breaks must be whole days, got {odd[0]}")
     breaks = tuple(int(b) for b in ri.epoch_breaks)
     if len(breaks) == 0 or breaks[-1] != T or any(
             b2 <= b1 for b1, b2 in zip((0,) + breaks, breaks)):
@@ -395,13 +399,14 @@ def validate_release_fields(ri: ReleaseInstance) -> ReleaseInstance:
         raise NegativeParameter("wages must be nonnegative")
     if np.any(ri.pre_hires < 0):
         raise NegativeParameter("pre-hires must be nonnegative")
-    return ri
+    return replace(ri, epoch_breaks=breaks)
 
 
 def validate_release_instance(ri: ReleaseInstance) -> ReleaseInstance:
     """validate_release_fields, then release mode's premises: error bounds
     that do not increase, and perfectly consistent forecasts."""
-    inst = validate_release_fields(ri).base
+    ri = validate_release_fields(ri)
+    inst = ri.base
     if np.any(np.diff(np.concatenate(([inst.delta0], inst.error_bounds))) > 1e-12):
         raise InstanceError("release mode requires nonincreasing error bounds "
                             "(nested forecast constructions)")

@@ -462,8 +462,7 @@ class ReleasePolicy:
     kind = "release"
 
     def __init__(self, ri: ReleaseInstance, config_cap: int = 100_000):
-        validate_release_instance(ri)
-        self.ri = ri
+        self.ri = ri = validate_release_instance(ri)
         self.config_cap = config_cap
         self.state = fresh_state(ri.base, ri.budget, ri.pre_hires)
         self.day = 0

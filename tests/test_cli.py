@@ -556,3 +556,49 @@ def test_non_finite_float_option_exit_2(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be finite, got '{argv[-1]}'" in err
+
+
+def test_whole_float_epoch_breaks_solve_as_ints(capsys, tmp_path):
+    # JSON may spell a day as 2.0; the breaks are stored as ints, so the
+    # file solves byte for byte as the one that spells it 2.
+    config = json.loads(open(instance_path("release_demo.json")).read())
+    assert config["epoch_breaks"] == [2, 4]
+    outs = []
+    for breaks in ([2, 4], [2.0, 4.0]):
+        config["epoch_breaks"] = breaks
+        path, out_path = tmp_path / "release.json", tmp_path / "out.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "solve", "--instance", str(path),
+                                 "--out", str(out_path))
+        assert (code, err) == (0, "")
+        outs.append((out, out_path.read_bytes()))
+    assert outs[0] == outs[1]
+    config["epoch_breaks"] = [2.5, 4]
+    path.write_text(json.dumps(config))
+    for argv in (["solve"], ["run", "--policy", "release", "--sequence",
+                             "worst_case"]):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert (code, out) == (2, ""), argv
+        assert "epoch_breaks must be whole days, got 2.5" in err
+
+
+@pytest.mark.parametrize("name, field, value, message", [
+    ("fig3a", "under_cost", "x", "could not convert string to float: 'x'"),
+    ("fig3a", "pool_sizes", ["x"], "could not convert string to float"),
+    ("fig3a", "over_cost", None, "not 'NoneType'"),
+    ("release_demo", "budget", "x", "could not convert string to float"),
+    ("release_demo", "epoch_breaks", ["a", 4],
+     "could not convert string to float"),
+])
+def test_non_number_instance_field_exit_2(capsys, tmp_path, name, field,
+                                          value, message):
+    config = json.loads(open(instance_path(f"{name}.json")).read())
+    config[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for argv in (["solve"], ["run", "--policy", "lp_emulator", "--sequence",
+                             "random:1"], ["oracle"]):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert (code, out) == (2, ""), argv
+        assert f"cannot read instance {path}: " in err
+        assert message in err

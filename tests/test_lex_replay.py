@@ -154,6 +154,29 @@ def test_replay_of_an_infeasible_stage_diverges():
     assert len(chain.pivots) == 1 and chain.T.shape == (2, 3)
 
 
+def test_replay_of_an_infeasible_stage_pushed_ahead_diverges():
+    # The same rows as above, one stage later: stages 2 and 3 repeat
+    # x0 + x1 = 1 and replay, the second pushing stage 4's row ahead; stage
+    # 4 asks x0 + x1 = 2, so its right-hand sides, pushed at the stage,
+    # leave phase 1 infeasible.
+    row, c = np.array([[1.0, 1.0]]), np.array([1.0, 0.0])
+    chain = lp._Chain(pins=np.vstack((row, row)))
+    lp._two_phase(row, np.zeros(1, int), np.array([1.0]), c, "first", True,
+                  chain)
+    for b in ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]):
+        stage = (np.repeat(row, len(b), axis=0), np.zeros(len(b), int),
+                 np.array(b), c, "stage")
+        if b[-1] == 1.0:
+            replayed = lp._replay(chain, *stage, True)
+            assert replayed.x.tobytes() == \
+                lp._two_phase(*stage, True).x.tobytes()
+    assert (chain.batch.pos, chain.batch.size) == (1, 2)
+    with pytest.raises(lp._Diverged, match="phase 1 infeasible"):
+        lp._replay(chain, *stage, False)
+    with pytest.raises(lp.LpInfeasible):
+        lp._two_phase(*stage, True)
+
+
 def test_every_stage_after_the_first_replays(monkeypatch):
     # Engagement guard: on this sweep point every stage but the first is
     # replayed, so a change that silently turns the replay off fails here.
@@ -191,3 +214,106 @@ def test_bound_rows_come_before_the_pins(reasons, monkeypatch):
         out.x.tobytes()
     assert out.x.tolist() == [1.0, 1.0, 0.0]
 
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """The number of rows in each lp._push."""
+    rows = []
+    push = lp._push
+
+    def counted(chain, pushed, rhs):
+        rows.append(len(pushed))
+        return push(chain, pushed, rhs)
+
+    monkeypatch.setattr(lp, "_push", counted)
+    return rows
+
+
+def test_a_chain_pushes_its_remaining_pins_at_once(pushes, reasons):
+    # The same sweep point: the chain's first replay pushes its own row,
+    # the second all 68 rows left, and no stage pushes again.
+    built = build_lp_single_switch(companion_sweep_instance(30, 1, 1, 1, 1))
+    refine_lexicographic(built.model, solve_lp(built.model),
+                         built.refine_targets())
+    assert reasons == {"replayed": 69}
+    assert pushes == [1, 68]
+
+
+def test_negative_pins_push_again_as_cold(pushes, reasons):
+    # Every third target negated, with its sense turned: the same stages,
+    # but a pin whose value is below zero has a negative right-hand side,
+    # so the replay orients it the other way and pushes from that stage
+    # again.
+    built = build_lp_single_switch(companion_sweep_instance(30, 1, 1, 1, 1))
+    sol = solve_lp(built.model)
+    targets = [({j: -a for j, a in coeffs.items()},
+                {"max": "min", "min": "max"}[goal]) if i % 3 == 2
+               else (coeffs, goal)
+               for i, (coeffs, goal) in enumerate(built.refine_targets())]
+    replayed, cold = _replayed_and_cold(
+        lambda: refine_lexicographic(built.model, sol, targets))
+    assert replayed == cold
+    assert reasons == {"replayed": 69}
+    assert len(pushes) > 2 and pushes[:2] == [1, 68]
+
+
+def test_draws_discard_a_batch_after_a_divergence(monkeypatch):
+    # A stage whose row was pushed ahead can still diverge on its
+    # right-hand side or on a check the batch stopped at; the rows pushed
+    # after it go with the chain, and the refinement matches cold.
+    ahead = Counter()
+    replay = lp._replay
+
+    def noted(chain, A, sense, b, c, name, keep):
+        batch = chain.batch
+        try:
+            return replay(chain, A, sense, b, c, name, keep)
+        except lp._Diverged as exc:
+            if batch is not None and batch.pos < batch.size and b[-1] >= 0:
+                ahead[str(exc)] += 1
+                ahead["rows after it"] += batch.size - batch.pos - 1
+            raise
+
+    monkeypatch.setattr(lp, "_replay", noted)
+    for seed in range(15):
+        for inst in (random_single_pool(np.random.default_rng([seed, 41])),
+                     random_multi_pool(np.random.default_rng([seed, 42]))):
+            _assert_canonical_as_cold(build_lp_single_switch(inst))
+    assert {"ratio test", "entering column",
+            "phase 1 not optimal"} <= set(ahead)
+    assert ahead["rows after it"] > 0
+
+
+def test_dense_models_replay_as_cold(pushes, reasons):
+    # Dense rows and dense signed targets give pins with many nonzero
+    # entries in the entering columns, so a pushed-ahead row's right-hand
+    # side takes many products: subtracted in another order, they change
+    # some of these outcomes in the last bit.
+    for seed in range(1000):
+        rng = np.random.default_rng([seed, 5])
+        n = int(rng.integers(4, 10))
+        model = LpModel(name=f"dense[{seed}]")
+        for j in range(n):
+            model.add_var(f"x{j}", obj=float(rng.uniform(-1, 1))
+                          if rng.uniform() < 0.7 else 0.0)
+        for _ in range(int(rng.integers(2, 6))):
+            model.add_row({j: float(rng.uniform(0.1, 2)) for j in range(n)
+                           if rng.uniform() < 0.7}, "<=",
+                          float(rng.uniform(1, 3)))
+        for _ in range(int(rng.integers(0, 3))):
+            model.add_row({j: float(rng.uniform(0.1, 2)) for j in range(n)
+                           if rng.uniform() < 0.5}, ">=",
+                          float(rng.uniform(0, 0.5)))
+        try:
+            sol = solve_lp(model)
+        except LpError:
+            continue
+        targets = [({j: float(rng.uniform(-1, 1)) for j in range(n)
+                     if rng.uniform() < 0.5},
+                    "max" if rng.uniform() < 0.5 else "min")
+                   for _ in range(int(rng.integers(3, 9)))]
+        replayed, cold = _replayed_and_cold(
+            lambda: refine_lexicographic(model, sol, targets))
+        assert replayed == cold, seed
+    assert reasons["replayed"] > 0 and max(pushes) > 1
