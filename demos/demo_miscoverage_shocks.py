@@ -33,8 +33,7 @@ for shock_prob in (0.0, 0.05, 0.1, 0.25):
         shocked = rng.uniform(size=T) < shock_prob
         intervals = [PredictionInterval(0.0, 0.0) if shocked[t]
                      else seq.intervals[t] for t in range(T)]
-        shocked_seq = PredictionSequence.build(inst, intervals,
-                                               check_widths=False)
+        shocked_seq = PredictionSequence.build(inst, intervals)
         wrapped = MiscoverageWrapper(
             LpEmulatorPolicy(inst, canonical, gamma),
             "detect_before_hiring", shocked)

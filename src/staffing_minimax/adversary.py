@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (EpochState, Instance, InstanceError, PredictionInterval,
+from .model import (Instance, InstanceError, PredictionInterval,
                     PredictionSequence, ReleaseInstance, fresh_state,
                     imbalance_cost, narrow_day)
 from .programs import configuration_walk, single_switch_floor
@@ -68,8 +68,7 @@ def worst_case_sequence(inst: Instance) -> PredictionSequence:
     return PredictionSequence.build(inst, intervals)
 
 
-def configuration_sequence(ri: ReleaseInstance, config: Sequence[int],
-                           state: Optional[EpochState] = None
+def configuration_sequence(ri: ReleaseInstance, config: Sequence[int]
                            ) -> PredictionSequence:
     """Multi-switch sequence encoded by one switch day per fee epoch.
 
@@ -78,15 +77,10 @@ def configuration_sequence(ri: ReleaseInstance, config: Sequence[int],
     Sequences with equal epoch prefixes agree through the earlier switch day.
     """
     inst = ri.base
-    if state is None:
-        state = fresh_state(inst, ri.budget, ri.pre_hires)
-    first = state.index
     config = tuple(int(j) for j in config)
-    n_epochs = ri.n_epochs - first + 1
-    if len(config) != n_epochs:
-        raise InstanceError(f"config {config} needs {n_epochs} entries")
-    if ri.epoch_range(first)[0] != 0:
-        raise InstanceError("full-horizon sequences start from a fresh state")
+    if len(config) != ri.n_epochs:
+        raise InstanceError(f"config {config} needs {ri.n_epochs} entries")
+    state = fresh_state(inst, ri.budget, ri.pre_hires)
     return PredictionSequence.build(
         inst, list(configuration_walk(ri, state, config)))
 

@@ -132,8 +132,10 @@ def _build_sequence(spec: str, problem, inst: Instance):
             return random_nested_sequence(inst, int(spec.split(":", 1)[1]))
         if spec.startswith("file:"):
             return sequence_from_csv(spec.split(":", 1)[1], inst)
-    except (ValueError, SequenceError, InstanceError) as exc:
-        raise CliInputError(f"bad sequence spec {spec!r}: {exc}") from exc
+    except (KeyError, OSError, TypeError, ValueError, SequenceError,
+            InstanceError) as exc:
+        why = f"no column {exc}" if isinstance(exc, KeyError) else exc
+        raise CliInputError(f"bad sequence spec {spec!r}: {why}") from exc
     raise CliInputError(f"unknown sequence spec {spec!r}")
 
 
@@ -254,19 +256,65 @@ def _policy_factories(names, inst, process, mdp_cfg):
 
 
 def _bench_rows(config: dict, reps: int, rep_offset: int = 0):
-    T = int(config["horizon"])
-    process = bayesian.DemandProcess(T, float(config.get("prior_hi", 0.5)))
+    process = bayesian.DemandProcess(config["horizon"], config["prior_hi"])
     table = bayesian.CalibrationTable.from_dict(config["calibration"])
     inst = bayesian.forecast_instance(
         config["pool_sizes"], config["availability"], table,
-        float(config.get("under_cost", 1.0)),
-        float(config.get("over_cost", 1.0)), process)
+        config["under_cost"], config["over_cost"], process)
     factories = _policy_factories(config["policies"], inst, process,
                                   config.get("mdp", {}))
     rows = bayesian.run_bayesian_world(
-        inst, process, table, factories, reps, int(config["seed"]),
+        inst, process, table, factories, reps, config["seed"],
         rep_offset=rep_offset)
     return rows
+
+
+def _policy_names(value) -> list:
+    if not (isinstance(value, list) and value
+            and all(isinstance(name, str) for name in value)):
+        raise ValueError(f"need a non-empty list of policy names, got "
+                         f"{value!r}")
+    return value
+
+
+def _calibration(value) -> Optional[dict]:
+    """The calibration as written, once CalibrationTable can read it."""
+    if value is not None:
+        bayesian.CalibrationTable.from_dict(value)
+    return value
+
+
+# The bench config fields the run reads -> their conversion; those in
+# BENCH_DEFAULTS may be left out (no calibration: calibrate for the run).
+BENCH_FIELDS = {"horizon": int, "seed": int, "prior_hi": float,
+                "pool_sizes": partial(np.asarray, dtype=float),
+                "availability": partial(np.asarray, dtype=float),
+                "under_cost": float, "over_cost": float,
+                "policies": _policy_names, "replications": int,
+                "calibration": _calibration}
+BENCH_DEFAULTS = {"prior_hi": 0.5, "under_cost": 1.0, "over_cost": 1.0,
+                  "replications": 100, "calibration": None}
+
+
+def _read_config(path: str, seed: Optional[int]) -> dict:
+    """A bench config with `seed` in place of its seed unless None, each
+    field the run reads converted up front, before any replication runs.
+    Anything wrong becomes a CliInputError naming the file and the field,
+    as in _load."""
+    field = ""
+    try:
+        with open(path) as f:
+            config = {**BENCH_DEFAULTS, **json.load(f)}
+        if seed is not None:
+            config["seed"] = seed
+        for name, convert in BENCH_FIELDS.items():
+            field = f"field {name!r}: " if name in config else ""
+            config[name] = convert(config[name])
+    except (OSError, KeyError, ValueError, TypeError) as exc:
+        why = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise CliInputError(f"cannot read config {path}: {field}{why}") \
+            from exc
+    return config
 
 
 def _check_prior_hi(prior_hi: float, name: str) -> float:
@@ -282,23 +330,15 @@ def cmd_bench(args) -> int:
     if args.workers < 1:
         raise CliInputError(
             f"--workers must be at least 1, got {args.workers}")
-    try:
-        with open(args.config) as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read config {args.config}: {exc}") from exc
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if int(config["seed"]) < 0:
+    config = _read_config(args.config, args.seed)
+    if config["seed"] < 0:
         raise CliInputError(f"seed must be non-negative, got {config['seed']}")
-    _check_prior_hi(float(config.get("prior_hi", 0.5)), "prior_hi")
-    if "calibration" not in config:
-        process = bayesian.DemandProcess(int(config["horizon"]),
-                                         float(config.get("prior_hi", 0.5)))
+    _check_prior_hi(config["prior_hi"], "prior_hi")
+    if config["calibration"] is None:
+        process = bayesian.DemandProcess(config["horizon"], config["prior_hi"])
         config["calibration"] = bayesian.calibrate_intervals(
-            process, draws=20_000, seed=int(config["seed"])).to_dict()
-    reps = (int(config.get("replications", 100)) if args.reps is None
-            else args.reps)
+            process, draws=20_000, seed=config["seed"]).to_dict()
+    reps = config["replications"] if args.reps is None else args.reps
     if reps < 1:
         raise CliInputError("need at least one replication")
 
@@ -368,7 +408,8 @@ def cmd_sweep_eta(args) -> int:
     etas = _parse_etas(args.etas)
     results = []
     for eta in sorted(etas):
-        inst = companion_sweep_instance(args.T, args.s, eta, args.c, args.C)
+        inst = validate_instance(
+            companion_sweep_instance(args.T, args.s, eta, args.c, args.C))
         built = build_lp_single_switch(inst)
         results.append((eta, solve_lp(built.model).objective))
     print(f"{'eta':>8s} {'gamma_star':>12s}")

@@ -35,6 +35,9 @@ import numpy as np
 from .model import (EpochState, ReleaseInstance, UNLIMITED,
                     rescaled_availability)
 
+# Slack of split_hires' check on the caps and critical_switch_day's match.
+EMULATOR_TOL = 1e-9
+
 
 class SplitInfeasible(RuntimeError):
     """Required day total exceeds the canonical caps.
@@ -198,9 +201,8 @@ def _block(canonical: np.ndarray, availability: np.ndarray
 
 def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:
     """Fill a day total scarcest first within caps that must hold it."""
-    tol = 1e-9
-    if total > table.caps_sum + tol:
-        raise SplitInfeasible(day, total, table.caps_sum, tol)
+    if total > table.caps_sum + EMULATOR_TOL:
+        raise SplitInfeasible(day, total, table.caps_sum, EMULATOR_TOL)
     return _fill(total, table.caps, table.order)
 
 
@@ -260,7 +262,7 @@ class Emulator:
 
 def critical_switch_day(r_observed: Sequence[float], realized_cum:
                         Sequence[float], canonical_cum: Sequence[float],
-                        t0: int, tol: float = 1e-9) -> int:
+                        t0: int) -> int:
     """Largest k in [t0, t_end] where the realized run still matches the
     canonical run's right endpoint gap; k = t0 always qualifies."""
     r_bar = r_observed[0]
@@ -268,7 +270,7 @@ def critical_switch_day(r_observed: Sequence[float], realized_cum:
     for idx in range(1, len(r_observed)):
         lhs = r_observed[idx] - realized_cum[idx]
         rhs = r_bar - canonical_cum[idx]
-        if abs(lhs - rhs) <= tol:
+        if abs(lhs - rhs) <= EMULATOR_TOL:
             best = t0 + idx
     return best
 

@@ -116,7 +116,8 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str     # "optimal" | "infeasible" | "unbounded" | "uncertified"
+    """A certified optimum (see solve_lp)."""
+
     objective: float
     x: np.ndarray
     reduced_costs: Optional[np.ndarray] = None
@@ -218,7 +219,7 @@ class _Diverged(Exception):
 
 
 def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
-               c: np.ndarray, name: str, check: bool,
+               c: np.ndarray, name: str,
                record: Optional[_Chain] = None) -> LpSolution:
     """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b); name
     labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp).
@@ -227,10 +228,8 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     if m == 0:
         x = np.zeros(n)
         if np.any(c < -COST_TOL):
-            if check:
-                raise LpUnbounded(name)
-            return LpSolution("unbounded", -np.inf, x)
-        return LpSolution("optimal", 0.0, x, np.maximum(c, 0.0))
+            raise LpUnbounded(name)
+        return LpSolution(0.0, x, np.maximum(c, 0.0))
 
     # Orient rows so rhs >= 0.  Rows with sense != 0 get a slack (+1) or
     # surplus (-1) column, rows with sense <= 0 an artificial after them.
@@ -261,9 +260,7 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                         ) == "unbounded":
             raise NumericFailure("phase 1 unbounded")
         if -T[-1, -1] > 1e-7:
-            if check:
-                raise LpInfeasible(name)
-            return LpSolution("infeasible", np.nan, np.full(n, np.nan))
+            raise LpInfeasible(name)
         # The artificials are zero from here on and never enter, so their
         # columns go.  Those still basic (at zero) are driven out on the
         # first real column that can pivot; a row with none is redundant.
@@ -280,21 +277,18 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     if record is not None:
         record.T, record.basis = T.copy(), basis.copy()
         record.n_total = n_total
-    return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name,
-                      check)
+    return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
 
 
 def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
                sense: np.ndarray, b: np.ndarray, c: np.ndarray, n_real: int,
-               max_iter: int, name: str, check: bool) -> LpSolution:
+               max_iter: int, name: str) -> LpSolution:
     """Phase 2 from a feasible tableau with the artificials gone, then the
     optimality certificate against the rows (A, sense, b)."""
     m, n = A.shape
     _load_costs(T, basis, np.concatenate((c, np.zeros(n_real + 1 - n))))
     if _run_simplex(T, basis, n_real, max_iter) == "unbounded":
-        if check:
-            raise LpUnbounded(name)
-        return LpSolution("unbounded", -np.inf, np.full(n, np.nan))
+        raise LpUnbounded(name)
 
     x = np.zeros(n_real)
     x[basis] = T[:-1, -1]
@@ -317,14 +311,12 @@ def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
     if reduced.min() < -CHECK_TOL:
         failed.append(f"reduced cost of x[{reduced.argmin()}] = "
                       f"{reduced.min():.6g}")
-    if failed and check:
+    if failed:
         raise NumericFailure(
             f"{name}: solution failed the optimality certificate: "
             f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
-    if failed:
-        return LpSolution("uncertified", objective, xs, reduced)
     xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
-    return LpSolution("optimal", objective, xs, reduced)
+    return LpSolution(objective, xs, reduced)
 
 
 def _push(chain: _Chain, rows: np.ndarray, rhs: float) -> _Batch:
@@ -449,21 +441,20 @@ def _replay(chain: _Chain, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         chain.n_total, chain.pins, chain.batch = n_total, chain.pins[1:], batch
         batch.pos = t + 1
     return _phase_two(T, basis, A, sense, b, c, n_real,
-                      2000 + 200 * (m + n_total), name, True)  # _two_phase's
+                      2000 + 200 * (m + n_total), name)  # _two_phase's
 
 
-def solve_lp(model: LpModel, check: bool = True) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Two-phase dense simplex.  Deterministic for byte-identical models.
 
-    Returns an LpSolution; when check is True (default), non-optimal statuses
-    raise LpInfeasible / LpUnbounded and a solution failing the post-solve
-    feasibility or reduced-cost certificate raises NumericFailure, which
-    names the worst row, a negative x or reduced cost, and CHECK_TOL; with
-    check False that solution comes back as computed, status "uncertified".
+    Returns a certified optimum or raises: LpInfeasible, LpUnbounded, or
+    NumericFailure for a solution that fails the post-solve feasibility or
+    reduced-cost certificate, naming the worst row, a negative x or reduced
+    cost, and CHECK_TOL.
     """
     A, sense, b = model.dense()
     return _two_phase(A, sense, b, np.asarray(model.objective, dtype=float),
-                      model.name, check)
+                      model.name)
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
@@ -554,8 +545,8 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
         if out is None:
             chain = (_Chain(pins=A[k + i + 1:k + len(targets)]) if more
                      else None)
-            out = _two_phase(*stage, True, chain)
+            out = _two_phase(*stage, chain)
         b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))
-    return LpSolution("optimal", final_obj, out.x, None)
+    return LpSolution(final_obj, out.x)

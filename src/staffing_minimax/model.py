@@ -179,9 +179,9 @@ def narrow_day(t: int, iv: PredictionInterval, bound: float, eps: float,
     effective bounds (lo, hi) through day t-1 to day t.
 
     Raises SequenceError naming the day unless both endpoints are finite
-    and the width is at most `bound` up to a relative 1e-9 (an infinite
-    bound skips the width check).  `PredictionSequence.build` and the grid
-    adversary's enumeration tree both step through here.
+    and the width is at most `bound` up to a relative 1e-9.
+    `PredictionSequence.build` and the grid adversary's enumeration tree
+    both step through here.
     """
     if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
         raise SequenceError(
@@ -213,33 +213,23 @@ class PredictionSequence:
         return self.intervals[t - 1]
 
     @staticmethod
-    def build(inst: Instance, intervals: Sequence, check_widths: bool = True
-              ) -> "PredictionSequence":
+    def build(inst: Instance, intervals: Sequence) -> "PredictionSequence":
         ivs = tuple(iv if isinstance(iv, PredictionInterval)
                     else PredictionInterval(float(iv[0]), float(iv[1]))
                     for iv in intervals)
         if len(ivs) != inst.horizon:
             raise SequenceError(
                 f"expected {inst.horizon} intervals, got {len(ivs)}")
-        bounds = (inst.error_bounds.tolist() if check_widths   # inst.delta(t)
-                  else [math.inf] * len(ivs))
         lo_run, hi_run = inst.initial_range
         eff_lo, eff_hi = [], []
         for t, (iv, bound, eps) in enumerate(
-                zip(ivs, bounds, inst.inconsistency.tolist()),  # inst.eps(t)
+                zip(ivs, inst.error_bounds.tolist(),            # inst.delta(t)
+                    inst.inconsistency.tolist()),               # inst.eps(t)
                 start=1):
             lo_run, hi_run = narrow_day(t, iv, bound, eps, lo_run, hi_run)
             eff_lo.append(lo_run)
             eff_hi.append(hi_run)
         return PredictionSequence(ivs, np.array(eff_lo), np.array(eff_hi))
-
-    def is_nested(self, inst: Instance, tol: float = 1e-9) -> bool:
-        lo, hi = inst.initial_range
-        for iv in self.intervals:
-            if iv.lo < lo - tol or iv.hi > hi + tol:
-                return False
-            lo, hi = iv.lo, iv.hi
-        return True
 
 
 @dataclass(frozen=True)
@@ -541,7 +531,7 @@ class SupplyLedger:
                 self.usage[i] += hires[i] / rho
 
 
-def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):
+def check_feasibility(problem, plan: StaffingPlan):
     """Verify supply (and, in release mode, budget and release) feasibility.
 
     problem is an Instance or a ReleaseInstance.  Returns (ok, violations)
@@ -552,13 +542,13 @@ def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):
     else:
         inst, ri = problem, None
     violations = []
-    if np.any(plan.hires < -tol):
+    if np.any(plan.hires < -FEAS_TOL):
         violations.append("negative hires")
-    if np.any(plan.releases < -tol):
+    if np.any(plan.releases < -FEAS_TOL):
         violations.append("negative releases")
     usage = supply_usage(inst, np.maximum(plan.hires, 0.0))
     for i in range(inst.n_pools):
-        if usage[i] > inst.pool_sizes[i] + tol:
+        if usage[i] > inst.pool_sizes[i] + FEAS_TOL:
             violations.append(
                 f"pool {i}: supply usage {usage[i]:.12g} exceeds "
                 f"size {inst.pool_sizes[i]:.12g}")
@@ -567,7 +557,7 @@ def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):
         cum_x = np.cumsum(plan.hires, axis=1)
         cum_y = np.cumsum(plan.releases, axis=1)
         for i in range(inst.n_pools):
-            bad = np.nonzero(cum_y[i] > z[i] + cum_x[i] + tol)[0]
+            bad = np.nonzero(cum_y[i] > z[i] + cum_x[i] + FEAS_TOL)[0]
             if bad.size:
                 violations.append(
                     f"pool {i}: releases exceed prior hires by day {bad[0] + 1}")
@@ -577,7 +567,7 @@ def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):
             for i in range(inst.n_pools):
                 for t in range(inst.horizon):
                     y = plan.releases[i, t]
-                    if y > tol:
+                    if y > FEAS_TOL:
                         q = fee_by_day[t]
                         if q is UNLIMITED:
                             violations.append(
@@ -585,10 +575,10 @@ def check_feasibility(problem, plan: StaffingPlan, tol: float = FEAS_TOL):
                                 f"infinite fee")
                         else:
                             spend += q * y
-            if spend > ri.budget + tol:
+            if spend > ri.budget + FEAS_TOL:
                 violations.append(
                     f"budget: spend {spend:.12g} exceeds {ri.budget:.12g}")
-    elif np.any(plan.releases > tol):
+    elif np.any(plan.releases > FEAS_TOL):
         violations.append("releases present outside release mode")
     return (not violations), violations
 

@@ -4,12 +4,11 @@ Each policy is a single-consumer object: construct it, then feed one
 observation per day and collect the day's decision.  Decisions depend only
 on prior information, history, and the current observation.  The provably
 minimax-optimal set lives here; Bayesian heuristics and MDP baselines live
-in the benchmarks module and follow the same protocol.
+in the bayesian module and follow the same protocol.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -26,6 +25,8 @@ from .programs import (build_lp_joint_cost, build_lp_multi_station,
                        build_lp_release, build_lp_resolving,
                        extract_canonical, minimax_value_and_profile,
                        solve_canonical)
+
+BISECT_TOL = 1e-9     # bracket width at which the gamma* bisections stop
 
 
 class MultiPoolUnsupported(InstanceError):
@@ -179,19 +180,19 @@ def _greedy_understaffing(inst: Instance, gamma: float,
             int(hired[-1]) + 1 if hired.size else 1)
 
 
-def _bisect_fixed_point(underst, cap: float, gamma_hi: float,
-                        tol: float) -> float:
+def _bisect_fixed_point(underst, cap: float, gamma_hi: float) -> float:
     """Fixed point of the weakly decreasing map underst, bisected on
     [0, cap], or on [0, gamma_hi] when underst(cap) > cap; 0 when
     underst(0) <= 0.
 
-    Bisects until the bracket is at most tol wide or its midpoint equals an
-    endpoint (float spacing above tol), and returns the last midpoint.
+    Bisects until the bracket is at most BISECT_TOL wide or its midpoint
+    equals an endpoint (float spacing above BISECT_TOL), and returns the
+    last midpoint.
     """
     lo_g, hi_g = 0.0, (cap if underst(cap) <= cap else gamma_hi)
     if underst(lo_g) <= lo_g:
         return lo_g
-    while hi_g - lo_g > tol:
+    while hi_g - lo_g > BISECT_TOL:
         mid = 0.5 * (lo_g + hi_g)
         if mid in (lo_g, hi_g):
             break
@@ -202,8 +203,7 @@ def _bisect_fixed_point(underst, cap: float, gamma_hi: float,
     return 0.5 * (lo_g + hi_g)
 
 
-def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
-                           ) -> FixedPointResult:
+def gamma_star_single_pool(inst: Instance) -> FixedPointResult:
     """Optimal minimax cost of a single-pool instance via the fixed point.
 
     Either the low-supply branch fires (all supply hired on day 1 and the
@@ -230,28 +230,9 @@ def gamma_star_single_pool(inst: Instance, tol: float = 1e-9
         gamma = work.under_cost * (hi0 - rho1 * s)
         return FixedPointResult(gamma, "low_supply", 1)
     gamma = _bisect_fixed_point(
-        underst, min(gamma_hi, work.under_cost * (hi0 - lo0)), gamma_hi, tol)
+        underst, min(gamma_hi, work.under_cost * (hi0 - lo0)), gamma_hi)
     return FixedPointResult(gamma, "fixed_point",
                             _greedy_understaffing(work, gamma, draining)[1])
-
-
-def t_dagger_formula(s, eta, delta, T, C, gamma) -> Optional[int]:
-    """Closed-form last hiring day; None where the display degenerates.
-
-    Valid on the sufficient-supply domain gamma <= C (eta s - delta^(T-1))
-    with delta * eta < 1; returns None outside it (callers fall back to the
-    defining supply-inequality scan).
-    """
-    denom = -math.log(delta) - math.log(eta)
-    if denom <= 1e-12:
-        return None
-    head = eta * s - gamma / C - delta ** (T - 1)
-    if head < 0:
-        return None
-    q = head * delta ** (1 - T) / (1.0 - delta) * (1.0 - delta * eta) + 1.0
-    if q <= 0:
-        return None
-    return min(math.ceil(math.log(q) / denom + 1.0), T)
 
 
 def _t_dagger_scan(s, eta, delta, T, C, gamma) -> int:
@@ -267,8 +248,7 @@ def _t_dagger_scan(s, eta, delta, T, C, gamma) -> int:
 
 
 def gamma_star_closed_form(s: float, eta: float, delta: float, T: int,
-                           c: float = 1.0, C: float = 1.0,
-                           tol: float = 1e-9) -> float:
+                           c: float = 1.0, C: float = 1.0) -> float:
     """Optimal cost for the stylized family rho_t = eta^t,
     Delta_t = 1 - delta^(T-t), demand range [0, 1].
 
@@ -304,7 +284,7 @@ def gamma_star_closed_form(s: float, eta: float, delta: float, T: int,
         return c * max(0.0, 1.0 - total)
 
     gamma_hi = C * (eta * s - delta ** (T - 1))
-    return _bisect_fixed_point(underst, min(gamma_hi, c), gamma_hi, tol)
+    return _bisect_fixed_point(underst, min(gamma_hi, c), gamma_hi)
 
 
 # --- LP-backed minimax-optimal policies --------------------------------------
@@ -461,9 +441,8 @@ class ReleasePolicy:
 
     kind = "release"
 
-    def __init__(self, ri: ReleaseInstance, config_cap: int = 100_000):
+    def __init__(self, ri: ReleaseInstance):
         self.ri = ri = validate_release_instance(ri)
-        self.config_cap = config_cap
         self.state = fresh_state(ri.base, ri.budget, ri.pre_hires)
         self.day = 0
         self.runner: Optional[EpochRunner] = None
@@ -474,7 +453,7 @@ class ReleasePolicy:
         t = self.day
         ri = self.ri
         if self.runner is None:
-            built = build_lp_release(ri, self.state, self.config_cap)
+            built = build_lp_release(ri, self.state)
             sol = solve_canonical(built)
             if self.objective is None:
                 self.objective = sol.objective

@@ -39,19 +39,16 @@ class InfeasibleState(InstanceError):
     """Resolving state is inconsistent with any feasible continuation."""
 
 
-def single_switch_floor(inst: Instance, k: int,
-                        interval: Optional[Tuple[float, float]] = None,
-                        day: int = 1) -> float:
+def single_switch_floor(inst: Instance, k: int) -> float:
     """Left endpoint the switch-at-k adversary settles on.
 
-    max of L and (R - Delta_tau - 2 eps_tau) over tau in [day:k], for the
-    interval [L, R] carried into `day` (by default the fresh state: the
-    initial range and day 1).  There L is the tau = 0 term
-    R0 - Delta_0 - 2 eps_0 = L0 exactly, so the floor is never below L0.
+    max of L0 and (R0 - Delta_tau - 2 eps_tau) over tau in [1:k].  L0 is the
+    tau = 0 term R0 - Delta_0 - 2 eps_0 exactly, so the floor is never below
+    L0.
     """
-    lo, hi = inst.initial_range if interval is None else interval
+    lo, hi = inst.initial_range
     return max([lo] + [hi - inst.delta(tau) - 2.0 * inst.eps(tau)
-                       for tau in range(day, k + 1)])
+                       for tau in range(1, k + 1)])
 
 
 def _prefix_max(first: float, terms: Iterable[float]) -> List[float]:
@@ -70,7 +67,9 @@ def _prefix_max(first: float, terms: Iterable[float]) -> List[float]:
 
 def _switch_floors(inst: Instance, interval: Tuple[float, float],
                    day: int) -> List[float]:
-    """single_switch_floor(inst, k, interval, day) for k in [day:T]."""
+    """For k in [day:T], the left endpoint the switch-at-k adversary settles
+    on from the interval [L, R] carried into `day`: max of L and
+    (R - Delta_tau - 2 eps_tau) over tau in [day:k]."""
     lo, hi = interval
     return _prefix_max(lo, (hi - inst.delta(tau) - 2.0 * inst.eps(tau)
                             for tau in range(day, inst.horizon + 1)))

@@ -422,8 +422,7 @@ def test_criterion_12_miscoverage_wrapper():
             shocked = flags_rng.uniform(size=T) < shock_prob
             intervals = [PredictionInterval(0.0, 0.0) if shocked[t]
                          else seq.intervals[t] for t in range(T)]
-            shocked_seq = PredictionSequence.build(inst, intervals,
-                                                   check_widths=False)
+            shocked_seq = PredictionSequence.build(inst, intervals)
             wrapped = MiscoverageWrapper(
                 LpEmulatorPolicy(inst, canonical, gamma),
                 "detect_before_hiring", shocked)

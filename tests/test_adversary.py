@@ -21,6 +21,17 @@ from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
 from staffing_minimax.programs import minimax_value_and_profile
 
 
+def is_nested(seq, inst, tol=1e-9):
+    """Each interval lies within the one before, the first within the
+    initial range, up to tol."""
+    lo, hi = inst.initial_range
+    for iv in seq.intervals:
+        if iv.lo < lo - tol or iv.hi > hi + tol:
+            return False
+        lo, hi = iv.lo, iv.hi
+    return True
+
+
 def test_single_switch_hand_construction():
     inst = make_instance([1.0], [[1.0, 1.0]], (0, 1), [0.5, 0.25])
     seq = single_switch_sequence(inst, 1)
@@ -139,7 +150,7 @@ def test_random_nested_properties():
     for _ in range(300):
         inst = random_multi_pool(rng)
         seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
-        assert seq.is_nested(inst)
+        assert is_nested(seq, inst)
         for t, iv in enumerate(seq.intervals, start=1):
             assert iv.width <= inst.delta(t) + 1e-9
 
@@ -177,7 +188,7 @@ def test_grid_enumeration_counts_and_cap():
     # Day 1: any [a,b] on {0,.5,1}: 6 choices; day 2 nested with width <= .5.
     assert len(seqs) > 0
     for seq in seqs:
-        assert seq.is_nested(inst)
+        assert is_nested(seq, inst)
     with pytest.raises(BudgetExceeded):
         enumerate_grid_sequences(inst, 0.25, cap=3)
 
@@ -367,16 +378,17 @@ def test_build_matches_old_on_eps_and_too_wide_intervals():
     assert str(info.value) == "day 10 interval width 1 exceeds bound 0.3"
 
 
-@pytest.mark.parametrize("check_widths", [True, False])
+@pytest.mark.parametrize("as_interval", [True, False])
 @pytest.mark.parametrize("lo, hi", [(np.nan, np.nan), (0.5, np.inf),
                                     (-np.inf, 0.5), (0.5, np.nan)])
-def test_build_rejects_non_finite_endpoints(lo, hi, check_widths):
+def test_build_rejects_non_finite_endpoints(lo, hi, as_interval):
+    """A day given as a PredictionInterval or as an (lo, hi) pair."""
     inst = fig3_instance("c")
     ivs = list(worst_case_sequence(inst).intervals)
-    ivs[2] = (lo, hi)
+    ivs[2] = PredictionInterval(lo, hi) if as_interval else (lo, hi)
     with pytest.raises(SequenceError, match=r"^day 3 interval \[.*\] is not "
                                             r"finite$"):
-        PredictionSequence.build(inst, ivs, check_widths=check_widths)
+        PredictionSequence.build(inst, ivs)
 
 
 # --- The day loop against the one it replaces ---------------------------------

@@ -417,6 +417,65 @@ def test_run_non_finite_forecast_exit_2(capsys, tmp_path, lo, hi):
     assert out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("day,lo\n1,0.5\n", "no column 'hi'"),
+    ("day,lo,hi\n1,0.5\n", "not 'NoneType'"),
+], ids=["missing", "no_hi_column", "short_row"])
+def test_run_bad_sequence_file_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "forecasts.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "run", "--instance",
+                             instance_path("fig3c.json"), "--policy",
+                             "lp_emulator", "--sequence", f"file:{path}")
+    assert code == 2
+    assert f"error: bad sequence spec 'file:{path}': " in err
+    assert message in err
+    assert out == ""
+
+
+def _bench_calibration_without_upper(config):
+    del config["calibration"]["upper"]
+    return config
+
+
+@pytest.mark.parametrize("edit, workers, message", [
+    (lambda c: {k: v for k, v in c.items() if k != "horizon"}, "1",
+     "missing 'horizon'"),
+    (lambda c: {**c, "seed": "x"}, "1",
+     "field 'seed': invalid literal for int()"),
+    (lambda c: {**c, "prior_hi": "x"}, "1",
+     "field 'prior_hi': could not convert string to float: 'x'"),
+    (_bench_calibration_without_upper, "1",
+     "field 'calibration': missing 'upper'"),
+    (lambda c: {**c, "policies": []}, "2",
+     "field 'policies': need a non-empty list of policy names, got []"),
+    (lambda c: [c], "1", "'list' object is not a mapping"),
+], ids=["no_horizon", "seed", "prior_hi", "calibration", "policies", "list"])
+def test_bench_malformed_config_exit_2(capsys, tmp_path, edit, workers,
+                                       message):
+    config = edit(json.loads(open(instance_path("bench_short.json")).read()))
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path),
+                             "--reps", "2", "--workers", workers)
+    assert code == 2
+    assert f"error: cannot read config {path}: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--s", "-1"], "pool sizes must be nonnegative"),
+    (["--T", "0"], "need n >= 1 pools and T >= 1 days, got n=2, T=0"),
+], ids=["negative_s", "empty_horizon"])
+def test_sweep_eta_bad_instance_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "sweep-eta", *argv)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("step", ["inf", "nan"])
 def test_oracle_non_finite_grid_step_exit_2(capsys, step):
     code, out, err = run_cli(capsys, "oracle", "--instance",

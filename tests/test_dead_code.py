@@ -1,0 +1,90 @@
+"""Every function, class and method the package defines is used outside the
+tests: referenced somewhere in ``src/``, ``demos/`` or ``benchmarks/``.
+
+A reference is a name, an attribute, an imported name or its alias, or an
+identifier inside a string constant (the benchmark tracer names what it
+wraps by string).  A definition does not reference itself.  Dunder methods
+are exempt, and so are the ``cmd_*`` functions: ``cli.main`` dispatches to
+them by name.  Code that only tests call belongs in the tests.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "staffing_minimax"
+USERS = [ROOT / "src", ROOT / "demos", ROOT / "benchmarks"]
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def definitions(tree: ast.Module) -> list:
+    """Module-level functions and classes, and the classes' methods that
+    are not dunders, as (name, node)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__")
+                               and item.name.endswith("__"))]
+    return [(name, node) for name, node in found
+            if not name.startswith("cmd_")]
+
+
+def references(tree: ast.AST) -> Counter:
+    """Every name the code refers to, by any of the four routes, counted."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                refs.update(alias.name.split("."))
+                if alias.asname:
+                    refs[alias.asname] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(_IDENT.findall(node.value))
+    return refs
+
+
+def unreferenced(modules: dict, users: list) -> list:
+    """Names defined in `modules` (path -> source, each also among the
+    sources in `users`) that no code in `users` outside their own
+    definition refers to, as "module: name"."""
+    refs = Counter()
+    for source in users:
+        refs += references(ast.parse(source))
+    return sorted(f"{Path(path).stem}: {name}"
+                  for path, source in modules.items()
+                  for name, node in definitions(ast.parse(source))
+                  if refs[name] <= references(node)[name])
+
+
+def _python_files(roots):
+    return [p for root in roots for p in sorted(root.rglob("*.py"))]
+
+
+def test_guard_sees_code_only_tests_use():
+    module = ("class A:\n"
+              "    def used(self): return helper()\n"
+              "    def unused(self): pass\n"
+              "    def __repr__(self): return 'A'\n"
+              "def helper(): return A\n"
+              "def named_in_string(): pass\n"
+              "def cmd_go(): pass\n"
+              "def orphan(): return orphan()\n")
+    user = "from m import A as B\nB().used()\nTABLE = ['m.named_in_string']\n"
+    assert unreferenced({"m.py": module}, [module, user]) == [
+        "m: orphan", "m: unused"]
+
+
+def test_src_defines_nothing_only_tests_use():
+    modules = {p: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = [p.read_text() for p in _python_files(USERS)]
+    assert unreferenced(modules, users) == []

@@ -141,15 +141,14 @@ def test_replay_of_an_infeasible_stage_diverges():
     A = np.array([[1.0, 1.0]])
     c = np.array([1.0, 0.0])
     chain = lp._Chain()
-    first = lp._two_phase(A, np.zeros(1, int), np.array([1.0]), c, "first",
-                          True, chain)
-    assert first.status == "optimal" and len(chain.pivots) == 1
+    lp._two_phase(A, np.zeros(1, int), np.array([1.0]), c, "first", chain)
+    assert len(chain.pivots) == 1
     A2, sense2, b2 = (np.vstack((A, A)), np.zeros(2, int),
                       np.array([1.0, 2.0]))
     with pytest.raises(lp._Diverged, match="phase 1 infeasible"):
         lp._replay(chain, A2, sense2, b2, c, "second", True)
     with pytest.raises(lp.LpInfeasible):
-        lp._two_phase(A2, sense2, b2, c, "second", True)
+        lp._two_phase(A2, sense2, b2, c, "second")
     # A failed replay leaves the chain as it was.
     assert len(chain.pivots) == 1 and chain.T.shape == (2, 3)
 
@@ -161,20 +160,19 @@ def test_replay_of_an_infeasible_stage_pushed_ahead_diverges():
     # leave phase 1 infeasible.
     row, c = np.array([[1.0, 1.0]]), np.array([1.0, 0.0])
     chain = lp._Chain(pins=np.vstack((row, row)))
-    lp._two_phase(row, np.zeros(1, int), np.array([1.0]), c, "first", True,
-                  chain)
+    lp._two_phase(row, np.zeros(1, int), np.array([1.0]), c, "first", chain)
     for b in ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]):
         stage = (np.repeat(row, len(b), axis=0), np.zeros(len(b), int),
                  np.array(b), c, "stage")
         if b[-1] == 1.0:
             replayed = lp._replay(chain, *stage, True)
             assert replayed.x.tobytes() == \
-                lp._two_phase(*stage, True).x.tobytes()
+                lp._two_phase(*stage).x.tobytes()
     assert (chain.batch.pos, chain.batch.size) == (1, 2)
     with pytest.raises(lp._Diverged, match="phase 1 infeasible"):
         lp._replay(chain, *stage, False)
     with pytest.raises(lp.LpInfeasible):
-        lp._two_phase(*stage, True)
+        lp._two_phase(*stage)
 
 
 def test_every_stage_after_the_first_replays(monkeypatch):

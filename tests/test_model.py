@@ -149,9 +149,7 @@ def test_sequence_width_validation():
     inst = make_instance([1.0], [[1.0, 1.0]], (0, 1), [0.5, 0.2])
     with pytest.raises(SequenceError):
         PredictionSequence.build(inst, [(0.0, 0.6), (0.0, 0.1)])
-    seq = PredictionSequence.build(inst, [(0.0, 0.6), (0.0, 0.1)],
-                                   check_widths=False)
-    assert len(seq) == 2
+    assert len(PredictionSequence.build(inst, [(0.0, 0.5), (0.0, 0.1)])) == 2
 
 
 def test_instance_json_round_trip(tmp_path):

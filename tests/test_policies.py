@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from staffing_minimax.policies import (
     ParameterOutOfRange,
     MiscoverageWrapper, ReleasePolicy, UnsupportedBase,
     gamma_star_closed_form, gamma_star_single_pool, play, play_multi,
-    t_dagger_formula, _t_dagger_scan)
+    _t_dagger_scan)
 from staffing_minimax.programs import (build_lp_release,
                                        build_lp_single_switch,
                                        minimax_value_and_profile)
@@ -175,6 +176,25 @@ def test_closed_form_asymmetric_costs():
     inst = make_instance([s], [rho], (0, 1), deltas, under_cost=c, over_cost=C)
     lp = solve_lp(build_lp_single_switch(inst).model).objective
     assert cf == pytest.approx(lp, abs=1e-6)
+
+
+def t_dagger_formula(s, eta, delta, T, C, gamma):
+    """Closed-form last hiring day; None where the display degenerates.
+
+    Valid on the sufficient-supply domain gamma <= C (eta s - delta^(T-1))
+    with delta * eta < 1; returns None outside it (where the defining
+    supply-inequality scan, policies._t_dagger_scan, still holds).
+    """
+    denom = -math.log(delta) - math.log(eta)
+    if denom <= 1e-12:
+        return None
+    head = eta * s - gamma / C - delta ** (T - 1)
+    if head < 0:
+        return None
+    q = head * delta ** (1 - T) / (1.0 - delta) * (1.0 - delta * eta) + 1.0
+    if q <= 0:
+        return None
+    return min(math.ceil(math.log(q) / denom + 1.0), T)
 
 
 def test_t_dagger_formula_matches_scan_and_caps_at_T():
@@ -641,8 +661,7 @@ def test_wrapper_all_shocked_hires_nothing():
     inst = _shock_setup()
     wrapped = MiscoverageWrapper(LpEmulatorPolicy(inst), "detect_before_hiring",
                                  [True] * inst.horizon)
-    garbage = PredictionSequence.build(
-        inst, [(0.0, 0.0)] * inst.horizon, check_widths=False)
+    garbage = PredictionSequence.build(inst, [(0.0, 0.0)] * inst.horizon)
     plan = play(wrapped, inst, garbage)
     assert plan.total_net == 0.0
 
@@ -675,8 +694,7 @@ def _mean_extra_cost(inst, canonical, gamma, shock_prob, reps):
         for t in range(T):
             if shocked[t]:
                 intervals[t] = PredictionInterval(0.0, 0.0)
-        shocked_seq = PredictionSequence.build(inst, intervals,
-                                               check_widths=False)
+        shocked_seq = PredictionSequence.build(inst, intervals)
         wrapped = MiscoverageWrapper(
             LpEmulatorPolicy(inst, canonical, gamma),
             "detect_before_hiring", shocked)

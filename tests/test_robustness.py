@@ -9,7 +9,7 @@ import pytest
 from conftest import random_multi_pool
 from staffing_minimax.adversary import (configuration_sequence,
                                         worst_demand_cost)
-from staffing_minimax.lp import LpModel, solve_lp
+from staffing_minimax.lp import LpInfeasible, LpModel, solve_lp
 from staffing_minimax.model import (PredictionSequence, ReleaseInstance,
                                     check_feasibility, make_instance,
                                     validate_instance,
@@ -184,12 +184,11 @@ def test_simplex_wider_random_sweep(seed):
     for coeffs, rel, rhs in rows:
         model.add_row(coeffs, rel, rhs)
     oracle = brute_force_min(c, rows)
-    sol = solve_lp(model, check=False)
     if oracle is None:
-        assert sol.status == "infeasible"
+        with pytest.raises(LpInfeasible):
+            solve_lp(model)
     else:
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(oracle[0], abs=1e-6)
+        assert solve_lp(model).objective == pytest.approx(oracle[0], abs=1e-6)
 
 
 def test_gamma_program_scales_to_larger_instances():
@@ -201,7 +200,6 @@ def test_gamma_program_scales_to_larger_instances():
         rng.uniform(0.05, 0.6, size=n), rho, (0, 1), deltas))
     built = build_lp_single_switch(inst)
     sol = solve_lp(built.model)
-    assert sol.status == "optimal"
     assert 0.0 <= sol.objective <= max(inst.under_cost, inst.over_cost)
     gamma, canonical = minimax_value_and_profile(inst)
     assert gamma == pytest.approx(sol.objective, abs=1e-9)

@@ -64,7 +64,6 @@ def test_min_x_geq_1():
     x = m.add_var("x", obj=1.0)
     m.add_row({x: 1.0}, ">=", 1.0)
     sol = solve_lp(m)
-    assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.x[x] == pytest.approx(1.0, abs=1e-9)
 
@@ -88,8 +87,6 @@ def test_infeasible_detected():
     m.add_row({x: 1.0}, "<=", 1.0)
     with pytest.raises(LpInfeasible):
         solve_lp(m)
-    sol = solve_lp(m, check=False)
-    assert sol.status == "infeasible"
 
 
 def test_unbounded_detected():
@@ -130,12 +127,10 @@ def test_determinism_bitwise():
         coeffs = {j: rng.normal() for j in range(6)}
         m.add_row(coeffs, "<=", abs(rng.normal()) + 1.0)
     m.add_row({j: 1.0 for j in range(6)}, "<=", 10.0)
-    a = solve_lp(m, check=False)
-    b = solve_lp(m, check=False)
-    assert a.status == b.status
-    if a.status == "optimal":
-        assert np.array_equal(a.x, b.x)
-        assert a.objective == b.objective
+    a = solve_lp(m)
+    b = solve_lp(m)
+    assert np.array_equal(a.x, b.x)
+    assert a.objective == b.objective
 
 
 def test_reduced_cost_certificate():
@@ -173,12 +168,11 @@ def test_against_vertex_enumeration(seed):
         model.add_row(coeffs, rel, rhs)
 
     oracle = brute_force_min(c, rows)
-    sol = solve_lp(model, check=False)
     if oracle is None:
-        assert sol.status == "infeasible"
+        with pytest.raises(LpInfeasible):
+            solve_lp(model)
     else:
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(oracle[0], abs=1e-6)
+        assert solve_lp(model).objective == pytest.approx(oracle[0], abs=1e-6)
 
 
 def test_lexicographic_refinement_picks_extreme_optimum():
@@ -246,18 +240,6 @@ def test_certificate_fails_on_nan_residual():
     with pytest.raises(NumericFailure, match=r"row 0 of 2 \(>=\) is off by "
                                              r"nan \(tolerance 1e-07\)"):
         solve_lp(model)
-
-
-def test_check_false_reports_a_failed_certificate_as_uncertified():
-    # The same smuggled NaN bound row under check=False: the result comes
-    # back as computed, but flagged, never as "optimal".
-    model = LpModel()
-    model.add_var("x", obj=-1.0)
-    model.add_row({0: 1.0}, ">=", 0.0)
-    model.rows.append(({0: 1.0}, "<=", float("nan")))
-    sol = solve_lp(model, check=False)
-    assert sol.status == "uncertified"
-    assert np.isnan(sol.objective) and np.isnan(sol.x).all()
 
 
 # --- Kernel identity ---------------------------------------------------------
@@ -344,13 +326,13 @@ def kernel_runs(monkeypatch):
             got = replay(chain, A, sense, b, c, name, keep)
         except LpError as exc:
             with pytest.raises(type(exc)) as cold:
-                two_phase(A, sense, b, c, name, True)
+                two_phase(A, sense, b, c, name)
             assert str(cold.value) == str(exc)
             runs.append("replay error")
             raise
         (tableau, basis), = before
         before.clear()
-        want = two_phase(A, sense, b, c, name, True)
+        want = two_phase(A, sense, b, c, name)
         assert before[0][0] == tableau
         runs.append("replay tableau")
         assert np.array_equal(before[0][1], basis)
@@ -413,7 +395,7 @@ def _degenerate_lp(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kernel_identity_degenerate_ties(kernel_runs, seed):
-    solve_lp(_degenerate_lp(seed), check=False)
+    solve_lp(_degenerate_lp(seed))
     assert len(kernel_runs) == 2
 
 

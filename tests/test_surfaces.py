@@ -84,12 +84,14 @@ def test_resolving_rejects_bad_day():
 
 def test_release_policy_configuration_cap():
     from staffing_minimax.programs import ConfigurationExplosion
-    T = 6
+    # One-day epochs: 2^17 = 131,072 configurations, over the default cap of
+    # 100,000, so the first step raises before any is enumerated.
+    T = 17
     inst = make_instance([1.0], [np.linspace(1.0, 0.5, T)], (0, 1),
                          np.linspace(0.9, 0.1, T))
     ri = ReleaseInstance(base=inst, epoch_breaks=tuple(range(1, T + 1)),
                          release_fees=(0.1,) * T, budget=10.0)
-    pol = ReleasePolicy(ri, config_cap=10)
+    pol = ReleasePolicy(ri)
     from staffing_minimax.model import PredictionInterval
     from staffing_minimax.policies import DayObservation
     with pytest.raises(ConfigurationExplosion):
