@@ -15,9 +15,7 @@ from .adversary import (brute_force_worst_case, configuration_sequence,
                         random_nested_sequence, sequence_from_csv,
                         single_switch_sequence, worst_case_sequence)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
-                       LpResolvingPolicy, MiscoverageWrapper,
-                       MultiStationPolicy, ReleasePolicy,
-                       gamma_star_closed_form, gamma_star_single_pool, play,
-                       play_multi)
+                       LpResolvingPolicy, MiscoverageWrapper, ReleasePolicy,
+                       gamma_star_closed_form, gamma_star_single_pool, play)
 
 __version__ = "0.1.0"

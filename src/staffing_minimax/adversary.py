@@ -115,16 +115,15 @@ def random_nested_sequence(inst: Instance, seed: int) -> PredictionSequence:
 
 
 def sequence_from_csv(path, inst: Instance) -> PredictionSequence:
-    """Ingest a day,lo,hi CSV (external forecasts) as a sequence."""
-    rows = {}
+    """Ingest a day,lo,hi CSV of external forecasts, one row a day."""
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows[int(row["day"])] = (float(row["lo"]), float(row["hi"]))
-    missing = [t for t in range(1, inst.horizon + 1) if t not in rows]
-    if missing:
-        raise InstanceError(f"sequence file is missing days {missing}")
-    return PredictionSequence.build(
-        inst, [rows[t] for t in range(1, inst.horizon + 1)])
+        rows = sorted((int(row["day"]), float(row["lo"]), float(row["hi"]))
+                      for row in csv.DictReader(f))
+    days = [t for t, _, _ in rows]
+    if days != list(range(1, inst.horizon + 1)):
+        raise InstanceError(f"sequence file has days {days}; need each of "
+                            f"1 to {inst.horizon} once")
+    return PredictionSequence.build(inst, [(lo, hi) for _, lo, hi in rows])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Subcommands: solve, run, bench, sweep-eta, oracle, calibrate.
 Exit codes: 0 ok, 2 input error, 3 solver failure.  Every command is
 deterministic under a fixed seed and writes machine-readable output next to
-the human summary.
+the human summary.  `run` and `oracle` play each station of a stations file.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .emulator import EmulatorTrace
 from .lp import LpError, solve_lp
 from .model import (Instance, InstanceError, MultiStationInstance,
                     ReleaseInstance, SequenceError, imbalance_cost,
-                    load_instance, make_instance, validate_instance,
-                    validate_multi_station, validate_release_fields,
-                    validate_release_instance)
+                    load_instance, make_instance, multi_station_cost,
+                    validate_instance, validate_multi_station,
+                    validate_release_fields, validate_release_instance)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
                        LpResolvingPolicy, ReleasePolicy,
                        gamma_star_single_pool, play)
@@ -131,6 +131,8 @@ def _build_sequence(spec: str, problem, inst: Instance):
         if spec.startswith("random:"):
             return random_nested_sequence(inst, int(spec.split(":", 1)[1]))
         if spec.startswith("file:"):
+            if isinstance(problem, MultiStationInstance):
+                raise CliInputError("file sequences need a single-demand file")
             return sequence_from_csv(spec.split(":", 1)[1], inst)
     except (KeyError, OSError, TypeError, ValueError, SequenceError,
             InstanceError) as exc:
@@ -142,7 +144,7 @@ def _build_sequence(spec: str, problem, inst: Instance):
 class _PolicyContext(NamedTuple):
     """What a policy constructor may draw on besides the base instance."""
 
-    inst: Instance
+    inst: Instance                  # or the stations file (multi_station)
     problem: object                 # the instance file (run, oracle)
     gamma: Optional[float]          # greedy target; None means gamma*
     process: Optional[bayesian.DemandProcess]   # Bayesian world (bench)
@@ -154,6 +156,19 @@ def _emulating(policy: LpEmulatorPolicy):
     serves every run."""
     return partial(LpEmulatorPolicy, policy.inst, policy.canonical,
                    policy.gamma_star)
+
+
+def _station_emulators(c: _PolicyContext) -> list:
+    """(station instance, factory of fresh LP emulators of its block of the
+    multi-station program's profile) per station, all from one solve."""
+    msi = c.problem
+    built = build_lp_multi_station(msi)
+    sol = solve_canonical(built)
+    canonical = extract_canonical(built, sol)          # (n, m, T)
+    stations = [msi.station_instance(j) for j in range(msi.n_stations)]
+    return [(inst, partial(LpEmulatorPolicy, inst, canonical[:, j, :],
+                           sol.objective))
+            for j, inst in enumerate(stations)]
 
 
 def _greedy_target(c: _PolicyContext):
@@ -186,10 +201,11 @@ def _mdp(transition: str):
 
 
 # Policy name -> (context it needs beyond the base instance, constructor of
-# a zero-argument factory of fresh policies).  The factory constructor does
-# the work every run shares, such as solving the program an emulator plays;
-# the resolving policies of one factory share one memo of the solves they
-# repeat, keyed by the day's exact state and bounded by
+# a zero-argument factory of fresh policies, or for `multi_station` of one
+# (station instance, factory) pair per station).  The factory constructor
+# does the work every run shares, such as solving the program an emulator
+# plays; the resolving policies of one factory share one memo of the solves
+# they repeat, keyed by the day's exact state and bounded by
 # policies.RESOLVING_MEMO_CAP entries.
 POLICIES = {
     "lp_emulator": (None, lambda c: _emulating(LpEmulatorPolicy(c.inst))),
@@ -205,6 +221,7 @@ POLICIES = {
     "release": ("release", lambda c: partial(
         ReleasePolicy, validate_release_instance(c.problem))),
     "joint": ("release", lambda c: _emulating(JointCostPolicy(c.problem))),
+    "multi_station": ("stations", _station_emulators),
 }
 
 
@@ -212,6 +229,10 @@ def _policy_factory(name: str, c: _PolicyContext):
     if name not in POLICIES:
         raise CliInputError(f"unknown policy {name!r}")
     need, make = POLICIES[name]
+    if (need == "stations") != isinstance(c.problem, MultiStationInstance):
+        raise CliInputError(f"policy {name!r} " + (
+            "needs a stations file" if need == "stations"
+            else "cannot play a stations file; use multi_station"))
     if need == "world" and c.process is None:
         raise CliInputError(f"policy {name!r} runs only in the Bayesian "
                             "world (bench)")
@@ -220,32 +241,46 @@ def _policy_factory(name: str, c: _PolicyContext):
     return make(c)
 
 
+def _stations(problem, name: str, gamma) -> list:
+    """(label, instance, factory of fresh `name` policies) for each station
+    `run` and `oracle` drive; a single-demand file is one, unlabelled."""
+    inst = problem.base if isinstance(problem, ReleaseInstance) else problem
+    made = _policy_factory(name, _PolicyContext(inst, problem, gamma, None,
+                                                {}))
+    if isinstance(problem, MultiStationInstance):
+        return [(f"station {j}: ", *pair) for j, pair in enumerate(made)]
+    return [("", inst, made)]
+
+
 def cmd_run(args) -> int:
     problem = _load(args.instance)
-    inst = problem.base if isinstance(problem, ReleaseInstance) else problem
-    if not isinstance(inst, Instance):
-        raise CliInputError("run drives single-demand instances")
-    sequence = _build_sequence(args.sequence, problem, inst)
-    policy = _policy_factory(args.policy, _PolicyContext(
-        inst, problem, args.gamma, None, {}))()
-
-    trace = EmulatorTrace()
-    plan = play(policy, inst, sequence, trace)
-    total = plan.total_net
-    if args.demand is not None:
-        d = args.demand
-        cost = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
-    else:
-        cost, d = worst_demand_cost(inst, total, sequence)
-    if args.out:
-        trace.write_csv(args.out)
-        print(f"trace written to {args.out}")
-    print(f"total_staffed = {total:.6f}")
-    print(f"cost = {cost:.6f} against demand {d:.6f}")
+    if args.out and isinstance(problem, MultiStationInstance):
+        raise CliInputError("--out writes one trace, not one per station")
+    plans, demands = [], []
+    for label, inst, factory in _stations(problem, args.policy, args.gamma):
+        sequence = _build_sequence(args.sequence, problem, inst)
+        trace = EmulatorTrace()
+        plan = play(factory(), inst, sequence, trace)
+        total = plan.total_net
+        if args.demand is not None:
+            d = args.demand
+            cost = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
+        else:
+            cost, d = worst_demand_cost(inst, total, sequence)
+        if args.out:
+            trace.write_csv(args.out)
+            print(f"trace written to {args.out}")
+        print(f"{label}total_staffed = {total:.6f}")
+        print(f"{label}cost = {cost:.6f} against demand {d:.6f}")
+        plans.append(plan)
+        demands.append(d)
     if isinstance(problem, ReleaseInstance) and np.any(problem.wages != 0):
         wage_bill = float((problem.wages * plan.hires).sum())
         print(f"wage_bill = {wage_bill:.6f}")
         print(f"joint_cost = {cost + wage_bill:.6f}")
+    if isinstance(problem, MultiStationInstance):
+        print(f"aggregate cost ({problem.objective}) = "
+              f"{multi_station_cost(problem, plans, demands):.6f}")
     return 0
 
 
@@ -277,21 +312,14 @@ def _policy_names(value) -> list:
     return value
 
 
-def _calibration(value) -> Optional[dict]:
-    """The calibration as written, once CalibrationTable can read it."""
-    if value is not None:
-        bayesian.CalibrationTable.from_dict(value)
-    return value
-
-
 # The bench config fields the run reads -> their conversion; those in
 # BENCH_DEFAULTS may be left out (no calibration: calibrate for the run).
+# The calibration, read last, must have one offset pair per day.
 BENCH_FIELDS = {"horizon": int, "seed": int, "prior_hi": float,
                 "pool_sizes": partial(np.asarray, dtype=float),
                 "availability": partial(np.asarray, dtype=float),
                 "under_cost": float, "over_cost": float,
-                "policies": _policy_names, "replications": int,
-                "calibration": _calibration}
+                "policies": _policy_names, "replications": int}
 BENCH_DEFAULTS = {"prior_hi": 0.5, "under_cost": 1.0, "over_cost": 1.0,
                   "replications": 100, "calibration": None}
 
@@ -310,6 +338,13 @@ def _read_config(path: str, seed: Optional[int]) -> dict:
         for name, convert in BENCH_FIELDS.items():
             field = f"field {name!r}: " if name in config else ""
             config[name] = convert(config[name])
+        field = "field 'calibration': "
+        T = config["horizon"]
+        if config["calibration"] is not None:
+            table = bayesian.CalibrationTable.from_dict(config["calibration"])
+            if not table.lower.shape == table.upper.shape == (T,):
+                raise ValueError(f"need {T} lower and upper offsets, got "
+                                 f"{table.lower.size} and {table.upper.size}")
     except (OSError, KeyError, ValueError, TypeError) as exc:
         why = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise CliInputError(f"cannot read config {path}: {field}{why}") \
@@ -430,22 +465,27 @@ def cmd_sweep_eta(args) -> int:
 
 def cmd_oracle(args) -> int:
     problem = _load(args.instance)
-    inst = problem.base if isinstance(problem, ReleaseInstance) else problem
-    if not isinstance(inst, Instance):
-        raise CliInputError("oracle drives single-demand instances")
     check_grid_step(args.grid_step)
-    built = build_lp_single_switch(inst)
+    multi = isinstance(problem, MultiStationInstance)
+    stations = _stations(problem, args.policy, args.gamma)
+    built = (build_lp_multi_station(problem) if multi
+             else build_lp_single_switch(stations[0][1]))
     gamma = solve_lp(built.model).objective
-    policy_factory = _policy_factory(args.policy, _PolicyContext(
-        inst, problem, args.gamma, None, {}))
-    witness = brute_force_worst_case(inst, policy_factory, args.grid_step,
-                                     cap=args.cap)
-    print(f"max_cost = {witness.cost:.6f}")
+    witnesses = [brute_force_worst_case(inst, factory, args.grid_step,
+                                        cap=args.cap)
+                 for _, inst, factory in stations]
+    # Stations play apart, so the worst aggregate combines their worst cases.
+    costs = [w.cost for w in witnesses]
+    worst = sum(costs) if multi and problem.objective == "sum" else max(costs)
+    print(f"max_cost = {worst:.6f}")
     print(f"gamma_star = {gamma:.6f}")
-    print(f"witness demand = {witness.demand:.6f}")
-    print("witness sequence:")
-    for t, iv in enumerate(witness.sequence.intervals, start=1):
-        print(f"  day {t}: [{iv.lo:.4f}, {iv.hi:.4f}]")
+    for (label, _, _), witness in zip(stations, witnesses):
+        if label:
+            print(f"{label}max_cost = {witness.cost:.6f}")
+        print(f"{label}witness demand = {witness.demand:.6f}")
+        print(f"{label}witness sequence:")
+        for t, iv in enumerate(witness.sequence.intervals, start=1):
+            print(f"  day {t}: [{iv.lo:.4f}, {iv.hi:.4f}]")
     return 0
 
 

@@ -239,15 +239,6 @@ class StaffingPlan:
     hires: np.ndarray               # (n, T)
     releases: np.ndarray            # (n, T)
 
-    @staticmethod
-    def of(hires, releases=None) -> "StaffingPlan":
-        h = np.atleast_2d(np.asarray(hires, dtype=float))
-        r = np.zeros_like(h) if releases is None else np.atleast_2d(
-            np.asarray(releases, dtype=float))
-        if r.shape != h.shape:
-            raise ValueError("hires and releases shapes differ")
-        return StaffingPlan(h, r)
-
     @property
     def total_hired(self) -> float:
         return float(self.hires.sum())

@@ -17,14 +17,13 @@ import numpy as np
 
 from .adversary import worst_case_sequence
 from .emulator import Emulator, EmulatorTrace, EpochRunner
-from .model import (EpochState, Instance, InstanceError, MultiStationInstance,
-                    PredictionInterval, PredictionSequence, ReleaseInstance,
-                    StaffingPlan, SupplyLedger, fresh_state, make_instance,
+from .model import (EpochState, Instance, InstanceError, PredictionInterval,
+                    PredictionSequence, ReleaseInstance, StaffingPlan,
+                    SupplyLedger, fresh_state, make_instance,
                     rescaled_availability, validate_release_instance)
-from .programs import (build_lp_joint_cost, build_lp_multi_station,
-                       build_lp_release, build_lp_resolving,
-                       extract_canonical, minimax_value_and_profile,
-                       solve_canonical)
+from .programs import (build_lp_joint_cost, build_lp_release,
+                       build_lp_resolving, extract_canonical,
+                       minimax_value_and_profile, solve_canonical)
 
 BISECT_TOL = 1e-9     # bracket width at which the gamma* bisections stop
 
@@ -378,42 +377,6 @@ class LpResolvingPolicy:
             interval=(lo_bar, hi_bar),
             availability=rescaled_availability(st.availability, t))
         return Decision.hire_only(hires)
-
-
-class MultiStationPolicy:
-    """Per-station emulation of the multi-station program's canonical block.
-
-    Station j's hires depend only on station j's predictions, so stations
-    can be stepped with a vector of intervals each day.
-    """
-
-    kind = "multi_station"
-
-    def __init__(self, msi: MultiStationInstance):
-        self.msi = msi
-        built = build_lp_multi_station(msi)
-        sol = solve_canonical(built)
-        self.objective = sol.objective
-        self.canonical = extract_canonical(built, sol)    # (n, m, T)
-        self.emulators = [Emulator(self.canonical[:, j, :], msi.availability,
-                                   st.initial_range[1])
-                          for j, st in enumerate(msi.stations)]
-
-    def step_multi(self, intervals: Sequence[PredictionInterval]) -> np.ndarray:
-        out = np.zeros((self.msi.n_pools, self.msi.n_stations))
-        for j, iv in enumerate(intervals):
-            out[:, j] = self.emulators[j].step(iv.hi)
-        return out
-
-
-def play_multi(policy: MultiStationPolicy, msi: MultiStationInstance,
-               sequences: Sequence[PredictionSequence]) -> List[StaffingPlan]:
-    n, T = msi.availability.shape
-    hires = np.zeros((n, msi.n_stations, T))
-    for t in range(1, T + 1):
-        hires[:, :, t - 1] = policy.step_multi(
-            [seq.interval(t) for seq in sequences])
-    return [StaffingPlan.of(hires[:, j, :]) for j in range(msi.n_stations)]
 
 
 class JointCostPolicy(LpEmulatorPolicy):

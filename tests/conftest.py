@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 
+from staffing_minimax import cli
 from staffing_minimax.bayesian import backward_induction, mdp_tables
-from staffing_minimax.model import make_instance, validate_instance
+from staffing_minimax.model import (StaffingPlan, make_instance,
+                                    validate_instance)
+from staffing_minimax.policies import play
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -23,6 +26,31 @@ def fig3_instance(which: str):
 
 def instance_path(name: str) -> str:
     return os.path.join(INSTANCE_DIR, name)
+
+
+def plan_of(hires, releases=None) -> StaffingPlan:
+    """A plan from loose hires (and releases, zero if None), each made a
+    2-D float array; the two shapes must agree."""
+    h = np.atleast_2d(np.asarray(hires, dtype=float))
+    r = np.zeros_like(h) if releases is None else np.atleast_2d(
+        np.asarray(releases, dtype=float))
+    if r.shape != h.shape:
+        raise ValueError("hires and releases shapes differ")
+    return StaffingPlan(h, r)
+
+
+def station_factories(msi) -> list:
+    """The `multi_station` policy's factories of fresh policies, one per
+    station of `msi`, as `run` and `oracle` make them."""
+    return [factory for _, _, factory in cli._stations(msi, "multi_station",
+                                                       None)]
+
+
+def play_stations(msi, sequences) -> list:
+    """Each station's plan: a fresh `multi_station` policy of the station
+    played over the station's own sequence."""
+    return [play(factory(), inst, seq) for (_, inst, factory), seq
+            in zip(cli._stations(msi, "multi_station", None), sequences)]
 
 
 def random_single_pool(rng: np.random.Generator):

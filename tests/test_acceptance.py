@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import fig3_instance, instance_path, mdp_root_value, \
-    random_multi_pool, random_single_pool
+    play_stations, random_multi_pool, random_single_pool, station_factories
 from staffing_minimax import bayesian, cli
 from staffing_minimax.adversary import (demand_candidates,
                                         enumerate_grid_sequences,
@@ -32,10 +32,8 @@ from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     validate_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
                                        LpResolvingPolicy, MiscoverageWrapper,
-                                       MultiStationPolicy, ReleasePolicy,
-                                       gamma_star_closed_form,
-                                       gamma_star_single_pool, play,
-                                       play_multi)
+                                       ReleasePolicy, gamma_star_closed_form,
+                                       gamma_star_single_pool, play)
 from staffing_minimax.programs import (build_lp_multi_station,
                                        build_lp_release,
                                        build_lp_single_switch,
@@ -264,23 +262,21 @@ def test_criterion_08_multi_station():
         seqs0 = enumerate_grid_sequences(inst0, 0.25)
         seqs1 = enumerate_grid_sequences(inst1, 0.25)
         probe = [seqs1[0], seqs1[len(seqs1) // 2], seqs1[-1]]
-        base_plan = play_multi(MultiStationPolicy(msi), msi,
-                               [seqs0[0], probe[0]])[0].hires
+        base_plan = play_stations(msi, [seqs0[0], probe[0]])[0].hires
         for other in probe[1:]:
-            again = play_multi(MultiStationPolicy(msi), msi,
-                               [seqs0[0], other])[0].hires
+            again = play_stations(msi, [seqs0[0], other])[0].hires
             assert np.array_equal(base_plan, again)
 
         # Aggregate grid worst case via per-station worst cases (valid
         # because the emulation is per-station independent).
         per_station = []
+        factories = station_factories(msi)
         for j, seqs in enumerate((seqs0, seqs1)):
             worst = -np.inf
             st = msi.stations[j]
             for seq in seqs:
-                pol = MultiStationPolicy(msi)
-                plans = play_multi(pol, msi, [seq, seq])
-                total = plans[j].total_net
+                total = play(factories[j](), msi.station_instance(j),
+                             seq).total_net
                 for d in demand_candidates(seq, 0.25):
                     cost = (st.under_cost * max(0.0, d - total)
                             + st.over_cost * max(0.0, total - d))

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,6 +164,22 @@ def test_sequence_csv_ingestion(tmp_path):
     assert seq.intervals[1].lo == 0.75
     path.write_text("day,lo,hi\n1,0.5,1.0\n")
     with pytest.raises(Exception):
+        sequence_from_csv(path, inst)
+
+
+@pytest.mark.parametrize("extra, days", [
+    ("1,0.25,0.75\n", "[1, 1, 2]"),
+    ("3,0.75,1.0\n", "[1, 2, 3]"),
+    ("0,0.0,1.0\n", "[0, 1, 2]"),
+], ids=["repeated", "past_horizon", "day_zero"])
+def test_sequence_csv_rejects_extra_rows(tmp_path, extra, days):
+    # Every day of the horizon is present; the one extra row is refused,
+    # not silently kept or dropped.
+    message = f"sequence file has days {days}; need each of 1 to 2 once"
+    inst = make_instance([1.0], [[1.0, 1.0]], (0, 1), [0.5, 0.25])
+    path = tmp_path / "seq.csv"
+    path.write_text("day,lo,hi\n1,0.5,1.0\n2,0.75,1.0\n" + extra)
+    with pytest.raises(InstanceError, match=re.escape(message)):
         sequence_from_csv(path, inst)
 
 

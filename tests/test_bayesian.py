@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import instance_path, mdp_root_value
+from conftest import instance_path, mdp_root_value, plan_of
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, SampleTotals,
@@ -180,7 +180,7 @@ def test_mdp_state_cap():
 
 
 def test_mdp_policy_plays_feasibly():
-    from staffing_minimax.model import StaffingPlan, check_feasibility
+    from staffing_minimax.model import check_feasibility
     T = 3
     inst = make_instance([2.0, 2.0], [[1.0, 1.0, 0.0], [0.9, 0.6, 0.3]],
                          (0, 15), [15.0] * 3)
@@ -195,7 +195,7 @@ def test_mdp_policy_plays_feasibly():
                                  partial=float(world.partials[t - 1]),
                                  samples=world.profiles[t - 1])
             hires[:, t - 1] = pol.step(obs).hires
-        ok, viol = check_feasibility(inst, StaffingPlan.of(hires))
+        ok, viol = check_feasibility(inst, plan_of(hires))
         assert ok, viol
 
 

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import instance_path
+from conftest import instance_path, play_stations
+from staffing_minimax import cli
 from staffing_minimax.cli import main
+from staffing_minimax.lp import solve_lp
 from staffing_minimax.model import instance_to_dict, make_instance
 
 
@@ -417,11 +419,17 @@ def test_run_non_finite_forecast_exit_2(capsys, tmp_path, lo, hi):
     assert out == ""
 
 
+_FIG3C_DAYS = "day,lo,hi\n" + "".join(f"{t},0.0,1.0\n" for t in range(1, 11))
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "No such file or directory"),
     ("day,lo\n1,0.5\n", "no column 'hi'"),
     ("day,lo,hi\n1,0.5\n", "not 'NoneType'"),
-], ids=["missing", "no_hi_column", "short_row"])
+    (_FIG3C_DAYS + "1,0.0,0.5\n", "sequence file has days [1, 1, 2, 3, "),
+    (_FIG3C_DAYS + "11,0.0,1.0\n", "9, 10, 11]; need each of 1 to 10 once"),
+], ids=["missing", "no_hi_column", "short_row", "repeated_day",
+        "day_past_horizon"])
 def test_run_bad_sequence_file_exit_2(capsys, tmp_path, text, message):
     path = tmp_path / "forecasts.csv"
     if text is not None:
@@ -440,6 +448,11 @@ def _bench_calibration_without_upper(config):
     return config
 
 
+def _bench_calibration_short_upper(config):
+    config["calibration"]["upper"].pop()
+    return config
+
+
 @pytest.mark.parametrize("edit, workers, message", [
     (lambda c: {k: v for k, v in c.items() if k != "horizon"}, "1",
      "missing 'horizon'"),
@@ -449,10 +462,16 @@ def _bench_calibration_without_upper(config):
      "field 'prior_hi': could not convert string to float: 'x'"),
     (_bench_calibration_without_upper, "1",
      "field 'calibration': missing 'upper'"),
+    (_bench_calibration_short_upper, "1",
+     "field 'calibration': need 5 lower and upper offsets, got 5 and 4"),
+    (lambda c: {**c, "horizon": 4}, "1",
+     "field 'calibration': need 4 lower and upper offsets, got 5 and 5"),
     (lambda c: {**c, "policies": []}, "2",
      "field 'policies': need a non-empty list of policy names, got []"),
     (lambda c: [c], "1", "'list' object is not a mapping"),
-], ids=["no_horizon", "seed", "prior_hi", "calibration", "policies", "list"])
+], ids=["no_horizon", "seed", "prior_hi", "calibration",
+        "calibration_short_upper", "calibration_past_horizon", "policies",
+        "list"])
 def test_bench_malformed_config_exit_2(capsys, tmp_path, edit, workers,
                                        message):
     config = edit(json.loads(open(instance_path("bench_short.json")).read()))
@@ -661,3 +680,111 @@ def test_non_number_instance_field_exit_2(capsys, tmp_path, name, field,
         assert (code, out) == (2, ""), argv
         assert f"cannot read instance {path}: " in err
         assert message in err
+
+
+# --- Stations files through run and oracle -----------------------------------
+
+def _multi_demo(tmp_path, objective):
+    """instances/multi_demo.json, or a copy with another objective."""
+    if objective == "max":
+        return instance_path("multi_demo.json")
+    d = json.loads(open(instance_path("multi_demo.json")).read())
+    path = tmp_path / f"multi_{objective}.json"
+    path.write_text(json.dumps({**d, "objective": objective}))
+    return str(path)
+
+
+@pytest.mark.parametrize("objective, worst, per_station", [
+    ("max", "0.375000", ["0.375000", "0.375000"]),
+    ("sum", "0.750000", ["0.300000", "0.450000"]),
+])
+@pytest.mark.parametrize("step", ["0.25", "0.1"])
+def test_oracle_multi_station_within_program_value(capsys, tmp_path,
+                                                   objective, worst,
+                                                   per_station, step):
+    from staffing_minimax.adversary import brute_force_worst_case
+    from staffing_minimax.model import load_instance
+    from staffing_minimax.programs import build_lp_multi_station
+    path = _multi_demo(tmp_path, objective)
+    msi = load_instance(path)
+    value = solve_lp(build_lp_multi_station(msi).model).objective
+    code, out, err = run_cli(capsys, "oracle", "--instance", path,
+                             "--policy", "multi_station", "--grid-step",
+                             step)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[:2] == [f"max_cost = {worst}", f"gamma_star = {worst}"]
+    assert [l for l in lines if l.startswith("station")
+            and "max_cost" in l] == [
+        f"station {j}: max_cost = {c}" for j, c in enumerate(per_station)]
+    # The unrounded aggregate stays within the program's value.
+    costs = [brute_force_worst_case(inst, factory, float(step)).cost
+             for _, inst, factory in cli._stations(msi, "multi_station",
+                                                   None)]
+    aggregate = sum(costs) if objective == "sum" else max(costs)
+    assert aggregate <= value * (1 + 1e-9) + 1e-12
+
+
+def test_run_multi_station_per_station_and_aggregate(capsys, tmp_path):
+    from staffing_minimax.adversary import single_switch_sequence
+    from staffing_minimax.model import (imbalance_cost, load_instance,
+                                        multi_station_cost)
+    path = _multi_demo(tmp_path, "sum")
+    code, out, err = run_cli(capsys, "run", "--instance", path, "--policy",
+                             "multi_station", "--sequence", "single_switch:1",
+                             "--demand", "0.8")
+    assert code == 0, err
+    msi = load_instance(path)
+    plans = play_stations(msi, [single_switch_sequence(
+        msi.station_instance(j), 1) for j in range(2)])
+    want = []
+    for j, plan in enumerate(plans):
+        cost = imbalance_cost(1.0, 1.0, plan.total_net, 0.8)
+        want += [f"station {j}: total_staffed = {plan.total_net:.6f}",
+                 f"station {j}: cost = {cost:.6f} against demand 0.800000"]
+    aggregate = multi_station_cost(msi, plans, [0.8, 0.8])
+    assert out.splitlines() == want + [
+        f"aggregate cost (sum) = {aggregate:.6f}"]
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("policy", ["lp_emulator", "lp_resolving", "release",
+                                    "naive_bayesian"])
+def test_other_policies_refuse_stations_file_exit_2(capsys, command, policy):
+    argv = ["--sequence", "random:1"] if command == "run" else []
+    code, out, err = run_cli(capsys, command, "--instance",
+                             instance_path("multi_demo.json"), "--policy",
+                             policy, *argv)
+    assert code == 2
+    assert (f"error: policy {policy!r} cannot play a stations file; use "
+            "multi_station") in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_multi_station_needs_stations_file_exit_2(capsys, command):
+    argv = ["--sequence", "random:1"] if command == "run" else []
+    code, out, err = run_cli(capsys, command, "--instance",
+                             instance_path("fig3c.json"), "--policy",
+                             "multi_station", *argv)
+    assert code == 2
+    assert "error: policy 'multi_station' needs a stations file" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sequence", "file:{tmp}/forecasts.csv"],
+     "file sequences need a single-demand file"),
+    (["--sequence", "configuration:1,2"],
+     "configuration sequences need a release instance"),
+    (["--sequence", "random:1", "--out", "{tmp}/trace.csv"],
+     "--out writes one trace, not one per station"),
+], ids=["file", "configuration", "out"])
+def test_run_stations_file_bad_spec_exit_2(capsys, tmp_path, argv, message):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, "run", "--instance",
+                             instance_path("multi_demo.json"), "--policy",
+                             "multi_station", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""

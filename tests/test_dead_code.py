@@ -1,11 +1,13 @@
 """Every function, class and method the package defines is used outside the
 tests: referenced somewhere in ``src/``, ``demos/`` or ``benchmarks/``.
 
-A reference is a name, an attribute, an imported name or its alias, or an
-identifier inside a string constant (the benchmark tracer names what it
-wraps by string).  A definition does not reference itself.  Dunder methods
-are exempt, and so are the ``cmd_*`` functions: ``cli.main`` dispatches to
-them by name.  Code that only tests call belongs in the tests.
+A reference is a name, an attribute, an imported name or its alias, or a
+string constant that is a whole identifier or dotted name, each part
+counted (the benchmark tracer names what it wraps that way).  A word in a
+message or a docstring is prose, not a reference.  A definition does not
+reference itself.  Dunder methods are exempt, and so are the ``cmd_*``
+functions: ``cli.main`` dispatches to them by name.  Code that only tests
+call belongs in the tests.
 """
 
 import ast
@@ -16,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "staffing_minimax"
 USERS = [ROOT / "src", ROOT / "demos", ROOT / "benchmarks"]
-_IDENT = re.compile(r"[A-Za-z_]\w*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def definitions(tree: ast.Module) -> list:
@@ -48,8 +50,9 @@ def references(tree: ast.AST) -> Counter:
                 refs.update(alias.name.split("."))
                 if alias.asname:
                     refs[alias.asname] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.update(_IDENT.findall(node.value))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            refs.update(node.value.split("."))
     return refs
 
 
@@ -77,11 +80,14 @@ def test_guard_sees_code_only_tests_use():
               "    def __repr__(self): return 'A'\n"
               "def helper(): return A\n"
               "def named_in_string(): pass\n"
+              "def named_in_prose(): pass\n"
               "def cmd_go(): pass\n"
               "def orphan(): return orphan()\n")
-    user = "from m import A as B\nB().used()\nTABLE = ['m.named_in_string']\n"
+    user = ("from m import A as B\nB().used()\n"
+            "TABLE = ['m.named_in_string']\n"
+            "raise ValueError('no named_in_prose here')\n")
     assert unreferenced({"m.py": module}, [module, user]) == [
-        "m: orphan", "m: unused"]
+        "m: named_in_prose", "m: orphan", "m: unused"]
 
 
 def test_src_defines_nothing_only_tests_use():

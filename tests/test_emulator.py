@@ -401,8 +401,8 @@ def test_day_tree_signed_zeros(count_misses):
 
 
 def test_day_tree_two_blocks_alternating(count_misses):
-    # As in MultiStationPolicy: one emulator per station, each on a strided
-    # view of one (n, m, T) block, stepped station by station each day.
+    # One emulator per station, each on a strided view of one (n, m, T)
+    # block, as the multi_station policies are, stepped in turn each day.
     rng = np.random.default_rng(12)
     availability = np.array([[1.0, 0.8, 0.6, 0.5], [0.9, 0.9, 0.7, 0.2]])
     block = rng.uniform(0.0, 0.3, size=(2, 2, 4))

@@ -237,7 +237,6 @@ def test_no_consumer_writes_into_step_hires():
     # Every emulating policy and the epoch runner consume the step.
     assert consumers >= {"emulator.EpochRunner.observe",
                          "policies.LpEmulatorPolicy.step",
-                         "policies.MultiStationPolicy.step_multi",
                          "policies.MiscoverageWrapper.step",
                          "policies.ReleasePolicy.step"}
     assert found == []

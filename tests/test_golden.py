@@ -22,7 +22,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import instance_path, random_multi_pool, random_single_pool
+from conftest import (instance_path, play_stations, random_multi_pool,
+                      random_single_pool, station_factories)
 from staffing_minimax.adversary import random_nested_sequence
 from staffing_minimax.cli import main as cli_main
 from staffing_minimax.emulator import EmulatorTrace
@@ -30,10 +31,9 @@ from staffing_minimax.lp import (LpError, LpModel, refine_lexicographic,
                                  solve_lp)
 from staffing_minimax.model import load_instance
 from staffing_minimax.policies import (JointCostPolicy, LpEmulatorPolicy,
-                                       MiscoverageWrapper, MultiStationPolicy,
-                                       ReleasePolicy, gamma_star_closed_form,
-                                       gamma_star_single_pool, play,
-                                       play_multi)
+                                       MiscoverageWrapper, ReleasePolicy,
+                                       gamma_star_closed_form,
+                                       gamma_star_single_pool, play)
 from staffing_minimax.programs import (build_lp_joint_cost,
                                        build_lp_multi_station,
                                        build_lp_release,
@@ -156,10 +156,9 @@ def _multi():
     for s in SEEDS:
         seqs = [random_nested_sequence(msi.station_instance(j), 10 * s + j)
                 for j in range(msi.n_stations)]
-        pol = MultiStationPolicy(msi)
-        plans = play_multi(pol, msi, seqs)
-        lines.append(repr(pol.objective)
-                     + "".join(_plan_text(p) for p in plans))
+        gamma = station_factories(msi)[0]().gamma_star
+        lines.append(repr(gamma) + "".join(
+            _plan_text(p) for p in play_stations(msi, seqs)))
     return "\n".join(lines)
 
 

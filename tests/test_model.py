@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_multi_pool
+from conftest import fig3_instance, plan_of, random_multi_pool
 from staffing_minimax.model import (
     EmptyHorizon, Instance, MultiStationInstance, NegativeParameter,
     NonMonotoneAvailability, PredictionSequence, ReleaseInstance,
-    SequenceError, StaffingPlan, StationSpec, UNLIMITED, check_feasibility,
+    SequenceError, StationSpec, UNLIMITED, check_feasibility,
     imbalance_cost, instance_from_dict, instance_to_dict, joint_cost,
     make_instance, multi_station_cost, multi_station_to_dict,
     release_to_dict, staffing_cost, validate_instance,
@@ -47,10 +47,10 @@ def test_fig3_setup_is_valid():
 
 def test_staffing_cost_values():
     inst = make_instance([10.0], [[1.0]], (0, 2), [2.0])
-    assert staffing_cost(inst, StaffingPlan.of([[1.0]]), 1.0) == 0.0
-    assert staffing_cost(inst, StaffingPlan.of([[0.7]]), 1.0) == pytest.approx(0.3)
+    assert staffing_cost(inst, plan_of([[1.0]]), 1.0) == 0.0
+    assert staffing_cost(inst, plan_of([[0.7]]), 1.0) == pytest.approx(0.3)
     inst3 = make_instance([10.0], [[1.0]], (0, 2), [2.0], over_cost=3.0)
-    assert staffing_cost(inst3, StaffingPlan.of([[1.2]]), 1.0) == pytest.approx(0.6)
+    assert staffing_cost(inst3, plan_of([[1.2]]), 1.0) == pytest.approx(0.6)
 
 
 def test_staffing_cost_equals_max_form():
@@ -68,7 +68,7 @@ def test_multi_station_cost_aggregation():
     rho = np.array([[1.0, 0.5]])
     st_a = StationSpec((0, 1), np.array([0.5, 0.2]))
     st_b = StationSpec((0, 1), np.array([0.5, 0.2]))
-    plans = [StaffingPlan.of([[0.4, 0.4]]), StaffingPlan.of([[0.2, 0.3]])]
+    plans = [plan_of([[0.4, 0.4]]), plan_of([[0.2, 0.3]])]
     msi_max = MultiStationInstance(np.array([3.0]), rho, (st_a, st_b), "max")
     msi_sum = MultiStationInstance(np.array([3.0]), rho, (st_a, st_b), "sum")
     d = [1.0, 1.0]   # per-station understaffing 0.2 and 0.5
@@ -83,22 +83,22 @@ def test_multi_station_cost_aggregation():
 def test_joint_cost_values():
     inst = make_instance([10.0], [[1.0]], (0, 1), [0.0])
     free = ReleaseInstance(base=inst)
-    plan = StaffingPlan.of([[1.0]])
+    plan = plan_of([[1.0]])
     assert joint_cost(free, plan, 1.0) == staffing_cost(inst, plan, 1.0)
     paid = ReleaseInstance(base=inst, wages=np.array([[0.1]]))
     assert joint_cost(paid, plan, 1.0) == pytest.approx(0.1)
     half = ReleaseInstance(base=inst, wages=np.array([[0.5]]))
     assert joint_cost(half, plan, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        joint_cost(paid, StaffingPlan.of([[1.0]], [[0.5]]), 1.0)
+        joint_cost(paid, plan_of([[1.0]], [[0.5]]), 1.0)
 
 
 def test_check_feasibility_boundaries():
     inst = make_instance([2.0], [[0.5]], (0, 1), [0.5])
-    at_cap = StaffingPlan.of([[2.0 * 0.5]])
+    at_cap = plan_of([[2.0 * 0.5]])
     ok, viol = check_feasibility(inst, at_cap)
     assert ok and not viol
-    over = StaffingPlan.of([[2.0 * 0.5 + 0.01]])
+    over = plan_of([[2.0 * 0.5 + 0.01]])
     ok, viol = check_feasibility(inst, over)
     assert not ok and "supply" in viol[0]
 
@@ -107,17 +107,17 @@ def test_check_feasibility_release_mode():
     inst = make_instance([3.0], [[1.0, 0.8]], (0, 1), [0.5, 0.2])
     ri = ReleaseInstance(base=inst, budget=1.0, wages=np.array([[0.4, 0.4]]),
                          epoch_breaks=(1, 2), release_fees=(0.2, UNLIMITED))
-    plan = StaffingPlan.of([[1.0, 1.0]], [[1.0, 0.0]])
+    plan = plan_of([[1.0, 1.0]], [[1.0, 0.0]])
     spend = 0.4 + 0.4 + 0.2      # wages + day-1 release fee
     assert spend == pytest.approx(1.0)
     ok, viol = check_feasibility(ri, plan)
     assert ok, viol
     # releasing in the forbidden epoch is a violation
-    bad = StaffingPlan.of([[1.0, 1.0]], [[0.0, 0.5]])
+    bad = plan_of([[1.0, 1.0]], [[0.0, 0.5]])
     ok, viol = check_feasibility(ri, bad)
     assert not ok
     # releasing more than hired so far
-    early = StaffingPlan.of([[0.2, 1.0]], [[0.5, 0.0]])
+    early = plan_of([[0.2, 1.0]], [[0.5, 0.0]])
     ok, viol = check_feasibility(ri, early)
     assert not ok
 

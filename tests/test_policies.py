@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, instance_path, random_single_pool
+from conftest import (fig3_instance, instance_path, play_stations,
+                      random_single_pool)
 from staffing_minimax import bayesian, cli, policies
 from staffing_minimax.adversary import (brute_force_worst_case,
                                         configuration_sequence,
@@ -23,11 +24,9 @@ from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     make_instance, validate_instance)
 from staffing_minimax.policies import (
     DayObservation, GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
-    LpResolvingPolicy, MultiPoolUnsupported, MultiStationPolicy,
-    ParameterOutOfRange,
+    LpResolvingPolicy, MultiPoolUnsupported, ParameterOutOfRange,
     MiscoverageWrapper, ReleasePolicy, UnsupportedBase,
-    gamma_star_closed_form, gamma_star_single_pool, play, play_multi,
-    _t_dagger_scan)
+    gamma_star_closed_form, gamma_star_single_pool, play, _t_dagger_scan)
 from staffing_minimax.programs import (build_lp_release,
                                        build_lp_single_switch,
                                        minimax_value_and_profile)
@@ -466,11 +465,9 @@ def test_multi_m1_equals_emulator():
     single = MultiStationInstance(msi.pool_sizes, msi.availability,
                                   msi.stations[:1], "max")
     inst = single.station_instance(0)
-    pol_m = MultiStationPolicy(single)
-    pol_e = LpEmulatorPolicy(inst)
     for k in (1, 2):
         seq = single_switch_sequence(inst, k)
-        plans = play_multi(MultiStationPolicy(single), single, [seq])
+        plans = play_stations(single, [seq])
         pe = play(LpEmulatorPolicy(inst), inst, seq)
         assert np.allclose(plans[0].hires, pe.hires, atol=1e-9)
 
@@ -480,8 +477,8 @@ def test_multi_station_independence():
     inst = msi.station_instance(0)
     seq_a = single_switch_sequence(inst, 1)
     seq_b = single_switch_sequence(inst, 2)
-    plans_1 = play_multi(MultiStationPolicy(msi), msi, [seq_a, seq_a])
-    plans_2 = play_multi(MultiStationPolicy(msi), msi, [seq_a, seq_b])
+    plans_1 = play_stations(msi, [seq_a, seq_a])
+    plans_2 = play_stations(msi, [seq_a, seq_b])
     assert np.array_equal(plans_1[0].hires, plans_2[0].hires)
 
 
@@ -498,8 +495,8 @@ def test_multi_station_integer_ranges_match_float_ranges():
     for seed in range(5):
         seqs = [random_nested_sequence(ints.station_instance(j), 3 * seed + j)
                 for j in range(2)]
-        got = play_multi(MultiStationPolicy(ints), ints, seqs)
-        want = play_multi(MultiStationPolicy(floats), floats, seqs)
+        got = play_stations(ints, seqs)
+        want = play_stations(floats, seqs)
         for a, b in zip(got, want):
             assert np.array_equal(a.hires, b.hires)
 
@@ -509,11 +506,10 @@ def test_multi_station_zero_range_station_costs_nothing():
     live = StationSpec((0, 1), np.array([0.6, 0.2]))
     pinned = StationSpec((0.3, 0.3), np.array([0.0, 0.0]))
     msi = MultiStationInstance(np.array([5.0]), rho, (live, pinned), "max")
-    pol = MultiStationPolicy(msi)
     seq_live = single_switch_sequence(msi.station_instance(0), 2)
     seq_pin = PredictionSequence.build(msi.station_instance(1),
                                        [(0.3, 0.3), (0.3, 0.3)])
-    plans = play_multi(pol, msi, [seq_live, seq_pin])
+    plans = play_stations(msi, [seq_live, seq_pin])
     assert plans[1].total_net == pytest.approx(0.3, abs=1e-9)
 
 

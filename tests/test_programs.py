@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (INSTANCE_DIR, fig3_instance, instance_path,
+from conftest import (INSTANCE_DIR, fig3_instance, instance_path, plan_of,
                       random_multi_pool, random_single_pool)
 from staffing_minimax import bayesian, cli, programs
 from staffing_minimax.adversary import random_nested_sequence
@@ -201,14 +201,14 @@ def test_release_free_hedging_cannot_hurt():
 
 
 def test_canonical_profile_unique_and_feasible():
-    from staffing_minimax.model import StaffingPlan, check_feasibility
+    from staffing_minimax.model import check_feasibility
     rng = np.random.default_rng(4)
     for _ in range(25):
         inst = random_multi_pool(rng)
         gamma, x = minimax_value_and_profile(inst)
         gamma2, x2 = minimax_value_and_profile(inst)
         assert gamma == gamma2 and np.array_equal(x, x2)
-        ok, viol = check_feasibility(inst, StaffingPlan.of(x))
+        ok, viol = check_feasibility(inst, plan_of(x))
         assert ok, viol
 
 

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_multi_pool
+from conftest import plan_of, random_multi_pool
 from staffing_minimax.adversary import (configuration_sequence,
                                         worst_demand_cost)
 from staffing_minimax.lp import LpInfeasible, LpModel, solve_lp
@@ -203,6 +203,5 @@ def test_gamma_program_scales_to_larger_instances():
     assert 0.0 <= sol.objective <= max(inst.under_cost, inst.over_cost)
     gamma, canonical = minimax_value_and_profile(inst)
     assert gamma == pytest.approx(sol.objective, abs=1e-9)
-    from staffing_minimax.model import StaffingPlan
-    ok, viol = check_feasibility(inst, StaffingPlan.of(canonical))
+    ok, viol = check_feasibility(inst, plan_of(canonical))
     assert ok, viol

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, instance_path
+from conftest import fig3_instance, instance_path, station_factories
 from staffing_minimax.cli import main as cli_main
 from staffing_minimax.lp import LpModel
 from staffing_minimax.model import (EpochState, InstanceError,
@@ -15,8 +15,7 @@ from staffing_minimax.model import (EpochState, InstanceError,
                                     make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, JointCostPolicy,
                                        LpEmulatorPolicy, LpResolvingPolicy,
-                                       MiscoverageWrapper, MultiStationPolicy,
-                                       ReleasePolicy)
+                                       MiscoverageWrapper, ReleasePolicy)
 from staffing_minimax.programs import (InfeasibleState, build_lp_resolving,
                                        build_lp_single_switch)
 
@@ -43,7 +42,8 @@ def test_policy_kind_labels():
     assert GreedyTargetPolicy(inst, 0.0).kind == "greedy_target"
     assert LpEmulatorPolicy(inst).kind == "lp_emulator"
     assert LpResolvingPolicy(inst).kind == "lp_resolving"
-    assert MultiStationPolicy(msi).kind == "multi_station"
+    # The multi_station policy is the LP emulator on a station's block.
+    assert [f().kind for f in station_factories(msi)] == ["lp_emulator"]
     assert ReleasePolicy(ri).kind == "release"
     assert JointCostPolicy(ri).kind == "joint"
     base = LpEmulatorPolicy(inst)
