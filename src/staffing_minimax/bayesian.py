@@ -568,9 +568,13 @@ class MdpPolicy:
         self.cum_hires = [0.0] * inst.n_pools
         self.ledger = SupplyLedger(inst)
         self.day = 0
-        # counts[k, v]: samples of day k's partial demand equal to v.
+        # counts[k, v]: samples of day k's partial demand equal to v, also
+        # written through its flat view at row_starts[k] + v.
         self.counts = np.zeros((inst.horizon + 1, BINOM_TRIALS + 1),
                                dtype=int)
+        self._flat_counts = self.counts.reshape(-1)
+        self._row_starts = np.arange(0, self._flat_counts.size,
+                                     BINOM_TRIALS + 1)
         self.n_profiles = 0     # profiles counted: one sample of each day
 
     def _pmfs(self) -> Dict[int, np.ndarray]:
@@ -593,12 +597,13 @@ class MdpPolicy:
         self.demand_sum += float(obs.partial)
         T = inst.horizon
         if obs.samples is not None and self.values is None:
-            # Day t's profile samples days t+1..T in order.
+            # Day t's profile samples days t+1..T in order; a sample is a
+            # count in 0..BINOM_TRIALS, so it lands in its own day's row.
             future = np.asarray(obs.samples, float)[:T - t].astype(int)
             if len(future) < T - t:
                 raise ValueError(f"day {t}'s samples cover {len(future)} of "
                                  f"the {T - t} days left")
-            self.counts[np.arange(t + 1, T + 1), future] += 1
+            self._flat_counts[self._row_starts[t + 1:] + future] += 1
             self.n_profiles += 1
         # Today's action box uses the exactly-known remaining availability
         # (the Markov charge rule is only needed for future days inside the

@@ -204,9 +204,10 @@ def _mdp(transition: str):
 # a zero-argument factory of fresh policies, or for `multi_station` of one
 # (station instance, factory) pair per station).  The factory constructor
 # does the work every run shares, such as solving the program an emulator
-# plays; the resolving policies of one factory share one memo of the solves
-# they repeat, keyed by the day's exact state and bounded by
-# policies.RESOLVING_MEMO_CAP entries.
+# plays; the resolving and the release policies of one factory share one
+# memo of the solves they repeat, keyed by the day's or the epoch's exact
+# state and bounded by policies.RESOLVING_MEMO_CAP or RELEASE_MEMO_CAP
+# entries.
 POLICIES = {
     "lp_emulator": (None, lambda c: _emulating(LpEmulatorPolicy(c.inst))),
     "lp_resolving": (None, lambda c: partial(LpResolvingPolicy, c.inst,
@@ -219,7 +220,7 @@ POLICIES = {
     "empirical_mdp": ("world", _mdp("empirical")),
     "full_info_mdp": ("world", _mdp("true")),
     "release": ("release", lambda c: partial(
-        ReleasePolicy, validate_release_instance(c.problem))),
+        ReleasePolicy, validate_release_instance(c.problem), OrderedDict())),
     "joint": ("release", lambda c: _emulating(JointCostPolicy(c.problem))),
     "multi_station": ("stations", _station_emulators),
 }

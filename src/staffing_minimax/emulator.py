@@ -19,9 +19,10 @@ block's tables carry a prefix tree of the days already played: its roots
 are keyed by R0, and each node maps the day's Rhat to that day's hires
 (a read-only array) and the node of the next day.  A step looks its day up
 before it computes anything, so emulators of one block play a shared
-prefix once.  The tree stops growing at DAY_TREE_CAP entries.  The
-release-mode variant additionally runs the critical-index release rule at
-each epoch end.
+prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A day the
+tree serves writes nothing: an emulator's realized block is allocated and
+filled in at its first miss or read.  The release-mode variant
+additionally runs the critical-index release rule at each epoch end.
 """
 
 from __future__ import annotations
@@ -224,19 +225,36 @@ class Emulator:
     Each step lowers the running upper bound R_hat to the given bound and
     plays emulator_step for the next day of the block, unless the block's
     DayTree already holds the day for this R0 and these running bounds.
-    Either way the day's hires (read-only, possibly shared with other
-    emulators of the block) go into `realized`, which only `step` writes.
-    availability[:, k] is the availability on the block's (k+1)-th day; it
-    may run past the block.
+    Either way the day's hires are read-only and possibly shared with other
+    emulators of the block.  A day served from the tree is only noted on
+    `path`; `realized`, the (n, T) block of the hires played, is allocated
+    at the first miss or read and then filled in from the path, so a run
+    the tree serves throughout writes no block.  Only `step` and that fill
+    write the block.  availability[:, k] is the availability on the
+    block's (k+1)-th day; it may run past the block.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
                  r0: float):
         self.tables, self.tree = _block(canonical, availability)
         self.node = self.tree.root(r0) if isinstance(r0, float) else None
-        self.realized = np.zeros(canonical.shape)
+        self.shape = canonical.shape
+        self._realized: Optional[np.ndarray] = None
+        self.path: List[Tuple[int, np.ndarray]] = []    # (day, hires)
         self.r0 = self.r_hat = r0
         self.day = 0
+
+    @property
+    def realized(self) -> np.ndarray:
+        """The hires played so far by day, zero on the days after."""
+        block = self._realized
+        if block is None:
+            block = self._realized = np.zeros(self.shape)
+        if self.path:
+            for day, hires in self.path:
+                block[:, day - 1] = hires
+            self.path = []
+        return block
 
     def step(self, bound: float) -> np.ndarray:
         self.day += 1
@@ -247,14 +265,16 @@ class Emulator:
             node = None         # the tree holds double arithmetic only
         entry = None if node is None else node.get(r_hat)
         if entry is None:
-            hires = emulator_step(self.tables[t - 1], self.realized, t,
-                                  r_hat, self.r0)
+            realized = self.realized
+            hires = emulator_step(self.tables[t - 1], realized, t, r_hat,
+                                  self.r0)
             hires.flags.writeable = False
             self.node = (None if node is None
                          else self.tree.add(node, t, r_hat, hires))
+            realized[:, t - 1] = hires
         else:
             hires, self.node = entry
-        self.realized[:, t - 1] = hires
+            self.path.append((t, hires))
         return hires
 
 
@@ -296,10 +316,14 @@ class EpochRunner:
         self.l_bar, self.r_bar = state.interval
         self.emulator = Emulator(self.canonical,
                                  state.availability[:, self.t0:], self.r_bar)
-        self.realized = self.emulator.realized
         self.r_observed = [self.r_bar]
         self.realized_cum = [0.0]
         self.canon_cum = [0.0]
+
+    @property
+    def realized(self) -> np.ndarray:
+        """The epoch's hires so far, read through the emulator."""
+        return self.emulator.realized
 
     def observe(self, interval) -> np.ndarray:
         idx = self.emulator.day
@@ -340,25 +364,26 @@ class EpochRunner:
 
         next_state = None
         if ell < ri.n_epochs:
+            realized = self.realized
             rho = state.availability
             usage = np.zeros(n)
             for i in range(n):
                 for idx in range(t_end - t0):
-                    x = self.realized[i, idx]
+                    x = realized[i, idx]
                     if x > 0:
                         usage[i] += x / rho[i, t0 + idx]
             new_supply = rho[:, t_end - 1] * (state.remaining_supply - usage)
             budget = state.remaining_budget
             if budget is not UNLIMITED:
                 wage_bill = float(
-                    (ri.wages[:, t0:t_end] * self.realized).sum())
+                    (ri.wages[:, t0:t_end] * realized).sum())
                 fee_bill = (0.0 if fee is UNLIMITED
                             else float(fee) * float(y.sum()))
                 budget = budget - wage_bill - fee_bill
             r_last = self.r_observed[-1]
             next_state = EpochState(
                 index=ell + 1,
-                cum_hires=state.cum_hires + self.realized.sum(axis=1) - y,
+                cum_hires=state.cum_hires + realized.sum(axis=1) - y,
                 remaining_supply=np.maximum(new_supply, 0.0),
                 remaining_budget=budget,
                 interval=(r_last - inst.delta(t_end), r_last),

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adversary import worst_case_sequence
 from .emulator import Emulator, EmulatorTrace, EpochRunner
-from .model import (EpochState, Instance, InstanceError, PredictionInterval,
-                    PredictionSequence, ReleaseInstance, StaffingPlan,
-                    SupplyLedger, fresh_state, make_instance,
+from .model import (UNLIMITED, EpochState, Instance, InstanceError,
+                    PredictionInterval, PredictionSequence, ReleaseInstance,
+                    StaffingPlan, SupplyLedger, fresh_state, make_instance,
                     rescaled_availability, validate_release_instance)
 from .programs import (build_lp_joint_cost, build_lp_release,
                        build_lp_resolving, extract_canonical,
@@ -90,7 +91,7 @@ def play(policy, inst: Instance, sequence: PredictionSequence,
     hires = np.zeros((n, T))
     releases = np.zeros((n, T))
     no_releases = _no_releases((n,))
-    canonical = getattr(policy, "canonical", None)
+    canonical = None if trace is None else getattr(policy, "canonical", None)
     intervals = sequence.intervals
     step = policy.step
     for t in range(1, T + 1):
@@ -303,10 +304,12 @@ class LpEmulatorPolicy:
         self.emulator = Emulator(canonical, inst.availability,
                                  inst.initial_range[1])
         self.eps = inst.inconsistency.tolist()      # inst.eps(t), t >= 1
+        self.releases = _no_releases(canonical.shape[:1])
 
     def step(self, obs: DayObservation) -> Decision:
-        em = self.emulator
-        return Decision.hire_only(em.step(obs.interval.hi + self.eps[em.day]))
+        em = self.emulator      # its hires are float64 already
+        return Decision(em.step(obs.interval.hi + self.eps[em.day]),
+                        self.releases)
 
 
 # Entries a resolving memo keeps, least recently used first out.  On
@@ -314,6 +317,24 @@ class LpEmulatorPolicy:
 # cap keeps nearly all of the repeats an unbounded memo finds: most are the
 # day-1 and day-2 states that many replications share.
 RESOLVING_MEMO_CAP = 4096
+
+# Entries a release memo keeps, least recently used first out.  One entry
+# holds an epoch's canonical blocks, on the demo files under 1 KB.
+RELEASE_MEMO_CAP = 1024
+
+
+def _memo_entry(memo: OrderedDict, key: bytes, cap: int, solve):
+    """memo[key], made by solve() on a miss; once the memo holds `cap`
+    entries, a miss first drops the least recently used one."""
+    entry = memo.get(key)
+    if entry is None:
+        entry = solve()
+        if len(memo) >= cap:
+            memo.popitem(last=False)
+        memo[key] = entry
+    else:
+        memo.move_to_end(key)
+    return entry
 
 
 class LpResolvingPolicy:
@@ -351,21 +372,16 @@ class LpResolvingPolicy:
         lo_bar = max(lo_bar, obs.interval.lo - inst.eps(t))
         lo_bar = min(lo_bar, hi_bar)     # inconsistent input guard
         st = replace(st, index=t, interval=(lo_bar, hi_bar))
-        memo = self.memo
         key = np.concatenate(([t, lo_bar, hi_bar], st.cum_hires,
                               st.remaining_supply)).tobytes()
-        entry = memo.get(key)
-        if entry is None:
+
+        def solve():
             built = build_lp_resolving(inst, st, t)
             sol = solve_canonical(built, refine_limit=1)
-            entry = (sol.objective,
-                     extract_canonical(built, sol)[:, t - 1].tobytes())
-            if len(memo) >= RESOLVING_MEMO_CAP:
-                memo.popitem(last=False)
-            memo[key] = entry
-        else:
-            memo.move_to_end(key)
-        objective, hire_bytes = entry
+            return (sol.objective,
+                    extract_canonical(built, sol)[:, t - 1].tobytes())
+        objective, hire_bytes = _memo_entry(self.memo, key,
+                                            RESOLVING_MEMO_CAP, solve)
         if self.gamma_star is None:
             self.gamma_star = objective
         hires = np.frombuffer(hire_bytes).copy()
@@ -400,27 +416,55 @@ class JointCostPolicy(LpEmulatorPolicy):
 class ReleasePolicy:
     """Costly-release policy: per epoch, update the state, re-solve the
     configuration program, emulate its canonical hires, and apply the
-    critical-index release rule on the epoch's last day."""
+    critical-index release rule on the epoch's last day.
+
+    Each epoch's solve goes through `memo`, an OrderedDict from the bytes
+    of everything `build_lp_release` reads from the epoch's state to (program
+    value, canonical hire block, canonical release vector by switch day),
+    all read-only, bounded by RELEASE_MEMO_CAP entries as the resolving
+    memo is.  A memo serves one release instance; the policies of
+    one `cli.POLICIES` factory share one, and a policy built without one
+    gets its own.
+    """
 
     kind = "release"
 
-    def __init__(self, ri: ReleaseInstance):
+    def __init__(self, ri: ReleaseInstance,
+                 memo: Optional[OrderedDict] = None):
         self.ri = ri = validate_release_instance(ri)
+        self.memo = OrderedDict() if memo is None else memo
         self.state = fresh_state(ri.base, ri.budget, ri.pre_hires)
         self.day = 0
         self.runner: Optional[EpochRunner] = None
         self.objective = None        # day-0 program value, set on first step
+
+    def _epoch_program(self) -> tuple:
+        """(program value, canonical hires, canonical releases) of the
+        release program from the current epoch state, through the memo."""
+        st = self.state
+        budget = st.remaining_budget
+        key = (None if budget is UNLIMITED else np.float64(budget).tobytes(),
+               np.concatenate(([st.index], st.interval, st.cum_hires,
+                               st.remaining_supply,
+                               st.availability.ravel())).tobytes())
+
+        def solve():
+            built = build_lp_release(self.ri, st)
+            sol = solve_canonical(built)
+            canon_x, canon_y = extract_canonical(built, sol)
+            for block in (canon_x, *canon_y.values()):
+                block.flags.writeable = False
+            return sol.objective, canon_x, MappingProxyType(canon_y)
+        return _memo_entry(self.memo, key, RELEASE_MEMO_CAP, solve)
 
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
         t = self.day
         ri = self.ri
         if self.runner is None:
-            built = build_lp_release(ri, self.state)
-            sol = solve_canonical(built)
+            objective, canon_x, canon_y = self._epoch_program()
             if self.objective is None:
-                self.objective = sol.objective
-            canon_x, canon_y = extract_canonical(built, sol)
+                self.objective = objective
             self.runner = EpochRunner(ri, self.state, canon_x, canon_y)
         hires = self.runner.observe(obs.interval)
         n = ri.base.n_pools

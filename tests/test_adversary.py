@@ -6,19 +6,22 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_multi_pool
+from conftest import fig3_instance, instance_path, random_multi_pool
 from staffing_minimax import adversary
 from staffing_minimax.adversary import (
     BudgetExceeded, EmptyGrid, brute_force_worst_case, configuration_sequence,
     demand_candidates, enumerate_grid_sequences, random_nested_sequence,
     sequence_from_csv, single_switch_sequence, worst_case_sequence)
-from staffing_minimax.emulator import Emulator, EmulatorTrace
+from staffing_minimax import cli
+from staffing_minimax import emulator as emulator_module
+from staffing_minimax.emulator import EmulatorTrace
 from staffing_minimax.model import (InstanceError, PredictionInterval,
                                     PredictionSequence, ReleaseInstance,
                                     SequenceError, StaffingPlan,
                                     imbalance_cost, make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, LpEmulatorPolicy,
-                                       gamma_star_single_pool, play)
+                                       ReleasePolicy, gamma_star_single_pool,
+                                       play)
 from staffing_minimax.programs import minimax_value_and_profile
 
 
@@ -411,7 +414,26 @@ def test_build_rejects_non_finite_endpoints(lo, hi, as_interval):
 # --- The day loop against the one it replaces ---------------------------------
 #
 # The earlier play, DayObservation and Decision (frozen dataclasses) and
-# LpEmulatorPolicy.step, copied verbatim except for their names.
+# LpEmulatorPolicy.step, copied verbatim except for their names; the
+# emulator they drive is the one without a day tree, which computes every
+# day and writes it into its realized block.
+
+class _OldEmulator:
+    def __init__(self, canonical, availability, r0):
+        self.tables = emulator_module._block(canonical, availability)[0]
+        self.realized = np.zeros(canonical.shape)
+        self.r0 = self.r_hat = r0
+        self.day = 0
+
+    def step(self, bound):
+        self.day += 1
+        t = self.day
+        self.r_hat = min(self.r_hat, bound)
+        hires = emulator_module.emulator_step(
+            self.tables[t - 1], self.realized, t, self.r_hat, self.r0)
+        self.realized[:, t - 1] = hires
+        return hires
+
 
 @dataclass(frozen=True)
 class _OldDayObservation:
@@ -436,8 +458,8 @@ class _OldLpEmulatorPolicy:
     def __init__(self, inst, canonical):
         self.inst = inst
         self.canonical = canonical
-        self.emulator = Emulator(canonical, inst.availability,
-                                 inst.initial_range[1])
+        self.emulator = _OldEmulator(canonical, inst.availability,
+                                     inst.initial_range[1])
 
     def step(self, obs):
         em = self.emulator
@@ -508,3 +530,66 @@ def test_grid_oracle_plays_as_old_day_loop(which, step):
         worst[2].effective_lo.tobytes()
     assert witness.sequence.effective_hi.tobytes() == \
         worst[2].effective_hi.tobytes()
+
+
+def _old_witness(inst, totals, sequences, step):
+    """brute_force_worst_case's scoring of the totals played."""
+    worst = None
+    for total, seq in zip(totals, sequences):
+        cost, demand = -np.inf, None
+        for d in demand_candidates(seq, step):
+            cd = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
+            if cd > cost:
+                cost, demand = cd, d
+        if worst is None or cost > worst[0]:
+            worst = (cost, demand, seq)
+    return worst
+
+
+def _old_policies(name, problem, inst, factory):
+    """Fresh policies as the earlier loop played them: the emulating ones
+    on the old emulator, the release policy with a solve of its own."""
+    if name in ("lp_emulator", "joint", "multi_station"):
+        canonical = factory().canonical
+        return lambda: _OldLpEmulatorPolicy(inst, canonical)
+    if name == "release":
+        return lambda: ReleasePolicy(problem)
+    return factory
+
+
+@pytest.mark.parametrize("file", ["fig3a", "fig3b", "fig3c", "joint_demo",
+                                  "release_demo", "multi_demo"])
+def test_registry_oracle_plays_as_old_day_loop(file):
+    # Every registry policy the file takes, on each station, at step 0.5:
+    # the staffed totals and the witness are the earlier loop's, bit for bit.
+    problem = cli._load(instance_path(f"{file}.json"))
+    played = set()
+    for name in cli.POLICIES:
+        try:
+            stations = cli._stations(problem, name, None)
+        except (cli.CliInputError, InstanceError):
+            continue
+        for _, inst, factory in stations:
+            old = _old_policies(name, problem, inst, factory)
+            sequences = enumerate_grid_sequences(inst, 0.5)
+            totals = []
+            for seq in sequences:
+                new = play(factory(), inst, seq).total_net
+                totals.append(_old_play(old(), inst, seq).total_net)
+                assert repr(new) == repr(totals[-1]), (name, seq)
+            worst = _old_witness(inst, totals, sequences, 0.5)
+            witness = brute_force_worst_case(inst, factory, 0.5)
+            assert (repr(witness.cost), repr(witness.demand)) == (
+                repr(worst[0]), repr(worst[1])), name
+            assert witness.sequence.intervals == worst[2].intervals
+        played.add(name)
+    assert played == {
+        "fig3a": {"lp_emulator", "lp_resolving", "naive_greedy",
+                  "greedy_target"},
+        "joint_demo": {"lp_emulator", "lp_resolving", "naive_greedy",
+                       "greedy_target", "release", "joint"},
+        "release_demo": {"lp_emulator", "lp_resolving", "naive_greedy",
+                         "release"},
+        "multi_demo": {"multi_station"}}.get(
+            file, {"lp_emulator", "lp_resolving", "naive_greedy",
+                   "greedy_target"})

@@ -449,6 +449,41 @@ def test_empirical_mdp_plays_as_loop_oracle(case, G):
                                 _LoopMdp(inst, spec)], seed)
 
 
+class _OldCountMdp(MdpPolicy):
+    """MdpPolicy with the earlier sample-count update (copied verbatim),
+    the rest of its step played on the counts that update made."""
+
+    def step(self, obs):
+        t = self.day + 1
+        T = self.inst.horizon
+        if obs.samples is not None and self.values is None:
+            future = np.asarray(obs.samples, float)[:T - t].astype(int)
+            if len(future) < T - t:
+                raise ValueError(f"day {t}'s samples cover {len(future)} of "
+                                 f"the {T - t} days left")
+            self.counts[np.arange(t + 1, T + 1), future] += 1
+            self.n_profiles += 1
+        return super().step(obs._replace(samples=None))
+
+
+def test_empirical_mdp_counts_as_old_update_on_bench_long():
+    inst, proc = _bench_long_instance()
+    spec = MdpSpec(grid_levels=7)
+    tables = mdp_tables(inst, spec)
+    for seed in range(60):
+        world = proc.sample_world(np.random.default_rng([seed, 11]))
+        new = MdpPolicy(inst, proc, spec, tables=tables)
+        old = _OldCountMdp(inst, proc, spec, tables=tables)
+        for t in range(1, inst.horizon + 1):
+            obs = DayObservation(day=t, interval=None,
+                                 partial=float(world.partials[t - 1]),
+                                 samples=world.profiles[t - 1])
+            assert new.step(obs).hires.tobytes() == \
+                old.step(obs).hires.tobytes(), (seed, t)
+        assert new.counts.tobytes() == old.counts.tobytes()
+        assert new.n_profiles == old.n_profiles == inst.horizon
+
+
 def test_mdp_action_scan_keeps_first_best_within_1e12():
     # Value arrays whose entries are all within a few 1e-12 of each other:
     # the first entry (in product order) beating the best by more than

@@ -1,19 +1,25 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, random_multi_pool, random_single_pool
-from staffing_minimax.adversary import (random_nested_sequence,
+from conftest import (fig3_instance, instance_path, random_multi_pool,
+                      random_single_pool)
+from staffing_minimax.adversary import (enumerate_grid_sequences,
+                                        random_nested_sequence,
                                         single_switch_sequence,
                                         worst_case_sequence)
 from staffing_minimax import emulator as emulator_module
+from staffing_minimax import policies as policies_module
 from staffing_minimax.emulator import (Emulator, EmulatorTrace, EpochRunner,
                                        SplitInfeasible, _block, _fill,
                                        _scarcest_first, emulator_step,
                                        split_hires)
 from staffing_minimax.model import (PredictionInterval, PredictionSequence,
                                     ReleaseInstance, check_feasibility,
-                                    fresh_state, make_instance)
-from staffing_minimax.policies import LpEmulatorPolicy, play
+                                    fresh_state, load_instance, make_instance,
+                                    validate_release_instance)
+from staffing_minimax.policies import LpEmulatorPolicy, ReleasePolicy, play
 from staffing_minimax.programs import (minimax_value_and_profile,
                                        single_switch_floor)
 
@@ -659,3 +665,116 @@ def test_split_infeasible_names_day_total_caps_and_tolerance():
         em.step(1.0)
     assert (info.value.day, info.value.total, info.value.caps_sum) == \
         (2, 0.0, -0.25)
+
+
+# --- The realized block, filled at the first miss or read ---------------------
+
+def _eager_block(canonical, availability, r0, bounds):
+    """The realized block the earlier emulator wrote day by day."""
+    block = np.zeros(canonical.shape)
+    for t, h in enumerate(_old_run(canonical, availability, r0, bounds)[0],
+                          start=1):
+        block[:, t - 1] = h
+    return block
+
+
+@pytest.mark.parametrize("cap", [9, 60])
+def test_realized_is_the_eager_block_after_hits_and_misses(
+        cap, count_misses, monkeypatch):
+    # The tree fills mid-run, so runs go from hits to misses; some read
+    # the block on the way, which fills it early.
+    monkeypatch.setattr(emulator_module, "DAY_TREE_CAP", cap)
+    rng = np.random.default_rng(15)
+    runs = []
+    for which in "abc":
+        inst = fig3_instance(which)
+        canonical = minimax_value_and_profile(inst)[1]
+        for seq in enumerate_grid_sequences(inst, 0.5) + [
+                random_nested_sequence(inst, s) for s in range(20)]:
+            runs.append((inst, canonical,
+                         [seq.interval(t).hi
+                          for t in range(1, inst.horizon + 1)]))
+    for k in range(40):
+        inst = random_multi_pool(rng, 3, 8)
+        canonical = (minimax_value_and_profile(inst)[1] if k < 5
+                     else _random_canonical(rng, inst))
+        runs += [(inst, canonical, member)
+                 for member in _families(rng, _sequence_bounds(rng, inst))]
+    hit_then_miss = reads = 0
+    for inst, canonical, bounds in runs:
+        r0 = inst.initial_range[1]
+        try:
+            eager = _eager_block(canonical, inst.availability, r0, bounds)
+        except _OldSplitInfeasible:
+            continue
+        em = Emulator(canonical, inst.availability, r0)
+        read_after = set(rng.integers(1, len(bounds) + 1,
+                                      size=int(rng.integers(0, 3))))
+        hit = False
+        for t, bound in enumerate(bounds, start=1):
+            misses = len(count_misses)
+            em.step(bound)
+            if len(count_misses) == misses:
+                hit = True
+            elif hit:
+                hit_then_miss += 1
+                hit = False
+            if t in read_after:
+                reads += 1
+                assert em.realized[:, :t].tobytes() == eager[:, :t].tobytes()
+                assert em.realized[:, t:].tobytes() == \
+                    np.zeros_like(eager[:, t:]).tobytes()
+        assert em.realized.tobytes() == eager.tobytes()
+        assert em.path == []
+    assert hit_then_miss > 20 and reads > 20
+
+
+def test_all_hit_replay_writes_no_realized_block(count_misses):
+    inst = fig3_instance("c")
+    gamma, canonical = minimax_value_and_profile(inst)
+    seq = random_nested_sequence(inst, 5)
+    first = LpEmulatorPolicy(inst, canonical, gamma)
+    play(first, inst, seq)
+    assert count_misses == list(range(1, inst.horizon + 1))
+    assert first.emulator._realized is not None
+    again = LpEmulatorPolicy(inst, canonical, gamma)
+    plan = play(again, inst, seq)
+    assert len(count_misses) == inst.horizon            # all hits
+    # No block was allocated, so none was written; the days wait on the path.
+    assert again.emulator._realized is None
+    assert [day for day, _ in again.emulator.path] == list(
+        range(1, inst.horizon + 1))
+    assert all(not h.flags.writeable for _, h in again.emulator.path)
+    assert again.emulator.realized.tobytes() == plan.hires.tobytes()
+    assert again.emulator.realized.tobytes() == \
+        first.emulator.realized.tobytes()
+    assert again.emulator.path == []
+
+
+def test_epoch_runner_realized_cum_as_eager_on_release_demo(monkeypatch):
+    ri = validate_release_instance(load_instance(
+        instance_path("release_demo.json")))
+    runners = []
+
+    class Recorded(EpochRunner):
+        def finish(self):
+            runners.append(self)
+            return super().finish()
+
+    monkeypatch.setattr(policies_module, "EpochRunner", Recorded)
+    sequences = enumerate_grid_sequences(ri.base, 0.5) + [
+        random_nested_sequence(ri.base, s) for s in range(20)]
+    memo = OrderedDict()
+    for seq in sequences:
+        play(ReleasePolicy(ri, memo), ri.base, seq)
+    assert len(runners) == 2 * len(sequences)
+    for runner in runners:
+        bounds = runner.r_observed[1:]
+        old_hires, old_totals = _old_run(
+            runner.canonical, runner.state.availability[:, runner.t0:],
+            runner.r_bar, bounds)
+        assert [np.float64(x).tobytes() for x in runner.realized_cum] == [
+            np.float64(x).tobytes() for x in [0.0] + old_totals]
+        assert runner.realized.tobytes() == _eager_block(
+            runner.canonical, runner.state.availability[:, runner.t0:],
+            runner.r_bar, bounds).tobytes()

@@ -7,7 +7,9 @@ played, and while the hires a step returns (shared by every emulator that
 reaches the same prefix) are never written.  So:
 
 - nothing in the package assigns into an ``Emulator``'s ``realized``
-  outside ``Emulator.step``;
+  block, under that name or a private one such as ``_realized``, outside
+  ``Emulator.step`` and the ``Emulator.realized`` read that allocates the
+  block and fills in the days the tree served;
 - no consumer of ``Emulator.step`` (or of a method that hands its result
   on, such as ``EpochRunner.observe``) writes into the returned hires in
   place.
@@ -96,9 +98,16 @@ def _writes(fn, is_target):
     return found
 
 
+def _is_realized_attr(node) -> bool:
+    """``x.realized``, or a private spelling such as ``x._realized``."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr.lstrip("_") == "realized")
+
+
 def realized_writes(sources: dict) -> list:
-    """Functions outside ``Emulator.step`` that write into a ``realized``
-    array of a class that is or builds an ``Emulator``."""
+    """(function, line) of every write into a ``realized`` array (or a
+    private ``_realized`` one) of a class that is or builds an
+    ``Emulator``."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -106,18 +115,18 @@ def realized_writes(sources: dict) -> list:
                    if isinstance(node, ast.ClassDef)
                    and (node.name == "Emulator" or _calls(node, "Emulator"))}
         for qual, cls, fn in _functions(tree):
-            # Local names bound to some object's `realized` array.
+            # Local names bound to some object's `realized` array, read from
+            # it or assigned along with it (`a = self._realized = ...`).
             aliases = {tgt.id for sub in ast.walk(fn)
                        if isinstance(sub, ast.Assign)
-                       and isinstance(sub.value, ast.Attribute)
-                       and sub.value.attr == "realized"
+                       and (_is_realized_attr(sub.value)
+                            or any(map(_is_realized_attr, sub.targets)))
                        for tgt in sub.targets if isinstance(tgt, ast.Name)}
 
             def is_realized(node, in_place=False):
                 if isinstance(node, ast.Name):
                     return node.id in aliases
-                if isinstance(node, ast.Attribute) and \
-                        node.attr == "realized":
+                if _is_realized_attr(node):
                     # `x.realized += ...` rebinds a plain number unless
                     # the class holds an emulator's array.
                     return not in_place or cls in holders
@@ -227,9 +236,30 @@ def test_guard_sees_writes():
     assert sorted(line for _, line in writes) == [25, 27, 28, 29]
 
 
-def test_only_emulator_step_writes_realized():
+def test_guard_sees_writes_into_a_private_block():
+    # The block under a private name, reached directly, through an alias
+    # or through a chained assignment, is the same block.
+    source = (
+        "class Emulator:\n"
+        "    def __init__(self):\n        self._realized = None\n"
+        "    @property\n    def realized(self):\n"
+        "        block = self._realized = zeros(3)\n"
+        "        block[:, 0] = 1\n        return block\n"
+        "    def step(self, b):\n        self.realized[:, 1] = b\n"
+        "    def reset(self):\n        self._realized[:, 0] = 0\n"
+        "    def undo(self):\n        r = self._realized\n"
+        "        r *= 0\n        r.fill(0)\n"
+        "    def count(self):\n        self.realized_cum[0] = 1\n")
+    assert realized_writes({"m": source}) == [
+        ("m.Emulator.realized", 7), ("m.Emulator.reset", 12),
+        ("m.Emulator.step", 10), ("m.Emulator.undo", 15),
+        ("m.Emulator.undo", 16)]
+
+
+def test_only_emulator_step_and_its_fill_write_realized():
     found = realized_writes(_package_sources())
-    assert [where for where, _ in found] == ["emulator.Emulator.step"]
+    assert sorted({where for where, _ in found}) == [
+        "emulator.Emulator.realized", "emulator.Emulator.step"]
 
 
 def test_no_consumer_writes_into_step_hires():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import OrderedDict
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (fig3_instance, instance_path, play_stations,
 from staffing_minimax import bayesian, cli, policies
 from staffing_minimax.adversary import (brute_force_worst_case,
                                         configuration_sequence,
+                                        enumerate_grid_sequences,
                                         random_nested_sequence,
                                         single_switch_sequence,
                                         worst_case_sequence, worst_demand_cost)
@@ -559,6 +561,67 @@ def test_release_worst_case_over_configurations():
         cost, _ = worst_demand_cost(inst, plan.total_net, seq)
         worst = max(worst, cost)
     assert worst <= objective + 1e-6
+
+
+def _release_decisions(name, make, monkeypatch):
+    """(bytes of every day's hires and releases and of each policy's
+    program value over the step-0.5 grid sequences of a release file,
+    build_lp_release calls), with policies from make(problem)()."""
+    problem = cli._load(instance_path(name))
+    factory = make(problem)
+    builds = []
+    build = policies.build_lp_release
+    monkeypatch.setattr(policies, "build_lp_release",
+                        lambda *a: builds.append(1) or build(*a))
+    out = []
+    for seq in enumerate_grid_sequences(problem.base, 0.5):
+        policy = factory()
+        for t, iv in enumerate(seq.intervals, start=1):
+            d = policy.step(DayObservation(t, iv))
+            out.append(d.hires.tobytes() + d.releases.tobytes())
+        out.append(np.float64(policy.objective).tobytes())
+    monkeypatch.undo()
+    return out, len(builds)
+
+
+@pytest.mark.parametrize("name, private_builds, shared_builds",
+                         [("release_demo.json", 11 * 2, 5),
+                          ("joint_demo.json", 39, 1)])
+def test_release_memo_shared_plays_as_private(name, private_builds,
+                                              shared_builds, monkeypatch):
+    # Each private policy solves the day-0 program and, on release_demo,
+    # its second epoch's; the shared memo solves each distinct state once.
+    private = _release_decisions(
+        name, lambda ri: partial(ReleasePolicy, ri), monkeypatch)
+    shared = _release_decisions(
+        name, lambda ri: cli._policy_factory("release", cli._PolicyContext(
+            ri.base, ri, None, None, {})), monkeypatch)
+    assert shared[0] == private[0]
+    assert (private[1], shared[1]) == (private_builds, shared_builds)
+
+
+def test_release_memo_cap_and_read_only_entries(monkeypatch):
+    problem = cli._load(instance_path("release_demo.json"))
+    private, _ = _release_decisions(
+        "release_demo.json", lambda ri: partial(ReleasePolicy, ri),
+        monkeypatch)
+    memo = OrderedDict()
+    monkeypatch.setattr(policies, "RELEASE_MEMO_CAP", 1)
+    capped, builds = _release_decisions(
+        "release_demo.json", lambda ri: partial(ReleasePolicy, ri, memo),
+        monkeypatch)
+    assert capped == private
+    assert len(memo) == 1 and builds == 22
+    memo.clear()
+    policy = ReleasePolicy(problem, memo)
+    policy.step(DayObservation(1, PredictionInterval(0.0, 0.5)))
+    (objective, hires, releases), = memo.values()
+    assert objective == policy.objective
+    for block in (hires, *releases.values()):
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+    with pytest.raises(TypeError):
+        releases[0] = np.zeros(2)
 
 
 def test_decisions_keep_their_outputs():
