@@ -391,23 +391,42 @@ def _allowed_ranges(inst: Instance, levels: List[np.ndarray], t: int
     return out
 
 
-def _shift_indices(hi_idx: np.ndarray) -> List[np.ndarray]:
-    """The index arrays min(g + k, hi_idx[g]) for k = 1..max(hi_idx - g)."""
-    g = np.arange(len(hi_idx))
-    return [np.minimum(g + k, hi_idx)
-            for k in range(1, int((hi_idx - g).max()) + 1)]
+def _reach_runs(hi_idx: np.ndarray, axis: int) -> Tuple[tuple, ...]:
+    """Pool reach `hi_idx` (hi_idx[g] >= g) as runs for `_fold_runs` along
+    `axis`.
+
+    Consecutive indices g that share one reach h form a run [a, b).  Its
+    answers min(W[g..h]) are the suffix minima of W[a..h], so a run is one
+    minimum-accumulate over that slice reversed, read back at h - g for g
+    in [a, b).  A run (dst, src, back) holds the index tuples of W[a:b],
+    of W[a..h] reversed and of the read-back.  Indices whose reach is
+    themselves get no run, so a pool with the identity reach has none.
+    """
+    lead = (slice(None),) * axis
+    hi = [int(h) for h in hi_idx]
+    runs = []
+    a = 0
+    for b in range(1, len(hi) + 1):
+        if b < len(hi) and hi[b] == hi[a]:
+            continue
+        h = hi[a]
+        if h > a:
+            runs.append((lead + (slice(a, b),),
+                         lead + (slice(h, a - 1 if a else None, -1),),
+                         lead + (slice(h - a, h - b if h >= b else None,
+                                       -1),)))
+        a = b
+    return tuple(runs)
 
 
-def _shift_min(W: np.ndarray, shifts: List[np.ndarray], axis: int
-               ) -> np.ndarray:
-    """Fold W's entries at each index array of `shifts` along `axis` into
-    their minimum.  A minimum is exact, so the order of the shifts cannot
-    change a bit of the result.  The indices are in range, so the take
-    may clip, which skips numpy's slow bounds check on the last axis."""
-    out = W.copy()
-    for idx in shifts:
-        np.minimum(out, W.take(idx, axis=axis, mode="clip"), out=out)
-    return out
+def _fold_runs(W: np.ndarray, runs: Tuple[tuple, ...], axis: int) -> None:
+    """Replace W[..., g, ...] along `axis` by the minimum over its reach,
+    in place, from `_reach_runs`.  A run reads only indices at or above its
+    own start, which earlier runs do not write, so the runs may go in
+    order.  A minimum is exact, so this is the range minimum bit for bit
+    for any reach, monotone or not."""
+    for dst, src, back in runs:
+        W[dst] = np.minimum.accumulate(W[src], axis=axis)[back]
 
 
 @dataclass(frozen=True)
@@ -415,14 +434,17 @@ class MdpTables:
     """What the MDP's backward induction needs that no sample changes.
 
     Built once per instance and grid (`mdp_tables`) and shared read-only by
-    every solve of every run: `levels` per pool; `shifts[t-1][i]`, pool i's
-    `_shift_indices` of its day-t reach; `totals[g...]`, the staffing level
-    at grid indices g; and `last`, the day-T value V[T] over (demand sum,
-    grid indices), which is the terminal cost minimised over day T's reach.
+    every solve of every run: `levels` per pool; `runs[t-1][i]`, pool i's
+    day-t reach as `_reach_runs` along axis 1 + i (tuples of slices, so
+    immutable); `totals[g...]`, the staffing level at grid indices g; and
+    `last`, the day-T value V[T] over (demand sum, grid indices), which is
+    the terminal cost minimised over day T's reach by the same runs.  A
+    cost is at least +0.0, never -0.0 or NaN, which `backward_induction`'s
+    first-term write needs of every value array.
     """
 
     levels: List[np.ndarray]
-    shifts: List[List[List[np.ndarray]]]
+    runs: Tuple[Tuple[Tuple[tuple, ...], ...], ...]
     totals: np.ndarray
     last: np.ndarray
 
@@ -444,17 +466,17 @@ def mdp_tables(inst: Instance, spec: MdpSpec,
         shape = [1] * n
         shape[i] = -1
         totals = totals + levels[i].reshape(shape)
-    shifts = [[_shift_indices(hi) for hi in _allowed_ranges(inst, levels, t)]
-              for t in range(1, T + 1)]
+    runs = tuple(tuple(_reach_runs(hi, 1 + i) for i, hi in
+                       enumerate(_allowed_ranges(inst, levels, t)))
+                 for t in range(1, T + 1))
     demands = np.arange(d_max + 1, dtype=float).reshape(-1, *([1] * n))
     last = (inst.under_cost * np.maximum(demands - totals, 0.0)
             + inst.over_cost * np.maximum(totals - demands, 0.0))
-    for i, idx in enumerate(shifts[T - 1]):
-        last = _shift_min(last, idx, axis=1 + i)
-    for a in [*levels, totals, last, *(idx for day in shifts
-                                       for pool in day for idx in pool)]:
+    for i, pool in enumerate(runs[T - 1]):
+        _fold_runs(last, pool, 1 + i)
+    for a in [*levels, totals, last]:
         a.setflags(write=False)
-    return MdpTables(levels, shifts, totals, last)
+    return MdpTables(levels, runs, totals, last)
 
 
 def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
@@ -471,11 +493,20 @@ def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
     `last`.
 
     With `demand` = D, only the sums reachable from sum D on day t_start
-    are solved: each later day k adds at most len(pmfs[k]) - 1 = 5, so
-    V[t] holds the rows D..min(D + 5(t - t_start), 5T), its row r being
-    the full table's row D + r (row 0 of V[t_start] is V[t_start][D]).
-    The full table (`demand` None) is the band 0..5T.  Every entry gets the
-    same floating-point operations in either, so they agree bit for bit.
+    are solved, a band that follows each pmf's support: day t_start holds
+    row D alone, and each later day k the sums lo[k-1] + min supp(pmfs[k])
+    to hi[k-1] + max supp(pmfs[k]), capped at 5T.  Row r of V[t] is the
+    full table's row lo[t] + r (row 0 of V[t_start] is V[t_start][D]).
+    Sums at or above 5T + 2 - len(pmfs[k]) copy day k's row at the same
+    sum, so when day k - 1 holds one, day k's band reaches down to it.
+    The full table (`demand` None) is the band 0..5T on every day.
+
+    Each kept row adds p_j * V[k][row + j] over the pmf's nonzero j in
+    ascending order, as the full table does, so the two agree bit for bit.
+    The first term is written, not added to zeros: the same bits, as the
+    value arrays hold costs, their mixtures and their minima, all >= +0.0
+    (no -0.0, no NaN), and pmfs are >= 0.  Each pool's reach minimum is
+    exact, whatever order its runs take (`_fold_runs`).
     """
     if tables is None:
         tables = mdp_tables(inst, spec, levels)
@@ -483,28 +514,48 @@ def backward_induction(inst: Instance, pmfs: Dict[int, np.ndarray],
     d_max = BINOM_TRIALS * T
     if t_start > T:
         return []
-    lo = 0 if demand is None else demand
-    # top[t]: the highest demand sum solved on day t.
-    top = {t_start: d_max if demand is None else demand}
+    # band[t]: the lowest and highest demand sums solved on day t;
+    # support[t]: pmfs[t]'s nonzero entries in ascending order.
+    band = {t_start: (0, d_max) if demand is None else (demand, demand)}
+    support = {}
     for t in range(t_start, T):
-        top[t + 1] = min(top[t] + len(pmfs[t + 1]) - 1, d_max)
-    values: Dict[int, np.ndarray] = {T: tables.last[lo:top[T] + 1]}
+        pmf = pmfs[t + 1]
+        support[t + 1] = js = np.flatnonzero(pmf).tolist()
+        if demand is None:
+            band[t + 1] = (0, d_max)
+            continue
+        lo, hi = band[t]
+        j_min, j_max = (js[0], js[-1]) if js else (0, 0)
+        lo_next = lo + j_min
+        gone = d_max + 2 - len(pmf)
+        if hi >= gone:
+            lo_next = min(lo_next, max(lo, gone))
+        band[t + 1] = (min(lo_next, d_max), min(hi + j_max, d_max))
+    lo, hi = band[T]
+    values: Dict[int, np.ndarray] = {T: tables.last[lo:hi + 1]}
     for t in range(T - 1, t_start - 1, -1):
         pmf = pmfs[t + 1]
         V_next = values[t + 1]
-        rows = top[t] + 1 - lo
-        W = np.zeros((rows,) + V_next.shape[1:])
-        for j, pj in enumerate(pmf):
-            if pj == 0:
-                continue
-            fit = max(min(rows, d_max + 1 - j - lo), 0)
-            W[:fit] += pj * V_next[j:j + fit]
-        # Demand sums that can no longer occur keep the terminal shape;
-        # they are never queried from reachable states.
-        gone = max(d_max + 2 - len(pmf) - lo, 0)
-        W[gone:] = V_next[gone:rows]
-        for i, idx in enumerate(tables.shifts[t - 1]):
-            W = _shift_min(W, idx, axis=1 + i)
+        lo, hi = band[t]
+        off = lo - band[t + 1][0]
+        rows = hi + 1 - lo
+        W = np.empty((rows,) + V_next.shape[1:])
+        # Rows from `below` on are demand sums that can no longer occur:
+        # they keep the next day's row (the terminal shape) and are never
+        # queried from reachable states.
+        below = min(max(d_max + 2 - len(pmf) - lo, 0), rows)
+        js = support[t + 1]
+        if js:
+            j = js[0]
+            np.multiply(pmf[j], V_next[off + j:off + j + below],
+                        out=W[:below])
+        else:
+            W[:below] = 0.0
+        for j in js[1:]:
+            W[:below] += pmf[j] * V_next[off + j:off + j + below]
+        W[below:] = V_next[off + below:off + rows]
+        for i, pool in enumerate(tables.runs[t - 1]):
+            _fold_runs(W, pool, 1 + i)
         values[t] = W
     return [values[t] for t in range(t_start, T + 1)]
 
@@ -537,12 +588,17 @@ class MdpPolicy:
     covers every day after its own, so every future day holds one sample
     per profile received; a shorter profile raises ValueError.  The re-solve
     on day t covers only the demand sums reachable from today's sum
-    (`backward_induction`'s `demand`).  The true variant uses the process
-    marginal, so its value arrays are solved once (`full_info_values`) and
-    may be shared by every run; it keeps no sample counts.  Both take the
-    sample-independent `MdpTables`, which may be shared too.  Played hires
-    are capped at the true availability and the internal state snaps to
-    the nearest grid level (the first one on a tie).
+    (`backward_induction`'s `demand`), a band that grows each day by that
+    day's pmf support, so it stays narrow while the pmfs count few
+    profiles.  The true variant uses the process marginal, so its value
+    arrays are solved once (`full_info_values`) and may be shared by every
+    run; it keeps no sample counts.  Both take the sample-independent
+    `MdpTables` (each day's reach as runs of suffix minima), which may be
+    shared too.  Every value is a cost or a mixture or minimum of costs,
+    at least +0.0, so a solve writes each row's first pmf term instead of
+    adding it to zeros.  Played hires are capped at the true availability
+    and the internal state snaps to the nearest grid level (the first one
+    on a tie).
     """
 
     kind = "empirical_mdp"

@@ -8,7 +8,7 @@ from conftest import instance_path, mdp_root_value, plan_of
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, SampleTotals,
-    StateExplosion, _allowed_ranges, _nearest, _shift_indices, _shift_min,
+    StateExplosion, _allowed_ranges, _fold_runs, _nearest, _reach_runs,
     backward_induction, calibrate_intervals, empirical_coverage,
     forecast_instance, full_info_values, lower_quantile, mdp_tables,
     point_estimator, run_bayesian_world, summarize)
@@ -237,6 +237,13 @@ def _allowed_ranges_loop(inst, levels, t):
     return out
 
 
+def _run_min(W, hi_idx, axis):
+    """The run folds of reach `hi_idx` along `axis`, on a copy of W."""
+    out = W.copy()
+    _fold_runs(out, _reach_runs(hi_idx, axis), axis)
+    return out
+
+
 @pytest.mark.parametrize("G", [1, 2, 7, 21])
 def test_reach_and_range_min_match_loop_oracles(G):
     # Pool 1 rises (so reach is not monotone in g); pool 2 closes on day 3
@@ -253,11 +260,25 @@ def test_reach_and_range_min_match_loop_oracles(G):
             assert np.array_equal(g_got, g_want)
         W = rng.normal(size=(11, G, G, G))
         for axis, hi_idx in enumerate(got, start=1):
-            assert np.array_equal(
-                _shift_min(W, _shift_indices(hi_idx), axis),
-                _range_min_loop(W, hi_idx, axis))
+            assert np.array_equal(_run_min(W, hi_idx, axis),
+                                  _range_min_loop(W, hi_idx, axis))
     closed = _allowed_ranges(inst, levels, 3)[1]
     assert np.array_equal(closed, np.arange(G))
+    # Random reaches with hi[g] >= g, monotone or not, on every axis; at
+    # G = 7 also a run from 0 to the top that leaves g = 3..6 alone.
+    reaches = [rng.integers(np.arange(G), G) for _ in range(20)]
+    reaches += [np.arange(G), np.full(G, G - 1)]
+    if G == 7:
+        reaches.append(np.array([6, 6, 6, 3, 4, 5, 6]))
+    for hi_idx in reaches:
+        assert (hi_idx >= np.arange(G)).all()
+        W = rng.normal(size=(G, G, G, 3))
+        for axis in (0, 1, 2):
+            assert np.array_equal(_run_min(W, hi_idx, axis),
+                                  _range_min_loop(W, hi_idx, axis))
+    if G == 7:
+        assert len(_reach_runs(np.array([6, 6, 6, 3, 4, 5, 6]), 1)) == 1
+        assert _reach_runs(np.arange(G), 1) == ()
 
 
 def test_full_info_values_are_read_only():
@@ -515,11 +536,13 @@ def test_mdp_tables_match_per_call_recompute(case):
     rng = np.random.default_rng(0)
     for t in range(1, inst.horizon + 1):
         W = rng.normal(size=(7,) + (5,) * n)
-        for axis, (idx, hi_idx) in enumerate(
-                zip(tables.shifts[t - 1],
-                    _allowed_ranges_loop(inst, levels, t)), start=1):
-            assert np.array_equal(_shift_min(W, idx, axis),
-                                  _range_min_loop(W, hi_idx, axis))
+        day = tables.runs[t - 1]
+        assert len(day) == n
+        for axis, (runs, hi_idx) in enumerate(
+                zip(day, _allowed_ranges_loop(inst, levels, t)), start=1):
+            got = W.copy()
+            _fold_runs(got, runs, axis)
+            assert np.array_equal(got, _range_min_loop(W, hi_idx, axis))
     pmf = proc.marginal_pmf()
     pmfs = {t: pmf for t in range(1, inst.horizon + 1)}
     want = _backward_induction_loop(inst, pmfs, levels, 1, spec)
@@ -534,30 +557,126 @@ def test_mdp_tables_match_per_call_recompute(case):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_band_rows_match_full_table(n):
     # Day 2's pmf has zeros at both ends, day 3's is uniform, day 4's has a
-    # zero inside; pools are drawn, one closes on day 3.
+    # zero inside, day 5's support starts at 2, day 6's is a point mass at
+    # 5 and day 7's has the gap {0, 5}; in a second set day 4's is all
+    # zero.  Pools are drawn, one closes on day 3.
     rng = np.random.default_rng(n)
-    T = 4
+    T = 7
     rho = rng.uniform(0.1, 1.0, size=(n, T))
     rho[-1, 2] = 0.0
-    inst = make_instance(rng.uniform(0.5, 3.0, size=n), rho, (0, 20),
-                         [20.0] * T)
+    inst = make_instance(rng.uniform(0.5, 3.0, size=n), rho, (0, 35),
+                         [35.0] * T)
     spec = MdpSpec(grid_levels=4)
     tables = mdp_tables(inst, spec)
     pmfs = {1: rng.uniform(size=6), 2: np.array([0, 1, 2, 3, 4, 0.0]),
-            3: np.ones(6), 4: np.array([3, 1, 0, 2, 1, 1.0])}
+            3: np.ones(6), 4: np.array([3, 1, 0, 2, 1, 1.0]),
+            5: np.array([0, 0, 1, 2, 1, 0.0]),
+            6: np.array([0, 0, 0, 0, 0, 1.0]),
+            7: np.array([1, 0, 0, 0, 0, 2.0])}
     pmfs = {t: p / p.sum() for t, p in pmfs.items()}
     d_max = BINOM_TRIALS * T
-    for t_start in range(1, T + 1):
-        full = backward_induction(inst, pmfs, tables.levels, t_start, spec,
-                                  tables=tables)
-        for D in range(d_max + 1):
-            band = backward_induction(inst, pmfs, tables.levels, t_start,
-                                      spec, tables=tables, demand=D)
-            assert len(band) == len(full) == T - t_start + 1
-            for k, (f, b) in enumerate(zip(full, band)):
-                top = min(D + BINOM_TRIALS * k, d_max)
-                assert b.shape == (top + 1 - D,) + f.shape[1:]
-                assert b.tobytes() == f[D:top + 1].tobytes(), (t_start, D, k)
+    seen = set()
+    for pmf_set in (pmfs, {**pmfs, 4: np.zeros(6)}):
+        supp = {t: np.flatnonzero(p) for t, p in pmf_set.items()}
+        loop = _backward_induction_loop(inst, pmf_set, tables.levels, 1,
+                                        spec)
+        for t_start in range(1, T + 1):
+            full = backward_induction(inst, pmf_set, tables.levels, t_start,
+                                      spec, tables=tables)
+            assert [V.tobytes() for V in full] == \
+                [V.tobytes() for V in loop[t_start - 1:]]
+            for D in range(d_max + 1):
+                band = backward_induction(inst, pmf_set, tables.levels,
+                                          t_start, spec, tables=tables,
+                                          demand=D)
+                assert len(band) == len(full) == T - t_start + 1
+                # The clipped sums D + sum of min/max supp, lowered to the
+                # first copied sum once a day's band holds one (a sum at or
+                # above d_max + 2 - len(pmf) keeps the next day's row).
+                lo = hi = D
+                lo_sum = hi_sum = D
+                copied = False
+                reach = {D}
+                for k, (f, b) in enumerate(zip(full, band)):
+                    t = t_start + k
+                    if k:
+                        js = supp[t].tolist() or [0]
+                        gone = d_max + 2 - len(pmf_set[t])
+                        lo_sum += js[0]
+                        hi_sum += js[-1]
+                        new_lo = lo + js[0]
+                        if hi >= gone:
+                            copied = True
+                            new_lo = min(new_lo, max(lo, gone))
+                        lo, hi = min(new_lo, d_max), min(hi + js[-1], d_max)
+                        reach = {r + j if r < gone else r for r in reach
+                                 for j in js}
+                    assert hi == min(hi_sum, d_max)
+                    if not copied:
+                        assert lo == min(lo_sum, d_max)
+                    seen.add("copied" if copied else "exact")
+                    if lo < min(lo_sum, d_max):
+                        seen.add("lowered")
+                    if hi_sum > d_max:
+                        seen.add("clipped")
+                    assert lo <= min(reach) and max(reach) <= hi
+                    assert b.shape == (hi + 1 - lo,) + f.shape[1:]
+                    assert b.tobytes() == f[lo:hi + 1].tobytes(), \
+                        (t_start, D, k)
+    assert seen == {"exact", "clipped", "copied", "lowered"}
+
+
+def test_empirical_band_holds_few_rows_on_bench_long(monkeypatch):
+    # The support band must stay engaged: the empirical re-solves of 5
+    # bench_long worlds return at most 40% of the rows of the band that
+    # lets every day add 0 to 5 (D..D + 5(k - 1) on the k-th day solved).
+    inst, proc = _bench_long_instance()
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    table = CalibrationTable.from_dict(config["calibration"])
+    spec = MdpSpec(grid_levels=7)
+    tables = mdp_tables(inst, spec)
+    d_max = BINOM_TRIALS * inst.horizon
+    rows = {"band": 0, "wide": 0}
+    solve = backward_induction
+
+    def counted(*args, **kwargs):
+        values = solve(*args, **kwargs)
+        D = kwargs["demand"]
+        rows["band"] += sum(len(V) for V in values)
+        rows["wide"] += sum(min(D + BINOM_TRIALS * k, d_max) + 1 - D
+                            for k in range(len(values)))
+        return values
+
+    monkeypatch.setattr("staffing_minimax.bayesian.backward_induction",
+                        counted)
+    run_bayesian_world(inst, proc, table, {
+        "empirical_mdp": lambda: MdpPolicy(inst, proc, spec, tables=tables)},
+        5, seed=int(config["seed"]))
+    assert rows["wide"] > 0
+    assert rows["band"] <= 0.4 * rows["wide"], rows
+
+
+@pytest.mark.parametrize("case", ["bench_long", "three_pools"])
+def test_value_arrays_are_nonnegative_and_match_loop(case):
+    # backward_induction writes each row's first pmf term instead of adding
+    # it to zeros, which keeps every bit only if no value is -0.0 or NaN.
+    inst, proc = (_bench_long_instance() if case == "bench_long"
+                  else _three_pool_instance())
+    spec = MdpSpec(grid_levels=7 if case == "bench_long" else 5,
+                   transition="true")
+    tables = mdp_tables(inst, spec)
+    values = full_info_values(inst, proc, spec, tables=tables)
+    for V in [tables.last, *values]:
+        assert not np.signbit(V).any()
+        assert not np.isnan(V).any()
+    pmf = proc.marginal_pmf()
+    want = _backward_induction_loop(
+        inst, {t: pmf for t in range(1, inst.horizon + 1)}, tables.levels,
+        2, spec)
+    assert len(values) == len(want)
+    for got, loop in zip(values, want):
+        assert got.tobytes() == loop.tobytes()
 
 
 def test_nearest_is_first_argmin():
@@ -594,9 +713,19 @@ def test_mdp_with_empty_pool_plays_as_loop_oracle(transition):
 def test_mdp_tables_are_read_only():
     inst, _ = _three_pool_instance()
     tables = mdp_tables(inst, MdpSpec(grid_levels=3))
-    arrays = [*tables.levels, tables.totals, tables.last,
-              *(idx for day in tables.shifts for pool in day for idx in pool)]
-    assert any(pool for day in tables.shifts for pool in day)
+    arrays = [*tables.levels, tables.totals, tables.last]
+    assert any(pool for day in tables.runs for pool in day)
+    # The runs are tuples of slices all the way down: nothing to write.
+    assert isinstance(tables.runs, tuple)
+    for day in tables.runs:
+        assert isinstance(day, tuple)
+        for pool in day:
+            assert isinstance(pool, tuple)
+            for run in pool:
+                assert isinstance(run, tuple) and len(run) == 3
+                assert all(isinstance(index, tuple)
+                           and all(isinstance(x, slice) for x in index)
+                           for index in run)
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
