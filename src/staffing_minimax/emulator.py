@@ -19,7 +19,9 @@ block's tables carry a prefix tree of the days already played: its roots
 are keyed by R0, and each node maps the day's Rhat to that day's hires
 (a read-only array) and the node of the next day.  A step looks its day up
 before it computes anything, so emulators of one block play a shared
-prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A day the
+prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A caller
+that comes back to a block after playing others keeps its tree
+(kept_block) and builds its emulators on it.  A day the
 tree serves writes nothing: an emulator's realized block is allocated and
 filled in at its first miss or read.  The release-mode variant
 additionally runs the critical-index release rule at each epoch end.
@@ -28,6 +30,7 @@ additionally runs the critical-index release rule at each epoch end.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -151,8 +154,9 @@ class DayTree:
     sign of a zero difference into 0.0, so both get the same hires.
     """
 
-    def __init__(self, n_days: int):
-        self.n_days = n_days
+    def __init__(self, tables: Tuple[DayTable, ...]):
+        self.tables = tables            # the block's, one per day
+        self.n_days = len(tables)
         self.roots: dict = {}
         self.size = 0
 
@@ -176,6 +180,14 @@ class DayTree:
 
 
 _last_tables: list = [None, (), None]   # [key, tables, tree]: one entry
+# Blocks a caller keeps (see kept_block), by _block's key, while it does.
+_kept_blocks = weakref.WeakValueDictionary()
+
+
+def _block_key(canonical: np.ndarray, availability: np.ndarray) -> tuple:
+    rho = availability[:, :canonical.shape[1]]
+    return (canonical.shape, canonical.strides, canonical.dtype,
+            canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
 
 
 def _block(canonical: np.ndarray, availability: np.ndarray
@@ -191,13 +203,25 @@ def _block(canonical: np.ndarray, availability: np.ndarray
     would, and the tables are tuples, so sharing them between callers
     changes no result.
     """
-    rho = availability[:, :canonical.shape[1]]
-    key = (canonical.shape, canonical.strides, canonical.dtype,
-           canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
+    key = _block_key(canonical, availability)
     if _last_tables[0] != key:
-        _last_tables[:] = (key, _build_day_tables(canonical, rho),
-                           DayTree(canonical.shape[1]))
+        tables = _build_day_tables(canonical,
+                                   availability[:, :canonical.shape[1]])
+        _last_tables[:] = (key, tables, DayTree(tables))
     return _last_tables[1], _last_tables[2]
+
+
+def kept_block(canonical: np.ndarray, availability: np.ndarray) -> DayTree:
+    """_block's DayTree, which holds the day tables, for a caller that keeps
+    it to build emulators on the block again after other blocks
+    (ReleasePolicy's memo), where the one-entry memo would rebuild it.  A
+    block that some caller still keeps is found by the same key and shared,
+    not rebuilt; one that no caller keeps any more is dropped."""
+    key = _block_key(canonical, availability)
+    tree = _kept_blocks.get(key)
+    if tree is None:
+        tree = _kept_blocks[key] = _block(canonical, availability)[1]
+    return tree
 
 
 def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:
@@ -231,12 +255,16 @@ class Emulator:
     at the first miss or read and then filled in from the path, so a run
     the tree serves throughout writes no block.  Only `step` and that fill
     write the block.  availability[:, k] is the availability on the
-    block's (k+1)-th day; it may run past the block.
+    block's (k+1)-th day; it may run past the block.  tree, when given,
+    is the block's DayTree from kept_block, kept by a caller that comes
+    back to the block after playing others.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
-                 r0: float):
-        self.tables, self.tree = _block(canonical, availability)
+                 r0: float, tree: Optional[DayTree] = None):
+        self.tree = _block(canonical, availability)[1] if tree is None \
+            else tree
+        self.tables = self.tree.tables
         self.node = self.tree.root(r0) if isinstance(r0, float) else None
         self.shape = canonical.shape
         self._realized: Optional[np.ndarray] = None
@@ -303,11 +331,13 @@ class EpochRunner:
     last day for the critical-index releases and the next carried state.
     canonical_hires is the (n, days in epoch) block of the subprogram's
     no-switch branch; canonical_releases maps each switch day k in the
-    epoch's closed range to the canonical release vector.
+    epoch's closed range to the canonical release vector; tree, when
+    given, is the emulator's (see Emulator).
     """
 
     def __init__(self, ri: ReleaseInstance, state: EpochState,
-                 canonical_hires: np.ndarray, canonical_releases: dict):
+                 canonical_hires: np.ndarray, canonical_releases: dict,
+                 tree: Optional[DayTree] = None):
         self.ri = ri
         self.state = state
         self.canonical = np.asarray(canonical_hires, float)
@@ -315,7 +345,8 @@ class EpochRunner:
         self.t0, self.t_end = ri.epoch_range(state.index)
         self.l_bar, self.r_bar = state.interval
         self.emulator = Emulator(self.canonical,
-                                 state.availability[:, self.t0:], self.r_bar)
+                                 state.availability[:, self.t0:], self.r_bar,
+                                 tree)
         self.r_observed = [self.r_bar]
         self.realized_cum = [0.0]
         self.canon_cum = [0.0]

@@ -62,6 +62,9 @@ class LpModel:
     var_names: List[str] = field(default_factory=list)
     objective: List[float] = field(default_factory=list)
     rows: List[Tuple[Dict[int, float], str, float]] = field(default_factory=list)
+    # ((n_rows, n_vars), A, sense); see _dense_rows.
+    _coefficients: Optional[tuple] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def add_var(self, name: str, obj: float = 0.0) -> int:
         if not math.isfinite(obj):
@@ -91,16 +94,49 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    def _dense_rows(self) -> tuple:
+        """((n_rows, n_vars), A, sense), built once while those counts stay
+        as they are: rows are only ever appended, so equal counts mean the
+        same rows.  A and sense are read-only."""
+        size = (self.n_rows, self.n_vars)
+        cached = self._coefficients
+        if cached is None or cached[0] != size:
+            A = np.zeros(size)
+            for r, (coeffs, _, _) in enumerate(self.rows):
+                for j, a in coeffs.items():
+                    A[r, j] = a
+            sense = np.array([_SENSE[rel] for _, rel, _ in self.rows],
+                             dtype=int)
+            A.flags.writeable = sense.flags.writeable = False
+            cached = self._coefficients = (size, A, sense)
+        return cached
+
     def dense(self):
         """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
-        =."""
-        A = np.zeros((self.n_rows, self.n_vars))
-        for r, (coeffs, _, _) in enumerate(self.rows):
-            for j, a in coeffs.items():
-                A[r, j] = a
-        sense = np.array([_SENSE[rel] for _, rel, _ in self.rows], dtype=int)
-        b = np.array([rhs for _, _, rhs in self.rows], dtype=float)
-        return A, sense, b
+        =.  A and sense are built once per row set and shared read-only by
+        every call (and by every model with_rhs makes); b is built on each
+        call."""
+        _, A, sense = self._dense_rows()
+        return A, sense, np.array([rhs for _, _, rhs in self.rows],
+                                  dtype=float)
+
+    def with_rhs(self, name: str, rhs: Sequence[float]) -> "LpModel":
+        """A new model named `name` with this model's variables and rows but
+        the right-hand sides rhs, one per row, checked as add_row checks
+        them.  Its lists are its own, so adding to it or renaming it leaves
+        this model as it is; the coefficient dicts and the dense A and sense
+        are this model's, shared because nothing writes them once made."""
+        if len(rhs) != self.n_rows:
+            raise LpError(f"{len(rhs)} right-hand sides for {self.n_rows} "
+                          "rows")
+        rows = []
+        for (coeffs, rel, _), r in zip(self.rows, rhs):
+            if not math.isfinite(r):
+                raise LpError("non-finite rhs")
+            rows.append((coeffs, rel, float(r)))
+        m = LpModel(name, list(self.var_names), list(self.objective), rows)
+        m._coefficients = self._dense_rows()
+        return m
 
     def dump(self) -> str:
         """Human-readable LP text: objective line, then one line per row."""

@@ -10,19 +10,19 @@ in the bayesian module and follow the same protocol.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adversary import worst_case_sequence
-from .emulator import Emulator, EmulatorTrace, EpochRunner
+from .emulator import Emulator, EmulatorTrace, EpochRunner, kept_block
 from .model import (UNLIMITED, EpochState, Instance, InstanceError,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, SupplyLedger, fresh_state, make_instance,
                     rescaled_availability, validate_release_instance)
-from .programs import (build_lp_joint_cost, build_lp_release,
+from .programs import (DayMemo, build_lp_joint_cost, build_lp_release,
                        build_lp_resolving, extract_canonical,
                        minimax_value_and_profile, solve_canonical)
 
@@ -337,6 +337,21 @@ def _memo_entry(memo: OrderedDict, key: bytes, cap: int, solve):
     return entry
 
 
+# The availability each resolving day carries into the next, read-only, by
+# day and the exact bytes of the day's own.
+_carried_availability = DayMemo()
+
+
+def _next_availability(availability: np.ndarray, t: int) -> np.ndarray:
+    key = (availability.shape, availability.dtype.str, availability.tobytes())
+
+    def rescale():
+        out = rescaled_availability(availability, t)
+        out.flags.writeable = False
+        return out
+    return _carried_availability.get(t, key, rescale)
+
+
 class LpResolvingPolicy:
     """Rebuild and re-solve the program each day on the remaining horizon,
     then play its first-day block.
@@ -351,6 +366,12 @@ class LpResolvingPolicy:
     plays the very hires a fresh solve would.  A memo serves one instance;
     policies sharing one (as `cli.POLICIES` makes them) solve each state
     they reach once, and a policy built without one gets its own.
+
+    A step builds one EpochState, the state it carries into the next day;
+    a miss also builds the day's own for build_lp_resolving, whose rows
+    are made once per day of the instance (see there).  The carried
+    availability is rescaled once per instance and day and shared
+    read-only by every state of that day.
     """
 
     kind = "lp_resolving"
@@ -371,12 +392,14 @@ class LpResolvingPolicy:
         hi_bar = min(hi_bar, obs.interval.hi + inst.eps(t))
         lo_bar = max(lo_bar, obs.interval.lo - inst.eps(t))
         lo_bar = min(lo_bar, hi_bar)     # inconsistent input guard
-        st = replace(st, index=t, interval=(lo_bar, hi_bar))
         key = np.concatenate(([t, lo_bar, hi_bar], st.cum_hires,
                               st.remaining_supply)).tobytes()
 
         def solve():
-            built = build_lp_resolving(inst, st, t)
+            day_state = EpochState(t, st.cum_hires, st.remaining_supply,
+                                   st.remaining_budget, (lo_bar, hi_bar),
+                                   st.availability)
+            built = build_lp_resolving(inst, day_state, t)
             sol = solve_canonical(built, refine_limit=1)
             return (sol.objective,
                     extract_canonical(built, sol)[:, t - 1].tobytes())
@@ -391,7 +414,7 @@ class LpResolvingPolicy:
             index=t + 1, cum_hires=st.cum_hires + hires,
             remaining_supply=new_supply, remaining_budget=st.remaining_budget,
             interval=(lo_bar, hi_bar),
-            availability=rescaled_availability(st.availability, t))
+            availability=_next_availability(st.availability, t))
         return Decision.hire_only(hires)
 
 
@@ -420,11 +443,15 @@ class ReleasePolicy:
 
     Each epoch's solve goes through `memo`, an OrderedDict from the bytes
     of everything `build_lp_release` reads from the epoch's state to (program
-    value, canonical hire block, canonical release vector by switch day),
-    all read-only, bounded by RELEASE_MEMO_CAP entries as the resolving
-    memo is.  A memo serves one release instance; the policies of
-    one `cli.POLICIES` factory share one, and a policy built without one
-    gets its own.
+    value, canonical hire block, canonical release vector by switch day,
+    the emulator's DayTree for the hire block), the first three read-only,
+    bounded by RELEASE_MEMO_CAP entries as the resolving memo is.  A memo
+    serves one release instance; the policies of one `cli.POLICIES`
+    factory share one, and a policy built without one gets its own.
+    Keeping the emulator's tree with the solve lets the epochs of one
+    sequence, each on its own block, replay the days their trees already
+    hold, where the emulator's one-entry memo would rebuild each epoch's
+    block.
     """
 
     kind = "release"
@@ -439,8 +466,9 @@ class ReleasePolicy:
         self.objective = None        # day-0 program value, set on first step
 
     def _epoch_program(self) -> tuple:
-        """(program value, canonical hires, canonical releases) of the
-        release program from the current epoch state, through the memo."""
+        """(program value, canonical hires, canonical releases, emulator
+        DayTree) of the release program from the current epoch state, through
+        the memo."""
         st = self.state
         budget = st.remaining_budget
         key = (None if budget is UNLIMITED else np.float64(budget).tobytes(),
@@ -454,7 +482,9 @@ class ReleasePolicy:
             canon_x, canon_y = extract_canonical(built, sol)
             for block in (canon_x, *canon_y.values()):
                 block.flags.writeable = False
-            return sol.objective, canon_x, MappingProxyType(canon_y)
+            t0 = self.ri.epoch_range(st.index)[0]
+            return (sol.objective, canon_x, MappingProxyType(canon_y),
+                    kept_block(canon_x, st.availability[:, t0:]))
         return _memo_entry(self.memo, key, RELEASE_MEMO_CAP, solve)
 
     def step(self, obs: DayObservation) -> Decision:
@@ -462,10 +492,10 @@ class ReleasePolicy:
         t = self.day
         ri = self.ri
         if self.runner is None:
-            objective, canon_x, canon_y = self._epoch_program()
+            objective, canon_x, canon_y, tree = self._epoch_program()
             if self.objective is None:
                 self.objective = objective
-            self.runner = EpochRunner(ri, self.state, canon_x, canon_y)
+            self.runner = EpochRunner(ri, self.state, canon_x, canon_y, tree)
         hires = self.runner.observe(obs.interval)
         n = ri.base.n_pools
         releases = np.zeros(n)

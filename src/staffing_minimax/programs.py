@@ -180,6 +180,48 @@ def build_lp_single_switch(inst: Instance) -> SingleSwitchLp:
     return built
 
 
+class DayMemo:
+    """Values that depend on one instance's day alone, at most one per day.
+
+    get(day, key, make) returns the value stored for the day when it was
+    made under the same key, and otherwise stores and returns make()'s.  A
+    day that held another key belongs to another instance, so every day
+    is dropped first: like emulator._block's one-entry memo, the memo holds
+    one instance's days at a time, and so at most T entries.  Keys are
+    compared by value, so they hold bytes and floats, never object ids.
+    """
+
+    def __init__(self):
+        self.days: dict = {}
+
+    def get(self, day: int, key, make):
+        entry = self.days.get(day)
+        if entry is None or entry[0] != key:
+            if entry is not None:
+                self.days.clear()
+            entry = self.days[day] = (key, make())
+        return entry[1]
+
+
+def _resolving_rows(inst: Instance, availability: np.ndarray, day: int
+                    ) -> Tuple[LpModel, dict, int]:
+    """The resolving program's rows for `day` with every right-hand side
+    zero: (model, x_index, gamma).  Built with the shared skeleton, from the
+    availability's columns day - 1 on, the cost slopes and the horizon."""
+    m = LpModel()
+    x_index = _hires_and_supply(m, availability,
+                                np.zeros(availability.shape[0]), day)
+    gamma = m.add_var("gamma", obj=1.0)
+    _caps_and_floor(m, x_index, day,
+                    [(gamma, 0.0)] * (inst.horizon - day + 1),
+                    -1.0 / inst.over_cost, gamma, 1.0 / inst.under_cost, 0.0)
+    return m, x_index, gamma
+
+
+# The resolving rows of the last instance's days (see build_lp_resolving).
+_day_rows = DayMemo()
+
+
 def build_lp_resolving(inst: Instance, state: EpochState, day: int
                        ) -> SingleSwitchLp:
     """The single-switch program for the subproblem starting at `day`.
@@ -187,6 +229,19 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     Uses the carried state: cumulative hires shift the cap and floor rows,
     remaining supply and rescaled availability replace the originals, and the
     carried interval supplies the subproblem's day-0 term.
+
+    Only the right-hand sides depend on the state beyond its availability:
+    the variables, the coefficient rows and relations, the objective,
+    x_index and gamma read only the day, the availability from column
+    day - 1 on, the cost slopes and the horizon.  Those rows come from
+    `_day_rows`, keyed by the horizon, that availability's shape, dtype and
+    bytes, and the two coefficients the slopes give, and built by
+    _resolving_rows on a miss; every call, hit or miss, then
+    writes the state's right-hand sides into a fresh LpModel (with_rhs).
+    The returned model's lists are its own, so renaming it or adding to
+    it changes no later program; its coefficient dicts, its dense A and
+    sense, and the returned x_index are shared with every program of the
+    day, which is sound only because nothing writes them.
     """
     _require_positive_slopes(inst.under_cost, inst.over_cost)
     T = inst.horizon
@@ -199,15 +254,17 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
         raise InfeasibleState("carried interval is empty")
     z_total = float(state.cum_hires.sum())
 
-    m = LpModel(name=f"resolving[{day}]")
-    x_index = _hires_and_supply(m, state.availability, state.remaining_supply,
-                                day)
-    gamma = m.add_var("gamma", obj=1.0)
-    caps = [(gamma, f - z_total)
-            for f in _switch_floors(inst, state.interval, day)]
-    _caps_and_floor(m, x_index, day, caps, -1.0 / inst.over_cost, gamma,
-                    1.0 / inst.under_cost, hi_bar - z_total)
-    return SingleSwitchLp(m, inst, x_index, gamma, (day, T))
+    rho = state.availability
+    key = (T, rho.shape, rho.dtype.str, rho[:, day - 1:].tobytes(),
+           -1.0 / inst.over_cost, 1.0 / inst.under_cost)
+    rows, x_index, gamma = _day_rows.get(
+        day, key, lambda: _resolving_rows(inst, rho, day))
+    supply = state.remaining_supply
+    rhs = [float(supply[i]) for i in range(rho.shape[0])]
+    rhs += [f - z_total for f in _switch_floors(inst, state.interval, day)]
+    rhs.append(hi_bar - z_total)
+    return SingleSwitchLp(rows.with_rhs(f"resolving[{day}]", rhs), inst,
+                          x_index, gamma, (day, T))
 
 
 @dataclass

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 from functools import partial
@@ -12,7 +14,8 @@ import pytest
 
 from conftest import (fig3_instance, instance_path, play_stations,
                       random_single_pool)
-from staffing_minimax import bayesian, cli, policies
+from staffing_minimax import bayesian, cli, policies, programs
+from staffing_minimax import emulator as emulator_module
 from staffing_minimax.adversary import (brute_force_worst_case,
                                         configuration_sequence,
                                         enumerate_grid_sequences,
@@ -389,6 +392,33 @@ def _counting_builds(monkeypatch):
     return calls
 
 
+def test_resolving_rows_are_built_once_per_day(monkeypatch):
+    # Over 5 bench_long replications the shared memo misses once per
+    # distinct state, and each miss builds its program, but the rows of a
+    # day are built once: every program of the day writes only its
+    # right-hand sides and reads the day's dense A.
+    inst, process, table, seed = _bench_long_world()
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+    row_sets = []
+    make_rows = programs._resolving_rows
+    monkeypatch.setattr(programs, "_resolving_rows",
+                        lambda *a: row_sets.append(make_rows(*a)) or
+                        row_sets[-1])
+    builds = _counting_builds(monkeypatch)
+    matrices = []
+    solve = policies.solve_canonical
+    monkeypatch.setattr(policies, "solve_canonical", lambda built, **kw: (
+        matrices.append(built.model.dense()[0]) or solve(built, **kw)))
+    factory = _shared(inst)
+    bayesian.run_bayesian_world(inst, process, table,
+                                {"lp_resolving": factory}, 5, seed)
+    assert len(row_sets) <= inst.horizon
+    assert len(builds) == len(factory().memo) == len(matrices) > 4 * 14
+    rows_A = {id(rows.dense()[0]) for rows, _, _ in row_sets}
+    assert {id(A) for A in matrices} == rows_A
+    assert len(rows_A) == len(row_sets)
+
+
 def test_resolving_memo_hit_returns_fresh_hires(monkeypatch):
     inst = fig3_instance("b")
     obs = DayObservation(1, worst_case_sequence(inst).interval(1))
@@ -615,13 +645,47 @@ def test_release_memo_cap_and_read_only_entries(monkeypatch):
     memo.clear()
     policy = ReleasePolicy(problem, memo)
     policy.step(DayObservation(1, PredictionInterval(0.0, 0.5)))
-    (objective, hires, releases), = memo.values()
+    (objective, hires, releases, tree), = memo.values()
     assert objective == policy.objective
+    assert tree is policy.runner.emulator.tree
     for block in (hires, *releases.values()):
         with pytest.raises(ValueError):
             block[0] = 1.0
     with pytest.raises(TypeError):
         releases[0] = np.zeros(2)
+
+
+@pytest.mark.parametrize("step, blocks, digest", [
+    ("0.5", 4,
+     "99b8cc781504acc6ad6a6265ac222d1fcd73f9ad13a7af7606ec6691c1200590"),
+    ("0.25", 11,
+     "e5c1c6e62ea6c856d9f0dada9eb2225848ae3bdad5aac372a5ece14173d300f2")])
+def test_release_oracle_builds_each_block_once(step, blocks, digest,
+                                               monkeypatch, capsys):
+    # Each sequence's two epochs play two blocks in turn.  The release memo
+    # keeps each epoch's emulator block, so every distinct block's day
+    # tables are built once per command and its tree serves the days it
+    # holds; the output is the one the emulator's one-entry memo gave
+    # (digests of the stdout from before the blocks were kept).
+    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
+    monkeypatch.setattr(emulator_module, "_kept_blocks",
+                        weakref.WeakValueDictionary())
+    tables, steps = [], []
+    build = emulator_module._build_day_tables
+    monkeypatch.setattr(emulator_module, "_build_day_tables",
+                        lambda *a: tables.append(1) or build(*a))
+    real_step = emulator_module.emulator_step
+    monkeypatch.setattr(emulator_module, "emulator_step",
+                        lambda *a: steps.append(1) or real_step(*a))
+    path = instance_path("release_demo.json")
+    assert cli.main(["oracle", "--instance", path, "--policy", "release",
+                     "--grid-step", step]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    base = cli._load(path).base
+    days = len(enumerate_grid_sequences(base, float(step))) * base.horizon
+    assert len(tables) == blocks
+    assert len(steps) < days
 
 
 def test_decisions_keep_their_outputs():

@@ -1,20 +1,23 @@
+import itertools
 import json
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import (INSTANCE_DIR, fig3_instance, instance_path, plan_of,
                       random_multi_pool, random_single_pool)
-from staffing_minimax import bayesian, cli, programs
+from staffing_minimax import bayesian, cli, policies, programs
 from staffing_minimax.adversary import random_nested_sequence
-from staffing_minimax.lp import solve_lp
-from staffing_minimax.model import (Instance, MultiStationInstance,
-                                    ReleaseInstance, StationSpec, fresh_state,
-                                    make_instance)
+from staffing_minimax.lp import LpError, LpModel, solve_lp
+from staffing_minimax.model import (Instance, InstanceError,
+                                    MultiStationInstance, ReleaseInstance,
+                                    StationSpec, fresh_state, make_instance)
 from staffing_minimax.policies import DayObservation, LpResolvingPolicy
+from staffing_minimax.programs import InfeasibleState
 from staffing_minimax.programs import (
     ConfigurationExplosion, build_lp_joint_cost, build_lp_multi_station,
     build_lp_release, build_lp_resolving, build_lp_single_switch,
@@ -253,6 +256,10 @@ def _assert_same_as_quadratic(monkeypatch, build):
         mp.setattr(programs, "_consistent_floors",
                    _quadratic_consistent_floors)
         mp.setattr(programs, "_caps_and_floor", _quadratic_caps_and_floor)
+        # A resolving build must make its rows with the quadratic helpers,
+        # not read the fast build's from the row memo, and no later build
+        # may read theirs.
+        mp.setattr(programs, "_day_rows", programs.DayMemo())
         slow = _program_bytes(build().model)
     assert fast == slow
 
@@ -344,3 +351,179 @@ def test_cap_rows_keep_signed_zero_floor(monkeypatch):
     assert all(r == 0.0 and math.copysign(1.0, r) < 0 for r in rhs)
     _assert_same_as_quadratic(monkeypatch,
                               lambda: build_lp_resolving(inst, st, 1))
+
+
+# --- Resolving rows built once per day -----------------------------------------
+# build_lp_resolving reads its rows from a memo keyed by the day, the
+# availability from the day on, the cost slopes and the horizon, and writes
+# only the state's right-hand sides; a hit must be the fresh build.
+
+def _resolving_bytes(built):
+    m = built.model
+    A, sense, b = m.dense()
+    return (m.name, m.dump(), m.var_names, m.objective, m.rows,
+            A.tobytes(), A.shape, sense.tobytes(), b.tobytes(),
+            dict(built.x_index), built.gamma, built.day_range)
+
+
+def _solved_bytes(built):
+    sol = solve_canonical(built, refine_limit=1)
+    return np.float64(sol.objective).tobytes(), sol.x.tobytes()
+
+
+def _assert_hit_is_fresh_build(inst, st, day):
+    first = build_lp_resolving(inst, st, day)
+    hit = build_lp_resolving(inst, st, day)
+    assert hit.model.dense()[0] is first.model.dense()[0]     # a hit
+    programs._day_rows.days.clear()
+    fresh = build_lp_resolving(inst, st, day)
+    assert fresh.model.dense()[0] is not hit.model.dense()[0]  # a miss
+    assert _resolving_bytes(hit) == _resolving_bytes(fresh)
+    assert _solved_bytes(hit) == _solved_bytes(fresh)
+
+
+def _built_states(monkeypatch, run):
+    """(instance, state, day) of every program the resolving policies build
+    while run() plays."""
+    calls = []
+    build = policies.build_lp_resolving
+    with monkeypatch.context() as mp:
+        mp.setattr(policies, "build_lp_resolving",
+                   lambda *a: calls.append(a) or build(*a))
+        run()
+    return calls
+
+
+def _bench_long_world(reps, monkeypatch):
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    inst = _world_instance(config)
+    process = bayesian.DemandProcess(int(config["horizon"]),
+                                     float(config["prior_hi"]))
+    table = bayesian.CalibrationTable.from_dict(config["calibration"])
+    factory = cli._policy_factories(["lp_resolving"], inst, None, {})
+    return _built_states(monkeypatch, lambda: bayesian.run_bayesian_world(
+        inst, process, table, factory, reps, int(config["seed"])))
+
+
+def test_resolving_row_hits_equal_fresh_builds_on_bench_long(monkeypatch):
+    calls = _bench_long_world(100, monkeypatch)
+    assert len(calls) > 1000
+    assert {day for _, _, day in calls} == set(range(1, 15))
+    for inst, st, day in calls:
+        _assert_hit_is_fresh_build(inst, st, day)
+
+
+def test_resolving_row_hits_equal_fresh_builds_on_draws():
+    draws = [fig3_instance(which) for which in "abc"]
+    rng = np.random.default_rng(77)
+    draws += [random_multi_pool(rng, 3, 10) for _ in range(25)]
+    assert any(np.any(inst.inconsistency != 0) for inst in draws)
+    assert any(inst.n_pools > 1 for inst in draws)
+    states = 0
+    for k, inst in enumerate(draws):
+        for seed in range(4 if k < 3 else 1):
+            for st in _resolving_states(inst, 100 * k + seed):
+                _assert_hit_is_fresh_build(inst, st, st.index)
+                states += 1
+    assert states > 150
+
+
+def test_resolving_rows_key_covers_what_they_read():
+    # Programs that differ in one input their rows read never share rows,
+    # whichever is built first.
+    inst = fig3_instance("c")
+    st = _resolving_states(inst, 2)[3]
+    rho = st.availability.copy()
+    rho[:, st.index - 1] *= 0.5            # the day's own column
+    variants = [(inst, st), (replace(inst, over_cost=2.0), st),
+                (replace(inst, under_cost=0.5), st),
+                (inst, replace(st, availability=rho))]
+    for first, then in itertools.permutations(variants, 2):
+        programs._day_rows.days.clear()
+        build_lp_resolving(*first, st.index)
+        after = _resolving_bytes(build_lp_resolving(*then, st.index))
+        programs._day_rows.days.clear()
+        assert after == _resolving_bytes(build_lp_resolving(*then, st.index))
+
+
+def _error_of(build):
+    try:
+        build()
+    except (InstanceError, LpError) as err:
+        return type(err), str(err)
+    raise AssertionError("no error")
+
+
+def test_resolving_row_hit_raises_as_a_miss():
+    inst = fig3_instance("c")
+    st = _resolving_states(inst, 3)[2]
+    nan = float("nan")
+    bad = [SimpleNamespace(**{**vars(st), **change}) for change in (
+        {"remaining_supply": -1.0 - np.abs(st.remaining_supply)},
+        {"interval": (st.interval[1] + 0.5, st.interval[1])},
+        {"remaining_supply": np.full_like(st.remaining_supply, nan)},
+        {"cum_hires": np.full_like(st.cum_hires, nan)},
+        {"interval": (st.interval[0], nan)})]
+    expect = [InfeasibleState, InfeasibleState] + [LpError] * 3
+    for state, kind in zip(bad, expect):
+        programs._day_rows.days.clear()
+        miss = _error_of(lambda: build_lp_resolving(inst, state, 3))
+        build_lp_resolving(inst, st, 3)                  # the day's rows
+        hit = _error_of(lambda: build_lp_resolving(inst, state, 3))
+        assert miss == hit and miss[0] is kind
+    assert hit[1] == "non-finite rhs"
+
+
+def test_resolving_programs_share_no_mutable_state():
+    inst = fig3_instance("b")
+    st = _resolving_states(inst, 1)[1]
+    before = _resolving_bytes(build_lp_resolving(inst, st, 2))
+    built = build_lp_resolving(inst, st, 2)
+    built.model.name = "renamed"
+    extra = built.model.add_var("extra", obj=2.0)
+    built.model.add_row({0: 1.0, extra: -1.0}, "<=", 3.0)
+    assert built.model.dense()[0].shape == (built.model.n_rows,
+                                            built.model.n_vars)
+    assert _resolving_bytes(build_lp_resolving(inst, st, 2)) == before
+    # build_lp_single_switch renames its model; the day-1 rows are kept.
+    day1 = _resolving_bytes(build_lp_resolving(inst, fresh_state(inst), 1))
+    assert build_lp_single_switch(inst).model.name == "single_switch"
+    assert _resolving_bytes(
+        build_lp_resolving(inst, fresh_state(inst), 1)) == day1
+
+
+def _fresh_dense(model):
+    copy = LpModel(model.name, list(model.var_names), list(model.objective),
+                   list(model.rows))
+    return tuple(a.tobytes() for a in copy.dense()) + (copy.dense()[0].shape,)
+
+
+def test_dense_rows_are_built_once_until_the_model_grows():
+    m = LpModel()
+    m.add_var("x", obj=1.0)
+    m.add_row({0: 2.0}, ">=", 1.0)
+    A, sense, b = m.dense()
+    A2, sense2, b2 = m.dense()
+    assert A2 is A and sense2 is sense and b2 is not b
+    assert not A.flags.writeable and not sense.flags.writeable
+    assert b.flags.writeable
+    grow = (lambda: m.add_var("y"),
+            lambda: m.add_row({1: 1.0}, "<=", 4.0),
+            lambda: m.rows.append(({0: 1.0, 1: -1.0}, "=", 0.0)))
+    for step in grow:
+        step()
+        A3, sense3, b3 = m.dense()
+        assert A3 is not A and A3.shape == (m.n_rows, m.n_vars)
+        assert tuple(a.tobytes() for a in (A3, sense3, b3)) + (A3.shape,) \
+            == _fresh_dense(m)
+        A = A3
+    # A model made from these rows carries their A and sense.
+    copy = m.with_rhs("copy", [5.0, -1.0, 0.5])
+    A4, sense4, b4 = copy.dense()
+    assert A4 is A and b4.tolist() == [5.0, -1.0, 0.5]
+    assert copy.rows[0][0] is m.rows[0][0] and copy.rows is not m.rows
+    with pytest.raises(LpError, match="3 rows"):
+        m.with_rhs("short", [1.0, 2.0])
+    with pytest.raises(LpError, match="non-finite rhs"):
+        m.with_rhs("nan", [1.0, float("nan"), 2.0])
