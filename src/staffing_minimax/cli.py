@@ -87,7 +87,13 @@ PROGRAMS = {
 }
 
 
+def _check_at_least_one(value: int, name: str) -> None:
+    if value < 1:
+        raise CliInputError(f"{name} must be at least 1, got {value}")
+
+
 def cmd_solve(args) -> int:
+    _check_at_least_one(args.config_cap, "--config-cap")
     problem = _load(args.instance)
     program = args.program or _infer_program(problem)
     kind, noun, build = PROGRAMS[program]
@@ -172,6 +178,8 @@ def _station_emulators(c: _PolicyContext) -> list:
 
 
 def _greedy_target(c: _PolicyContext):
+    if c.gamma is not None and c.gamma < 0:
+        raise CliInputError(f"--gamma must be non-negative, got {c.gamma}")
     gamma = (gamma_star_single_pool(c.inst).gamma_star if c.gamma is None
              else c.gamma)
     return partial(GreedyTargetPolicy, c.inst, gamma)
@@ -361,11 +369,9 @@ def _check_prior_hi(prior_hi: float, name: str) -> float:
 
 
 def cmd_bench(args) -> int:
-    if args.reps is not None and args.reps < 1:
-        raise CliInputError(f"--reps must be at least 1, got {args.reps}")
-    if args.workers < 1:
-        raise CliInputError(
-            f"--workers must be at least 1, got {args.workers}")
+    if args.reps is not None:
+        _check_at_least_one(args.reps, "--reps")
+    _check_at_least_one(args.workers, "--workers")
     config = _read_config(args.config, args.seed)
     if config["seed"] < 0:
         raise CliInputError(f"seed must be non-negative, got {config['seed']}")
@@ -465,6 +471,7 @@ def cmd_sweep_eta(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_at_least_one(args.cap, "--cap")
     problem = _load(args.instance)
     check_grid_step(args.grid_step)
     multi = isinstance(problem, MultiStationInstance)
@@ -494,8 +501,7 @@ def cmd_calibrate(args) -> int:
     if not 0 < args.coverage < 1:
         raise CliInputError(f"--coverage must lie in (0, 1), got "
                             f"{args.coverage}")
-    if args.T < 1:
-        raise CliInputError(f"--T must be at least 1, got {args.T}")
+    _check_at_least_one(args.T, "--T")
     process = bayesian.DemandProcess(
         args.T, _check_prior_hi(args.prior_hi, "--prior-hi"))
     table = bayesian.calibrate_intervals(process, coverage=args.coverage,

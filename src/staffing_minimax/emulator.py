@@ -9,9 +9,9 @@ hired is
 split across pools within the per-pool canonical caps, scarcest pool first.
 Only the realized sum depends on the sequence played.  The canonical sum,
 the caps, their sum and the fill order are read from the block's day tables,
-built once per block and shared through a one-entry memo keyed by the
-block's content, so every emulator of one block (one per sequence in the
-grid oracle) reads the same tables.
+built once per block and kept in one memo keyed by the block's content, so
+every emulator of one block (one per sequence in the grid oracle, one per
+epoch of a release sequence, one per station) reads the same tables.
 
 The realized prefix is itself a function of R0 and Rhat_1..Rhat_{t-1}, so
 every sequence with the same running bounds gets the same hires.  Each
@@ -19,9 +19,7 @@ block's tables carry a prefix tree of the days already played: its roots
 are keyed by R0, and each node maps the day's Rhat to that day's hires
 (a read-only array) and the node of the next day.  A step looks its day up
 before it computes anything, so emulators of one block play a shared
-prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A caller
-that comes back to a block after playing others keeps its tree
-(kept_block) and builds its emulators on it.  A day the
+prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A day the
 tree serves writes nothing: an emulator's realized block is allocated and
 filled in at its first miss or read.  The release-mode variant
 additionally runs the critical-index release rule at each epoch end.
@@ -30,14 +28,14 @@ additionally runs the critical-index release rule at each epoch end.
 from __future__ import annotations
 
 import csv
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (EpochState, ReleaseInstance, UNLIMITED,
-                    rescaled_availability)
+                    rescaled_availability, supply_usage)
 
 # Slack of split_hires' check on the caps and critical_switch_day's match.
 EMULATOR_TOL = 1e-9
@@ -179,9 +177,27 @@ class DayTree:
         return child
 
 
-_last_tables: list = [None, (), None]   # [key, tables, tree]: one entry
-# Blocks a caller keeps (see kept_block), by _block's key, while it does.
-_kept_blocks = weakref.WeakValueDictionary()
+# Entries a block memo or a release memo keeps, least recently used first
+# out.  One release entry holds an epoch's canonical blocks, on the demo
+# files under 1 KB; one block holds its day tables and its DayTree.
+RELEASE_MEMO_CAP = 1024
+
+
+def _memo_entry(memo: OrderedDict, key, cap: int, solve):
+    """memo[key], made by solve() on a miss; once the memo holds `cap`
+    entries, a miss first drops the least recently used one."""
+    entry = memo.get(key)
+    if entry is None:
+        entry = solve()
+        if len(memo) >= cap:
+            memo.popitem(last=False)
+        memo[key] = entry
+    else:
+        memo.move_to_end(key)
+    return entry
+
+
+_blocks: OrderedDict = OrderedDict()     # _block_key -> DayTree
 
 
 def _block_key(canonical: np.ndarray, availability: np.ndarray) -> tuple:
@@ -190,38 +206,24 @@ def _block_key(canonical: np.ndarray, availability: np.ndarray) -> tuple:
             canonical.tobytes(), rho.shape, rho.dtype, rho.tobytes())
 
 
-def _block(canonical: np.ndarray, availability: np.ndarray
-           ) -> Tuple[Tuple[DayTable, ...], DayTree]:
-    """The block's day tables, one per day, and its DayTree, from a
-    one-entry memo.
+def _block(canonical: np.ndarray, availability: np.ndarray) -> DayTree:
+    """The block's DayTree, which holds its day tables, one per day.
 
-    The key is the exact content of the canonical block and of the
+    The memo's key is the exact content of the canonical block and of the
     availability over its days: shape, dtype and bytes, plus the block's
-    strides, since NumPy sums a view in memory order.  Every emulator built
-    on one block in a row (one per sequence in the grid oracle) reads the
-    same tables and the same DayTree.  A hit returns what a fresh build
-    would, and the tables are tuples, so sharing them between callers
-    changes no result.
+    strides, since NumPy sums a view in memory order.  It keeps
+    RELEASE_MEMO_CAP blocks, least recently used first out, so every
+    emulator of a block (one per sequence in the grid oracle, each epoch
+    of a release sequence, each station of a multi-station run) reads the
+    same tables and the same DayTree, whatever blocks it played between.
+    A hit returns what a fresh build would, and the tables are tuples, so
+    sharing them between callers changes no result.
     """
-    key = _block_key(canonical, availability)
-    if _last_tables[0] != key:
-        tables = _build_day_tables(canonical,
-                                   availability[:, :canonical.shape[1]])
-        _last_tables[:] = (key, tables, DayTree(tables))
-    return _last_tables[1], _last_tables[2]
-
-
-def kept_block(canonical: np.ndarray, availability: np.ndarray) -> DayTree:
-    """_block's DayTree, which holds the day tables, for a caller that keeps
-    it to build emulators on the block again after other blocks
-    (ReleasePolicy's memo), where the one-entry memo would rebuild it.  A
-    block that some caller still keeps is found by the same key and shared,
-    not rebuilt; one that no caller keeps any more is dropped."""
-    key = _block_key(canonical, availability)
-    tree = _kept_blocks.get(key)
-    if tree is None:
-        tree = _kept_blocks[key] = _block(canonical, availability)[1]
-    return tree
+    def build():
+        return DayTree(_build_day_tables(
+            canonical, availability[:, :canonical.shape[1]]))
+    return _memo_entry(_blocks, _block_key(canonical, availability),
+                       RELEASE_MEMO_CAP, build)
 
 
 def split_hires(total: float, table: DayTable, day: int) -> np.ndarray:
@@ -255,15 +257,13 @@ class Emulator:
     at the first miss or read and then filled in from the path, so a run
     the tree serves throughout writes no block.  Only `step` and that fill
     write the block.  availability[:, k] is the availability on the
-    block's (k+1)-th day; it may run past the block.  tree, when given,
-    is the block's DayTree from kept_block, kept by a caller that comes
-    back to the block after playing others.
+    block's (k+1)-th day; it may run past the block.  The tables and the
+    tree come from _block's memo.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
-                 r0: float, tree: Optional[DayTree] = None):
-        self.tree = _block(canonical, availability)[1] if tree is None \
-            else tree
+                 r0: float):
+        self.tree = _block(canonical, availability)
         self.tables = self.tree.tables
         self.node = self.tree.root(r0) if isinstance(r0, float) else None
         self.shape = canonical.shape
@@ -331,13 +331,13 @@ class EpochRunner:
     last day for the critical-index releases and the next carried state.
     canonical_hires is the (n, days in epoch) block of the subprogram's
     no-switch branch; canonical_releases maps each switch day k in the
-    epoch's closed range to the canonical release vector; tree, when
-    given, is the emulator's (see Emulator).
+    epoch's closed range to the canonical release vector.  The emulator
+    finds the block's tables and DayTree in _block's memo, so the epochs of
+    many sequences replay the days their blocks' trees already hold.
     """
 
     def __init__(self, ri: ReleaseInstance, state: EpochState,
-                 canonical_hires: np.ndarray, canonical_releases: dict,
-                 tree: Optional[DayTree] = None):
+                 canonical_hires: np.ndarray, canonical_releases: dict):
         self.ri = ri
         self.state = state
         self.canonical = np.asarray(canonical_hires, float)
@@ -345,8 +345,7 @@ class EpochRunner:
         self.t0, self.t_end = ri.epoch_range(state.index)
         self.l_bar, self.r_bar = state.interval
         self.emulator = Emulator(self.canonical,
-                                 state.availability[:, self.t0:], self.r_bar,
-                                 tree)
+                                 state.availability[:, self.t0:], self.r_bar)
         self.r_observed = [self.r_bar]
         self.realized_cum = [0.0]
         self.canon_cum = [0.0]
@@ -397,12 +396,7 @@ class EpochRunner:
         if ell < ri.n_epochs:
             realized = self.realized
             rho = state.availability
-            usage = np.zeros(n)
-            for i in range(n):
-                for idx in range(t_end - t0):
-                    x = realized[i, idx]
-                    if x > 0:
-                        usage[i] += x / rho[i, t0 + idx]
+            usage = supply_usage(rho[:, t0:t_end], realized)
             new_supply = rho[:, t_end - 1] * (state.remaining_supply - usage)
             budget = state.remaining_budget
             if budget is not UNLIMITED:

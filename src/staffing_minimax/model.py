@@ -480,15 +480,17 @@ def joint_cost(ri: ReleaseInstance, plan: StaffingPlan, demand: float) -> float:
     return staffing_cost(ri.base, plan, demand) + wage_bill
 
 
-def supply_usage(inst: Instance, hires: np.ndarray) -> np.ndarray:
-    """Initial-pool units consumed by a hire schedule: sum_t x_it / rho_it.
+def supply_usage(availability: np.ndarray, hires: np.ndarray) -> np.ndarray:
+    """Initial-pool units consumed by an (n, days) hire schedule: sum_t
+    x_it / rho_it, with rho = availability over the schedule's days.
 
     Hires on rho = 0 days count as infeasible unless exactly zero.
     """
-    rho = inst.availability
-    usage = np.zeros(inst.n_pools)
-    for i in range(inst.n_pools):
-        for t in range(inst.horizon):
+    rho = availability
+    n, days = hires.shape
+    usage = np.zeros(n)
+    for i in range(n):
+        for t in range(days):
             x = hires[i, t]
             if x > FEAS_TOL and rho[i, t] <= 0:
                 usage[i] = np.inf
@@ -537,7 +539,7 @@ def check_feasibility(problem, plan: StaffingPlan):
         violations.append("negative hires")
     if np.any(plan.releases < -FEAS_TOL):
         violations.append("negative releases")
-    usage = supply_usage(inst, np.maximum(plan.hires, 0.0))
+    usage = supply_usage(inst.availability, np.maximum(plan.hires, 0.0))
     for i in range(inst.n_pools):
         if usage[i] > inst.pool_sizes[i] + FEAS_TOL:
             violations.append(

@@ -17,7 +17,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .adversary import worst_case_sequence
-from .emulator import Emulator, EmulatorTrace, EpochRunner, kept_block
+from .emulator import (RELEASE_MEMO_CAP, Emulator, EmulatorTrace, EpochRunner,
+                       _memo_entry)
 from .model import (UNLIMITED, EpochState, Instance, InstanceError,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, SupplyLedger, fresh_state, make_instance,
@@ -318,25 +319,6 @@ class LpEmulatorPolicy:
 # day-1 and day-2 states that many replications share.
 RESOLVING_MEMO_CAP = 4096
 
-# Entries a release memo keeps, least recently used first out.  One entry
-# holds an epoch's canonical blocks, on the demo files under 1 KB.
-RELEASE_MEMO_CAP = 1024
-
-
-def _memo_entry(memo: OrderedDict, key: bytes, cap: int, solve):
-    """memo[key], made by solve() on a miss; once the memo holds `cap`
-    entries, a miss first drops the least recently used one."""
-    entry = memo.get(key)
-    if entry is None:
-        entry = solve()
-        if len(memo) >= cap:
-            memo.popitem(last=False)
-        memo[key] = entry
-    else:
-        memo.move_to_end(key)
-    return entry
-
-
 # The availability each resolving day carries into the next, read-only, by
 # day and the exact bytes of the day's own.
 _carried_availability = DayMemo()
@@ -443,15 +425,13 @@ class ReleasePolicy:
 
     Each epoch's solve goes through `memo`, an OrderedDict from the bytes
     of everything `build_lp_release` reads from the epoch's state to (program
-    value, canonical hire block, canonical release vector by switch day,
-    the emulator's DayTree for the hire block), the first three read-only,
-    bounded by RELEASE_MEMO_CAP entries as the resolving memo is.  A memo
-    serves one release instance; the policies of one `cli.POLICIES`
-    factory share one, and a policy built without one gets its own.
-    Keeping the emulator's tree with the solve lets the epochs of one
-    sequence, each on its own block, replay the days their trees already
-    hold, where the emulator's one-entry memo would rebuild each epoch's
-    block.
+    value, canonical hire block, canonical release vector by switch day),
+    all read-only, bounded by RELEASE_MEMO_CAP entries as the resolving
+    memo is.  A memo serves one release instance; the policies of one
+    `cli.POLICIES` factory share one, and a policy built without one gets
+    its own.  Each epoch's emulator finds its block's tables and DayTree
+    in the emulator's block memo, so the epochs of one sequence, each on
+    its own block, replay the days their trees already hold.
     """
 
     kind = "release"
@@ -466,9 +446,8 @@ class ReleasePolicy:
         self.objective = None        # day-0 program value, set on first step
 
     def _epoch_program(self) -> tuple:
-        """(program value, canonical hires, canonical releases, emulator
-        DayTree) of the release program from the current epoch state, through
-        the memo."""
+        """(program value, canonical hires, canonical releases) of the
+        release program from the current epoch state, through the memo."""
         st = self.state
         budget = st.remaining_budget
         key = (None if budget is UNLIMITED else np.float64(budget).tobytes(),
@@ -482,9 +461,7 @@ class ReleasePolicy:
             canon_x, canon_y = extract_canonical(built, sol)
             for block in (canon_x, *canon_y.values()):
                 block.flags.writeable = False
-            t0 = self.ri.epoch_range(st.index)[0]
-            return (sol.objective, canon_x, MappingProxyType(canon_y),
-                    kept_block(canon_x, st.availability[:, t0:]))
+            return sol.objective, canon_x, MappingProxyType(canon_y)
         return _memo_entry(self.memo, key, RELEASE_MEMO_CAP, solve)
 
     def step(self, obs: DayObservation) -> Decision:
@@ -492,10 +469,10 @@ class ReleasePolicy:
         t = self.day
         ri = self.ri
         if self.runner is None:
-            objective, canon_x, canon_y, tree = self._epoch_program()
+            objective, canon_x, canon_y = self._epoch_program()
             if self.objective is None:
                 self.objective = objective
-            self.runner = EpochRunner(ri, self.state, canon_x, canon_y, tree)
+            self.runner = EpochRunner(ri, self.state, canon_x, canon_y)
         hires = self.runner.observe(obs.interval)
         n = ri.base.n_pools
         releases = np.zeros(n)

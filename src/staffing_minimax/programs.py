@@ -42,13 +42,14 @@ class InfeasibleState(InstanceError):
 def single_switch_floor(inst: Instance, k: int) -> float:
     """Left endpoint the switch-at-k adversary settles on.
 
-    max of L0 and (R0 - Delta_tau - 2 eps_tau) over tau in [1:k].  L0 is the
+    max of L0 and (R0 - Delta_tau - 2 eps_tau) over tau in [1:k]: L0 for
+    k = 0, else _switch_floors' entry from the initial range.  L0 is the
     tau = 0 term R0 - Delta_0 - 2 eps_0 exactly, so the floor is never below
     L0.
     """
-    lo, hi = inst.initial_range
-    return max([lo] + [hi - inst.delta(tau) - 2.0 * inst.eps(tau)
-                       for tau in range(1, k + 1)])
+    if k == 0:
+        return inst.initial_range[0]
+    return _switch_floors(inst, inst.initial_range, 1)[k - 1]
 
 
 def _prefix_max(first: float, terms: Iterable[float]) -> List[float]:
@@ -186,9 +187,9 @@ class DayMemo:
     get(day, key, make) returns the value stored for the day when it was
     made under the same key, and otherwise stores and returns make()'s.  A
     day that held another key belongs to another instance, so every day
-    is dropped first: like emulator._block's one-entry memo, the memo holds
-    one instance's days at a time, and so at most T entries.  Keys are
-    compared by value, so they hold bytes and floats, never object ids.
+    is dropped first: the memo holds one instance's days at a time, and so
+    at most T entries.  Keys are compared by value, so they hold bytes and
+    floats, never object ids.
     """
 
     def __init__(self):

@@ -420,7 +420,8 @@ def test_build_rejects_non_finite_endpoints(lo, hi, as_interval):
 
 class _OldEmulator:
     def __init__(self, canonical, availability, r0):
-        self.tables = emulator_module._block(canonical, availability)[0]
+        self.tables = emulator_module._block(canonical,
+                                             availability).tables
         self.realized = np.zeros(canonical.shape)
         self.r0 = self.r_hat = r0
         self.day = 0

@@ -788,3 +788,29 @@ def test_run_stations_file_bad_spec_exit_2(capsys, tmp_path, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--instance", instance_path("fig3a.json"), "--cap", "0"],
+     "--cap must be at least 1, got 0"),
+    (["oracle", "--instance", instance_path("fig3a.json"), "--cap", "-5"],
+     "--cap must be at least 1, got -5"),
+    (["solve", "--instance", instance_path("release_demo.json"),
+      "--config-cap", "0"], "--config-cap must be at least 1, got 0"),
+    (["solve", "--instance", instance_path("release_demo.json"),
+      "--config-cap", "-1"], "--config-cap must be at least 1, got -1"),
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "greedy_target", "--sequence", "random:1", "--gamma", "-0.5"],
+     "--gamma must be non-negative, got -0.5"),
+    (["oracle", "--instance", instance_path("fig3a.json"), "--policy",
+      "greedy_target", "--grid-step", "0.5", "--gamma", "-0.5"],
+     "--gamma must be non-negative, got -0.5"),
+], ids=["oracle-cap-0", "oracle-cap-neg", "solve-config-cap-0",
+        "solve-config-cap-neg", "run-gamma-neg", "oracle-gamma-neg"])
+def test_cap_below_one_or_negative_gamma_exit_2(capsys, argv, message):
+    # A cap below 1 used to reach the solver and exit 3, and a negative
+    # greedy target played below the lower bound with exit 0.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -25,8 +25,8 @@ from staffing_minimax.programs import (minimax_value_and_profile,
 
 
 def day_tables(canonical, availability):
-    """The block's day tables, from the emulator's one-entry memo."""
-    return _block(canonical, availability)[0]
+    """The block's day tables, from the emulator's block memo."""
+    return _block(canonical, availability).tables
 
 
 def fill_scarcest_first(total, caps, rho):
@@ -358,7 +358,7 @@ def _families(rng, bounds):
 def count_misses(monkeypatch):
     """A fresh day-table memo and a list that grows by one per day the
     emulator computes instead of reading from its block's day tree."""
-    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
+    monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     misses = []
     real_step = emulator_module.emulator_step
     monkeypatch.setattr(emulator_module, "emulator_step",
@@ -426,9 +426,37 @@ def test_day_tree_two_blocks_alternating(count_misses):
                 h = ems[j].step(bounds[j][t])
                 assert not h.flags.writeable
                 assert h.tobytes() == old[j][t].tobytes(), (j, t)
-    # Each policy rebuilds both blocks' tables, so only the days one
-    # station repeats within its own emulator could be shared: none here.
-    assert len(count_misses) == 30 * 2 * 4
+    # The memo keeps both blocks, so each station's tree serves the
+    # prefixes its earlier runs played.
+    assert len(count_misses) < 30 * 2 * 4
+
+
+def test_block_memo_keeps_the_cap_least_recently_used(count_misses,
+                                                      monkeypatch):
+    # Three blocks in rotation through a memo of two: a block played again
+    # before two others is a hit, and one evicted is built afresh.
+    monkeypatch.setattr(emulator_module, "RELEASE_MEMO_CAP", 2)
+    rng = np.random.default_rng(16)
+    availability = np.array([[1.0, 0.8, 0.6, 0.5], [0.9, 0.9, 0.7, 0.2]])
+    blocks = [rng.uniform(0.0, 0.3, size=(2, 4)) for _ in range(3)]
+    builds = []
+    real_build = emulator_module._build_day_tables
+    monkeypatch.setattr(
+        emulator_module, "_build_day_tables",
+        lambda *a: builds.append(next(j for j, b in enumerate(blocks)
+                                      if b.tobytes() == a[0].tobytes()))
+        or real_build(*a))
+    bounds = [1.0, 0.9, 0.7, 0.6]
+    trees = {}
+    for j in [0, 1, 0, 2, 0, 1] * 2:
+        misses = len(count_misses)
+        assert _assert_plays_as_old(blocks[j], availability, 1.0, bounds)
+        assert len(emulator_module._blocks) <= 2
+        tree = Emulator(blocks[j], availability, 1.0).tree
+        # A kept block's tree served the whole run; a rebuilt one played it.
+        assert (len(count_misses) == misses) == (trees.get(j) is tree)
+        trees[j] = tree
+    assert builds == [0, 1, 2, 1, 2, 1]
 
 
 def test_day_tree_cap_reached_mid_sequence(count_misses, monkeypatch):
@@ -608,7 +636,8 @@ def test_day_tables_memo_is_keyed_by_content():
     # Other availability: other tables.
     other = day_tables(a, np.array([[0.5, 1.0, 1.0], [1.0, 0.5, 1.0]]))
     assert [d.order for d in other] == [(0, 1), (1, 0), (0, 1)]
-    assert day_tables(a, availability) is not tables_a
+    # The memo keeps both blocks.
+    assert day_tables(a, availability) is tables_a
     # Equal bytes and strides, other shape: other tables.
     wide = np.zeros((3, 3))
     wide[:, :2] = np.arange(6.0).reshape(3, 2)
@@ -634,7 +663,7 @@ def test_emulators_of_one_block_share_tables(monkeypatch):
     real_build = emulator_module._build_day_tables
     monkeypatch.setattr(emulator_module, "_build_day_tables",
                         lambda *a: builds.append(1) or real_build(*a))
-    monkeypatch.setattr(emulator_module, "_last_tables", [None, ()])
+    monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     first = LpEmulatorPolicy(inst, canonical, gamma)
     assert LpEmulatorPolicy(inst, canonical.copy(), gamma).emulator.tables \
         is first.emulator.tables

@@ -1,4 +1,4 @@
-"""The emulator's day tree rests on two premises that no code may break.
+"""The emulator's day tree rests on three premises that no code may break.
 
 ``Emulator.step`` serves a day from its block's prefix tree whenever the
 running upper bounds repeat a prefix already played.  That is exact only
@@ -12,9 +12,11 @@ reaches the same prefix) are never written.  So:
   block and fills in the days the tree served;
 - no consumer of ``Emulator.step`` (or of a method that hands its result
   on, such as ``EpochRunner.observe``) writes into the returned hires in
-  place.
+  place;
+- only ``emulator._block`` builds a ``DayTree`` or day tables, so every
+  emulator of a block finds the one tree in its memo.
 
-Both are checked on the source with the standard library's ``ast``.
+All three are checked on the source with the standard library's ``ast``.
 """
 
 import ast
@@ -202,6 +204,23 @@ def hires_writes(sources: dict) -> tuple:
     return consumers, found
 
 
+def block_builders(sources: dict) -> list:
+    """(function, line) of every call that makes a DayTree or day tables,
+    named by the outermost function around it ("<module>" outside any)."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {}
+        for qual, _, fn in _functions(tree):     # outer ones come first
+            for sub in ast.walk(fn):
+                owner.setdefault(id(sub), qual)
+        found += [(f"{module}.{owner.get(id(sub), '<module>')}", sub.lineno)
+                  for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                  and getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                  in ("DayTree", "_build_day_tables")]
+    return sorted(found)
+
+
 def _package_sources() -> dict:
     return {path.stem: path.read_text()
             for path in sorted(PACKAGE.glob("*.py"))}
@@ -270,3 +289,22 @@ def test_no_consumer_writes_into_step_hires():
                          "policies.MiscoverageWrapper.step",
                          "policies.ReleasePolicy.step"}
     assert found == []
+
+
+def test_guard_sees_block_builders():
+    source = (
+        "def _block(c, a):\n"
+        "    def build():\n        return DayTree(_build_day_tables(c, a))\n"
+        "    return build()\n"
+        "class Emulator:\n"
+        "    def __init__(self, c, a):\n"
+        "        self.tree = keep(DayTree(()))\n"
+        "tables = emulator._build_day_tables(c, a)\n")
+    assert block_builders({"m": source}) == [
+        ("m.<module>", 8), ("m.Emulator.__init__", 7), ("m._block", 3),
+        ("m._block", 3)]
+
+
+def test_only_block_builds_day_trees_and_tables():
+    assert {where for where, _ in block_builders(_package_sources())} == {
+        "emulator._block"}

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from collections import OrderedDict
 from dataclasses import replace
 from functools import partial
@@ -645,9 +644,8 @@ def test_release_memo_cap_and_read_only_entries(monkeypatch):
     memo.clear()
     policy = ReleasePolicy(problem, memo)
     policy.step(DayObservation(1, PredictionInterval(0.0, 0.5)))
-    (objective, hires, releases, tree), = memo.values()
+    (objective, hires, releases), = memo.values()
     assert objective == policy.objective
-    assert tree is policy.runner.emulator.tree
     for block in (hires, *releases.values()):
         with pytest.raises(ValueError):
             block[0] = 1.0
@@ -662,14 +660,12 @@ def test_release_memo_cap_and_read_only_entries(monkeypatch):
      "e5c1c6e62ea6c856d9f0dada9eb2225848ae3bdad5aac372a5ece14173d300f2")])
 def test_release_oracle_builds_each_block_once(step, blocks, digest,
                                                monkeypatch, capsys):
-    # Each sequence's two epochs play two blocks in turn.  The release memo
-    # keeps each epoch's emulator block, so every distinct block's day
-    # tables are built once per command and its tree serves the days it
-    # holds; the output is the one the emulator's one-entry memo gave
-    # (digests of the stdout from before the blocks were kept).
-    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
-    monkeypatch.setattr(emulator_module, "_kept_blocks",
-                        weakref.WeakValueDictionary())
+    # Each sequence's two epochs play two blocks in turn.  The emulator's
+    # block memo keeps both, so every distinct block's day tables are built
+    # once per command and its tree serves the days it holds; the output
+    # is the one a one-entry memo gave (digests of the stdout from before
+    # the blocks were kept).
+    monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     tables, steps = [], []
     build = emulator_module._build_day_tables
     monkeypatch.setattr(emulator_module, "_build_day_tables",

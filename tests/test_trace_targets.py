@@ -9,6 +9,7 @@ traced benchmark run fails.
 
 import importlib
 import os
+from collections import OrderedDict
 
 import pytest
 
@@ -63,7 +64,7 @@ def test_every_note_reads_a_real_call(tracer, monkeypatch):
             prefix += (r_hat,)
             prefixes.add(prefix)
     # A fresh memo: what earlier tests played on this block is not reused.
-    monkeypatch.setattr(emulator_module, "_last_tables", [None, (), None])
+    monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     t = tracer.Tracer()
     t.install()
     try:
