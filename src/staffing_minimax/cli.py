@@ -252,7 +252,11 @@ def _policy_factory(name: str, c: _PolicyContext):
 
 def _stations(problem, name: str, gamma) -> list:
     """(label, instance, factory of fresh `name` policies) for each station
-    `run` and `oracle` drive; a single-demand file is one, unlabelled."""
+    `run` and `oracle` drive; a single-demand file is one, unlabelled.
+    Only greedy_target reads gamma."""
+    if gamma is not None and name != "greedy_target":
+        raise CliInputError(f"--gamma sets greedy_target's target; policy "
+                            f"{name!r} does not read it")
     inst = problem.base if isinstance(problem, ReleaseInstance) else problem
     made = _policy_factory(name, _PolicyContext(inst, problem, gamma, None,
                                                 {}))

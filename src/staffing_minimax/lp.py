@@ -1,12 +1,18 @@
 """Generic linear programs and a self-contained dense simplex solver.
 
-Models here are tiny (at most a few thousand rows), so the solver favors
-determinism and transparency over speed: a dense two-phase tableau with
-Bland's anti-cycling rule.  Identical models always produce identical
-solutions, which the test suite and the canonical-profile machinery rely on.
-The kernel is bitwise: every live tableau entry gets the same IEEE operations
-in the same order, and ratio ties break in the same order (the artificial
-columns go once phase 1 ends, as they would stay zero and unread).
+Models here are small (a resolving day's program has about 8-19 rows, none
+has more than a few thousand), so a solve costs NumPy calls more than
+arithmetic.  The solver is a dense two-phase tableau with Bland's
+anti-cycling rule, kept lean in calls: the ratio test runs on Python floats,
+a pivot updates the tableau through one scratch product array, and a cost
+row is loaded as one product array folded left by np.subtract.reduce.
+Identical models always produce identical solutions, which the test suite
+and the canonical-profile machinery rely on.  The kernel is bitwise: every
+live tableau entry gets the same IEEE operations in the same order (a pivot
+row divided, then x - f * y for every row, f = 0.0 on the pivot row; a cost
+row c - cost * row, one basis row at a time in row order), and ratio ties
+break in the same order (the artificial columns go once phase 1 ends, as
+they would stay zero and unread).
 
 Lexicographic refinement solves a chain of stages, each the one before plus
 one pinned "=" row.  A stage replays the previous stage's record (phase-1
@@ -169,46 +175,63 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
                  max_iter: int, pivots: Optional[list] = None) -> str:
-    """Minimize the objective encoded in the last tableau row, Bland's rule.
+    """Minimize the objective encoded in the last tableau row, Bland's rule;
+    returns "optimal", "unbounded" or "iteration limit exceeded".
 
     Entering: lowest-index column with reduced cost < -COST_TOL.
     Leaving: minimum ratio; ties broken by the lowest basis variable index.
-    The ratio test runs on Python floats: the same IEEE double division and
-    comparisons as on NumPy scalars, in the same row order.  pivots, when
-    given, receives each pivot's entering column and its row after the
-    division, the row that _pivot subtracts from the others.
+    The ratio test runs on Python floats, in one pass over the rows: the
+    same IEEE double division and comparisons as on NumPy scalars, in the
+    same row order.  Each pivot is _pivot's arithmetic, entry for entry: the
+    pivot row divided in place, then every row minus its entry in the
+    entering column (0.0 for the pivot row) times the divided row, through
+    one scratch product array.  pivots, when given, receives each pivot's
+    entering column and a copy of the divided row.
     """
     m = T.shape[0] - 1
+    cost, rhs = T[-1, :n_cols], T[:m, -1]
+    # A 0-d array compares faster than the Python float, with the same bits.
+    order, work, tol = basis.tolist(), None, np.array(-COST_TOL)
     for _ in range(max_iter):
-        neg = T[-1, :n_cols] < -COST_TOL
+        neg = cost < tol
         enter = int(neg.argmax())
         if not neg[enter]:
             return "optimal"
-        col = T[:m, enter]
-        rows = (col > PIVOT_TOL).nonzero()[0].tolist()
-        if not rows:
+        col, top, leave = T[:, enter].tolist(), rhs.tolist(), -1
+        for i in range(m):
+            if col[i] > PIVOT_TOL:
+                ratio = top[i] / col[i]
+                if leave < 0 or ratio < best - 1e-12 or (
+                        abs(ratio - best) <= 1e-12
+                        and order[i] < order[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
             return "unbounded"
-        col, rhs = col.tolist(), T[:m, -1].tolist()
-        leave = rows[0]
-        best = rhs[leave] / col[leave]
-        for i in rows[1:]:
-            ratio = rhs[i] / col[i]
-            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12
-                                        and basis[i] < basis[leave]):
-                best, leave = ratio, i
+        y = T[leave]
+        y /= col[leave]
         if pivots is not None:
-            pivots.append((enter, T[leave] / T[leave, enter]))
-        _pivot(T, basis, leave, enter)
-    raise NumericFailure("simplex iteration limit exceeded")
+            pivots.append((enter, y.copy()))
+        if work is None:
+            work, f = np.empty_like(T), np.empty((m + 1, 1))
+        col[leave] = 0.0
+        f[:, 0] = col
+        np.multiply(f, y, out=work)
+        T -= work
+        basis[leave] = order[leave] = enter
+    return "iteration limit exceeded"
 
 
 def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
     """Put the cost row c in the tableau's last row and price out the basic
-    columns, one basis row at a time (this order fixes the output bits)."""
-    T[-1] = c
+    columns: c minus cost * row for each basis row with a nonzero cost, one
+    row at a time in row order (this order fixes the output bits).
+    np.subtract.reduce along axis 0 is that left fold."""
     cb = c[basis]
-    for r in cb.nonzero()[0].tolist():
-        T[-1] -= cb[r] * T[r]
+    rows = cb.nonzero()[0]
+    P = np.empty((rows.size + 1, c.size))
+    P[0] = c
+    np.multiply(cb.take(rows)[:, None], T.take(rows, 0), out=P[1:])
+    np.subtract.reduce(P, axis=0, out=T[-1])
 
 
 @dataclass
@@ -275,13 +298,13 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     n_real = n + slack_rows.size
     n_total = n_real + art_rows.size
     T = np.zeros((m + 1, n_total + 1))
-    T[:m, :n] = A * flip[:, None]
-    T[:m, -1] = b * flip
+    np.multiply(A, flip[:, None], out=T[:m, :n])
+    np.multiply(b, flip, out=T[:m, -1])
+    slack, art = np.arange(n, n_real), np.arange(n_real, n_total)
+    T[slack_rows, slack] = s[slack_rows]
+    T[art_rows, art] = 1.0
     basis = np.empty(m, dtype=int)
-    basis[slack_rows] = np.arange(n, n_real)
-    T[slack_rows, basis[slack_rows]] = s[slack_rows]
-    basis[art_rows] = np.arange(n_real, n_total)
-    T[art_rows, basis[art_rows]] = 1.0
+    basis[slack_rows], basis[art_rows] = slack, art
     max_iter = 2000 + 200 * (m + n_total)
 
     if art_rows.size:
@@ -291,16 +314,19 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         _load_costs(T, basis, c1)
         if record is not None:
             record.cost = T[-1].copy()
-        if _run_simplex(T, basis, n_total, max_iter,
-                        None if record is None else record.pivots
-                        ) == "unbounded":
-            raise NumericFailure("phase 1 unbounded")
+        status = _run_simplex(T, basis, n_total, max_iter,
+                              None if record is None else record.pivots)
+        if status != "optimal":
+            raise NumericFailure(f"{name}: phase 1 {status} ({m} rows x {n} "
+                                 f"columns, limit {max_iter} pivots)")
         if -T[-1, -1] > 1e-7:
-            raise LpInfeasible(name)
+            raise LpInfeasible(
+                f"{name}: infeasible, {m} rows x {n} columns: phase-1 "
+                f"residual {-T[-1, -1]:.6g} > 1e-07")
         # The artificials are zero from here on and never enter, so their
         # columns go.  Those still basic (at zero) are driven out on the
         # first real column that can pivot; a row with none is redundant.
-        T = np.hstack((T[:, :n_real], T[:, -1:]))
+        T = np.concatenate((T[:, :n_real], T[:, -1:]), axis=1)
         for r in (basis >= n_real).nonzero()[0].tolist():
             nz = np.abs(T[r, :n_real]) > PIVOT_TOL
             j = int(nz.argmax())
@@ -309,7 +335,8 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                     record.drives.append((j, T[r] / T[r, j]))
                 _pivot(T, basis, r, j)
         live = basis < n_real
-        T, basis = T[np.append(live, True)], basis[live]
+        if not live.all():
+            T, basis = T[np.append(live, True)], basis[live]
     if record is not None:
         record.T, record.basis = T.copy(), basis.copy()
         record.n_total = n_total
@@ -323,8 +350,12 @@ def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
     optimality certificate against the rows (A, sense, b)."""
     m, n = A.shape
     _load_costs(T, basis, np.concatenate((c, np.zeros(n_real + 1 - n))))
-    if _run_simplex(T, basis, n_real, max_iter) == "unbounded":
+    status = _run_simplex(T, basis, n_real, max_iter)
+    if status == "unbounded":
         raise LpUnbounded(name)
+    if status != "optimal":
+        raise NumericFailure(f"{name}: phase 2 {status} ({m} rows x {n} "
+                             f"columns, limit {max_iter} pivots)")
 
     x = np.zeros(n_real)
     x[basis] = T[:-1, -1]
@@ -334,17 +365,19 @@ def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
 
     # Optimality certificate: each row's violation (Ax - b signed by its
     # sense, |Ax - b| for =), and nonnegative x and reduced costs.  A NaN
-    # violation fails and counts as the worst.
+    # violation fails and counts as the worst.  The ufunc reductions are
+    # the checks (viol <= CHECK_TOL).all() and reduced.min() < -CHECK_TOL,
+    # NaN included, without the method wrappers.
     d = A @ xs - b
     viol = np.where(sense, sense * d, np.abs(d))
     failed = []
-    if not (viol <= CHECK_TOL).all():
+    if not np.maximum.reduce(viol) <= CHECK_TOL:
         r = int(np.argmax(np.where(np.isnan(viol), np.inf, viol)))
         failed.append(f"row {r} of {m} ({('=', '<=', '>=')[sense[r]]}) is "
                       f"off by {viol[r]:.6g}")
     if (xs < -CHECK_TOL).any():
         failed.append(f"x[{xs.argmin()}] = {xs.min():.6g}")
-    if reduced.min() < -CHECK_TOL:
+    if np.minimum.reduce(reduced) < -CHECK_TOL:
         failed.append(f"reduced cost of x[{reduced.argmin()}] = "
                       f"{reduced.min():.6g}")
     if failed:

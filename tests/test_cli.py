@@ -814,3 +814,27 @@ def test_cap_below_one_or_negative_gamma_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, policy", [
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "lp_emulator", "--sequence", "random:1", "--gamma", "-1"],
+     "lp_emulator"),
+    (["run", "--instance", instance_path("fig3a.json"), "--policy",
+      "lp_resolving", "--sequence", "random:1", "--gamma", "2"],
+     "lp_resolving"),
+    (["oracle", "--instance", instance_path("fig3a.json"), "--gamma", "-1"],
+     "lp_emulator"),
+    (["oracle", "--instance", instance_path("fig3a.json"), "--policy",
+      "lp_resolving", "--grid-step", "0.5", "--gamma", "0"],
+     "lp_resolving"),
+], ids=["run-lp_emulator", "run-lp_resolving", "oracle-default",
+        "oracle-lp_resolving"])
+def test_gamma_with_other_policy_exit_2(capsys, argv, policy):
+    # Only greedy_target reads --gamma; any other policy used to ignore it
+    # and exit 0, as if the flag had not been given.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert (f"--gamma sets greedy_target's target; policy {policy!r} does "
+            "not read it") in err

@@ -1,16 +1,18 @@
 """Solver unit tests, cross-checked against brute-force vertex enumeration."""
 
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import random_multi_pool, random_single_pool
-from staffing_minimax import lp
+from conftest import instance_path, random_multi_pool, random_single_pool
+from staffing_minimax import bayesian, lp
+from staffing_minimax.cli import _policy_factories
 from staffing_minimax.lp import (
-    COST_TOL, PIVOT_TOL, LpError, LpInfeasible, LpModel, LpUnbounded,
-    NumericFailure, refine_lexicographic, solve_lp)
+    CHECK_TOL, COST_TOL, PIVOT_TOL, LpError, LpInfeasible, LpModel,
+    LpSolution, LpUnbounded, NumericFailure, refine_lexicographic, solve_lp)
 from staffing_minimax.programs import minimax_value_and_profile
 
 
@@ -81,12 +83,53 @@ def test_equality_and_degenerate_rows():
 
 
 def test_infeasible_detected():
-    m = LpModel()
+    m = LpModel(name="infeasible-demo")
     x = m.add_var("x", obj=1.0)
     m.add_row({x: 1.0}, ">=", 2.0)
     m.add_row({x: 1.0}, "<=", 1.0)
-    with pytest.raises(LpInfeasible):
+    with pytest.raises(LpInfeasible, match=re.escape(
+            "infeasible-demo: infeasible, 2 rows x 1 columns: phase-1 "
+            "residual 1 > 1e-07")):
         solve_lp(m)
+
+
+def _two_equalities():
+    # Phase 1 needs two pivots, phase 2 one more.
+    m = LpModel(name="two-eq")
+    for j in range(3):
+        m.add_var(f"x{j}", obj=(1.0, 2.0, -1.0)[j])
+    m.add_row({0: 1.0, 1: 1.0}, "=", 2.0)
+    m.add_row({1: 1.0, 2: 1.0}, "=", 1.0)
+    m.add_row({2: 1.0}, "<=", 1.0)
+    return m
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_iteration_limit_names_model_phase_size_and_limit(monkeypatch,
+                                                          phase):
+    # 3 rows, 3 + 1 slack + 2 artificial columns: 2000 + 200 * (3 + 6).
+    run, calls = lp._run_simplex, []
+
+    def one_pivot(T, basis, n_cols, max_iter, pivots=None):
+        calls.append(max_iter)
+        return run(T, basis, n_cols, max_iter if len(calls) != phase else 1,
+                   pivots)
+
+    monkeypatch.setattr(lp, "_run_simplex", one_pivot)
+    with pytest.raises(NumericFailure, match=re.escape(
+            f"two-eq: phase {phase} iteration limit exceeded (3 rows x 3 "
+            "columns, limit 3800 pivots)")):
+        solve_lp(_two_equalities())
+    assert calls[-1] == 3800
+
+
+def test_phase_1_unbounded_names_model_size_and_limit(monkeypatch):
+    # Phase 1 is bounded below by 0, so only numerical trouble gets here.
+    monkeypatch.setattr(lp, "_run_simplex", lambda *args: "unbounded")
+    with pytest.raises(NumericFailure, match=re.escape(
+            "two-eq: phase 1 unbounded (3 rows x 3 columns, limit 3800 "
+            "pivots)")):
+        solve_lp(_two_equalities())
 
 
 def test_unbounded_detected():
@@ -344,8 +387,8 @@ def kernel_runs(monkeypatch):
         return got
 
     monkeypatch.setattr(lp, "_run_simplex", checked_run)
-    # Inside checked_run the kernel pivots with lp._pivot, so every pivot it
-    # makes is also checked one by one.
+    # The kernel pivots through its own scratch array; lp._pivot is the
+    # drive-out's and the replay's pivot, checked one by one here.
     monkeypatch.setattr(lp, "_pivot", checked_pivot)
     monkeypatch.setattr(lp, "_phase_two", noted_phase_two)
     monkeypatch.setattr(lp, "_replay", checked_replay)
@@ -414,3 +457,216 @@ def test_kernel_identity_signed_zeros(kernel_runs):
     refine_lexicographic(model, solve_lp(model), [
         ({0: -1.0}, "min"), ({2: -1.0}, "min"), ({1: -1.0}, "max")])
     assert "replay tableau" in kernel_runs
+
+
+# --- Solve identity on resolving traffic -------------------------------------
+# The cost-row load and the two-phase solve as they were before the leaner
+# kernel (a cost row priced out one basis row at a time, the tableau set up,
+# driven out and certified with more NumPy calls), kept verbatim as the
+# oracle beside _oracle_run_simplex and _oracle_pivot.
+
+def _oracle_load_costs(T: np.ndarray, basis: np.ndarray,
+                       c: np.ndarray) -> None:
+    T[-1] = c
+    cb = c[basis]
+    for r in cb.nonzero()[0].tolist():
+        T[-1] -= cb[r] * T[r]
+
+
+def _oracle_two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
+                      c: np.ndarray, name: str,
+                      record=None) -> LpSolution:
+    m, n = A.shape
+    if m == 0:
+        x = np.zeros(n)
+        if np.any(c < -COST_TOL):
+            raise LpUnbounded(name)
+        return LpSolution(0.0, x, np.maximum(c, 0.0))
+
+    flip = np.where(b < 0, -1.0, 1.0)
+    s = sense * flip
+    slack_rows, art_rows = s.nonzero()[0], (s <= 0).nonzero()[0]
+    n_real = n + slack_rows.size
+    n_total = n_real + art_rows.size
+    T = np.zeros((m + 1, n_total + 1))
+    T[:m, :n] = A * flip[:, None]
+    T[:m, -1] = b * flip
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = np.arange(n, n_real)
+    T[slack_rows, basis[slack_rows]] = s[slack_rows]
+    basis[art_rows] = np.arange(n_real, n_total)
+    T[art_rows, basis[art_rows]] = 1.0
+    max_iter = 2000 + 200 * (m + n_total)
+
+    if art_rows.size:
+        c1 = np.zeros(n_total + 1)
+        c1[n_real:n_total] = 1.0
+        _oracle_load_costs(T, basis, c1)
+        if record is not None:
+            record.cost = T[-1].copy()
+        if _oracle_run_simplex(T, basis, n_total, max_iter,
+                               None if record is None else record.pivots
+                               ) == "unbounded":
+            raise NumericFailure("phase 1 unbounded")
+        if -T[-1, -1] > 1e-7:
+            raise LpInfeasible(name)
+        T = np.hstack((T[:, :n_real], T[:, -1:]))
+        for r in (basis >= n_real).nonzero()[0].tolist():
+            nz = np.abs(T[r, :n_real]) > PIVOT_TOL
+            j = int(nz.argmax())
+            if nz[j]:
+                if record is not None:
+                    record.drives.append((j, T[r] / T[r, j]))
+                _oracle_pivot(T, basis, r, j)
+        live = basis < n_real
+        T, basis = T[np.append(live, True)], basis[live]
+    if record is not None:
+        record.T, record.basis = T.copy(), basis.copy()
+        record.n_total = n_total
+    return _oracle_phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
+
+
+def _oracle_phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
+                      sense: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      n_real: int, max_iter: int, name: str) -> LpSolution:
+    m, n = A.shape
+    _oracle_load_costs(T, basis,
+                       np.concatenate((c, np.zeros(n_real + 1 - n))))
+    if _oracle_run_simplex(T, basis, n_real, max_iter) == "unbounded":
+        raise LpUnbounded(name)
+
+    x = np.zeros(n_real)
+    x[basis] = T[:-1, -1]
+    xs = x[:n]
+    objective = float(np.dot(c, xs))
+    reduced = T[-1, :n].copy()
+
+    d = A @ xs - b
+    viol = np.where(sense, sense * d, np.abs(d))
+    failed = []
+    if not (viol <= CHECK_TOL).all():
+        r = int(np.argmax(np.where(np.isnan(viol), np.inf, viol)))
+        failed.append(f"row {r} of {m} ({('=', '<=', '>=')[sense[r]]}) is "
+                      f"off by {viol[r]:.6g}")
+    if (xs < -CHECK_TOL).any():
+        failed.append(f"x[{xs.argmin()}] = {xs.min():.6g}")
+    if reduced.min() < -CHECK_TOL:
+        failed.append(f"reduced cost of x[{reduced.argmin()}] = "
+                      f"{reduced.min():.6g}")
+    if failed:
+        raise NumericFailure(
+            f"{name}: solution failed the optimality certificate: "
+            f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
+    xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
+    return LpSolution(objective, xs, reduced)
+
+
+def _chain_bytes(chain) -> tuple:
+    return (chain.cost.tobytes() if chain.cost is not None else None,
+            [(e, y.tobytes()) for e, y in chain.pivots],
+            [(j, y.tobytes()) for j, y in chain.drives],
+            chain.T.tobytes(), chain.basis.tobytes(), chain.n_total)
+
+
+@pytest.fixture
+def oracle_solves(monkeypatch):
+    """Check every cold solve (lp._two_phase) against _oracle_two_phase on
+    copies of its inputs, and every replayed refinement stage against a cold
+    oracle solve of the same stage: the tableau and basis just before phase
+    2, x, the objective's repr, the reduced costs, and a recorded chain.
+    Returns one name per checked solve.  Phase 2 starts by overwriting the
+    cost row, so a replay, which pushes only its new rows, is checked on the
+    constraint rows alone."""
+    two_phase, phase_two, replay = lp._two_phase, lp._phase_two, lp._replay
+    before, checked = [], []
+
+    def noted_phase_two(T, basis, *args):
+        before.append((T[:-1].tobytes(), T[-1].tobytes(), basis.tobytes()))
+        return phase_two(T, basis, *args)
+
+    def compare(got, want, chain, cost_row=True):
+        (rows, cost, basis), = before
+        assert rows == chain.T[:-1].tobytes()
+        assert not cost_row or cost == chain.T[-1].tobytes()
+        assert basis == chain.basis.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert repr(got.objective) == repr(want.objective)
+        assert got.reduced_costs.tobytes() == want.reduced_costs.tobytes()
+
+    def checked_two_phase(A, sense, b, c, name, record=None):
+        chain = lp._Chain()
+        args = (A.copy(), sense.copy(), b.copy(), c.copy(), name)
+        before.clear()
+        try:
+            want = _oracle_two_phase(*args, chain)
+        except LpError as exc:
+            with pytest.raises(type(exc)):
+                two_phase(A, sense, b, c, name, record)
+            checked.append("error")
+            raise
+        got = two_phase(A, sense, b, c, name, record)
+        compare(got, want, chain)
+        if record is not None:
+            assert _chain_bytes(record) == _chain_bytes(chain)
+        checked.append(name if record is None else name + " recorded")
+        return got
+
+    def checked_replay(chain, A, sense, b, c, name, keep):
+        before.clear()
+        got = replay(chain, A, sense, b, c, name, keep)
+        cold = lp._Chain()
+        compare(got, _oracle_two_phase(A, sense, b, c, name, cold), cold,
+                cost_row=False)
+        checked.append(name + " replayed")
+        return got
+
+    monkeypatch.setattr(lp, "_two_phase", checked_two_phase)
+    monkeypatch.setattr(lp, "_phase_two", noted_phase_two)
+    monkeypatch.setattr(lp, "_replay", checked_replay)
+    return checked
+
+
+def test_solves_match_oracle_on_resolving_traffic(oracle_solves):
+    # The resolving base and stage programs of bench_long, the traffic the
+    # world_lp benchmark times.
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    process = bayesian.DemandProcess(int(config["horizon"]),
+                                     float(config["prior_hi"]))
+    table = bayesian.CalibrationTable.from_dict(config["calibration"])
+    inst = bayesian.forecast_instance(
+        config["pool_sizes"], config["availability"], table,
+        float(config["under_cost"]), float(config["over_cost"]), process)
+    factories = _policy_factories(["lp_resolving"], inst, process, {})
+    bayesian.run_bayesian_world(inst, process, table, factories, 5,
+                                int(config["seed"]))
+    assert len(oracle_solves) > 100
+    assert any(s.endswith("recorded") for s in oracle_solves)
+    assert any(s.endswith("replayed") for s in oracle_solves)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subtract_reduce_is_a_left_fold(seed):
+    # _load_costs folds its product rows with np.subtract.reduce(axis=0) and
+    # relies on it subtracting them one at a time, in row order, as
+    # T[-1] -= p does; a pairwise or blocked order would change the bits.
+    # Rows of mixed magnitudes and signed zeros, some fancy-indexed.
+    rng = np.random.default_rng([seed, 26])
+    for _ in range(50):
+        m, w = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+        T = rng.standard_normal((m + 1, w)) * 10.0 ** rng.integers(
+            -12, 13, size=(m + 1, w))
+        T[rng.random(T.shape) < 0.2] = 0.0
+        T[rng.random(T.shape) < 0.2] = -0.0
+        rows = rng.permutation(m + 1)
+        for Q in (T[rows], T[rows].T.copy().T, T[rows, ::-1]):
+            want = Q[0].copy()
+            for q in Q[1:]:
+                want -= q
+            assert np.subtract.reduce(Q, axis=0).tobytes() == want.tobytes()
+        basis = rng.permutation(w)[:m] if m <= w else rng.integers(0, w, m)
+        c = T[-1] * (rng.random(w) < 0.7)
+        got, want = T.copy(), T.copy()
+        lp._load_costs(got, basis, c)
+        _oracle_load_costs(want, basis, c)
+        assert got.tobytes() == want.tobytes()
