@@ -5,7 +5,8 @@ has more than a few thousand), so a solve costs NumPy calls more than
 arithmetic.  The solver is a dense two-phase tableau with Bland's
 anti-cycling rule, kept lean in calls: the ratio test runs on Python floats,
 a pivot updates the tableau through one scratch product array, and a cost
-row is loaded as one product array folded left by np.subtract.reduce.
+row is loaded as one product array folded left by np.subtract.reduce (or,
+for one basis row, one multiply and one subtract).
 Identical models always produce identical solutions, which the test suite
 and the canonical-profile machinery rely on.  The kernel is bitwise: every
 live tableau entry gets the same IEEE operations in the same order (a pivot
@@ -26,6 +27,25 @@ The pins' coefficients are known before any stage solves, so once a chain
 has replayed a stage, its remaining pins go through the recorded pivots in
 one batch, and each stage pushes only its right-hand side.
 
+Re-solves of one row set walk recorded pivot paths.  A row set is the
+read-only A and sense that a model shares with every with_rhs copy (a
+resolving day's programs share one), and it carries a memo (_Paths) keyed
+by which right-hand sides are negative, which orients the rows, and by
+the cost vector; refine_lexicographic keeps its stacked stage rows with
+the model's rows, keyed by the objective and the targets, so the stages
+of one day share memos too.  In a tableau the entering columns, the
+drive-outs and the row drop read only the rows, the orientation, the
+costs and the pivots already taken; the right-hand sides only choose each
+leaving row (Chvatal 1983, Linear Programming, ch. 10).  So a solve whose
+leaving rows follow a recorded path redoes the right-hand-side column
+alone, with the kernel's IEEE operations in its order (_Trie.walk), takes
+the final basis and reduced costs from the path's end and runs the
+certificate as a cold solve does: every output byte is the cold solve's.
+A solve that leaves the recorded paths, or whose phase 1 ends infeasible,
+solves cold and raises or records as before.  A key records from its
+second solve on, so a model solved once records nothing.  The memo lives
+as long as its rows, and holds at most PATH_NODES keys and nodes.
+
 A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
 minimization objective.
 """
@@ -33,6 +53,7 @@ minimization objective.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +89,7 @@ class LpModel:
     var_names: List[str] = field(default_factory=list)
     objective: List[float] = field(default_factory=list)
     rows: List[Tuple[Dict[int, float], str, float]] = field(default_factory=list)
-    # ((n_rows, n_vars), A, sense); see _dense_rows.
+    # ((n_rows, n_vars), A, sense, paths); see _dense_rows.
     _coefficients: Optional[tuple] = field(default=None, init=False,
                                            repr=False, compare=False)
 
@@ -101,9 +122,10 @@ class LpModel:
         return len(self.rows)
 
     def _dense_rows(self) -> tuple:
-        """((n_rows, n_vars), A, sense), built once while those counts stay
-        as they are: rows are only ever appended, so equal counts mean the
-        same rows.  A and sense are read-only."""
+        """((n_rows, n_vars), A, sense, paths), built once while those counts
+        stay as they are: rows are only ever appended, so equal counts mean
+        the same rows.  A and sense are read-only; paths is their pivot-path
+        memo (_Paths), which lives as long as they do."""
         size = (self.n_rows, self.n_vars)
         cached = self._coefficients
         if cached is None or cached[0] != size:
@@ -114,7 +136,7 @@ class LpModel:
             sense = np.array([_SENSE[rel] for _, rel, _ in self.rows],
                              dtype=int)
             A.flags.writeable = sense.flags.writeable = False
-            cached = self._coefficients = (size, A, sense)
+            cached = self._coefficients = (size, A, sense, _Paths())
         return cached
 
     def dense(self):
@@ -122,7 +144,7 @@ class LpModel:
         =.  A and sense are built once per row set and shared read-only by
         every call (and by every model with_rhs makes); b is built on each
         call."""
-        _, A, sense = self._dense_rows()
+        _, A, sense, _ = self._dense_rows()
         return A, sense, np.array([rhs for _, _, rhs in self.rows],
                                   dtype=float)
 
@@ -130,8 +152,9 @@ class LpModel:
         """A new model named `name` with this model's variables and rows but
         the right-hand sides rhs, one per row, checked as add_row checks
         them.  Its lists are its own, so adding to it or renaming it leaves
-        this model as it is; the coefficient dicts and the dense A and sense
-        are this model's, shared because nothing writes them once made."""
+        this model as it is; the coefficient dicts, the dense A and sense and
+        their pivot-path memo are this model's, shared because nothing
+        writes the rows once made."""
         if len(rhs) != self.n_rows:
             raise LpError(f"{len(rhs)} right-hand sides for {self.n_rows} "
                           "rows")
@@ -174,7 +197,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
-                 max_iter: int, pivots: Optional[list] = None) -> str:
+                 max_iter: int, pivots: Optional[list] = None,
+                 path: Optional[list] = None) -> str:
     """Minimize the objective encoded in the last tableau row, Bland's rule;
     returns "optimal", "unbounded" or "iteration limit exceeded".
 
@@ -186,7 +210,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
     pivot row divided in place, then every row minus its entry in the
     entering column (0.0 for the pivot row) times the divided row, through
     one scratch product array.  pivots, when given, receives each pivot's
-    entering column and a copy of the divided row.
+    entering column and a copy of the divided row; path, each pivot's
+    entering column, leaving row and entering column entries (cost row
+    last) before the pivot, as a _Trie records them.
     """
     m = T.shape[0] - 1
     cost, rhs = T[-1, :n_cols], T[:m, -1]
@@ -207,6 +233,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
                     best, leave = ratio, i
         if leave < 0:
             return "unbounded"
+        if path is not None:
+            path.append((enter, leave, col[:]))
         y = T[leave]
         y /= col[leave]
         if pivots is not None:
@@ -225,13 +253,216 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
     """Put the cost row c in the tableau's last row and price out the basic
     columns: c minus cost * row for each basis row with a nonzero cost, one
     row at a time in row order (this order fixes the output bits).
-    np.subtract.reduce along axis 0 is that left fold."""
+    np.subtract.reduce along axis 0 is that left fold; one row, the common
+    phase-2 case, takes one multiply and one subtract, the same roundings."""
     cb = c[basis]
     rows = cb.nonzero()[0]
+    if rows.size == 1:
+        r = rows[0]
+        np.multiply(T[r], cb[r], out=T[-1])
+        np.subtract(c, T[-1], out=T[-1])
+        return
     P = np.empty((rows.size + 1, c.size))
     P[0] = c
     np.multiply(cb.take(rows)[:, None], T.take(rows, 0), out=P[1:])
     np.subtract.reduce(P, axis=0, out=T[-1])
+
+
+# The most keys, pivot nodes and phase ends one row set's memo holds (see
+# _Paths); once full it records nothing more, and the paths it holds keep
+# serving.  A pivot node takes (m + 1) * 8 + 12 bytes for m rows, so this
+# bounds a 20-row set near 100 KB.  The 28 row sets of a world_lp run (14
+# days, base and stage rows) hold about 10,500 at this bound after eight
+# passes, and walks serve about 77% of a warm pass's solves; unbounded,
+# they would hold 27,000 (about 5 MB more peak memory) and serve 94%.
+PATH_NODES = 512
+_UNSEEN = object()
+
+
+class _Paths:
+    """The pivot-path memo of one row set: the read-only A and sense that
+    a model's _dense_rows shares with every with_rhs copy.  tries maps the
+    key of a solve, the bytes of b < 0 (which orients the rows, and so
+    fixes the tableau's columns and starting basis) and of its cost vector
+    c, to None once the key has been solved, and to the _Trie of its
+    recorded paths from the second solve on.  nodes counts the keys and
+    trie nodes held against PATH_NODES.  stages is refine_lexicographic's
+    stacked stage rows for one objective and target list, with their own
+    memo: (key, A, sense, _Paths)."""
+
+    __slots__ = ("tries", "nodes", "stages")
+
+    def __init__(self):
+        self.tries: dict = {}
+        self.nodes = 0
+        self.stages: Optional[tuple] = None
+
+
+class _Trie:
+    """The pivot paths recorded for one key of a row set of m rows and n
+    columns, in flat arrays: (m + 1) * 8 + 12 bytes a pivot node.
+
+    A path is linked: a link is a pivot node (>= 0), a phase end (<= -2)
+    or missing (-1).  Pivot node k has entering column enter[k] and that
+    column's entries before the pivot, cost row last, in
+    cols[k * (m + 1):(k + 1) * (m + 1)]; its first recorded leaving row is
+    leave[k], followed by child[k], and any other leaving row i by
+    more[k * m + i].  root links the start.  Phase 1's end -2 - e links
+    phase 2's first node at ends[3 * e] and runs ends[3 * e + 2] drive-outs
+    from d = ends[3 * e + 1] on: drive-out d pivots on row drives[2 * d]
+    and column drives[2 * d + 1], whose entries, the pivot's included, are
+    drive_cols[d * m:(d + 1) * m]; live[e] lists the rows it keeps, where
+    it drops any.  Phase 2's end -2 - e keeps the final basis in
+    basis_at[e * m:] (its first m or live-row count entries) and the
+    reduced costs in reduced_at[e * n:].
+    basis, art and n_real are what the key fixes: the starting basis, the
+    artificial rows (none: root is phase 1's end) and the columns kept
+    after phase 1.  A row dropped after phase 1 keeps its index, with
+    entry 0.0 in every later column, so it never takes part."""
+
+    __slots__ = ("m", "n", "basis", "art", "n_real", "root", "enter",
+                 "cols", "leave", "child", "more", "ends", "drives",
+                 "drive_cols", "live", "basis_at", "reduced_at")
+
+    def __init__(self, m: int, n: int, basis: list, art: list, n_real: int):
+        self.m, self.n, self.basis, self.art = m, n, basis, art
+        self.n_real, self.root = n_real, -1
+        self.enter, self.cols = array("i"), array("d")
+        self.leave, self.child, self.more = array("i"), array("i"), {}
+        self.ends, self.drives, self.drive_cols = (array("i"), array("i"),
+                                                   array("d"))
+        self.live, self.basis_at, self.reduced_at = {}, array("i"), array("d")
+
+    def _follow(self, link: int, top: list, z: float, order: list):
+        """Walk pivot nodes from link to the next phase end: (the end's
+        link, or -1 where the path leaves the trie; the right-hand sides;
+        the cost row's)."""
+        m, w = self.m, self.m + 1
+        enter, cols, leaves, child = (self.enter, self.cols, self.leave,
+                                      self.child)
+        while link >= 0:
+            col = cols[link * w:link * w + w].tolist()
+            # A recorded node has left by some row, and which rows qualify
+            # reads col alone, so leave is found.
+            leave = -1
+            for i in range(m):
+                if col[i] > PIVOT_TOL:
+                    ratio = top[i] / col[i]
+                    if leave < 0 or ratio < best - 1e-12 or (
+                            abs(ratio - best) <= 1e-12
+                            and order[i] < order[leave]):
+                        best, leave = ratio, i
+            order[leave] = enter[link]
+            link = (child[link] if leaves[link] == leave
+                    else self.more.get(link * m + leave, -1))
+            r = top[leave] = top[leave] / col[leave]
+            col[leave] = 0.0
+            z -= col[m] * r
+            top = [t - f * r for t, f in zip(top, col)]
+        return link, top, z
+
+    def walk(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
+             c: np.ndarray, name: str) -> Optional[LpSolution]:
+        """The solve of right-hand sides b, as _two_phase would return it,
+        or None where its path leaves the trie or phase 1 ends infeasible.
+
+        The entering columns, drive-outs and row drop read only the rows,
+        the orientation, the cost vector and the pivots taken, all fixed
+        along a path; b chooses each leaving row.  So the walk redoes the
+        right-hand-side column alone, with the kernel's IEEE operations in
+        its order: the ratio test of _run_simplex on the same floats, the
+        pivot row's entry divided, then every entry minus its column entry
+        (0.0 on the pivot row) times that quotient, and phase 1's cost-row
+        entry as _load_costs folds it.  Phase 2's cost-row entry is never
+        read, and the certificate then runs as in a cold solve."""
+        m = self.m
+        # b * flip: -v is v * -1.0 exactly, and -0.0 is not flipped.
+        top = [-v if v < 0 else v for v in b.tolist()]
+        z = 0.0
+        for r in self.art:
+            z -= top[r]                 # 1.0 * top[r] is top[r]
+        order = list(self.basis)
+        link, top, z = self._follow(self.root, top, z, order)
+        if link == -1 or -z > 1e-7:
+            return None
+        e = -2 - link
+        link, d, count = self.ends[3 * e:3 * e + 3]
+        for d in range(d, d + count):
+            row, j = self.drives[2 * d:2 * d + 2]
+            col = self.drive_cols[d * m:d * m + m].tolist()
+            r = top[row] = top[row] / col[row]
+            col[row] = 0.0
+            top = [t - f * r for t, f in zip(top, col)]
+            order[row] = j
+        live = self.live.get(e)
+        link, top, _ = self._follow(link, top, z, order)
+        if link == -1:
+            return None
+        e = -2 - link
+        if live is not None:
+            top = [top[i] for i in live]
+        basis = np.frombuffer(self.basis_at[e * m:e * m + len(top)],
+                              dtype=np.int32)
+        reduced = np.frombuffer(self.reduced_at[e * self.n:
+                                                (e + 1) * self.n])
+        return _certified(top, basis, reduced, A, sense, b, c, self.n_real,
+                          name)
+
+    def _get(self, at: Optional[int], leave: Optional[int]) -> int:
+        if at is None:
+            return self.root
+        if at < 0:                      # phase 1's end
+            return self.ends[3 * (-2 - at)]
+        if self.leave[at] == leave:
+            return self.child[at]
+        return self.more.get(at * self.m + leave, -1)
+
+    def _set(self, at: Optional[int], leave: Optional[int], link: int):
+        if at is None:
+            self.root = link
+        elif at < 0:
+            self.ends[3 * (-2 - at)] = link
+        elif self.leave[at] < 0:
+            self.leave[at], self.child[at] = leave, link
+        else:
+            self.more[at * self.m + leave] = link
+
+    def _add(self, step) -> int:
+        enter, leave, data = step
+        if enter is not None:
+            self.enter.append(enter)
+            self.cols.extend(data)
+            self.leave.append(-1)
+            self.child.append(-1)
+            return len(self.enter) - 1
+        if leave is not None:           # phase 1's end
+            e, (drives, drive_cols, live) = len(self.ends) // 3, data
+            self.ends.extend((-1, len(self.drives) // 2, len(drives) // 2))
+            self.drives.extend(drives)
+            self.drive_cols.extend(drive_cols)
+            if live is not None:
+                self.live[e] = live
+            return -2 - e
+        basis, reduced = data
+        self.basis_at.extend(basis.tolist() + [0] * (self.m - basis.size))
+        self.reduced_at.extend(reduced.tolist())
+        return -1 - len(self.basis_at) // self.m
+
+    def insert(self, steps: list, paths: _Paths) -> None:
+        """Add one solve's path, node by node while the row set holds fewer
+        than PATH_NODES.  steps are (entering column, leaving row, column
+        entries) for a pivot, (None, 0, phase-1 end data) and (None, None,
+        (final basis, reduced costs))."""
+        at = leave = None
+        for step in steps:
+            link = self._get(at, leave)
+            if link == -1:
+                if paths.nodes >= PATH_NODES:
+                    return
+                paths.nodes += 1
+                link = self._add(step)
+                self._set(at, leave, link)
+            at, leave = link, step[1]
 
 
 @dataclass
@@ -278,17 +509,36 @@ class _Diverged(Exception):
 
 
 def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
-               c: np.ndarray, name: str,
-               record: Optional[_Chain] = None) -> LpSolution:
+               c: np.ndarray, name: str, record: Optional[_Chain] = None,
+               paths: Optional[_Paths] = None) -> LpSolution:
     """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b); name
     labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp).
-    record, when given, receives what the next refinement stage replays."""
+    record, when given, receives what the next refinement stage replays.
+    paths, when given, is the memo of the row set (A, sense): a solve its
+    recorded paths hold is walked there and records nothing in record; any
+    other solves cold and, from its key's second solve on, records its path
+    (see the module docstring)."""
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
         if np.any(c < -COST_TOL):
             raise LpUnbounded(name)
         return LpSolution(0.0, x, np.maximum(c, 0.0))
+
+    steps = None
+    if paths is not None:
+        key = ((b < 0).tobytes(), c.tobytes())
+        trie = paths.tries.get(key, _UNSEEN)
+        if trie is _UNSEEN:
+            if paths.nodes < PATH_NODES:
+                paths.tries[key] = None
+                paths.nodes += 1
+        else:
+            if trie is not None:
+                out = trie.walk(A, sense, b, c, name)
+                if out is not None:
+                    return out
+            steps = []
 
     # Orient rows so rhs >= 0.  Rows with sense != 0 get a slack (+1) or
     # surplus (-1) column, rows with sense <= 0 an artificial after them.
@@ -306,6 +556,7 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     basis = np.empty(m, dtype=int)
     basis[slack_rows], basis[art_rows] = slack, art
     max_iter = 2000 + 200 * (m + n_total)
+    start, drives, drive_cols, live_rows = basis.tolist(), [], [], None
 
     if art_rows.size:
         # Phase 1: minimize the sum of artificials.
@@ -315,7 +566,8 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         if record is not None:
             record.cost = T[-1].copy()
         status = _run_simplex(T, basis, n_total, max_iter,
-                              None if record is None else record.pivots)
+                              None if record is None else record.pivots,
+                              steps)
         if status != "optimal":
             raise NumericFailure(f"{name}: phase 1 {status} ({m} rows x {n} "
                                  f"columns, limit {max_iter} pivots)")
@@ -333,35 +585,71 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             if nz[j]:
                 if record is not None:
                     record.drives.append((j, T[r] / T[r, j]))
+                if steps is not None:
+                    drives += (r, j)
+                    drive_cols += T[:m, j].tolist()
                 _pivot(T, basis, r, j)
         live = basis < n_real
         if not live.all():
+            live_rows = live.nonzero()[0].tolist()
             T, basis = T[np.append(live, True)], basis[live]
     if record is not None:
         record.T, record.basis = T.copy(), basis.copy()
         record.n_total = n_total
-    return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
+    if steps is None:
+        return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
+
+    path = []
+    out = _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name, path)
+    steps.append((None, 0, (drives, drive_cols, live_rows)))
+    if live_rows is not None:           # back to the rows' own indices
+        for enter, leave, col in path:
+            full = [0.0] * (m + 1)
+            for i, r in enumerate(live_rows):
+                full[r] = col[i]
+            full[m] = col[-1]
+            steps.append((enter, live_rows[leave], full))
+    else:
+        steps += path
+    steps.append((None, None, (basis, out.reduced_costs)))
+    trie = paths.tries[key]
+    if trie is None:
+        trie = paths.tries[key] = _Trie(m, n, start, art_rows.tolist(),
+                                        n_real)
+    trie.insert(steps, paths)
+    return out
 
 
 def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
                sense: np.ndarray, b: np.ndarray, c: np.ndarray, n_real: int,
-               max_iter: int, name: str) -> LpSolution:
+               max_iter: int, name: str,
+               path: Optional[list] = None) -> LpSolution:
     """Phase 2 from a feasible tableau with the artificials gone, then the
-    optimality certificate against the rows (A, sense, b)."""
+    optimality certificate against the rows (A, sense, b).  path, when
+    given, receives phase 2's pivots (see _run_simplex)."""
     m, n = A.shape
     _load_costs(T, basis, np.concatenate((c, np.zeros(n_real + 1 - n))))
-    status = _run_simplex(T, basis, n_real, max_iter)
+    status = _run_simplex(T, basis, n_real, max_iter, None, path)
     if status == "unbounded":
         raise LpUnbounded(name)
     if status != "optimal":
         raise NumericFailure(f"{name}: phase 2 {status} ({m} rows x {n} "
                              f"columns, limit {max_iter} pivots)")
+    return _certified(T[:-1, -1], basis, T[-1, :n].copy(), A, sense, b, c,
+                      n_real, name)
 
+
+def _certified(rhs, basis: np.ndarray, reduced: np.ndarray, A: np.ndarray,
+               sense: np.ndarray, b: np.ndarray, c: np.ndarray, n_real: int,
+               name: str) -> LpSolution:
+    """The solution of an optimal tableau, given its right-hand sides, its
+    basis and the reduced costs of the model's columns, once it passes the
+    optimality certificate against the rows (A, sense, b)."""
+    m, n = A.shape
     x = np.zeros(n_real)
-    x[basis] = T[:-1, -1]
+    x[basis] = rhs
     xs = x[:n]
     objective = float(np.dot(c, xs))
-    reduced = T[-1, :n].copy()
 
     # Optimality certificate: each row's violation (Ax - b signed by its
     # sense, |Ax - b| for =), and nonnegative x and reduced costs.  A NaN
@@ -523,7 +811,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     """
     A, sense, b = model.dense()
     return _two_phase(A, sense, b, np.asarray(model.objective, dtype=float),
-                      model.name)
+                      model.name, None, model._dense_rows()[3])
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
@@ -537,6 +825,11 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     and target order; used to make "the" canonical staffing profile
     well-defined independent of simplex pivoting accidents.  Stage i solves
     the leading k + i rows of one array: the model's k rows, then the pins.
+
+    The stacked rows stay with the model's row set, keyed by the objective
+    and the targets, with a pivot-path memo of their own (see the module
+    docstring).  A stage that does not replay goes to _two_phase, whose
+    memo may serve it; a stage the memo serves starts no chain.
 
     Stages chain: a stage differs from the one before only by its new
     trailing pin, so _replay solves it from the previous stage's record.
@@ -589,16 +882,26 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     """
     k, n, pins = model.n_rows, model.n_vars, len(targets) + 1
     A, sense, b = model.dense()
+    paths = model._dense_rows()[3]
     # The model's rows, then the "=" pins: objective, then one per target.
-    A = np.vstack((A, np.zeros((pins, n))))
-    sense = np.append(sense, np.zeros(pins, int))
+    # They stay with the row set, so the stages of every model sharing it
+    # share their rows and pivot-path memos.
+    key = (tuple(model.objective),
+           tuple(tuple(coeffs.items()) for coeffs, _ in targets))
+    if paths.stages is None or paths.stages[0] != key:
+        A = np.vstack((A, np.zeros((pins, n))))
+        sense = np.append(sense, np.zeros(pins, int))
+        A[k] = np.where(np.asarray(model.objective) != 0.0, model.objective,
+                        0.0)
+        for i, (coeffs, _) in enumerate(targets, start=1):
+            for j, a in coeffs.items():
+                if a != 0.0:
+                    A[k + i, j] = a
+        A.flags.writeable = sense.flags.writeable = False
+        paths.stages = (key, A, sense, _Paths())
+    _, A, sense, paths = paths.stages
     b = np.append(b, np.zeros(pins))
-    A[k] = np.where(np.asarray(model.objective) != 0.0, model.objective, 0.0)
     b[k] = sol.objective
-    for i, (coeffs, _) in enumerate(targets, start=1):
-        for j, a in coeffs.items():
-            if a != 0.0:
-                A[k + i, j] = a
     out, chain = sol, None
     for i, (coeffs, goal) in enumerate(targets, start=1):
         c = np.zeros(n)
@@ -614,7 +917,9 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
         if out is None:
             chain = (_Chain(pins=A[k + i + 1:k + len(targets)]) if more
                      else None)
-            out = _two_phase(*stage, chain)
+            out = _two_phase(*stage, chain, paths)
+            if chain is not None and chain.T is None:
+                chain = None            # the memo served it: nothing to replay
         b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))

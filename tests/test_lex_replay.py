@@ -4,7 +4,9 @@ lp.refine_lexicographic solves each stage after the first from the previous
 stage's record (lp._replay) and falls back to a cold lp._two_phase where a
 replay check fails.  Here a monkeypatch makes every replay report
 divergence, which gives the cold outcome of the same refinement: objective
-bits, x bytes, or the error type and message.
+bits, x bytes, or the error type and message.  Each test builds its
+programs' rows afresh, so no pivot path that an earlier test recorded for
+the same rows serves a stage here in place of the replay.
 """
 
 import argparse
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import INSTANCE_DIR, random_multi_pool, random_single_pool
-from staffing_minimax import cli, lp
+from staffing_minimax import cli, lp, programs
 from staffing_minimax.cli import companion_sweep_instance
 from staffing_minimax.lp import (LpError, LpModel, refine_lexicographic,
                                  solve_lp)
@@ -25,6 +27,11 @@ from staffing_minimax.programs import build_lp_single_switch, solve_canonical
 
 def _diverge(*args, **kwargs):
     raise lp._Diverged("forced cold")
+
+
+@pytest.fixture(autouse=True)
+def unseen_rows(monkeypatch):
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import instance_path, random_multi_pool, random_single_pool
-from staffing_minimax import bayesian, lp
+from staffing_minimax import bayesian, lp, programs
 from staffing_minimax.cli import _policy_factories
 from staffing_minimax.lp import (
     CHECK_TOL, COST_TOL, PIVOT_TOL, LpError, LpInfeasible, LpModel,
@@ -110,10 +110,10 @@ def test_iteration_limit_names_model_phase_size_and_limit(monkeypatch,
     # 3 rows, 3 + 1 slack + 2 artificial columns: 2000 + 200 * (3 + 6).
     run, calls = lp._run_simplex, []
 
-    def one_pivot(T, basis, n_cols, max_iter, pivots=None):
+    def one_pivot(T, basis, n_cols, max_iter, pivots=None, path=None):
         calls.append(max_iter)
         return run(T, basis, n_cols, max_iter if len(calls) != phase else 1,
-                   pivots)
+                   pivots, path)
 
     monkeypatch.setattr(lp, "_run_simplex", one_pivot)
     with pytest.raises(NumericFailure, match=re.escape(
@@ -336,11 +336,11 @@ def kernel_runs(monkeypatch):
     replay, two_phase, phase_two = lp._replay, lp._two_phase, lp._phase_two
     before = []     # constraint rows and basis as a stage enters phase 2
 
-    def checked_run(T, basis, n_cols, max_iter, pivots=None):
+    def checked_run(T, basis, n_cols, max_iter, pivots=None, path=None):
         T0, basis0, pivots0 = T.copy(), basis.copy(), []
         want = _oracle_run_simplex(T0, basis0, n_cols, max_iter, pivots0)
         start = 0 if pivots is None else len(pivots)
-        got = run_simplex(T, basis, n_cols, max_iter, pivots)
+        got = run_simplex(T, basis, n_cols, max_iter, pivots, path)
         assert got == want
         assert T.tobytes() == T0.tobytes()
         assert np.array_equal(basis, basis0)
@@ -570,41 +570,57 @@ def _chain_bytes(chain) -> tuple:
 
 @pytest.fixture
 def oracle_solves(monkeypatch):
-    """Check every cold solve (lp._two_phase) against _oracle_two_phase on
-    copies of its inputs, and every replayed refinement stage against a cold
-    oracle solve of the same stage: the tableau and basis just before phase
-    2, x, the objective's repr, the reduced costs, and a recorded chain.
-    Returns one name per checked solve.  Phase 2 starts by overwriting the
-    cost row, so a replay, which pushes only its new rows, is checked on the
-    constraint rows alone."""
+    """Check every solve (lp._two_phase) against _oracle_two_phase on copies
+    of its inputs, and every replayed refinement stage against a cold oracle
+    solve of the same stage: x, the objective's repr and the reduced costs,
+    and for a solve that pivots, the tableau and basis just before phase 2
+    and a recorded chain.  A solve that the pivot-path memo serves
+    (lp._Trie.walk) builds no tableau and records no chain, so it is
+    checked on x, the objective and the reduced costs.  Returns one name
+    per checked solve.  Phase 2 starts by overwriting the cost row, so a
+    replay, which pushes only its new rows, is checked on the constraint
+    rows alone."""
     two_phase, phase_two, replay = lp._two_phase, lp._phase_two, lp._replay
-    before, checked = [], []
+    walk = lp._Trie.walk
+    before, checked, walks = [], [], []
+
+    def noted_walk(self, *args):
+        out = walk(self, *args)
+        walks.append(out is not None)
+        return out
 
     def noted_phase_two(T, basis, *args):
         before.append((T[:-1].tobytes(), T[-1].tobytes(), basis.tobytes()))
         return phase_two(T, basis, *args)
 
-    def compare(got, want, chain, cost_row=True):
-        (rows, cost, basis), = before
-        assert rows == chain.T[:-1].tobytes()
-        assert not cost_row or cost == chain.T[-1].tobytes()
-        assert basis == chain.basis.tobytes()
+    def compare(got, want, chain=None, cost_row=True):
         assert got.x.tobytes() == want.x.tobytes()
         assert repr(got.objective) == repr(want.objective)
         assert got.reduced_costs.tobytes() == want.reduced_costs.tobytes()
+        if chain is not None:
+            (rows, cost, basis), = before
+            assert rows == chain.T[:-1].tobytes()
+            assert not cost_row or cost == chain.T[-1].tobytes()
+            assert basis == chain.basis.tobytes()
 
-    def checked_two_phase(A, sense, b, c, name, record=None):
+    def checked_two_phase(A, sense, b, c, name, record=None, paths=None):
         chain = lp._Chain()
         args = (A.copy(), sense.copy(), b.copy(), c.copy(), name)
         before.clear()
+        walks.clear()
         try:
             want = _oracle_two_phase(*args, chain)
         except LpError as exc:
             with pytest.raises(type(exc)):
-                two_phase(A, sense, b, c, name, record)
+                two_phase(A, sense, b, c, name, record, paths)
             checked.append("error")
             raise
-        got = two_phase(A, sense, b, c, name, record)
+        got = two_phase(A, sense, b, c, name, record, paths)
+        if any(walks):
+            compare(got, want)
+            assert not before and (record is None or record.T is None)
+            checked.append(name + " served")
+            return got
         compare(got, want, chain)
         if record is not None:
             assert _chain_bytes(record) == _chain_bytes(chain)
@@ -623,12 +639,17 @@ def oracle_solves(monkeypatch):
     monkeypatch.setattr(lp, "_two_phase", checked_two_phase)
     monkeypatch.setattr(lp, "_phase_two", noted_phase_two)
     monkeypatch.setattr(lp, "_replay", checked_replay)
+    monkeypatch.setattr(lp._Trie, "walk", noted_walk)
     return checked
 
 
-def test_solves_match_oracle_on_resolving_traffic(oracle_solves):
+def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
+                                                  monkeypatch):
     # The resolving base and stage programs of bench_long, the traffic the
-    # world_lp benchmark times.
+    # world_lp benchmark times, played twice from rows that no earlier solve
+    # has seen: the first run records the paths of the states it solves more
+    # than once, and the second follows them.
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
     with open(instance_path("bench_long.json")) as f:
         config = json.load(f)
     process = bayesian.DemandProcess(int(config["horizon"]),
@@ -637,10 +658,15 @@ def test_solves_match_oracle_on_resolving_traffic(oracle_solves):
     inst = bayesian.forecast_instance(
         config["pool_sizes"], config["availability"], table,
         float(config["under_cost"]), float(config["over_cost"]), process)
-    factories = _policy_factories(["lp_resolving"], inst, process, {})
-    bayesian.run_bayesian_world(inst, process, table, factories, 5,
-                                int(config["seed"]))
+    for _ in range(2):
+        factories = _policy_factories(["lp_resolving"], inst, process, {})
+        bayesian.run_bayesian_world(inst, process, table, factories, 20,
+                                    int(config["seed"]))
     assert len(oracle_solves) > 100
+    served = [s for s in oracle_solves if s.endswith(" served")]
+    assert len(served) > len(oracle_solves) / 2
+    assert any(s.endswith("+lex served") for s in served)
+    assert any(not s.endswith("+lex served") for s in served)
     assert any(s.endswith("recorded") for s in oracle_solves)
     assert any(s.endswith("replayed") for s in oracle_solves)
 
@@ -652,6 +678,7 @@ def test_subtract_reduce_is_a_left_fold(seed):
     # T[-1] -= p does; a pairwise or blocked order would change the bits.
     # Rows of mixed magnitudes and signed zeros, some fancy-indexed.
     rng = np.random.default_rng([seed, 26])
+    single = 0
     for _ in range(50):
         m, w = int(rng.integers(1, 20)), int(rng.integers(1, 40))
         T = rng.standard_normal((m + 1, w)) * 10.0 ** rng.integers(
@@ -666,7 +693,202 @@ def test_subtract_reduce_is_a_left_fold(seed):
             assert np.subtract.reduce(Q, axis=0).tobytes() == want.tobytes()
         basis = rng.permutation(w)[:m] if m <= w else rng.integers(0, w, m)
         c = T[-1] * (rng.random(w) < 0.7)
-        got, want = T.copy(), T.copy()
-        lp._load_costs(got, basis, c)
-        _oracle_load_costs(want, basis, c)
-        assert got.tobytes() == want.tobytes()
+        # Then exactly one basis row with a nonzero cost, the common phase-2
+        # load, which takes one multiply and one subtract.
+        one = T[-1].copy()
+        r = int(rng.integers(m))
+        one[basis] = 0.0
+        one[basis[r]] = T[-1, basis[r]] or -2.5
+        for cost in (c, one):
+            got, want = T.copy(), T.copy()
+            lp._load_costs(got, basis, cost)
+            _oracle_load_costs(want, basis, cost)
+            assert got.tobytes() == want.tobytes()
+        single += np.count_nonzero(one[basis]) == 1
+    assert single > 25
+
+
+# --- Pivot-path memo ---------------------------------------------------------
+# A row set's re-solves walk the pivot paths its earlier solves recorded
+# (lp._Trie.walk), from the second solve of a key on.  Each re-solve below
+# must give the bytes, or the error text, of a cold solve of a fresh copy of
+# its model, whose rows no memo has seen.
+
+def _outcome(model):
+    try:
+        sol = solve_lp(model)
+    except LpError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(sol.objective), sol.x.tobytes(), sol.reduced_costs.tobytes()
+
+
+def _resolves_as_cold(model, rhs_list, rounds=3):
+    """Solve model's rows with each right-hand-side vector in turn, rounds
+    times over, each against a cold solve of a fresh copy; returns the
+    outcomes."""
+    outcomes = []
+    for _ in range(rounds):
+        for rhs in rhs_list:
+            resolve = model.with_rhs(model.name, rhs)
+            fresh = LpModel(model.name, list(model.var_names),
+                            list(model.objective), list(resolve.rows))
+            got = _outcome(resolve)
+            assert got == _outcome(fresh)
+            outcomes.append(got)
+    return outcomes
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """One entry per lp._Trie.walk: True where it served the solve."""
+    served, walk = [], lp._Trie.walk
+
+    def noted(self, *args):
+        out = walk(self, *args)
+        served.append(out is not None)
+        return out
+
+    monkeypatch.setattr(lp._Trie, "walk", noted)
+    return served
+
+
+def _tries(model):
+    return [t for t in model._dense_rows()[3].tries.values() if t is not None]
+
+
+def _four_rows():
+    model = LpModel(name="four-rows")
+    for j, obj in enumerate((1.0, 2.0, 0.5)):
+        model.add_var(f"x{j}", obj=obj)
+    model.add_row({0: 1.0, 1: 1.0}, ">=", 1.0)
+    model.add_row({0: 1.0, 1: -1.0}, "<=", 0.0)
+    model.add_row({0: 1.0, 2: 1.0}, "=", 2.0)
+    model.add_row({1: 1.0}, "<=", 3.0)
+    return model
+
+
+def test_memo_resolves_flipped_rows_as_cold(walks):
+    # Row 1's right-hand side changes sign, which turns the row and its
+    # slack over: another key, with paths of its own.
+    model = _four_rows()
+    rhs = [[1.0, b1, 2.0, 3.0] for b1 in (0.5, -0.5, 0.25, -0.25, 0.75)]
+    outcomes = _resolves_as_cold(model, rhs)
+    assert all(len(o) == 3 for o in outcomes)
+    assert sum(walks) >= len(rhs)
+    assert len(model._dense_rows()[3].tries) == 2
+
+
+def test_memo_resolves_infeasible_and_redundant_rows_as_cold(walks):
+    # x0 = a and x0 = c: phase 1 pivots x0 in on row 0 whatever a <= c
+    # are, so a = c walks to a redundant row 1, dropped after phase 1, and
+    # a < c walks the same path to a phase-1 residual c - a > 1e-7: the
+    # cold solve then raises, with its text.
+    model = LpModel(name="two-pins")
+    model.add_var("x0", obj=1.0)
+    model.add_var("x1", obj=1.0)
+    model.add_row({0: 1.0}, "=", 1.0)
+    model.add_row({0: 1.0}, "=", 1.0)
+    model.add_row({0: 1.0, 1: -1.0}, "<=", 1.0)
+    rhs = [[a, c, 1.0] for a, c in ((1.0, 1.0), (2.0, 2.0), (1.0, 2.0),
+                                    (0.5, 0.5), (0.5, 3.0))]
+    outcomes = _resolves_as_cold(model, rhs)
+    assert ("LpInfeasible", "two-pins: infeasible, 3 rows x 2 columns: "
+            "phase-1 residual 1 > 1e-07") in outcomes
+    assert walks.count(True) >= 3 and walks.count(False) >= 2
+    (trie,) = _tries(model)
+    assert trie.live and all(v == [0, 2] for v in trie.live.values())
+
+
+def test_memo_resolves_signed_zeros_as_cold(walks):
+    # -0.0 is not below zero, so it keeps its row's orientation and key,
+    # and the walk carries its sign where the cold pivots do.  The rows
+    # with a negative right-hand side are flipped, which turns their zero
+    # coefficients to -0.0 (see test_kernel_identity_signed_zeros).
+    model = LpModel(name="signed-zeros")
+    for j, obj in enumerate((1.0, 1.0, 0.0)):
+        model.add_var(f"x{j}", obj=obj)
+    model.add_row({0: -2.0, 1: -2.0}, "<=", -2.0)
+    model.add_row({}, ">=", -1.0)
+    model.add_row({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 4.0)
+    model.add_row({0: 1.0, 2: -1.0}, "=", 0.0)
+    rhs = [[-2.0, -1.0, 4.0, z] for z in (0.0, -0.0)]
+    rhs += [[-2.0, -1.0, z, -0.0] for z in (0.0, -0.0)]
+    rhs += [[-0.0, -0.0, 4.0, -0.0], [0.0, -0.0, 4.0, 0.0]]
+    _resolves_as_cold(model, rhs)
+    assert sum(walks) >= 4
+    assert len(model._dense_rows()[3].tries) == 2
+
+
+def test_memo_resolves_random_lps_as_cold(walks):
+    # The seeded LPs of the golden solve_lp[random] cases, boxed and not,
+    # with their right-hand sides scaled, shifted and turned over: optimal,
+    # infeasible and unbounded ends, and the drop of their redundant rows.
+    from test_golden import _random_lp
+    ends = set()
+    for seed in range(40):
+        for bounded in (True, False):
+            model = _random_lp(seed, bounded)
+            b = model.dense()[2]
+            rhs = [b, 2.0 * b, b + 0.5, -b, b - 1.0]
+            ends.update(o[0] if len(o) == 2 else "optimal"
+                        for o in _resolves_as_cold(model, rhs))
+    assert ends == {"optimal", "LpInfeasible", "LpUnbounded"}
+    assert sum(walks) > 200
+
+
+def test_memo_stays_at_its_bound(monkeypatch, walks):
+    monkeypatch.setattr(lp, "PATH_NODES", 20)
+    model = _four_rows()
+    paths = model._dense_rows()[3]
+    rhs = [[b0, b1, b2, 3.0] for b0 in (1.0, -1.0) for b1 in (0.5, -0.5)
+           for b2 in (2.0, -2.0, 1.0)]
+    held = []
+    for _ in range(4):
+        for b in rhs:
+            _resolves_as_cold(model, [b], rounds=1)
+            held.append(paths.nodes)
+    # Keys and pivot nodes and phase ends, counted as the trie holds them.
+    nodes = sum(len(t.enter) + len(t.ends) // 3 + len(t.basis_at) // t.m
+                for t in _tries(model))
+    assert nodes + len(paths.tries) == paths.nodes
+    # Unbounded, these solves take 29 (8 keys and paths of 5 or 6 nodes).
+    # The memo fills up to the bound and stays there: the last round's
+    # misses solve cold and record nothing.
+    last = walks[-len(rhs):]
+    assert max(held) == held[-len(rhs)] == held[-1] == 20
+    assert any(last) and not all(last)
+
+
+def test_solve_on_instances_records_no_path(monkeypatch, capsys):
+    # Every solve --instance program is solved once, so its row sets see
+    # each key once and record nothing: recording would cost the one-off
+    # solves of the solve_scaling benchmark time and memory for no walk.
+    import glob
+    import os
+    from conftest import INSTANCE_DIR
+    from staffing_minimax.cli import main
+    inserts = []
+    monkeypatch.setattr(lp._Trie, "insert",
+                        lambda *args: inserts.append(args))
+    solved = 0
+    for path in sorted(glob.glob(os.path.join(INSTANCE_DIR, "*.json"))):
+        # Each command in a fresh process: fig3a, b and c share their rows,
+        # which in one process are solved three times over.
+        monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+        if main(["solve", "--instance", path]) == 0:
+            solved += 1
+    capsys.readouterr()
+    assert solved == 6
+    assert inserts == []
+
+
+def test_memo_resolves_degenerate_ties_as_cold(walks):
+    # Rows at zero tie in the ratio test, where the basis order decides,
+    # and = rows at zero leave their artificials basic for the drive-out,
+    # which changes that order.
+    for seed in range(6):
+        model = _degenerate_lp(seed)
+        b = model.dense()[2]
+        rhs = [b, b * 2.0, b + (b > 0) * 1e-12, b + 0.5]
+        _resolves_as_cold(model, rhs)
+    assert sum(walks) > 20
