@@ -15,36 +15,30 @@ row c - cost * row, one basis row at a time in row order), and ratio ties
 break in the same order (the artificial columns go once phase 1 ends, as
 they would stay zero and unread).
 
-Lexicographic refinement solves a chain of stages, each the one before plus
-one pinned "=" row.  A stage replays the previous stage's record (phase-1
-and drive-out pivot rows, initial phase-1 cost row, tableau before phase 2)
-instead of re-solving its phase 1: only the new row and the cost row are
-pushed through the recorded pivots, with the dense pivot's own arithmetic.
-At each recorded pivot it checks that a cold solve would pivot there too,
-and a stage that fails a check solves cold.  So the replay is exact, not a
-warm start: every output byte is the cold solve's (see refine_lexicographic).
-The pins' coefficients are known before any stage solves, so once a chain
-has replayed a stage, its remaining pins go through the recorded pivots in
-one batch, and each stage pushes only its right-hand side.
-
-Re-solves of one row set walk recorded pivot paths.  A row set is the
-read-only A and sense that a model shares with every with_rhs copy (a
-resolving day's programs share one), and it carries a memo (_Paths) keyed
-by which right-hand sides are negative, which orients the rows, and by
-the cost vector; refine_lexicographic keeps its stacked stage rows with
-the model's rows, keyed by the objective and the targets, so the stages
-of one day share memos too.  In a tableau the entering columns, the
-drive-outs and the row drop read only the rows, the orientation, the
-costs and the pivots already taken; the right-hand sides only choose each
-leaving row (Chvatal 1983, Linear Programming, ch. 10).  So a solve whose
-leaving rows follow a recorded path redoes the right-hand-side column
-alone, with the kernel's IEEE operations in its order (_Trie.walk), takes
-the final basis and reduced costs from the path's end and runs the
-certificate as a cold solve does: every output byte is the cold solve's.
-A solve that leaves the recorded paths, or whose phase 1 ends infeasible,
-solves cold and raises or records as before.  A key records from its
-second solve on, so a model solved once records nothing.  The memo lives
-as long as its rows, and holds at most PATH_NODES keys and nodes.
+Re-solves take one of two bit-exact reuse paths, both resting on one fact:
+in a tableau the entering columns, the drive-outs and the row drop read
+only the rows, their orientation, the costs and the pivots already taken;
+the right-hand sides only choose each leaving row (Chvatal 1983, Linear
+Programming, ch. 10).  _solve picks the path for each solve:
+- The pivot-path memo serves a solve whose key holds recorded paths.  A row
+  set (the read-only A and sense a model shares with every with_rhs copy;
+  a resolving day's programs share one, and refine_lexicographic keeps its
+  stacked stage rows with them) carries a memo (_Paths) keyed by which
+  right-hand sides are negative, which orients the rows, and by the cost
+  vector.  A key's paths are linked nodes (_Trie), recorded from its second
+  cold solve on; a solve whose leaving rows follow one redoes the
+  right-hand-side column alone, with the kernel's IEEE operations in its
+  order (_Trie.walk).  The memo lives as long as its rows, and holds at
+  most PATH_NODES keys and nodes.
+- The chain replay serves any other refinement stage with a live chain.
+  Each stage is the one before plus one pinned "=" row, so a stage pushes
+  its new row and cost row through the previous stage's recorded phase-1
+  and drive-out pivots instead of re-solving phase 1, checking at each
+  that a cold solve would pivot there too; once a chain has replayed, its
+  remaining pins go through in one batch (see refine_lexicographic).
+A walk that leaves the recorded paths or whose phase 1 ends infeasible,
+and a replay that fails a check, solve cold (_two_phase) and raise or
+record as before, so every output byte is the cold solve's.
 
 A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
 minimization objective.
@@ -196,6 +190,22 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def _leaving_row(col: list, top: list, order: list) -> int:
+    """Bland's ratio test on Python floats: the row i of least ratio
+    top[i] / col[i] among those with col[i] > PIVOT_TOL, a tie within 1e-12
+    going to the lowest basis index order[i]; -1 where no row qualifies.
+    The same IEEE double division and comparisons as on NumPy scalars, in
+    row order; the cold solve and the walk both call it, so they agree."""
+    leave = -1
+    for i in range(len(top)):
+        if col[i] > PIVOT_TOL:
+            ratio = top[i] / col[i]
+            if leave < 0 or ratio < best - 1e-12 or (
+                    abs(ratio - best) <= 1e-12 and order[i] < order[leave]):
+                best, leave = ratio, i
+    return leave
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
                  max_iter: int, pivots: Optional[list] = None,
                  path: Optional[list] = None) -> str:
@@ -203,16 +213,13 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
     returns "optimal", "unbounded" or "iteration limit exceeded".
 
     Entering: lowest-index column with reduced cost < -COST_TOL.
-    Leaving: minimum ratio; ties broken by the lowest basis variable index.
-    The ratio test runs on Python floats, in one pass over the rows: the
-    same IEEE double division and comparisons as on NumPy scalars, in the
-    same row order.  Each pivot is _pivot's arithmetic, entry for entry: the
-    pivot row divided in place, then every row minus its entry in the
-    entering column (0.0 for the pivot row) times the divided row, through
-    one scratch product array.  pivots, when given, receives each pivot's
-    entering column and a copy of the divided row; path, each pivot's
-    entering column, leaving row and entering column entries (cost row
-    last) before the pivot, as a _Trie records them.
+    Leaving: _leaving_row, one pass over the rows.  Each pivot is _pivot's
+    arithmetic, entry for entry: the pivot row divided in place, then every
+    row minus its entry in the entering column (0.0 for the pivot row)
+    times the divided row, through one scratch product array.  pivots, when
+    given, receives each pivot's entering column and a copy of the divided
+    row; path, each pivot's (entering column, leaving row, entering column
+    entries before the pivot, cost row last), as a _Trie records them.
     """
     m = T.shape[0] - 1
     cost, rhs = T[-1, :n_cols], T[:m, -1]
@@ -223,14 +230,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
         enter = int(neg.argmax())
         if not neg[enter]:
             return "optimal"
-        col, top, leave = T[:, enter].tolist(), rhs.tolist(), -1
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = top[i] / col[i]
-                if leave < 0 or ratio < best - 1e-12 or (
-                        abs(ratio - best) <= 1e-12
-                        and order[i] < order[leave]):
-                    best, leave = ratio, i
+        col = T[:, enter].tolist()
+        leave = _leaving_row(col, rhs.tolist(), order)
         if leave < 0:
             return "unbounded"
         if path is not None:
@@ -270,11 +271,12 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
 
 # The most keys, pivot nodes and phase ends one row set's memo holds (see
 # _Paths); once full it records nothing more, and the paths it holds keep
-# serving.  A pivot node takes (m + 1) * 8 + 12 bytes for m rows, so this
-# bounds a 20-row set near 100 KB.  The 28 row sets of a world_lp run (14
-# days, base and stage rows) hold about 10,500 at this bound after eight
-# passes, and walks serve about 77% of a warm pass's solves; unbounded,
-# they would hold 27,000 (about 5 MB more peak memory) and serve 94%.
+# serving.  A pivot node takes about 90 bytes and 8 a column entry, so
+# this bounds a 20-row set near 130 KB.  The 28 row sets of a world_lp run
+# (14 days, base and stage rows) hold about 10,500 at this bound after
+# eight passes, and walks serve about 77% of a warm pass's solves;
+# unbounded, they would hold 27,000 (about 5 MB more peak memory) and
+# serve 94%.
 PATH_NODES = 512
 _UNSEEN = object()
 
@@ -298,68 +300,68 @@ class _Paths:
         self.stages: Optional[tuple] = None
 
 
+class _Pivot:
+    """A recorded pivot: its entering column, the offset in its trie's cols
+    of that column's entries before the pivot (cost row last), the leaving
+    row of the first path recorded through it and the node that follows
+    there, and a dict of the nodes after any other leaving row (None until
+    there is one)."""
+
+    __slots__ = ("enter", "at", "leave", "next", "more")
+
+    def __init__(self, enter: int, at: int, leave: int):
+        self.enter, self.at, self.leave = enter, at, leave
+        self.next = self.more = None
+
+
+class _PhaseOneEnd:
+    """Phase 1's end on a recorded path: its drive-outs as (row, column,
+    offset in cols of the column's m entries before the pivot), the rows
+    kept (None where phase 1 drops none) and phase 2's first node."""
+
+    __slots__ = ("drives", "kept", "next")
+
+    def __init__(self, drives: list, kept: Optional[list]):
+        self.drives, self.kept, self.next = drives, kept, None
+
+
 class _Trie:
-    """The pivot paths recorded for one key of a row set of m rows and n
-    columns, in flat arrays: (m + 1) * 8 + 12 bytes a pivot node.
+    """The pivot paths recorded for one key of a row set, as linked nodes:
+    next is the first pivot (phase 1's end where no row has an artificial),
+    a _Pivot links the node after each leaving row, phase 1's end (a
+    _PhaseOneEnd) links phase 2's first pivot, and a path ends in its
+    optimum, the array('d') of the reduced costs (a walk's basis order ends
+    as the final basis).  cols holds every node's column entries in one
+    flat array: m + 1 for a phase-1 pivot, m for a drive-out, and one per
+    kept row plus the cost row's for a phase-2 pivot, as phase 2 runs over
+    the kept rows.  basis, art and n_real are what the key fixes: the
+    starting basis, the artificial rows and the columns kept after phase
+    1."""
 
-    A path is linked: a link is a pivot node (>= 0), a phase end (<= -2)
-    or missing (-1).  Pivot node k has entering column enter[k] and that
-    column's entries before the pivot, cost row last, in
-    cols[k * (m + 1):(k + 1) * (m + 1)]; its first recorded leaving row is
-    leave[k], followed by child[k], and any other leaving row i by
-    more[k * m + i].  root links the start.  Phase 1's end -2 - e links
-    phase 2's first node at ends[3 * e] and runs ends[3 * e + 2] drive-outs
-    from d = ends[3 * e + 1] on: drive-out d pivots on row drives[2 * d]
-    and column drives[2 * d + 1], whose entries, the pivot's included, are
-    drive_cols[d * m:(d + 1) * m]; live[e] lists the rows it keeps, where
-    it drops any.  Phase 2's end -2 - e keeps the final basis in
-    basis_at[e * m:] (its first m or live-row count entries) and the
-    reduced costs in reduced_at[e * n:].
-    basis, art and n_real are what the key fixes: the starting basis, the
-    artificial rows (none: root is phase 1's end) and the columns kept
-    after phase 1.  A row dropped after phase 1 keeps its index, with
-    entry 0.0 in every later column, so it never takes part."""
+    __slots__ = ("basis", "art", "n_real", "next", "cols")
 
-    __slots__ = ("m", "n", "basis", "art", "n_real", "root", "enter",
-                 "cols", "leave", "child", "more", "ends", "drives",
-                 "drive_cols", "live", "basis_at", "reduced_at")
+    def __init__(self, basis: list, art: list, n_real: int):
+        self.basis, self.art, self.n_real = basis, art, n_real
+        self.next, self.cols = None, array("d")
 
-    def __init__(self, m: int, n: int, basis: list, art: list, n_real: int):
-        self.m, self.n, self.basis, self.art = m, n, basis, art
-        self.n_real, self.root = n_real, -1
-        self.enter, self.cols = array("i"), array("d")
-        self.leave, self.child, self.more = array("i"), array("i"), {}
-        self.ends, self.drives, self.drive_cols = (array("i"), array("i"),
-                                                   array("d"))
-        self.live, self.basis_at, self.reduced_at = {}, array("i"), array("d")
-
-    def _follow(self, link: int, top: list, z: float, order: list):
-        """Walk pivot nodes from link to the next phase end: (the end's
-        link, or -1 where the path leaves the trie; the right-hand sides;
-        the cost row's)."""
-        m, w = self.m, self.m + 1
-        enter, cols, leaves, child = (self.enter, self.cols, self.leave,
-                                      self.child)
-        while link >= 0:
-            col = cols[link * w:link * w + w].tolist()
+    def _follow(self, node, top: list, z: float, order: list):
+        """Walk pivot nodes from node to the next phase end: (that end, or
+        None where the path leaves the trie; the right-hand sides; the cost
+        row's)."""
+        cols, w = self.cols, len(top) + 1
+        while type(node) is _Pivot:
+            col = cols[node.at:node.at + w].tolist()
             # A recorded node has left by some row, and which rows qualify
             # reads col alone, so leave is found.
-            leave = -1
-            for i in range(m):
-                if col[i] > PIVOT_TOL:
-                    ratio = top[i] / col[i]
-                    if leave < 0 or ratio < best - 1e-12 or (
-                            abs(ratio - best) <= 1e-12
-                            and order[i] < order[leave]):
-                        best, leave = ratio, i
-            order[leave] = enter[link]
-            link = (child[link] if leaves[link] == leave
-                    else self.more.get(link * m + leave, -1))
+            leave = _leaving_row(col, top, order)
+            order[leave] = node.enter
             r = top[leave] = top[leave] / col[leave]
+            node = (node.next if leave == node.leave
+                    else node.more and node.more.get(leave))
             col[leave] = 0.0
-            z -= col[m] * r
+            z -= col[-1] * r
             top = [t - f * r for t, f in zip(top, col)]
-        return link, top, z
+        return node, top, z
 
     def walk(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
              c: np.ndarray, name: str) -> Optional[LpSolution]:
@@ -370,99 +372,65 @@ class _Trie:
         the orientation, the cost vector and the pivots taken, all fixed
         along a path; b chooses each leaving row.  So the walk redoes the
         right-hand-side column alone, with the kernel's IEEE operations in
-        its order: the ratio test of _run_simplex on the same floats, the
-        pivot row's entry divided, then every entry minus its column entry
-        (0.0 on the pivot row) times that quotient, and phase 1's cost-row
-        entry as _load_costs folds it.  Phase 2's cost-row entry is never
-        read, and the certificate then runs as in a cold solve."""
-        m = self.m
+        its order: _leaving_row on the same floats, the pivot row's entry
+        divided, then every entry minus its column entry (0.0 on the pivot
+        row) times that quotient, and phase 1's cost-row entry as
+        _load_costs folds it.  At phase 1's end it drops the right-hand
+        sides and basis order of the rows phase 1 drops, which have 0.0 in
+        every later column and never pass the ratio test.  Phase 2's
+        cost-row entry is never read, and the certificate then runs as in a
+        cold solve."""
         # b * flip: -v is v * -1.0 exactly, and -0.0 is not flipped.
         top = [-v if v < 0 else v for v in b.tolist()]
         z = 0.0
         for r in self.art:
             z -= top[r]                 # 1.0 * top[r] is top[r]
         order = list(self.basis)
-        link, top, z = self._follow(self.root, top, z, order)
-        if link == -1 or -z > 1e-7:
+        end, top, z = self._follow(self.next, top, z, order)
+        if end is None or -z > 1e-7:
             return None
-        e = -2 - link
-        link, d, count = self.ends[3 * e:3 * e + 3]
-        for d in range(d, d + count):
-            row, j = self.drives[2 * d:2 * d + 2]
-            col = self.drive_cols[d * m:d * m + m].tolist()
+        for row, j, at in end.drives:
+            col = self.cols[at:at + len(top)].tolist()
             r = top[row] = top[row] / col[row]
             col[row] = 0.0
             top = [t - f * r for t, f in zip(top, col)]
             order[row] = j
-        live = self.live.get(e)
-        link, top, _ = self._follow(link, top, z, order)
-        if link == -1:
+        if end.kept is not None:
+            top = [top[i] for i in end.kept]
+            order = [order[i] for i in end.kept]
+        reduced, top, _ = self._follow(end.next, top, z, order)
+        if reduced is None:
             return None
-        e = -2 - link
-        if live is not None:
-            top = [top[i] for i in live]
-        basis = np.frombuffer(self.basis_at[e * m:e * m + len(top)],
-                              dtype=np.int32)
-        reduced = np.frombuffer(self.reduced_at[e * self.n:
-                                                (e + 1) * self.n])
-        return _certified(top, basis, reduced, A, sense, b, c, self.n_real,
-                          name)
+        return _certified(top, order, np.frombuffer(reduced), A, sense, b, c,
+                          self.n_real, name)
 
-    def _get(self, at: Optional[int], leave: Optional[int]) -> int:
-        if at is None:
-            return self.root
-        if at < 0:                      # phase 1's end
-            return self.ends[3 * (-2 - at)]
-        if self.leave[at] == leave:
-            return self.child[at]
-        return self.more.get(at * self.m + leave, -1)
-
-    def _set(self, at: Optional[int], leave: Optional[int], link: int):
-        if at is None:
-            self.root = link
-        elif at < 0:
-            self.ends[3 * (-2 - at)] = link
-        elif self.leave[at] < 0:
-            self.leave[at], self.child[at] = leave, link
-        else:
-            self.more[at * self.m + leave] = link
-
-    def _add(self, step) -> int:
-        enter, leave, data = step
-        if enter is not None:
-            self.enter.append(enter)
-            self.cols.extend(data)
-            self.leave.append(-1)
-            self.child.append(-1)
-            return len(self.enter) - 1
-        if leave is not None:           # phase 1's end
-            e, (drives, drive_cols, live) = len(self.ends) // 3, data
-            self.ends.extend((-1, len(self.drives) // 2, len(drives) // 2))
-            self.drives.extend(drives)
-            self.drive_cols.extend(drive_cols)
-            if live is not None:
-                self.live[e] = live
-            return -2 - e
-        basis, reduced = data
-        self.basis_at.extend(basis.tolist() + [0] * (self.m - basis.size))
-        self.reduced_at.extend(reduced.tolist())
-        return -1 - len(self.basis_at) // self.m
-
-    def insert(self, steps: list, paths: _Paths) -> None:
-        """Add one solve's path, node by node while the row set holds fewer
-        than PATH_NODES.  steps are (entering column, leaving row, column
-        entries) for a pivot, (None, 0, phase-1 end data) and (None, None,
-        (final basis, reduced costs))."""
-        at = leave = None
-        for step in steps:
-            link = self._get(at, leave)
-            if link == -1:
+    def insert(self, path: list, paths: _Paths) -> None:
+        """Add one cold solve's path (see _two_phase), node by node while
+        the row set holds fewer than PATH_NODES."""
+        cols, node, leave = self.cols, self, None
+        for step in path:
+            first = leave is None or leave == node.leave
+            after = (node.next if first
+                     else node.more and node.more.get(leave))
+            if after is None:
                 if paths.nodes >= PATH_NODES:
                     return
                 paths.nodes += 1
-                link = self._add(step)
-                self._set(at, leave, link)
-            at, leave = link, step[1]
+                after = step
+                if type(step) is tuple:     # (enter, leave, column entries)
+                    after = _Pivot(step[0], len(cols), step[1])
+                    cols.extend(step[2])
+                elif type(step) is _PhaseOneEnd:
+                    for d, (row, j, col) in enumerate(step.drives):
+                        step.drives[d] = (row, j, len(cols))
+                        cols.extend(col)
+                if first:
+                    node.next = after
+                elif node.more is None:
+                    node.more = {leave: after}
+                else:
+                    node.more[leave] = after
+            node, leave = after, (step[1] if type(step) is tuple else None)
 
 
 @dataclass
@@ -510,35 +478,22 @@ class _Diverged(Exception):
 
 def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                c: np.ndarray, name: str, record: Optional[_Chain] = None,
-               paths: Optional[_Paths] = None) -> LpSolution:
-    """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b); name
-    labels errors.  Tableau, phase 1, phase 2, certificate (see solve_lp).
-    record, when given, receives what the next refinement stage replays.
-    paths, when given, is the memo of the row set (A, sense): a solve its
-    recorded paths hold is walked there and records nothing in record; any
-    other solves cold and, from its key's second solve on, records its path
-    (see the module docstring)."""
+               path: Optional[list] = None) -> LpSolution:
+    """Minimize c x, x >= 0, over LpModel.dense() rows (A, sense, b), cold:
+    tableau, phase 1, drive-outs, row drop, phase 2 and certificate (see
+    solve_lp); name labels errors.  record, when given, receives what the
+    next refinement stage replays (see _replay).  path, when given,
+    receives what a _Trie stores (see _Trie.insert): first the starting
+    basis, the artificial rows and n_real, then phase 1's pivots (see
+    _run_simplex), phase 1's end (a _PhaseOneEnd whose drive-outs hold
+    their column's entries), phase 2's pivots over the kept rows and the
+    reduced costs."""
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
         if np.any(c < -COST_TOL):
             raise LpUnbounded(name)
         return LpSolution(0.0, x, np.maximum(c, 0.0))
-
-    steps = None
-    if paths is not None:
-        key = ((b < 0).tobytes(), c.tobytes())
-        trie = paths.tries.get(key, _UNSEEN)
-        if trie is _UNSEEN:
-            if paths.nodes < PATH_NODES:
-                paths.tries[key] = None
-                paths.nodes += 1
-        else:
-            if trie is not None:
-                out = trie.walk(A, sense, b, c, name)
-                if out is not None:
-                    return out
-            steps = []
 
     # Orient rows so rhs >= 0.  Rows with sense != 0 get a slack (+1) or
     # surplus (-1) column, rows with sense <= 0 an artificial after them.
@@ -556,7 +511,9 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     basis = np.empty(m, dtype=int)
     basis[slack_rows], basis[art_rows] = slack, art
     max_iter = 2000 + 200 * (m + n_total)
-    start, drives, drive_cols, live_rows = basis.tolist(), [], [], None
+    drives, kept = [], None
+    if path is not None:
+        path.append((basis.tolist(), art_rows.tolist(), n_real))
 
     if art_rows.size:
         # Phase 1: minimize the sum of artificials.
@@ -567,7 +524,7 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             record.cost = T[-1].copy()
         status = _run_simplex(T, basis, n_total, max_iter,
                               None if record is None else record.pivots,
-                              steps)
+                              path)
         if status != "optimal":
             raise NumericFailure(f"{name}: phase 1 {status} ({m} rows x {n} "
                                  f"columns, limit {max_iter} pivots)")
@@ -585,38 +542,21 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             if nz[j]:
                 if record is not None:
                     record.drives.append((j, T[r] / T[r, j]))
-                if steps is not None:
-                    drives += (r, j)
-                    drive_cols += T[:m, j].tolist()
+                if path is not None:
+                    drives.append((r, j, T[:m, j].tolist()))
                 _pivot(T, basis, r, j)
         live = basis < n_real
         if not live.all():
-            live_rows = live.nonzero()[0].tolist()
+            kept = live.nonzero()[0].tolist()
             T, basis = T[np.append(live, True)], basis[live]
     if record is not None:
         record.T, record.basis = T.copy(), basis.copy()
         record.n_total = n_total
-    if steps is None:
+    if path is None:
         return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
-
-    path = []
+    path.append(_PhaseOneEnd(drives, kept))
     out = _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name, path)
-    steps.append((None, 0, (drives, drive_cols, live_rows)))
-    if live_rows is not None:           # back to the rows' own indices
-        for enter, leave, col in path:
-            full = [0.0] * (m + 1)
-            for i, r in enumerate(live_rows):
-                full[r] = col[i]
-            full[m] = col[-1]
-            steps.append((enter, live_rows[leave], full))
-    else:
-        steps += path
-    steps.append((None, None, (basis, out.reduced_costs)))
-    trie = paths.tries[key]
-    if trie is None:
-        trie = paths.tries[key] = _Trie(m, n, start, art_rows.tolist(),
-                                        n_real)
-    trie.insert(steps, paths)
+    path.append(array("d", out.reduced_costs.tobytes()))
     return out
 
 
@@ -801,6 +741,44 @@ def _replay(chain: _Chain, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                       2000 + 200 * (m + n_total), name)  # _two_phase's
 
 
+def _solve(A: np.ndarray, sense: np.ndarray, b: np.ndarray, c: np.ndarray,
+           name: str, paths: _Paths, chain: Optional[_Chain] = None,
+           pins: Optional[np.ndarray] = None
+           ) -> Tuple[LpSolution, Optional[_Chain]]:
+    """Solve min c x over the rows (A, sense, b) of the row set whose memo
+    is paths, by the reuse path the module docstring's rule picks, else
+    cold.  chain is the live chain of the stage before, if any; pins, given
+    when another stage follows, are the rows of the stages after that one.
+    Returns the solution and the next stage's chain: a replay moves chain
+    on, a cold solve starts one where pins are given, and a walk ends it.
+    A cold solve records its path from its key's second solve on."""
+    key = ((b < 0).tobytes(), c.tobytes())
+    trie = paths.tries.get(key, _UNSEEN)
+    if type(trie) is _Trie:
+        out = trie.walk(A, sense, b, c, name)
+        if out is not None:
+            return out, None
+    elif chain is not None:
+        try:
+            return _replay(chain, A, sense, b, c, name,
+                           pins is not None), chain
+        except _Diverged:
+            pass
+    chain = None if pins is None else _Chain(pins=pins)
+    if trie is _UNSEEN:
+        if paths.nodes < PATH_NODES:
+            paths.tries[key] = None
+            paths.nodes += 1
+        return _two_phase(A, sense, b, c, name, chain), chain
+    path = []
+    out = _two_phase(A, sense, b, c, name, chain, path)
+    if path:                            # a model with no rows has none
+        if trie is None:
+            trie = paths.tries[key] = _Trie(*path[0])
+        trie.insert(path[1:], paths)
+    return out, chain
+
+
 def solve_lp(model: LpModel) -> LpSolution:
     """Two-phase dense simplex.  Deterministic for byte-identical models.
 
@@ -810,8 +788,8 @@ def solve_lp(model: LpModel) -> LpSolution:
     cost, and CHECK_TOL.
     """
     A, sense, b = model.dense()
-    return _two_phase(A, sense, b, np.asarray(model.objective, dtype=float),
-                      model.name, None, model._dense_rows()[3])
+    return _solve(A, sense, b, np.asarray(model.objective, dtype=float),
+                  model.name, model._dense_rows()[3])[0]
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
@@ -828,15 +806,16 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
 
     The stacked rows stay with the model's row set, keyed by the objective
     and the targets, with a pivot-path memo of their own (see the module
-    docstring).  A stage that does not replay goes to _two_phase, whose
-    memo may serve it; a stage the memo serves starts no chain.
+    docstring).  Every stage goes through _solve, which takes one reuse
+    path: the memo where the stage's key holds recorded paths, else the
+    replay where a chain is live.  A stage the memo walks ends the chain.
 
     Stages chain: a stage differs from the one before only by its new
     trailing pin, so _replay solves it from the previous stage's record.
     The first stage solves cold (solve_lp passes nothing here but sol), and
-    so does a stage that fails a replay check; either starts a new chain,
-    recorded only when another stage follows.  The replay is _two_phase's
-    arithmetic, not an approximation of it:
+    so does a stage that fails a replay check or a walk; either starts a
+    new chain, recorded only when another stage follows.  The replay is
+    _two_phase's arithmetic, not an approximation of it:
     - The new row never pivots in phase 1, so the old rows never see it and
       get the cold solve's operations unchanged: the recorded pivot rows
       stand for them.  The new row and the cost row get the same x - f * y
@@ -907,19 +886,10 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
         c = np.zeros(n)
         for j, a in coeffs.items():
             c[j] = -a if goal == "max" else a
-        stage = (A[:k + i], sense[:k + i], b[:k + i], c, model.name + "+lex")
-        more, out = i < len(targets), None
-        if chain is not None:
-            try:
-                out = _replay(chain, *stage, keep=more)
-            except _Diverged:
-                pass
-        if out is None:
-            chain = (_Chain(pins=A[k + i + 1:k + len(targets)]) if more
-                     else None)
-            out = _two_phase(*stage, chain, paths)
-            if chain is not None and chain.T is None:
-                chain = None            # the memo served it: nothing to replay
+        out, chain = _solve(A[:k + i], sense[:k + i], b[:k + i], c,
+                            model.name + "+lex", paths, chain,
+                            A[k + i + 1:k + len(targets)]
+                            if i < len(targets) else None)
         b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
     final_obj = float(np.dot(model.objective, out.x))

@@ -1,13 +1,15 @@
-"""Every function, class and method the package defines is used outside the
-tests: referenced somewhere in ``src/``, ``demos/`` or ``benchmarks/``.
+"""Every function, class, method, module-level name and ``__slots__`` entry
+the package defines is used outside the tests: read somewhere in ``src/``,
+``demos/`` or ``benchmarks/``.
 
-A reference is a name, an attribute, an imported name or its alias, or a
-string constant that is a whole identifier or dotted name, each part
-counted (the benchmark tracer names what it wraps that way).  A word in a
-message or a docstring is prose, not a reference.  A definition does not
-reference itself.  Dunder methods are exempt, and so are the ``cmd_*``
-functions: ``cli.main`` dispatches to them by name.  Code that only tests
-call belongs in the tests.
+A reference is a name or an attribute that is read, an imported name or
+its alias, or a string constant that is a whole identifier or dotted name,
+each part counted (the benchmark tracer names what it wraps that way).  A
+slot counts only attributes read by its name, so a field that is only ever
+written is dead.  A word in a message or a docstring is prose, not a
+reference.  A definition does not reference itself.  Dunders are exempt,
+and so are the ``cmd_*`` functions: ``cli.main`` dispatches to them by
+name.  Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -21,30 +23,51 @@ USERS = [ROOT / "src", ROOT / "demos", ROOT / "benchmarks"]
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
+def _assigned(node: ast.stmt) -> list:
+    """The names a module- or class-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def definitions(tree: ast.Module) -> list:
-    """Module-level functions and classes, and the classes' methods that
-    are not dunders, as (name, node)."""
+    """Module-level functions, classes and assigned names, the classes'
+    methods, and their __slots__ entries as "." + the slot, none of them
+    dunders, as (name, node)."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.append((node.name, node))
+        found += [(name, node) for name in _assigned(node)]
         if isinstance(node, ast.ClassDef):
-            found += [(item.name, item) for item in node.body
-                      if isinstance(item, ast.FunctionDef)
-                      and not (item.name.startswith("__")
-                               and item.name.endswith("__"))]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found.append((item.name, item))
+                elif "__slots__" in _assigned(item):
+                    found += [("." + slot.value, item)
+                              for slot in ast.walk(item.value)
+                              if isinstance(slot, ast.Constant)]
     return [(name, node) for name, node in found
-            if not name.startswith("cmd_")]
+            if not (name.startswith("__") and name.endswith("__")
+                    or name.startswith("cmd_"))]
 
 
 def references(tree: ast.AST) -> Counter:
-    """Every name the code refers to, by any of the four routes, counted."""
+    """Every name the code reads, by any of the four routes, counted; an
+    attribute read counts under "." + its name too."""
     refs = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
             refs[node.attr] += 1
+            refs["." + node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 refs.update(alias.name.split("."))
@@ -88,6 +111,28 @@ def test_guard_sees_code_only_tests_use():
             "raise ValueError('no named_in_prose here')\n")
     assert unreferenced({"m.py": module}, [module, user]) == [
         "m: named_in_prose", "m: orphan", "m: unused"]
+
+
+def test_guard_sees_constants_and_slots_only_written():
+    module = ("USED = 1\n"
+              "UNUSED: int = 2\n"
+              "WRITTEN = 3\n"
+              "__version__ = '1'\n"
+              "class Node:\n"
+              "    __slots__ = ('read', 'written', 'bumped')\n"
+              "    def __init__(self):\n"
+              "        self.read = self.written = USED\n"
+              "        self.bumped = 0\n"
+              "    def step(self):\n"
+              "        self.bumped += 1\n"
+              "        return self.read\n")
+    user = ("from m import Node\n"
+            "import m\n"
+            "m.WRITTEN = 4\n"
+            "Node().step()\n"
+            "written = 'written'\n")
+    assert unreferenced({"m.py": module}, [module, user]) == [
+        "m: .bumped", "m: .written", "m: UNUSED", "m: WRITTEN"]
 
 
 def test_src_defines_nothing_only_tests_use():

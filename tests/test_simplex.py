@@ -570,24 +570,18 @@ def _chain_bytes(chain) -> tuple:
 
 @pytest.fixture
 def oracle_solves(monkeypatch):
-    """Check every solve (lp._two_phase) against _oracle_two_phase on copies
-    of its inputs, and every replayed refinement stage against a cold oracle
-    solve of the same stage: x, the objective's repr and the reduced costs,
-    and for a solve that pivots, the tableau and basis just before phase 2
-    and a recorded chain.  A solve that the pivot-path memo serves
-    (lp._Trie.walk) builds no tableau and records no chain, so it is
-    checked on x, the objective and the reduced costs.  Returns one name
-    per checked solve.  Phase 2 starts by overwriting the cost row, so a
-    replay, which pushes only its new rows, is checked on the constraint
-    rows alone."""
+    """Check every cold solve (lp._two_phase) against _oracle_two_phase on
+    copies of its inputs, and every replayed refinement stage and every
+    solve that the pivot-path memo serves (lp._Trie.walk) against a cold
+    oracle solve of the same stage: x, the objective's repr and the reduced
+    costs, and for a cold solve, the tableau and basis just before phase 2
+    and a recorded chain.  Returns one name per checked solve.  Phase 2
+    starts by overwriting the cost row, so a replay, which pushes only its
+    new rows, is checked on the constraint rows alone; a walk builds no
+    tableau, so it is checked on its solution alone."""
     two_phase, phase_two, replay = lp._two_phase, lp._phase_two, lp._replay
     walk = lp._Trie.walk
-    before, checked, walks = [], [], []
-
-    def noted_walk(self, *args):
-        out = walk(self, *args)
-        walks.append(out is not None)
-        return out
+    before, checked = [], []
 
     def noted_phase_two(T, basis, *args):
         before.append((T[:-1].tobytes(), T[-1].tobytes(), basis.tobytes()))
@@ -603,28 +597,31 @@ def oracle_solves(monkeypatch):
             assert not cost_row or cost == chain.T[-1].tobytes()
             assert basis == chain.basis.tobytes()
 
-    def checked_two_phase(A, sense, b, c, name, record=None, paths=None):
+    def checked_two_phase(A, sense, b, c, name, record=None, path=None):
         chain = lp._Chain()
         args = (A.copy(), sense.copy(), b.copy(), c.copy(), name)
         before.clear()
-        walks.clear()
         try:
             want = _oracle_two_phase(*args, chain)
         except LpError as exc:
             with pytest.raises(type(exc)):
-                two_phase(A, sense, b, c, name, record, paths)
+                two_phase(A, sense, b, c, name, record, path)
             checked.append("error")
             raise
-        got = two_phase(A, sense, b, c, name, record, paths)
-        if any(walks):
-            compare(got, want)
-            assert not before and (record is None or record.T is None)
-            checked.append(name + " served")
-            return got
+        got = two_phase(A, sense, b, c, name, record, path)
         compare(got, want, chain)
         if record is not None:
             assert _chain_bytes(record) == _chain_bytes(chain)
         checked.append(name if record is None else name + " recorded")
+        return got
+
+    def checked_walk(self, A, sense, b, c, name):
+        before.clear()
+        got = walk(self, A, sense, b, c, name)
+        if got is not None:
+            assert not before
+            compare(got, _oracle_two_phase(A, sense, b, c, name))
+            checked.append(name + " served")
         return got
 
     def checked_replay(chain, A, sense, b, c, name, keep):
@@ -639,16 +636,15 @@ def oracle_solves(monkeypatch):
     monkeypatch.setattr(lp, "_two_phase", checked_two_phase)
     monkeypatch.setattr(lp, "_phase_two", noted_phase_two)
     monkeypatch.setattr(lp, "_replay", checked_replay)
-    monkeypatch.setattr(lp._Trie, "walk", noted_walk)
+    monkeypatch.setattr(lp._Trie, "walk", checked_walk)
     return checked
 
 
-def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
-                                                  monkeypatch):
-    # The resolving base and stage programs of bench_long, the traffic the
-    # world_lp benchmark times, played twice from rows that no earlier solve
-    # has seen: the first run records the paths of the states it solves more
-    # than once, and the second follows them.
+def _resolving_traffic(monkeypatch, runs):
+    """The resolving base and stage programs of bench_long, the traffic the
+    world_lp benchmark times, played runs times from rows that no earlier
+    solve has seen: the first run records the paths of the states it
+    solves more than once, and the later ones follow them."""
     monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
     with open(instance_path("bench_long.json")) as f:
         config = json.load(f)
@@ -658,10 +654,15 @@ def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
     inst = bayesian.forecast_instance(
         config["pool_sizes"], config["availability"], table,
         float(config["under_cost"]), float(config["over_cost"]), process)
-    for _ in range(2):
+    for _ in range(runs):
         factories = _policy_factories(["lp_resolving"], inst, process, {})
         bayesian.run_bayesian_world(inst, process, table, factories, 20,
                                     int(config["seed"]))
+
+
+def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
+                                                  monkeypatch):
+    _resolving_traffic(monkeypatch, 2)
     assert len(oracle_solves) > 100
     served = [s for s in oracle_solves if s.endswith(" served")]
     assert len(served) > len(oracle_solves) / 2
@@ -669,6 +670,36 @@ def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
     assert any(not s.endswith("+lex served") for s in served)
     assert any(s.endswith("recorded") for s in oracle_solves)
     assert any(s.endswith("replayed") for s in oracle_solves)
+
+
+def test_warm_stages_take_one_reuse_path(oracle_solves, monkeypatch):
+    # A stage whose key holds recorded paths goes to the memo and never
+    # reaches the replay, even with a live chain; a stage whose key holds
+    # none replays wherever a chain is live; a walked stage ends the chain.
+    # The fixture checks every solve against the oracle.
+    routes, solve, replay = [], lp._solve, lp._replay
+
+    def noted_solve(A, sense, b, c, name, paths, chain=None, pins=None):
+        trie = paths.tries.get(((b < 0).tobytes(), c.tobytes()))
+        routes.append([type(trie) is lp._Trie, chain is not None, False])
+        out, chain = solve(A, sense, b, c, name, paths, chain, pins)
+        assert chain is None or not oracle_solves[-1].endswith(" served")
+        return out, chain
+
+    def noted_replay(*args):
+        routes[-1][2] = True
+        return replay(*args)
+
+    monkeypatch.setattr(lp, "_solve", noted_solve)
+    monkeypatch.setattr(lp, "_replay", noted_replay)
+    _resolving_traffic(monkeypatch, 3)
+    assert not any(held and replayed for held, _, replayed in routes)
+    assert all(replayed for held, live, replayed in routes
+               if live and not held)
+    assert any(held and live for held, live, _ in routes)
+    assert any(live and not held for held, live, _ in routes)
+    assert any(s.endswith("+lex served") for s in oracle_solves)
+    assert any(s.endswith("+lex replayed") for s in oracle_solves)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -756,6 +787,20 @@ def _tries(model):
     return [t for t in model._dense_rows()[3].tries.values() if t is not None]
 
 
+def _nodes(trie):
+    """The pivot nodes and phase ends reachable from trie, each once."""
+    found, todo = [], [trie.next]
+    while todo:
+        node = todo.pop()
+        if node is not None:
+            found.append(node)
+        if type(node) is lp._Pivot:
+            todo += [node.next, *(node.more or {}).values()]
+        elif type(node) is lp._PhaseOneEnd:
+            todo.append(node.next)
+    return found
+
+
 def _four_rows():
     model = LpModel(name="four-rows")
     for j, obj in enumerate((1.0, 2.0, 0.5)):
@@ -796,7 +841,9 @@ def test_memo_resolves_infeasible_and_redundant_rows_as_cold(walks):
             "phase-1 residual 1 > 1e-07") in outcomes
     assert walks.count(True) >= 3 and walks.count(False) >= 2
     (trie,) = _tries(model)
-    assert trie.live and all(v == [0, 2] for v in trie.live.values())
+    ends = [node for node in _nodes(trie)
+            if type(node) is lp._PhaseOneEnd]
+    assert ends and all(end.kept == [0, 2] for end in ends)
 
 
 def test_memo_resolves_signed_zeros_as_cold(walks):
@@ -847,9 +894,8 @@ def test_memo_stays_at_its_bound(monkeypatch, walks):
         for b in rhs:
             _resolves_as_cold(model, [b], rounds=1)
             held.append(paths.nodes)
-    # Keys and pivot nodes and phase ends, counted as the trie holds them.
-    nodes = sum(len(t.enter) + len(t.ends) // 3 + len(t.basis_at) // t.m
-                for t in _tries(model))
+    # Keys and pivot nodes and phase ends, counted as the tries link them.
+    nodes = sum(len(_nodes(t)) for t in _tries(model))
     assert nodes + len(paths.tries) == paths.nodes
     # Unbounded, these solves take 29 (8 keys and paths of 5 or 6 nodes).
     # The memo fills up to the bound and stays there: the last round's
