@@ -480,8 +480,13 @@ def cmd_oracle(args) -> int:
     check_grid_step(args.grid_step)
     multi = isinstance(problem, MultiStationInstance)
     stations = _stations(problem, args.policy, args.gamma)
-    built = (build_lp_multi_station(problem) if multi
-             else build_lp_single_switch(stations[0][1]))
+    # gamma_star is the value of the program the policy plays.
+    if args.policy == "release":
+        built = build_lp_release(validate_release_instance(problem))
+    elif multi:
+        built = build_lp_multi_station(problem)
+    else:
+        built = build_lp_single_switch(stations[0][1])
     gamma = solve_lp(built.model).objective
     witnesses = [brute_force_worst_case(inst, factory, args.grid_step,
                                         cap=args.cap)

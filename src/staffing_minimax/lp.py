@@ -25,11 +25,11 @@ Programming, ch. 10).  _solve picks the path for each solve:
   a resolving day's programs share one, and refine_lexicographic keeps its
   stacked stage rows with them) carries a memo (_Paths) keyed by which
   right-hand sides are negative, which orients the rows, and by the cost
-  vector.  A key's paths are linked nodes (_Trie), recorded from its second
-  cold solve on; a solve whose leaving rows follow one redoes the
-  right-hand-side column alone, with the kernel's IEEE operations in its
-  order (_Trie.walk).  The memo lives as long as its rows, and holds at
-  most PATH_NODES keys and nodes.
+  vector.  A key's paths are nodes in the memo's flat arrays, recorded
+  from its second cold solve on; a solve whose leaving rows follow one
+  redoes the right-hand-side column alone, with the kernel's IEEE
+  operations in its order (_Trie.walk).  The memo lives as long as its
+  rows, and holds at most PATH_BYTES bytes of keys and paths.
 - The chain replay serves any other refinement stage with a live chain.
   Each stage is the one before plus one pinned "=" row, so a stage pushes
   its new row and cost row through the previous stage's recorded phase-1
@@ -219,7 +219,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int,
     times the divided row, through one scratch product array.  pivots, when
     given, receives each pivot's entering column and a copy of the divided
     row; path, each pivot's (entering column, leaving row, entering column
-    entries before the pivot, cost row last), as a _Trie records them.
+    entries before the pivot, cost row last), as _Trie.insert takes them.
     """
     m = T.shape[0] - 1
     cost, rhs = T[-1, :n_cols], T[:m, -1]
@@ -269,15 +269,16 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
     np.subtract.reduce(P, axis=0, out=T[-1])
 
 
-# The most keys, pivot nodes and phase ends one row set's memo holds (see
-# _Paths); once full it records nothing more, and the paths it holds keep
-# serving.  A pivot node takes about 90 bytes and 8 a column entry, so
-# this bounds a 20-row set near 130 KB.  The 28 row sets of a world_lp run
-# (14 days, base and stage rows) hold about 10,500 at this bound after
-# eight passes, and walks serve about 77% of a warm pass's solves;
-# unbounded, they would hold 27,000 (about 5 MB more peak memory) and
-# serve 94%.
-PATH_NODES = 512
+# The most bytes one row set's memo holds (see _Paths): its keys and its
+# tries' arrays.  A key or node that would take it past this is not
+# recorded, and the paths it holds keep serving.  Over the eight passes of
+# a world_lp run (bench_long, T = 14; seed 1) 2 of its 28 row sets reach
+# it, in the 6th and 7th, and all 28 hold 4.2 MB; unbounded, those two
+# would hold about 0.87 and 0.99 MB, and walks serve as many of a warm
+# pass's solves either way (93-96%).  An instance has at most 2T row sets
+# through programs._day_rows (each day's rows and their stacked stage
+# rows), so its memos hold at most 2T * PATH_BYTES.
+PATH_BYTES = 768 * 1024
 _UNSEEN = object()
 
 
@@ -287,81 +288,73 @@ class _Paths:
     key of a solve, the bytes of b < 0 (which orients the rows, and so
     fixes the tableau's columns and starting basis) and of its cost vector
     c, to None once the key has been solved, and to the _Trie of its
-    recorded paths from the second solve on.  nodes counts the keys and
-    trie nodes held against PATH_NODES.  stages is refine_lexicographic's
-    stacked stage rows for one objective and target list, with their own
-    memo: (key, A, sense, _Paths)."""
+    recorded paths from the second solve on.  held counts the bytes of the
+    keys and of the tries' arrays against PATH_BYTES.  stages is
+    refine_lexicographic's stacked stage rows for one objective and target
+    list, with their own memo: (key, A, sense, _Paths)."""
 
-    __slots__ = ("tries", "nodes", "stages")
+    __slots__ = ("tries", "held", "stages")
 
     def __init__(self):
         self.tries: dict = {}
-        self.nodes = 0
+        self.held = 0
         self.stages: Optional[tuple] = None
 
-
-class _Pivot:
-    """A recorded pivot: its entering column, the offset in its trie's cols
-    of that column's entries before the pivot (cost row last), the leaving
-    row of the first path recorded through it and the node that follows
-    there, and a dict of the nodes after any other leaving row (None until
-    there is one)."""
-
-    __slots__ = ("enter", "at", "leave", "next", "more")
-
-    def __init__(self, enter: int, at: int, leave: int):
-        self.enter, self.at, self.leave = enter, at, leave
-        self.next = self.more = None
-
-
-class _PhaseOneEnd:
-    """Phase 1's end on a recorded path: its drive-outs as (row, column,
-    offset in cols of the column's m entries before the pivot), the rows
-    kept (None where phase 1 drops none) and phase 2's first node."""
-
-    __slots__ = ("drives", "kept", "next")
-
-    def __init__(self, drives: list, kept: Optional[list]):
-        self.drives, self.kept, self.next = drives, kept, None
+    def take(self, size: int) -> bool:
+        """Count size more bytes, or return False where they would take the
+        memo past PATH_BYTES."""
+        if self.held + size > PATH_BYTES:
+            return False
+        self.held += size
+        return True
 
 
 class _Trie:
-    """The pivot paths recorded for one key of a row set, as linked nodes:
-    next is the first pivot (phase 1's end where no row has an artificial),
-    a _Pivot links the node after each leaving row, phase 1's end (a
-    _PhaseOneEnd) links phase 2's first pivot, and a path ends in its
-    optimum, the array('d') of the reduced costs (a walk's basis order ends
-    as the final basis).  cols holds every node's column entries in one
-    flat array: m + 1 for a phase-1 pivot, m for a drive-out, and one per
-    kept row plus the cost row's for a phase-2 pivot, as phase 2 runs over
-    the kept rows.  basis, art and n_real are what the key fixes: the
-    starting basis, the artificial rows and the columns kept after phase
-    1."""
+    """The pivot paths recorded for one key of a row set, in two flat
+    arrays, with no Python object per node.  A node is an offset k into the
+    array('i') nodes, which holds its fields at k to k + 4: its entering
+    column (-1 for the start, phase 1's end or an optimum), the offset in
+    cols of its entries, its leaving row, the node after it (-1 where none
+    is recorded) and a node of the same pivot whose path leaves by another
+    row (-1 where none).  The start's and a phase end's record follow from
+    k + 5.  Every path runs from the start, node 0, whose record is what
+    the key fixes: n_real, the number of artificial rows, the starting
+    basis and the artificial rows.  It goes through phase 1's pivots to
+    phase 1's end, whose record is the number of drive-outs, each one's row
+    and column, the number of rows phase 1 drops and those rows, and
+    through phase 2's pivots to its optimum.  cols holds the entries: m + 1
+    for a phase-1 pivot (cost row last), m for each drive-out (in turn),
+    one per kept row plus the cost row's for a phase-2 pivot, as phase 2
+    runs over the kept rows, and an optimum's reduced costs (a walk's basis
+    order ends as the final basis)."""
 
-    __slots__ = ("basis", "art", "n_real", "next", "cols")
+    __slots__ = ("nodes", "cols")
 
-    def __init__(self, basis: list, art: list, n_real: int):
-        self.basis, self.art, self.n_real = basis, art, n_real
-        self.next, self.cols = None, array("d")
+    def __init__(self):
+        self.nodes, self.cols = array("i"), array("d")
 
-    def _follow(self, node, top: list, z: float, order: list):
-        """Walk pivot nodes from node to the next phase end: (that end, or
-        None where the path leaves the trie; the right-hand sides; the cost
-        row's)."""
-        cols, w = self.cols, len(top) + 1
-        while type(node) is _Pivot:
-            col = cols[node.at:node.at + w].tolist()
+    def _follow(self, k: int, top: list, z: float, order: list):
+        """Walk pivot nodes from node k to the next that ends a phase:
+        (that node, or -1 where the path leaves the trie; the right-hand
+        sides; the cost row's)."""
+        nodes, cols, w = self.nodes, self.cols, len(top) + 1
+        while k >= 0 and nodes[k] >= 0:
+            at = nodes[k + 1]
+            col = cols[at:at + w].tolist()
             # A recorded node has left by some row, and which rows qualify
-            # reads col alone, so leave is found.
-            leave = _leaving_row(col, top, order)
-            order[leave] = node.enter
-            r = top[leave] = top[leave] / col[leave]
-            node = (node.next if leave == node.leave
-                    else node.more and node.more.get(leave))
-            col[leave] = 0.0
+            # reads col alone, so row is found.
+            row = _leaving_row(col, top, order)
+            while nodes[k + 2] != row:
+                k = nodes[k + 4]
+                if k < 0:
+                    return k, top, z
+            order[row] = nodes[k]
+            r = top[row] = top[row] / col[row]
+            col[row] = 0.0
             z -= col[-1] * r
             top = [t - f * r for t, f in zip(top, col)]
-        return node, top, z
+            k = nodes[k + 3]
+        return k, top, z
 
     def walk(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
              c: np.ndarray, name: str) -> Optional[LpSolution]:
@@ -380,57 +373,75 @@ class _Trie:
         every later column and never pass the ratio test.  Phase 2's
         cost-row entry is never read, and the certificate then runs as in a
         cold solve."""
+        nodes, cols, m = self.nodes, self.cols, len(b)
+        order = nodes[7:7 + m].tolist()
         # b * flip: -v is v * -1.0 exactly, and -0.0 is not flipped.
         top = [-v if v < 0 else v for v in b.tolist()]
         z = 0.0
-        for r in self.art:
+        for r in nodes[7 + m:7 + m + nodes[6]]:
             z -= top[r]                 # 1.0 * top[r] is top[r]
-        order = list(self.basis)
-        end, top, z = self._follow(self.next, top, z, order)
-        if end is None or -z > 1e-7:
+        end, top, z = self._follow(nodes[3], top, z, order)
+        if end < 0 or -z > 1e-7:
             return None
-        for row, j, at in end.drives:
-            col = self.cols[at:at + len(top)].tolist()
+        at, s = nodes[end + 1], end + 6
+        for d in range(nodes[end + 5]):
+            row, j = nodes[s + 2 * d], nodes[s + 2 * d + 1]
+            col = cols[at + d * m:at + d * m + m].tolist()
             r = top[row] = top[row] / col[row]
             col[row] = 0.0
             top = [t - f * r for t, f in zip(top, col)]
             order[row] = j
-        if end.kept is not None:
-            top = [top[i] for i in end.kept]
-            order = [order[i] for i in end.kept]
-        reduced, top, _ = self._follow(end.next, top, z, order)
-        if reduced is None:
+        s += 2 * nodes[end + 5]
+        for i in reversed(nodes[s + 1:s + 1 + nodes[s]]):
+            del top[i], order[i]
+        k, top, _ = self._follow(nodes[end + 3], top, z, order)
+        if k < 0:
             return None
-        return _certified(top, order, np.frombuffer(reduced), A, sense, b, c,
-                          self.n_real, name)
+        at = nodes[k + 1]
+        return _certified(top, order, np.frombuffer(cols[at:at + A.shape[1]]),
+                          A, sense, b, c, nodes[5], name)
+
+    def _add(self, paths: _Paths, enter: int, leave: int, floats=(),
+             record=(), at: int = -1) -> int:
+        """A new node with its entries floats (at offset at instead, where
+        given) and its record; -1 where paths has no room for it."""
+        nodes, cols = self.nodes, self.cols
+        if not paths.take(nodes.itemsize * (5 + len(record))
+                          + cols.itemsize * len(floats)):
+            return -1
+        k = len(nodes)
+        nodes.extend((enter, len(cols) if at < 0 else at, leave, -1, -1))
+        nodes.extend(record)
+        cols.extend(floats)
+        return k
 
     def insert(self, path: list, paths: _Paths) -> None:
         """Add one cold solve's path (see _two_phase), node by node while
-        the row set holds fewer than PATH_NODES."""
-        cols, node, leave = self.cols, self, None
-        for step in path:
-            first = leave is None or leave == node.leave
-            after = (node.next if first
-                     else node.more and node.more.get(leave))
-            if after is None:
-                if paths.nodes >= PATH_NODES:
-                    return
-                paths.nodes += 1
-                after = step
-                if type(step) is tuple:     # (enter, leave, column entries)
-                    after = _Pivot(step[0], len(cols), step[1])
-                    cols.extend(step[2])
-                elif type(step) is _PhaseOneEnd:
-                    for d, (row, j, col) in enumerate(step.drives):
-                        step.drives[d] = (row, j, len(cols))
-                        cols.extend(col)
-                if first:
-                    node.next = after
-                elif node.more is None:
-                    node.more = {leave: after}
-                else:
-                    node.more[leave] = after
-            node, leave = after, (step[1] if type(step) is tuple else None)
+        each fits in the row set's memo, the start first.  The node after a
+        pivot depends on its leaving row; the node after the start or a
+        phase end is fixed by the key and the pivots before it."""
+        start, one, (drives, dropped), two, reduced = path
+        if not self.nodes and self._add(paths, -1, -1, record=start) < 0:
+            return
+        end = [len(drives)]
+        for row, j, _ in drives:
+            end += (row, j)
+        end += (len(dropped), *dropped)
+        floats = [f for *_, col in drives for f in col]
+        nodes, k = self.nodes, 0
+        for enter, leave, *data in (*one, (-1, -1, floats, end), *two,
+                                    (-1, -1, reduced)):
+            after = nodes[k + 3]
+            if after < 0:
+                after = nodes[k + 3] = self._add(paths, enter, leave, *data)
+            while after >= 0 and enter >= 0 and nodes[after + 2] != leave:
+                k, after = after, nodes[after + 4]
+                if after < 0:
+                    after = nodes[k + 4] = self._add(paths, enter, leave,
+                                                     at=nodes[k + 1])
+            if after < 0:
+                return
+            k = after
 
 
 @dataclass
@@ -483,11 +494,11 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     tableau, phase 1, drive-outs, row drop, phase 2 and certificate (see
     solve_lp); name labels errors.  record, when given, receives what the
     next refinement stage replays (see _replay).  path, when given,
-    receives what a _Trie stores (see _Trie.insert): first the starting
-    basis, the artificial rows and n_real, then phase 1's pivots (see
-    _run_simplex), phase 1's end (a _PhaseOneEnd whose drive-outs hold
-    their column's entries), phase 2's pivots over the kept rows and the
-    reduced costs."""
+    receives what a _Trie stores: the start's record (n_real, the
+    number of artificial rows, the starting basis, the artificial rows),
+    phase 1's pivots (see _run_simplex), phase 1's end (the drive-outs as
+    row, column and the column's m entries before the pivot, and the rows
+    dropped), phase 2's pivots over the kept rows and the reduced costs."""
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
@@ -511,9 +522,11 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     basis = np.empty(m, dtype=int)
     basis[slack_rows], basis[art_rows] = slack, art
     max_iter = 2000 + 200 * (m + n_total)
-    drives, kept = [], None
+    drives, dropped, one = [], [], None
     if path is not None:
-        path.append((basis.tolist(), art_rows.tolist(), n_real))
+        path.append([n_real, art_rows.size, *basis.tolist(),
+                     *art_rows.tolist()])
+        one = []
 
     if art_rows.size:
         # Phase 1: minimize the sum of artificials.
@@ -524,7 +537,7 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
             record.cost = T[-1].copy()
         status = _run_simplex(T, basis, n_total, max_iter,
                               None if record is None else record.pivots,
-                              path)
+                              one)
         if status != "optimal":
             raise NumericFailure(f"{name}: phase 1 {status} ({m} rows x {n} "
                                  f"columns, limit {max_iter} pivots)")
@@ -547,16 +560,16 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                 _pivot(T, basis, r, j)
         live = basis < n_real
         if not live.all():
-            kept = live.nonzero()[0].tolist()
+            dropped = (~live).nonzero()[0].tolist()
             T, basis = T[np.append(live, True)], basis[live]
     if record is not None:
         record.T, record.basis = T.copy(), basis.copy()
         record.n_total = n_total
     if path is None:
         return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
-    path.append(_PhaseOneEnd(drives, kept))
-    out = _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name, path)
-    path.append(array("d", out.reduced_costs.tobytes()))
+    two = []
+    out = _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name, two)
+    path += (one, (drives, dropped), two, out.reduced_costs.tolist())
     return out
 
 
@@ -766,16 +779,17 @@ def _solve(A: np.ndarray, sense: np.ndarray, b: np.ndarray, c: np.ndarray,
             pass
     chain = None if pins is None else _Chain(pins=pins)
     if trie is _UNSEEN:
-        if paths.nodes < PATH_NODES:
+        if paths.take(len(key[0]) + len(key[1])):
             paths.tries[key] = None
-            paths.nodes += 1
         return _two_phase(A, sense, b, c, name, chain), chain
     path = []
     out = _two_phase(A, sense, b, c, name, chain, path)
     if path:                            # a model with no rows has none
         if trie is None:
-            trie = paths.tries[key] = _Trie(*path[0])
-        trie.insert(path[1:], paths)
+            trie = _Trie()
+        trie.insert(path, paths)
+        if trie.nodes:                  # its start fitted
+            paths.tries[key] = trie
     return out, chain
 
 

@@ -172,6 +172,19 @@ def test_oracle_command(capsys, tmp_path):
     assert float(lines["max_cost"]) <= float(lines["gamma_star"]) + 1e-6
 
 
+def test_oracle_release_prints_release_program_value(capsys):
+    # The release policy plays the release program, so gamma_star is that
+    # program's value, the one solve prints (0.142857), not the base
+    # program's (0.151746).
+    path = instance_path("release_demo.json")
+    code, out, _ = run_cli(capsys, "oracle", "--instance", path, "--policy",
+                           "release", "--grid-step", "0.5")
+    assert code == 0
+    assert "gamma_star = 0.142857" in out.splitlines()
+    code, out, _ = run_cli(capsys, "solve", "--instance", path)
+    assert code == 0 and out.splitlines()[0] == "0.142857"
+
+
 def test_calibrate_command(capsys, tmp_path):
     out = tmp_path / "table.json"
     code, text, _ = run_cli(capsys, "calibrate", "--T", "4", "--draws",

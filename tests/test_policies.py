@@ -655,16 +655,17 @@ def test_release_memo_cap_and_read_only_entries(monkeypatch):
 
 @pytest.mark.parametrize("step, blocks, digest", [
     ("0.5", 4,
-     "99b8cc781504acc6ad6a6265ac222d1fcd73f9ad13a7af7606ec6691c1200590"),
+     "a62f5c5dde7e81b00cd934aa5a7df66d52d7ea06e909c20ca546e10488043e8e"),
     ("0.25", 11,
-     "e5c1c6e62ea6c856d9f0dada9eb2225848ae3bdad5aac372a5ece14173d300f2")])
+     "e60f290ec758721d7dda4b3aed3a38a3dfb5bb4495f1e8dd34dba02245827493")])
 def test_release_oracle_builds_each_block_once(step, blocks, digest,
                                                monkeypatch, capsys):
     # Each sequence's two epochs play two blocks in turn.  The emulator's
     # block memo keeps both, so every distinct block's day tables are built
     # once per command and its tree serves the days it holds; the output
     # is the one a one-entry memo gave (digests of the stdout from before
-    # the blocks were kept).
+    # the blocks were kept, but for gamma_star, now the release program's
+    # value).
     monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     tables, steps = [], []
     build = emulator_module._build_day_tables

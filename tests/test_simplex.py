@@ -640,11 +640,13 @@ def oracle_solves(monkeypatch):
     return checked
 
 
-def _resolving_traffic(monkeypatch, runs):
+def _resolving_runs(monkeypatch, reps=20):
     """The resolving base and stage programs of bench_long, the traffic the
-    world_lp benchmark times, played runs times from rows that no earlier
-    solve has seen: the first run records the paths of the states it
-    solves more than once, and the later ones follow them."""
+    world_lp benchmark times, from rows that no earlier solve has seen: each
+    call of the returned function plays reps replications through
+    lp_resolving, from replication offset on.  The first records the paths
+    of the states it solves more than once, and the later ones follow
+    them."""
     monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
     with open(instance_path("bench_long.json")) as f:
         config = json.load(f)
@@ -654,10 +656,18 @@ def _resolving_traffic(monkeypatch, runs):
     inst = bayesian.forecast_instance(
         config["pool_sizes"], config["availability"], table,
         float(config["under_cost"]), float(config["over_cost"]), process)
-    for _ in range(runs):
+
+    def play(offset=0):
         factories = _policy_factories(["lp_resolving"], inst, process, {})
-        bayesian.run_bayesian_world(inst, process, table, factories, 20,
-                                    int(config["seed"]))
+        bayesian.run_bayesian_world(inst, process, table, factories, reps,
+                                    int(config["seed"]), offset)
+    return play
+
+
+def _resolving_traffic(monkeypatch, runs):
+    play = _resolving_runs(monkeypatch)
+    for _ in range(runs):
+        play()
 
 
 def test_solves_match_oracle_on_resolving_traffic(oracle_solves,
@@ -700,6 +710,33 @@ def test_warm_stages_take_one_reuse_path(oracle_solves, monkeypatch):
     assert any(live and not held for held, live, _ in routes)
     assert any(s.endswith("+lex served") for s in oracle_solves)
     assert any(s.endswith("+lex replayed") for s in oracle_solves)
+
+
+def test_walks_serve_warm_resolving_solves(monkeypatch):
+    # The memo holds every path the world_lp traffic records, so once two
+    # runs have recorded them, walks serve nearly every solve of a third on
+    # fresh replications, as a benchmark pass plays: 0.936 of them, against
+    # 0.736 when the memo held 512 nodes a row set.
+    play = _resolving_runs(monkeypatch, 200)
+    play(0)
+    play(200)
+    solves, served = [], []
+    solve, walk = lp._solve, lp._Trie.walk
+
+    def noted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def noted_walk(self, *args):
+        out = walk(self, *args)
+        served.append(out is not None)
+        return out
+
+    monkeypatch.setattr(lp, "_solve", noted_solve)
+    monkeypatch.setattr(lp._Trie, "walk", noted_walk)
+    play(400)
+    assert len(solves) > 5000
+    assert sum(served) >= 0.9 * len(solves)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -787,17 +824,17 @@ def _tries(model):
     return [t for t in model._dense_rows()[3].tries.values() if t is not None]
 
 
-def _nodes(trie):
-    """The pivot nodes and phase ends reachable from trie, each once."""
-    found, todo = [], [trie.next]
+def _dropped(trie):
+    """The rows dropped at each phase-1 end of trie: the node that follows
+    the start or a phase-1 pivot and is no pivot."""
+    nodes, found, todo = trie.nodes, [], [trie.nodes[3]]
     while todo:
-        node = todo.pop()
-        if node is not None:
-            found.append(node)
-        if type(node) is lp._Pivot:
-            todo += [node.next, *(node.more or {}).values()]
-        elif type(node) is lp._PhaseOneEnd:
-            todo.append(node.next)
+        k = todo.pop()
+        if k >= 0 and nodes[k] >= 0:
+            todo += [nodes[k + 3], nodes[k + 4]]
+        elif k >= 0:
+            s = k + 6 + 2 * nodes[k + 5]
+            found.append(nodes[s + 1:s + 1 + nodes[s]].tolist())
     return found
 
 
@@ -841,9 +878,8 @@ def test_memo_resolves_infeasible_and_redundant_rows_as_cold(walks):
             "phase-1 residual 1 > 1e-07") in outcomes
     assert walks.count(True) >= 3 and walks.count(False) >= 2
     (trie,) = _tries(model)
-    ends = [node for node in _nodes(trie)
-            if type(node) is lp._PhaseOneEnd]
-    assert ends and all(end.kept == [0, 2] for end in ends)
+    ends = _dropped(trie)
+    assert ends and all(dropped == [1] for dropped in ends)
 
 
 def test_memo_resolves_signed_zeros_as_cold(walks):
@@ -884,7 +920,7 @@ def test_memo_resolves_random_lps_as_cold(walks):
 
 
 def test_memo_stays_at_its_bound(monkeypatch, walks):
-    monkeypatch.setattr(lp, "PATH_NODES", 20)
+    monkeypatch.setattr(lp, "PATH_BYTES", 600)
     model = _four_rows()
     paths = model._dense_rows()[3]
     rhs = [[b0, b1, b2, 3.0] for b0 in (1.0, -1.0) for b1 in (0.5, -0.5)
@@ -893,15 +929,17 @@ def test_memo_stays_at_its_bound(monkeypatch, walks):
     for _ in range(4):
         for b in rhs:
             _resolves_as_cold(model, [b], rounds=1)
-            held.append(paths.nodes)
-    # Keys and pivot nodes and phase ends, counted as the tries link them.
-    nodes = sum(len(_nodes(t)) for t in _tries(model))
-    assert nodes + len(paths.tries) == paths.nodes
-    # Unbounded, these solves take 29 (8 keys and paths of 5 or 6 nodes).
-    # The memo fills up to the bound and stays there: the last round's
-    # misses solve cold and record nothing.
+            held.append(paths.held)
+    # The bytes the bound reads are those of the keys and the arrays.
+    assert paths.held == (sum(len(k) + len(c) for k, c in paths.tries)
+                          + sum(len(a) * a.itemsize for t in _tries(model)
+                                for a in (t.nodes, t.cols)))
+    # Unbounded, these solves take 1,500 bytes (8 keys and 25 nodes).  The
+    # memo fills to within a node (at most 60 bytes here) of the bound and
+    # stays there: the last round's misses solve cold and record nothing.
     last = walks[-len(rhs):]
-    assert max(held) == held[-len(rhs)] == held[-1] == 20
+    assert max(held) == held[-len(rhs)] == held[-1]
+    assert 600 - 60 < held[-1] <= 600
     assert any(last) and not all(last)
 
 
