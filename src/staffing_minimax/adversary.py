@@ -138,14 +138,11 @@ def worst_demand_cost(inst: Instance, total_net: float,
     """(cost, demand) maximizing the imbalance over the final effective range.
 
     The imbalance is convex in the demand, so an endpoint always attains the
-    maximum.
+    maximum; the first of `demand_candidates` that does is the demand.
     """
-    lo = float(sequence.effective_lo[-1])
-    hi = float(sequence.effective_hi[-1])
-    lo = min(lo, hi)      # inconsistent inputs can cross; clamp for scoring
-    c_lo = inst.over_cost * max(0.0, total_net - lo)
-    c_hi = inst.under_cost * max(0.0, hi - total_net)
-    return (c_lo, lo) if c_lo >= c_hi else (c_hi, hi)
+    return max(((imbalance_cost(inst.under_cost, inst.over_cost, total_net,
+                                d), d) for d in demand_candidates(sequence)),
+               key=lambda pair: pair[0])
 
 
 def grid_nested_intervals(lo: float, hi: float, width_cap: float,
@@ -217,44 +214,34 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
     return sequences
 
 
-def demand_candidates(sequence: PredictionSequence, grid_step: float
-                      ) -> List[float]:
-    """Grid points of the final effective range, endpoints always included."""
-    check_grid_step(grid_step)
+def demand_candidates(sequence: PredictionSequence) -> List[float]:
+    """The final effective range's endpoints, one value when they meet.
+    Inconsistent inputs can cross the bounds; the lower end is then clamped
+    to the upper one."""
     lo = float(sequence.effective_lo[-1])
     hi = float(sequence.effective_hi[-1])
-    if hi < lo:
-        lo = hi
-    cands = {lo, hi}
-    p = int(np.floor(lo / grid_step)) * grid_step
-    while p <= hi + 1e-12:
-        if p >= lo - 1e-12:
-            cands.add(min(max(p, lo), hi))
-        p += grid_step
-    return sorted(cands)
+    return [lo, hi] if lo < hi else [hi]
 
 
 def brute_force_worst_case(inst: Instance, policy_factory: Callable,
-                           grid_step: float, cap: int = 2_000_000
+                           grid_step: float, cap: int = 2_000_000,
+                           wages: Optional[np.ndarray] = None
                            ) -> WorstCaseWitness:
     """Exact worst case of a deterministic policy over the grid adversary.
 
     Enumerates every nested grid sequence, plays a fresh policy against each
-    (policies are single-consumer), and scores against the worst demand
-    candidate on the grid (endpoints included, which is exact because the
-    cost is convex in the demand).
+    (policies are single-consumer), and scores the plan as `run` does, by
+    `worst_demand_cost`.  With wages (pools by days), each plan's wage bill
+    is added, the cost `model.joint_cost` charges.
     """
     from .policies import play     # local import to avoid a cycle
 
     best: Optional[WorstCaseWitness] = None
     for seq in enumerate_grid_sequences(inst, grid_step, cap):
-        total = play(policy_factory(), inst, seq).total_net
-        cost = -np.inf
-        demand = None
-        for d in demand_candidates(seq, grid_step):
-            cd = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
-            if cd > cost:
-                cost, demand = cd, d
+        plan = play(policy_factory(), inst, seq)
+        cost, demand = worst_demand_cost(inst, plan.total_net, seq)
+        if wages is not None:
+            cost += float((wages * plan.hires).sum())
         if best is None or cost > best.cost:
             best = WorstCaseWitness(cost, seq, demand)
     if best is None:

@@ -474,26 +474,38 @@ def cmd_sweep_eta(args) -> int:
     return 0 if monotone else SOLVER_ERROR
 
 
-def cmd_oracle(args) -> int:
-    _check_at_least_one(args.cap, "--cap")
-    problem = _load(args.instance)
-    check_grid_step(args.grid_step)
+def _grid_oracle(problem, name: str, grid_step: float, cap: int,
+                 gamma=None):
+    """(worst cost, value of the program the policy plays, stations, their
+    witnesses) over the grid adversary.  The joint program bounds the
+    imbalance plus the wage bill, so `joint` is scored with its wages."""
     multi = isinstance(problem, MultiStationInstance)
-    stations = _stations(problem, args.policy, args.gamma)
-    # gamma_star is the value of the program the policy plays.
-    if args.policy == "release":
+    stations = _stations(problem, name, gamma)
+    wages = None
+    if name == "release":
         built = build_lp_release(validate_release_instance(problem))
+    elif name == "joint":
+        built, wages = build_lp_joint_cost(problem), problem.wages
     elif multi:
         built = build_lp_multi_station(problem)
     else:
         built = build_lp_single_switch(stations[0][1])
-    gamma = solve_lp(built.model).objective
-    witnesses = [brute_force_worst_case(inst, factory, args.grid_step,
-                                        cap=args.cap)
+    bound = solve_lp(built.model).objective
+    witnesses = [brute_force_worst_case(inst, factory, grid_step, cap=cap,
+                                        wages=wages)
                  for _, inst, factory in stations]
     # Stations play apart, so the worst aggregate combines their worst cases.
     costs = [w.cost for w in witnesses]
     worst = sum(costs) if multi and problem.objective == "sum" else max(costs)
+    return worst, bound, stations, witnesses
+
+
+def cmd_oracle(args) -> int:
+    _check_at_least_one(args.cap, "--cap")
+    problem = _load(args.instance)
+    check_grid_step(args.grid_step)
+    worst, gamma, stations, witnesses = _grid_oracle(
+        problem, args.policy, args.grid_step, args.cap, args.gamma)
     print(f"max_cost = {worst:.6f}")
     print(f"gamma_star = {gamma:.6f}")
     for (label, _, _), witness in zip(stations, witnesses):

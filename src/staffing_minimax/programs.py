@@ -443,9 +443,6 @@ class ReleaseLp:
         prefix = config[:e]
         return (prefix, min(config[e], t))
 
-    def x_var(self, i: int, t: int, config: Tuple[int, ...]) -> Optional[int]:
-        return self.x_index.get((i, t, self.x_key(t, config)))
-
     def refine_targets(self, refine_limit: Optional[int] = None) -> list:
         """Hire early along the first epoch's high chain, then shrink the
         canonical releases of each first-epoch switch day.  refine_limit is
@@ -511,9 +508,11 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
                    configs, {}, {}, {}, {}, -1)
     m = lp.model
 
+    days = range(t0 + 1, T + 1)
+    fees = [ri.release_fees[ell - 1] for ell in range(first, ri.n_epochs + 1)]
     # Hire variables, one per (pool, day, shared prefix key).
     for cfg in configs:
-        for t in range(t0 + 1, T + 1):
+        for t in days:
             key = lp.x_key(t, cfg)
             for i in range(n):
                 if rho[i, t - 1] > 0 and (i, t, key) not in lp.x_index:
@@ -521,14 +520,14 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
                         f"x[{i},{t}|{key}]")
     # Release variables, one per (pool, epoch, configuration prefix).
     for cfg in configs:
-        for e, ell in enumerate(range(first, ri.n_epochs + 1)):
-            if ri.release_fees[ell - 1] is UNLIMITED:
+        for e, fee in enumerate(fees):
+            if fee is UNLIMITED:
                 continue
             prefix = cfg[:e + 1]
             for i in range(n):
                 if (i, e, prefix) not in lp.y_index:
                     lp.y_index[(i, e, prefix)] = m.add_var(
-                        f"y[{i},{ell}|{prefix}]")
+                        f"y[{i},{first + e}|{prefix}]")
     for cfg in configs:
         lp.lam_index[cfg] = m.add_var(f"lam{cfg}")
         lp.theta_index[cfg] = m.add_var(f"theta{cfg}")
@@ -544,71 +543,45 @@ def build_lp_release(ri: ReleaseInstance, state: Optional[EpochState] = None,
             m.add_row(coeffs, rel, rhs)
 
     for cfg in configs:
+        # Each pool's (day, hire variable) and (epoch offset, release
+        # variable) under this configuration, read by every row below.
+        keys = [(t, lp.x_key(t, cfg)) for t in days]
+        hires = [[(t, lp.x_index[(i, t, key)]) for t, key in keys
+                  if (i, t, key) in lp.x_index] for i in range(n)]
+        releases = [[(e, lp.y_index[(i, e, cfg[:e + 1])])
+                     for e, fee in enumerate(fees) if fee is not UNLIMITED]
+                    for i in range(n)]
         add_row({lp.theta_index[cfg]: c, lp.epigraph: -1.0}, "<=", 0.0)
         add_row({lp.lam_index[cfg]: C, lp.epigraph: -1.0}, "<=", 0.0)
         # Supply feasibility under this scenario.
         for i in range(n):
-            coeffs = {}
-            for t in range(t0 + 1, T + 1):
-                v = lp.x_var(i, t, cfg)
-                if v is not None:
-                    coeffs[v] = 1.0 / rho[i, t - 1]
-            add_row(coeffs, "<=", float(state.remaining_supply[i]))
+            add_row({v: 1.0 / rho[i, t - 1] for t, v in hires[i]}, "<=",
+                    float(state.remaining_supply[i]))
         # Budget feasibility.
         if state.remaining_budget is not UNLIMITED:
-            coeffs = {}
-            for i in range(n):
-                for t in range(t0 + 1, T + 1):
-                    v = lp.x_var(i, t, cfg)
-                    if v is not None and ri.wages[i, t - 1] != 0:
-                        coeffs[v] = coeffs.get(v, 0.0) + float(
-                            ri.wages[i, t - 1])
-            for e, ell in enumerate(range(first, ri.n_epochs + 1)):
-                fee = ri.release_fees[ell - 1]
-                if fee is UNLIMITED:
-                    continue
-                for i in range(n):
-                    v = lp.y_index[(i, e, cfg[:e + 1])]
-                    coeffs[v] = coeffs.get(v, 0.0) + float(fee)
+            coeffs = {v: float(ri.wages[i, t - 1]) for i in range(n)
+                      for t, v in hires[i] if ri.wages[i, t - 1] != 0}
+            for per_pool in zip(*releases):     # epoch by epoch
+                coeffs.update((v, float(fees[e])) for e, v in per_pool)
             add_row(coeffs, "<=", float(state.remaining_budget))
         # Releasing feasibility: cumulative releases within cumulative hires.
-        for e, ell in enumerate(range(first, ri.n_epochs + 1)):
-            t_end = ri.epoch_range(ell)[1]
+        for e, (_, t_end) in enumerate(ranges):
             for i in range(n):
-                coeffs = {}
-                any_y = False
-                for e2 in range(e + 1):
-                    key = (i, e2, cfg[:e2 + 1])
-                    if key in lp.y_index:
-                        coeffs[lp.y_index[key]] = 1.0
-                        any_y = True
-                if not any_y:
-                    continue
-                for t in range(t0 + 1, t_end + 1):
-                    v = lp.x_var(i, t, cfg)
-                    if v is not None:
-                        coeffs[v] = coeffs.get(v, 0.0) - 1.0
-                add_row(coeffs, "<=", float(z[i]))
+                coeffs = {v: 1.0 for e2, v in releases[i] if e2 <= e}
+                if coeffs:
+                    coeffs.update((v, -1.0) for t, v in hires[i]
+                                  if t <= t_end)
+                    add_row(coeffs, "<=", float(z[i]))
         # Bounded overstaffing / understaffing at the horizon.
         lo_T, hi_T = state.interval
         for lo_T, hi_T in configuration_walk(ri, state, cfg):
             pass
         net = {}
         for i in range(n):
-            for t in range(t0 + 1, T + 1):
-                v = lp.x_var(i, t, cfg)
-                if v is not None:
-                    net[v] = net.get(v, 0.0) + 1.0
-            for e in range(len(ranges)):
-                key = (i, e, cfg[:e + 1])
-                if key in lp.y_index:
-                    net[lp.y_index[key]] = net.get(lp.y_index[key], 0.0) - 1.0
-        over = dict(net)
-        over[lp.lam_index[cfg]] = over.get(lp.lam_index[cfg], 0.0) - 1.0
-        add_row(over, "<=", lo_T - z_total)
-        under = dict(net)
-        under[lp.theta_index[cfg]] = under.get(lp.theta_index[cfg], 0.0) + 1.0
-        add_row(under, ">=", hi_T - z_total)
+            net.update((v, 1.0) for _, v in hires[i])
+            net.update((v, -1.0) for _, v in releases[i])
+        add_row({**net, lp.lam_index[cfg]: -1.0}, "<=", lo_T - z_total)
+        add_row({**net, lp.theta_index[cfg]: 1.0}, ">=", hi_T - z_total)
     return lp
 
 

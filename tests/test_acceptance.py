@@ -277,7 +277,7 @@ def test_criterion_08_multi_station():
             for seq in seqs:
                 total = play(factories[j](), msi.station_instance(j),
                              seq).total_net
-                for d in demand_candidates(seq, 0.25):
+                for d in demand_candidates(seq):
                     cost = (st.under_cost * max(0.0, d - total)
                             + st.over_cost * max(0.0, total - d))
                     worst = max(worst, cost)
