@@ -33,7 +33,9 @@ for cfg in built.configs:
     seq = configuration_sequence(ri, cfg)
     plan = play(ReleasePolicy(ri), ri.base, seq)
     ok, violations = check_feasibility(ri, plan)
-    cost, _ = worst_demand_cost(ri.base, plan.total_net, seq)
+    cost, _ = worst_demand_cost(ri.base, plan.total_net,
+                                float(seq.effective_lo[-1]),
+                                float(seq.effective_hi[-1]))
     released = plan.releases.sum()
     print(f"  switches {cfg}: hired {plan.total_hired:.3f} "
           f"released {released:.3f} worst cost {cost:.6f} "

@@ -38,11 +38,12 @@ print("\nrandom shrinking sequences (worst demand per policy):")
 wins, draws = 0, 40
 for s in range(draws):
     seq = random_nested_sequence(inst, 1000 + s)
+    final = float(seq.effective_lo[-1]), float(seq.effective_hi[-1])
     ce, _ = worst_demand_cost(
         inst, play(LpEmulatorPolicy(inst, canonical, gamma), inst,
-                   seq).total_net, seq)
+                   seq).total_net, *final)
     cr, _ = worst_demand_cost(
-        inst, play(LpResolvingPolicy(inst), inst, seq).total_net, seq)
+        inst, play(LpResolvingPolicy(inst), inst, seq).total_net, *final)
     wins += cr <= ce + 1e-9
     assert cr <= gamma + 1e-7
 print(f"  resolving at least as good on {wins}/{draws} draws; "

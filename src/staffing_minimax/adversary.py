@@ -3,14 +3,16 @@
 The generators produce the structured sequences the theory is built on
 (single-switch, the worst-case supply-draining sequence, multi-switch
 configuration sequences) plus seeded random nested sequences for fuzzing.
-The oracle exhaustively grids small instances to certify worst-case cost.
+The oracle exhaustively grids small instances to certify worst-case cost,
+playing each leaf of one tree walk as its intervals and final range.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -133,16 +135,18 @@ class WorstCaseWitness:
     demand: float
 
 
-def worst_demand_cost(inst: Instance, total_net: float,
-                      sequence: PredictionSequence) -> Tuple[float, float]:
-    """(cost, demand) maximizing the imbalance over the final effective range.
-
-    The imbalance is convex in the demand, so an endpoint always attains the
-    maximum; the first of `demand_candidates` that does is the demand.
-    """
-    return max(((imbalance_cost(inst.under_cost, inst.over_cost, total_net,
-                                d), d) for d in demand_candidates(sequence)),
-               key=lambda pair: pair[0])
+def worst_demand_cost(inst: Instance, total_net: float, lo: float,
+                      hi: float) -> Tuple[float, float]:
+    """(cost, demand) maximizing the imbalance over the final effective
+    range [lo, hi]: the imbalance is convex in the demand, so the worse end
+    (the lower one on a tie) attains it.  Crossed bounds leave the upper
+    end alone, as in `demand_candidates`."""
+    c, C = inst.under_cost, inst.over_cost
+    if lo < hi:
+        cost_lo = imbalance_cost(c, C, total_net, lo)
+        cost_hi = imbalance_cost(c, C, total_net, hi)
+        return (cost_hi, hi) if cost_hi > cost_lo else (cost_lo, lo)
+    return imbalance_cost(c, C, total_net, hi), hi
 
 
 def grid_nested_intervals(lo: float, hi: float, width_cap: float,
@@ -156,18 +160,25 @@ def grid_nested_intervals(lo: float, hi: float, width_cap: float,
     return out
 
 
-def enumerate_grid_sequences(inst: Instance, grid_step: float,
-                             cap: int = 2_000_000) -> List[PredictionSequence]:
-    """All nested sequences with endpoints on the grid (eps = 0 only).
+class _Leaf(NamedTuple):
+    """A grid sequence as the oracle plays it: its intervals, which are all
+    `policies.play` reads untraced, and its final effective range."""
+    intervals: tuple
+    lo: float
+    hi: float
+
+
+def _grid_leaves(inst: Instance, grid_step: float,
+                 cap: int) -> Iterator[_Leaf]:
+    """The enumeration tree's leaves, in `enumerate_grid_sequences` order.
 
     A node's children are the grid intervals nested in its interval within
-    the next day's width cap; each distinct (lo, hi, width cap) window's
-    list is made once per enumeration, so nodes with equal windows share
-    its interval objects.  Each node checks its interval and narrows the
-    running effective bounds once (`model.narrow_day`, as
-    `PredictionSequence.build` does day by day), and hands its prefix down
-    to its children; a leaf is assembled from its prefix without a second
-    pass.
+    the next day's width cap.  Each distinct window's list is made, reversed,
+    once per walk, and `model.narrow_day` checks each of its intervals once:
+    narrowing (-inf, inf) gives the day's own bounds, which each node folds
+    into its running bounds by `narrow_day`'s max and min.  The stack pops
+    children in window order; last-day leaves come out in reverse, as the
+    enumeration has always ordered them.
     """
     check_grid_step(grid_step)
     if np.any(inst.inconsistency != 0):
@@ -182,42 +193,47 @@ def enumerate_grid_sequences(inst: Instance, grid_step: float,
     bounds = inst.error_bounds.tolist()         # inst.delta(t)
     epss = inst.inconsistency.tolist()          # inst.eps(t)
     T = inst.horizon
-    sequences: List[PredictionSequence] = []
     windows: dict = {}
     # (day, nested window, running effective bounds through the day before,
-    #  then the prefix's intervals and effective bounds day by day)
-    stack: List[Tuple[int, float, float, float, float, list, list, list]] = [
-        (1, lo0, hi0, lo0, hi0, [], [], [])]
+    #  the prefix's intervals)
+    stack: List[Tuple[int, float, float, float, float, tuple]] = [
+        (1, lo0, hi0, lo0, hi0, ())]
     count = 0
     while stack:
-        t, lo, hi, lo_run, hi_run, prefix, eff_lo, eff_hi = stack.pop()
+        t, lo, hi, lo_run, hi_run, prefix = stack.pop()
         bound, eps = bounds[t - 1], epss[t - 1]
-        window = windows.get((lo, hi, bound))
+        window = windows.get((lo, hi, bound, eps))
         if window is None:
-            window = windows[lo, hi, bound] = grid_nested_intervals(
-                lo, hi, bound, grid)
-        for iv in window:
-            day_lo, day_hi = narrow_day(t, iv, bound, eps, lo_run, hi_run)
-            chosen = prefix + [iv]
+            window = windows[lo, hi, bound, eps] = [
+                (iv, *narrow_day(t, iv, bound, eps, -np.inf, np.inf))
+                for iv in reversed(grid_nested_intervals(lo, hi, bound,
+                                                         grid))]
+        for iv, own_lo, own_hi in window:
+            day_lo, day_hi = max(lo_run, own_lo), min(hi_run, own_hi)
             if t == T:
                 count += 1
                 if count > cap:
                     raise BudgetExceeded(
                         f"more than {cap} grid sequences")
-                sequences.append(PredictionSequence(
-                    tuple(chosen), np.array(eff_lo + [day_lo]),
-                    np.array(eff_hi + [day_hi])))
+                yield _Leaf(prefix + (iv,), day_lo, day_hi)
             else:
-                stack.append((t + 1, iv.lo, iv.hi, day_lo, day_hi, chosen,
-                              eff_lo + [day_lo], eff_hi + [day_hi]))
-    sequences.reverse()
-    return sequences
+                stack.append((t + 1, iv.lo, iv.hi, day_lo, day_hi,
+                              prefix + (iv,)))
+
+
+def enumerate_grid_sequences(inst: Instance, grid_step: float,
+                             cap: int = 2_000_000) -> List[PredictionSequence]:
+    """All nested sequences with endpoints on the grid (eps = 0 only): the
+    walk's leaves, built by `PredictionSequence.build`.  Sequences through
+    one tree node share its interval objects."""
+    return [PredictionSequence.build(inst, leaf.intervals)
+            for leaf in _grid_leaves(inst, grid_step, cap)]
 
 
 def demand_candidates(sequence: PredictionSequence) -> List[float]:
-    """The final effective range's endpoints, one value when they meet.
-    Inconsistent inputs can cross the bounds; the lower end is then clamped
-    to the upper one."""
+    """The demands `worst_demand_cost` weighs: the final effective range's
+    endpoints, one value when they meet.  Inconsistent inputs can cross the
+    bounds; the lower end is then clamped to the upper one."""
     lo = float(sequence.effective_lo[-1])
     hi = float(sequence.effective_hi[-1])
     return [lo, hi] if lo < hi else [hi]
@@ -229,21 +245,27 @@ def brute_force_worst_case(inst: Instance, policy_factory: Callable,
                            ) -> WorstCaseWitness:
     """Exact worst case of a deterministic policy over the grid adversary.
 
-    Enumerates every nested grid sequence, plays a fresh policy against each
-    (policies are single-consumer), and scores the plan as `run` does, by
+    Walks every nested grid sequence before the first play (so a grid of
+    more than `cap` plays none), plays a fresh policy against each (policies
+    are single-consumer), and scores the plan as `run` does, by
     `worst_demand_cost`.  With wages (pools by days), each plan's wage bill
-    is added, the cost `model.joint_cost` charges.
+    is added, the cost `model.joint_cost` charges.  Only the witness becomes
+    a `PredictionSequence`, the one `enumerate_grid_sequences` gives.
     """
     from .policies import play     # local import to avoid a cycle
 
-    best: Optional[WorstCaseWitness] = None
-    for seq in enumerate_grid_sequences(inst, grid_step, cap):
-        plan = play(policy_factory(), inst, seq)
-        cost, demand = worst_demand_cost(inst, plan.total_net, seq)
+    best: Optional[Tuple[float, _Leaf, float]] = None
+    for leaf in list(_grid_leaves(inst, grid_step, cap)):
+        plan = play(policy_factory(), inst, leaf)
+        cost, demand = worst_demand_cost(inst, plan.total_net, leaf.lo,
+                                         leaf.hi)
         if wages is not None:
             cost += float((wages * plan.hires).sum())
-        if best is None or cost > best.cost:
-            best = WorstCaseWitness(cost, seq, demand)
+        if best is None or cost > best[0]:
+            best = (cost, leaf, demand)
     if best is None:
         raise EmptyGrid(f"no nested grid sequence at step {grid_step}")
-    return best
+    cost, leaf, demand = best
+    return WorstCaseWitness(cost, PredictionSequence.build(inst,
+                                                           leaf.intervals),
+                            demand)

@@ -279,7 +279,9 @@ def cmd_run(args) -> int:
             d = args.demand
             cost = imbalance_cost(inst.under_cost, inst.over_cost, total, d)
         else:
-            cost, d = worst_demand_cost(inst, total, sequence)
+            cost, d = worst_demand_cost(
+                inst, total, float(sequence.effective_lo[-1]),
+                float(sequence.effective_hi[-1]))
         if args.out:
             trace.write_csv(args.out)
             print(f"trace written to {args.out}")

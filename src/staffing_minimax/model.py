@@ -180,8 +180,9 @@ def narrow_day(t: int, iv: PredictionInterval, bound: float, eps: float,
 
     Raises SequenceError naming the day unless both endpoints are finite
     and the width is at most `bound` up to a relative 1e-9.
-    `PredictionSequence.build` and the grid adversary's enumeration tree
-    both step through here.
+    `PredictionSequence.build` steps through here day by day; the grid
+    adversary's walk checks each interval of a window here once, narrowing
+    (-inf, inf) to the day's own bounds.
     """
     if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
         raise SequenceError(

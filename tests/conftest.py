@@ -28,6 +28,13 @@ def instance_path(name: str) -> str:
     return os.path.join(INSTANCE_DIR, name)
 
 
+def final_range(sequence) -> tuple:
+    """A sequence's final effective range, the (lo, hi) that
+    `adversary.worst_demand_cost` scores."""
+    return (float(sequence.effective_lo[-1]),
+            float(sequence.effective_hi[-1]))
+
+
 def plan_of(hires, releases=None) -> StaffingPlan:
     """A plan from loose hires (and releases, zero if None), each made a
     2-D float array; the two shapes must agree."""

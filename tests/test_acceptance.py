@@ -15,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fig3_instance, instance_path, mdp_root_value, \
-    play_stations, random_multi_pool, random_single_pool, station_factories
+from conftest import fig3_instance, final_range, instance_path, \
+    mdp_root_value, play_stations, random_multi_pool, random_single_pool, \
+    station_factories
 from staffing_minimax import bayesian, cli
 from staffing_minimax.adversary import (demand_candidates,
                                         enumerate_grid_sequences,
@@ -144,7 +145,7 @@ def _grid_worst(inst, factory, grid):
     worst = -np.inf
     for seq in enumerate_grid_sequences(inst, grid):
         plan = play(factory(), inst, seq)
-        cost, _ = worst_demand_cost(inst, plan.total_net, seq)
+        cost, _ = worst_demand_cost(inst, plan.total_net, *final_range(seq))
         worst = max(worst, cost)
     return worst
 
@@ -162,7 +163,7 @@ def test_criterion_05_brute_force_certification():
                 inst,
                 play(LpEmulatorPolicy(inst, canonical, gamma), inst,
                      single_switch_sequence(inst, k)).total_net,
-                single_switch_sequence(inst, k))[0]
+                *final_range(single_switch_sequence(inst, k)))[0]
             for k in range(1, inst.horizon + 1))
         grid_slack = gamma - emulator_worst
         assert attained >= emulator_worst - 1e-9
@@ -236,7 +237,8 @@ def test_criterion_07_release_reduction_and_bounds():
             plan = play(ReleasePolicy(problem), problem.base, seq)
             ok, viol = check_feasibility(problem, plan)
             assert ok, (cfg, viol)
-            cost, _ = worst_demand_cost(problem.base, plan.total_net, seq)
+            cost, _ = worst_demand_cost(problem.base, plan.total_net,
+                                        *final_range(seq))
             worst = max(worst, cost)
         assert worst <= objective + 1e-6
         lines.append(f"worst {worst:.4f} <= objective {objective:.4f}")

@@ -16,7 +16,7 @@ from staffing_minimax.adversary import (
     configuration_sequence, demand_candidates, enumerate_grid_sequences,
     random_nested_sequence, sequence_from_csv, single_switch_sequence,
     worst_case_sequence, worst_demand_cost)
-from staffing_minimax import cli
+from staffing_minimax import cli, model
 from staffing_minimax import emulator as emulator_module
 from staffing_minimax.emulator import EmulatorTrace
 from staffing_minimax.model import (InstanceError, PredictionInterval,
@@ -231,8 +231,7 @@ def test_grid_adversary_rejects_non_finite_step(step):
 
 def test_brute_force_without_sequences_names_the_error(monkeypatch):
     inst = fig3_instance("a")
-    monkeypatch.setattr(adversary, "enumerate_grid_sequences",
-                        lambda *args: [])
+    monkeypatch.setattr(adversary, "_grid_leaves", lambda *args: [])
     with pytest.raises(EmptyGrid, match="no nested grid sequence at step "
                                         "0.5"):
         brute_force_worst_case(inst, lambda: LpEmulatorPolicy(inst), 0.5)
@@ -651,7 +650,7 @@ def test_worst_demand_cost_matches_closed_form():
             lo, hi = max(lo, hi), min(lo, hi)
         total = float(rng.choice([lo, hi, rng.uniform(-1.5, 2.5) * scale]))
         seq = _final_range(lo, hi)
-        got = worst_demand_cost(slopes, total, seq)
+        got = worst_demand_cost(slopes, total, lo, hi)
         want = _closed_form_worst_demand_cost(slopes, total, seq)
         assert (_bits(got[0]), _bits(got[1])) == (
             _bits(want[0]), _bits(want[1])), (slopes, lo, hi, total)
@@ -664,9 +663,10 @@ def test_worst_demand_cost_matches_closed_form():
 @pytest.mark.parametrize("step", [0.5, 0.25])
 def test_oracle_witness_matches_grid_scoring(file, name, step, monkeypatch):
     # The policy that plays the program `solve` infers for the file, on each
-    # station: scoring the totals the oracle played at every grid point
-    # picks the oracle's witness, its cost bits, its demand and its
-    # sequence.
+    # station.  The oracle plays light leaves in enumeration order; scoring
+    # the totals it played at every grid point of the enumerated sequences
+    # picks the oracle's witness: its cost bits, its demand, the leaf's
+    # intervals and the enumerated sequence's effective bounds.
     from staffing_minimax import policies
     played = []
     real_play = policies.play
@@ -681,12 +681,84 @@ def test_oracle_witness_matches_grid_scoring(file, name, step, monkeypatch):
     for _, inst, factory in cli._stations(problem, name, None):
         played.clear()
         witness = brute_force_worst_case(inst, factory, step)
-        assert len(played) == len(enumerate_grid_sequences(inst, step))
-        totals, sequences = zip(*played)
+        sequences = enumerate_grid_sequences(inst, step)
+        totals, leaves = zip(*played)
+        assert [leaf.intervals for leaf in leaves] == [
+            seq.intervals for seq in sequences]
         cost, demand, seq = _old_witness(inst, totals, sequences, step)
         assert (_bits(witness.cost), _bits(witness.demand)) == (
             _bits(cost), _bits(demand))
-        assert witness.sequence is seq
+        k = next(i for i, s in enumerate(sequences) if s is seq)
+        assert len(witness.sequence.intervals) == len(leaves[k].intervals)
+        assert all(a is b for a, b in zip(witness.sequence.intervals,
+                                          leaves[k].intervals))
+        assert witness.sequence.effective_lo.tobytes() == \
+            seq.effective_lo.tobytes()
+        assert witness.sequence.effective_hi.tobytes() == \
+            seq.effective_hi.tobytes()
+
+
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_grid_leaves_match_enumerated_sequences(which, step):
+    # The oracle's walk and `enumerate_grid_sequences`: the same order,
+    # interval bits and final effective bounds, and the same cap.
+    inst = fig3_instance(which)
+    sequences = enumerate_grid_sequences(inst, step)
+    leaves = list(adversary._grid_leaves(inst, step, len(sequences)))
+    assert len(leaves) == len(sequences) > 0
+    for leaf, seq in zip(leaves, sequences):
+        assert [(_bits(iv.lo), _bits(iv.hi)) for iv in leaf.intervals] == \
+            [(_bits(iv.lo), _bits(iv.hi)) for iv in seq.intervals]
+        assert (_bits(leaf.lo), _bits(leaf.hi)) == (
+            seq.effective_lo[-1].tobytes(), seq.effective_hi[-1].tobytes())
+        assert type(leaf.lo) is float and type(leaf.hi) is float
+    with pytest.raises(BudgetExceeded):
+        list(adversary._grid_leaves(inst, step, len(sequences) - 1))
+    with pytest.raises(BudgetExceeded):
+        enumerate_grid_sequences(inst, step, cap=len(sequences) - 1)
+    # The oracle walks the whole tree before it plays a sequence.
+    with pytest.raises(BudgetExceeded):
+        brute_force_worst_case(inst, lambda: pytest.fail("played"), step,
+                               cap=len(sequences) - 1)
+
+
+def test_oracle_checks_each_window_interval_once(monkeypatch):
+    # fig3c at step 0.25: the oracle runs `model.narrow_day` once for each
+    # interval of each distinct window, and T more times to build its
+    # witness, not once per tree node; a failing check still stops it.
+    inst = fig3_instance("c")
+    gamma, canonical = minimax_value_and_profile(inst)
+    sequences = enumerate_grid_sequences(inst, 0.25)
+    windows, nodes = {}, set()
+    for seq in sequences:
+        parent = inst.initial_range
+        for t, iv in enumerate(seq.intervals, start=1):
+            windows.setdefault((*parent, inst.delta(t)), set()).add(
+                (iv.lo, iv.hi))
+            nodes.add(tuple((v.lo, v.hi) for v in seq.intervals[:t]))
+            parent = (iv.lo, iv.hi)
+    distinct = sum(len(children) for children in windows.values())
+    assert (len(nodes), distinct) == (29_226, 125)
+    calls = []
+    real_narrow_day = adversary.narrow_day
+
+    def counting(*args):
+        calls.append(args)
+        return real_narrow_day(*args)
+
+    monkeypatch.setattr(adversary, "narrow_day", counting)
+    monkeypatch.setattr(model, "narrow_day", counting)
+    factory = lambda: LpEmulatorPolicy(inst, canonical, gamma)
+    brute_force_worst_case(inst, factory, 0.25)
+    assert len(calls) == distinct + inst.horizon
+
+    def failing(t, *args):
+        raise SequenceError(f"day {t} fails its check")
+
+    monkeypatch.setattr(adversary, "narrow_day", failing)
+    with pytest.raises(SequenceError, match="fails its check"):
+        brute_force_worst_case(inst, factory, 0.25)
 
 
 # The registry's policies whose worst case a program bounds, and the bound:

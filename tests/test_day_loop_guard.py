@@ -1,12 +1,12 @@
 """Only ``policies.play`` builds a ``DayObservation`` in the package, and
-only two places construct a bare ``PredictionSequence``.
+only ``PredictionSequence.build`` constructs a bare ``PredictionSequence``.
 
 Every policy, in the worst-case runs and in the Bayesian world alike, is
 stepped by that one loop; a second loop could step or trace runs
-differently.  Every sequence comes from ``PredictionSequence.build`` or
-from the grid adversary's enumeration tree, which both check each day and
-narrow the effective bounds through ``model.narrow_day``; a third path
-could skip those checks or compute the bounds differently.
+differently.  Every sequence, the grid adversary's included, comes from
+``PredictionSequence.build``, which checks each day and narrows the
+effective bounds through ``model.narrow_day``; a second path could skip
+those checks or compute the bounds differently.
 """
 
 import ast
@@ -42,9 +42,8 @@ def test_only_play_builds_day_observations():
     assert found == ["policies.play"]
 
 
-def test_only_build_and_the_grid_tree_construct_sequences():
+def test_only_build_constructs_sequences():
     found = [f"{path.stem}.{where}"
              for path in sorted(PACKAGE.glob("*.py"))
              for where in callers(path.read_text(), "PredictionSequence")]
-    assert found == ["adversary.enumerate_grid_sequences",
-                     "model.PredictionSequence"]
+    assert found == ["model.PredictionSequence"]

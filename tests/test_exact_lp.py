@@ -7,6 +7,7 @@ slacks), which may sit anywhere on the final optimal face.
 """
 
 import argparse
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from conftest import instance_path, random_multi_pool, random_single_pool
 from exact_lp import exact_canonical_x
 from staffing_minimax import cli
-from staffing_minimax.lp import LpModel
+from staffing_minimax.lp import LpModel, NumericFailure
 from staffing_minimax.programs import build_lp_single_switch, solve_canonical
 
 TOL = 1e-9
@@ -61,6 +62,81 @@ def test_sweep_profiles_are_exact(T):
             inst = cli.companion_sweep_instance(T, size, eta, 1.0, 1.0)
             gap = _profile_gap(build_lp_single_switch(inst))
             assert gap <= TOL, (T, size, eta, gap)
+
+
+# The companion sweep at pool sizes 0.5 and 0.75, where the float
+# refinement fails today: 33 points raise NumericFailure on a negative hire
+# in a refinement stage (the value below), and 5 certify a profile off the
+# exact one by more than TOL (the gap below).  Each is a strict xfail, so a
+# solver that mends it must drop its mark.
+SWEEP_T = (20, 21, 22, 24, 25, 26, 28, 30)
+SWEEP_SIZES = (0.5, 0.75)
+SWEEP_ETAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+SWEEP_NUMERIC_FAILURES = {
+    (20, 0.5, 8.0): "x[28] = -70.9204",
+    (20, 0.5, 32.0): "x[14] = -0.00945626",
+    (22, 0.5, 1.0): "x[30] = -0.011828",
+    (22, 0.75, 1.0): "x[14] = -0.0642448",
+    (22, 0.75, 2.0): "x[14] = -0.0721844",
+    (22, 0.75, 4.0): "x[14] = -0.0393856",
+    (24, 0.75, 0.25): "x[17] = -0.00582234",
+    (24, 0.75, 0.5): "x[17] = -0.0604248",
+    (25, 0.5, 8.0): "x[20] = -0.0205629",
+    (25, 0.75, 0.25): "x[19] = -0.0521367",
+    (25, 0.75, 0.5): "x[19] = -0.0366192",
+    (26, 0.5, 1.0): "x[18] = -0.0115358",
+    (26, 0.5, 2.0): "x[18] = -0.0475426",
+    (26, 0.5, 4.0): "x[18] = -0.0393856",
+    (26, 0.5, 8.0): "x[18] = -0.0278498",
+    (26, 0.5, 16.0): "x[18] = -0.0196928",
+    (26, 0.5, 32.0): "x[18] = -0.0139249",
+    (26, 0.75, 0.25): "x[21] = -0.0353415",
+    (26, 0.75, 0.5): "x[21] = -0.0265822",
+    (28, 0.5, 0.5): "x[22] = -0.0294194",
+    (28, 0.5, 1.0): "x[22] = -0.0258937",
+    (28, 0.5, 2.0): "x[22] = -0.0203501",
+    (28, 0.75, 0.25): "x[24] = -0.02775",
+    (28, 0.75, 0.5): "x[25] = -0.0156882",
+    (28, 0.75, 1.0): "x[26] = -0.00830033",
+    (30, 0.5, 0.25): "x[26] = -0.0217693",
+    (30, 0.5, 0.5): "x[26] = -0.0200827",
+    (30, 0.5, 1.0): "x[26] = -0.0141674",
+    (30, 0.5, 2.0): "x[26] = -0.0100179",
+    (30, 0.5, 4.0): "x[29] = -0.00458753",
+    (30, 0.75, 0.25): "x[28] = -0.017884",
+    (30, 0.75, 0.5): "x[29] = -0.0105136",
+    (30, 0.75, 1.0): "x[29] = -0.00743425",
+}
+SWEEP_GAPS = {
+    (24, 0.5, 32.0): 4.9e-09,
+    (24, 0.75, 4.0): 7.2e-09,
+    (25, 0.5, 2.0): 2.1e-09,
+    (28, 0.5, 8.0): 1.2e-08,
+    (28, 0.5, 32.0): 2.2e-09,
+}
+
+
+def _sweep_cases():
+    for T, size, eta in itertools.product(SWEEP_T, SWEEP_SIZES, SWEEP_ETAS):
+        key = (T, size, eta)
+        marks = []
+        if key in SWEEP_NUMERIC_FAILURES:
+            marks = [pytest.mark.xfail(
+                strict=True, raises=NumericFailure,
+                reason=f"NumericFailure: {SWEEP_NUMERIC_FAILURES[key]}")]
+        elif key in SWEEP_GAPS:
+            marks = [pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason=f"profile off the exact one by "
+                       f"{SWEEP_GAPS[key]:.2g}")]
+        yield pytest.param(T, size, eta, marks=marks)
+
+
+@pytest.mark.parametrize("T, size, eta", _sweep_cases())
+def test_small_pool_sweep_profile_is_exact(T, size, eta):
+    inst = cli.companion_sweep_instance(T, size, eta, 1.0, 1.0)
+    gap = _profile_gap(build_lp_single_switch(inst))
+    assert gap <= TOL, gap
 
 
 def test_oracle_finds_the_lexicographic_optimum_by_hand():

@@ -11,8 +11,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (fig3_instance, instance_path, play_stations,
-                      random_single_pool)
+from conftest import (fig3_instance, final_range, instance_path,
+                      play_stations, random_single_pool)
 from staffing_minimax import bayesian, cli, policies, programs
 from staffing_minimax import emulator as emulator_module
 from staffing_minimax.adversary import (brute_force_worst_case,
@@ -228,7 +228,7 @@ def test_emulator_policy_zero_cost_when_pinned_early():
     pol = LpEmulatorPolicy(inst)
     seq = PredictionSequence.build(inst, [(0.6, 0.6), (0.6, 0.6)])
     plan = play(pol, inst, seq)
-    cost, d = worst_demand_cost(inst, plan.total_net, seq)
+    cost, d = worst_demand_cost(inst, plan.total_net, *final_range(seq))
     assert cost == pytest.approx(0.0, abs=1e-9)
 
 
@@ -238,7 +238,7 @@ def test_emulator_policy_attains_gamma_on_fig3b():
     gamma = pol.gamma_star
     seq = single_switch_sequence(inst, inst.horizon)
     plan = play(pol, inst, seq)
-    cost, d = worst_demand_cost(inst, plan.total_net, seq)
+    cost, d = worst_demand_cost(inst, plan.total_net, *final_range(seq))
     assert cost == pytest.approx(gamma, abs=1e-9)
     assert d == pytest.approx(inst.initial_range[1])
 
@@ -251,7 +251,7 @@ def test_emulator_policy_never_exceeds_gamma(seed):
         gamma, canonical = minimax_value_and_profile(inst)
         seq = random_nested_sequence(inst, int(rng.integers(1 << 31)))
         plan = play(LpEmulatorPolicy(inst, canonical, gamma), inst, seq)
-        cost, _ = worst_demand_cost(inst, plan.total_net, seq)
+        cost, _ = worst_demand_cost(inst, plan.total_net, *final_range(seq))
         assert cost <= gamma + 1e-7
 
 
@@ -289,8 +289,8 @@ def test_resolving_fuzz_dominance_and_cap():
         seq = random_nested_sequence(inst, 7000 + s)
         pe = play(LpEmulatorPolicy(inst, canonical, gamma), inst, seq)
         pr = play(LpResolvingPolicy(inst), inst, seq)
-        ce, _ = worst_demand_cost(inst, pe.total_net, seq)
-        cr, _ = worst_demand_cost(inst, pr.total_net, seq)
+        ce, _ = worst_demand_cost(inst, pe.total_net, *final_range(seq))
+        cr, _ = worst_demand_cost(inst, pr.total_net, *final_range(seq))
         wins += cr <= ce + 1e-9
         gap_sum += cr - ce
         worst = max(worst, cr)
@@ -587,7 +587,7 @@ def test_release_worst_case_over_configurations():
         plan = play(ReleasePolicy(ri), inst, seq)
         ok, viol = check_feasibility(ri, plan)
         assert ok, viol
-        cost, _ = worst_demand_cost(inst, plan.total_net, seq)
+        cost, _ = worst_demand_cost(inst, plan.total_net, *final_range(seq))
         worst = max(worst, cost)
     assert worst <= objective + 1e-6
 

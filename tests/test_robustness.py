@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import plan_of, random_multi_pool
+from conftest import final_range, plan_of, random_multi_pool
 from staffing_minimax.adversary import (configuration_sequence,
                                         worst_demand_cost)
 from staffing_minimax.lp import LpInfeasible, LpModel, solve_lp
@@ -53,7 +53,8 @@ def test_policies_respect_cap_under_inconsistent_forecasts(seed):
             plan = play(policy, inst, seq)
             ok, viol = check_feasibility(inst, plan)
             assert ok, viol
-            cost, _ = worst_demand_cost(inst, plan.total_net, seq)
+            cost, _ = worst_demand_cost(inst, plan.total_net,
+                                        *final_range(seq))
             assert cost <= gamma + 1e-7
             # The hidden demand also lies in the effective range.
             direct = (inst.under_cost * max(0.0, d - plan.total_net)
@@ -82,7 +83,7 @@ def test_release_three_epochs_with_infinite_middle_fee():
         assert ok, (cfg, viol)
         # No releasing during the infinite-fee epoch (days 3..4).
         assert np.all(plan.releases[:, 2:4] == 0)
-        cost, _ = worst_demand_cost(inst, plan.total_net, seq)
+        cost, _ = worst_demand_cost(inst, plan.total_net, *final_range(seq))
         worst = max(worst, cost)
     assert worst <= objective + 1e-6
 
@@ -104,7 +105,7 @@ def test_release_pre_hires_enter_the_balance():
         ok, viol = check_feasibility(ri, plan)
         assert ok, viol
         total = ri.pre_hires.sum() + plan.total_net
-        cost, _ = worst_demand_cost(inst, total, seq)
+        cost, _ = worst_demand_cost(inst, total, *final_range(seq))
         assert cost <= sol.objective + 1e-6
 
 
