@@ -19,6 +19,7 @@ import math
 import numbers
 import time
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,6 +32,9 @@ from .model import (Instance, PredictionSequence, SupplyLedger,
 from .policies import DayObservation, Decision, play
 
 BINOM_TRIALS = 5
+# Rows per uniform and binomial call in calibration (`_row_sums`): a day
+# holds its row sums and one block, never all its (draws, days) uniforms.
+CALIBRATION_BLOCK = 2_048
 
 
 class InsufficientDraws(ValueError):
@@ -194,57 +198,130 @@ class CalibrationTable:
                                 float(d.get("upper0", 0.0)))
 
 
+def _row_sums(seed: Sequence[int], hi: float, draws: int, k: int,
+              trials: Sequence[int]) -> List[np.ndarray]:
+    """For each n in `trials`, the row sums of Binomial(n, xi) over
+    xi = uniform(0, hi, size=(draws, k)), drawn from `default_rng(seed)`:
+    the uniforms, then one binomial pass per n, as one call each would.
+
+    Each pass runs CALIBRATION_BLOCK rows at a time, on that block's
+    uniforms drawn again from a fresh `default_rng(seed)`, so no (draws, k)
+    array is held.  The binomial generator starts past the uniforms
+    (`advance(draws * k)`: a uniform double takes one 64-bit output).
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(draws * k)
+    passes = []
+    for n in trials:
+        uniforms = np.random.default_rng(seed)
+        sums = np.empty(draws, np.int64)
+        for a in range(0, draws, CALIBRATION_BLOCK):
+            xi = uniforms.uniform(0.0, hi, size=(
+                min(CALIBRATION_BLOCK, draws - a), k))
+            sums[a:a + len(xi)] = rng.binomial(n, xi).sum(axis=1)
+        passes.append(sums)
+    return passes
+
+
 def _residual_draws(process: DemandProcess, t: int, draws: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Residual (future actual - averaged sampled future) at day t.
+                    seed: Sequence[int]) -> np.ndarray:
+    """Residual (future actual - averaged sampled future) at day t < T,
+    from the day's own generator `default_rng(seed)`.
 
     Summing the t sampled trajectories day by day is a Binomial(5t, xi_k)
     draw, which keeps calibration exact and fast.
     """
-    T = process.horizon
-    if t >= T:
-        return np.zeros(draws)
-    xi = rng.uniform(0.0, process.prior_hi, size=(draws, T - t))
-    actual = rng.binomial(BINOM_TRIALS, xi).sum(axis=1)
-    pooled = rng.binomial(BINOM_TRIALS * t, xi).sum(axis=1) / t
-    return actual - pooled
+    actual, pooled = _row_sums(seed, process.prior_hi, draws,
+                               process.horizon - t,
+                               (BINOM_TRIALS, BINOM_TRIALS * t))
+    return actual - pooled / t
+
+
+def _per_day(work: Callable, days: Sequence) -> list:
+    """`[work(day) for day in days]`, two days at a time: the calling
+    thread and one pool worker pop days from one deque (its pops are
+    thread-safe).  Calibration's later days take less time, so the two
+    threads finish close together.  `concurrent.futures` is imported only
+    when a calibration runs.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo = deque(enumerate(days))
+    results = [None] * len(todo)
+
+    def drain() -> None:
+        while True:
+            try:
+                i, day = todo.popleft()
+            except IndexError:
+                return
+            results[i] = work(day)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(drain)
+        drain()
+        helper.result()
+    return results
 
 
 def calibrate_intervals(process: DemandProcess, coverage: float = 0.95,
                         draws: int = 20_000, seed: int = 0
                         ) -> CalibrationTable:
-    """Empirical tail quantiles of the per-day point-estimate residuals."""
+    """Empirical tail quantiles of the per-day point-estimate residuals.
+
+    Each day draws from its own generator: day t (1..T-1) its residuals
+    from `default_rng([seed, t])`, the day-0 interval from
+    `default_rng([seed, 0])`.  No day's numbers depend on when another
+    runs, so `_per_day` runs two at a time; nearly all their time is
+    `Generator.binomial`, which releases the GIL.  Its thread pool lives
+    inside this call, so no thread outlives it (`bench --workers` forks
+    after calibrating).  Each day's draws run in row blocks (`_row_sums`):
+    a draw over an array takes its variates element by element, and the
+    generator keeps its binomial set-up between calls, so the blocks take
+    the variates of one call, and integer row sums are exact.  The table
+    is bit for bit that of one call per draw and one day after another.
+    """
     if draws < 10_000:
         raise InsufficientDraws("calibration needs at least 10^4 draws")
     T = process.horizon
     lo_q, hi_q = (1.0 - coverage) / 2.0, 1.0 - (1.0 - coverage) / 2.0
+
+    def offsets(resid: np.ndarray) -> Tuple[float, float]:
+        return (max(0.0, -float(np.quantile(resid, lo_q))),
+                max(0.0, float(np.quantile(resid, hi_q))))
+
+    def day(t: int) -> tuple:
+        if t > 0:
+            return offsets(_residual_draws(process, t, draws, [seed, t]))
+        # Day-0 interval: quantiles of the demand around its prior mean.
+        totals, = _row_sums([seed, 0], process.prior_hi, draws, T,
+                            (BINOM_TRIALS,))
+        mean_d = float(totals.mean())
+        return offsets(totals - mean_d) + (mean_d,)
+
+    # Day 0 first, and at T = 0 too (its table is then empty).
+    (lower0, upper0, mean_d), *days = _per_day(day, [0, *range(1, T)])
     lower = np.zeros(T)
     upper = np.zeros(T)
-    for t in range(1, T):
-        rng = np.random.default_rng([seed, t])
-        resid = _residual_draws(process, t, draws, rng)
-        lower[t - 1] = max(0.0, -float(np.quantile(resid, lo_q)))
-        upper[t - 1] = max(0.0, float(np.quantile(resid, hi_q)))
-    # Day-0 interval: quantiles of the demand around its prior mean.
-    rng = np.random.default_rng([seed, 0])
-    xi = rng.uniform(0.0, process.prior_hi, size=(draws, T))
-    totals = rng.binomial(BINOM_TRIALS, xi).sum(axis=1)
-    mean_d = float(totals.mean())
-    lower0 = max(0.0, -float(np.quantile(totals - mean_d, lo_q)))
-    upper0 = max(0.0, float(np.quantile(totals - mean_d, hi_q)))
+    lower[:T - 1] = [lo for lo, _ in days]
+    upper[:T - 1] = [hi for _, hi in days]
     return CalibrationTable(lower, upper, coverage, mean_d, lower0, upper0)
 
 
 def empirical_coverage(process: DemandProcess, table: CalibrationTable,
                        draws: int = 20_000, seed: int = 1) -> np.ndarray:
-    """Held-out per-day coverage of the calibrated intervals."""
+    """Held-out per-day coverage of the calibrated intervals.  Day t draws
+    its residuals from its own generator, `default_rng([seed, 7919 + t])`,
+    and the days run two at a time, as in `calibrate_intervals`."""
     T = process.horizon
-    cov = np.ones(T)
-    for t in range(1, T):
-        rng = np.random.default_rng([seed, 7919 + t])
-        resid = _residual_draws(process, t, draws, rng)
-        cov[t - 1] = float(np.mean(
+
+    def day(t: int) -> float:
+        resid = _residual_draws(process, t, draws, [seed, 7919 + t])
+        return float(np.mean(
             (-table.lower[t - 1] <= resid) & (resid <= table.upper[t - 1])))
+
+    cov = np.ones(T)
+    cov[:T - 1] = _per_day(day, range(1, T))
     return cov
 
 

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import instance_path, mdp_root_value, plan_of
+from staffing_minimax import bayesian
 from staffing_minimax.bayesian import (
     BINOM_TRIALS, CalibrationTable, DemandProcess, InsufficientDraws,
     MdpPolicy, MdpSpec, NaiveBayesianPolicy, NaiveGreedyPolicy, SampleTotals,
@@ -89,6 +93,118 @@ def test_calibration_coverage_and_monotone_width():
     back = CalibrationTable.from_dict(table.to_dict())
     assert np.array_equal(back.lower, table.lower)
     assert back.prior_mean == table.prior_mean
+
+
+def _serial_calibration(process, coverage, draws, seed):
+    """The calibration loop of earlier releases, one day after another in
+    one draw per binomial pass, kept as an oracle for `calibrate_intervals`
+    and `empirical_coverage` (which draw the same days concurrently, in row
+    blocks).  Returns (table fields, held-out coverage at seed + 1)."""
+    T = process.horizon
+    lo_q, hi_q = (1.0 - coverage) / 2.0, 1.0 - (1.0 - coverage) / 2.0
+
+    def residuals(t, rng):
+        xi = rng.uniform(0.0, process.prior_hi, size=(draws, T - t))
+        actual = rng.binomial(BINOM_TRIALS, xi).sum(axis=1)
+        pooled = rng.binomial(BINOM_TRIALS * t, xi).sum(axis=1) / t
+        return actual - pooled
+
+    lower, upper = np.zeros(T), np.zeros(T)
+    for t in range(1, T):
+        resid = residuals(t, np.random.default_rng([seed, t]))
+        lower[t - 1] = max(0.0, -float(np.quantile(resid, lo_q)))
+        upper[t - 1] = max(0.0, float(np.quantile(resid, hi_q)))
+    rng = np.random.default_rng([seed, 0])
+    xi = rng.uniform(0.0, process.prior_hi, size=(draws, T))
+    totals = rng.binomial(BINOM_TRIALS, xi).sum(axis=1)
+    mean_d = float(totals.mean())
+    lower0 = max(0.0, -float(np.quantile(totals - mean_d, lo_q)))
+    upper0 = max(0.0, float(np.quantile(totals - mean_d, hi_q)))
+    cov = np.ones(T)
+    for t in range(1, T):
+        resid = residuals(t, np.random.default_rng([seed + 1, 7919 + t]))
+        cov[t - 1] = float(np.mean((-lower[t - 1] <= resid)
+                                   & (resid <= upper[t - 1])))
+    return (lower, upper, mean_d, lower0, upper0), cov
+
+
+def _table_digest(table) -> str:
+    h = hashlib.sha256(table.lower.tobytes())
+    h.update(table.upper.tobytes())
+    h.update(np.array([table.prior_mean, table.lower0,
+                       table.upper0]).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Digests of the tables the serial loop gave for bench_long.json's process
+# at its seed + 0..3, the four tables the world_mdp benchmark draws.
+BENCH_LONG_TABLES = ["aa454755cd509a83", "e9a1c48c9d5e73f4",
+                     "7e93311351934155", "75b9409d24464f45"]
+
+
+def test_calibration_bytes_are_pinned():
+    config = json.loads(open(instance_path("bench_long.json")).read())
+    process = DemandProcess(config["horizon"], config["prior_hi"])
+    assert [_table_digest(calibrate_intervals(
+        process, draws=20_000, seed=config["seed"] + offset))
+        for offset in range(4)] == BENCH_LONG_TABLES
+    proc = DemandProcess(5)
+    table = calibrate_intervals(proc, draws=20_000, seed=11)
+    assert _table_digest(table) == "e61ce21cee79bf20"
+    cov = empirical_coverage(proc, table, draws=20_000, seed=12)
+    assert hashlib.sha256(cov.tobytes()).hexdigest()[:16] == \
+        "77bf2ea33e65bbea"
+
+
+@pytest.mark.parametrize("T, draws, block", [
+    (0, 10_000, None), (1, 10_000, None), (2, 10_000, None),
+    (2, 10_001, None), (5, 10_001, None), (4, 10_001, 7)])
+def test_calibration_matches_serial_loop(monkeypatch, T, draws, block):
+    # 10,001 draws is no multiple of the row block; a block of 7 rows
+    # splits each pass into 1,429 uniform and 1,429 binomial calls.
+    if block is not None:
+        monkeypatch.setattr(bayesian, "CALIBRATION_BLOCK", block)
+    proc = DemandProcess(T)
+    threads = threading.active_count()
+    table = calibrate_intervals(proc, coverage=0.9, draws=draws, seed=T)
+    cov = empirical_coverage(proc, table, draws=draws, seed=T + 1)
+    assert threading.active_count() == threads
+    fields, want_cov = _serial_calibration(proc, 0.9, draws, T)
+    got = (table.lower, table.upper, table.prior_mean, table.lower0,
+           table.upper0)
+    for a, b in zip(got, fields):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert cov.tobytes() == want_cov.tobytes()
+
+
+def test_per_day_works_each_day_once_in_order():
+    # Four callers at once on two cores, switching threads every
+    # microsecond: each caller's days are worked once each, by its own
+    # thread or its worker, and come back in order.
+    seen = []
+
+    def calls(k):
+        def work(day):
+            seen.append((k, day))
+            return k * 1000 + day
+        out[k] = bayesian._per_day(work, range(300))
+
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=calls, args=(k,))
+                   for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert out == {k: [k * 1000 + day for day in range(300)]
+                   for k in range(4)}
+    assert sorted(seen) == [(k, day) for k in range(4) for day in range(300)]
 
 
 def test_forecast_instance_uses_day0_interval():

@@ -335,19 +335,34 @@ def test_calibrate_bad_input_exit_2(capsys, argv, message):
     assert out == ""
 
 
-def test_bench_rows_independent_of_worker_count(capsys, tmp_path):
-    def rows(workers):
-        path = tmp_path / f"w{workers}.csv"
-        code, _, _ = run_cli(capsys, "bench", "--config",
-                             instance_path("bench_short.json"), "--reps", "4",
-                             "--workers", str(workers), "--out", str(path))
-        assert code == 0
-        return [(r["replication"], r["policy"], r["cost"], r["seed"])
-                for r in csv.DictReader(path.open())]
+def _bench_rows(capsys, tmp_path, config, workers):
+    """(replication, policy, cost, seed) of each row `bench --reps 4`
+    writes for `config` on `workers` workers."""
+    path = tmp_path / f"w{workers}.csv"
+    code, _, _ = run_cli(capsys, "bench", "--config", config, "--reps", "4",
+                         "--workers", str(workers), "--out", str(path))
+    assert code == 0
+    return [(r["replication"], r["policy"], r["cost"], r["seed"])
+            for r in csv.DictReader(path.open())]
 
-    single = rows(1)
+
+def test_bench_rows_independent_of_worker_count(capsys, tmp_path):
+    config = instance_path("bench_short.json")
+    single = _bench_rows(capsys, tmp_path, config, 1)
     assert len(single) == 4 * 4
-    assert rows(2) == single
+    assert _bench_rows(capsys, tmp_path, config, 2) == single
+
+
+def test_bench_forks_after_calibrating(capsys, tmp_path):
+    # Without a pinned table, bench calibrates (on a thread pool) and then
+    # forks its workers: the rows must not depend on the worker count.
+    config = json.loads(open(instance_path("bench_short.json")).read())
+    del config["calibration"]
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    single = _bench_rows(capsys, tmp_path, str(path), 1)
+    assert len(single) == 4 * 4
+    assert _bench_rows(capsys, tmp_path, str(path), 2) == single
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -64,6 +64,28 @@ def test_sweep_profiles_are_exact(T):
             assert gap <= TOL, (T, size, eta, gap)
 
 
+def _multi_draw(seed: int, index: int):
+    """Multi-pool draw `index` (counted from 0, multi draws only) of the
+    interleaved sequence `random_single_pool(rng)`,
+    `random_multi_pool(rng, 3, 10)`, ... from `default_rng(seed)`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        random_single_pool(rng)
+        inst = random_multi_pool(rng, 3, 10)
+    return inst
+
+
+# Two draws of that sequence, seed 2026 multi draw 61 and seed 7 multi
+# draw 23, broke a warm-started refinement prototype that fixed columns
+# with a reduced-cost floor of 1e-15.  Both readings of the count (from 0
+# and from 1) are covered.
+@pytest.mark.parametrize("seed, index", [(2026, 60), (2026, 61), (7, 22),
+                                         (7, 23)])
+def test_named_multi_draw_profile_is_exact(seed, index):
+    gap = _profile_gap(build_lp_single_switch(_multi_draw(seed, index)))
+    assert gap <= TOL, gap
+
+
 # The companion sweep at pool sizes 0.5 and 0.75, where the float
 # refinement fails today: 33 points raise NumericFailure on a negative hire
 # in a refinement stage (the value below), and 5 certify a profile off the
