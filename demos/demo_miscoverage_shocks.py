@@ -1,8 +1,9 @@
 """Forecast shocks: on random days the revealed interval is garbage.
 
 When shocked days are detectable before hiring, the wrapped emulator hires
-nothing on those days and replays its decisions over the repaired history on
-clean days.  The average extra cost grows gently with the shock probability.
+nothing on those days; on a clean day it steps its emulator over the shocked
+days just past with the clean day's interval (the repaired history), then over
+the clean day.  The average extra cost grows gently with the shock probability.
 """
 
 import os

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import (Instance, InstanceError, PredictionInterval,
                     PredictionSequence, ReleaseInstance, fresh_state,
-                    imbalance_cost, narrow_day)
+                    imbalance_cost, narrow_day, wage_bill)
 from .programs import configuration_walk, single_switch_floor
 
 
@@ -260,7 +260,7 @@ def brute_force_worst_case(inst: Instance, policy_factory: Callable,
         cost, demand = worst_demand_cost(inst, plan.total_net, leaf.lo,
                                          leaf.hi)
         if wages is not None:
-            cost += float((wages * plan.hires).sum())
+            cost += wage_bill(wages, plan.hires)
         if best is None or cost > best[0]:
             best = (cost, leaf, demand)
     if best is None:

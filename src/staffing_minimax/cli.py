@@ -31,7 +31,8 @@ from .model import (Instance, InstanceError, MultiStationInstance,
                     ReleaseInstance, SequenceError, imbalance_cost,
                     load_instance, make_instance, multi_station_cost,
                     validate_instance, validate_multi_station,
-                    validate_release_fields, validate_release_instance)
+                    validate_release_fields, validate_release_instance,
+                    wage_bill)
 from .policies import (GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
                        LpResolvingPolicy, ReleasePolicy,
                        gamma_star_single_pool, play)
@@ -290,9 +291,9 @@ def cmd_run(args) -> int:
         plans.append(plan)
         demands.append(d)
     if isinstance(problem, ReleaseInstance) and np.any(problem.wages != 0):
-        wage_bill = float((problem.wages * plan.hires).sum())
-        print(f"wage_bill = {wage_bill:.6f}")
-        print(f"joint_cost = {cost + wage_bill:.6f}")
+        bill = wage_bill(problem.wages, plan.hires)
+        print(f"wage_bill = {bill:.6f}")
+        print(f"joint_cost = {cost + bill:.6f}")
     if isinstance(problem, MultiStationInstance):
         print(f"aggregate cost ({problem.objective}) = "
               f"{multi_station_cost(problem, plans, demands):.6f}")

@@ -21,8 +21,12 @@ are keyed by R0, and each node maps the day's Rhat to that day's hires
 before it computes anything, so emulators of one block play a shared
 prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A day the
 tree serves writes nothing: an emulator's realized block is allocated and
-filled in at its first miss or read.  The release-mode variant
-additionally runs the critical-index release rule at each epoch end.
+filled in at its first miss or read.
+
+The costly-release algorithm's epochs are played by
+`policies.ReleasePolicy`, which builds one emulator per epoch on that
+epoch's canonical block and, at the epoch's end, releases by the critical
+index that `critical_switch_day` finds.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .model import (EpochState, ReleaseInstance, UNLIMITED,
-                    rescaled_availability, supply_usage)
 
 # Slack of split_hires' check on the caps and critical_switch_day's match.
 EMULATOR_TOL = 1e-9
@@ -306,7 +307,7 @@ class Emulator:
         return hires
 
 
-# --- Release-mode epoch mechanics --------------------------------------------
+# --- The critical index of the release rule ----------------------------------
 
 def critical_switch_day(r_observed: Sequence[float], realized_cum:
                         Sequence[float], canonical_cum: Sequence[float],
@@ -321,97 +322,3 @@ def critical_switch_day(r_observed: Sequence[float], realized_cum:
         if abs(lhs - rhs) <= EMULATOR_TOL:
             best = t0 + idx
     return best
-
-
-class EpochRunner:
-    """Incremental driver for one epoch of the costly-release algorithm.
-
-    Feed observe() one interval per epoch day (hires come back immediately,
-    following the emulator oracle within the epoch); call finish() after the
-    last day for the critical-index releases and the next carried state.
-    canonical_hires is the (n, days in epoch) block of the subprogram's
-    no-switch branch; canonical_releases maps each switch day k in the
-    epoch's closed range to the canonical release vector.  The emulator
-    finds the block's tables and DayTree in _block's memo, so the epochs of
-    many sequences replay the days their blocks' trees already hold.
-    """
-
-    def __init__(self, ri: ReleaseInstance, state: EpochState,
-                 canonical_hires: np.ndarray, canonical_releases: dict):
-        self.ri = ri
-        self.state = state
-        self.canonical = np.asarray(canonical_hires, float)
-        self.canonical_releases = canonical_releases
-        self.t0, self.t_end = ri.epoch_range(state.index)
-        self.l_bar, self.r_bar = state.interval
-        self.emulator = Emulator(self.canonical,
-                                 state.availability[:, self.t0:], self.r_bar)
-        self.r_observed = [self.r_bar]
-        self.realized_cum = [0.0]
-        self.canon_cum = [0.0]
-
-    @property
-    def realized(self) -> np.ndarray:
-        """The epoch's hires so far, read through the emulator."""
-        return self.emulator.realized
-
-    def observe(self, interval) -> np.ndarray:
-        idx = self.emulator.day
-        if idx >= self.t_end - self.t0:
-            raise ValueError("epoch already complete")
-        hires = self.emulator.step(interval.hi)
-        self.r_observed.append(interval.hi)
-        self.realized_cum.append(float(self.realized.sum()))
-        self.canon_cum.append(self.emulator.tables[idx].canon_cum)
-        return hires
-
-    def finish(self) -> Tuple[np.ndarray, int, Optional[EpochState]]:
-        if self.emulator.day != self.t_end - self.t0:
-            raise ValueError("epoch not fully observed")
-        ri, state, inst = self.ri, self.state, self.ri.base
-        ell = state.index
-        n = inst.n_pools
-        t0, t_end = self.t0, self.t_end
-        k = critical_switch_day(self.r_observed, self.realized_cum,
-                                self.canon_cum, t0)
-        y = np.zeros(n)
-        y_canon = self.canonical_releases.get(k)
-        fee = ri.release_fees[ell - 1]
-        if y_canon is not None and fee is not UNLIMITED:
-            idx_k = k - t0
-            delta_k = (self.r_bar - self.l_bar) if k == t0 else inst.delta(k)
-            r_target = self.r_bar - delta_k + inst.delta(t_end)
-            r_actual = self.r_observed[-1]
-            gap = self.canon_cum[idx_k] - self.realized_cum[idx_k]
-            y_total = r_target - r_actual - gap + float(y_canon.sum())
-            if -1e-9 <= y_total <= float(y_canon.sum()) + 1e-9:
-                y_total = min(max(y_total, 0.0), float(y_canon.sum()))
-                remaining = y_total
-                for i in range(n):
-                    y[i] = min(remaining, float(y_canon[i]))
-                    remaining -= y[i]
-            # Otherwise: no releasing this epoch.
-
-        next_state = None
-        if ell < ri.n_epochs:
-            realized = self.realized
-            rho = state.availability
-            usage = supply_usage(rho[:, t0:t_end], realized)
-            new_supply = rho[:, t_end - 1] * (state.remaining_supply - usage)
-            budget = state.remaining_budget
-            if budget is not UNLIMITED:
-                wage_bill = float(
-                    (ri.wages[:, t0:t_end] * realized).sum())
-                fee_bill = (0.0 if fee is UNLIMITED
-                            else float(fee) * float(y.sum()))
-                budget = budget - wage_bill - fee_bill
-            r_last = self.r_observed[-1]
-            next_state = EpochState(
-                index=ell + 1,
-                cum_hires=state.cum_hires + realized.sum(axis=1) - y,
-                remaining_supply=np.maximum(new_supply, 0.0),
-                remaining_budget=budget,
-                interval=(r_last - inst.delta(t_end), r_last),
-                availability=rescaled_availability(rho, t_end),
-            )
-        return y, k, next_state

@@ -473,12 +473,18 @@ def multi_station_cost(msi: MultiStationInstance, plans: Sequence[StaffingPlan],
     return max(per) if msi.objective == "max" else float(sum(per))
 
 
+def wage_bill(wages: np.ndarray, hires: np.ndarray) -> float:
+    """Wages paid for a hire schedule: the sum of wage times hires over
+    pools and days, for arrays of one shape."""
+    return float((wages * hires).sum())
+
+
 def joint_cost(ri: ReleaseInstance, plan: StaffingPlan, demand: float) -> float:
     """Staffing cost plus wage bill.  Joint mode has no releases."""
     if np.any(plan.releases != 0):
         raise ValueError("joint cost mode does not admit releases")
-    wage_bill = float((ri.wages * plan.hires).sum())
-    return staffing_cost(ri.base, plan, demand) + wage_bill
+    return staffing_cost(ri.base, plan, demand) + wage_bill(ri.wages,
+                                                            plan.hires)
 
 
 def supply_usage(availability: np.ndarray, hires: np.ndarray) -> np.ndarray:
@@ -557,7 +563,7 @@ def check_feasibility(problem, plan: StaffingPlan):
                     f"pool {i}: releases exceed prior hires by day {bad[0] + 1}")
         if ri.budget is not UNLIMITED:
             fee_by_day = epoch_fee_by_day(ri)
-            spend = float((ri.wages * plan.hires).sum())
+            spend = wage_bill(ri.wages, plan.hires)
             for i in range(inst.n_pools):
                 for t in range(inst.horizon):
                     y = plan.releases[i, t]

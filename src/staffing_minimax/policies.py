@@ -12,17 +12,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adversary import worst_case_sequence
-from .emulator import (RELEASE_MEMO_CAP, Emulator, EmulatorTrace, EpochRunner,
-                       _memo_entry)
+from .emulator import (RELEASE_MEMO_CAP, Emulator, EmulatorTrace,
+                       _memo_entry, critical_switch_day)
 from .model import (UNLIMITED, EpochState, Instance, InstanceError,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
                     StaffingPlan, SupplyLedger, fresh_state, make_instance,
-                    rescaled_availability, validate_release_instance)
+                    rescaled_availability, supply_usage,
+                    validate_release_instance, wage_bill)
 from .programs import (DayMemo, build_lp_joint_cost, build_lp_release,
                        build_lp_resolving, extract_canonical,
                        minimax_value_and_profile, solve_canonical)
@@ -432,6 +433,12 @@ class ReleasePolicy:
     its own.  Each epoch's emulator finds its block's tables and DayTree
     in the emulator's block memo, so the epochs of one sequence, each on
     its own block, replay the days their trees already hold.
+
+    An epoch opens on the day after the last one ended.  Until its last
+    day, `state` is the state the epoch opened with; `emulator` plays the
+    epoch's days, and `r_observed`, `realized_cum` and `canon_cum` hold the
+    upper bound, realized total and canonical total the epoch's days ran
+    through, each led by the epoch's opening value.
     """
 
     kind = "release"
@@ -442,7 +449,7 @@ class ReleasePolicy:
         self.memo = OrderedDict() if memo is None else memo
         self.state = fresh_state(ri.base, ri.budget, ri.pre_hires)
         self.day = 0
-        self.runner: Optional[EpochRunner] = None
+        self.t_end = 0               # last day of the epoch played
         self.objective = None        # day-0 program value, set on first step
 
     def _epoch_program(self) -> tuple:
@@ -464,34 +471,98 @@ class ReleasePolicy:
             return sol.objective, canon_x, MappingProxyType(canon_y)
         return _memo_entry(self.memo, key, RELEASE_MEMO_CAP, solve)
 
+    def _open_epoch(self, program: tuple) -> None:
+        """Start the current state's epoch on its program's (value,
+        canonical hire block, canonical releases by switch day)."""
+        objective, canonical, self.canonical_releases = program
+        if self.objective is None:
+            self.objective = objective
+        st = self.state
+        self.t0, self.t_end = self.ri.epoch_range(st.index)
+        self.l_bar, self.r_bar = st.interval
+        self.emulator = Emulator(canonical, st.availability[:, self.t0:],
+                                 self.r_bar)
+        self.r_observed = [self.r_bar]
+        self.realized_cum = [0.0]
+        self.canon_cum = [0.0]
+
+    def _end_epoch(self) -> Tuple[np.ndarray, Optional[EpochState]]:
+        """The critical-index releases on the epoch's last day, and the
+        state the next epoch opens with (None after the last epoch)."""
+        ri, state, inst = self.ri, self.state, self.ri.base
+        ell = state.index
+        n = inst.n_pools
+        t0, t_end = self.t0, self.t_end
+        k = critical_switch_day(self.r_observed, self.realized_cum,
+                                self.canon_cum, t0)
+        y = np.zeros(n)
+        y_canon = self.canonical_releases.get(k)
+        fee = ri.release_fees[ell - 1]
+        if y_canon is not None and fee is not UNLIMITED:
+            idx_k = k - t0
+            delta_k = (self.r_bar - self.l_bar) if k == t0 else inst.delta(k)
+            r_target = self.r_bar - delta_k + inst.delta(t_end)
+            r_actual = self.r_observed[-1]
+            gap = self.canon_cum[idx_k] - self.realized_cum[idx_k]
+            y_total = r_target - r_actual - gap + float(y_canon.sum())
+            if -1e-9 <= y_total <= float(y_canon.sum()) + 1e-9:
+                y_total = min(max(y_total, 0.0), float(y_canon.sum()))
+                remaining = y_total
+                for i in range(n):
+                    y[i] = min(remaining, float(y_canon[i]))
+                    remaining -= y[i]
+            # Otherwise: no releasing this epoch.
+
+        next_state = None
+        if ell < ri.n_epochs:
+            realized = self.emulator.realized
+            rho = state.availability
+            usage = supply_usage(rho[:, t0:t_end], realized)
+            new_supply = rho[:, t_end - 1] * (state.remaining_supply - usage)
+            budget = state.remaining_budget
+            if budget is not UNLIMITED:
+                wages = wage_bill(ri.wages[:, t0:t_end], realized)
+                fee_bill = (0.0 if fee is UNLIMITED
+                            else float(fee) * float(y.sum()))
+                budget = budget - wages - fee_bill
+            r_last = self.r_observed[-1]
+            next_state = EpochState(
+                index=ell + 1,
+                cum_hires=state.cum_hires + realized.sum(axis=1) - y,
+                remaining_supply=np.maximum(new_supply, 0.0),
+                remaining_budget=budget,
+                interval=(r_last - inst.delta(t_end), r_last),
+                availability=rescaled_availability(rho, t_end),
+            )
+        return y, next_state
+
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
-        t = self.day
-        ri = self.ri
-        if self.runner is None:
-            objective, canon_x, canon_y = self._epoch_program()
-            if self.objective is None:
-                self.objective = objective
-            self.runner = EpochRunner(ri, self.state, canon_x, canon_y)
-        hires = self.runner.observe(obs.interval)
-        n = ri.base.n_pools
-        releases = np.zeros(n)
-        t0, t_end = ri.epoch_range(self.state.index)
-        if t == t_end:
-            releases, _k, next_state = self.runner.finish()
-            self.runner = None
-            if next_state is not None:
-                self.state = next_state
+        if self.day > self.t_end:
+            self._open_epoch(self._epoch_program())
+        em = self.emulator
+        idx = em.day
+        hires = em.step(obs.interval.hi)
+        self.r_observed.append(obs.interval.hi)
+        self.realized_cum.append(float(em.realized.sum()))
+        self.canon_cum.append(em.tables[idx].canon_cum)
+        if self.day < self.t_end:
+            return Decision(hires, _no_releases(hires.shape))
+        releases, next_state = self._end_epoch()
+        if next_state is not None:
+            self.state = next_state
         return Decision(hires, releases)
 
 
 class MiscoverageWrapper:
     """Shock-aware wrapper for the base emulator (single pool).
 
-    detect_before_hiring: hire nothing on shocked days; on clean days replay
-    the emulator over the repaired history (each shocked day's interval is
-    replaced by the next clean day's interval) and play its current-day
-    hire.  no_detect: run the base policy unmodified.
+    detect_before_hiring: hire nothing on shocked days; on a clean day play
+    the wrapper's own emulator over the shocked days since the last clean
+    day, each with the clean day's interval, and then over the clean day,
+    and hire what it plays today.  Its bounds are those of the repaired
+    history, where each shocked day's interval is replaced by the next
+    clean day's.  no_detect: run the base policy unmodified.
     """
 
     kind = "miscoverage_wrapper"
@@ -509,30 +580,17 @@ class MiscoverageWrapper:
         self.inst = base.inst
         self.scenario = scenario
         self.shocked = list(bool(b) for b in shocked)
-        self.seen: List[PredictionInterval] = []
+        self.emulator = Emulator(base.canonical, self.inst.availability,
+                                 self.inst.initial_range[1])
         self.day = 0
-
-    def _repaired_history(self, t: int) -> List[PredictionInterval]:
-        """Intervals with each shocked day mapped to its next clean day."""
-        out = []
-        for tau in range(t):
-            k = tau
-            while self.shocked[k]:
-                k += 1             # day t-1 (0-based) is clean by caller
-            out.append(self.seen[k])
-        return out
 
     def step(self, obs: DayObservation) -> Decision:
         if self.scenario == "no_detect":
             return self.base.step(obs)
         self.day += 1
-        t = self.day
-        self.seen.append(obs.interval)
-        if self.shocked[t - 1]:
+        if self.shocked[self.day - 1]:
             return Decision.hire_only(np.zeros(self.inst.n_pools))
-        em = Emulator(self.base.canonical, self.inst.availability,
-                      self.inst.initial_range[1])
-        for iv in self._repaired_history(t):
-            hires = em.step(iv.hi)
+        em = self.emulator
+        while em.day < self.day:
+            hires = em.step(obs.interval.hi)
         return Decision.hire_only(hires)
-

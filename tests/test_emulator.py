@@ -10,8 +10,7 @@ from staffing_minimax.adversary import (enumerate_grid_sequences,
                                         single_switch_sequence,
                                         worst_case_sequence)
 from staffing_minimax import emulator as emulator_module
-from staffing_minimax import policies as policies_module
-from staffing_minimax.emulator import (Emulator, EmulatorTrace, EpochRunner,
+from staffing_minimax.emulator import (Emulator, EmulatorTrace,
                                        SplitInfeasible, _block, _fill,
                                        _scarcest_first, emulator_step,
                                        split_hires)
@@ -19,7 +18,8 @@ from staffing_minimax.model import (PredictionInterval, PredictionSequence,
                                     ReleaseInstance, check_feasibility,
                                     fresh_state, load_instance, make_instance,
                                     validate_release_instance)
-from staffing_minimax.policies import LpEmulatorPolicy, ReleasePolicy, play
+from staffing_minimax.policies import (DayObservation, LpEmulatorPolicy,
+                                       ReleasePolicy, play)
 from staffing_minimax.programs import (minimax_value_and_profile,
                                        single_switch_floor)
 
@@ -182,15 +182,12 @@ def test_release_epoch_run_trivial_epoch_state():
                          [1.0, 0.8, 0.6, 0.4])
     ri = ReleaseInstance(base=inst, budget=5.0, epoch_breaks=(2, 4),
                          release_fees=(0.1, 0.1))
-    state = fresh_state(inst, ri.budget, ri.pre_hires)
-    canonical = np.zeros((1, 2))
-    from staffing_minimax.model import PredictionInterval
-    ivs = [PredictionInterval(0.0, 1.0), PredictionInterval(0.0, 1.0)]
-    runner = EpochRunner(ri, state, canonical, {0: np.zeros(1)})
-    for iv in ivs:
-        runner.observe(iv)
-    releases, _k, st = runner.finish()
-    assert np.all(runner.realized == 0) and np.all(releases == 0)
+    policy = ReleasePolicy(ri)
+    policy._open_epoch((0.0, np.zeros((1, 2)), {0: np.zeros(1)}))
+    for t in (1, 2):
+        d = policy.step(DayObservation(t, PredictionInterval(0.0, 1.0)))
+    assert np.all(policy.emulator.realized == 0) and np.all(d.releases == 0)
+    st = policy.state
     assert st.index == 2
     assert np.all(st.cum_hires == 0)
     assert st.remaining_budget == 5.0
@@ -199,30 +196,6 @@ def test_release_epoch_run_trivial_epoch_state():
     assert st.availability[0, 2] == pytest.approx(0.6 / 0.8)
     # carried interval is [R_2 - Delta_2, R_2]
     assert st.interval == (pytest.approx(1.0 - 0.8), 1.0)
-
-
-def _idle_epoch_runner():
-    inst = make_instance([1.0], [[1.0, 0.8, 0.6, 0.5]], (0, 1),
-                         [1.0, 0.8, 0.6, 0.4])
-    ri = ReleaseInstance(base=inst, budget=5.0, epoch_breaks=(2, 4),
-                         release_fees=(0.1, 0.1))
-    state = fresh_state(inst, ri.budget, ri.pre_hires)
-    return EpochRunner(ri, state, np.zeros((1, 2)), {0: np.zeros(1)})
-
-
-def test_epoch_runner_observe_past_epoch_end_raises():
-    runner = _idle_epoch_runner()
-    for _ in range(2):
-        runner.observe(PredictionInterval(0.0, 1.0))
-    with pytest.raises(ValueError, match="epoch already complete"):
-        runner.observe(PredictionInterval(0.0, 1.0))
-
-
-def test_epoch_runner_finish_before_epoch_end_raises():
-    runner = _idle_epoch_runner()
-    runner.observe(PredictionInterval(0.0, 1.0))
-    with pytest.raises(ValueError, match="epoch not fully observed"):
-        runner.finish()
 
 
 def test_release_epoch_critical_index_exists():
@@ -574,17 +547,19 @@ def test_epoch_runner_plays_as_old_step():
     for _ in range(20):
         canonical = rng.uniform(0.0, 0.3, size=(2, 3))
         his = list(1.0 - np.cumsum(rng.uniform(0.0, 0.2, size=3)))
-        runner = EpochRunner(ri, state, canonical, {0: np.zeros(2)})
+        policy = ReleasePolicy(ri)
+        policy._open_epoch((0.0, canonical, {0: np.zeros(2)}))
         old_hires, old_totals = _old_run(
-            canonical, state.availability[:, runner.t0:], runner.r_bar, his)
+            canonical, state.availability[:, policy.t0:], policy.r_bar, his)
         for idx, hi in enumerate(his):
-            h = runner.observe(PredictionInterval(hi - 0.3, hi))
-            assert h.tobytes() == old_hires[idx].tobytes()
-            assert (np.float64(runner.realized_cum[-1]).tobytes()
+            d = policy.step(DayObservation(idx + 1,
+                                           PredictionInterval(hi - 0.3, hi)))
+            assert d.hires.tobytes() == old_hires[idx].tobytes()
+            assert (np.float64(policy.realized_cum[-1]).tobytes()
                     == np.float64(old_totals[idx]).tobytes())
-        assert runner.canon_cum == [0.0] + [
+        assert policy.canon_cum == [0.0] + [
             float(canonical[:, :d].sum()) for d in (1, 2, 3)]
-        runner.finish()
+        assert policy.state.index == 2      # the epoch ended on day 3
 
 
 def test_fill_scarcest_first_as_old():
@@ -783,27 +758,33 @@ def test_all_hit_replay_writes_no_realized_block(count_misses):
 def test_epoch_runner_realized_cum_as_eager_on_release_demo(monkeypatch):
     ri = validate_release_instance(load_instance(
         instance_path("release_demo.json")))
-    runners = []
+    opened, ended = [], []
+    open_epoch, end_epoch = ReleasePolicy._open_epoch, ReleasePolicy._end_epoch
 
-    class Recorded(EpochRunner):
-        def finish(self):
-            runners.append(self)
-            return super().finish()
+    def recorded_open(self, program):
+        open_epoch(self, program)
+        opened.append((program[1], self.state.availability[:, self.t0:],
+                       self.r_bar))
 
-    monkeypatch.setattr(policies_module, "EpochRunner", Recorded)
+    def recorded_end(self):
+        ended.append((self.r_observed, self.realized_cum,
+                      self.emulator.realized.copy()))
+        return end_epoch(self)
+
+    monkeypatch.setattr(ReleasePolicy, "_open_epoch", recorded_open)
+    monkeypatch.setattr(ReleasePolicy, "_end_epoch", recorded_end)
     sequences = enumerate_grid_sequences(ri.base, 0.5) + [
         random_nested_sequence(ri.base, s) for s in range(20)]
     memo = OrderedDict()
     for seq in sequences:
         play(ReleasePolicy(ri, memo), ri.base, seq)
-    assert len(runners) == 2 * len(sequences)
-    for runner in runners:
-        bounds = runner.r_observed[1:]
-        old_hires, old_totals = _old_run(
-            runner.canonical, runner.state.availability[:, runner.t0:],
-            runner.r_bar, bounds)
-        assert [np.float64(x).tobytes() for x in runner.realized_cum] == [
+    assert len(opened) == len(ended) == 2 * len(sequences)
+    for (canonical, availability, r_bar), (r_observed, realized_cum,
+                                           realized) in zip(opened, ended):
+        bounds = r_observed[1:]
+        old_hires, old_totals = _old_run(canonical, availability, r_bar,
+                                         bounds)
+        assert [np.float64(x).tobytes() for x in realized_cum] == [
             np.float64(x).tobytes() for x in [0.0] + old_totals]
-        assert runner.realized.tobytes() == _eager_block(
-            runner.canonical, runner.state.availability[:, runner.t0:],
-            runner.r_bar, bounds).tobytes()
+        assert realized.tobytes() == _eager_block(
+            canonical, availability, r_bar, bounds).tobytes()

@@ -11,12 +11,17 @@ reaches the same prefix) are never written.  So:
   ``Emulator.step`` and the ``Emulator.realized`` read that allocates the
   block and fills in the days the tree served;
 - no consumer of ``Emulator.step`` (or of a method that hands its result
-  on, such as ``EpochRunner.observe``) writes into the returned hires in
-  place;
+  on) writes into the returned hires in place;
 - only ``emulator._block`` builds a ``DayTree`` or day tables, so every
   emulator of a block finds the one tree in its memo.
 
-All three are checked on the source with the standard library's ``ast``.
+A fourth rule keeps one way to drive the emulator: an ``Emulator`` is built
+only where a policy sets up its run (``LpEmulatorPolicy.__init__``,
+``MiscoverageWrapper.__init__``) or opens a release epoch
+(``ReleasePolicy._open_epoch``), and is then stepped once a day.  An
+emulator built on every day would replay the run from day 1 each time.
+
+All four are checked on the source with the standard library's ``ast``.
 """
 
 import ast
@@ -204,9 +209,9 @@ def hires_writes(sources: dict) -> tuple:
     return consumers, found
 
 
-def block_builders(sources: dict) -> list:
-    """(function, line) of every call that makes a DayTree or day tables,
-    named by the outermost function around it ("<module>" outside any)."""
+def builders(sources: dict, names) -> list:
+    """(function, line) of every call of one of `names`, named by the
+    outermost function around it ("<module>" outside any)."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -217,8 +222,18 @@ def block_builders(sources: dict) -> list:
         found += [(f"{module}.{owner.get(id(sub), '<module>')}", sub.lineno)
                   for sub in ast.walk(tree) if isinstance(sub, ast.Call)
                   and getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                  in ("DayTree", "_build_day_tables")]
+                  in names]
     return sorted(found)
+
+
+def block_builders(sources: dict) -> list:
+    """Every call that makes a DayTree or day tables (see `builders`)."""
+    return builders(sources, ("DayTree", "_build_day_tables"))
+
+
+def emulator_builders(sources: dict) -> list:
+    """Every call that makes an Emulator (see `builders`)."""
+    return builders(sources, ("Emulator",))
 
 
 def _package_sources() -> dict:
@@ -283,9 +298,8 @@ def test_only_emulator_step_and_its_fill_write_realized():
 
 def test_no_consumer_writes_into_step_hires():
     consumers, found = hires_writes(_package_sources())
-    # Every emulating policy and the epoch runner consume the step.
-    assert consumers >= {"emulator.EpochRunner.observe",
-                         "policies.LpEmulatorPolicy.step",
+    # Every emulating policy consumes the step.
+    assert consumers >= {"policies.LpEmulatorPolicy.step",
                          "policies.MiscoverageWrapper.step",
                          "policies.ReleasePolicy.step"}
     assert found == []
@@ -308,3 +322,27 @@ def test_guard_sees_block_builders():
 def test_only_block_builds_day_trees_and_tables():
     assert {where for where, _ in block_builders(_package_sources())} == {
         "emulator._block"}
+
+
+def test_guard_sees_emulator_builders():
+    # A step that builds an emulator each day, and a helper that builds one
+    # to replay a run, are named by the function that holds the call.
+    source = (
+        "class Wrapper:\n"
+        "    def __init__(self, c):\n"
+        "        self.emulator = Emulator(c, a, 1.0)\n"
+        "    def step(self, obs):\n"
+        "        em = emulator.Emulator(self.c, self.a, 1.0)\n"
+        "        return em.step(obs.hi)\n"
+        "def replay(c, bounds):\n"
+        "    em = Emulator(c, a, 1.0)\n"
+        "    return [em.step(b) for b in bounds]\n")
+    assert emulator_builders({"m": source}) == [
+        ("m.Wrapper.__init__", 3), ("m.Wrapper.step", 5), ("m.replay", 8)]
+
+
+def test_emulators_are_built_where_runs_and_epochs_open():
+    assert [where for where, _ in emulator_builders(_package_sources())] == [
+        "policies.LpEmulatorPolicy.__init__",
+        "policies.MiscoverageWrapper.__init__",
+        "policies.ReleasePolicy._open_epoch"]

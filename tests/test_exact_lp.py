@@ -55,6 +55,20 @@ def test_random_draw_profiles_are_exact():
     assert max(gaps) <= TOL, gaps
 
 
+# 150 interleaved pairs (`random_single_pool(rng)`,
+# `random_multi_pool(rng, 3, 10)`) from each seed: the 1,200 random draws a
+# warm-started refinement must keep exact.
+@pytest.mark.parametrize("seed", [2026, 123, 7, 99])
+def test_seeded_draw_profiles_are_exact(seed):
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for _ in range(150):
+        for inst in (random_single_pool(rng), random_multi_pool(rng, 3, 10)):
+            gaps.append(_profile_gap(build_lp_single_switch(inst)))
+    worst = int(np.argmax(gaps))
+    assert gaps[worst] <= TOL, (worst, gaps[worst])
+
+
 @pytest.mark.parametrize("T", [6, 10, 14, 18, 20])
 def test_sweep_profiles_are_exact(T):
     for size in (1.0, 2.0, 4.0):
@@ -138,8 +152,8 @@ SWEEP_GAPS = {
 }
 
 
-def _sweep_cases():
-    for T, size, eta in itertools.product(SWEEP_T, SWEEP_SIZES, SWEEP_ETAS):
+def _sweep_cases(sizes):
+    for T, size, eta in itertools.product(SWEEP_T, sizes, SWEEP_ETAS):
         key = (T, size, eta)
         marks = []
         if key in SWEEP_NUMERIC_FAILURES:
@@ -154,11 +168,21 @@ def _sweep_cases():
         yield pytest.param(T, size, eta, marks=marks)
 
 
-@pytest.mark.parametrize("T, size, eta", _sweep_cases())
-def test_small_pool_sweep_profile_is_exact(T, size, eta):
+def _assert_sweep_profile_is_exact(T, size, eta):
     inst = cli.companion_sweep_instance(T, size, eta, 1.0, 1.0)
     gap = _profile_gap(build_lp_single_switch(inst))
     assert gap <= TOL, gap
+
+
+@pytest.mark.parametrize("T, size, eta", _sweep_cases(SWEEP_SIZES))
+def test_small_pool_sweep_profile_is_exact(T, size, eta):
+    _assert_sweep_profile_is_exact(T, size, eta)
+
+
+# The same grid at pool sizes 1 and 2, where every point is exact today.
+@pytest.mark.parametrize("T, size, eta", _sweep_cases((1.0, 2.0)))
+def test_large_pool_sweep_profile_is_exact(T, size, eta):
+    _assert_sweep_profile_is_exact(T, size, eta)
 
 
 def test_oracle_finds_the_lexicographic_optimum_by_hand():
