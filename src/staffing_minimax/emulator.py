@@ -16,12 +16,14 @@ epoch of a release sequence, one per station) reads the same tables.
 The realized prefix is itself a function of R0 and Rhat_1..Rhat_{t-1}, so
 every sequence with the same running bounds gets the same hires.  Each
 block's tables carry a prefix tree of the days already played: its roots
-are keyed by R0, and each node maps the day's Rhat to that day's hires
-(a read-only array) and the node of the next day.  A step looks its day up
-before it computes anything, so emulators of one block play a shared
-prefix once.  The tree stops growing at DAY_TREE_CAP entries.  A day the
-tree serves writes nothing: an emulator's realized block is allocated and
-filled in at its first miss or read.
+are keyed by R0, and each node maps the day's Rhat to that day's
+hire-only `Decision` (read-only hires, the shared zero release vector)
+and the node of the next day.  A step looks its day up before it computes
+anything, so emulators of one block play a shared prefix once and hand
+out the one `Decision` the tree holds.  The tree stops growing at
+DAY_TREE_CAP entries.  A day the tree serves builds and writes nothing:
+an emulator's realized block is allocated and filled in at its first
+miss or read.
 
 The costly-release algorithm's epochs are played by
 `policies.ReleasePolicy`, which builds one emulator per epoch on that
@@ -56,6 +58,30 @@ class SplitInfeasible(RuntimeError):
             f"{caps_sum:.12g} by more than {tol:g}")
         self.day, self.total, self.caps_sum, self.tol = (day, total,
                                                          caps_sum, tol)
+
+
+_zero_releases: dict = {}     # shape -> one read-only zero vector
+
+
+def _no_releases(shape: tuple) -> np.ndarray:
+    """The read-only zero release vector every decision of `shape` shares."""
+    zeros = _zero_releases.get(shape)
+    if zeros is None:
+        zeros = _zero_releases[shape] = np.zeros(shape)
+        zeros.flags.writeable = False
+    return zeros
+
+
+class Decision(NamedTuple):
+    """One day's hires and releases, per pool."""
+
+    hires: np.ndarray
+    releases: np.ndarray
+
+    @staticmethod
+    def hire_only(hires: np.ndarray) -> "Decision":
+        h = np.asarray(hires, float)
+        return Decision(h, _no_releases(h.shape))
 
 
 @dataclass
@@ -137,15 +163,16 @@ def _build_day_tables(canonical: np.ndarray, rho: np.ndarray
 
 # Entries (roots and days) one block's prefix tree keeps; past the cap a
 # step computes the days the tree does not hold and stores nothing.  On
-# bench_long (two pools) one day entry takes about 420 bytes: its hires,
-# its bound and the next day's node (1.7 MB at the cap).  The grid oracle
-# on fig3c at step 0.25 reaches 3,002 distinct prefixes.
+# bench_long's two pools (T = 14) one day entry takes about 490 bytes: its
+# Decision and hires, its bound and the next day's node (2.0 MB at the
+# cap, by tracemalloc).  The grid oracle on fig3c at step 0.25 reaches
+# 3,002 distinct prefixes.
 DAY_TREE_CAP = 4096
 
 
 class DayTree:
     """Days already played on one block: roots keyed by R0, and nodes that
-    map the day's Rhat to (hires, next day's node).
+    map the day's Rhat to (the day's `Decision`, next day's node).
 
     Keys are Python or NumPy doubles (`Emulator` plays any other type off
     the tree), compared as floats: equal keys hold equal values, except that
@@ -166,14 +193,14 @@ class DayTree:
             self.size += 1
         return node
 
-    def add(self, node: dict, day: int, r_hat: float, hires: np.ndarray
+    def add(self, node: dict, day: int, r_hat: float, decision: Decision
             ) -> Optional[dict]:
         """Store a day played below `node`; its child, or None when the
         tree is full or the day is the block's last."""
         if self.size >= DAY_TREE_CAP:
             return None
         child = {} if day < self.n_days else None
-        node[r_hat] = hires, child
+        node[r_hat] = decision, child
         self.size += 1
         return child
 
@@ -252,14 +279,15 @@ class Emulator:
     Each step lowers the running upper bound R_hat to the given bound and
     plays emulator_step for the next day of the block, unless the block's
     DayTree already holds the day for this R0 and these running bounds.
-    Either way the day's hires are read-only and possibly shared with other
-    emulators of the block.  A day served from the tree is only noted on
-    `path`; `realized`, the (n, T) block of the hires played, is allocated
-    at the first miss or read and then filled in from the path, so a run
-    the tree serves throughout writes no block.  Only `step` and that fill
-    write the block.  availability[:, k] is the availability on the
-    block's (k+1)-th day; it may run past the block.  The tables and the
-    tree come from _block's memo.
+    Either way it returns the day's hire-only `Decision`: read-only hires
+    and the shared zero release vector, possibly the very object other
+    emulators of the block got for the day.  A day served from the tree
+    is only noted on `path`; `realized`, the (n, T) block of the hires
+    played, is allocated at the first miss or read and then filled in
+    from the path, so a run the tree serves throughout writes no block.
+    Only `step` and that fill write the block.  availability[:, k] is the
+    availability on the block's (k+1)-th day; it may run past the block.
+    The tables and the tree come from _block's memo.
     """
 
     def __init__(self, canonical: np.ndarray, availability: np.ndarray,
@@ -285,7 +313,7 @@ class Emulator:
             self.path = []
         return block
 
-    def step(self, bound: float) -> np.ndarray:
+    def step(self, bound: float) -> Decision:
         self.day += 1
         t = self.day
         r_hat = self.r_hat = min(self.r_hat, bound)
@@ -298,13 +326,14 @@ class Emulator:
             hires = emulator_step(self.tables[t - 1], realized, t, r_hat,
                                   self.r0)
             hires.flags.writeable = False
+            decision = Decision(hires, _no_releases(hires.shape))
             self.node = (None if node is None
-                         else self.tree.add(node, t, r_hat, hires))
+                         else self.tree.add(node, t, r_hat, decision))
             realized[:, t - 1] = hires
         else:
-            hires, self.node = entry
-            self.path.append((t, hires))
-        return hires
+            decision, self.node = entry
+            self.path.append((t, decision.hires))
+        return decision
 
 
 # --- The critical index of the release rule ----------------------------------

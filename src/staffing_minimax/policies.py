@@ -17,12 +17,12 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .adversary import worst_case_sequence
-from .emulator import (RELEASE_MEMO_CAP, Emulator, EmulatorTrace,
-                       _memo_entry, critical_switch_day)
+from .emulator import (RELEASE_MEMO_CAP, Decision, Emulator, EmulatorTrace,
+                       _memo_entry, _no_releases, critical_switch_day)
 from .model import (UNLIMITED, EpochState, Instance, InstanceError,
                     PredictionInterval, PredictionSequence, ReleaseInstance,
-                    StaffingPlan, SupplyLedger, fresh_state, make_instance,
-                    rescaled_availability, supply_usage,
+                    SequenceError, StaffingPlan, SupplyLedger, fresh_state,
+                    make_instance, rescaled_availability, supply_usage,
                     validate_release_instance, wage_bill)
 from .programs import (DayMemo, build_lp_joint_cost, build_lp_release,
                        build_lp_resolving, extract_canonical,
@@ -56,28 +56,6 @@ class DayObservation(NamedTuple):
     samples: Optional[np.ndarray] = None
 
 
-_zero_releases: dict = {}     # shape -> one read-only zero vector
-
-
-def _no_releases(shape: tuple) -> np.ndarray:
-    """The read-only zero release vector every decision of `shape` shares."""
-    zeros = _zero_releases.get(shape)
-    if zeros is None:
-        zeros = _zero_releases[shape] = np.zeros(shape)
-        zeros.flags.writeable = False
-    return zeros
-
-
-class Decision(NamedTuple):
-    hires: np.ndarray
-    releases: np.ndarray
-
-    @staticmethod
-    def hire_only(hires: np.ndarray) -> "Decision":
-        h = np.asarray(hires, float)
-        return Decision(h, _no_releases(h.shape))
-
-
 def play(policy, inst: Instance, sequence: PredictionSequence,
          trace: Optional[EmulatorTrace] = None, world=None) -> StaffingPlan:
     """Drive a policy over a full sequence; returns the realized plan.
@@ -87,25 +65,29 @@ def play(policy, inst: Instance, sequence: PredictionSequence,
     trace, each day records the policy's canonical cumulative total
     (the realized net total when it has no canonical profile), the realized
     net total, the effective bounds R_hat and L_hat, and the day's decision.
-    A hire-only decision leaves its day's releases column at zero.
+    A hire-only decision leaves its day's releases column at zero.  The
+    sequence must hold exactly T intervals.
     """
     n, T = inst.availability.shape
+    intervals = sequence.intervals
+    if len(intervals) != T:
+        raise SequenceError(f"expected {T} intervals, got {len(intervals)}")
     hires = np.zeros((n, T))
     releases = np.zeros((n, T))
+    hire_rows, release_rows = hires.T, releases.T   # day t is row t - 1
     no_releases = _no_releases((n,))
     canonical = None if trace is None else getattr(policy, "canonical", None)
-    intervals = sequence.intervals
     step = policy.step
-    for t in range(1, T + 1):
+    for t, interval in enumerate(intervals, 1):
         if world is None:
-            d = step(DayObservation(t, intervals[t - 1]))
+            d = step(DayObservation(t, interval))
         else:
-            d = step(DayObservation(t, intervals[t - 1],
+            d = step(DayObservation(t, interval,
                                     float(world.partials[t - 1]),
                                     world.profiles[t - 1]))
-        hires[:, t - 1] = d.hires
+        hire_rows[t - 1] = d.hires
         if d.releases is not no_releases:
-            releases[:, t - 1] = d.releases
+            release_rows[t - 1] = d.releases
         if trace is not None:
             net = hires.sum() - releases.sum()
             trace.record(t, net if canonical is None
@@ -306,12 +288,10 @@ class LpEmulatorPolicy:
         self.emulator = Emulator(canonical, inst.availability,
                                  inst.initial_range[1])
         self.eps = inst.inconsistency.tolist()      # inst.eps(t), t >= 1
-        self.releases = _no_releases(canonical.shape[:1])
 
     def step(self, obs: DayObservation) -> Decision:
-        em = self.emulator      # its hires are float64 already
-        return Decision(em.step(obs.interval.hi + self.eps[em.day]),
-                        self.releases)
+        em = self.emulator
+        return em.step(obs.interval.hi + self.eps[em.day])
 
 
 # Entries a resolving memo keeps, least recently used first out.  On
@@ -542,16 +522,16 @@ class ReleasePolicy:
             self._open_epoch(self._epoch_program())
         em = self.emulator
         idx = em.day
-        hires = em.step(obs.interval.hi)
+        decision = em.step(obs.interval.hi)
         self.r_observed.append(obs.interval.hi)
         self.realized_cum.append(float(em.realized.sum()))
         self.canon_cum.append(em.tables[idx].canon_cum)
         if self.day < self.t_end:
-            return Decision(hires, _no_releases(hires.shape))
+            return decision
         releases, next_state = self._end_epoch()
         if next_state is not None:
             self.state = next_state
-        return Decision(hires, releases)
+        return Decision(decision.hires, releases)
 
 
 class MiscoverageWrapper:
@@ -592,5 +572,5 @@ class MiscoverageWrapper:
             return Decision.hire_only(np.zeros(self.inst.n_pools))
         em = self.emulator
         while em.day < self.day:
-            hires = em.step(obs.interval.hi)
-        return Decision.hire_only(hires)
+            decision = em.step(obs.interval.hi)
+        return decision

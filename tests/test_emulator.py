@@ -10,10 +10,10 @@ from staffing_minimax.adversary import (enumerate_grid_sequences,
                                         single_switch_sequence,
                                         worst_case_sequence)
 from staffing_minimax import emulator as emulator_module
-from staffing_minimax.emulator import (Emulator, EmulatorTrace,
+from staffing_minimax.emulator import (Decision, Emulator, EmulatorTrace,
                                        SplitInfeasible, _block, _fill,
-                                       _scarcest_first, emulator_step,
-                                       split_hires)
+                                       _no_releases, _scarcest_first,
+                                       emulator_step, split_hires)
 from staffing_minimax.model import (PredictionInterval, PredictionSequence,
                                     ReleaseInstance, check_feasibility,
                                     fresh_state, load_instance, make_instance,
@@ -272,7 +272,7 @@ def _assert_plays_as_old(canonical, availability, r0, bounds):
                 em.step(bound)
         return 0
     for t, bound in enumerate(bounds, start=1):
-        h = em.step(bound)
+        h = em.step(bound).hires
         assert not h.flags.writeable
         assert h.dtype == old_hires[t - 1].dtype
         assert h.tobytes() == old_hires[t - 1].tobytes(), t
@@ -379,6 +379,36 @@ def test_day_tree_signed_zeros(count_misses):
     assert len(count_misses) < days / 4
 
 
+def test_tree_days_share_one_decision(count_misses):
+    # Emulators of one block that run through the same bounds get the very
+    # Decision the tree holds on each day it serves: read-only hires and
+    # the shared zero release vector.  A computed day returns the same
+    # kind of decision.
+    rng = np.random.default_rng(17)
+    availability = np.array([[1.0, 0.8, 0.6, 0.5], [0.9, 0.9, 0.7, 0.2]])
+    canonical = rng.uniform(0.0, 0.3, size=(2, 4))
+    bounds = list(1.0 - np.cumsum(rng.uniform(0.0, 0.1, size=4)))
+    first, second, third = (Emulator(canonical, availability, 1.0)
+                            for _ in range(3))
+    for t, bound in enumerate(bounds, start=1):
+        d = first.step(bound)
+        misses = len(count_misses)
+        assert second.step(bound) is d
+        assert third.step(bound) is d
+        assert len(count_misses) == misses
+        assert isinstance(d, Decision)
+        assert not d.hires.flags.writeable
+        assert d.releases is _no_releases((2,))
+        with pytest.raises(ValueError):
+            d.hires[0] = 1.0
+    assert count_misses == [1, 2, 3, 4]
+    off_tree = Emulator(canonical, availability, 1.0)
+    d = off_tree.step(np.float32(bounds[0]))
+    assert count_misses == [1, 2, 3, 4, 1]
+    assert not d.hires.flags.writeable
+    assert d.releases is _no_releases((2,))
+
+
 def test_day_tree_two_blocks_alternating(count_misses):
     # One emulator per station, each on a strided view of one (n, m, T)
     # block, as the multi_station policies are, stepped in turn each day.
@@ -396,7 +426,7 @@ def test_day_tree_two_blocks_alternating(count_misses):
         assert ems[0].tree is not ems[1].tree
         for t in range(4):
             for j in range(2):
-                h = ems[j].step(bounds[j][t])
+                h = ems[j].step(bounds[j][t]).hires
                 assert not h.flags.writeable
                 assert h.tobytes() == old[j][t].tobytes(), (j, t)
     # The memo keeps both blocks, so each station's tree serves the
@@ -480,7 +510,7 @@ def test_day_tree_plays_non_double_bounds_off_the_tree(count_misses):
     for bounds in (as_double, as_single, as_double):
         em = Emulator(canonical, availability, 1.0)
         for t, bound in enumerate(bounds):
-            h = em.step(bound)
+            h = em.step(bound).hires
             assert h.dtype == expected[id(bounds)][t].dtype
             assert h.tobytes() == expected[id(bounds)][t].tobytes()
     assert count_misses == [1, 2, 1, 2]

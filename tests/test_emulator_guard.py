@@ -3,15 +3,16 @@
 ``Emulator.step`` serves a day from its block's prefix tree whenever the
 running upper bounds repeat a prefix already played.  That is exact only
 while an emulator's ``realized`` block holds exactly the hires its steps
-played, and while the hires a step returns (shared by every emulator that
-reaches the same prefix) are never written.  So:
+played, and while the hires of the ``Decision`` a step returns (one object
+shared by every emulator that reaches the same prefix) are never written.
+So:
 
 - nothing in the package assigns into an ``Emulator``'s ``realized``
   block, under that name or a private one such as ``_realized``, outside
   ``Emulator.step`` and the ``Emulator.realized`` read that allocates the
   block and fills in the days the tree served;
-- no consumer of ``Emulator.step`` (or of a method that hands its result
-  on) writes into the returned hires in place;
+- no consumer of ``Emulator.step`` (or of a method that hands its
+  decision or hires on) writes into the returned hires in place;
 - only ``emulator._block`` builds a ``DayTree`` or day tables, so every
   emulator of a block finds the one tree in its memo.
 
@@ -152,7 +153,10 @@ def hires_writes(sources: dict) -> tuple:
 
     A step call is ``.step(...)`` on an expression bound to an
     ``Emulator(...)`` (or an alias of one), or a call of a method that
-    returns such a step's result under its own name (``observe``).
+    returns such a step's decision under its own name (``latest``).  The
+    hires are a decision's ``.hires``, a name bound to them or to the first
+    name a decision unpacks to, or a call of a method that returns them
+    (``observe``).
     """
     trees = {m: ast.parse(s) for m, s in sources.items()}
     holders = set()
@@ -160,7 +164,7 @@ def hires_writes(sources: dict) -> tuple:
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Assign) and _calls(sub.value, "Emulator"):
                 holders |= {_text(t) for t in sub.targets}
-    forwarders: set = set()
+    forwarders: dict = {}      # method name -> "decision" or "hires"
     consumers, found = set(), []
     changed = True
     while changed:
@@ -175,35 +179,56 @@ def hires_writes(sources: dict) -> tuple:
                             and _text(sub.value) in holders):
                         local |= {_text(t) for t in sub.targets}
 
-                def is_step(node):
+                def called(node, kind):
                     if not isinstance(node, ast.Call) or not isinstance(
                             node.func, ast.Attribute):
                         return False
-                    return ((node.func.attr == "step"
+                    return ((kind == "decision" and node.func.attr == "step"
                              and _text(node.func.value) in local)
-                            or node.func.attr in forwarders)
+                            or forwarders.get(node.func.attr) == kind)
 
-                steps = [sub for sub in ast.walk(fn) if is_step(sub)]
-                if not steps:
-                    continue
-                consumers.add(f"{module}.{qual}")
-                names = {tgt.id for sub in ast.walk(fn)
-                         if isinstance(sub, ast.Assign) and is_step(sub.value)
-                         for tgt in sub.targets if isinstance(tgt, ast.Name)}
-                for sub in ast.walk(fn):
-                    if (isinstance(sub, ast.Return) and sub.value is not None
-                            and (is_step(sub.value)
-                                 or getattr(sub.value, "id", None) in names)
-                            and fn.name not in forwarders
-                            # `.step` calls are matched by their receiver
-                            and fn.name != "step"):
-                        forwarders.add(fn.name)
-                        changed = True
+                assigns = [sub for sub in ast.walk(fn)
+                           if isinstance(sub, ast.Assign)]
+                decisions = {tgt.id for sub in assigns
+                             if called(sub.value, "decision")
+                             for tgt in sub.targets
+                             if isinstance(tgt, ast.Name)}
+
+                def is_decision(node):
+                    return called(node, "decision") or (
+                        isinstance(node, ast.Name) and node.id in decisions)
 
                 def is_hires(node):
-                    return (isinstance(node, ast.Name) and node.id in names
-                            ) or is_step(node)
+                    return (called(node, "hires")
+                            or (isinstance(node, ast.Name)
+                                and node.id in names)
+                            or (isinstance(node, ast.Attribute)
+                                and node.attr == "hires"
+                                and is_decision(node.value)))
 
+                names: set = set()
+                for sub in assigns:
+                    for tgt in sub.targets:
+                        if isinstance(tgt, ast.Name) and is_hires(sub.value):
+                            names.add(tgt.id)
+                        elif (isinstance(tgt, ast.Tuple) and tgt.elts
+                              and isinstance(tgt.elts[0], ast.Name)
+                              and is_decision(sub.value)):
+                            names.add(tgt.elts[0].id)
+                if not any(called(sub, kind) for sub in ast.walk(fn)
+                           for kind in ("decision", "hires")):
+                    continue
+                consumers.add(f"{module}.{qual}")
+                for sub in ast.walk(fn):
+                    # `.step` calls are matched by their receiver
+                    if (not isinstance(sub, ast.Return) or sub.value is None
+                            or fn.name in forwarders or fn.name == "step"):
+                        continue
+                    kind = ("decision" if is_decision(sub.value)
+                            else "hires" if is_hires(sub.value) else None)
+                    if kind is not None:
+                        forwarders[fn.name] = kind
+                        changed = True
                 found += [(f"{module}.{qual}", w.lineno)
                           for w in _writes(fn, is_hires)]
     return consumers, found
@@ -251,23 +276,37 @@ def test_guard_sees_writes():
         "    def __init__(self):\n        self.emulator = Emulator()\n"
         "        self.realized = self.emulator.realized\n"
         "    def observe(self, b):\n"
-        "        hires = self.emulator.step(b)\n"
+        "        hires = self.emulator.step(b).hires\n"
         "        self.realized[:, 1] += 1\n"
         "        return hires\n"
         "    def fix(self):\n        r = self.emulator.realized\n"
         "        r.fill(0)\n        self.realized += 1\n"
         "class Other:\n    def count(self, x):\n        self.realized += x\n"
         "def use(runner, b):\n"
-        "    em = Emulator()\n    h = em.step(b)\n    h[0] = 2\n"
+        "    em = Emulator()\n    h = em.step(b).hires\n    h[0] = 2\n"
         "    g = runner.observe(b)\n    g *= 2\n"
         "    np.maximum(g, 0, out=g)\n    h.flags.writeable = True\n"
-        "    return em.step(b)\n")
+        "    return em.step(b)\n"
+        # The hires reached through a whole decision.
+        "def decide(runner, b):\n"
+        "    em = Emulator()\n    d = em.step(b)\n    d.hires[0] = 2\n"
+        "    e = runner.latest(b)\n    e.hires.fill(0)\n"
+        "    h, r = em.step(b)\n    h += 1\n"
+        "    em.step(b).hires.sort()\n"
+        "    d.hires.flags.writeable = True\n"
+        "    return d.releases.sum()\n"
+        "class Keeper:\n"
+        "    def __init__(self):\n        self.emulator = Emulator()\n"
+        "    def latest(self, b):\n        d = self.emulator.step(b)\n"
+        "        return d\n")
     assert realized_writes({"m": source}) == [
         ("m.Emulator.step", 5), ("m.Runner.fix", 17), ("m.Runner.fix", 18),
         ("m.Runner.observe", 13)]
     consumers, writes = hires_writes({"m": source})
-    assert consumers == {"m.Runner.observe", "m.use"}
-    assert sorted(line for _, line in writes) == [25, 27, 28, 29]
+    assert consumers == {"m.Runner.observe", "m.use", "m.decide",
+                         "m.Keeper.latest"}
+    assert sorted(line for _, line in writes) == [25, 27, 28, 29, 34, 36,
+                                                  38, 39, 40]
 
 
 def test_guard_sees_writes_into_a_private_block():

@@ -46,15 +46,6 @@ def test_instance_file_profile_is_exact(name):
     assert _profile_gap(built) <= TOL
 
 
-def test_random_draw_profiles_are_exact():
-    rng = np.random.default_rng(123)
-    gaps = []
-    for _ in range(15):
-        for inst in (random_single_pool(rng), random_multi_pool(rng, 3, 10)):
-            gaps.append(_profile_gap(build_lp_single_switch(inst)))
-    assert max(gaps) <= TOL, gaps
-
-
 # 150 interleaved pairs (`random_single_pool(rng)`,
 # `random_multi_pool(rng, 3, 10)`) from each seed: the 1,200 random draws a
 # warm-started refinement must keep exact.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (fig3_instance, final_range, instance_path,
-                      play_stations, random_single_pool)
+                      play_stations, random_multi_pool, random_single_pool)
 from staffing_minimax import bayesian, cli, policies, programs
 from staffing_minimax import emulator as emulator_module
 from staffing_minimax.adversary import (brute_force_worst_case,
@@ -24,8 +24,9 @@ from staffing_minimax.adversary import (brute_force_worst_case,
 from staffing_minimax.lp import solve_lp
 from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     PredictionSequence, ReleaseInstance,
-                                    StationSpec, check_feasibility,
-                                    make_instance, validate_instance)
+                                    SequenceError, StationSpec,
+                                    check_feasibility, make_instance,
+                                    validate_instance)
 from staffing_minimax.policies import (
     DayObservation, GreedyTargetPolicy, JointCostPolicy, LpEmulatorPolicy,
     LpResolvingPolicy, MultiPoolUnsupported, ParameterOutOfRange,
@@ -723,6 +724,98 @@ def test_decisions_keep_their_outputs():
     assert np.array_equal(plan.releases,
                           np.column_stack([d.releases for d in decided]))
     assert plan.releases[:, :4].sum() == 0 and np.all(plan.releases[:, 4] > 0)
+
+
+def _column_play(policy, inst, sequence, trace=None):
+    """The earlier `play` outside the Bayesian world: it wrote each day's
+    decision into the plan's columns."""
+    n, T = inst.availability.shape
+    hires = np.zeros((n, T))
+    releases = np.zeros((n, T))
+    no_releases = policies._no_releases((n,))
+    canonical = None if trace is None else getattr(policy, "canonical", None)
+    intervals = sequence.intervals
+    step = policy.step
+    for t in range(1, T + 1):
+        d = step(DayObservation(t, intervals[t - 1]))
+        hires[:, t - 1] = d.hires
+        if d.releases is not no_releases:
+            releases[:, t - 1] = d.releases
+        if trace is not None:
+            net = hires.sum() - releases.sum()
+            trace.record(t, net if canonical is None
+                         else canonical[:, :t].sum(), net,
+                         sequence.effective_hi[t - 1],
+                         sequence.effective_lo[t - 1], d.hires, d.releases)
+    return hires, releases
+
+
+def _row_play_cases():
+    """(label, instance, factory of fresh policies, sequences)."""
+    fig3c = fig3_instance("c")
+    release = cli._load(instance_path("release_demo.json"))
+    joint = cli._load(instance_path("joint_demo.json"))
+    rng = np.random.default_rng(34)
+    multi = [random_multi_pool(rng, 3, 8) for _ in range(4)]
+    cases = []
+    for label, inst in [("fig3c", fig3c), ("release_demo", release.base)] + [
+            (f"multi{k}", m) for k, m in enumerate(multi)]:
+        first = LpEmulatorPolicy(inst)
+        cases.append((f"lp_emulator[{label}]", inst, partial(
+            LpEmulatorPolicy, inst, first.canonical, first.gamma_star)))
+    # The joint program takes one epoch, no fees and no budget.
+    unreleased = replace(release, budget=None, release_fees=(None,),
+                         epoch_breaks=(release.base.horizon,))
+    for label, ri in (("joint_demo", joint), ("release_demo", unreleased)):
+        first = JointCostPolicy(ri)
+        cases.append((f"joint[{label}]", ri.base, partial(
+            LpEmulatorPolicy, ri.base, first.canonical, first.gamma_star)))
+    for label, ri in (("joint_demo", joint), ("release_demo", release)):
+        cases.append((f"release[{label}]", ri.base,
+                      partial(ReleasePolicy, ri, OrderedDict())))
+    base = LpEmulatorPolicy(fig3c)
+    shocked = [t % 3 == 1 for t in range(fig3c.horizon)]
+    for scenario in ("detect_before_hiring", "no_detect"):
+        cases.append((f"wrapper[{scenario}]", fig3c, lambda sc=scenario: (
+            MiscoverageWrapper(LpEmulatorPolicy(
+                fig3c, base.canonical, base.gamma_star), sc, shocked))))
+    return [(label, inst, factory,
+             [random_nested_sequence(inst, seed) for seed in range(12)])
+            for label, inst, factory in cases]
+
+
+def test_play_writes_rows_as_columns(tmp_path):
+    # play writes each day through the row views of its (n, T) blocks: the
+    # same hires, releases and trace CSV bytes as the column writes.
+    releasing = 0
+    for label, inst, factory, sequences in _row_play_cases():
+        for k, seq in enumerate(sequences):
+            hires, releases = _column_play(factory(), inst, seq)
+            plan = play(factory(), inst, seq)
+            assert plan.hires.flags.c_contiguous, label
+            assert plan.hires.tobytes() == hires.tobytes(), (label, k)
+            assert plan.releases.tobytes() == releases.tobytes(), (label, k)
+            releasing += bool(releases.any())
+            old = emulator_module.EmulatorTrace()
+            new = emulator_module.EmulatorTrace()
+            _column_play(factory(), inst, seq, old)
+            traced = play(factory(), inst, seq, new)
+            assert traced.hires.tobytes() == hires.tobytes(), (label, k)
+            assert traced.releases.tobytes() == releases.tobytes()
+            old.write_csv(tmp_path / "old.csv")
+            new.write_csv(tmp_path / "new.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes()), (label, k)
+    assert releasing > 0
+
+
+def test_play_refuses_a_sequence_of_another_length():
+    inst = fig3_instance("c")
+    seq = random_nested_sequence(inst, 1)
+    for intervals in (seq.intervals[:-1], seq.intervals + seq.intervals[-1:]):
+        with pytest.raises(SequenceError, match="expected"):
+            play(LpEmulatorPolicy(inst), inst, replace(seq,
+                                                       intervals=intervals))
 
 
 # --- Joint policy -------------------------------------------------------------
