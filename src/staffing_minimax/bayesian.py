@@ -382,8 +382,6 @@ class NaiveGreedyPolicy(_GreedyTowardTarget):
     """Hire immediately toward the worst-case-balancing point
     (C L_t + c R_t) / (C + c); never looks ahead."""
 
-    kind = "naive_greedy"
-
     def step(self, obs: DayObservation) -> Decision:
         self.day += 1
         inst = self.inst
@@ -399,8 +397,6 @@ class NaiveBayesianPolicy(_GreedyTowardTarget):
     On day t the samples are the realized total plus each received
     profile's total over days t+1..T, read from running totals
     (`SampleTotals`; exact on the world's counts)."""
-
-    kind = "naive_bayesian"
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
@@ -678,16 +674,12 @@ class MdpPolicy:
     on a tie).
     """
 
-    kind = "empirical_mdp"
-
     def __init__(self, inst: Instance, process: DemandProcess, spec: MdpSpec,
                  values: Optional[List[np.ndarray]] = None, *,
                  tables: Optional[MdpTables] = None):
         self.inst = inst
         self.process = process
         self.spec = spec
-        self.kind = ("full_info_mdp" if spec.transition == "true"
-                     else "empirical_mdp")
         self.tables = mdp_tables(inst, spec) if tables is None else tables
         if values is None and spec.transition == "true":
             values = full_info_values(inst, process, spec, tables=self.tables)

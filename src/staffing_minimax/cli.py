@@ -74,17 +74,19 @@ def _infer_program(problem) -> str:
 
 
 # Program name -> (instance type it needs, the file that holds one, builder).
+# A builder takes the instance and an optional `config_cap` that only the
+# release program reads (build_lp_release's default when left out); the
+# release builder is where release mode's premises are checked.
 PROGRAMS = {
     "single_switch": (Instance, "a base instance file",
-                      lambda problem, args: build_lp_single_switch(problem)),
+                      lambda problem, **cap: build_lp_single_switch(problem)),
     "multi_station": (MultiStationInstance, "a stations file",
-                      lambda problem, args: build_lp_multi_station(problem)),
+                      lambda problem, **cap: build_lp_multi_station(problem)),
     "joint": (ReleaseInstance, "a wages file",
-              lambda problem, args: build_lp_joint_cost(problem)),
+              lambda problem, **cap: build_lp_joint_cost(problem)),
     "release": (ReleaseInstance, "a release instance file",
-                lambda problem, args: build_lp_release(
-                    validate_release_instance(problem),
-                    config_cap=args.config_cap)),
+                lambda problem, **cap: build_lp_release(
+                    validate_release_instance(problem), **cap)),
 }
 
 
@@ -97,10 +99,10 @@ def cmd_solve(args) -> int:
     _check_at_least_one(args.config_cap, "--config-cap")
     problem = _load(args.instance)
     program = args.program or _infer_program(problem)
-    kind, noun, build = PROGRAMS[program]
-    if not isinstance(problem, kind):
+    needs, noun, build = PROGRAMS[program]
+    if not isinstance(problem, needs):
         raise CliInputError(f"{program} needs {noun}")
-    built = build(problem, args)
+    built = build(problem, config_cap=args.config_cap)
     sol = solve_canonical(built)
     profile = extract_canonical(built, sol)
     payload = {"program": program, "objective": sol.objective}
@@ -228,8 +230,8 @@ POLICIES = {
                        lambda c: partial(bayesian.NaiveBayesianPolicy, c.inst)),
     "empirical_mdp": ("world", _mdp("empirical")),
     "full_info_mdp": ("world", _mdp("true")),
-    "release": ("release", lambda c: partial(
-        ReleasePolicy, validate_release_instance(c.problem), OrderedDict())),
+    "release": ("release",
+                lambda c: partial(ReleasePolicy, c.problem, OrderedDict())),
     "joint": ("release", lambda c: _emulating(JointCostPolicy(c.problem))),
     "multi_station": ("stations", _station_emulators),
 }
@@ -368,6 +370,12 @@ def _read_config(path: str, seed: Optional[int]) -> dict:
     return config
 
 
+def _check_seed(seed: int, name: str) -> None:
+    """A seed, checked before any draw: default_rng refuses negative ones."""
+    if seed < 0:
+        raise CliInputError(f"{name} must be non-negative, got {seed}")
+
+
 def _check_prior_hi(prior_hi: float, name: str) -> float:
     """The demand prior's upper end, which must lie in (0, 1]."""
     if not 0 < prior_hi <= 1:
@@ -380,8 +388,7 @@ def cmd_bench(args) -> int:
         _check_at_least_one(args.reps, "--reps")
     _check_at_least_one(args.workers, "--workers")
     config = _read_config(args.config, args.seed)
-    if config["seed"] < 0:
-        raise CliInputError(f"seed must be non-negative, got {config['seed']}")
+    _check_seed(config["seed"], "seed")
     _check_prior_hi(config["prior_hi"], "prior_hi")
     if config["calibration"] is None:
         process = bayesian.DemandProcess(config["horizon"], config["prior_hi"])
@@ -393,11 +400,10 @@ def cmd_bench(args) -> int:
 
     if args.workers > 1:
         import multiprocessing as mp
-        chunks = np.array_split(np.arange(reps), args.workers)
-        with mp.get_context("fork").Pool(args.workers) as pool:
+        chunks = np.array_split(np.arange(reps), min(args.workers, reps))
+        with mp.get_context("fork").Pool(len(chunks)) as pool:
             parts = pool.starmap(_bench_rows, [
-                (config, len(chunk), int(chunk[0]))
-                for chunk in chunks if len(chunk)])
+                (config, len(chunk), int(chunk[0])) for chunk in chunks])
         rows = [row for part in parts for row in part]
     else:
         rows = _bench_rows(config, reps)
@@ -479,27 +485,23 @@ def cmd_sweep_eta(args) -> int:
 
 def _grid_oracle(problem, name: str, grid_step: float, cap: int,
                  gamma=None):
-    """(worst cost, value of the program the policy plays, stations, their
-    witnesses) over the grid adversary.  The joint program bounds the
-    imbalance plus the wage bill, so `joint` is scored with its wages."""
-    multi = isinstance(problem, MultiStationInstance)
+    """(worst cost, value of the program that bounds the policy, stations,
+    their witnesses) over the grid adversary.  A policy named after a
+    program plays that program; any other is bounded by single_switch on its
+    station's instance.  The joint program bounds the imbalance plus the
+    wage bill, so `joint` is scored with its wages."""
     stations = _stations(problem, name, gamma)
-    wages = None
-    if name == "release":
-        built = build_lp_release(validate_release_instance(problem))
-    elif name == "joint":
-        built, wages = build_lp_joint_cost(problem), problem.wages
-    elif multi:
-        built = build_lp_multi_station(problem)
-    else:
-        built = build_lp_single_switch(stations[0][1])
-    bound = solve_lp(built.model).objective
+    program, bounded = ((name, problem) if name in PROGRAMS
+                        else ("single_switch", stations[0][1]))
+    bound = solve_lp(PROGRAMS[program][2](bounded).model).objective
+    wages = problem.wages if program == "joint" else None
     witnesses = [brute_force_worst_case(inst, factory, grid_step, cap=cap,
                                         wages=wages)
                  for _, inst, factory in stations]
     # Stations play apart, so the worst aggregate combines their worst cases.
     costs = [w.cost for w in witnesses]
-    worst = sum(costs) if multi and problem.objective == "sum" else max(costs)
+    worst = (sum(costs) if program == "multi_station"
+             and problem.objective == "sum" else max(costs))
     return worst, bound, stations, witnesses
 
 
@@ -526,6 +528,7 @@ def cmd_calibrate(args) -> int:
         raise CliInputError(f"--coverage must lie in (0, 1), got "
                             f"{args.coverage}")
     _check_at_least_one(args.T, "--T")
+    _check_seed(args.seed, "--seed")
     process = bayesian.DemandProcess(
         args.T, _check_prior_hi(args.prior_hi, "--prior-hi"))
     table = bayesian.calibrate_intervals(process, coverage=args.coverage,

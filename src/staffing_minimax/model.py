@@ -258,10 +258,6 @@ class StationSpec:
     under_cost: float = 1.0
     over_cost: float = 1.0
 
-    def delta(self, t: int) -> float:
-        lo, hi = self.initial_range
-        return (hi - lo) if t == 0 else float(self.error_bounds[t - 1])
-
 
 @dataclass(frozen=True)
 class MultiStationInstance:

@@ -103,8 +103,6 @@ class GreedyTargetPolicy:
     """Single-pool greedy: hire to the moving cap L_t + gamma/C while supply
     lasts.  Needs perfectly consistent nested forecasts."""
 
-    kind = "greedy_target"
-
     def __init__(self, inst: Instance, gamma: float):
         if not inst.single_pool():
             raise MultiPoolUnsupported("greedy target staffing is single-pool")
@@ -276,8 +274,6 @@ def gamma_star_closed_form(s: float, eta: float, delta: float, T: int,
 class LpEmulatorPolicy:
     """Solve the base program once, then emulate its canonical profile."""
 
-    kind = "lp_emulator"
-
     def __init__(self, inst: Instance, canonical: Optional[np.ndarray] = None,
                  gamma_star: Optional[float] = None):
         self.inst = inst
@@ -337,8 +333,6 @@ class LpResolvingPolicy:
     read-only by every state of that day.
     """
 
-    kind = "lp_resolving"
-
     def __init__(self, inst: Instance, memo: Optional[OrderedDict] = None):
         self.inst = inst
         self.memo = OrderedDict() if memo is None else memo
@@ -388,8 +382,6 @@ class JointCostPolicy(LpEmulatorPolicy):
     joint profile; objective is the joint program's value.
     """
 
-    kind = "joint"
-
     def __init__(self, ri: ReleaseInstance):
         built = build_lp_joint_cost(ri)
         sol = solve_canonical(built)
@@ -420,8 +412,6 @@ class ReleasePolicy:
     upper bound, realized total and canonical total the epoch's days ran
     through, each led by the epoch's opening value.
     """
-
-    kind = "release"
 
     def __init__(self, ri: ReleaseInstance,
                  memo: Optional[OrderedDict] = None):
@@ -544,8 +534,6 @@ class MiscoverageWrapper:
     history, where each shocked day's interval is replaced by the next
     clean day's.  no_detect: run the base policy unmodified.
     """
-
-    kind = "miscoverage_wrapper"
 
     def __init__(self, base, scenario: str, shocked: Sequence[bool]):
         if not isinstance(base, LpEmulatorPolicy):

@@ -76,10 +76,10 @@ def _switch_floors(inst: Instance, interval: Tuple[float, float],
                             for tau in range(day, inst.horizon + 1)))
 
 
-def _consistent_floors(spec, horizon: int) -> List[float]:
+def _consistent_floors(inst: Instance, horizon: int) -> List[float]:
     """Floors max(R0 - Delta_tau, tau in [0:k]), k in [1:T], when eps = 0."""
-    hi0 = spec.initial_range[1]
-    return _prefix_max(hi0 - spec.delta(0), (hi0 - spec.delta(tau)
+    hi0 = inst.initial_range[1]
+    return _prefix_max(hi0 - inst.delta(0), (hi0 - inst.delta(tau)
                                              for tau in range(1, horizon + 1)))
 
 
@@ -314,9 +314,9 @@ def build_lp_multi_station(msi: MultiStationInstance) -> MultiStationLp:
                    for j in range(msi.n_stations)]
     epigraph = None if is_sum else m.add_var("psi", obj=1.0)
 
-    for j, st in enumerate(msi.stations):
+    for j, g in enumerate(gamma_index):
+        st = msi.station_instance(j)
         _require_positive_slopes(st.under_cost, st.over_cost)
-        g = gamma_index[j]
         _caps_and_floor(m, {key: v for key, v in x_index.items()
                             if key[1] == j}, 1,
                         [(g, f) for f in _consistent_floors(st, T)],

@@ -790,6 +790,48 @@ GUARANTEE_CASES = [
 ]
 
 
+# repr(worst) and repr(bound) of each case, so that no change to a bound or
+# to a policy moves a bit unseen.
+ORACLE_BITS = {
+    ("lp_emulator", "fig3a", 0.25):
+        ("0.0", "0.0"),
+    ("lp_emulator", "fig3b", 0.25):
+        ("0.4751218510241607", "0.47512185102416055"),
+    ("lp_emulator", "fig3c", 0.25):
+        ("0.3378488806872799", "0.3378488806872798"),
+    ("lp_emulator", "joint_demo", 0.25):
+        ("0.4751218510241607", "0.47512185102416055"),
+    ("lp_emulator", "release_demo", 0.25):
+        ("0.15174603174603163", "0.1517460317460318"),
+    ("lp_resolving", "fig3a", 0.5):
+        ("0.0", "0.0"),
+    ("lp_resolving", "fig3b", 0.5):
+        ("0.46442450944000013", "0.47512185102416055"),
+    ("lp_resolving", "fig3c", 0.5):
+        ("0.3378488806872799", "0.3378488806872798"),
+    ("lp_resolving", "joint_demo", 0.5):
+        ("0.46442450944000013", "0.47512185102416055"),
+    ("lp_resolving", "release_demo", 0.25):
+        ("0.14952380952380961", "0.1517460317460318"),
+    ("greedy_target", "fig3a", 0.25):
+        ("0.0", "0.0"),
+    ("greedy_target", "fig3b", 0.25):
+        ("0.47512185112884053", "0.47512185102416055"),
+    ("greedy_target", "fig3c", 0.25):
+        ("0.3378488807938993", "0.3378488806872798"),
+    ("greedy_target", "joint_demo", 0.25):
+        ("0.47512185112884053", "0.47512185102416055"),
+    ("release", "joint_demo", 0.25):
+        ("0.47512185102416066", "0.47512185102416044"),
+    ("release", "release_demo", 0.25):
+        ("1.2428571428571429", "0.14285714285714285"),
+    ("joint", "joint_demo", 0.25):
+        ("0.5010678016044627", "0.5010678016044631"),
+    ("multi_station", "multi_demo", 0.25):
+        ("0.3750000000000001", "0.3749999999999999"),
+}
+
+
 def _accepted_pairs():
     pairs = set()
     for path in sorted(glob.glob(instance_path("*.json"))):
@@ -817,4 +859,5 @@ def test_guarantee_cases_cover_the_registry():
 def test_oracle_worst_case_within_program_value(name, file, step):
     problem = cli._load(instance_path(f"{file}.json"))
     worst, bound, _, _ = cli._grid_oracle(problem, name, step, 2_000_000)
+    assert (repr(worst), repr(bound)) == ORACLE_BITS[name, file, step]
     assert worst <= bound * (1 + 1e-9) + 1e-12, (worst, bound)

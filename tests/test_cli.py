@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,8 +328,11 @@ def test_sweep_eta_bad_token_exit_2(capsys, etas, token):
     (["--T", "3", "--prior-hi", "-0.5"], "--prior-hi must lie in (0, 1]"),
     (["--T", "3", "--prior-hi", "2"], "--prior-hi must lie in (0, 1]"),
     (["--T", "3", "--prior-hi", "0"], "--prior-hi must lie in (0, 1]"),
+    (["--T", "3", "--seed", "-1"], "--seed must be non-negative, got -1"),
 ])
 def test_calibrate_bad_input_exit_2(capsys, argv, message):
+    # A negative --seed used to reach default_rng and exit 1 with its
+    # traceback.
     code, out, err = run_cli(capsys, "calibrate", *argv)
     assert code == 2
     assert message in err
@@ -351,6 +355,35 @@ def test_bench_rows_independent_of_worker_count(capsys, tmp_path):
     single = _bench_rows(capsys, tmp_path, config, 1)
     assert len(single) == 4 * 4
     assert _bench_rows(capsys, tmp_path, config, 2) == single
+
+
+def test_bench_pool_holds_one_process_per_chunk(capsys, tmp_path,
+                                                monkeypatch):
+    # The pool used to hold --workers processes whatever the replications:
+    # --reps 4 --workers 64 forked 64 for 4 chunks.  The stand-in pool
+    # records its size and maps in this process, so none is forked.
+    import multiprocessing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return [func(*job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=SerialPool))
+    config = instance_path("bench_short.json")
+    single = _bench_rows(capsys, tmp_path, config, 1)
+    assert _bench_rows(capsys, tmp_path, config, 64) == single
+    assert sizes == [4]
 
 
 def test_bench_forks_after_calibrating(capsys, tmp_path):

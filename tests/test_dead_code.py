@@ -1,12 +1,14 @@
-"""Every function, class, method, module-level name and ``__slots__`` entry
-the package defines is used outside the tests: read somewhere in ``src/``,
-``demos/`` or ``benchmarks/``.
+"""Every function, class, method, module-level name, ``__slots__`` entry
+and class attribute the package defines is used outside the tests: read
+somewhere in ``src/``, ``demos/`` or ``benchmarks/``.
 
 A reference is a name or an attribute that is read, an imported name or
 its alias, or a string constant that is a whole identifier or dotted name,
 each part counted (the benchmark tracer names what it wraps that way).  A
 slot counts only attributes read by its name, so a field that is only ever
-written is dead.  A word in a message or a docstring is prose, not a
+written is dead; so does a class attribute, a name a plain assignment in
+a class body binds (annotated dataclass and NamedTuple fields are not
+checked).  A word in a message or a docstring is prose, not a
 reference.  A definition does not reference itself.  Dunders are exempt,
 and so are the ``cmd_*`` functions: ``cli.main`` dispatches to them by
 name.  Code that only tests call belongs in the tests.
@@ -37,8 +39,8 @@ def _assigned(node: ast.stmt) -> list:
 
 def definitions(tree: ast.Module) -> list:
     """Module-level functions, classes and assigned names, the classes'
-    methods, and their __slots__ entries as "." + the slot, none of them
-    dunders, as (name, node)."""
+    methods, and their __slots__ entries and plain-assigned class attributes
+    as "." + the name, none of them dunders, as (name, node)."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -52,9 +54,11 @@ def definitions(tree: ast.Module) -> list:
                     found += [("." + slot.value, item)
                               for slot in ast.walk(item.value)
                               if isinstance(slot, ast.Constant)]
+                elif isinstance(item, ast.Assign):
+                    found += [("." + name, item) for name in _assigned(item)]
     return [(name, node) for name, node in found
-            if not (name.startswith("__") and name.endswith("__")
-                    or name.startswith("cmd_"))]
+            if not (name.lstrip(".").startswith("__")
+                    and name.endswith("__") or name.startswith("cmd_"))]
 
 
 def references(tree: ast.AST) -> Counter:
@@ -133,6 +137,26 @@ def test_guard_sees_constants_and_slots_only_written():
             "written = 'written'\n")
     assert unreferenced({"m.py": module}, [module, user]) == [
         "m: .bumped", "m: .written", "m: UNUSED", "m: WRITTEN"]
+
+
+def test_guard_sees_class_attributes_only_written():
+    module = ("class Policy:\n"
+              "    label = 'policy'\n"
+              "    limit = 3\n"
+              "    tag: str = 'annotated'\n"
+              "    __hash__ = None\n"
+              "    def __init__(self):\n"
+              "        self.label = 'written'\n"
+              "    def step(self):\n"
+              "        return self.limit\n"
+              "def local_label():\n"
+              "    label = Policy()\n"
+              "    return label\n")
+    user = ("from m import Policy, local_label\n"
+            "Policy().step()\n"
+            "local_label()\n"
+            "NAMES = ['label']\n")
+    assert unreferenced({"m.py": module}, [module, user]) == ["m: .label"]
 
 
 def test_src_defines_nothing_only_tests_use():

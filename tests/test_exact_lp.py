@@ -6,7 +6,6 @@ refinement targets do not pin the auxiliary variables (gamma, epigraphs,
 slacks), which may sit anywhere on the final optimal face.
 """
 
-import argparse
 import itertools
 from types import SimpleNamespace
 
@@ -42,7 +41,7 @@ def _profile_gap(built) -> float:
 def test_instance_file_profile_is_exact(name):
     problem = cli._load(instance_path(f"{name}.json"))
     _, _, build = cli.PROGRAMS[cli._infer_program(problem)]
-    built = build(problem, argparse.Namespace(config_cap=100_000))
+    built = build(problem, config_cap=100_000)
     assert _profile_gap(built) <= TOL
 
 

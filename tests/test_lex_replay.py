@@ -9,7 +9,6 @@ programs' rows afresh, so no pivot path that an earlier test recorded for
 the same rows serves a stage here in place of the replay.
 """
 
-import argparse
 import glob
 import os
 from collections import Counter
@@ -87,8 +86,7 @@ def _instance_programs():
 @pytest.mark.parametrize("problem", list(_instance_programs()))
 def test_instance_programs_replay_as_cold(problem):
     _, _, build = cli.PROGRAMS[cli._infer_program(problem)]
-    _assert_canonical_as_cold(build(problem,
-                                    argparse.Namespace(config_cap=100_000)))
+    _assert_canonical_as_cold(build(problem, config_cap=100_000))
 
 
 @pytest.mark.parametrize("T", range(6, 31, 2))

@@ -1,4 +1,4 @@
-"""Smaller contract surfaces: LP text dump, policy kinds, state validation,
+"""Smaller contract surfaces: LP text dump, policy registry, state validation,
 and CLI error paths."""
 
 import json
@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import fig3_instance, instance_path, station_factories
+from staffing_minimax import cli
+from staffing_minimax.bayesian import (DemandProcess, MdpPolicy,
+                                       NaiveBayesianPolicy, NaiveGreedyPolicy)
 from staffing_minimax.cli import main as cli_main
 from staffing_minimax.lp import LpModel
 from staffing_minimax.model import (EpochState, InstanceError,
@@ -15,7 +18,7 @@ from staffing_minimax.model import (EpochState, InstanceError,
                                     make_instance)
 from staffing_minimax.policies import (GreedyTargetPolicy, JointCostPolicy,
                                        LpEmulatorPolicy, LpResolvingPolicy,
-                                       MiscoverageWrapper, ReleasePolicy)
+                                       ReleasePolicy)
 from staffing_minimax.programs import (InfeasibleState, build_lp_resolving,
                                        build_lp_single_switch)
 
@@ -33,31 +36,35 @@ def test_lp_dump_format():
     assert lines[2].strip() == "1*y <= 1.5"
 
 
-def test_policy_kind_labels():
+def test_policy_registry():
+    """A policy's name is its `cli.POLICIES` key: each key makes policies of
+    its own class, and the keys that name a program in `cli.PROGRAMS` are
+    the policies that play that program."""
     inst = fig3_instance("a")
     ri = ReleaseInstance(base=inst)
     st = StationSpec((0, 1), inst.error_bounds)
     msi = MultiStationInstance(inst.pool_sizes, inst.availability, (st,),
                                "max")
-    assert GreedyTargetPolicy(inst, 0.0).kind == "greedy_target"
-    assert LpEmulatorPolicy(inst).kind == "lp_emulator"
-    assert LpResolvingPolicy(inst).kind == "lp_resolving"
+    c = cli._PolicyContext(inst, ri, None, DemandProcess(inst.horizon),
+                           {"grid_levels": 3})
+    made = {name: cli._policy_factory(name, c)()
+            for name in set(cli.POLICIES) - {"multi_station"}}
+    assert {name: type(policy) for name, policy in made.items()} == {
+        "lp_emulator": LpEmulatorPolicy, "lp_resolving": LpResolvingPolicy,
+        "greedy_target": GreedyTargetPolicy, "release": ReleasePolicy,
+        "joint": LpEmulatorPolicy, "naive_greedy": NaiveGreedyPolicy,
+        "naive_bayesian": NaiveBayesianPolicy, "empirical_mdp": MdpPolicy,
+        "full_info_mdp": MdpPolicy}
+    # The joint policy is the LP emulator of the joint program's profile.
+    joint = JointCostPolicy(ri)
+    assert made["joint"].gamma_star == joint.objective
+    assert np.array_equal(made["joint"].canonical, joint.canonical)
+    assert made["empirical_mdp"].spec.transition == "empirical"
+    assert made["full_info_mdp"].spec.transition == "true"
     # The multi_station policy is the LP emulator on a station's block.
-    assert [f().kind for f in station_factories(msi)] == ["lp_emulator"]
-    assert ReleasePolicy(ri).kind == "release"
-    assert JointCostPolicy(ri).kind == "joint"
-    base = LpEmulatorPolicy(inst)
-    assert MiscoverageWrapper(base, "no_detect", [False] * 10).kind \
-        == "miscoverage_wrapper"
-    from staffing_minimax.bayesian import (DemandProcess, MdpPolicy, MdpSpec,
-                                           NaiveBayesianPolicy,
-                                           NaiveGreedyPolicy)
-    assert NaiveGreedyPolicy(inst).kind == "naive_greedy"
-    assert NaiveBayesianPolicy(inst).kind == "naive_bayesian"
-    proc = DemandProcess(inst.horizon)
-    assert MdpPolicy(inst, proc, MdpSpec()).kind == "empirical_mdp"
-    assert MdpPolicy(inst, proc, MdpSpec(transition="true")).kind \
-        == "full_info_mdp"
+    assert [type(f()) for f in station_factories(msi)] == [LpEmulatorPolicy]
+    assert set(cli.POLICIES) & set(cli.PROGRAMS) == {"release", "joint",
+                                                     "multi_station"}
 
 
 def test_epoch_state_validation():
