@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: solve, run, bench, sweep-eta, oracle, calibrate.
-Exit codes: 0 ok, 2 input error, 3 solver failure.  Every command is
+Exit codes: 0 ok, 2 input error, 3 solver failure, 4 an `oracle` worst
+case above the program value that bounds the policy.  Every command is
 deterministic under a fixed seed and writes machine-readable output next to
 the human summary.  `run` and `oracle` play each station of a stations file.
 """
@@ -41,7 +42,9 @@ from .programs import (ConfigurationExplosion, build_lp_joint_cost,
                        build_lp_single_switch, extract_canonical,
                        solve_canonical)
 
-INPUT_ERROR, SOLVER_ERROR = 2, 3
+INPUT_ERROR, SOLVER_ERROR, GUARANTEE_BROKEN = 2, 3, 4
+# oracle's worst case breaks the guarantee above bound * (1 + RTOL) + ATOL.
+GUARANTEE_RTOL, GUARANTEE_ATOL = 1e-9, 1e-12
 
 
 class CliInputError(Exception):
@@ -520,6 +523,11 @@ def cmd_oracle(args) -> int:
         print(f"{label}witness sequence:")
         for t, iv in enumerate(witness.sequence.intervals, start=1):
             print(f"  day {t}: [{iv.lo:.4f}, {iv.hi:.4f}]")
+    if worst > gamma * (1 + GUARANTEE_RTOL) + GUARANTEE_ATOL:
+        print(f"guarantee broken: max_cost {worst!r} > gamma_star {gamma!r} "
+              f"(tolerance {GUARANTEE_RTOL:g} relative, {GUARANTEE_ATOL:g} "
+              "absolute)", file=sys.stderr)
+        return GUARANTEE_BROKEN
     return 0
 
 

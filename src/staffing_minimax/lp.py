@@ -40,6 +40,18 @@ A walk that leaves the recorded paths or whose phase 1 ends infeasible,
 and a replay that fails a check, solve cold (_two_phase) and raise or
 record as before, so every output byte is the cold solve's.
 
+By the same fact, a solve's inputs other than the right-hand sides are made
+once and kept where they live: the dense A and sense once per row set
+(LpModel._dense_rows); the objective as one read-only array, shared with
+every with_rhs copy and rebuilt when the list differs by value; the
+refinement's stacked pin rows and each target's cost vector once per row
+set, objective and targets (_Paths.stages).  Only b is made per model:
+with_rhs checks it as one array and keeps it, and dense() hands out a
+copy of it (refine_lexicographic copies it into its pinned b).  A cache is
+rebuilt when its source changes: the row or variable count for A and sense,
+the row count for b, the objective list for its array, the objective's and
+the targets' values for the stages.
+
 A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
 minimization objective.
 """
@@ -86,6 +98,13 @@ class LpModel:
     # ((n_rows, n_vars), A, sense, paths); see _dense_rows.
     _coefficients: Optional[tuple] = field(default=None, init=False,
                                            repr=False, compare=False)
+    # The right-hand sides, read-only; see _rhs_array.
+    _rhs: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                       compare=False)
+    # (the objective list it was made from, read-only array); see
+    # _objective_array.
+    _costs: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def add_var(self, name: str, obj: float = 0.0) -> int:
         if not math.isfinite(obj):
@@ -133,32 +152,61 @@ class LpModel:
             cached = self._coefficients = (size, A, sense, _Paths())
         return cached
 
+    def _rhs_array(self) -> np.ndarray:
+        """The rows' right-hand sides as one read-only array: the one
+        with_rhs checked, or one built from the rows, kept while the row
+        count stays as it is (rows are only ever appended, as for
+        _dense_rows)."""
+        b = self._rhs
+        if b is None or len(b) != len(self.rows):
+            b = self._rhs = np.array([rhs for _, _, rhs in self.rows],
+                                     dtype=float)
+            b.flags.writeable = False
+        return b
+
+    def _objective_array(self) -> np.ndarray:
+        """The objective as one read-only array, shared with every model
+        with_rhs makes and rebuilt when the list is no longer equal, by
+        value, to the one it was made from (an edit in place, an added
+        variable)."""
+        cached = self._costs
+        if cached is None or cached[0] != self.objective:
+            c = np.array(self.objective, dtype=float)
+            c.flags.writeable = False
+            cached = self._costs = (list(self.objective), c)
+        return cached[1]
+
     def dense(self):
         """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
         =.  A and sense are built once per row set and shared read-only by
-        every call (and by every model with_rhs makes); b is built on each
-        call."""
+        every call (and by every model with_rhs makes); b is a fresh copy,
+        on each call, of the right-hand sides _rhs_array keeps."""
         _, A, sense, _ = self._dense_rows()
-        return A, sense, np.array([rhs for _, _, rhs in self.rows],
-                                  dtype=float)
+        return A, sense, self._rhs_array().copy()
 
     def with_rhs(self, name: str, rhs: Sequence[float]) -> "LpModel":
         """A new model named `name` with this model's variables and rows but
-        the right-hand sides rhs, one per row, checked as add_row checks
-        them.  Its lists are its own, so adding to it or renaming it leaves
-        this model as it is; the coefficient dicts, the dense A and sense and
-        their pivot-path memo are this model's, shared because nothing
-        writes the rows once made."""
+        the right-hand sides rhs, one per row, checked as one array (each
+        finite, as add_row checks) and kept as the new model's b.  Its lists
+        are its own, so adding to it or renaming it leaves this model as it
+        is; the coefficient dicts, the dense A and sense with their
+        pivot-path memo, and the objective array are this model's, shared
+        because nothing writes them once made.  Only b is made per call: a
+        resolving day's programs differ in nothing else."""
         if len(rhs) != self.n_rows:
             raise LpError(f"{len(rhs)} right-hand sides for {self.n_rows} "
                           "rows")
-        rows = []
-        for (coeffs, rel, _), r in zip(self.rows, rhs):
-            if not math.isfinite(r):
-                raise LpError("non-finite rhs")
-            rows.append((coeffs, rel, float(r)))
-        m = LpModel(name, list(self.var_names), list(self.objective), rows)
-        m._coefficients = self._dense_rows()
+        b = np.array(rhs, dtype=float)
+        floats = b.tolist()
+        if not all(map(math.isfinite, floats)):
+            raise LpError("non-finite rhs")
+        b.flags.writeable = False
+        m = LpModel(name, list(self.var_names), list(self.objective),
+                    [(coeffs, rel, r) for (coeffs, rel, _), r
+                     in zip(self.rows, floats)])
+        self._objective_array()         # brings self._costs up to date
+        m._coefficients, m._rhs, m._costs = (self._dense_rows(), b,
+                                             self._costs)
         return m
 
     def dump(self) -> str:
@@ -291,7 +339,8 @@ class _Paths:
     recorded paths from the second solve on.  held counts the bytes of the
     keys and of the tries' arrays against PATH_BYTES.  stages is
     refine_lexicographic's stacked stage rows for one objective and target
-    list, with their own memo: (key, A, sense, _Paths)."""
+    list, with their own memo and the targets' cost vectors, one per row:
+    (objective array, targets, key, A, sense, _Paths, costs)."""
 
     __slots__ = ("tries", "held", "stages")
 
@@ -802,8 +851,8 @@ def solve_lp(model: LpModel) -> LpSolution:
     cost, and CHECK_TOL.
     """
     A, sense, b = model.dense()
-    return _solve(A, sense, b, np.asarray(model.objective, dtype=float),
-                  model.name, model._dense_rows()[3])[0]
+    return _solve(A, sense, b, model._objective_array(), model.name,
+                  model._dense_rows()[3])[0]
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
@@ -818,11 +867,14 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     well-defined independent of simplex pivoting accidents.  Stage i solves
     the leading k + i rows of one array: the model's k rows, then the pins.
 
-    The stacked rows stay with the model's row set, keyed by the objective
-    and the targets, with a pivot-path memo of their own (see the module
-    docstring).  Every stage goes through _solve, which takes one reuse
-    path: the memo where the stage's key holds recorded paths, else the
-    replay where a chain is live.  A stage the memo walks ends the chain.
+    The stacked rows and the targets' cost vectors stay with the model's
+    row set, keyed by the objective and the targets, with a pivot-path memo
+    of their own (see the module docstring); only the pinned right-hand
+    sides are made per call.  A targets list is read, never written, so the
+    same list object passed again is known without comparing it.  Every
+    stage goes through _solve, which takes one reuse path: the memo where
+    the stage's key holds recorded paths, else the replay where a chain is
+    live.  A stage the memo walks ends the chain.
 
     Stages chain: a stage differs from the one before only by its new
     trailing pin, so _replay solves it from the previous stage's record.
@@ -874,37 +926,49 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
       row and every later one: that stage pushes the remaining pins again.
     """
     k, n, pins = model.n_rows, model.n_vars, len(targets) + 1
-    A, sense, b = model.dense()
-    paths = model._dense_rows()[3]
-    # The model's rows, then the "=" pins: objective, then one per target.
-    # They stay with the row set, so the stages of every model sharing it
-    # share their rows and pivot-path memos.
-    key = (tuple(model.objective),
-           tuple(tuple(coeffs.items()) for coeffs, _ in targets))
-    if paths.stages is None or paths.stages[0] != key:
-        A = np.vstack((A, np.zeros((pins, n))))
-        sense = np.append(sense, np.zeros(pins, int))
-        A[k] = np.where(np.asarray(model.objective) != 0.0, model.objective,
-                        0.0)
-        for i, (coeffs, _) in enumerate(targets, start=1):
+    _, A, sense, paths = model._dense_rows()
+    objective = model._objective_array()
+    # The model's rows, then the "=" pins: objective, then one per target;
+    # and each target's cost vector.  They stay with the row set, so the
+    # stages of every model sharing it share their rows and pivot-path
+    # memos.  The same objective array and targets object are the same
+    # stages; any other pair is compared by value: the objective's bytes,
+    # the senses and the cost vectors' bytes, which fix the pins too.
+    stages = paths.stages
+    if stages is None or stages[0] is not objective \
+            or stages[1] is not targets:
+        costs = np.zeros((len(targets), n))
+        for i, (coeffs, goal) in enumerate(targets):
             for j, a in coeffs.items():
-                if a != 0.0:
-                    A[k + i, j] = a
-        A.flags.writeable = sense.flags.writeable = False
-        paths.stages = (key, A, sense, _Paths())
-    _, A, sense, paths = paths.stages
-    b = np.append(b, np.zeros(pins))
+                costs[i, j] = -a if goal == "max" else a
+        key = (objective.tobytes(), tuple(goal for _, goal in targets),
+               costs.tobytes())
+        if stages is None or stages[2] != key:
+            A = np.vstack((A, np.zeros((pins, n))))
+            sense = np.append(sense, np.zeros(pins, int))
+            A[k] = np.where(objective != 0.0, objective, 0.0)
+            for i, (coeffs, _) in enumerate(targets, start=1):
+                for j, a in coeffs.items():
+                    if a != 0.0:
+                        A[k + i, j] = a
+            A.flags.writeable = sense.flags.writeable = False
+            costs.flags.writeable = False
+            stages = (objective, targets, key, A, sense, _Paths(), costs)
+        else:
+            stages = (objective, targets, *stages[2:])
+        paths.stages = stages
+    *_, A, sense, paths, costs = stages
+    b = np.zeros(k + pins)
+    b[:k] = model._rhs_array()
     b[k] = sol.objective
     out, chain = sol, None
-    for i, (coeffs, goal) in enumerate(targets, start=1):
-        c = np.zeros(n)
-        for j, a in coeffs.items():
-            c[j] = -a if goal == "max" else a
-        out, chain = _solve(A[:k + i], sense[:k + i], b[:k + i], c,
-                            model.name + "+lex", paths, chain,
+    for i, (coeffs, _) in enumerate(targets, start=1):
+        out, chain = _solve(A[:k + i], sense[:k + i], b[:k + i],
+                            costs[i - 1], model.name + "+lex", paths, chain,
                             A[k + i + 1:k + len(targets)]
                             if i < len(targets) else None)
-        b[k + i] = sum(a * out.x[j] for j, a in coeffs.items())
+        x = out.x.tolist()
+        b[k + i] = sum(a * x[j] for j, a in coeffs.items())
     # Re-report the original objective value.
-    final_obj = float(np.dot(model.objective, out.x))
+    final_obj = float(np.dot(objective, out.x))
     return LpSolution(final_obj, out.x)

@@ -415,7 +415,7 @@ class EpochState:
         lo, hi = self.interval
         if lo > hi + 1e-9:
             raise InstanceError(f"carried interval [{lo}, {hi}] is empty")
-        if np.any(self.remaining_supply < -1e-9):
+        if (self.remaining_supply < -1e-9).any():
             raise InstanceError("negative remaining supply in state")
         if self.remaining_budget is not None and self.remaining_budget < -1e-9:
             raise InstanceError("negative remaining budget in state")

@@ -327,10 +327,15 @@ class LpResolvingPolicy:
     they reach once, and a policy built without one gets its own.
 
     A step builds one EpochState, the state it carries into the next day;
-    a miss also builds the day's own for build_lp_resolving, whose rows
-    are made once per day of the instance (see there).  The carried
+    a miss also builds the day's own for build_lp_resolving.  The carried
     availability is rescaled once per instance and day and shared
-    read-only by every state of that day.
+    read-only by every state of that day.  What a miss solves besides the
+    state's right-hand sides is made once per day of the instance (see
+    build_lp_resolving): the rows with their dense A, sense, objective
+    array and pivot-path memo, the refinement targets, and the stacked
+    refinement rows and cost vectors.  Per state, a miss computes the
+    right-hand sides and solves through solve_canonical (solve_lp, then
+    refine_lexicographic) and extract_canonical.
     """
 
     def __init__(self, inst: Instance, memo: Optional[OrderedDict] = None):

@@ -21,7 +21,7 @@ policies do not depend on simplex pivoting accidents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -72,8 +72,10 @@ def _switch_floors(inst: Instance, interval: Tuple[float, float],
     on from the interval [L, R] carried into `day`: max of L and
     (R - Delta_tau - 2 eps_tau) over tau in [day:k]."""
     lo, hi = interval
-    return _prefix_max(lo, (hi - inst.delta(tau) - 2.0 * inst.eps(tau)
-                            for tau in range(day, inst.horizon + 1)))
+    # inst.delta(tau) and inst.eps(tau) for tau in [day:T], day >= 1.
+    deltas = inst.error_bounds[day - 1:inst.horizon].tolist()
+    eps = inst.inconsistency[day - 1:inst.horizon].tolist()
+    return _prefix_max(lo, [hi - d - 2.0 * e for d, e in zip(deltas, eps)])
 
 
 def _consistent_floors(inst: Instance, horizon: int) -> List[float]:
@@ -166,6 +168,18 @@ class SingleSwitchLp(_DayPoolHires):
     x_index: Dict[Tuple[int, int], int]     # (pool i, day t) -> variable
     gamma: int
     day_range: Tuple[int, int]               # decided days [t0, T]
+    # refine_targets' lists by refine_limit, shared by the day's programs.
+    targets: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def refine_targets(self, refine_limit: Optional[int] = None) -> list:
+        """_DayPoolHires' targets, made once per refine_limit for the day's
+        rows (see build_lp_resolving); callers read the list, never write
+        it."""
+        targets = self.targets.get(refine_limit)
+        if targets is None:
+            targets = self.targets[refine_limit] = \
+                super().refine_targets(refine_limit)
+        return targets
 
 
 def build_lp_single_switch(inst: Instance) -> SingleSwitchLp:
@@ -219,7 +233,8 @@ def _resolving_rows(inst: Instance, availability: np.ndarray, day: int
     return m, x_index, gamma
 
 
-# The resolving rows of the last instance's days (see build_lp_resolving).
+# The resolving rows of the last instance's days, each with its refine
+# targets by refine_limit (see build_lp_resolving).
 _day_rows = DayMemo()
 
 
@@ -233,22 +248,31 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
 
     Only the right-hand sides depend on the state beyond its availability:
     the variables, the coefficient rows and relations, the objective,
-    x_index and gamma read only the day, the availability from column
-    day - 1 on, the cost slopes and the horizon.  Those rows come from
-    `_day_rows`, keyed by the horizon, that availability's shape, dtype and
-    bytes, and the two coefficients the slopes give, and built by
-    _resolving_rows on a miss; every call, hit or miss, then
-    writes the state's right-hand sides into a fresh LpModel (with_rhs).
-    The returned model's lists are its own, so renaming it or adding to
-    it changes no later program; its coefficient dicts, its dense A and
-    sense, and the returned x_index are shared with every program of the
+    x_index, gamma and the refinement targets read only the day, the
+    availability from column day - 1 on, the cost slopes and the horizon.
+    So what a solve reads besides b is made once per day, in the
+    `_day_rows` entry, keyed by the horizon, that availability's shape,
+    dtype and bytes, and the two coefficients the slopes give (compared by
+    value; a day whose key differs rebuilds the instance's days):
+    - the rows, by _resolving_rows on a miss, with their dense A and sense,
+      pivot-path memo and objective array (see LpModel);
+    - refine_targets' list for each refine_limit, on its first call;
+    - the stacked refinement rows and cost vectors, which
+      refine_lexicographic keeps with the rows (lp._Paths.stages).
+    Per state, every call, hit or miss, computes the right-hand sides
+    (remaining supply, switch floors and the floor's hi, less the
+    cumulative hires) and writes them into a fresh LpModel (with_rhs),
+    which checks and keeps them as one array.  The returned model's lists
+    are its own, so renaming it or adding to it changes no later program;
+    its coefficient dicts, its dense A and sense, its objective array, and
+    the returned x_index and targets are shared with every program of the
     day, which is sound only because nothing writes them.
     """
     _require_positive_slopes(inst.under_cost, inst.over_cost)
     T = inst.horizon
     if not (1 <= day <= T):
         raise InfeasibleState(f"day {day} outside horizon")
-    if np.any(state.remaining_supply < -1e-9):
+    if (state.remaining_supply < -1e-9).any():
         raise InfeasibleState("negative remaining supply")
     lo_bar, hi_bar = state.interval
     if lo_bar > hi_bar + 1e-9:
@@ -258,14 +282,13 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     rho = state.availability
     key = (T, rho.shape, rho.dtype.str, rho[:, day - 1:].tobytes(),
            -1.0 / inst.over_cost, 1.0 / inst.under_cost)
-    rows, x_index, gamma = _day_rows.get(
-        day, key, lambda: _resolving_rows(inst, rho, day))
-    supply = state.remaining_supply
-    rhs = [float(supply[i]) for i in range(rho.shape[0])]
+    rows, x_index, gamma, targets = _day_rows.get(
+        day, key, lambda: (*_resolving_rows(inst, rho, day), {}))
+    rhs = state.remaining_supply[:rho.shape[0]].tolist()
     rhs += [f - z_total for f in _switch_floors(inst, state.interval, day)]
     rhs.append(hi_bar - z_total)
     return SingleSwitchLp(rows.with_rhs(f"resolving[{day}]", rhs), inst,
-                          x_index, gamma, (day, T))
+                          x_index, gamma, (day, T), targets)
 
 
 @dataclass

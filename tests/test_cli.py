@@ -176,12 +176,16 @@ def test_oracle_command(capsys, tmp_path):
 def test_oracle_release_prints_release_program_value(capsys):
     # The release policy plays the release program, so gamma_star is that
     # program's value, the one solve prints (0.142857), not the base
-    # program's (0.151746).
+    # program's (0.151746).  Its worst case on this grid, 0.8, breaks
+    # that bound, so oracle exits 4 and says so on stderr.
     path = instance_path("release_demo.json")
-    code, out, _ = run_cli(capsys, "oracle", "--instance", path, "--policy",
-                           "release", "--grid-step", "0.5")
-    assert code == 0
-    assert "gamma_star = 0.142857" in out.splitlines()
+    code, out, err = run_cli(capsys, "oracle", "--instance", path,
+                             "--policy", "release", "--grid-step", "0.5")
+    assert code == cli.GUARANTEE_BROKEN == 4
+    assert out.splitlines()[:2] == ["max_cost = 0.800000",
+                                    "gamma_star = 0.142857"]
+    assert err.startswith("guarantee broken: max_cost 0.7999999999999999 "
+                          "> gamma_star 0.14285714285714285 (tolerance")
     code, out, _ = run_cli(capsys, "solve", "--instance", path)
     assert code == 0 and out.splitlines()[0] == "0.142857"
 

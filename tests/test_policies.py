@@ -21,7 +21,7 @@ from staffing_minimax.adversary import (brute_force_worst_case,
                                         random_nested_sequence,
                                         single_switch_sequence,
                                         worst_case_sequence, worst_demand_cost)
-from staffing_minimax.lp import solve_lp
+from staffing_minimax.lp import LpModel, refine_lexicographic, solve_lp
 from staffing_minimax.model import (MultiStationInstance, PredictionInterval,
                                     PredictionSequence, ReleaseInstance,
                                     SequenceError, StationSpec,
@@ -34,6 +34,7 @@ from staffing_minimax.policies import (
     gamma_star_closed_form, gamma_star_single_pool, play, _t_dagger_scan)
 from staffing_minimax.programs import (build_lp_release,
                                        build_lp_single_switch,
+                                       extract_canonical,
                                        minimax_value_and_profile)
 
 
@@ -419,6 +420,53 @@ def test_resolving_rows_are_built_once_per_day(monkeypatch):
     assert len(rows_A) == len(row_sets)
 
 
+def test_resolving_step_equals_a_fresh_model_solve(monkeypatch):
+    # bench_long's two pools over 6 days, pool 0 closing after day 3.  Each
+    # policy has a memo of its own, whose keys hold the day, so every step
+    # solves.  Its hires and gamma_star are those of a model that shares
+    # nothing with the day's cached rows, targets or arrays: solve_lp,
+    # refine_lexicographic over refine_targets(1), extract_canonical.
+    with open(instance_path("bench_long.json")) as f:
+        config = json.load(f)
+    process = bayesian.DemandProcess(6, float(config["prior_hi"]))
+    table = bayesian.calibrate_intervals(process, draws=10_000)
+    rho = np.array(config["availability"])[:, :6]
+    rho[0, 3:] = 0.0
+    inst = bayesian.forecast_instance(
+        config["pool_sizes"], rho, table, float(config["under_cost"]),
+        float(config["over_cost"]), process)
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+    built = []
+    build = policies.build_lp_resolving
+    monkeypatch.setattr(policies, "build_lp_resolving",
+                        lambda *a: built.append(build(*a)) or built[-1])
+    days = []
+
+    class Checked(LpResolvingPolicy):
+        def step(self, obs):
+            d = super().step(obs)
+            (program,) = built
+            built.clear()
+            m = program.model
+            fresh = LpModel(m.name, list(m.var_names), list(m.objective),
+                            [(dict(c), rel, rhs) for c, rel, rhs in m.rows])
+            # The targets made afresh, not read from the day's entry.
+            targets = programs._DayPoolHires.refine_targets(program, 1)
+            sol = refine_lexicographic(fresh, solve_lp(fresh), targets)
+            hires = extract_canonical(program, sol)[:, self.day - 1]
+            assert d.hires.tobytes() == hires.tobytes()
+            if self.day == 1:
+                assert np.float64(self.gamma_star).tobytes() == \
+                    np.float64(sol.objective).tobytes()
+            days.append(self.day)
+            return d
+
+    bayesian.run_bayesian_world(inst, process, table,
+                                {"lp_resolving": lambda: Checked(inst)}, 60,
+                                int(config["seed"]))
+    assert days == list(range(1, 7)) * 60
+
+
 def test_resolving_memo_hit_returns_fresh_hires(monkeypatch):
     inst = fig3_instance("b")
     obs = DayObservation(1, worst_case_sequence(inst).interval(1))
@@ -666,7 +714,8 @@ def test_release_oracle_builds_each_block_once(step, blocks, digest,
     # once per command and its tree serves the days it holds; the output
     # is the one a one-entry memo gave (digests of the stdout from before
     # the blocks were kept, but for gamma_star, now the release program's
-    # value).
+    # value).  Both worst cases break that value (the release case that
+    # test_adversary's oracle test xfails), so the command exits 4.
     monkeypatch.setattr(emulator_module, "_blocks", OrderedDict())
     tables, steps = [], []
     build = emulator_module._build_day_tables
@@ -677,7 +726,7 @@ def test_release_oracle_builds_each_block_once(step, blocks, digest,
                         lambda *a: steps.append(1) or real_step(*a))
     path = instance_path("release_demo.json")
     assert cli.main(["oracle", "--instance", path, "--policy", "release",
-                     "--grid-step", step]) == 0
+                     "--grid-step", step]) == cli.GUARANTEE_BROKEN
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     base = cli._load(path).base

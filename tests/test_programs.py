@@ -12,7 +12,8 @@ from conftest import (INSTANCE_DIR, fig3_instance, instance_path, plan_of,
                       random_multi_pool, random_single_pool)
 from staffing_minimax import bayesian, cli, policies, programs
 from staffing_minimax.adversary import random_nested_sequence
-from staffing_minimax.lp import LpError, LpModel, solve_lp
+from staffing_minimax.lp import (LpError, LpModel, refine_lexicographic,
+                                  solve_lp)
 from staffing_minimax.model import (Instance, InstanceError,
                                     MultiStationInstance, ReleaseInstance,
                                     StationSpec, fresh_state, make_instance)
@@ -527,3 +528,77 @@ def test_dense_rows_are_built_once_until_the_model_grows():
         m.with_rhs("short", [1.0, 2.0])
     with pytest.raises(LpError, match="non-finite rhs"):
         m.with_rhs("nan", [1.0, float("nan"), 2.0])
+
+
+# --- Cached solve inputs follow their sources --------------------------------
+# A solve reads the dense rows, the right-hand sides, the objective array and
+# the refinement's stacked rows and cost vectors from caches; after a change
+# to what one was made from, the next solve is that of a model sharing
+# nothing.
+
+def _unshared(model):
+    return LpModel(model.name, list(model.var_names), list(model.objective),
+                   [(dict(coeffs), rel, rhs)
+                    for coeffs, rel, rhs in model.rows])
+
+
+def _refined_bytes(model, targets):
+    """solve_lp, then refine_lexicographic over targets, as bytes."""
+    sol = solve_lp(model)
+    out = refine_lexicographic(model, sol, targets)
+    return (np.float64(sol.objective).tobytes(), sol.x.tobytes(),
+            sol.reduced_costs.tobytes(), np.float64(out.objective).tobytes(),
+            out.x.tobytes())
+
+
+def _solves_as_unshared(model, targets):
+    got = _refined_bytes(model, targets)
+    assert got == _refined_bytes(_unshared(model),
+                                 [(dict(c), goal) for c, goal in targets])
+    return got
+
+
+def test_cached_solve_inputs_follow_their_sources(monkeypatch):
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+    inst = fig3_instance("c")
+    st = fresh_state(inst)
+    built = build_lp_resolving(inst, st, st.index)
+    m, targets = built.model, built.refine_targets()
+    seen = [_solves_as_unshared(m, targets)]
+    # The objective edited in place: the day's first hire now costs.
+    first = built.x_index[min(built.x_index)]
+    m.objective[first] = 0.5
+    seen.append(_solves_as_unshared(m, targets))
+    # A with_rhs copy, with the supply rows halved; the model it was taken
+    # from keeps its own right-hand sides.
+    n = inst.n_pools
+    copy = m.with_rhs("copy", [rhs * 0.5 if r < n else rhs
+                               for r, (_, _, rhs) in enumerate(m.rows)])
+    seen.append(_solves_as_unshared(copy, targets))
+    assert _solves_as_unshared(m, targets) == seen[1]
+    # Rows appended by add_row and by rows.append, each capping a hire the
+    # solve before made.
+    for append in (lambda row: m.add_row(*row), m.rows.append):
+        x = np.frombuffer(seen[-1][-1])
+        v = int(np.argmax(x[:built.gamma]))
+        append(({v: 1.0}, "<=", float(x[v]) * 0.5))
+        seen.append(_solves_as_unshared(m, targets))
+    # The day's rows move to another instance and back.
+    other = replace(inst, over_cost=2.0)
+    moved = build_lp_resolving(other, st, st.index)
+    assert moved.model.dense()[0] is not built.model.dense()[0]
+    seen.append(_solves_as_unshared(moved.model, moved.refine_targets()))
+    again = build_lp_resolving(inst, st, st.index)
+    assert _solves_as_unshared(again.model, again.refine_targets()) \
+        == seen[0]
+    # The targets negated, each with its sense turned: the same cost
+    # vectors, other pins.
+    _solves_as_unshared(again.model, [
+        ({j: -a for j, a in coeffs.items()}, {"max": "min", "min": "max"}[g])
+        for coeffs, g in again.refine_targets()])
+    # The day keeps one target list per refine_limit.
+    for limit in (None, 1, 2, 1, None):
+        assert again.refine_targets(limit) == \
+            programs._DayPoolHires.refine_targets(again, limit)
+    # Every change moved the solve.
+    assert len(set(seen)) == len(seen) == 6

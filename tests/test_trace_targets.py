@@ -98,6 +98,13 @@ def test_every_note_reads_a_real_call(tracer, monkeypatch):
     for span in ("programs.build", "programs.solve_canonical",
                  "programs.extract_canonical"):
         assert under_step.count(span) == 3, span
+    # Each of those canonical solves runs one solve_lp, then one
+    # refine_lexicographic, so the traced run splits its time by layer.
+    for i, parent in enumerate(t.parent):
+        if spans[i] == "programs.solve_canonical" and parent >= 0 \
+                and spans[parent] == "policies.LpResolvingPolicy.step":
+            assert [spans[j] for j, up in enumerate(t.parent) if up == i] \
+                == ["lp.solve_lp", "lp.refine_lexicographic"]
     # The grid oracle steps every emulator through the per-layer spans on a
     # miss of the block's day tree: one emulator_step and one split_hires
     # per distinct running-bound prefix, not per sequence and day.
