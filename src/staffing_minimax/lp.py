@@ -179,8 +179,10 @@ class LpModel:
     def dense(self):
         """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
         =.  A and sense are built once per row set and shared read-only by
-        every call (and by every model with_rhs makes); b is a fresh copy,
-        on each call, of the right-hand sides _rhs_array keeps."""
+        every call (and by every model with_rhs makes), rebuilt when the
+        row or variable count changes; b is a fresh copy, on each call, of
+        the right-hand sides _rhs_array keeps for this model while its row
+        count matches."""
         _, A, sense, _ = self._dense_rows()
         return A, sense, self._rhs_array().copy()
 
@@ -191,8 +193,10 @@ class LpModel:
         are its own, so adding to it or renaming it leaves this model as it
         is; the coefficient dicts, the dense A and sense with their
         pivot-path memo, and the objective array are this model's, shared
-        because nothing writes them once made.  Only b is made per call: a
-        resolving day's programs differ in nothing else."""
+        because nothing writes them once made (either model rebuilds its
+        objective array once its list differs by value from the one the
+        array was made from).  Only b is made per call: a resolving day's
+        programs differ in nothing else."""
         if len(rhs) != self.n_rows:
             raise LpError(f"{len(rhs)} right-hand sides for {self.n_rows} "
                           "rows")
