@@ -41,16 +41,11 @@ and a replay that fails a check, solve cold (_two_phase) and raise or
 record as before, so every output byte is the cold solve's.
 
 By the same fact, a solve's inputs other than the right-hand sides are made
-once and kept where they live: the dense A and sense once per row set
-(LpModel._dense_rows); the objective as one read-only array, shared with
-every with_rhs copy and rebuilt when the list differs by value; the
-refinement's stacked pin rows and each target's cost vector once per row
-set, objective and targets (_Paths.stages).  Only b is made per model:
-with_rhs checks it as one array and keeps it, and dense() hands out a
-copy of it (refine_lexicographic copies it into its pinned b).  A cache is
-rebuilt when its source changes: the row or variable count for A and sense,
-the row count for b, the objective list for its array, the objective's and
-the targets' values for the stages.
+once, under one rule: a model is fixed at its first solve (see LpModel).
+Its read-only A, sense, b and c and its row set's memo are made then, and
+with_rhs copies share all of them but b.  The refinement's stacked pin rows
+and each target's cost vector are made once per row set and targets object
+(_Paths.stages), as the row set fixes the objective.
 
 A model is: variables x >= 0, linear rows with relation <=, >= or =, and a
 minimization objective.
@@ -61,7 +56,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,24 +84,29 @@ class NumericFailure(LpError):
 
 @dataclass
 class LpModel:
-    """Minimization LP: variables are nonnegative, rows are (coeffs, rel, rhs)."""
+    """Minimization LP: variables are nonnegative, rows are (coeffs, rel, rhs).
+
+    add_var and add_row build it.  The first solve_lp, refine_lexicographic,
+    dense() or with_rhs fixes it: var_names, objective and rows become
+    tuples, and its solver inputs are made, once and read-only.  From then
+    on add_var and add_row raise LpError; only name may change.  A row's
+    coefficient dict is read, never written, once the row is added."""
 
     name: str = "lp"
-    var_names: List[str] = field(default_factory=list)
-    objective: List[float] = field(default_factory=list)
-    rows: List[Tuple[Dict[int, float], str, float]] = field(default_factory=list)
-    # ((n_rows, n_vars), A, sense, paths); see _dense_rows.
-    _coefficients: Optional[tuple] = field(default=None, init=False,
-                                           repr=False, compare=False)
-    # The right-hand sides, read-only; see _rhs_array.
-    _rhs: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                       compare=False)
-    # (the objective list it was made from, read-only array); see
-    # _objective_array.
-    _costs: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    var_names: Sequence[str] = field(default_factory=list)
+    objective: Sequence[float] = field(default_factory=list)
+    rows: Sequence[Tuple[Dict[int, float], str, float]] = field(
+        default_factory=list)
+    # (A, sense, b, c, paths) once fixed; see dense.
+    _inputs: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def _check_open(self) -> None:
+        if self._inputs is not None:
+            raise LpError(f"model {self.name} is fixed at its first solve")
 
     def add_var(self, name: str, obj: float = 0.0) -> int:
+        self._check_open()
         if not math.isfinite(obj):
             raise LpError(f"non-finite objective coefficient for {name}")
         self.var_names.append(name)
@@ -114,6 +114,7 @@ class LpModel:
         return len(self.var_names) - 1
 
     def add_row(self, coeffs: Dict[int, float], rel: str, rhs: float) -> None:
+        self._check_open()
         if rel not in _SENSE:
             raise LpError(f"unknown relation {rel!r}")
         for j, a in coeffs.items():
@@ -134,69 +135,36 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def _dense_rows(self) -> tuple:
-        """((n_rows, n_vars), A, sense, paths), built once while those counts
-        stay as they are: rows are only ever appended, so equal counts mean
-        the same rows.  A and sense are read-only; paths is their pivot-path
-        memo (_Paths), which lives as long as they do."""
-        size = (self.n_rows, self.n_vars)
-        cached = self._coefficients
-        if cached is None or cached[0] != size:
-            A = np.zeros(size)
+    def dense(self):
+        """Rows as read-only (A, sense, b) arrays, sense +1 for <=, -1 for
+        >= and 0 for =.  The first call fixes the model: it makes these,
+        the objective c and the row set's pivot-path memo (_Paths) once;
+        every later call returns the same arrays."""
+        if self._inputs is None:
+            self.var_names = tuple(self.var_names)
+            self.objective = tuple(self.objective)
+            self.rows = tuple(self.rows)
+            A = np.zeros((self.n_rows, self.n_vars))
             for r, (coeffs, _, _) in enumerate(self.rows):
                 for j, a in coeffs.items():
                     A[r, j] = a
             sense = np.array([_SENSE[rel] for _, rel, _ in self.rows],
                              dtype=int)
-            A.flags.writeable = sense.flags.writeable = False
-            cached = self._coefficients = (size, A, sense, _Paths())
-        return cached
-
-    def _rhs_array(self) -> np.ndarray:
-        """The rows' right-hand sides as one read-only array: the one
-        with_rhs checked, or one built from the rows, kept while the row
-        count stays as it is (rows are only ever appended, as for
-        _dense_rows)."""
-        b = self._rhs
-        if b is None or len(b) != len(self.rows):
-            b = self._rhs = np.array([rhs for _, _, rhs in self.rows],
-                                     dtype=float)
-            b.flags.writeable = False
-        return b
-
-    def _objective_array(self) -> np.ndarray:
-        """The objective as one read-only array, shared with every model
-        with_rhs makes and rebuilt when the list is no longer equal, by
-        value, to the one it was made from (an edit in place, an added
-        variable)."""
-        cached = self._costs
-        if cached is None or cached[0] != self.objective:
+            b = np.array([rhs for _, _, rhs in self.rows], dtype=float)
             c = np.array(self.objective, dtype=float)
-            c.flags.writeable = False
-            cached = self._costs = (list(self.objective), c)
-        return cached[1]
-
-    def dense(self):
-        """Rows as (A, sense, b) arrays, sense +1 for <=, -1 for >= and 0 for
-        =.  A and sense are built once per row set and shared read-only by
-        every call (and by every model with_rhs makes), rebuilt when the
-        row or variable count changes; b is a fresh copy, on each call, of
-        the right-hand sides _rhs_array keeps for this model while its row
-        count matches."""
-        _, A, sense, _ = self._dense_rows()
-        return A, sense, self._rhs_array().copy()
+            for v in (A, sense, b, c):
+                v.flags.writeable = False
+            self._inputs = (A, sense, b, c, _Paths())
+        return self._inputs[:3]
 
     def with_rhs(self, name: str, rhs: Sequence[float]) -> "LpModel":
-        """A new model named `name` with this model's variables and rows but
-        the right-hand sides rhs, one per row, checked as one array (each
-        finite, as add_row checks) and kept as the new model's b.  Its lists
-        are its own, so adding to it or renaming it leaves this model as it
-        is; the coefficient dicts, the dense A and sense with their
-        pivot-path memo, and the objective array are this model's, shared
-        because nothing writes them once made (either model rebuilds its
-        objective array once its list differs by value from the one the
-        array was made from).  Only b is made per call: a resolving day's
-        programs differ in nothing else."""
+        """A fixed model named `name` with this model's variables and rows
+        but the right-hand sides rhs, one per row, checked as one array
+        (each finite, as add_row checks) and kept as its b.  It fixes this
+        model and shares its tuples, coefficient dicts, A, sense, c and
+        pivot-path memo; only b and the rows tuple are its own.  A resolving
+        day's programs differ in nothing else."""
+        A, sense, _ = self.dense()
         if len(rhs) != self.n_rows:
             raise LpError(f"{len(rhs)} right-hand sides for {self.n_rows} "
                           "rows")
@@ -205,12 +173,10 @@ class LpModel:
         if not all(map(math.isfinite, floats)):
             raise LpError("non-finite rhs")
         b.flags.writeable = False
-        m = LpModel(name, list(self.var_names), list(self.objective),
-                    [(coeffs, rel, r) for (coeffs, rel, _), r
-                     in zip(self.rows, floats)])
-        self._objective_array()         # brings self._costs up to date
-        m._coefficients, m._rhs, m._costs = (self._dense_rows(), b,
-                                             self._costs)
+        m = LpModel(name, self.var_names, self.objective,
+                    tuple([(coeffs, rel, r) for (coeffs, rel, _), r
+                           in zip(self.rows, floats)]))
+        m._inputs = (A, sense, b, *self._inputs[3:])
         return m
 
     def dump(self) -> str:
@@ -336,15 +302,15 @@ _UNSEEN = object()
 
 class _Paths:
     """The pivot-path memo of one row set: the read-only A and sense that
-    a model's _dense_rows shares with every with_rhs copy.  tries maps the
+    a fixed model shares with every with_rhs copy.  tries maps the
     key of a solve, the bytes of b < 0 (which orients the rows, and so
     fixes the tableau's columns and starting basis) and of its cost vector
     c, to None once the key has been solved, and to the _Trie of its
     recorded paths from the second solve on.  held counts the bytes of the
     keys and of the tries' arrays against PATH_BYTES.  stages is
-    refine_lexicographic's stacked stage rows for one objective and target
-    list, with their own memo and the targets' cost vectors, one per row:
-    (objective array, targets, key, A, sense, _Paths, costs)."""
+    refine_lexicographic's stacked stage rows for one targets object, with
+    their own memo and the targets' cost vectors, one per row:
+    (targets, A, sense, _Paths, costs)."""
 
     __slots__ = ("tries", "held", "stages")
 
@@ -855,12 +821,12 @@ def solve_lp(model: LpModel) -> LpSolution:
     cost, and CHECK_TOL.
     """
     A, sense, b = model.dense()
-    return _solve(A, sense, b, model._objective_array(), model.name,
-                  model._dense_rows()[3])[0]
+    c, paths = model._inputs[3:]
+    return _solve(A, sense, b, c, model.name, paths)[0]
 
 
 def refine_lexicographic(model: LpModel, sol: LpSolution,
-                         targets: List[Tuple[Dict[int, float], str]]
+                         targets: Sequence[Tuple[Dict[int, float], str]]
                          ) -> LpSolution:
     """Select a canonical optimum by lexicographic refinement.
 
@@ -872,13 +838,13 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
     the leading k + i rows of one array: the model's k rows, then the pins.
 
     The stacked rows and the targets' cost vectors stay with the model's
-    row set, keyed by the objective and the targets, with a pivot-path memo
-    of their own (see the module docstring); only the pinned right-hand
-    sides are made per call.  A targets list is read, never written, so the
-    same list object passed again is known without comparing it.  Every
-    stage goes through _solve, which takes one reuse path: the memo where
-    the stage's key holds recorded paths, else the replay where a chain is
-    live.  A stage the memo walks ends the chain.
+    row set, which fixes the objective, for one targets object, read and
+    never written, with a pivot-path memo of their own (see the module
+    docstring); another targets object rebuilds them.  Only the pinned
+    right-hand sides are made per call.  Every stage goes through _solve,
+    which takes one reuse path: the memo where the stage's key holds
+    recorded paths, else the replay where a chain is live.  A stage the
+    memo walks ends the chain.
 
     Stages chain: a stage differs from the one before only by its new
     trailing pin, so _replay solves it from the previous stage's record.
@@ -929,41 +895,28 @@ def refine_lexicographic(model: LpModel, sol: LpSolution,
       is negative, the row is oriented the other way, and so are its cost
       row and every later one: that stage pushes the remaining pins again.
     """
-    k, n, pins = model.n_rows, model.n_vars, len(targets) + 1
-    _, A, sense, paths = model._dense_rows()
-    objective = model._objective_array()
+    A, sense, rhs = model.dense()
+    objective, paths = model._inputs[3:]
+    (k, n), pins = A.shape, len(targets) + 1
     # The model's rows, then the "=" pins: objective, then one per target;
-    # and each target's cost vector.  They stay with the row set, so the
-    # stages of every model sharing it share their rows and pivot-path
-    # memos.  The same objective array and targets object are the same
-    # stages; any other pair is compared by value: the objective's bytes,
-    # the senses and the cost vectors' bytes, which fix the pins too.
+    # and each target's cost vector, kept for every model sharing the rows.
     stages = paths.stages
-    if stages is None or stages[0] is not objective \
-            or stages[1] is not targets:
+    if stages is None or stages[0] is not targets:
         costs = np.zeros((len(targets), n))
+        A = np.vstack((A, np.zeros((pins, n))))
+        sense = np.append(sense, np.zeros(pins, int))
+        A[k] = np.where(objective != 0.0, objective, 0.0)
         for i, (coeffs, goal) in enumerate(targets):
             for j, a in coeffs.items():
                 costs[i, j] = -a if goal == "max" else a
-        key = (objective.tobytes(), tuple(goal for _, goal in targets),
-               costs.tobytes())
-        if stages is None or stages[2] != key:
-            A = np.vstack((A, np.zeros((pins, n))))
-            sense = np.append(sense, np.zeros(pins, int))
-            A[k] = np.where(objective != 0.0, objective, 0.0)
-            for i, (coeffs, _) in enumerate(targets, start=1):
-                for j, a in coeffs.items():
-                    if a != 0.0:
-                        A[k + i, j] = a
-            A.flags.writeable = sense.flags.writeable = False
-            costs.flags.writeable = False
-            stages = (objective, targets, key, A, sense, _Paths(), costs)
-        else:
-            stages = (objective, targets, *stages[2:])
-        paths.stages = stages
-    *_, A, sense, paths, costs = stages
+                if a != 0.0:
+                    A[k + 1 + i, j] = a
+        for v in (A, sense, costs):
+            v.flags.writeable = False
+        stages = paths.stages = (targets, A, sense, _Paths(), costs)
+    _, A, sense, paths, costs = stages
     b = np.zeros(k + pins)
-    b[:k] = model._rhs_array()
+    b[:k] = rhs
     b[k] = sol.objective
     out, chain = sol, None
     for i, (coeffs, _) in enumerate(targets, start=1):

@@ -331,12 +331,12 @@ class LpResolvingPolicy:
     availability is rescaled once per instance and day and shared
     read-only by every state of that day.  What a miss solves besides the
     state's right-hand sides is made once per day of the instance (see
-    build_lp_resolving, whose day key, compared by value, rebuilds them
-    for another instance): the rows with their dense A, sense, objective
-    array and pivot-path memo, the refinement targets, and the stacked
-    refinement rows and cost vectors.  Per state, a miss computes the
-    right-hand sides and solves through solve_canonical (solve_lp, then
-    refine_lexicographic) and extract_canonical.
+    build_lp_resolving, whose day key rebuilds them for another instance):
+    the rows, an LpModel fixed with its solver inputs and pivot-path memo,
+    the refinement targets, and the stacked refinement rows and cost
+    vectors.  Per state, a miss computes the right-hand sides and solves
+    through solve_canonical (solve_lp, then refine_lexicographic) and
+    extract_canonical.
     """
 
     def __init__(self, inst: Instance, memo: Optional[OrderedDict] = None):

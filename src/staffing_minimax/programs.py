@@ -168,17 +168,16 @@ class SingleSwitchLp(_DayPoolHires):
     x_index: Dict[Tuple[int, int], int]     # (pool i, day t) -> variable
     gamma: int
     day_range: Tuple[int, int]               # decided days [t0, T]
-    # refine_targets' lists by refine_limit, shared by the day's programs.
+    # refine_targets' tuples by refine_limit, shared by the day's programs.
     targets: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def refine_targets(self, refine_limit: Optional[int] = None) -> list:
-        """_DayPoolHires' targets, made once per refine_limit for the day's
-        rows (see build_lp_resolving); callers read the list, never write
-        it."""
+    def refine_targets(self, refine_limit: Optional[int] = None) -> tuple:
+        """_DayPoolHires' targets as a tuple, made once per refine_limit for
+        the day's rows (see build_lp_resolving)."""
         targets = self.targets.get(refine_limit)
         if targets is None:
             targets = self.targets[refine_limit] = \
-                super().refine_targets(refine_limit)
+                tuple(super().refine_targets(refine_limit))
         return targets
 
 
@@ -252,21 +251,20 @@ def build_lp_resolving(inst: Instance, state: EpochState, day: int
     availability from column day - 1 on, the cost slopes and the horizon.
     So what a solve reads besides b is made once per day, in the
     `_day_rows` entry, keyed by the horizon, that availability's shape,
-    dtype and bytes, and the two coefficients the slopes give (compared by
-    value; a day whose key differs rebuilds the instance's days):
-    - the rows, by _resolving_rows on a miss, with their dense A and sense,
-      pivot-path memo and objective array (see LpModel);
-    - refine_targets' list for each refine_limit, on its first call;
+    dtype and bytes, and the two coefficients the slopes give (a day whose
+    key differs rebuilds the instance's days):
+    - the rows, by _resolving_rows on a miss, a model fixed at its first
+      with_rhs with its solver inputs and pivot-path memo (see LpModel);
+    - refine_targets' tuple for each refine_limit, on its first call;
     - the stacked refinement rows and cost vectors, which
       refine_lexicographic keeps with the rows (lp._Paths.stages).
     Per state, every call, hit or miss, computes the right-hand sides
     (remaining supply, switch floors and the floor's hi, less the
-    cumulative hires) and writes them into a fresh LpModel (with_rhs),
-    which checks and keeps them as one array.  The returned model's lists
-    are its own, so renaming it or adding to it changes no later program;
-    its coefficient dicts, its dense A and sense, its objective array, and
-    the returned x_index and targets are shared with every program of the
-    day, which is sound only because nothing writes them.
+    cumulative hires) and writes them into a fixed model of the day's rows
+    (with_rhs), which checks and keeps them as one array.  The returned
+    model may be renamed, which changes no later program; it shares
+    everything else, as do the returned x_index and targets, with every
+    program of the day.
     """
     _require_positive_slopes(inst.under_cost, inst.over_cost)
     T = inst.horizon

@@ -765,9 +765,9 @@ def test_oracle_checks_each_window_interval_once(monkeypatch):
 # base gamma* for the emulating, resolving and greedy policies, the release
 # program's value for `release`, the joint program's (which also charges the
 # wage bill) for `joint` and the multi-station program's for `multi_station`.
-# naive_greedy is a heuristic no program bounds; the Bayesian world's
+# cli.UNBOUNDED names the heuristics no program bounds; the Bayesian world's
 # policies do not play the grid.
-UNBOUNDED = {"naive_greedy"}
+UNBOUNDED = cli.UNBOUNDED
 
 # Each (policy, instance file) pair the CLI accepts, at step 0.25 where the
 # oracle takes under about a second there, else at 0.5.

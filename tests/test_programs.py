@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,8 +13,8 @@ from conftest import (INSTANCE_DIR, fig3_instance, instance_path, plan_of,
                       random_multi_pool, random_single_pool)
 from staffing_minimax import bayesian, cli, policies, programs
 from staffing_minimax.adversary import random_nested_sequence
-from staffing_minimax.lp import (LpError, LpModel, refine_lexicographic,
-                                  solve_lp)
+from staffing_minimax.lp import (LpError, LpModel, LpSolution,
+                                  refine_lexicographic, solve_lp)
 from staffing_minimax.model import (Instance, InstanceError,
                                     MultiStationInstance, ReleaseInstance,
                                     StationSpec, fresh_state, make_instance)
@@ -482,10 +483,6 @@ def test_resolving_programs_share_no_mutable_state():
     before = _resolving_bytes(build_lp_resolving(inst, st, 2))
     built = build_lp_resolving(inst, st, 2)
     built.model.name = "renamed"
-    extra = built.model.add_var("extra", obj=2.0)
-    built.model.add_row({0: 1.0, extra: -1.0}, "<=", 3.0)
-    assert built.model.dense()[0].shape == (built.model.n_rows,
-                                            built.model.n_vars)
     assert _resolving_bytes(build_lp_resolving(inst, st, 2)) == before
     # build_lp_single_switch renames its model; the day-1 rows are kept.
     day1 = _resolving_bytes(build_lp_resolving(inst, fresh_state(inst), 1))
@@ -494,47 +491,11 @@ def test_resolving_programs_share_no_mutable_state():
         build_lp_resolving(inst, fresh_state(inst), 1)) == day1
 
 
-def _fresh_dense(model):
-    copy = LpModel(model.name, list(model.var_names), list(model.objective),
-                   list(model.rows))
-    return tuple(a.tobytes() for a in copy.dense()) + (copy.dense()[0].shape,)
-
-
-def test_dense_rows_are_built_once_until_the_model_grows():
-    m = LpModel()
-    m.add_var("x", obj=1.0)
-    m.add_row({0: 2.0}, ">=", 1.0)
-    A, sense, b = m.dense()
-    A2, sense2, b2 = m.dense()
-    assert A2 is A and sense2 is sense and b2 is not b
-    assert not A.flags.writeable and not sense.flags.writeable
-    assert b.flags.writeable
-    grow = (lambda: m.add_var("y"),
-            lambda: m.add_row({1: 1.0}, "<=", 4.0),
-            lambda: m.rows.append(({0: 1.0, 1: -1.0}, "=", 0.0)))
-    for step in grow:
-        step()
-        A3, sense3, b3 = m.dense()
-        assert A3 is not A and A3.shape == (m.n_rows, m.n_vars)
-        assert tuple(a.tobytes() for a in (A3, sense3, b3)) + (A3.shape,) \
-            == _fresh_dense(m)
-        A = A3
-    # A model made from these rows carries their A and sense.
-    copy = m.with_rhs("copy", [5.0, -1.0, 0.5])
-    A4, sense4, b4 = copy.dense()
-    assert A4 is A and b4.tolist() == [5.0, -1.0, 0.5]
-    assert copy.rows[0][0] is m.rows[0][0] and copy.rows is not m.rows
-    with pytest.raises(LpError, match="3 rows"):
-        m.with_rhs("short", [1.0, 2.0])
-    with pytest.raises(LpError, match="non-finite rhs"):
-        m.with_rhs("nan", [1.0, float("nan"), 2.0])
-
-
-# --- Cached solve inputs follow their sources --------------------------------
-# A solve reads the dense rows, the right-hand sides, the objective array and
-# the refinement's stacked rows and cost vectors from caches; after a change
-# to what one was made from, the next solve is that of a model sharing
-# nothing.
+# --- A model is fixed at its first solve ---------------------------------------
+# solve_lp, refine_lexicographic, dense() and with_rhs each fix a model: its
+# lists become tuples and its solver inputs are made once, so no later edit
+# can leave them stale.  A fixed model takes no more variables or rows and
+# keeps its name assignable.
 
 def _unshared(model):
     return LpModel(model.name, list(model.var_names), list(model.objective),
@@ -558,47 +519,105 @@ def _solves_as_unshared(model, targets):
     return got
 
 
-def test_cached_solve_inputs_follow_their_sources(monkeypatch):
+def _assert_fixed(model):
+    n_vars, n_rows = model.n_vars, model.n_rows
+    fixed = re.escape(f"model {model.name} is fixed at its first solve")
+    with pytest.raises(LpError, match=fixed):
+        model.add_var("extra", obj=2.0)
+    with pytest.raises(LpError, match=fixed):
+        model.add_row({0: 1.0}, "<=", 3.0)
+    with pytest.raises(TypeError):
+        model.objective[0] = 0.5
+    with pytest.raises(TypeError):
+        model.rows[0] = ({0: 1.0}, "<=", 3.0)
+    with pytest.raises(AttributeError):
+        model.rows.append(({0: 1.0}, "<=", 3.0))
+    assert (model.n_vars, model.n_rows) == (n_vars, n_rows)
+
+
+def _two_rows():
+    m = LpModel("two-rows")
+    m.add_var("x", obj=1.0)
+    m.add_var("y", obj=2.0)
+    m.add_row({0: 1.0, 1: 1.0}, ">=", 1.0)
+    m.add_row({0: 1.0}, "<=", 3.0)
+    return m
+
+
+def test_a_model_is_fixed_at_its_first_solve(monkeypatch):
+    targets = (({0: 1.0}, "max"),)
+    fixing = {
+        "solve_lp": solve_lp,
+        "refine_lexicographic": lambda m: refine_lexicographic(
+            m, LpSolution(1.0, np.zeros(2)), targets),
+        "dense": lambda m: m.dense(),
+        "with_rhs": lambda m: m.with_rhs("copy", [2.0, 1.0, 4.0, 2.0]),
+    }
+    for how, fix in fixing.items():
+        m = _two_rows()
+        m.add_row({1: 1.0}, "<=", 4.0)          # open until fixed
+        m.rows.append(({0: 1.0, 1: -1.0}, "<=", 2.0))
+        m.objective[1] = 1.5
+        out = fix(m)
+        _assert_fixed(m)
+        if how == "with_rhs":
+            _assert_fixed(out)
+        # Renaming still works, and the error names the new name.
+        m.name = f"renamed-{how}"
+        _assert_fixed(m)
+    # Every call returns the same read-only arrays, b included.
+    m = _two_rows()
+    A, sense, b = m.dense()
+    assert all(x is y for x, y in zip((A, sense, b), m.dense()))
+    assert not any(x.flags.writeable for x in (A, sense, b))
+    assert (A.shape, b.tolist()) == ((2, 2), [1.0, 3.0])
+    # A with_rhs copy shares all but b and its rows tuple.
+    copy = m.with_rhs("copy", [5.0, -1.0])
+    A2, sense2, b2 = copy.dense()
+    assert A2 is A and sense2 is sense and b2.tolist() == [5.0, -1.0]
+    assert copy.var_names is m.var_names and copy.objective is m.objective
+    assert copy.rows[0][0] is m.rows[0][0] and copy.rows is not m.rows
+    with pytest.raises(LpError, match="1 right-hand sides for 2 rows"):
+        m.with_rhs("short", [1.0])
+    with pytest.raises(LpError, match="non-finite rhs"):
+        m.with_rhs("nan", [1.0, float("nan")])
+    # A resolving day's copies solve as models that share nothing, the
+    # day's targets are one tuple per refine_limit, and so is each copy
+    # once solved.
     monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
     inst = fig3_instance("c")
     st = fresh_state(inst)
     built = build_lp_resolving(inst, st, st.index)
     m, targets = built.model, built.refine_targets()
+    _assert_fixed(m)
     seen = [_solves_as_unshared(m, targets)]
-    # The objective edited in place: the day's first hire now costs.
-    first = built.x_index[min(built.x_index)]
-    m.objective[first] = 0.5
-    seen.append(_solves_as_unshared(m, targets))
-    # A with_rhs copy, with the supply rows halved; the model it was taken
-    # from keeps its own right-hand sides.
     n = inst.n_pools
-    copy = m.with_rhs("copy", [rhs * 0.5 if r < n else rhs
+    half = m.with_rhs("half", [rhs * 0.5 if r < n else rhs
                                for r, (_, _, rhs) in enumerate(m.rows)])
-    seen.append(_solves_as_unshared(copy, targets))
-    assert _solves_as_unshared(m, targets) == seen[1]
-    # Rows appended by add_row and by rows.append, each capping a hire the
-    # solve before made.
-    for append in (lambda row: m.add_row(*row), m.rows.append):
-        x = np.frombuffer(seen[-1][-1])
-        v = int(np.argmax(x[:built.gamma]))
-        append(({v: 1.0}, "<=", float(x[v]) * 0.5))
-        seen.append(_solves_as_unshared(m, targets))
-    # The day's rows move to another instance and back.
-    other = replace(inst, over_cost=2.0)
-    moved = build_lp_resolving(other, st, st.index)
-    assert moved.model.dense()[0] is not built.model.dense()[0]
-    seen.append(_solves_as_unshared(moved.model, moved.refine_targets()))
+    seen.append(_solves_as_unshared(half, targets))
+    assert _solves_as_unshared(m, targets) == seen[0] != seen[1]
+    other = build_lp_resolving(replace(inst, over_cost=2.0), st, st.index)
+    assert other.model.dense()[0] is not m.dense()[0]
+    seen.append(_solves_as_unshared(other.model, other.refine_targets()))
     again = build_lp_resolving(inst, st, st.index)
     assert _solves_as_unshared(again.model, again.refine_targets()) \
         == seen[0]
-    # The targets negated, each with its sense turned: the same cost
-    # vectors, other pins.
-    _solves_as_unshared(again.model, [
-        ({j: -a for j, a in coeffs.items()}, {"max": "min", "min": "max"}[g])
-        for coeffs, g in again.refine_targets()])
-    # The day keeps one target list per refine_limit.
     for limit in (None, 1, 2, 1, None):
-        assert again.refine_targets(limit) == \
-            programs._DayPoolHires.refine_targets(again, limit)
-    # Every change moved the solve.
-    assert len(set(seen)) == len(seen) == 6
+        assert again.refine_targets(limit) is again.refine_targets(limit) \
+            == tuple(programs._DayPoolHires.refine_targets(again, limit))
+    assert len(set(seen)) == len(seen) == 3
+    # solve_canonical leaves every program's model fixed.
+    built = set()
+    for name in sorted(os.listdir(INSTANCE_DIR)):
+        if not name.endswith(".json"):
+            continue
+        try:
+            problem = cli._load(instance_path(name))
+        except cli.CliInputError:               # a bench configuration
+            continue
+        program = cli._infer_program(problem)
+        made = cli.PROGRAMS[program][2](problem)
+        solve_canonical(made)
+        _assert_fixed(made.model)
+        built.add(program)
+    assert built == set(cli.PROGRAMS)

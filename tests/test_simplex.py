@@ -820,8 +820,15 @@ def walks(monkeypatch):
     return served
 
 
+def _memo(model):
+    """The pivot-path memo of model's row set (model.dense() fixes the
+    model and makes it)."""
+    model.dense()
+    return model._inputs[4]
+
+
 def _tries(model):
-    return [t for t in model._dense_rows()[3].tries.values() if t is not None]
+    return [t for t in _memo(model).tries.values() if t is not None]
 
 
 def _dropped(trie):
@@ -857,7 +864,7 @@ def test_memo_resolves_flipped_rows_as_cold(walks):
     outcomes = _resolves_as_cold(model, rhs)
     assert all(len(o) == 3 for o in outcomes)
     assert sum(walks) >= len(rhs)
-    assert len(model._dense_rows()[3].tries) == 2
+    assert len(_memo(model).tries) == 2
 
 
 def test_memo_resolves_infeasible_and_redundant_rows_as_cold(walks):
@@ -899,7 +906,7 @@ def test_memo_resolves_signed_zeros_as_cold(walks):
     rhs += [[-0.0, -0.0, 4.0, -0.0], [0.0, -0.0, 4.0, 0.0]]
     _resolves_as_cold(model, rhs)
     assert sum(walks) >= 4
-    assert len(model._dense_rows()[3].tries) == 2
+    assert len(_memo(model).tries) == 2
 
 
 def test_memo_resolves_random_lps_as_cold(walks):
@@ -922,7 +929,7 @@ def test_memo_resolves_random_lps_as_cold(walks):
 def test_memo_stays_at_its_bound(monkeypatch, walks):
     monkeypatch.setattr(lp, "PATH_BYTES", 600)
     model = _four_rows()
-    paths = model._dense_rows()[3]
+    paths = _memo(model)
     rhs = [[b0, b1, b2, 3.0] for b0 in (1.0, -1.0) for b1 in (0.5, -0.5)
            for b2 in (2.0, -2.0, 1.0)]
     held = []
