@@ -544,7 +544,7 @@ def _two_rows():
     return m
 
 
-def test_a_model_is_fixed_at_its_first_solve(monkeypatch):
+def test_a_model_is_fixed_at_its_first_solve():
     targets = (({0: 1.0}, "max"),)
     fixing = {
         "solve_lp": solve_lp,
@@ -565,47 +565,6 @@ def test_a_model_is_fixed_at_its_first_solve(monkeypatch):
         # Renaming still works, and the error names the new name.
         m.name = f"renamed-{how}"
         _assert_fixed(m)
-    # Every call returns the same read-only arrays, b included.
-    m = _two_rows()
-    A, sense, b = m.dense()
-    assert all(x is y for x, y in zip((A, sense, b), m.dense()))
-    assert not any(x.flags.writeable for x in (A, sense, b))
-    assert (A.shape, b.tolist()) == ((2, 2), [1.0, 3.0])
-    # A with_rhs copy shares all but b and its rows tuple.
-    copy = m.with_rhs("copy", [5.0, -1.0])
-    A2, sense2, b2 = copy.dense()
-    assert A2 is A and sense2 is sense and b2.tolist() == [5.0, -1.0]
-    assert copy.var_names is m.var_names and copy.objective is m.objective
-    assert copy.rows[0][0] is m.rows[0][0] and copy.rows is not m.rows
-    with pytest.raises(LpError, match="1 right-hand sides for 2 rows"):
-        m.with_rhs("short", [1.0])
-    with pytest.raises(LpError, match="non-finite rhs"):
-        m.with_rhs("nan", [1.0, float("nan")])
-    # A resolving day's copies solve as models that share nothing, the
-    # day's targets are one tuple per refine_limit, and so is each copy
-    # once solved.
-    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
-    inst = fig3_instance("c")
-    st = fresh_state(inst)
-    built = build_lp_resolving(inst, st, st.index)
-    m, targets = built.model, built.refine_targets()
-    _assert_fixed(m)
-    seen = [_solves_as_unshared(m, targets)]
-    n = inst.n_pools
-    half = m.with_rhs("half", [rhs * 0.5 if r < n else rhs
-                               for r, (_, _, rhs) in enumerate(m.rows)])
-    seen.append(_solves_as_unshared(half, targets))
-    assert _solves_as_unshared(m, targets) == seen[0] != seen[1]
-    other = build_lp_resolving(replace(inst, over_cost=2.0), st, st.index)
-    assert other.model.dense()[0] is not m.dense()[0]
-    seen.append(_solves_as_unshared(other.model, other.refine_targets()))
-    again = build_lp_resolving(inst, st, st.index)
-    assert _solves_as_unshared(again.model, again.refine_targets()) \
-        == seen[0]
-    for limit in (None, 1, 2, 1, None):
-        assert again.refine_targets(limit) is again.refine_targets(limit) \
-            == tuple(programs._DayPoolHires.refine_targets(again, limit))
-    assert len(set(seen)) == len(seen) == 3
     # solve_canonical leaves every program's model fixed.
     built = set()
     for name in sorted(os.listdir(INSTANCE_DIR)):
@@ -621,3 +580,74 @@ def test_a_model_is_fixed_at_its_first_solve(monkeypatch):
         _assert_fixed(made.model)
         built.add(program)
     assert built == set(cli.PROGRAMS)
+
+
+def _fresh_dense(model):
+    copy = _unshared(model)
+    return tuple(a.tobytes() for a in copy.dense()) + (copy.dense()[0].shape,)
+
+
+def test_dense_rows_are_built_once_until_the_model_grows():
+    # The model grows until its first dense(), which builds its rows from
+    # everything added so far; every later call returns the same read-only
+    # arrays, b included, and the model grows no more.
+    m = _two_rows()
+    m.add_var("z", obj=0.5)
+    m.add_row({2: 1.0}, "<=", 4.0)
+    m.rows.append(({0: 1.0, 2: -1.0}, "=", 0.0))
+    A, sense, b = m.dense()
+    assert (A.shape, b.tolist()) == ((4, 3), [1.0, 3.0, 4.0, 0.0])
+    assert tuple(a.tobytes() for a in (A, sense, b)) + (A.shape,) \
+        == _fresh_dense(m)
+    assert all(x is y for x, y in zip((A, sense, b), m.dense()))
+    assert not any(x.flags.writeable for x in (A, sense, b))
+    _assert_fixed(m)
+    assert all(x is y for x, y in zip((A, sense, b), m.dense()))
+    # A with_rhs copy shares all but b and its rows tuple.
+    copy = m.with_rhs("copy", [5.0, -1.0, 0.5, 0.0])
+    A2, sense2, b2 = copy.dense()
+    assert A2 is A and sense2 is sense and b2.tolist() == [5.0, -1.0, 0.5, 0.0]
+    assert copy.var_names is m.var_names and copy.objective is m.objective
+    assert copy.rows[0][0] is m.rows[0][0] and copy.rows is not m.rows
+    with pytest.raises(LpError, match="1 right-hand sides for 4 rows"):
+        m.with_rhs("short", [1.0])
+    with pytest.raises(LpError, match="non-finite rhs"):
+        m.with_rhs("nan", [1.0, float("nan"), 2.0, 0.0])
+
+
+def test_cached_solve_inputs_follow_their_sources(monkeypatch):
+    # A solve reads A, b, c and the refinement's stages from what the model
+    # made at its first solve; a with_rhs copy, another day's rows and
+    # another targets object each solve as a model that shares nothing.
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+    inst = fig3_instance("c")
+    st = fresh_state(inst)
+    built = build_lp_resolving(inst, st, st.index)
+    m, targets = built.model, built.refine_targets()
+    _assert_fixed(m)
+    seen = [_solves_as_unshared(m, targets)]
+    # A with_rhs copy, with the supply rows halved; the model it was taken
+    # from keeps its own right-hand sides.
+    n = inst.n_pools
+    half = m.with_rhs("half", [rhs * 0.5 if r < n else rhs
+                               for r, (_, _, rhs) in enumerate(m.rows)])
+    seen.append(_solves_as_unshared(half, targets))
+    assert _solves_as_unshared(m, targets) == seen[0] != seen[1]
+    # The day's rows move to another instance and back.
+    other = build_lp_resolving(replace(inst, over_cost=2.0), st, st.index)
+    assert other.model.dense()[0] is not m.dense()[0]
+    seen.append(_solves_as_unshared(other.model, other.refine_targets()))
+    again = build_lp_resolving(inst, st, st.index)
+    assert _solves_as_unshared(again.model, again.refine_targets()) \
+        == seen[0]
+    # The targets negated, each with its sense turned: the same cost
+    # vectors, other pins.
+    _solves_as_unshared(again.model, tuple(
+        ({j: -a for j, a in coeffs.items()}, {"max": "min", "min": "max"}[g])
+        for coeffs, g in again.refine_targets()))
+    # The day keeps one targets tuple per refine_limit.
+    for limit in (None, 1, 2, 1, None):
+        assert again.refine_targets(limit) is again.refine_targets(limit) \
+            == tuple(programs._DayPoolHires.refine_targets(again, limit))
+    # Every change moved the solve.
+    assert len(set(seen)) == len(seen) == 3
