@@ -90,16 +90,14 @@ class DemandProcess:
         starts = [t * T - t * (t - 1) // 2 for t in range(T + 2)]
         partials, *profiles = [counts[a:b]
                                for a, b in zip(starts, starts[1:])]
-        return World(priors, partials, profiles)
+        return World(partials, profiles)
 
 
 @dataclass(frozen=True)
 class World:
-    """One realization: hidden priors, realized partials, and the sampled
-    future-partial profile revealed on each day (profiles[t-1][j] samples
-    day t+1+j)."""
+    """One realization: realized partials, and the sampled future-partial
+    profile revealed on each day (profiles[t-1][j] samples day t+1+j)."""
 
-    priors: np.ndarray
     partials: np.ndarray
     profiles: List[np.ndarray]
 

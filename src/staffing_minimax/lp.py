@@ -28,8 +28,8 @@ Programming, ch. 10).  _solve picks the path for each solve:
   vector.  A key's paths are nodes in the memo's flat arrays, recorded
   from its second cold solve on; a solve whose leaving rows follow one
   redoes the right-hand-side column alone, with the kernel's IEEE
-  operations in its order (_Trie.walk).  The memo lives as long as its
-  rows, and holds at most PATH_BYTES bytes of keys and paths.
+  operations in its order, and certifies its rows and x (_Trie.walk).
+  The memo lives as long as its rows, within PATH_BYTES bytes.
 - The chain replay serves any other refinement stage with a live chain.
   Each stage is the one before plus one pinned "=" row, so a stage pushes
   its new row and cost row through the previous stage's recorded phase-1
@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +89,9 @@ class LpModel:
 
     add_var and add_row build it.  The first solve_lp, refine_lexicographic,
     dense() or with_rhs fixes it: var_names, objective and rows become
-    tuples, and its solver inputs are made, once and read-only.  From then
-    on add_var and add_row raise LpError; only name may change.  A row's
-    coefficient dict is read, never written, once the row is added."""
+    tuples, row coefficients read-only mappings, and its solver inputs are
+    made, once and read-only.  Then add_var and add_row raise LpError, an
+    edit in place TypeError; only name may change."""
 
     name: str = "lp"
     var_names: Sequence[str] = field(default_factory=list)
@@ -143,7 +144,8 @@ class LpModel:
         if self._inputs is None:
             self.var_names = tuple(self.var_names)
             self.objective = tuple(self.objective)
-            self.rows = tuple(self.rows)
+            self.rows = tuple((MappingProxyType(coeffs), rel, rhs)
+                              for coeffs, rel, rhs in self.rows)
             A = np.zeros((self.n_rows, self.n_vars))
             for r, (coeffs, _, _) in enumerate(self.rows):
                 for j, a in coeffs.items():
@@ -161,7 +163,7 @@ class LpModel:
         """A fixed model named `name` with this model's variables and rows
         but the right-hand sides rhs, one per row, checked as one array
         (each finite, as add_row checks) and kept as its b.  It fixes this
-        model and shares its tuples, coefficient dicts, A, sense, c and
+        model and shares its tuples, coefficient mappings, A, sense, c and
         pivot-path memo; only b and the rows tuple are its own.  A resolving
         day's programs differ in nothing else."""
         A, sense, _ = self.dense()
@@ -193,11 +195,10 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A certified optimum (see solve_lp)."""
+    """A certified optimum (see solve_lp): its value and x."""
 
     objective: float
     x: np.ndarray
-    reduced_costs: Optional[np.ndarray] = None
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -291,8 +292,8 @@ def _load_costs(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
 # tries' arrays.  A key or node that would take it past this is not
 # recorded, and the paths it holds keep serving.  Over the eight passes of
 # a world_lp run (bench_long, T = 14; seed 1) 2 of its 28 row sets reach
-# it, in the 6th and 7th, and all 28 hold 4.2 MB; unbounded, those two
-# would hold about 0.87 and 0.99 MB, and walks serve as many of a warm
+# it, in the 6th and 8th, and all 28 hold 4.0 MB; unbounded, those two
+# would hold about 0.82 and 0.95 MB, and walks serve as many of a warm
 # pass's solves either way (93-96%).  An instance has at most 2T row sets
 # through programs._day_rows (each day's rows and their stacked stage
 # rows), so its memos hold at most 2T * PATH_BYTES.
@@ -344,8 +345,8 @@ class _Trie:
     through phase 2's pivots to its optimum.  cols holds the entries: m + 1
     for a phase-1 pivot (cost row last), m for each drive-out (in turn),
     one per kept row plus the cost row's for a phase-2 pivot, as phase 2
-    runs over the kept rows, and an optimum's reduced costs (a walk's basis
-    order ends as the final basis)."""
+    runs over the kept rows; an optimum holds none, as reduced costs read
+    no right-hand side and the recording cold solve checked them."""
 
     __slots__ = ("nodes", "cols")
 
@@ -390,8 +391,7 @@ class _Trie:
         _load_costs folds it.  At phase 1's end it drops the right-hand
         sides and basis order of the rows phase 1 drops, which have 0.0 in
         every later column and never pass the ratio test.  Phase 2's
-        cost-row entry is never read, and the certificate then runs as in a
-        cold solve."""
+        cost-row entry is never read; the certificate checks rows and x."""
         nodes, cols, m = self.nodes, self.cols, len(b)
         order = nodes[7:7 + m].tolist()
         # b * flip: -v is v * -1.0 exactly, and -0.0 is not flipped.
@@ -416,9 +416,7 @@ class _Trie:
         k, top, _ = self._follow(nodes[end + 3], top, z, order)
         if k < 0:
             return None
-        at = nodes[k + 1]
-        return _certified(top, order, np.frombuffer(cols[at:at + A.shape[1]]),
-                          A, sense, b, c, nodes[5], name)
+        return _certified(top, order, None, A, sense, b, c, nodes[5], name)
 
     def _add(self, paths: _Paths, enter: int, leave: int, floats=(),
              record=(), at: int = -1) -> int:
@@ -439,7 +437,7 @@ class _Trie:
         each fits in the row set's memo, the start first.  The node after a
         pivot depends on its leaving row; the node after the start or a
         phase end is fixed by the key and the pivots before it."""
-        start, one, (drives, dropped), two, reduced = path
+        start, one, (drives, dropped), two = path
         if not self.nodes and self._add(paths, -1, -1, record=start) < 0:
             return
         end = [len(drives)]
@@ -449,7 +447,7 @@ class _Trie:
         floats = [f for *_, col in drives for f in col]
         nodes, k = self.nodes, 0
         for enter, leave, *data in (*one, (-1, -1, floats, end), *two,
-                                    (-1, -1, reduced)):
+                                    (-1, -1)):
             after = nodes[k + 3]
             if after < 0:
                 after = nodes[k + 3] = self._add(paths, enter, leave, *data)
@@ -517,13 +515,13 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
     number of artificial rows, the starting basis, the artificial rows),
     phase 1's pivots (see _run_simplex), phase 1's end (the drive-outs as
     row, column and the column's m entries before the pivot, and the rows
-    dropped), phase 2's pivots over the kept rows and the reduced costs."""
+    dropped) and phase 2's pivots over the kept rows."""
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
         if np.any(c < -COST_TOL):
             raise LpUnbounded(name)
-        return LpSolution(0.0, x, np.maximum(c, 0.0))
+        return LpSolution(0.0, x)
 
     # Orient rows so rhs >= 0.  Rows with sense != 0 get a slack (+1) or
     # surplus (-1) column, rows with sense <= 0 an artificial after them.
@@ -588,7 +586,7 @@ def _two_phase(A: np.ndarray, sense: np.ndarray, b: np.ndarray,
         return _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name)
     two = []
     out = _phase_two(T, basis, A, sense, b, c, n_real, max_iter, name, two)
-    path += (one, (drives, dropped), two, out.reduced_costs.tolist())
+    path += (one, (drives, dropped), two)
     return out
 
 
@@ -607,15 +605,15 @@ def _phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
     if status != "optimal":
         raise NumericFailure(f"{name}: phase 2 {status} ({m} rows x {n} "
                              f"columns, limit {max_iter} pivots)")
-    return _certified(T[:-1, -1], basis, T[-1, :n].copy(), A, sense, b, c,
-                      n_real, name)
+    return _certified(T[:-1, -1], basis, T[-1, :n], A, sense, b, c, n_real,
+                      name)
 
 
-def _certified(rhs, basis: np.ndarray, reduced: np.ndarray, A: np.ndarray,
-               sense: np.ndarray, b: np.ndarray, c: np.ndarray, n_real: int,
-               name: str) -> LpSolution:
+def _certified(rhs, basis: np.ndarray, reduced: Optional[np.ndarray],
+               A: np.ndarray, sense: np.ndarray, b: np.ndarray, c: np.ndarray,
+               n_real: int, name: str) -> LpSolution:
     """The solution of an optimal tableau, given its right-hand sides, its
-    basis and the reduced costs of the model's columns, once it passes the
+    basis and its reduced costs (a walk's are None), once it passes the
     optimality certificate against the rows (A, sense, b)."""
     m, n = A.shape
     x = np.zeros(n_real)
@@ -637,7 +635,7 @@ def _certified(rhs, basis: np.ndarray, reduced: np.ndarray, A: np.ndarray,
                       f"off by {viol[r]:.6g}")
     if (xs < -CHECK_TOL).any():
         failed.append(f"x[{xs.argmin()}] = {xs.min():.6g}")
-    if np.minimum.reduce(reduced) < -CHECK_TOL:
+    if reduced is not None and np.minimum.reduce(reduced) < -CHECK_TOL:
         failed.append(f"reduced cost of x[{reduced.argmin()}] = "
                       f"{reduced.min():.6g}")
     if failed:
@@ -645,7 +643,7 @@ def _certified(rhs, basis: np.ndarray, reduced: np.ndarray, A: np.ndarray,
             f"{name}: solution failed the optimality certificate: "
             f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
     xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
-    return LpSolution(objective, xs, reduced)
+    return LpSolution(objective, xs)
 
 
 def _push(chain: _Chain, rows: np.ndarray, rhs: float) -> _Batch:
@@ -815,10 +813,10 @@ def _solve(A: np.ndarray, sense: np.ndarray, b: np.ndarray, c: np.ndarray,
 def solve_lp(model: LpModel) -> LpSolution:
     """Two-phase dense simplex.  Deterministic for byte-identical models.
 
-    Returns a certified optimum or raises: LpInfeasible, LpUnbounded, or
-    NumericFailure for a solution that fails the post-solve feasibility or
-    reduced-cost certificate, naming the worst row, a negative x or reduced
-    cost, and CHECK_TOL.
+    Returns a certified optimum, its value and x, or raises: LpInfeasible,
+    LpUnbounded, or NumericFailure for a solution that fails the post-solve
+    certificate, naming the worst row, a negative x or reduced cost (not on
+    a walk, see _Trie.walk), and CHECK_TOL.
     """
     A, sense, b = model.dense()
     c, paths = model._inputs[3:]

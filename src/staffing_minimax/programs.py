@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -172,12 +173,13 @@ class SingleSwitchLp(_DayPoolHires):
     targets: dict = field(default_factory=dict, repr=False, compare=False)
 
     def refine_targets(self, refine_limit: Optional[int] = None) -> tuple:
-        """_DayPoolHires' targets as a tuple, made once per refine_limit for
-        the day's rows (see build_lp_resolving)."""
+        """_DayPoolHires' targets, read-only, as a tuple made once per
+        refine_limit for the day's rows (see build_lp_resolving)."""
         targets = self.targets.get(refine_limit)
         if targets is None:
-            targets = self.targets[refine_limit] = \
-                tuple(super().refine_targets(refine_limit))
+            targets = self.targets[refine_limit] = tuple(
+                (MappingProxyType(coeffs), goal)
+                for coeffs, goal in super().refine_targets(refine_limit))
         return targets
 
 
@@ -354,7 +356,6 @@ class JointLp(_DayPoolHires):
     ri: ReleaseInstance
     x_index: Dict[Tuple[int, int], int]
     lam_index: List[int]        # lam_index[k-1] for k in 1..T
-    theta: int
     epigraph: int
 
     @property
@@ -403,7 +404,7 @@ def build_lp_joint_cost(ri: ReleaseInstance) -> JointLp:
         coeffs[lam_index[k - 1]] = inst.over_cost
         coeffs[epigraph] = coeffs.get(epigraph, 0.0) - 1.0
         m.add_row(coeffs, "<=", 0.0)
-    return JointLp(m, ri, x_index, lam_index, theta, epigraph)
+    return JointLp(m, ri, x_index, lam_index, epigraph)
 
 
 # --- Release configuration program ------------------------------------------

@@ -6,12 +6,13 @@ A reference is a name or an attribute that is read, an imported name or
 its alias, or a string constant that is a whole identifier or dotted name,
 each part counted (the benchmark tracer names what it wraps that way).  A
 slot counts only attributes read by its name, so a field that is only ever
-written is dead; so does a class attribute, a name a plain assignment in
-a class body binds (annotated dataclass and NamedTuple fields are not
-checked).  A word in a message or a docstring is prose, not a
-reference.  A definition does not reference itself.  Dunders are exempt,
-and so are the ``cmd_*`` functions: ``cli.main`` dispatches to them by
-name.  Code that only tests call belongs in the tests.
+written is dead; so does a class attribute, a name an assignment in a class
+body binds, annotated or not, which takes in dataclass and NamedTuple
+fields: a field that is only constructed is dead.  A word in a message or
+a docstring is prose, not a reference.  A definition does not reference
+itself.  Dunders are exempt, and so are the ``cmd_*`` functions:
+``cli.main`` dispatches to them by name.  Code that only tests call belongs
+in the tests.
 """
 
 import ast
@@ -39,8 +40,9 @@ def _assigned(node: ast.stmt) -> list:
 
 def definitions(tree: ast.Module) -> list:
     """Module-level functions, classes and assigned names, the classes'
-    methods, and their __slots__ entries and plain-assigned class attributes
-    as "." + the name, none of them dunders, as (name, node)."""
+    methods, and their __slots__ entries and assigned class attributes
+    (annotated fields too) as "." + the name, none of them dunders, as
+    (name, node)."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -54,7 +56,7 @@ def definitions(tree: ast.Module) -> list:
                     found += [("." + slot.value, item)
                               for slot in ast.walk(item.value)
                               if isinstance(slot, ast.Constant)]
-                elif isinstance(item, ast.Assign):
+                else:
                     found += [("." + name, item) for name in _assigned(item)]
     return [(name, node) for name, node in found
             if not (name.lstrip(".").startswith("__")
@@ -156,7 +158,32 @@ def test_guard_sees_class_attributes_only_written():
             "Policy().step()\n"
             "local_label()\n"
             "NAMES = ['label']\n")
-    assert unreferenced({"m.py": module}, [module, user]) == ["m: .label"]
+    assert unreferenced({"m.py": module}, [module, user]) == [
+        "m: .label", "m: .tag"]
+
+
+def test_guard_sees_annotated_fields_only_written():
+    # A keyword argument, a local of the field's name and a string constant
+    # construct or name the field; only an attribute read uses it.
+    module = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "@dataclass\n"
+              "class Built:\n"
+              "    model: int\n"
+              "    theta: int\n"
+              "    extra: int = 0\n"
+              "class Pair(NamedTuple):\n"
+              "    left: float\n"
+              "    right: float\n"
+              "def build():\n"
+              "    right = 2.0\n"
+              "    return Built(1, theta=2), Pair(1.0, right)\n")
+    user = ("from m import build\n"
+            "built, pair = build()\n"
+            "print(built.model, built.extra, pair.left)\n"
+            "NAMES = ['theta']\n")
+    assert unreferenced({"m.py": module}, [module, user]) == [
+        "m: .right", "m: .theta"]
 
 
 def test_src_defines_nothing_only_tests_use():

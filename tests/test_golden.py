@@ -242,8 +242,7 @@ def _lp_text(model):
         sol = solve_lp(model)
     except LpError as exc:
         return type(exc).__name__
-    red = None if sol.reduced_costs is None else sol.reduced_costs.tolist()
-    return repr(("optimal", sol.objective, sol.x.tolist(), red))
+    return repr(("optimal", sol.objective, sol.x.tolist()))
 
 
 def _solver_edges():
@@ -418,11 +417,11 @@ GOLDEN = {
     'run_emulator[release_demo.base]':
         '771427879d6d9c91be4a1ae977f985ab178335078d157a8425540ed126d639aa',
     'solve_lp[edges]':
-        '48df7e9ab31f27e7f1d58d973f9f7d5e61af1b2a81207b66495703db9fa10dfe',
+        '8fb5fc86f021ba7f9f0b9d746a21714f611f81e21d4b2b0f6000e519a7d022b7',
     'solve_lp[random,unboxed]':
-        'f6e1c18a896bd188aba5d79087d414990cdff8976133bb7b305b6de3a7f1f174',
+        '6b06e60ad20862251d5fb5b9b3487cb938374e171f724861d03d51f6c8b1f03e',
     'solve_lp[random]':
-        '9aca0dfd818fa405dda1cde343892ab4e63039afc3ba8e0247f01122d9e1eac1',
+        '59a04926fe6cdc7338deaa94f26f217c42527c3289176b770bec2951e588dc95',
     'solve_out[fig3a]':
         '87f183d819badc7d3fb8525e5ad102e059c03d272cab341ce2ff9521a03b3880',
     'solve_out[fig3b]':

@@ -508,8 +508,7 @@ def _refined_bytes(model, targets):
     sol = solve_lp(model)
     out = refine_lexicographic(model, sol, targets)
     return (np.float64(sol.objective).tobytes(), sol.x.tobytes(),
-            sol.reduced_costs.tobytes(), np.float64(out.objective).tobytes(),
-            out.x.tobytes())
+            np.float64(out.objective).tobytes(), out.x.tobytes())
 
 
 def _solves_as_unshared(model, targets):
@@ -651,3 +650,34 @@ def test_cached_solve_inputs_follow_their_sources(monkeypatch):
             == tuple(programs._DayPoolHires.refine_targets(again, limit))
     # Every change moved the solve.
     assert len(set(seen)) == len(seen) == 3
+
+
+def test_fixed_coefficients_are_read_only(monkeypatch):
+    # A fixed model's row coefficients, which its with_rhs copies share,
+    # and a resolving day's refine targets, whose stacked stage rows the
+    # day's row set keeps, are read-only mappings: an edit in place raises
+    # instead of leaving what the first solve made stale.
+    m = LpModel("one-row")
+    m.add_var("x", obj=1.0)
+    m.add_row({0: 1.0}, ">=", 1.0)
+    assert solve_lp(m).x.tolist() == [1.0]
+    with pytest.raises(TypeError):
+        m.rows[0][0][0] = 2.0
+    assert m.dump() == "min 1*x\n  1*x >= 1"
+    assert solve_lp(m).x.tolist() == [1.0]
+    monkeypatch.setattr(programs, "_day_rows", programs.DayMemo())
+    inst = fig3_instance("c")
+    st = fresh_state(inst)
+    built = build_lp_resolving(inst, st, st.index)
+    m, targets = built.model, built.refine_targets()
+    before = _solves_as_unshared(m, targets)
+    copy = m.with_rhs("copy", [rhs for _, _, rhs in m.rows])
+    for coeffs in (m.rows[0][0], copy.rows[-1][0], targets[0][0],
+                   targets[-1][0]):
+        j = next(iter(coeffs))
+        with pytest.raises(TypeError):
+            coeffs[j] = 2.0
+        with pytest.raises(TypeError):
+            del coeffs[j]
+    assert _solves_as_unshared(m, targets) == before
+    assert _solves_as_unshared(copy, targets) == before

@@ -177,17 +177,33 @@ def test_determinism_bitwise():
 
 
 def test_reduced_cost_certificate():
-    rng = np.random.default_rng(3)
-    m = LpModel()
-    for j in range(5):
-        m.add_var(f"x{j}", obj=rng.normal())
-    for _ in range(4):
-        m.add_row({j: rng.normal() for j in range(5)}, "<=",
-                  abs(rng.normal()) + 0.5)
-    m.add_row({j: 1.0 for j in range(5)}, "<=", 20.0)
-    sol = solve_lp(m)
-    assert sol.reduced_costs is not None
-    assert sol.reduced_costs.min() >= -1e-7
+    # The certificate's dual half: a cold solve or a replay hands it the
+    # reduced costs it has just computed, and one below -CHECK_TOL fails by
+    # name, after any row or x; a walk hands it none (lp._Trie.walk).
+    m = LpModel(name="one-row")
+    m.add_var("x0", obj=1.0)
+    m.add_var("x1", obj=2.0)
+    m.add_row({0: 1.0, 1: 1.0}, "<=", 3.0)
+    A, sense, b = m.dense()
+
+    def certify(rhs, basic, reduced):
+        return lp._certified([rhs], np.array([basic]), reduced, A, sense, b,
+                             m._inputs[3], 3, m.name)
+
+    head = "one-row: solution failed the optimality certificate: "
+    for reduced in (None, np.array([1.0, 2.0]), np.array([1.0, -CHECK_TOL])):
+        sol = certify(3.0, 2, reduced)        # the slack basic at 3
+        assert sol.objective == 0.0 and sol.x.tolist() == [0.0, 0.0]
+    with pytest.raises(NumericFailure, match=re.escape(
+            head + "reduced cost of x[1] = -0.5 (tolerance 1e-07)")):
+        certify(3.0, 2, np.array([1.0, -0.5]))
+    with pytest.raises(NumericFailure, match=re.escape(
+            head + "row 0 of 1 (<=) is off by 1; reduced cost of x[0] = "
+            "-2e-07 (tolerance 1e-07)")):
+        certify(4.0, 0, np.array([-2e-7, 1.0]))
+    with pytest.raises(NumericFailure, match=re.escape(
+            head + "row 0 of 1 (<=) is off by 1 (tolerance 1e-07)")):
+        certify(4.0, 0, None)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -558,7 +574,7 @@ def _oracle_phase_two(T: np.ndarray, basis: np.ndarray, A: np.ndarray,
             f"{name}: solution failed the optimality certificate: "
             f"{'; '.join(failed)} (tolerance {CHECK_TOL:g})")
     xs = np.where(np.abs(xs) < 1e-12, 0.0, xs)
-    return LpSolution(objective, xs, reduced)
+    return LpSolution(objective, xs)
 
 
 def _chain_bytes(chain) -> tuple:
@@ -573,12 +589,12 @@ def oracle_solves(monkeypatch):
     """Check every cold solve (lp._two_phase) against _oracle_two_phase on
     copies of its inputs, and every replayed refinement stage and every
     solve that the pivot-path memo serves (lp._Trie.walk) against a cold
-    oracle solve of the same stage: x, the objective's repr and the reduced
-    costs, and for a cold solve, the tableau and basis just before phase 2
-    and a recorded chain.  Returns one name per checked solve.  Phase 2
-    starts by overwriting the cost row, so a replay, which pushes only its
-    new rows, is checked on the constraint rows alone; a walk builds no
-    tableau, so it is checked on its solution alone."""
+    oracle solve of the same stage: x and the objective's repr, and for a
+    cold solve, the tableau and basis just before phase 2 and a recorded
+    chain.  Returns one name per checked solve.  Phase 2 starts by
+    overwriting the cost row, so a replay, which pushes only its new rows,
+    is checked on the constraint rows alone; a walk builds no tableau, so
+    it is checked on its solution alone."""
     two_phase, phase_two, replay = lp._two_phase, lp._phase_two, lp._replay
     walk = lp._Trie.walk
     before, checked = [], []
@@ -590,7 +606,6 @@ def oracle_solves(monkeypatch):
     def compare(got, want, chain=None, cost_row=True):
         assert got.x.tobytes() == want.x.tobytes()
         assert repr(got.objective) == repr(want.objective)
-        assert got.reduced_costs.tobytes() == want.reduced_costs.tobytes()
         if chain is not None:
             (rows, cost, basis), = before
             assert rows == chain.T[:-1].tobytes()
@@ -787,7 +802,7 @@ def _outcome(model):
         sol = solve_lp(model)
     except LpError as exc:
         return type(exc).__name__, str(exc)
-    return repr(sol.objective), sol.x.tobytes(), sol.reduced_costs.tobytes()
+    return "optimal", repr(sol.objective), sol.x.tobytes()
 
 
 def _resolves_as_cold(model, rhs_list, rounds=3):
@@ -862,7 +877,7 @@ def test_memo_resolves_flipped_rows_as_cold(walks):
     model = _four_rows()
     rhs = [[1.0, b1, 2.0, 3.0] for b1 in (0.5, -0.5, 0.25, -0.25, 0.75)]
     outcomes = _resolves_as_cold(model, rhs)
-    assert all(len(o) == 3 for o in outcomes)
+    assert all(o[0] == "optimal" for o in outcomes)
     assert sum(walks) >= len(rhs)
     assert len(_memo(model).tries) == 2
 
@@ -920,8 +935,7 @@ def test_memo_resolves_random_lps_as_cold(walks):
             model = _random_lp(seed, bounded)
             b = model.dense()[2]
             rhs = [b, 2.0 * b, b + 0.5, -b, b - 1.0]
-            ends.update(o[0] if len(o) == 2 else "optimal"
-                        for o in _resolves_as_cold(model, rhs))
+            ends.update(o[0] for o in _resolves_as_cold(model, rhs))
     assert ends == {"optimal", "LpInfeasible", "LpUnbounded"}
     assert sum(walks) > 200
 
@@ -941,7 +955,7 @@ def test_memo_stays_at_its_bound(monkeypatch, walks):
     assert paths.held == (sum(len(k) + len(c) for k, c in paths.tries)
                           + sum(len(a) * a.itemsize for t in _tries(model)
                                 for a in (t.nodes, t.cols)))
-    # Unbounded, these solves take 1,500 bytes (8 keys and 25 nodes).  The
+    # Unbounded, these solves take 1,404 bytes (8 keys and 25 nodes).  The
     # memo fills to within a node (at most 60 bytes here) of the bound and
     # stays there: the last round's misses solve cold and record nothing.
     last = walks[-len(rhs):]
